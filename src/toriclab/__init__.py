@@ -7,7 +7,7 @@ equalities, so approximate arithmetic would be meaningless.
 
 Subpackages by theme:
 
-- ``lattice``    exact integer linear algebra (Smith/Hermite forms, cokernels)
+- ``lattice``    exact linear algebra (Smith/Hermite forms, cokernels, echelon form over Q)
 - ``fan``        cones, fans, star subdivisions, 2D resolutions
 - ``toric``      class groups, (Q-)Cartier tests, Fano test, weighted projective fans
 - ``pairs``      toric pairs, log discrepancies, singularity classes, crepant pullback

@@ -19,7 +19,10 @@ from toriclab.lattice import (
     IntMatrix,
     Vec,
     is_zero,
+    nullspace,
     primitive,
+    rank as matrix_rank,
+    row_echelon,
     smith_normal_form,
     vdot,
 )
@@ -98,7 +101,8 @@ def linear_feasible(
         cons = list({_normalize(c) for c in new})
 
     for coeffs, rhs, kind in cons:
-        assert all(x == 0 for x in coeffs), "variable survived elimination"
+        if any(x != 0 for x in coeffs):
+            raise RuntimeError("Fourier-Motzkin invariant broken: a variable survived elimination")
         if kind == "eq" and rhs != 0:
             return False
         if kind == "ge" and rhs > 0:
@@ -146,11 +150,9 @@ class Cone:
 
     @cached_property
     def dim(self) -> int:
-        from toriclab.lattice import rank as _rank
-
         if not self.generators:
             return 0
-        return _rank(IntMatrix.from_rows(self.generators))
+        return matrix_rank(IntMatrix.from_rows(self.generators))
 
     @cached_property
     def generator_matrix(self) -> IntMatrix:
@@ -216,7 +218,7 @@ class Cone:
     @cached_property
     def span_equations(self) -> tuple[tuple[Fraction, ...], ...]:
         """Basis of the functionals vanishing on the cone's linear span."""
-        return _nullspace(self.generators, self.rank)
+        return nullspace(self.generators, self.rank)
 
     @cached_property
     def facet_data(self) -> tuple[tuple[frozenset[int], tuple[Fraction, ...]], ...]:
@@ -231,13 +233,13 @@ class Cone:
             return ()
         if d == 1:
             # facet is the origin; exposing functional positive on the gens
-            h = _positive_functional(self.generators, self.rank)
-            return ((frozenset(), h),)
+            return ((frozenset(), _positive_functional(self.generators, self.rank)),)
+        span_ann = row_echelon(self.span_equations, self.rank)
         found = {}
         idx = range(len(self.generators))
         for sub in itertools.combinations(idx, d - 1):
             rows = [self.generators[i] for i in sub]
-            kernel = _nullspace_within(rows, self.generators, self.rank)
+            kernel = _nullspace_within(rows, self.generators, span_ann)
             if kernel is None:
                 continue
             vals = [vdot(kernel, g) for g in self.generators]
@@ -250,9 +252,7 @@ class Cone:
                 continue
             members = frozenset(i for i in idx if vals[i] == 0)
             rows = [self.generators[i] for i in members]
-            from toriclab.lattice import rank as _rank
-
-            if rows and _rank(IntMatrix.from_rows(rows)) == d - 1:
+            if rows and matrix_rank(IntMatrix.from_rows(rows)) == d - 1:
                 found.setdefault(members, h)
         return tuple(sorted(found.items(), key=lambda kv: sorted(kv[0])))
 
@@ -268,86 +268,36 @@ class Cone:
         return member
 
 
-def _nullspace(rows: Sequence[Sequence], width: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Basis of { h : h.row = 0 for all rows }, over Q."""
-    a = [[Fraction(x) for x in row] for row in rows]
-    n = width
-    pivots = {}
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, len(a)) if a[i][col] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        a[r] = [x / a[r][col] for x in a[r]]
-        for i in range(len(a)):
-            if i != r and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots[col] = r
-        r += 1
-    basis = []
-    free = [c for c in range(n) if c not in pivots]
-    for fc in free:
-        h = [Fraction(0)] * n
-        h[fc] = Fraction(1)
-        for col, row in pivots.items():
-            h[col] = -a[row][fc]
-        basis.append(tuple(h))
-    return tuple(basis)
-
-
-def _nullspace_within(rows, gens, rank) -> Optional[tuple[Fraction, ...]]:
+def _nullspace_within(rows, gens, span_ann) -> Optional[tuple[Fraction, ...]]:
     """A functional vanishing on `rows` but not on all of `gens`, unique up
-    to scale modulo the span-annihilator; None if no such functional."""
-    kernel = _nullspace(rows, rank)
-    span_ann = _nullspace(gens, rank)
-    # project away the part of the kernel that kills the whole span
-    for h in kernel:
+    to scale modulo the span-annihilator; None if no such functional.
+
+    `span_ann` is the reduced echelon form (rows, pivots) of the
+    functionals killing all of `gens`; the candidate is made canonical by
+    clearing its pivot columns."""
+    for h in nullspace(rows, len(gens[0])):
         if any(vdot(h, g) != 0 for g in gens):
-            candidate = h
             break
     else:
         return None
-    # make the candidate canonical mod span_ann: reduce by Gaussian elim
-    if not span_ann:
-        return candidate
-    rows_ann = [list(v) for v in span_ann]
-    cand = list(candidate)
-    r = 0
-    for col in range(rank):
-        piv = next((i for i in range(r, len(rows_ann)) if rows_ann[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows_ann[r], rows_ann[piv] = rows_ann[piv], rows_ann[r]
-        rows_ann[r] = [x / rows_ann[r][col] for x in rows_ann[r]]
-        for i in range(len(rows_ann)):
-            if i != r and rows_ann[i][col] != 0:
-                f = rows_ann[i][col]
-                rows_ann[i] = [x - f * y for x, y in zip(rows_ann[i], rows_ann[r])]
-        if cand[col] != 0:
-            f = cand[col]
-            cand = [x - f * y for x, y in zip(cand, rows_ann[r])]
-        r += 1
-    if all(x == 0 for x in cand):
+    ann_rows, ann_pivots = span_ann
+    for row, col in zip(ann_rows, ann_pivots):
+        if h[col] != 0:
+            f = h[col]
+            h = tuple(x - f * y for x, y in zip(h, row))
+    if all(x == 0 for x in h):
         return None
-    return tuple(cand)
+    return h
 
 
 def _positive_functional(gens, rank):
-    """Some rational h with h.g > 0 for every generator (exists iff the
-    cone is strongly convex); tries the generator sum, then a small grid."""
-    # the sum of the generators' duals usually works; fall back to solving
+    """Some rational h with h.g > 0 for every generator of a 1-dimensional
+    cone.  Its primitive generators are {g} or {g, -g}: the generator sum
+    works for the first, and no such functional exists for the second."""
     total = tuple(sum(g[i] for g in gens) for i in range(rank))
-    if all(vdot(total, g) > 0 for g in gens):
-        return tuple(Fraction(x) for x in total)
-    # general fallback: maximize nothing, just find a feasible point by FM
-    # via a bounded search box of rational grid candidates
-    for bound in (1, 2, 3, 5, 8):
-        for cand in itertools.product(range(-bound, bound + 1), repeat=rank):
-            if all(vdot(cand, g) > 0 for g in gens):
-                return tuple(Fraction(x) for x in cand)
-    raise ValueError("no positive functional: cone is not strongly convex")
+    if not all(vdot(total, g) > 0 for g in gens):
+        raise ValueError("no positive functional: cone is not strongly convex")
+    return tuple(Fraction(x) for x in total)
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +363,9 @@ class Fan:
 
 
 @dataclass(frozen=True)
-class FanDiagnostics:
+class Diagnostics:
+    """Outcome of a validation: the first problem found, with a witness."""
+
     valid: bool
     problem: Optional[str] = None
     witness: Optional[tuple] = None
@@ -422,7 +374,7 @@ class FanDiagnostics:
         return self.valid
 
 
-def validate_fan(fan: Fan) -> FanDiagnostics:
+def validate_fan(fan: Fan) -> Diagnostics:
     """Check the fan axioms; reports the first violation with a witness.
 
     Checks, in order: every ray used, strong convexity and extremality of
@@ -433,24 +385,24 @@ def validate_fan(fan: Fan) -> FanDiagnostics:
     used = set(itertools.chain.from_iterable(fan.max_cones))
     for i in range(len(fan.rays)):
         if i not in used:
-            return FanDiagnostics(False, "ray not contained in any maximal cone", (fan.rays[i],))
+            return Diagnostics(False, "ray not contained in any maximal cone", (fan.rays[i],))
     cones = [fan.cone(c) for c in fan.max_cones]
     for idx, cone in zip(fan.max_cones, cones):
         if not cone.is_strongly_convex():
-            return FanDiagnostics(False, "maximal cone is not strongly convex", (idx,))
+            return Diagnostics(False, "maximal cone is not strongly convex", (idx,))
         if not cone.generators_extremal():
-            return FanDiagnostics(False, "non-extremal generator in maximal cone", (idx,))
+            return Diagnostics(False, "non-extremal generator in maximal cone", (idx,))
     for a, b in itertools.combinations(range(len(cones)), 2):
         ia, ib = set(fan.max_cones[a]), set(fan.max_cones[b])
         if ia <= ib or ib <= ia:
-            return FanDiagnostics(False, "maximal cone contained in another", (fan.max_cones[a], fan.max_cones[b]))
+            return Diagnostics(False, "maximal cone contained in another", (fan.max_cones[a], fan.max_cones[b]))
         if not _meet_in_common_face(fan, fan.max_cones[a], fan.max_cones[b]):
-            return FanDiagnostics(
+            return Diagnostics(
                 False,
                 "cones do not intersect in a common face",
                 (fan.max_cones[a], fan.max_cones[b]),
             )
-    return FanDiagnostics(True)
+    return Diagnostics(True)
 
 
 def _meet_in_common_face(fan: Fan, ca: tuple[int, ...], cb: tuple[int, ...]) -> bool:
@@ -486,20 +438,26 @@ def is_complete(fan: Fan) -> bool:
     """
     if not fan.max_cones:
         return fan.rank == 0
-    for c in fan.max_cones:
-        if fan.cone(c).dim != fan.rank:
-            raise ValueError("completeness undefined: maximal cone is not full-dimensional")
-    wall_count: dict[frozenset[int], list[int]] = {}
-    for k, c in enumerate(fan.max_cones):
-        cone = fan.cone(c)
-        ray_index = {fan.rays[i]: i for i in c}
+    cones = [fan.cone(c) for c in fan.max_cones]
+    if any(cone.dim != fan.rank for cone in cones):
+        raise ValueError("completeness undefined: maximal cone is not full-dimensional")
+    wall_map = walls(cones)
+    return all(len(ks) == 2 for ks in wall_map.values()) and _connected(len(cones), wall_map)
+
+
+def walls(cones: Sequence[Cone]) -> dict[frozenset[Vec], list[int]]:
+    """Map the generator set of every facet of the given cones to the
+    indices of the cones that have that facet."""
+    out: dict[frozenset[Vec], list[int]] = {}
+    for k, cone in enumerate(cones):
         for members, _ in cone.facet_data:
-            key = frozenset(ray_index[cone.generators[m]] for m in members)
-            wall_count.setdefault(key, []).append(k)
-    if any(len(v) != 2 for v in wall_count.values()):
-        return False
-    # connectivity of the wall-sharing graph
-    parent = list(range(len(fan.max_cones)))
+            out.setdefault(frozenset(cone.generators[m] for m in members), []).append(k)
+    return out
+
+
+def _connected(n: int, wall_map: dict[frozenset[Vec], list[int]]) -> bool:
+    """Are the cones 0..n-1 linked into one piece by shared walls?"""
+    parent = list(range(n))
 
     def find(x):
         while parent[x] != x:
@@ -507,9 +465,10 @@ def is_complete(fan: Fan) -> bool:
             x = parent[x]
         return x
 
-    for a, b in wall_count.values():
-        parent[find(a)] = find(b)
-    return len({find(i) for i in range(len(fan.max_cones))}) == 1
+    for ks in wall_map.values():
+        for k in ks[1:]:
+            parent[find(k)] = find(ks[0])
+    return len({find(i) for i in range(n)}) == 1
 
 
 def star_subdivision(fan: Fan, stratum: Iterable[int], ray: Optional[Sequence[int]] = None) -> Fan:
@@ -617,38 +576,15 @@ def _covers(fine: Fan, fine_indices: list[int], coarse_cone: Cone) -> bool:
         else (lambda x: all(v == 0 for v in x))
         for members, _ in coarse_cone.facet_data
     ]
-    wall_count: dict[frozenset[Vec], int] = {}
-    wall_gens: dict[frozenset[Vec], tuple] = {}
-    for c in cones:
-        for members, _ in c.facet_data:
-            key = frozenset(c.generators[m] for m in members)
-            wall_count[key] = wall_count.get(key, 0) + 1
-            wall_gens[key] = tuple(c.generators[m] for m in members)
-    for key, count in wall_count.items():
-        if count == 2:
+    wall_map = walls(cones)
+    for key, ks in wall_map.items():
+        if len(ks) == 2:
             continue
-        if count != 1:
+        if len(ks) != 1:
             return False
-        gens = wall_gens[key]
-        if not any(all(bm(g) for g in gens) for bm in boundary_membership):
+        if not any(all(bm(g) for g in key) for bm in boundary_membership):
             return False
-    # connectivity among the fine pieces
-    parent = list(range(len(cones)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    keys = {}
-    for i, c in enumerate(cones):
-        for members, _ in c.facet_data:
-            key = frozenset(c.generators[m] for m in members)
-            if key in keys:
-                parent[find(keys[key])] = find(i)
-            keys[key] = i
-    return len({find(i) for i in range(len(cones))}) == 1
+    return _connected(len(cones), wall_map)
 
 
 # ---------------------------------------------------------------------------
@@ -683,7 +619,8 @@ def resolve_cone_2d(cone: Cone) -> list[Vec]:
         # point (m, 1) with minimal m, and map it back
         x, y = cur
         g, p, q = _xgcd(x, y)
-        assert g == 1
+        if g != 1:
+            raise RuntimeError("boundary walk invariant broken: reached a non-primitive point")
         a = p * w[0] + q * w[1]
         b = -y * w[0] + x * w[1]
         m = -((-a) // b)  # ceil(a / b); b = det(cur, w) > 1

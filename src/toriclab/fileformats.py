@@ -137,13 +137,7 @@ def parse_pair(text: str, base_dir: str = ".") -> ToricPair:
 
     # coeff indices refer to the ray order of the fan as written; map onto
     # the canonical order of the constructed fan
-    from toriclab.lattice import primitive
-
-    file_rays = [
-        primitive(tuple(int(x) for x in words[1:]))
-        for _, words in _logical_lines(fan_text)
-        if words[0] == "ray"
-    ]
+    file_rays = fan_file_ray_order(fan_text)
     coeffs = [Fraction(0)] * len(fan.rays)
     for lineno, idx, value in coeff_lines:
         if idx < 0 or idx >= len(file_rays):

@@ -1,8 +1,12 @@
-"""Exact integer linear algebra: Smith/Hermite normal forms and cokernels.
+"""Exact linear algebra: Smith/Hermite normal forms, cokernels, and one
+Gaussian elimination over Q.
 
 All matrices and vectors carry plain Python integers (arbitrary precision),
 and every routine here is a pure function on immutable values.  Lattice
 vectors are ordinary tuples of ints; their length is the ambient rank.
+`row_echelon` is the only elimination over Q in the package: `rank`,
+`nullspace` and `solve_rational` read their answers off its reduced rows,
+and it accepts Fraction rows as readily as integer ones.
 """
 
 from __future__ import annotations
@@ -10,26 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 Vec = tuple[int, ...]
-
-
-def vec(coords: Iterable[int]) -> Vec:
-    v = tuple(int(c) for c in coords)
-    return v
-
-
-def vadd(a: Vec, b: Vec) -> Vec:
-    return tuple(x + y for x, y in zip(a, b, strict=True))
-
-
-def vsub(a: Vec, b: Vec) -> Vec:
-    return tuple(x - y for x, y in zip(a, b, strict=True))
-
-
-def vscale(k: int, a: Vec) -> Vec:
-    return tuple(k * x for x in a)
 
 
 def vdot(a: Sequence, b: Sequence):
@@ -91,9 +78,6 @@ class IntMatrix:
         )
         return IntMatrix(data, self.rows, other.cols)
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(tuple(zip(*self.entries)) if self.entries else (), self.cols, self.rows)
-
     def apply(self, v: Sequence) -> tuple:
         """Matrix-vector product; keeps Fractions exact if ``v`` has any."""
         if len(v) != self.cols:
@@ -137,22 +121,56 @@ def det(M: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def rank(M: IntMatrix) -> int:
-    """Rank over Q, by exact Gaussian elimination."""
-    a = [[Fraction(x) for x in row] for row in M.entries]
-    r = 0
-    for col in range(M.cols):
-        pivot = next((i for i in range(r, M.rows) if a[i][col] != 0), None)
-        if pivot is None:
+def row_echelon(rows: Sequence[Sequence], ncols: int) -> tuple[list[list[Fraction]], tuple[int, ...]]:
+    """Reduced row echelon form over Q, by exact Gauss-Jordan elimination.
+
+    Pivots are taken in the first `ncols` columns only, so columns past
+    them (a right-hand side, say) ride along.  Returns (rows, pivots): the
+    first len(pivots) rows carry a 1 in their pivot column and 0 in every
+    other pivot column; the remaining rows vanish on the first `ncols`
+    columns.
+
+    >>> row_echelon([[2, 4, 2], [1, 3, 2]], 2)[1]
+    (0, 1)
+    """
+    a = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(a)) if a[i][col] != 0), None)
+        if piv is None:
             continue
-        a[r], a[pivot] = a[pivot], a[r]
-        inv = a[r][col]
-        for i in range(M.rows):
+        a[r], a[piv] = a[piv], a[r]
+        lead = a[r][col]
+        if lead != 1:
+            a[r] = [x / lead for x in a[r]]
+        for i in range(len(a)):
             if i != r and a[i][col] != 0:
-                f = a[i][col] / inv
+                f = a[i][col]
                 a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        r += 1
-    return r
+        pivots.append(col)
+    return a, tuple(pivots)
+
+
+def rank(M: IntMatrix) -> int:
+    """Rank over Q."""
+    return len(row_echelon(M.entries, M.cols)[1])
+
+
+def nullspace(rows: Sequence[Sequence], width: int) -> tuple[tuple[Fraction, ...], ...]:
+    """Basis of { h : h.row = 0 for all rows } over Q, one vector per free
+    column of the echelon form (1 there, 0 on the other free columns)."""
+    a, pivots = row_echelon(rows, width)
+    basis = []
+    for fc in range(width):
+        if fc in pivots:
+            continue
+        h = [Fraction(0)] * width
+        h[fc] = Fraction(1)
+        for row, col in enumerate(pivots):
+            h[col] = -a[row][fc]
+        basis.append(tuple(h))
+    return tuple(basis)
 
 
 @dataclass(frozen=True)
@@ -339,26 +357,10 @@ def cokernel_structure(M: IntMatrix) -> AbelianGroupStructure:
 
 def solve_rational(A: IntMatrix, b: Sequence) -> Optional[tuple[Fraction, ...]]:
     """One exact solution x of A x = b over Q, or None if inconsistent."""
-    rows, cols = A.rows, A.cols
-    a = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(A.entries)]
-    pivots = []
-    r = 0
-    for col in range(cols):
-        piv = next((i for i in range(r, rows) if a[i][col] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = a[r][col]
-        a[r] = [x / inv for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(col)
-        r += 1
-    for i in range(r, rows):
-        if a[i][cols] != 0:
-            return None
+    cols = A.cols
+    a, pivots = row_echelon([row + (b[i],) for i, row in enumerate(A.entries)], cols)
+    if any(row[cols] != 0 for row in a[len(pivots):]):
+        return None
     x = [Fraction(0)] * cols
     for i, col in enumerate(pivots):
         x[col] = a[i][cols]
@@ -380,8 +382,3 @@ def solve_integer(A: IntMatrix, b: Sequence[int]) -> Optional[Vec]:
                 return None
             y[i] = c[i] // d
     return V.apply(tuple(y))
-
-
-def matrix_from_columns(cols: Sequence[Vec]) -> IntMatrix:
-    height = len(cols[0]) if cols else 0
-    return IntMatrix.from_rows(tuple(tuple(col[i] for col in cols) for i in range(height)), cols=len(cols))

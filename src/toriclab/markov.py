@@ -58,7 +58,8 @@ def enumerate_markov(bound: int) -> list[MarkovTriple]:
 def adjacent_triple(t: MarkovTriple) -> MarkovTriple:
     """Vieta jump of the largest entry: (a, b, c) -> sorted (a, b, 3ab-c)."""
     d = 3 * t.a * t.b - t.c
-    assert d > 0, "the jump of the maximal entry of a Markov triple is positive"
+    if d <= 0:
+        raise RuntimeError("the jump of the maximal entry of a Markov triple must be positive")
     return MarkovTriple(*sorted((t.a, t.b, d)))
 
 
@@ -89,7 +90,8 @@ def hkw_surface(t: MarkovTriple) -> HkwSurfaceData:
     weights = (a * a, b * b, d, c)
     degree = c * d
     # c*d = a^2 + b^2 is forced by the Markov equation; keep it checked
-    assert degree == a * a + b * b
+    if degree != a * a + b * b:
+        raise RuntimeError("Markov equation broken: c*d differs from a^2 + b^2")
     amplitude = sum(weights) - degree
     wellformed = all(
         math.gcd(*(w for j, w in enumerate(weights) if j != i)) == 1
@@ -101,7 +103,7 @@ def hkw_surface(t: MarkovTriple) -> HkwSurfaceData:
     # the common zero locus is x1 = x2 = x3 = x4 = 0, which the weighted
     # projective space excludes.  Either way the affine cone is smooth away
     # from the origin.
-    quasismooth = (c == 1 or d == 1) or (c >= 2 and d >= 2)
+    quasismooth = True
     fano = amplitude > 0
     return HkwSurfaceData(
         triple=t,

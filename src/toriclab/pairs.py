@@ -18,12 +18,13 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from toriclab.fan import Fan, is_refinement
-from toriclab.lattice import IntMatrix, Vec, solve_rational, vdot
+from toriclab.fan import Diagnostics, Fan, is_refinement
+from toriclab.lattice import Vec, vdot
 from toriclab.toric import (
     ToricVariety,
     divisor_class_q,
     is_cartier,
+    local_functionals,
     projective_space_fan,
 )
 
@@ -78,32 +79,21 @@ class ToricPair:
         return tuple(b - 1 for b in self.boundary)
 
 
-@dataclass(frozen=True)
-class PairDiagnostics:
-    valid: bool
-    problem: Optional[str] = None
-    witness: Optional[tuple] = None
-
-    def __bool__(self):
-        return self.valid
-
-
 def standard_pair(n: int) -> ToricPair:
     """(P^n, sum of the coordinate hyperplanes)."""
     return ToricPair.reduced(projective_space_fan(n))
 
 
-def validate_pair(pair: ToricPair) -> PairDiagnostics:
+def validate_pair(pair: ToricPair) -> Diagnostics:
     """Effectivity plus Q-Cartierness of K+B, reported per cone."""
     if any(b < 0 for b in pair.boundary):
         idx = next(i for i, b in enumerate(pair.boundary) if b < 0)
-        return PairDiagnostics(False, "boundary not effective", (pair.fan.rays[idx],))
-    coeffs = pair.log_canonical_coefficients()
-    for c in pair.fan.max_cones:
-        A = IntMatrix.from_rows([pair.fan.rays[i] for i in c], cols=pair.fan.rank)
-        if solve_rational(A, [-coeffs[i] for i in c]) is None:
-            return PairDiagnostics(False, "K+B is not Q-Cartier on a maximal cone", (c,))
-    return PairDiagnostics(True)
+        return Diagnostics(False, "boundary not effective", (pair.fan.rays[idx],))
+    pieces = local_functionals(pair.fan, [1 - b for b in pair.boundary])
+    for c, m in zip(pair.fan.max_cones, pieces):
+        if m is None:
+            return Diagnostics(False, "K+B is not Q-Cartier on a maximal cone", (c,))
+    return Diagnostics(True)
 
 
 class LogDiscrepancyFunction:
@@ -113,18 +103,10 @@ class LogDiscrepancyFunction:
     def __init__(self, pair: ToricPair):
         fan = pair.fan
         self.pair = pair
-        self._pieces: list[tuple[Fraction, ...]] = []
-        self._oracles = []
-        for c in fan.max_cones:
-            A = IntMatrix.from_rows([fan.rays[i] for i in c], cols=fan.rank)
-            target = [1 - pair.boundary[i] for i in c]
-            m = solve_rational(A, target)
-            if m is None:
-                raise ValueError("K+B is not Q-Cartier; no log discrepancy function")
-            for i in c:  # agreement with the boundary data on every ray
-                assert vdot(m, fan.rays[i]) == 1 - pair.boundary[i]
-            self._pieces.append(m)
-            self._oracles.append(fan.cone(c).membership_oracle())
+        self._pieces: list[tuple[Fraction, ...]] = local_functionals(fan, [1 - b for b in pair.boundary])
+        if any(m is None for m in self._pieces):
+            raise ValueError("K+B is not Q-Cartier; no log discrepancy function")
+        self._oracles = [fan.cone(c).membership_oracle() for c in fan.max_cones]
 
     def piece(self, cone_index: int) -> tuple[Fraction, ...]:
         return self._pieces[cone_index]

@@ -21,7 +21,7 @@ from functools import cmp_to_key, lru_cache
 from typing import Iterable, Optional, Sequence
 
 from toriclab.fan import Fan, linear_feasible
-from toriclab.lattice import IntMatrix, primitive, rank as matrix_rank, vdot
+from toriclab.lattice import IntMatrix, primitive, row_echelon, vdot
 
 
 @dataclass(frozen=True)
@@ -68,16 +68,8 @@ class Polytope:
         if len(self.vertices) == 1:
             return 0
         v0 = self.vertices[0]
-        rows = [
-            [Fraction(a) - Fraction(b) for a, b in zip(v, v0)] for v in self.vertices[1:]
-        ]
-        scaled = []
-        for row in rows:
-            denom = 1
-            for x in row:
-                denom = denom * x.denominator // math.gcd(denom, x.denominator)
-            scaled.append([int(x * denom) for x in row])
-        return matrix_rank(IntMatrix.from_rows(scaled, cols=self.rank))
+        rows = [[a - b for a, b in zip(v, v0)] for v in self.vertices[1:]]
+        return len(row_echelon(rows, self.rank)[1])
 
     def contains_origin_interior(self) -> bool:
         """Is the origin strictly inside (the polytope being full-dim)?"""
@@ -148,8 +140,7 @@ def facet_functionals(P: Polytope) -> tuple[tuple[frozenset[int], tuple[Fraction
     verts = P.vertices
     found = {}
     for sub in itertools.combinations(range(len(verts)), n):
-        rows = [[Fraction(x) for x in verts[i]] for i in sub]
-        a = _solve_affine(rows, n)
+        a = _solve_affine([verts[i] for i in sub], n)
         if a is None:
             continue
         vals = [vdot(a, v) for v in verts]
@@ -162,21 +153,11 @@ def facet_functionals(P: Polytope) -> tuple[tuple[frozenset[int], tuple[Fraction
 
 def _solve_affine(rows, n) -> Optional[list[Fraction]]:
     """Solve <a, row> = -1 for all rows (n rows, n unknowns), None if the
-    rows are affinely degenerate for this normalization."""
-    from toriclab.lattice import solve_rational
-
-    denom = 1
-    for row in rows:
-        for x in row:
-            denom = denom * x.denominator // math.gcd(denom, x.denominator)
-    A = IntMatrix.from_rows([[int(x * denom) for x in row] for row in rows], cols=n)
-    sol = solve_rational(A, [Fraction(-denom)] * len(rows))
-    if sol is None:
+    rows are linearly dependent, so that no unique solution exists."""
+    a, pivots = row_echelon([(*row, -1) for row in rows], n)
+    if len(pivots) != n:
         return None
-    # unique only if the rows are independent; check exactness
-    if matrix_rank(A) != n:
-        return None
-    return list(sol)
+    return [row[n] for row in a[:n]]
 
 
 def dual_polytope(P: Polytope) -> Polytope:
@@ -324,7 +305,8 @@ def unimodular_normal_form(P: Polytope) -> Polytope:
             if best_key is None or key < best_key:
                 best_key = key
                 best_poly = pts
-    assert best_poly is not None
+    if best_poly is None:
+        raise RuntimeError("normal-form search missed the identity transform")
     return Polytope.hull(best_poly, rank=2)
 
 

@@ -13,9 +13,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import Optional, Sequence
 
-from toriclab.fan import Fan, is_complete, is_simplicial
+from toriclab.fan import Fan, is_complete, is_simplicial, walls
 from toriclab.lattice import (
     AbelianGroupStructure,
     IntMatrix,
@@ -114,16 +114,23 @@ def principal_divisor(X: ToricVariety, character: Vec) -> Divisor:
     return tuple(Fraction(vdot(character, u)) for u in X.fan.rays)
 
 
+def local_functionals(fan: Fan, values: Sequence) -> list[Optional[tuple[Fraction, ...]]]:
+    """For each maximal cone, some m with <m, u_i> = values[i] on the
+    cone's rays u_i, or None where no such m exists."""
+    out = []
+    for c in fan.max_cones:
+        A = IntMatrix.from_rows([fan.rays[i] for i in c], cols=fan.rank)
+        m = solve_rational(A, [values[i] for i in c])
+        if m is not None and any(vdot(m, fan.rays[i]) != values[i] for i in c):
+            raise RuntimeError("linear solve broken: local functional misses a prescribed value on a ray")
+        out.append(m)
+    return out
+
+
 def is_qcartier(X: ToricVariety, D: Sequence) -> bool:
     """On each maximal cone some rational linear functional agrees with
     minus the coefficients on the cone's rays."""
-    coeffs = [Fraction(c) for c in D]
-    for c in X.fan.max_cones:
-        A = IntMatrix.from_rows([X.fan.rays[i] for i in c], cols=X.fan.rank)
-        b = [-coeffs[i] for i in c]
-        if solve_rational(A, b) is None:
-            return False
-    return True
+    return all(m is not None for m in local_functionals(X.fan, [-Fraction(c) for c in D]))
 
 
 def is_cartier(X: ToricVariety, D: Sequence) -> bool:
@@ -177,7 +184,8 @@ def weighted_projective_fan(weights: Sequence[int]) -> Fan:
         # give a projection Z^{n+1} -> Z^n with kernel Z.weights
         column = IntMatrix.from_rows([[x] for x in w], cols=1)
         U, D, _ = smith_normal_form(column)
-        assert D.entries[0][0] == 1
+        if D.entries[0][0] != 1:
+            raise RuntimeError("Smith form of coprime weights must have leading entry 1")
         proj = [U.entries[i] for i in range(1, n + 1)]
         rays = [primitive(tuple(row[i] for row in proj)) for i in range(n + 1)]
     cones = list(itertools.combinations(range(n + 1), n))
@@ -192,28 +200,18 @@ def is_fano(X: ToricVariety) -> bool:
     fan = X.fan
     if not fan.max_cones or not is_complete(fan) or not is_simplicial(fan):
         raise ValueError("ampleness test unsupported: fan must be complete and simplicial")
-    functionals = {}
-    for k, c in enumerate(fan.max_cones):
-        A = IntMatrix.from_rows([fan.rays[i] for i in c], cols=fan.rank)
-        m = solve_rational(A, [Fraction(1)] * len(c))
-        if m is None:
-            return False
-        functionals[k] = m
-    walls: dict[frozenset[int], list[int]] = {}
-    for k, c in enumerate(fan.max_cones):
-        cone = fan.cone(c)
-        ray_index = {fan.rays[i]: i for i in c}
-        for members, _ in cone.facet_data:
-            key = frozenset(ray_index[cone.generators[m]] for m in members)
-            walls.setdefault(key, []).append(k)
-    for key, ks in walls.items():
+    functionals = local_functionals(fan, [Fraction(1)] * len(fan.rays))
+    if any(m is None for m in functionals):
+        return False
+    cones = [fan.cone(c) for c in fan.max_cones]
+    for key, ks in walls(cones).items():
         if len(ks) != 2:
             continue
         a, b = ks
-        for v in set(fan.max_cones[b]) - key:
-            if vdot(functionals[a], fan.rays[v]) >= 1:
+        for g in set(cones[b].generators) - key:
+            if vdot(functionals[a], g) >= 1:
                 return False
-        for v in set(fan.max_cones[a]) - key:
-            if vdot(functionals[b], fan.rays[v]) >= 1:
+        for g in set(cones[a].generators) - key:
+            if vdot(functionals[b], g) >= 1:
                 return False
     return True

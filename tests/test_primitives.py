@@ -1,0 +1,115 @@
+"""The shared primitives: the echelon routine over Q, the wall map of a set
+of cones, and the per-cone functional solve.  Randomized checks run against
+the minor-gcd oracle, which never eliminates."""
+
+import ast
+import math
+import pathlib
+import random
+from fractions import Fraction
+
+import pytest
+
+import toriclab
+from toriclab.fan import Cone, Diagnostics, Fan, validate_fan, walls
+from toriclab.lattice import IntMatrix, nullspace, rank, row_echelon, solve_rational, vdot
+from toriclab.pairs import ToricPair, validate_pair
+from toriclab.toric import local_functionals, projective_space_fan
+
+from oracles import minor_gcds
+
+
+def _random_matrix(rng):
+    rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+    out = [[rng.choice((0, 0, -1, 1, -2, 2, 3)) for _ in range(cols)] for _ in range(rows)]
+    if rows >= 2 and rng.random() < 0.4:  # force a dependent row
+        k = rng.randint(-2, 2)
+        out[-1] = [k * x + y for x, y in zip(out[0], out[1])]
+    return out, cols
+
+
+def test_rank_and_nullspace_against_minor_gcds():
+    rng = random.Random(20240903)
+    for _ in range(300):
+        rows, width = _random_matrix(rng)
+        r = sum(1 for g in minor_gcds(rows) if g != 0)
+        assert rank(IntMatrix.from_rows(rows, cols=width)) == r, rows
+        basis = nullspace(rows, width)
+        assert len(basis) == width - r, rows
+        for h in basis:
+            assert all(vdot(h, row) == 0 for row in rows), (rows, h)
+        if basis:  # the basis vectors are independent
+            scaled = []
+            for h in basis:
+                denom = math.lcm(*(x.denominator for x in h))
+                scaled.append([int(x * denom) for x in h])
+            assert sum(1 for g in minor_gcds(scaled) if g != 0) == len(basis), rows
+
+
+def test_row_echelon_is_reduced_and_keeps_extra_columns():
+    rng = random.Random(7)
+    for _ in range(200):
+        rows, width = _random_matrix(rng)
+        rhs = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in rows]
+        a, pivots = row_echelon([row + [b] for row, b in zip(rows, rhs)], width)
+        assert list(pivots) == sorted(set(pivots))
+        for i, col in enumerate(pivots):
+            assert [a[k][col] for k in range(len(a))] == [int(k == i) for k in range(len(a))]
+        for row in a[len(pivots):]:
+            assert all(x == 0 for x in row[:width])
+        x = solve_rational(IntMatrix.from_rows(rows, cols=width), rhs)
+        consistent = all(row[width] == 0 for row in a[len(pivots):])
+        assert (x is not None) == consistent
+        if x is not None:
+            assert [vdot(row, x) for row in rows] == rhs
+
+
+def test_row_echelon_takes_fraction_rows():
+    a, pivots = row_echelon([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1]], 2)
+    assert pivots == (0,)
+    assert a[0] == [1, Fraction(2, 3)]
+    assert a[1] == [0, 0]
+
+
+def test_line_has_no_facet_data():
+    with pytest.raises(ValueError):
+        Cone.from_generators([(1, 0, 0), (-1, 0, 0)]).facet_data
+
+
+def test_walls_of_projective_plane_are_shared_twice():
+    fan = projective_space_fan(2)
+    wall_map = walls([fan.cone(c) for c in fan.max_cones])
+    assert sorted(wall_map) == sorted(frozenset([r]) for r in fan.rays)
+    assert all(len(ks) == 2 for ks in wall_map.values())
+    single = walls([Cone.from_generators([(1, 0), (0, 1)])])
+    assert sorted(single.values()) == [[0], [0]]
+
+
+def test_local_functionals_match_values_or_report_none():
+    fan = projective_space_fan(2)
+    values = [Fraction(1), Fraction(2, 3), Fraction(-1)]
+    for c, m in zip(fan.max_cones, local_functionals(fan, values)):
+        assert m is not None
+        assert all(vdot(m, fan.rays[i]) == values[i] for i in c)
+    square = Fan.from_data([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)], [(0, 1, 2, 3)])
+    assert local_functionals(square, [1, 1, 1, 1])[0] == (0, 0, 1)
+    assert local_functionals(square, [1, 2, 1, 1]) == [None]
+
+
+def test_one_diagnostics_class():
+    assert isinstance(validate_fan(projective_space_fan(2)), Diagnostics)
+    bad = ToricPair.from_fan(
+        Fan.from_data([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)], [(0, 1, 2, 3)]), [0, 1, 0, 0]
+    )
+    diag = validate_pair(bad)
+    assert isinstance(diag, Diagnostics) and not diag
+
+
+def test_library_has_no_assert_statements():
+    # python -O strips asserts, so invariants must raise real exceptions
+    package = pathlib.Path(toriclab.__file__).parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert not offenders, offenders
