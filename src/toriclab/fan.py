@@ -205,16 +205,6 @@ class Cone:
         _, D, _ = smith_normal_form(self.generator_matrix)
         return all(d == 1 for d in D.diagonal())
 
-    def lattice_index(self) -> int:
-        """Product of the nonzero elementary divisors of the generator
-        matrix; 1 exactly for unimodular simplicial cones."""
-        _, D, _ = smith_normal_form(self.generator_matrix)
-        out = 1
-        for d in D.diagonal():
-            if d != 0:
-                out *= d
-        return out
-
     @cached_property
     def span_equations(self) -> tuple[tuple[Fraction, ...], ...]:
         """Basis of the functionals vanishing on the cone's linear span."""
@@ -258,7 +248,12 @@ class Cone:
 
     def membership_oracle(self):
         """Returns a fast closure deciding membership via the cone's
-        H-description (span equations plus facet normals)."""
+        H-description (span equations plus facet normals), built once per
+        cone."""
+        return self._member
+
+    @cached_property
+    def _member(self):
         eqs = self.span_equations
         normals = [h for _, h in self.facet_data]
 
@@ -358,8 +353,14 @@ class Fan:
     def cone(self, indices: Iterable[int]) -> Cone:
         return Cone(tuple(self.rays[i] for i in indices), self.rank)
 
+    @cached_property
+    def cones(self) -> tuple[Cone, ...]:
+        """The maximal cones as Cone objects, built once per fan so their
+        cached facet data is shared by every predicate."""
+        return tuple(self.cone(c) for c in self.max_cones)
+
     def max_cone(self, k: int) -> Cone:
-        return self.cone(self.max_cones[k])
+        return self.cones[k]
 
 
 @dataclass(frozen=True)
@@ -386,7 +387,7 @@ def validate_fan(fan: Fan) -> Diagnostics:
     for i in range(len(fan.rays)):
         if i not in used:
             return Diagnostics(False, "ray not contained in any maximal cone", (fan.rays[i],))
-    cones = [fan.cone(c) for c in fan.max_cones]
+    cones = fan.cones
     for idx, cone in zip(fan.max_cones, cones):
         if not cone.is_strongly_convex():
             return Diagnostics(False, "maximal cone is not strongly convex", (idx,))
@@ -419,13 +420,13 @@ def _meet_in_common_face(fan: Fan, ca: tuple[int, ...], cb: tuple[int, ...]) -> 
 
 def is_simplicial(fan: Fan) -> bool:
     """Every maximal cone has exactly dim-of-cone generators."""
-    return all(len(c) == fan.cone(c).dim for c in fan.max_cones)
+    return all(len(c) == cone.dim for c, cone in zip(fan.max_cones, fan.cones))
 
 
 def is_smooth(fan: Fan) -> bool:
     """Every maximal cone is unimodular (its generators extend to a basis
     of the ambient lattice)."""
-    return all(fan.cone(c).is_unimodular() for c in fan.max_cones)
+    return all(cone.is_unimodular() for cone in fan.cones)
 
 
 def is_complete(fan: Fan) -> bool:
@@ -438,7 +439,7 @@ def is_complete(fan: Fan) -> bool:
     """
     if not fan.max_cones:
         return fan.rank == 0
-    cones = [fan.cone(c) for c in fan.max_cones]
+    cones = fan.cones
     if any(cone.dim != fan.rank for cone in cones):
         raise ValueError("completeness undefined: maximal cone is not full-dimensional")
     wall_map = walls(cones)
@@ -486,12 +487,11 @@ def star_subdivision(fan: Fan, stratum: Iterable[int], ray: Optional[Sequence[in
         raise ValueError("stratum must contain at least one ray")
     if any(i < 0 or i >= len(fan.rays) for i in tau):
         raise ValueError("stratum ray index out of range")
-    hosts = [c for c in fan.max_cones if set(tau) <= set(c)]
+    hosts = [cone for c, cone in zip(fan.max_cones, fan.cones) if set(tau) <= set(c)]
     if not hosts:
         raise ValueError("stratum is not a cone of the fan")
     tau_cone = fan.cone(tau)
-    host = fan.cone(hosts[0])
-    if not _is_face(tau_cone, host):
+    if not _is_face(tau_cone, hosts[0]):
         raise ValueError("stratum is not a cone of the fan")
     if ray is None:
         v = primitive(tuple(sum(fan.rays[i][d] for i in tau) for d in range(fan.rank)))
@@ -508,11 +508,10 @@ def star_subdivision(fan: Fan, stratum: Iterable[int], ray: Optional[Sequence[in
         new_rays.append(v)
 
     new_cones = []
-    for c in fan.max_cones:
+    for c, cone in zip(fan.max_cones, fan.cones):
         if not set(tau) <= set(c):
             new_cones.append(c)
             continue
-        cone = fan.cone(c)
         gen_to_fan = {fan.rays[i]: i for i in c}
         for members, _ in cone.facet_data:
             facet_fan_idx = {gen_to_fan[cone.generators[m]] for m in members}
@@ -538,7 +537,7 @@ def is_refinement(fine: Fan, coarse: Fan) -> bool:
     `coarse` and the two fans have the same support."""
     if fine.rank != coarse.rank:
         return False
-    coarse_cones = [coarse.cone(c) for c in coarse.max_cones]
+    coarse_cones = coarse.cones
     assignment: dict[int, list[int]] = {k: [] for k in range(len(coarse_cones))}
     for i, c in enumerate(fine.max_cones):
         gens = [fine.rays[j] for j in c]
@@ -564,7 +563,7 @@ def _covers(fine: Fan, fine_indices: list[int], coarse_cone: Cone) -> bool:
     if not fine_indices:
         return False
     d = coarse_cone.dim
-    cones = [fine.cone(fine.max_cones[i]) for i in fine_indices]
+    cones = [fine.max_cone(i) for i in fine_indices]
     for c in cones:
         if c.dim == d and set(c.generators) == set(coarse_cone.generators):
             return True  # the coarse cone itself appears

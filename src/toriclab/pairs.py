@@ -19,14 +19,8 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from toriclab.fan import Diagnostics, Fan, is_refinement
-from toriclab.lattice import Vec, vdot
-from toriclab.toric import (
-    ToricVariety,
-    divisor_class_q,
-    is_cartier,
-    local_functionals,
-    projective_space_fan,
-)
+from toriclab.lattice import IntMatrix, Vec, smith_normal_form, vdot
+from toriclab.toric import ToricVariety, divisor_class_q, local_functionals, projective_space_fan
 
 
 class EffectivityError(ValueError):
@@ -101,19 +95,19 @@ class LogDiscrepancyFunction:
     maximal cone.  Exists exactly when K+B is Q-Cartier."""
 
     def __init__(self, pair: ToricPair):
-        fan = pair.fan
         self.pair = pair
-        self._pieces: list[tuple[Fraction, ...]] = local_functionals(fan, [1 - b for b in pair.boundary])
+        self._pieces: list[tuple[Fraction, ...]] = local_functionals(pair.fan, [1 - b for b in pair.boundary])
         if any(m is None for m in self._pieces):
             raise ValueError("K+B is not Q-Cartier; no log discrepancy function")
-        self._oracles = [fan.cone(c).membership_oracle() for c in fan.max_cones]
 
     def piece(self, cone_index: int) -> tuple[Fraction, ...]:
         return self._pieces[cone_index]
 
     def cone_index_of(self, v: Sequence) -> Optional[int]:
-        for k, member in enumerate(self._oracles):
-            if member(v):
+        # facet data is computed per cone on first need and cached on the
+        # fan's Cone objects; classification never asks
+        for k, cone in enumerate(self.pair.fan.cones):
+            if cone.membership_oracle()(v):
                 return k
         return None
 
@@ -124,7 +118,7 @@ class LogDiscrepancyFunction:
         return Fraction(vdot(self._pieces[k], v))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _psi(pair: ToricPair) -> LogDiscrepancyFunction:
     return LogDiscrepancyFunction(pair)
 
@@ -140,36 +134,42 @@ def log_discrepancy(pair: ToricPair, v: Sequence[int]) -> Fraction:
     return _psi(pair)(v)
 
 
-def _enumerate_low_discrepancy_points(pair: ToricPair):
-    """Primitive non-ray lattice points v with psi(v) <= 1, each with its
-    discrepancy.  Only callable when every coefficient is < 1, which makes
-    the search region {psi <= 1} bounded in every cone."""
-    fan = pair.fan
-    psi = _psi(pair)
-    rays = set(fan.rays)
-    seen = set()
-    for k, c in enumerate(fan.max_cones):
-        member = psi._oracles[k]
-        m = psi.piece(k)
-        lo = [0] * fan.rank
-        hi = [0] * fan.rank
-        for i in c:
-            scale = 1 / (1 - pair.boundary[i])
-            for d in range(fan.rank):
-                x = Fraction(fan.rays[i][d]) * scale
-                lo[d] = min(lo[d], math.floor(x))
-                hi[d] = max(hi[d], math.ceil(x))
-        for point in itertools.product(*(range(lo[d], hi[d] + 1) for d in range(fan.rank))):
-            if point in seen or all(x == 0 for x in point):
-                continue
-            if math.gcd(*point) != 1 or point in rays:
-                continue
-            if not member(point):
-                continue
-            value = Fraction(vdot(m, point))
-            if value <= 1:
-                seen.add(point)
-                yield point, value
+def _least_exceptional_psi(rays: Sequence[Vec], a: Sequence[Fraction], dim: int) -> Optional[Fraction]:
+    """Least psi over the primitive lattice points of cone(rays) that are
+    not rays, where psi is linear with psi(rays[i]) = a[i] > 0; None when
+    the cone has no such point.
+
+    A simplicial cone with rays u_i, Smith form U.G.V = diag(d) of the ray
+    matrix G, has the fundamental-parallelepiped points
+    sum frac(lambda_i) u_i with lambda = (t_1/d_1, ..., t_k/d_k).U,
+    0 <= t_j < d_j.  Any other non-ray primitive point is one of them plus
+    rays, or contains u_i + u_j; both only raise psi.  So the minimum is
+    taken over the nonzero parallelepiped points and the sums a_i + a_j.  A
+    non-simplicial cone is the union of its simplicial cones on linearly
+    independent dim-subsets of rays (Caratheodory).
+    """
+    best = None
+    for sub in itertools.combinations(range(len(rays)), dim):
+        U, D, _ = smith_normal_form(IntMatrix.from_rows([rays[i] for i in sub]))
+        d = D.diagonal()
+        if 0 in d:
+            continue  # linearly dependent subset
+        # integers throughout: psi = value / (L * A), L * frac(lambda_i) = lam_i mod L
+        A = math.lcm(*(a[i].denominator for i in sub))
+        alpha = [int(a[i] * A) for i in sub]
+        L = math.lcm(*d)
+        steps = [[L // dj * x for x in row] for dj, row in zip(d, U.entries)]
+        pairs_sums = (L * (x + y) for x, y in itertools.combinations(alpha, 2))
+        box_points = (
+            sum(alpha[i] * (sum(tj * step[i] for tj, step in zip(t, steps)) % L) for i in range(dim))
+            for t in itertools.product(*(range(dj) for dj in d))
+            if any(t)
+        )
+        low = min(itertools.chain(pairs_sums, box_points), default=None)
+        if low is not None:
+            value = Fraction(low, L * A)
+            best = value if best is None else min(best, value)
+    return best
 
 
 def singularity_type(pair: ToricPair) -> str:
@@ -177,49 +177,60 @@ def singularity_type(pair: ToricPair) -> str:
 
     The classes are treated as a nested chain.  With all coefficients at
     most one a toric pair is automatically lc; klt additionally needs all
-    coefficients below one; canonical and terminal are then decided by
-    exhausting the primitive lattice points of the bounded regions
-    {psi <= 1}, excluding the origin and the rays.
+    coefficients below one.  Canonical and terminal then compare with 1
+    the least log discrepancy over the primitive non-ray lattice points,
+    which each maximal cone yields in closed form from one Smith form per
+    simplicial piece (see _least_exceptional_psi); the cost does not
+    depend on how close the coefficients are to 1.
     """
     if any(b > 1 for b in pair.boundary):
         return "not-lc"
     _psi(pair)  # raises if K+B is not Q-Cartier
     if any(b == 1 for b in pair.boundary):
         return "lc"
+    fan = pair.fan
     worst = None
-    for _, value in _enumerate_low_discrepancy_points(pair):
-        worst = value if worst is None else min(worst, value)
-        if worst < 1:
+    for c, cone in zip(fan.max_cones, fan.cones):
+        value = _least_exceptional_psi([fan.rays[i] for i in c], [1 - pair.boundary[i] for i in c], cone.dim)
+        if value is not None and value < 1:
             return "klt"
-    if worst is None:
-        return "terminal"
+        if value is not None and (worst is None or value < worst):
+            worst = value
     return "canonical" if worst == 1 else "terminal"
 
 
 def is_log_cy(pair: ToricPair) -> bool:
     """Log Calabi-Yau: lc and K+B trivial in Cl tensor Q."""
-    if singularity_type(pair) == "not-lc":
+    if any(b > 1 for b in pair.boundary):
         return False
+    _psi(pair)  # raises if K+B is not Q-Cartier
     kb = pair.log_canonical_coefficients()
     return all(x == 0 for x in divisor_class_q(pair.variety, kb))
 
 
 def index(pair: ToricPair) -> int:
-    """Least m >= 1 with m(K+B) Cartier."""
-    kb = pair.log_canonical_coefficients()
-    denom = 1
-    for c in kb:
-        denom = denom * c.denominator // math.gcd(denom, c.denominator)
-    cone_lcm = 1
-    for c in pair.fan.max_cones:
-        idx = pair.fan.cone(c).lattice_index()
-        cone_lcm = cone_lcm * idx // math.gcd(cone_lcm, idx)
-    bound = denom * cone_lcm
-    for m in range(1, bound + 1):
-        scaled = [m * x for x in kb]
-        if all(x.denominator == 1 for x in scaled) and is_cartier(pair.variety, scaled):
-            return m
-    raise RuntimeError("index search exceeded its bound; this is a bug")
+    """Least m >= 1 with m(K+B) Cartier.
+
+    On a maximal cone with ray matrix G and Smith form U.G.V = diag(d),
+    m(K+B) is Cartier iff m r_i / d_i is an integer wherever d_i != 0 and
+    r_i = 0 wherever d_i = 0, for r = U.(-(K+B) on the cone's rays).  So
+    the index is the lcm of the coefficient denominators and of the
+    denominators of r_i / d_i; a nonzero r_i over d_i = 0 means K+B is not
+    Q-Cartier, which raises ValueError.
+    """
+    fan = pair.fan
+    m = math.lcm(*(b.denominator for b in pair.boundary))
+    for c in fan.max_cones:
+        U, D, _ = smith_normal_form(IntMatrix.from_rows([fan.rays[i] for i in c], cols=fan.rank))
+        d = D.diagonal()
+        r = U.apply([1 - pair.boundary[i] for i in c])
+        for i, ri in enumerate(r):
+            di = d[i] if i < len(d) else 0
+            if di != 0:
+                m = math.lcm(m, (ri / di).denominator)
+            elif ri != 0:
+                raise ValueError(f"K+B is not Q-Cartier on the maximal cone {c}")
+    return m
 
 
 def crepant_pullback(pair: ToricPair, fine: Fan) -> ToricPair:

@@ -66,7 +66,7 @@ class DivisorClass:
         return all(x == 0 for x in self.free)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _presentation(fan: Fan):
     """SNF data of the ray matrix: (U, diag, rank_of_image)."""
     rows = len(fan.rays)
@@ -203,7 +203,7 @@ def is_fano(X: ToricVariety) -> bool:
     functionals = local_functionals(fan, [Fraction(1)] * len(fan.rays))
     if any(m is None for m in functionals):
         return False
-    cones = [fan.cone(c) for c in fan.max_cones]
+    cones = fan.cones
     for key, ks in walls(cones).items():
         if len(ks) != 2:
             continue

@@ -212,6 +212,63 @@ def classify_pair_brute(fan: Fan, boundary, box_factor=4):
     return "canonical" if worst == 1 else "terminal"
 
 
+def singularity_type_scan(pair):
+    """The box scan the closed form replaced: per maximal cone, every
+    primitive point of the box spanned by the rays scaled by 1/(1 - b_i),
+    tested for membership and evaluated on the cone's linear piece.  The
+    box volume grows like (1/(1 - b))^n, so keep b away from 1."""
+    from toriclab.pairs import _psi
+
+    if any(b > 1 for b in pair.boundary):
+        return "not-lc"
+    psi = _psi(pair)
+    if any(b == 1 for b in pair.boundary):
+        return "lc"
+    fan = pair.fan
+    rays = set(fan.rays)
+    worst = None
+    for k, c in enumerate(fan.max_cones):
+        member = fan.max_cone(k).membership_oracle()
+        lo, hi = [0] * fan.rank, [0] * fan.rank
+        for i in c:
+            scale = 1 / (1 - pair.boundary[i])
+            for d in range(fan.rank):
+                x = Fraction(fan.rays[i][d]) * scale
+                lo[d] = min(lo[d], math.floor(x))
+                hi[d] = max(hi[d], math.ceil(x))
+        for pt in itertools.product(*(range(lo[d], hi[d] + 1) for d in range(fan.rank))):
+            if all(x == 0 for x in pt) or math.gcd(*pt) != 1 or pt in rays or not member(pt):
+                continue
+            value = Fraction(sum(m * x for m, x in zip(psi.piece(k), pt)))
+            if value <= 1:
+                worst = value if worst is None else min(worst, value)
+    if worst is None or worst > 1:
+        return "terminal"
+    return "canonical" if worst == 1 else "klt"
+
+
+def index_scan(pair):
+    """The m-scan the closed form replaced: least m with every coefficient
+    of m(K+B) integral and is_cartier (an integer solve per cone).  The
+    bound is the coefficient lcm times the lcm of the cones' lattice
+    indices, read off minor gcds; raises if K+B is not Q-Cartier."""
+    from toriclab.toric import is_cartier
+
+    fan = pair.fan
+    kb = pair.log_canonical_coefficients()
+    cone_lcm = 1
+    for c in fan.max_cones:
+        # minor gcds are nonzero exactly up to the rank; the last is d_1...d_r
+        nonzero = [g for g in minor_gcds([list(fan.rays[i]) for i in c]) if g != 0]
+        cone_lcm = math.lcm(cone_lcm, nonzero[-1])
+    bound = math.lcm(*(c.denominator for c in kb)) * cone_lcm
+    for m in range(1, bound + 1):
+        scaled = [m * x for x in kb]
+        if all(x.denominator == 1 for x in scaled) and is_cartier(pair.variety, scaled):
+            return m
+    raise ValueError("no multiple of K+B up to the bound is Cartier: not Q-Cartier")
+
+
 # ------------------------------------------------------- 2D completeness
 
 

@@ -113,3 +113,20 @@ def test_library_has_no_assert_statements():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not offenders, offenders
+
+
+def test_library_has_no_unbounded_caches():
+    # whole-pair and whole-fan cache keys grow without limit in long loops
+    package = pathlib.Path(toriclab.__file__).parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+            if name == "cache":  # functools.cache is lru_cache(maxsize=None)
+                offenders.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) == "lru_cache":
+                sizes = node.args[:1] + [k.value for k in node.keywords if k.arg == "maxsize"]
+                if any(isinstance(s, ast.Constant) and s.value is None for s in sizes):
+                    offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders, offenders
