@@ -3,13 +3,18 @@
 A cone is stored by its primitive extremal generators, a fan by a canonical
 (lexicographically sorted) ray list plus maximal cones as ray-index sets.
 All geometry is decided exactly: membership, faces and separation questions
-reduce to rational linear feasibility, solved by Fourier-Motzkin
-elimination.  Nothing here ever touches a float.
+reduce to rational linear feasibility, decided by one two-phase simplex
+with Bland's rule on a fraction-free integer tableau, run on the system
+itself when every variable is sign-bounded and on its Farkas dual when
+some variable is free.  Where the answer is immediate no system is built:
+a cone with independent generators is strongly convex and each of its
+generators is extremal.  Nothing here ever touches a float.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -28,21 +33,15 @@ from toriclab.lattice import (
 )
 
 # ---------------------------------------------------------------------------
-# exact linear feasibility (Fourier-Motzkin)
+# exact linear feasibility (two-phase simplex on an integer tableau)
 # ---------------------------------------------------------------------------
 
-# A constraint is (coeffs, rhs, kind) and reads  coeffs . x  <kind>  rhs
-# with kind one of "eq", "ge" (>=) or "gt" (>).
+# A system is three lists of (coeffs, rhs) pairs: equalities a.x = b,
+# inequalities a.x >= b and strict inequalities a.x > b.  Each constraint is
+# scaled once by the lcm of its denominators, so every tableau below holds
+# integers only.
 
-
-def _normalize(con):
-    # scale so the first nonzero coefficient is +-1; cheap dedupe aid
-    coeffs, rhs, kind = con
-    lead = next((c for c in coeffs if c != 0), None)
-    if lead is None:
-        return con
-    s = abs(lead)
-    return (tuple(c / s for c in coeffs), rhs / s, kind)
+_EQ, _GE, _GT = 0, 1, 2
 
 
 def linear_feasible(
@@ -52,64 +51,264 @@ def linear_feasible(
     gt: Sequence[tuple[Sequence, object]] = (),
 ) -> bool:
     """Decide whether the mixed system { a.x = b, c.x >= d, e.x > f } has
-    a rational solution.  Exact; intended for the small systems cone
-    geometry produces."""
-    cons = [(tuple(Fraction(c) for c in a), Fraction(b), "eq") for a, b in equalities]
-    cons += [(tuple(Fraction(c) for c in a), Fraction(b), "ge") for a, b in gte]
-    cons += [(tuple(Fraction(c) for c in a), Fraction(b), "gt") for a, b in gt]
+    a rational solution.  Exact: one simplex run, on the system itself
+    when every variable carries a sign bound (x_j >= 0 or x_j > 0 among
+    the inequalities), on its Farkas dual otherwise."""
+    return _solve(nvars, equalities, gte, gt)[0]
 
-    # eliminate equalities by substitution
-    live = list(range(nvars))
-    while True:
-        eq = next((c for c in cons if c[2] == "eq" and any(x != 0 for x in c[0])), None)
-        if eq is None:
-            break
-        cons.remove(eq)
-        coeffs, rhs, _ = eq
-        j = next(i for i, x in enumerate(coeffs) if x != 0)
-        pivot = coeffs[j]
-        new_cons = []
-        for c2, r2, k2 in cons:
-            f = c2[j] / pivot
-            if f != 0:
-                c2 = tuple(x - f * y for x, y in zip(c2, coeffs))
-                r2 = r2 - f * rhs
-            new_cons.append((c2, r2, k2))
-        cons = new_cons
-        if j in live:
-            live.remove(j)
 
-    # Fourier-Motzkin on the remaining inequalities
-    for j in live:
-        lowers, uppers, rest = [], [], []
-        for coeffs, rhs, kind in cons:
-            if kind == "eq":
-                rest.append((coeffs, rhs, kind))
-            elif coeffs[j] > 0:
-                lowers.append((coeffs, rhs, kind))
-            elif coeffs[j] < 0:
-                uppers.append((coeffs, rhs, kind))
-            else:
-                rest.append((coeffs, rhs, kind))
-        new = rest
-        for (cl, rl, kl), (cu, ru, ku) in itertools.product(lowers, uppers):
-            a, b = cl[j], -cu[j]
-            comb = tuple(b * x + a * y for x, y in zip(cl, cu))
-            rhs = b * rl + a * ru
-            kind = "gt" if "gt" in (kl, ku) else "ge"
-            new.append((comb, rhs, kind))
-        cons = list({_normalize(c) for c in new})
+def feasibility_certificate(
+    nvars: int,
+    equalities: Sequence[tuple[Sequence, object]] = (),
+    gte: Sequence[tuple[Sequence, object]] = (),
+    gt: Sequence[tuple[Sequence, object]] = (),
+) -> tuple[bool, tuple[Fraction, ...]]:
+    """The verdict of `linear_feasible` with a certificate that a separate
+    checker can verify exactly.
 
-    for coeffs, rhs, kind in cons:
-        if any(x != 0 for x in coeffs):
-            raise RuntimeError("Fourier-Motzkin invariant broken: a variable survived elimination")
-        if kind == "eq" and rhs != 0:
-            return False
-        if kind == "ge" and rhs > 0:
-            return False
-        if kind == "gt" and rhs >= 0:
-            return False
-    return True
+    (True, x): x satisfies every constraint.  (False, y): one multiplier
+    per constraint, equalities first, then gte, then gt, with y >= 0 on
+    the inequalities and sum y_i a_i = 0, and either y.b > 0, or y.b = 0
+    and y > 0 on some strict inequality (Motzkin's transposition theorem).
+    """
+    feasible, certify = _solve(nvars, equalities, gte, gt)
+    return feasible, certify()
+
+
+def _solve(nvars, equalities, gte, gt):
+    """(verdict, function computing its certificate)."""
+    cons = [
+        (*_integral(a, b, nvars), kind)
+        for kind, rows in ((_EQ, equalities), (_GE, gte), (_GT, gt))
+        for a, b in rows
+    ]
+    # sign bounds: variable -> the constraint x_j >= 0 or x_j > 0 (strict wins)
+    bound = {}
+    for i, (a, b, _, kind) in enumerate(cons):
+        if kind != _EQ and b == 0:
+            nonzero = [j for j, x in enumerate(a) if x]
+            if len(nonzero) == 1 and a[nonzero[0]] > 0 and (nonzero[0] not in bound or kind == _GT):
+                bound[nonzero[0]] = i
+    if len(bound) == nvars:
+        return _primal(nvars, cons, bound)
+    return _dual(nvars, cons)
+
+
+def _integral(coeffs, rhs, nvars):
+    """(integer coeffs, integer rhs, scale): the constraint times the lcm
+    of its denominators, which has the same solutions."""
+    if len(coeffs) != nvars:
+        raise ValueError("constraint length differs from the number of variables")
+    if type(rhs) is int and all(type(x) is int for x in coeffs):
+        return list(coeffs), rhs, 1
+    vals = [Fraction(x) for x in (*coeffs, rhs)]
+    scale = math.lcm(*(x.denominator for x in vals))
+    ints = [x.numerator * (scale // x.denominator) for x in vals]
+    return ints[:-1], ints[-1], scale
+
+
+def _primal(n, cons, bound):
+    """Every variable is sign-bounded, so it is a nonnegative column: x_j
+    itself, or mu_j with x_j = mu_j + t for a strict bound.  Every other
+    constraint is a row; an inequality gets a slack column s, a.x - s = b
+    (a.x - s - t = b when strict).  With anything strict, t + u = 1 is one
+    more row and phase 2 maximises t, stopping once t > 0."""
+    strict_vars = {j for j, i in bound.items() if cons[i][3] == _GT}
+    bound_rows = set(bound.values())
+    row_cons = [i for i in range(len(cons)) if i not in bound_rows]
+    strict = bool(strict_vars) or any(cons[i][3] == _GT for i in row_cons)
+    t = n + sum(cons[i][3] != _EQ for i in row_cons)
+    ncols = t + 2 if strict else t
+    rows, rhs = [], []
+    slack = n
+    for i in row_cons:
+        a, b, _, kind = cons[i]
+        row = a + [0] * (ncols - n)
+        if kind != _EQ:
+            row[slack] = -1
+            slack += 1
+        if strict:
+            row[t] = sum(a[j] for j in strict_vars) - (kind == _GT)
+        rows.append(row)
+        rhs.append(b)
+    if strict:
+        rows.append([0] * t + [1, 1])
+        rhs.append(1)
+    tab = _Tableau(rows, rhs, ncols)
+    feasible = tab.phase_one() and (not strict or tab.raise_column(t))
+
+    def certify():
+        if feasible:
+            v = tab.solution()
+            lift = v[t] if strict else 0
+            return tuple(v[j] + lift if j in strict_vars else v[j] for j in range(n))
+        pi = tab.multipliers()
+        y = [Fraction(0)] * len(cons)
+        for r, i in enumerate(row_cons):
+            y[i] = -pi[r]
+        for j, i in bound.items():  # the bound reads c x_j >= 0 for some c > 0
+            y[i] = sum(p * row[j] for p, row in zip(pi, rows)) / cons[i][0][j]
+        return tuple(x * c[2] for x, c in zip(y, cons))
+
+    return feasible, certify
+
+
+def _dual(n, cons):
+    """Some variable is free.  Homogenised by tau > 0, the system is
+    infeasible iff some y, free on equalities and >= 0 elsewhere, has
+    sum y_i a_i = 0 and sum y_i (b_i + [i strict]) = 1 with y.b >= 0
+    (Motzkin); without strict constraints y.b = 1 already.  That is one
+    column per constraint (two per equality) and n + 1 rows, plus the row
+    y.b - y_tau = 0 when something is strict."""
+    strict = any(c[3] == _GT for c in cons)
+    cols = [(i, s) for i, c in enumerate(cons) for s in ((1, -1) if c[3] == _EQ else (1,))]
+    rows = [[s * cons[i][0][r] for i, s in cols] for r in range(n)]
+    rows.append([s * (cons[i][1] + (cons[i][3] == _GT)) for i, s in cols])
+    rhs = [0] * n + [1]
+    if strict:
+        rows = [row + [0] for row in rows]
+        rows.append([s * cons[i][1] for i, s in cols] + [-1])
+        rhs.append(0)
+    tab = _Tableau(rows, rhs, len(cols) + strict)
+    feasible = not tab.phase_one()
+
+    def certify():
+        if not feasible:
+            y = [Fraction(0)] * len(cons)
+            for (i, s), v in zip(cols, tab.solution()):
+                y[i] += s * v
+            return tuple(x * c[2] for x, c in zip(y, cons))
+        # pi.M >= 0 and pi.c < 0: x = pi[:n] / sigma meets every constraint
+        pi = tab.multipliers()
+        sigma = -sum(pi[n:])
+        return tuple(p / sigma for p in pi[:n])
+
+    return feasible, certify
+
+
+class _Tableau:
+    """Simplex tableau for { v >= 0 : M v = c }, M and c integer.
+
+    Rows are kept fraction-free: for the current basis B they hold
+    det(B) * B^-1 [M | c], integers by Cramer's rule, so a pivot on p sets
+    x <- (p*x - f*y) // det exactly (Bareiss), and det stays positive.
+    Rows with c_i < 0 are negated first.  A row starts on a unit column of
+    M if it has one, on an implicit artificial column (index ncols + i)
+    otherwise; artificials never re-enter, so their columns are not
+    stored.  Bland's rule (least entering column, ties in the ratio test
+    to the least basic index) rules out cycling.  The objective is the
+    last row, holding det times the negated reduced costs and the value.
+    """
+
+    def __init__(self, rows, rhs, ncols):
+        self.ncols = ncols
+        self.m = len(rows)
+        self.sign = [-1 if c < 0 else 1 for c in rhs]
+        self.rows = [[s * x for x in (*row, c)] for s, row, c in zip(self.sign, rows, rhs)]
+        self.det = 1
+        self.basis = [ncols + i for i in range(self.m)]
+        for j in range(ncols):
+            hits = [i for i, row in enumerate(self.rows) if row[j]]
+            if len(hits) == 1 and self.rows[hits[0]][j] == 1 and self.basis[hits[0]] >= ncols:
+                self.basis[hits[0]] = j
+        self.T = list(self.rows)
+        self.cost = None
+
+    def phase_one(self) -> bool:
+        """Maximise minus the sum of the artificials; True iff it reaches
+        zero, i.e. iff M v = c has a solution v >= 0."""
+        n, m = self.ncols, self.m
+        art = [row for row, j in zip(self.rows, self.basis) if j >= n]
+        self.T.append([-sum(col) for col in zip(*art)] if art else [0] * (n + 1))
+        self.cost = lambda j: -(j >= n)
+        self._run(lambda: self.T[m][n] == 0)
+        value = self.T[m][n]
+        if value > 0:
+            raise RuntimeError("simplex invariant broken: positive phase-1 value")
+        return value == 0
+
+    def raise_column(self, t: int) -> bool:
+        """Phase 2: maximise v_t, stopping once it is positive; True iff it
+        can be.  Artificials left basic at zero are pivoted out first where
+        their row has a nonzero entry (a row without one is redundant and
+        stays zero)."""
+        n, m = self.ncols, self.m
+        for i in range(m):
+            if self.basis[i] >= n:
+                j = next((j for j in range(n) if self.T[i][j]), None)
+                if j is not None:
+                    self._pivot(i, j)
+        obj = [0] * (n + 1)
+        obj[t] = -self.det
+        if t in self.basis:
+            obj = [x + y for x, y in zip(obj, self.T[self.basis.index(t)])]
+        self.T[m] = obj
+        self.cost = lambda j: int(j == t)
+
+        def positive():
+            return t in self.basis and self.T[self.basis.index(t)][n] > 0
+
+        self._run(positive)
+        return positive()
+
+    def _run(self, done):
+        n, m, basis = self.ncols, self.m, self.basis
+        while not done():
+            T = self.T
+            obj = T[m]
+            c = next((j for j in range(n) if obj[j] < 0), None)
+            if c is None:
+                return
+            r = None
+            for i in range(m):
+                a = T[i][c]
+                if a > 0:
+                    if r is not None:
+                        lhs, rhs = T[i][n] * den, num * a
+                        if lhs > rhs or (lhs == rhs and basis[i] > basis[r]):
+                            continue
+                    r, num, den = i, T[i][n], a
+            if r is None:
+                raise RuntimeError("simplex invariant broken: unbounded objective")
+            self._pivot(r, c)
+
+    def _pivot(self, r, c):
+        T, det = self.T, self.det
+        pr = T[r]
+        p = pr[c]
+        for i, row in enumerate(T):
+            if i != r:
+                f = row[c]
+                T[i] = [(p * x - f * y) // det for x, y in zip(row, pr)]
+        if p < 0:
+            self.T = [[-x for x in row] for row in T]
+            p = -p
+        self.det = p
+        self.basis[r] = c
+
+    def solution(self) -> list[Fraction]:
+        """The current basic solution, one value per column of M."""
+        n = self.ncols
+        v = [Fraction(0)] * n
+        for row, j in zip(self.T, self.basis):
+            if j < n:
+                v[j] = Fraction(row[n], self.det)
+        return v
+
+    def multipliers(self) -> list[Fraction]:
+        """Simplex multipliers of the current basis B and objective: pi
+        with pi.B = the costs of the basic columns, for the rows as given
+        (before any negation).  At an optimum pi.M_j >= cost_j on every
+        column."""
+        n, m = self.ncols, self.m
+        eqs = [
+            ([row[j] for row in self.rows] if j < n else [int(i == j - n) for i in range(m)]) + [self.cost(j)]
+            for j in self.basis
+        ]
+        reduced, pivots = row_echelon(eqs, m)
+        if len(pivots) != m:
+            raise RuntimeError("simplex invariant broken: singular basis")
+        return [s * row[m] for s, row in zip(self.sign, reduced)]
 
 
 # ---------------------------------------------------------------------------
@@ -160,37 +359,38 @@ class Cone:
 
     def contains(self, x: Sequence) -> bool:
         """Exact membership test (x may have Fraction entries)."""
-        k = len(self.generators)
-        if k == 0:
-            return all(c == 0 for c in x)
-        eqs = [
-            (tuple(g[d] for g in self.generators), x[d])
-            for d in range(self.rank)
-        ]
-        nonneg = [(tuple(1 if i == j else 0 for j in range(k)), 0) for i in range(k)]
-        return linear_feasible(k, equalities=eqs, gte=nonneg)
+        return self._combination(x, strict=False)
 
     def relint_contains(self, x: Sequence) -> bool:
+        """Is x a combination of the generators with all coefficients > 0?"""
+        return self._combination(x, strict=True)
+
+    def _combination(self, x, strict):
+        if len(x) != self.rank:
+            raise ValueError("point length differs from ambient rank")
         k = len(self.generators)
         if k == 0:
             return all(c == 0 for c in x)
-        eqs = [
-            (tuple(g[d] for g in self.generators), x[d])
-            for d in range(self.rank)
-        ]
-        pos = [(tuple(1 if i == j else 0 for j in range(k)), 0) for i in range(k)]
-        return linear_feasible(k, equalities=eqs, gt=pos)
+        eqs = [(tuple(g[d] for g in self.generators), x[d]) for d in range(self.rank)]
+        bounds = [(tuple(1 if i == j else 0 for j in range(k)), 0) for i in range(k)]
+        if strict:
+            return linear_feasible(k, equalities=eqs, gt=bounds)
+        return linear_feasible(k, equalities=eqs, gte=bounds)
 
     def is_strongly_convex(self) -> bool:
         """True iff the cone contains no line, i.e. some functional is
-        strictly positive on every generator."""
-        if not self.generators:
+        strictly positive on every generator.  Independent generators
+        always admit one."""
+        if len(self.generators) == self.dim:
             return True
         cons = [(g, 1) for g in self.generators]
         return linear_feasible(self.rank, gte=cons)
 
     def generators_extremal(self) -> bool:
-        """Every listed generator spans an extremal ray."""
+        """Every listed generator spans an extremal ray (always so for
+        independent generators)."""
+        if len(self.generators) == self.dim:
+            return True
         for i, g in enumerate(self.generators):
             others = self.generators[:i] + self.generators[i + 1 :]
             if others and Cone(others, self.rank).contains(g):

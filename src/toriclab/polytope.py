@@ -72,10 +72,16 @@ class Polytope:
         return len(row_echelon(rows, self.rank)[1])
 
     def contains_origin_interior(self) -> bool:
-        """Is the origin strictly inside (the polytope being full-dim)?"""
+        """Is the origin strictly inside (the polytope being full-dim)?
+
+        A polygon's vertices run counterclockwise, so the origin is inside
+        iff it lies strictly left of every edge."""
         if self.dim != self.rank:
             return False
         k = len(self.vertices)
+        if self.rank == 2:
+            origin = (0, 0)
+            return all(_cross(self.vertices[i - 1], self.vertices[i], origin) > 0 for i in range(k))
         eqs = [
             (tuple(v[d] for v in self.vertices), 0) for d in range(self.rank)
         ]

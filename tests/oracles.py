@@ -3,8 +3,9 @@
 Everything in this module recomputes expected values by a route different
 from the library's own: gcds of minors instead of elimination, exhaustive
 lattice scans instead of region arithmetic, angular walks instead of wall
-counting.  numpy is used only here, with integer dtypes, to keep the scans
-fast; the library itself stays pure.
+counting, Fourier-Motzkin elimination instead of simplex pivots.  numpy is
+used only here, with integer dtypes, to keep the scans fast; the library
+itself stays pure.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import itertools
 import math
 from fractions import Fraction
 from functools import cmp_to_key
+from typing import Sequence
 
 import numpy as np
 
@@ -58,6 +60,92 @@ def _det_int(a):
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1] if n else 1
+
+
+# ------------------------------------------------------ linear feasibility
+
+# Fourier-Motzkin elimination decides the same systems as
+# fan.linear_feasible without any pivoting: a constraint is (coeffs, rhs,
+# kind) and reads  coeffs . x  <kind>  rhs  with kind one of "eq", "ge" (>=)
+# or "gt" (>).  Doubly exponential in the worst case, so only for the small
+# systems the tests generate.
+
+
+def _normalize(con):
+    # scale so the first nonzero coefficient is +-1; cheap dedupe aid
+    coeffs, rhs, kind = con
+    lead = next((c for c in coeffs if c != 0), None)
+    if lead is None:
+        return con
+    s = abs(lead)
+    return (tuple(c / s for c in coeffs), rhs / s, kind)
+
+
+def linear_feasible_fm(
+    nvars: int,
+    equalities: Sequence[tuple[Sequence, object]] = (),
+    gte: Sequence[tuple[Sequence, object]] = (),
+    gt: Sequence[tuple[Sequence, object]] = (),
+) -> bool:
+    """Decide whether the mixed system { a.x = b, c.x >= d, e.x > f } has
+    a rational solution.  Exact; intended for the small systems cone
+    geometry produces."""
+    cons = [(tuple(Fraction(c) for c in a), Fraction(b), "eq") for a, b in equalities]
+    cons += [(tuple(Fraction(c) for c in a), Fraction(b), "ge") for a, b in gte]
+    cons += [(tuple(Fraction(c) for c in a), Fraction(b), "gt") for a, b in gt]
+
+    # eliminate equalities by substitution
+    live = list(range(nvars))
+    while True:
+        eq = next((c for c in cons if c[2] == "eq" and any(x != 0 for x in c[0])), None)
+        if eq is None:
+            break
+        cons.remove(eq)
+        coeffs, rhs, _ = eq
+        j = next(i for i, x in enumerate(coeffs) if x != 0)
+        pivot = coeffs[j]
+        new_cons = []
+        for c2, r2, k2 in cons:
+            f = c2[j] / pivot
+            if f != 0:
+                c2 = tuple(x - f * y for x, y in zip(c2, coeffs))
+                r2 = r2 - f * rhs
+            new_cons.append((c2, r2, k2))
+        cons = new_cons
+        if j in live:
+            live.remove(j)
+
+    # Fourier-Motzkin on the remaining inequalities
+    for j in live:
+        lowers, uppers, rest = [], [], []
+        for coeffs, rhs, kind in cons:
+            if kind == "eq":
+                rest.append((coeffs, rhs, kind))
+            elif coeffs[j] > 0:
+                lowers.append((coeffs, rhs, kind))
+            elif coeffs[j] < 0:
+                uppers.append((coeffs, rhs, kind))
+            else:
+                rest.append((coeffs, rhs, kind))
+        new = rest
+        for (cl, rl, kl), (cu, ru, ku) in itertools.product(lowers, uppers):
+            a, b = cl[j], -cu[j]
+            comb = tuple(b * x + a * y for x, y in zip(cl, cu))
+            rhs = b * rl + a * ru
+            kind = "gt" if "gt" in (kl, ku) else "ge"
+            new.append((comb, rhs, kind))
+        cons = list({_normalize(c) for c in new})
+
+    for coeffs, rhs, kind in cons:
+        if any(x != 0 for x in coeffs):
+            raise RuntimeError("Fourier-Motzkin invariant broken: a variable survived elimination")
+        if kind == "eq" and rhs != 0:
+            return False
+        if kind == "ge" and rhs > 0:
+            return False
+        if kind == "gt" and rhs >= 0:
+            return False
+    return True
 
 
 # -------------------------------------------------------- 2D cone lattice

@@ -3,6 +3,7 @@ of cones, and the per-cone functional solve.  Randomized checks run against
 the minor-gcd oracle, which never eliminates."""
 
 import ast
+import importlib
 import math
 import pathlib
 import random
@@ -130,3 +131,25 @@ def test_library_has_no_unbounded_caches():
                 if any(isinstance(s, ast.Constant) and s.value is None for s in sizes):
                     offenders.append(f"{path.name}:{node.lineno}")
     assert not offenders, offenders
+
+
+def test_traced_names_resolve():
+    # the bench tracer wraps (module, attribute) pairs by name; read its
+    # TRACED tuple without importing the bench, so a rename fails here
+    tracer = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    tree = ast.parse(tracer.read_text(encoding="utf-8"))
+    traced = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "TRACED" for t in node.targets)
+    )
+    assert traced
+    missing = []
+    for module_name, attr in traced:
+        owner = importlib.import_module(f"toriclab.{module_name}")
+        for part in attr.split("."):
+            owner = vars(owner).get(part) if isinstance(owner, type) else getattr(owner, part, None)
+            if owner is None:
+                missing.append(f"{module_name}.{attr}")
+                break
+    assert not missing, missing
