@@ -1,9 +1,11 @@
 """Lattice polytopes: duality, reflexivity, normal forms, enumeration.
 
-Vertices are stored exactly (integers, or rationals for duals).  Facet
-enumeration is a brute-force supporting-hyperplane scan, which is entirely
-adequate at the handful-of-vertices scale this package works at; it keeps
-every predicate exact.
+Vertices are stored exactly: a coordinate is an `int` when it is an
+integer and a `Fraction` only when it is not (duals), so lattice polygons
+run on integer arithmetic throughout.  A polygon's facets are read off its
+counterclockwise edge cycle; in higher rank facet enumeration is a
+brute-force supporting-hyperplane scan, which is entirely adequate at the
+handful-of-vertices scale this package works at.  Every predicate is exact.
 
 The polygon normal form is a true GL(2,Z)-orbit invariant: it minimizes
 (max |coordinate|, sorted vertex list) over the whole orbit, by a complete
@@ -38,21 +40,17 @@ class Polytope:
     rank: int
 
     def __post_init__(self):
-        pts = [tuple(Fraction(x) for x in v) for v in self.vertices]
+        pts = [tuple(_exact(x) for x in v) for v in self.vertices]
         if not pts:
             raise ValueError("polytope needs at least one point")
         if any(len(p) != self.rank for p in pts):
             raise ValueError("point length differs from ambient rank")
         pts = sorted(set(pts))
-        verts = _hull_vertices(pts, self.rank)
-        simple = tuple(
-            tuple(int(x) if x.denominator == 1 else x for x in v) for v in verts
-        )
-        object.__setattr__(self, "vertices", simple)
+        object.__setattr__(self, "vertices", _hull_vertices(pts, self.rank))
 
     @classmethod
     def hull(cls, points: Iterable[Sequence], rank: Optional[int] = None) -> "Polytope":
-        pts = [tuple(Fraction(x) for x in p) for p in points]
+        pts = [tuple(p) for p in points]
         if rank is None:
             if not pts:
                 raise ValueError("cannot infer rank")
@@ -61,12 +59,14 @@ class Polytope:
 
     @property
     def is_lattice(self) -> bool:
-        return all(Fraction(x).denominator == 1 for v in self.vertices for x in v)
+        return not any(isinstance(x, Fraction) for v in self.vertices for x in v)
 
     @property
     def dim(self) -> int:
         if len(self.vertices) == 1:
             return 0
+        if self.rank == 2:  # the hull of non-collinear points has >= 3 vertices
+            return min(len(self.vertices) - 1, 2)
         v0 = self.vertices[0]
         rows = [[a - b for a, b in zip(v, v0)] for v in self.vertices[1:]]
         return len(row_echelon(rows, self.rank)[1])
@@ -75,13 +75,12 @@ class Polytope:
         """Is the origin strictly inside (the polytope being full-dim)?
 
         A polygon's vertices run counterclockwise, so the origin is inside
-        iff it lies strictly left of every edge."""
+        iff it lies strictly left of every edge (v, w): det(v, w) > 0."""
         if self.dim != self.rank:
             return False
         k = len(self.vertices)
         if self.rank == 2:
-            origin = (0, 0)
-            return all(_cross(self.vertices[i - 1], self.vertices[i], origin) > 0 for i in range(k))
+            return all(_det(self.vertices[i - 1], self.vertices[i]) > 0 for i in range(k))
         eqs = [
             (tuple(v[d] for v in self.vertices), 0) for d in range(self.rank)
         ]
@@ -90,8 +89,16 @@ class Polytope:
         return linear_feasible(k, equalities=eqs, gt=pos)
 
 
+def _exact(x):
+    """x as an int when it is an integer, else as a Fraction."""
+    if type(x) is int:
+        return x
+    f = Fraction(x)
+    return int(f) if f.denominator == 1 else f
+
+
 def _hull_vertices(pts: list[tuple], rank: int) -> tuple[tuple, ...]:
-    if rank == 2 and len(pts) >= 3:
+    if rank == 2:
         return _hull_2d(pts)
     # general rank: a point is a vertex iff it is not in the hull of the rest
     verts = []
@@ -110,14 +117,18 @@ def _in_hull(p, pts, rank) -> bool:
     return linear_feasible(k, equalities=eqs, gte=nonneg)
 
 
+def _det(a, b):
+    return a[0] * b[1] - a[1] * b[0]
+
+
 def _cross(o, a, b):
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
 def _hull_2d(pts: list[tuple]) -> tuple[tuple, ...]:
-    """Monotone chain; returns vertices counterclockwise from the
-    lexicographically smallest, dropping collinear points."""
-    pts = sorted(pts)
+    """Monotone chain over sorted distinct points; returns vertices
+    counterclockwise from the lexicographically smallest, dropping
+    collinear points (just the two endpoints of a segment)."""
     if len(pts) <= 2:
         return tuple(pts)
     lower: list = []
@@ -132,18 +143,34 @@ def _hull_2d(pts: list[tuple]) -> tuple[tuple, ...]:
         upper.append(p)
     cycle = lower[:-1] + upper[:-1]
     if len(cycle) < 3:  # degenerate: all points collinear
-        return tuple(sorted(set(pts)))
+        return (pts[0], pts[-1])
     return tuple(cycle)
 
 
 def facet_functionals(P: Polytope) -> tuple[tuple[frozenset[int], tuple[Fraction, ...]], ...]:
     """Facets of a full-dimensional polytope with the origin interior, as
     (vertex-index set, functional a) with <a, x> = -1 on the facet and
-    <a, x> > -1 on the rest of the polytope."""
+    <a, x> > -1 on the rest of the polytope.
+
+    In rank 2 these are the counterclockwise edges (v, w) with
+    det(v, w) > 0, a = (v2 - w2, w1 - v1) / det(v, w): then
+    <a, x> + 1 = cross(v, w, x) / det(v, w), which vanishes on the edge and
+    is positive inside.  Higher rank scans the n-subsets of vertices."""
     n = P.rank
     if P.dim != n:
         raise ValueError("facet scan needs a full-dimensional polytope")
     verts = P.vertices
+    if n == 2:
+        k = len(verts)
+        edges = []
+        for i in range(k):
+            j = (i + 1) % k
+            v, w = verts[i], verts[j]
+            d = _det(v, w)
+            if d > 0:
+                a = (Fraction(v[1] - w[1], d), Fraction(w[0] - v[0], d))
+                edges.append((frozenset((i, j)), a))
+        return tuple(sorted(edges, key=lambda kv: sorted(kv[0])))
     found = {}
     for sub in itertools.combinations(range(len(verts)), n):
         a = _solve_affine([verts[i] for i in sub], n)
@@ -232,21 +259,17 @@ _GL2_STEPS = (
 )
 
 
-def _apply(U, P: Polytope) -> Polytope:
-    pts = [
-        (
-            U[0][0] * v[0] + U[0][1] * v[1],
-            U[1][0] * v[0] + U[1][1] * v[1],
-        )
-        for v in P.vertices
-    ]
-    return Polytope.hull(pts, rank=2)
+def _apply(U, verts: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The image of a vertex list under U; a unimodular image of a convex
+    polygon's vertices is the image polygon's vertex set."""
+    (a, b), (c, d) = U
+    return [(a * x + b * y, c * x + d * y) for x, y in verts]
 
 
-def _size(P: Polytope) -> tuple[int, int]:
+def _size(verts: Sequence[tuple[int, int]]) -> tuple[int, int]:
     return (
-        max(abs(int(x)) for v in P.vertices for x in v),
-        sum(int(x) * int(x) for v in P.vertices for x in v),
+        max(abs(x) for v in verts for x in v),
+        sum(x * x for v in verts for x in v),
     )
 
 
@@ -258,7 +281,9 @@ def unimodular_normal_form(P: Polytope) -> Polytope:
     the current representative, so every unimodular image of a fixed
     independent vertex pair inside that box is tried.  The key minimized
     is (max |coordinate|, sorted vertex tuple), so the result does not
-    depend on the starting representative.
+    depend on the starting representative.  Both steps transform integer
+    vertex lists, which are already the vertex sets of the images; the
+    only hull built is the returned one.
     """
     if P.rank != 2:
         raise ValueError("normal form implemented for polygons only")
@@ -266,28 +291,28 @@ def unimodular_normal_form(P: Polytope) -> Polytope:
         raise ValueError("normal form needs a lattice polygon")
     if P.dim != 2:
         raise ValueError("normal form needs a two-dimensional polygon")
-    current = P
+    current = list(P.vertices)
+    current_size = _size(current)
     while True:
-        best, best_size = None, _size(current)
+        best = None
         for U in _GL2_STEPS:
             cand = _apply(U, current)
             s = _size(cand)
-            if s < best_size:
-                best, best_size = cand, s
+            if s < current_size:
+                best, current_size = cand, s
         if best is None:
             break
         current = best
 
-    v1 = current.vertices[0]
-    v2 = next(v for v in current.vertices[1:] if v1[0] * v[1] - v1[1] * v[0] != 0)
-    d0 = v1[0] * v2[1] - v1[1] * v2[0]
-    box = _size(current)[0]
+    v1 = current[0]
+    v2 = next(v for v in current[1:] if _det(v1, v) != 0)
+    d0 = _det(v1, v2)
+    box = current_size[0]
     rng = range(-box, box + 1)
     best_key = None
-    best_poly = None
     for w1 in itertools.product(rng, rng):
         for w2 in itertools.product(rng, rng):
-            dw = w1[0] * w2[1] - w1[1] * w2[0]
+            dw = _det(w1, w2)
             if dw != d0 and dw != -d0:
                 continue
             # U [v1 v2] = [w1 w2]  =>  U = [w1 w2] adj([v1 v2]) / det
@@ -297,23 +322,17 @@ def unimodular_normal_form(P: Polytope) -> Polytope:
             u11 = -w1[1] * v2[0] + w2[1] * v1[0]
             if any(x % d0 for x in (u00, u01, u10, u11)):
                 continue
-            U = ((u00 // d0, u01 // d0), (u10 // d0, u11 // d0))
-            if U[0][0] * U[1][1] - U[0][1] * U[1][0] not in (1, -1):
-                continue
-            pts = [
-                (U[0][0] * v[0] + U[0][1] * v[1], U[1][0] * v[0] + U[1][1] * v[1])
-                for v in current.vertices
-            ]
+            # det U = dw / d0 = +-1, so U is unimodular
+            pts = _apply(((u00 // d0, u01 // d0), (u10 // d0, u11 // d0)), current)
             m = max(abs(x) for p in pts for x in p)
             if m > box:
                 continue
-            key = (m, tuple(sorted(pts)))
+            key = (m, sorted(pts))
             if best_key is None or key < best_key:
                 best_key = key
-                best_poly = pts
-    if best_poly is None:
+    if best_key is None:
         raise RuntimeError("normal-form search missed the identity transform")
-    return Polytope.hull(best_poly, rank=2)
+    return Polytope.hull(best_key[1], rank=2)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +350,7 @@ def _angle_cmp(a, b) -> int:
     ha, hb = half(a), half(b)
     if ha != hb:
         return -1 if ha < hb else 1
-    cross = a[0] * b[1] - a[1] * b[0]
+    cross = _det(a, b)
     if cross > 0:
         return -1
     if cross < 0:
@@ -356,6 +375,28 @@ def _interior_points(vertices: Sequence[tuple[int, int]]) -> list[tuple[int, int
     return out
 
 
+def _fan_triangle_clean(a, b) -> bool:
+    """No lattice point strictly inside the counterclockwise triangle
+    (0, a, b), for primitive a and b.  By Pick's theorem twice the number
+    of interior points is det(a, b) - gcd(b - a)."""
+    d = _det(a, b)
+    return d > 0 and d == math.gcd(b[0] - a[0], b[1] - a[1])
+
+
+def _accept_cycle(seq: list[tuple[int, int]], found: dict) -> None:
+    """Record the normal form of a closed vertex cycle of the scan if it
+    is a reflexive polygon."""
+    poly = Polytope.hull(seq, rank=2)
+    if len(poly.vertices) != len(seq):
+        return
+    if _interior_points(seq) != [(0, 0)]:
+        return
+    if not is_reflexive(poly):
+        return
+    nf = unimodular_normal_form(poly)
+    found.setdefault(nf.vertices, nf)
+
+
 def _reflexive_polygon_scan(box: int) -> list[Polytope]:
     """All reflexive polygons whose vertices fit in [-box, box]^2, up to
     unimodular equivalence.
@@ -374,38 +415,14 @@ def _reflexive_polygon_scan(box: int) -> list[Polytope]:
     ]
     pts.sort(key=cmp_to_key(_angle_cmp))
     npts = len(pts)
-
-    def det(a, b):
-        return a[0] * b[1] - a[1] * b[0]
-
-    def fan_triangle_clean(a, b) -> bool:
-        # no lattice point strictly inside the triangle (0, a, b)
-        if det(a, b) <= 0:
-            return False
-        return not _interior_points([(0, 0), a, b])
-
-    def turn_ok(a, b, c) -> bool:
-        return _cross(a, b, c) > 0
-
     found: dict[tuple, Polytope] = {}
-
-    def accept(seq):
-        poly = Polytope.hull(seq, rank=2)
-        if len(poly.vertices) != len(seq):
-            return
-        if _interior_points(seq) != [(0, 0)]:
-            return
-        if not is_reflexive(poly):
-            return
-        nf = unimodular_normal_form(poly)
-        found.setdefault(nf.vertices, nf)
 
     def dfs(start: int, seq: list, last: int):
         for nxt in range(last + 1, npts):
             p = pts[nxt]
-            if not fan_triangle_clean(pts[seq[-1]], p):
+            if not _fan_triangle_clean(pts[seq[-1]], p):
                 continue
-            if len(seq) >= 2 and not turn_ok(pts[seq[-2]], pts[seq[-1]], p):
+            if len(seq) >= 2 and _cross(pts[seq[-2]], pts[seq[-1]], p) <= 0:
                 continue
             new_seq = seq + [nxt]
             verts = [pts[i] for i in new_seq]
@@ -415,11 +432,11 @@ def _reflexive_polygon_scan(box: int) -> list[Polytope]:
                     continue
                 # try to close the cycle
                 if (
-                    fan_triangle_clean(p, pts[start])
-                    and turn_ok(pts[seq[-1]], p, pts[start])
-                    and turn_ok(p, pts[start], pts[new_seq[1]])
+                    _fan_triangle_clean(p, pts[start])
+                    and _cross(pts[seq[-1]], p, pts[start]) > 0
+                    and _cross(p, pts[start], pts[new_seq[1]]) > 0
                 ):
-                    accept(verts)
+                    _accept_cycle(verts, found)
             dfs(start, new_seq, nxt)
 
     for s in range(npts):

@@ -19,6 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from toriclab.fan import Fan
+from toriclab.lattice import row_echelon, vdot
 
 
 # ---------------------------------------------------------------- lattice
@@ -409,6 +410,37 @@ def dual_polygon_halfplane_oracle(vertices):
         assert b[0] * y[0] + b[1] * y[1] == -1
         out.add(y)
     return out
+
+
+def facet_functionals_scan(P):
+    """Facets of a full-dimensional polytope with the origin interior, as
+    (vertex-index set, functional a) with <a, x> = -1 on the facet and
+    <a, x> > -1 on the rest of the polytope, by solving <a, v> = -1 on every
+    n-subset of vertices and keeping the supporting ones."""
+    n = P.rank
+    if P.dim != n:
+        raise ValueError("facet scan needs a full-dimensional polytope")
+    verts = P.vertices
+    found = {}
+    for sub in itertools.combinations(range(len(verts)), n):
+        a = _solve_affine([verts[i] for i in sub], n)
+        if a is None:
+            continue
+        vals = [vdot(a, v) for v in verts]
+        if all(v >= -1 for v in vals):
+            members = frozenset(i for i, v in enumerate(vals) if v == -1)
+            if len(members) >= n:
+                found.setdefault(members, tuple(a))
+    return tuple(sorted(found.items(), key=lambda kv: sorted(kv[0])))
+
+
+def _solve_affine(rows, n):
+    """Solve <a, row> = -1 for all rows (n rows, n unknowns), None if the
+    rows are linearly dependent, so that no unique solution exists."""
+    a, pivots = row_echelon([(*row, -1) for row in rows], n)
+    if len(pivots) != n:
+        return None
+    return [row[n] for row in a[:n]]
 
 
 def reflexive_polygons_boundary_walk(box=4):

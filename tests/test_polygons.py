@@ -1,0 +1,249 @@
+"""The integer-only polygon path: exact coordinate types, degenerate hulls,
+the rank-2 closed forms against their scans, the pinned enumeration, and
+how many polytopes the normal form and the enumeration build."""
+
+import math
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from toriclab import polytope
+from toriclab.catalog import bundled_fans
+from toriclab.fileformats import emit_polytope
+from toriclab.lattice import row_echelon
+from toriclab.polytope import (
+    Polytope,
+    _fan_triangle_clean,
+    _interior_points,
+    _reflexive_polygon_scan,
+    dual_polytope,
+    enumerate_reflexive_polygons,
+    face_fan,
+    facet_functionals,
+    unimodular_normal_form,
+)
+
+from oracles import dual_polygon_halfplane_oracle, facet_functionals_scan
+
+# enumerate_reflexive_polygons(), in its order: reflexive-01 ... reflexive-16
+REFLEXIVE_ORDER = (
+    ((-2, -1), (0, -1), (1, 2)),
+    ((-2, -1), (1, -1), (1, 2)),
+    ((-2, -1), (2, -1), (0, 1)),
+    ((-1, -1), (1, 0), (-1, 1)),
+    ((-1, -1), (1, 0), (0, 1)),
+    ((-2, -1), (-1, -1), (1, 0), (1, 2)),
+    ((-2, -1), (0, -1), (1, 0), (1, 2)),
+    ((-1, -1), (0, -1), (1, 1), (-1, 0)),
+    ((-1, -1), (1, -1), (0, 1), (-1, 0)),
+    ((-1, -1), (1, -1), (1, 1), (-1, 0)),
+    ((-1, -1), (1, -1), (1, 1), (-1, 1)),
+    ((-1, -1), (1, 0), (1, 1), (-1, 0)),
+    ((-1, -1), (0, -1), (1, 0), (0, 1), (-1, 0)),
+    ((-1, -1), (1, -1), (1, 0), (0, 1), (-1, 0)),
+    ((-1, -1), (1, -1), (1, 1), (0, 1), (-1, 0)),
+    ((-1, -1), (0, -1), (1, 0), (1, 1), (0, 1), (-1, 0)),
+)
+
+
+def _exact_types(P):
+    return all(
+        type(x) is int or (type(x) is Fraction and x.denominator > 1) for v in P.vertices for x in v
+    )
+
+
+# ------------------------------------------------------------ degenerate
+
+
+def test_collinear_hulls_keep_the_endpoints():
+    for pts in ([(0, 0), (1, 1), (2, 2)], [(2, 2), (0, 0), (1, 1), (2, 2), (0, 0)]):
+        P = Polytope.hull(pts)
+        assert P.vertices == ((0, 0), (2, 2))
+        assert P.dim == 1
+    assert Polytope.hull([(0, 3), (0, -1), (0, 0), (0, 1)]).vertices == ((0, -1), (0, 3))
+    Q = Polytope.hull([(0, 0, 0), (1, 1, 1), (2, 2, 2), (1, 1, 1)])
+    assert Q.vertices == ((0, 0, 0), (2, 2, 2))
+    assert Q.dim == 1
+    segment = Polytope.hull([(1, 2), (0, 0), (1, 2)])
+    assert segment.vertices == ((0, 0), (1, 2))
+    assert segment.dim == 1
+    assert not segment.contains_origin_interior()
+    with pytest.raises(ValueError, match="full-dimensional"):
+        facet_functionals(segment)
+    with pytest.raises(ValueError, match="two-dimensional"):
+        unimodular_normal_form(Polytope.hull([(-1, -1), (0, 0), (1, 1)]))
+
+
+def test_single_point_hulls():
+    for rank in (2, 3):
+        p = tuple(range(3, 3 + rank))
+        P = Polytope.hull([p, p, p])
+        assert P.vertices == (p,)
+        assert P.dim == 0
+
+
+# ------------------------------------------------------------ coordinate types
+
+
+def test_integral_coordinates_are_ints():
+    P = Polytope.hull([(Fraction(4, 2), 0), (0, 1), (-1, -1)])
+    assert P.vertices == ((-1, -1), (2, 0), (0, 1))
+    assert all(type(x) is int for v in P.vertices for x in v)
+    assert P.is_lattice
+    assert emit_polytope(P) == "dim 2\nvertex -1 -1\nvertex 2 0\nvertex 0 1\n"
+
+    half = Polytope.hull([(Fraction(1, 2), 0), (0, 1), (-1, -1)])
+    assert half.vertices == ((-1, -1), (Fraction(1, 2), 0), (0, 1))
+    assert _exact_types(half) and not half.is_lattice
+
+
+def test_dual_coordinates_are_fractions_only_where_not_integral():
+    D = dual_polytope(Polytope.hull([(1, 0), (0, 1), (-1, -3)]))
+    assert D.vertices == ((-1, -1), (4, -1), (-1, Fraction(2, 3)))
+    assert [type(x) for v in D.vertices for x in v] == [int, int, int, int, int, Fraction]
+    assert not D.is_lattice
+    with pytest.raises(ValueError, match="lattice"):
+        emit_polytope(D)
+    cube = Polytope.hull([(x, y, z) for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)])
+    octahedron = dual_polytope(cube)
+    assert _exact_types(octahedron) and octahedron.is_lattice
+    assert emit_polytope(octahedron) == (
+        "dim 3\nvertex -1 0 0\nvertex 0 -1 0\nvertex 0 0 -1\nvertex 0 0 1\nvertex 0 1 0\nvertex 1 0 0\n"
+    )
+    for P in enumerate_reflexive_polygons():
+        assert _exact_types(P) and _exact_types(dual_polytope(P))
+
+
+# ------------------------------------------------------------ closed forms
+
+
+def _check_against_oracles(pts):
+    P = Polytope.hull(pts, rank=2)
+    v0 = pts[0]
+    assert P.dim == len(row_echelon([[a - b for a, b in zip(p, v0)] for p in pts], 2)[1])
+    if P.dim == 2:
+        assert facet_functionals(P) == facet_functionals_scan(P)
+    else:
+        with pytest.raises(ValueError):
+            facet_functionals(P)
+    if P.contains_origin_interior():
+        assert set(dual_polytope(P).vertices) == dual_polygon_halfplane_oracle(P.vertices)
+    return P
+
+
+def test_rank2_facets_with_the_origin_outside_on_an_edge_and_at_a_vertex():
+    outside = _check_against_oracles([(1, 0), (3, 0), (2, 2)])
+    on_edge = _check_against_oracles([(-1, 0), (1, 0), (0, 2), (2, 1)])
+    at_vertex = _check_against_oracles([(0, 0), (2, 0), (1, 3)])
+    for P in (outside, on_edge, at_vertex):
+        assert P.dim == 2 and not P.contains_origin_interior()
+    assert (0, 0) in at_vertex.vertices
+    # the edge through the origin is no facet, the other two are
+    assert len(facet_functionals(on_edge)) == 3
+    assert len(facet_functionals(at_vertex)) == 1
+    assert len(facet_functionals(outside)) == 1
+
+
+def test_rank2_closed_forms_match_oracles_seeded():
+    rng = random.Random(505)
+    interior = 0
+    for _ in range(400):
+        pts = [(rng.randint(-6, 6), rng.randint(-6, 6)) for _ in range(rng.randint(1, 9))]
+        interior += _check_against_oracles(pts).contains_origin_interior()
+    assert interior > 50
+    for P in enumerate_reflexive_polygons():
+        _check_against_oracles(list(P.vertices))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), min_size=1, max_size=9))
+def test_rank2_closed_forms_match_oracles_hypothesis(pts):
+    _check_against_oracles(pts)
+
+
+def test_pick_triangle_test_matches_lattice_point_scan():
+    prim = [
+        (x, y) for x in range(-5, 6) for y in range(-5, 6) if (x, y) != (0, 0) and math.gcd(x, y) == 1
+    ]
+    clean = 0
+    for a in prim:
+        for b in prim:
+            want = a[0] * b[1] - a[1] * b[0] > 0 and _interior_points([(0, 0), a, b]) == []
+            assert _fan_triangle_clean(a, b) == want, (a, b)
+            clean += want
+    assert clean > 100
+
+
+# ------------------------------------------------------------ pinned answers
+
+
+def test_enumeration_order_and_catalog_names_are_pinned():
+    assert tuple(P.vertices for P in enumerate_reflexive_polygons()) == REFLEXIVE_ORDER
+    named = {name: fan for name, fan in bundled_fans() if name.startswith("reflexive-")}
+    assert sorted(named) == [f"reflexive-{i:02d}" for i in range(1, 17)]
+    for i, verts in enumerate(REFLEXIVE_ORDER, start=1):
+        assert named[f"reflexive-{i:02d}"] == face_fan(Polytope.hull(verts))
+
+
+def _big_gl2z(rng):
+    """A seeded unimodular matrix with entries up to 1000 in absolute value."""
+    while True:
+        a, c = rng.randint(-1000, 1000), rng.randint(-1000, 1000)
+        if abs(c) >= 2 and math.gcd(a, c) == 1:
+            break
+    d = pow(a, -1, abs(c))
+    b = (a * d - 1) // c
+    sign = rng.choice((1, -1))
+    return ((a, sign * b), (c, sign * d))
+
+
+def test_normal_form_of_large_gl2z_images():
+    rng = random.Random(1000)
+    for verts in REFLEXIVE_ORDER:
+        for _ in range(3):
+            U = _big_gl2z(rng)
+            assert max(abs(x) for row in U for x in row) <= 1000
+            assert abs(U[0][0] * U[1][1] - U[0][1] * U[1][0]) == 1
+            image = Polytope.hull(polytope._apply(U, verts))
+            assert unimodular_normal_form(image).vertices == verts
+
+
+# ------------------------------------------------------------ construction counts
+
+
+@pytest.fixture
+def constructions(monkeypatch):
+    calls = [0]
+    original = Polytope.__post_init__
+
+    def counting(self):
+        calls[0] += 1
+        original(self)
+
+    monkeypatch.setattr(Polytope, "__post_init__", counting)
+    return calls
+
+
+def test_normal_form_builds_one_polytope(constructions):
+    # the shear ((1, 7), (0, 1)) applied to the triangle of P2
+    sheared = Polytope.hull([(1, 0), (7, 1), (-8, -1)])
+    start = constructions[0]
+    assert unimodular_normal_form(sheared).vertices == ((-1, -1), (1, 0), (0, 1))
+    assert constructions[0] - start == 1
+
+
+def test_cold_scan_builds_at_most_three_polytopes_per_candidate(constructions, monkeypatch):
+    candidates = [0]
+    accept = polytope._accept_cycle
+
+    def counting(seq, found):
+        candidates[0] += 1
+        accept(seq, found)
+
+    monkeypatch.setattr(polytope, "_accept_cycle", counting)
+    polys = _reflexive_polygon_scan(4)
+    assert tuple(P.vertices for P in polys) == REFLEXIVE_ORDER
+    assert candidates[0] > 0
+    assert constructions[0] <= 3 * candidates[0]
