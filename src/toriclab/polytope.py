@@ -8,9 +8,12 @@ brute-force supporting-hyperplane scan, which is entirely adequate at the
 handful-of-vertices scale this package works at.  Every predicate is exact.
 
 The polygon normal form is a true GL(2,Z)-orbit invariant: it minimizes
-(max |coordinate|, sorted vertex list) over the whole orbit, by a complete
-search over images of a fixed independent vertex pair inside the bounding
-box that the minimum provably inhabits.
+(max |coordinate|, sorted vertex list) over the whole orbit.  A generalised
+Gauss reduction of the norm N(u) = max_v |<u, v>| finds the least max
+|coordinate|, lambda2, in a number of steps logarithmic in the entries; the
+bases whose rows have norm at most lambda2 are then listed line by line in
+the reduced basis and compared in closed form, so the cost grows with the
+bit length of the coordinates, not with their size.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from functools import cmp_to_key, lru_cache
 from typing import Iterable, Optional, Sequence
 
 from toriclab.fan import Fan, linear_feasible
-from toriclab.lattice import IntMatrix, primitive, row_echelon, vdot
+from toriclab.lattice import IntMatrix, det, primitive, row_echelon, vdot
 
 
 @dataclass(frozen=True)
@@ -214,19 +217,17 @@ def is_reflexive(P: Polytope) -> bool:
 
 
 def is_smooth_fano_polytope(P: Polytope) -> bool:
-    """The vertex set of every facet is a basis of the lattice."""
+    """The vertex set of every facet is a basis of the lattice: each facet
+    has n vertices, and their n x n matrix has determinant +-1."""
     if not P.is_lattice:
         raise ValueError("smooth Fano test needs a lattice polytope")
     if not P.contains_origin_interior():
         raise ValueError("smooth Fano test needs the origin interior")
-    from toriclab.lattice import smith_normal_form
-
     for members, _ in facet_functionals(P):
         if len(members) != P.rank:
             return False
-        M = IntMatrix.from_rows([[int(x) for x in P.vertices[i]] for i in sorted(members)], cols=P.rank)
-        _, D, _ = smith_normal_form(M)
-        if any(d != 1 for d in D.diagonal()):
+        M = IntMatrix.from_rows([P.vertices[i] for i in sorted(members)], cols=P.rank)
+        if abs(det(M)) != 1:
             return False
     return True
 
@@ -247,16 +248,17 @@ def face_fan(P: Polytope) -> Fan:
 # ---------------------------------------------------------------------------
 # GL(2,Z) normal form for polygons
 # ---------------------------------------------------------------------------
-
-_GL2_STEPS = (
-    ((0, -1), (1, 0)),   # rotate
-    ((0, 1), (-1, 0)),   # rotate back
-    ((1, 1), (0, 1)),    # shear
-    ((1, -1), (0, 1)),   # unshear
-    ((1, 0), (1, 1)),    # transposed shear
-    ((1, 0), (-1, 1)),   # transposed unshear
-    ((1, 0), (0, -1)),   # reflect
-)
+#
+# U in GL(2,Z) with rows r1, r2 sends a vertex v to (<r1, v>, <r2, v>), so
+# the image's largest |coordinate| is max(N(r1), N(r2)) for the norm
+# N(u) = max_v |<u, v>| on Z^2 (a norm: the vertices span the plane).  Its
+# least value over all bases is the second successive minimum lambda2 of N,
+# and the normal form is the least (sorted image vertices) over the bases
+# whose two rows both have norm at most lambda2.
+#
+# A row is held by its coefficients (a, c) in a reduced basis (b1, b2), and
+# a vertex w by beta_w = <b1, w> and gamma_w = <b2, w>: the row a*b1 + c*b2
+# then maps w to a*beta_w + c*gamma_w.
 
 
 def _apply(U, verts: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -266,24 +268,145 @@ def _apply(U, verts: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
     return [(a * x + b * y, c * x + d * y) for x, y in verts]
 
 
-def _size(verts: Sequence[tuple[int, int]]) -> tuple[int, int]:
-    return (
-        max(abs(x) for v in verts for x in v),
-        sum(x * x for v in verts for x in v),
-    )
+def _window(slopes: Sequence[int], offsets: Sequence[int], bound: int) -> Optional[tuple[int, int]]:
+    """The integers t with |offset + t*slope| <= bound for every pair, as
+    (lo, hi), or None when there are none.  Some slope must be nonzero."""
+    lo = hi = None
+    for s, o in zip(slopes, offsets):
+        if s == 0:
+            if abs(o) > bound:
+                return None
+            continue
+        if s < 0:
+            s, o = -s, -o
+        t_lo, t_hi = -((bound + o) // s), (bound - o) // s
+        if lo is None or t_lo > lo:
+            lo = t_lo
+        if hi is None or t_hi < hi:
+            hi = t_hi
+    return (lo, hi) if lo <= hi else None
+
+
+def _nearest_multiple(beta: Sequence[int], gamma: Sequence[int]) -> int:
+    """An integer mu minimising f(mu) = N(b2 - mu*b1) = max_w |gamma_w - mu*beta_w|.
+
+    f is convex and piecewise linear.  Round at the vertex w* where
+    |beta_w| = N(b1) is largest; if that is no local minimum, bisect on the
+    sign of f(t + 1) - f(t).  Since f(t) >= |beta_w*| * |t - gamma_w*/beta_w*|,
+    every minimiser lies within f(mu)/N(b1) + 1 of the rounded mu."""
+
+    def f(t):
+        return max(abs(g - t * b) for b, g in zip(beta, gamma))
+
+    b, g = max(zip(beta, gamma), key=lambda bg: abs(bg[0]))
+    if b < 0:
+        b, g = -b, -g
+    mu = (2 * g + b) // (2 * b)
+    fm = f(mu)
+    if f(mu - 1) >= fm <= f(mu + 1):
+        return mu
+    lo, hi = mu - fm // b - 1, mu + fm // b + 1
+    while lo < hi:
+        t = (lo + hi) // 2
+        if f(t + 1) < f(t):
+            lo = t + 1
+        else:
+            hi = t
+    return lo
+
+
+def _reduced_basis(verts: Sequence[tuple[int, int]]) -> tuple[list[int], list[int]]:
+    """(beta, gamma) of a basis (b1, b2) of Z^2 reduced for N: N(b1) <= N(b2)
+    and N(b2) <= N(b2 + mu*b1) for every integer mu.
+
+    This is the generalised Gauss reduction (Kaib and Schnorr, J. Algorithms
+    21, 1996): replace b2 by its N-closest lattice point on b2 + Z*b1 and
+    swap while that is shorter than b1.  Each swap lowers the integer N(b1),
+    so it stops, and the number of steps is logarithmic in the entries.  Such
+    a basis realises the successive minima: N(b1) = lambda1, N(b2) = lambda2.
+    """
+    beta = [x for x, _ in verts]  # b1 = (1, 0)
+    gamma = [y for _, y in verts]  # b2 = (0, 1)
+    n1, n2 = max(map(abs, beta)), max(map(abs, gamma))
+    if n2 < n1:
+        beta, gamma, n1 = gamma, beta, n2
+    while True:
+        mu = _nearest_multiple(beta, gamma)
+        gamma = [g - mu * b for b, g in zip(beta, gamma)]
+        n2 = max(map(abs, gamma))
+        if n2 >= n1:
+            return beta, gamma
+        beta, gamma, n1 = gamma, beta, n2
+
+
+def _line_rows(beta, gamma, c: int, lam2: int) -> Iterable[int]:
+    """The a for which the primitive row a*b1 + c*b2 may have norm at most
+    lambda2, send a vertex to -lambda2 and start a least basis.
+
+    These are the roots of a*beta_w + c*gamma_w = -lambda2, at most one per
+    vertex, unless a vertex v* with beta = 0 goes to -lambda2 on the whole
+    line, as on thin polygons, where the line is 2*lambda2/lambda1 long.
+    Its rows of norm at most lambda2 then form a stretch [lo, hi], and for
+    c = +-1 only lo and hi can start a least basis.  Another vertex's first
+    coordinate is linear in a and at least -lambda2 on the stretch, so it
+    reaches -lambda2 only at an end.  Inside, v* alone goes there, and a
+    least basis sends it to (-lambda2, -lambda2): its second row is
+    a'*b1 + c*b2, and r1 +- b1 is one for every a.  Along those bases a
+    step in a moves the image of a vertex w by beta_w * (1, 1): images
+    with beta = 0 stay put, and the least first coordinate M(a) of the
+    others decides the comparison.  M is a minimum of nonconstant linear
+    functions, so it is concave with no flat piece and least only at lo or
+    hi.  Lines |c| = 2 exist only when lambda1 = lambda2 and hold at most
+    three rows."""
+    if c == 0:
+        return (1, -1)
+    if any(b == 0 and c * g == -lam2 for b, g in zip(beta, gamma)):
+        w = _window(beta, [c * g for g in gamma], lam2)
+        if w is None:
+            return ()
+        rows = w if abs(c) == 1 else range(w[0], w[1] + 1)
+    else:
+        rows = {(-lam2 - c * g) // b for b, g in zip(beta, gamma) if b and (-lam2 - c * g) % b == 0}
+    return [a for a in rows if math.gcd(a, c) == 1]
+
+
+def _partner(a: int, c: int) -> tuple[int, int]:
+    """(a', c') with a*c' - c*a' = 1, for a primitive (a, c) with |c| <= 2."""
+    if c == 0:
+        return 0, a
+    if abs(c) == 1:
+        return -c, 0
+    return (a - 1) // c, 1
+
+
+def _shear_key(xs: Sequence[int], ys: Sequence[int], lam2: int) -> Optional[list[tuple[int, int]]]:
+    """The least sorted image over the second rows r2 + k*r1 of norm at most
+    lambda2, or None when there is none, for a first row whose images xs have
+    minimum -lambda2 and a second row whose images are ys.
+
+    The k-shear moves image w to (x_w, y_w + k*x_w): images with equal first
+    coordinates move alike, so the sorted order never changes, and the first
+    image, with x = -lambda2 < 0, falls as k grows.  So k is the largest
+    that keeps the second row's norm at most lambda2."""
+    w = _window(xs, ys, lam2)
+    if w is None:
+        return None
+    k = w[1]
+    return sorted(zip(xs, [y + k * x for x, y in zip(xs, ys)]))
 
 
 def unimodular_normal_form(P: Polytope) -> Polytope:
     """Canonical representative of the GL(2,Z)-orbit of a lattice polygon.
 
-    First greedily shrinks coordinates with elementary transforms, then
-    does a complete search: the optimum has max-coordinate at most that of
-    the current representative, so every unimodular image of a fixed
-    independent vertex pair inside that box is tried.  The key minimized
-    is (max |coordinate|, sorted vertex tuple), so the result does not
-    depend on the starting representative.  Both steps transform integer
-    vertex lists, which are already the vertex sets of the images; the
-    only hull built is the returned one.
+    The representative minimises the key (max |coordinate|, sorted vertex
+    tuple) over the whole orbit.  The first entry is lambda2, the second
+    successive minimum of the norm N(u) = max_v |<u, v>|, reached by a
+    generalised Gauss reduction.  The rows of norm at most lambda2 are
+    a*b1 + c*b2 with |c| <= 2 in the reduced basis; every least image has a
+    vertex with first coordinate -lambda2, which leaves a few rows per line
+    (the two ends of a whole line of rows, on thin polygons).  For each
+    first row the second rows form two shear families, each resolved in
+    closed form.  The only hull built is the returned one.
     """
     if P.rank != 2:
         raise ValueError("normal form implemented for polygons only")
@@ -291,48 +414,29 @@ def unimodular_normal_form(P: Polytope) -> Polytope:
         raise ValueError("normal form needs a lattice polygon")
     if P.dim != 2:
         raise ValueError("normal form needs a two-dimensional polygon")
-    current = list(P.vertices)
-    current_size = _size(current)
-    while True:
-        best = None
-        for U in _GL2_STEPS:
-            cand = _apply(U, current)
-            s = _size(cand)
-            if s < current_size:
-                best, current_size = cand, s
-        if best is None:
-            break
-        current = best
-
-    v1 = current[0]
-    v2 = next(v for v in current[1:] if _det(v1, v) != 0)
-    d0 = _det(v1, v2)
-    box = current_size[0]
-    rng = range(-box, box + 1)
-    best_key = None
-    for w1 in itertools.product(rng, rng):
-        for w2 in itertools.product(rng, rng):
-            dw = _det(w1, w2)
-            if dw != d0 and dw != -d0:
+    beta, gamma = _reduced_basis(P.vertices)
+    lam2 = max(map(abs, gamma))
+    # Bound on |c|: a row u = a*b1 + c*b2 with c != 0 is c*(b2 + (a/c)*b1).
+    # With mu the integer nearest a/c, the triangle inequality and
+    # reducedness give N(b2 + (a/c)*b1) >= N(b2 + mu*b1) - N(b1)/2
+    # >= lambda2 - lambda1/2 >= lambda2/2.  So N(u) <= lambda2 needs
+    # |c| <= 2, and |c| = 2 only if lambda1 = lambda2.
+    # The least image has a vertex at first coordinate -lambda2: no row of
+    # norm at most lambda2 sends a vertex lower, and b2 or -b2, with b1 as
+    # second row, sends one there.
+    best = None
+    for c in (0, 1, -1, 2, -2) if max(map(abs, beta)) == lam2 else (0, 1, -1):
+        for a in _line_rows(beta, gamma, c, lam2):
+            xs = [a * b + c * g for b, g in zip(beta, gamma)]
+            if min(xs) != -lam2 or max(xs) > lam2:
                 continue
-            # U [v1 v2] = [w1 w2]  =>  U = [w1 w2] adj([v1 v2]) / det
-            u00 = w1[0] * v2[1] - w2[0] * v1[1]
-            u01 = -w1[0] * v2[0] + w2[0] * v1[0]
-            u10 = w1[1] * v2[1] - w2[1] * v1[1]
-            u11 = -w1[1] * v2[0] + w2[1] * v1[0]
-            if any(x % d0 for x in (u00, u01, u10, u11)):
-                continue
-            # det U = dw / d0 = +-1, so U is unimodular
-            pts = _apply(((u00 // d0, u01 // d0), (u10 // d0, u11 // d0)), current)
-            m = max(abs(x) for p in pts for x in p)
-            if m > box:
-                continue
-            key = (m, sorted(pts))
-            if best_key is None or key < best_key:
-                best_key = key
-    if best_key is None:
-        raise RuntimeError("normal-form search missed the identity transform")
-    return Polytope.hull(best_key[1], rank=2)
+            pa, pc = _partner(a, c)
+            ys = [pa * b + pc * g for b, g in zip(beta, gamma)]
+            for sigma in (1, -1):
+                key = _shear_key(xs, ys if sigma == 1 else [-y for y in ys], lam2)
+                if key is not None and (best is None or key < best):
+                    best = key
+    return Polytope.hull(best, rank=2)
 
 
 # ---------------------------------------------------------------------------
@@ -383,17 +487,41 @@ def _fan_triangle_clean(a, b) -> bool:
     return d > 0 and d == math.gcd(b[0] - a[0], b[1] - a[1])
 
 
+def _gap_has_points(chain: Sequence[tuple[int, int]]) -> bool:
+    """Does a lattice point other than the origin lie strictly left of
+    every edge of the closed cycle through a chain of the scan?
+
+    The chain's primitive vertices v_0, ..., v_j increase in angle, it
+    turns left at every inner vertex, and Pick's test has found each fan
+    triangle (0, v_i, v_i+1) free of interior lattice points.  A point
+    strictly left of the edge (v_i, v_i+1) and inside the angle from v_i to
+    v_i+1 lies in that triangle off the edge, so it is the origin.  The
+    rest is the gap from v_j back to v_0:
+    - under a half turn, det(v_j, v_0) > 0, a point of the gap strictly
+      left of the closing edge lies inside the triangle (0, v_j, v_0);
+    - from a half turn up, the chain spans at most a half turn, so the
+      cycle is a convex polygon inside the union of the fan triangles with
+      the origin outside or on its boundary, and no lattice point is inside.
+    """
+    first, last = chain[0], chain[-1]
+    if _det(last, first) <= 0:
+        return False
+    k = len(chain)
+    return any(
+        all(_cross(chain[i - 1], chain[i], q) > 0 for i in range(k))
+        for q in _interior_points([(0, 0), last, first])
+    )
+
+
 def _accept_cycle(seq: list[tuple[int, int]], found: dict) -> None:
-    """Record the normal form of a closed vertex cycle of the scan if it
-    is a reflexive polygon."""
-    poly = Polytope.hull(seq, rank=2)
-    if len(poly.vertices) != len(seq):
-        return
-    if _interior_points(seq) != [(0, 0)]:
-        return
-    if not is_reflexive(poly):
-        return
-    nf = unimodular_normal_form(poly)
+    """Record the normal form of a closed vertex cycle of the scan.
+
+    The scan closes a cycle only with a left turn at every vertex and a
+    clean fan triangle (0, v, w) on every edge, where Pick's test reads
+    det(v, w) = gcd(w - v): each edge lies at lattice distance 1 from the
+    origin, so its facet functional is integral and the polygon, whose
+    vertices are all of seq, is reflexive."""
+    nf = unimodular_normal_form(Polytope.hull(seq, rank=2))
     found.setdefault(nf.vertices, nf)
 
 
@@ -427,8 +555,7 @@ def _reflexive_polygon_scan(box: int) -> list[Polytope]:
             new_seq = seq + [nxt]
             verts = [pts[i] for i in new_seq]
             if len(new_seq) >= 3:
-                inside = _interior_points(verts)
-                if any(q != (0, 0) for q in inside):
+                if _gap_has_points(verts):
                     continue
                 # try to close the cycle
                 if (

@@ -443,6 +443,104 @@ def _solve_affine(rows, n):
     return [row[n] for row in a[:n]]
 
 
+# The GL(2,Z) normal form by greedy shrinking and a complete search over
+# images of a vertex pair inside the bounding box, as the library computed
+# it before the norm reduction.  The only change: v1 is the first nonzero
+# vertex, where it was the first vertex (a polygon whose least vertex is the
+# origin had no v2 then).
+
+_GL2_STEPS = (
+    ((0, -1), (1, 0)),   # rotate
+    ((0, 1), (-1, 0)),   # rotate back
+    ((1, 1), (0, 1)),    # shear
+    ((1, -1), (0, 1)),   # unshear
+    ((1, 0), (1, 1)),    # transposed shear
+    ((1, 0), (-1, 1)),   # transposed unshear
+    ((1, 0), (0, -1)),   # reflect
+)
+
+
+def _apply(U, verts):
+    """The image of a vertex list under U; a unimodular image of a convex
+    polygon's vertices is the image polygon's vertex set."""
+    (a, b), (c, d) = U
+    return [(a * x + b * y, c * x + d * y) for x, y in verts]
+
+
+_det = det2  # the library's name for it
+
+
+def _size(verts):
+    return (
+        max(abs(x) for v in verts for x in v),
+        sum(x * x for v in verts for x in v),
+    )
+
+
+def normal_form_search(P):
+    """Canonical representative of the GL(2,Z)-orbit of a lattice polygon.
+
+    First greedily shrinks coordinates with elementary transforms, then
+    does a complete search: the optimum has max-coordinate at most that of
+    the current representative, so every unimodular image of a fixed
+    independent vertex pair inside that box is tried.  The key minimized
+    is (max |coordinate|, sorted vertex tuple), so the result does not
+    depend on the starting representative.  Both steps transform integer
+    vertex lists, which are already the vertex sets of the images; the
+    only hull built is the returned one.
+    """
+    from toriclab.polytope import Polytope
+
+    if P.rank != 2:
+        raise ValueError("normal form implemented for polygons only")
+    if not P.is_lattice:
+        raise ValueError("normal form needs a lattice polygon")
+    if P.dim != 2:
+        raise ValueError("normal form needs a two-dimensional polygon")
+    current = list(P.vertices)
+    current_size = _size(current)
+    while True:
+        best = None
+        for U in _GL2_STEPS:
+            cand = _apply(U, current)
+            s = _size(cand)
+            if s < current_size:
+                best, current_size = cand, s
+        if best is None:
+            break
+        current = best
+
+    v1 = next(v for v in current if v != (0, 0))
+    v2 = next(v for v in current[1:] if _det(v1, v) != 0)
+    d0 = _det(v1, v2)
+    box = current_size[0]
+    rng = range(-box, box + 1)
+    best_key = None
+    for w1 in itertools.product(rng, rng):
+        for w2 in itertools.product(rng, rng):
+            dw = _det(w1, w2)
+            if dw != d0 and dw != -d0:
+                continue
+            # U [v1 v2] = [w1 w2]  =>  U = [w1 w2] adj([v1 v2]) / det
+            u00 = w1[0] * v2[1] - w2[0] * v1[1]
+            u01 = -w1[0] * v2[0] + w2[0] * v1[0]
+            u10 = w1[1] * v2[1] - w2[1] * v1[1]
+            u11 = -w1[1] * v2[0] + w2[1] * v1[0]
+            if any(x % d0 for x in (u00, u01, u10, u11)):
+                continue
+            # det U = dw / d0 = +-1, so U is unimodular
+            pts = _apply(((u00 // d0, u01 // d0), (u10 // d0, u11 // d0)), current)
+            m = max(abs(x) for p in pts for x in p)
+            if m > box:
+                continue
+            key = (m, sorted(pts))
+            if best_key is None or key < best_key:
+                best_key = key
+    if best_key is None:
+        raise RuntimeError("normal-form search missed the identity transform")
+    return Polytope.hull(best_key[1], rank=2)
+
+
 def reflexive_polygons_boundary_walk(box=4):
     """Enumerate one-interior-point polygons as cycles of primitive points
     with consecutive determinant one (the empty-fan-triangle property),

@@ -26,6 +26,7 @@ from toriclab.polytope import (
 )
 
 from oracles import dual_polygon_halfplane_oracle, facet_functionals_scan
+from oracles import minor_gcds, normal_form_search
 
 # enumerate_reflexive_polygons(), in its order: reflexive-01 ... reflexive-16
 REFLEXIVE_ORDER = (
@@ -187,16 +188,21 @@ def test_enumeration_order_and_catalog_names_are_pinned():
         assert named[f"reflexive-{i:02d}"] == face_fan(Polytope.hull(verts))
 
 
-def _big_gl2z(rng):
-    """A seeded unimodular matrix with entries up to 1000 in absolute value."""
+def _gl2z(rng, bound):
+    """A seeded unimodular matrix with entries up to bound in absolute value."""
     while True:
-        a, c = rng.randint(-1000, 1000), rng.randint(-1000, 1000)
+        a, c = rng.randint(-bound, bound), rng.randint(-bound, bound)
         if abs(c) >= 2 and math.gcd(a, c) == 1:
             break
     d = pow(a, -1, abs(c))
     b = (a * d - 1) // c
     sign = rng.choice((1, -1))
     return ((a, sign * b), (c, sign * d))
+
+
+def _big_gl2z(rng):
+    """A seeded unimodular matrix with entries up to 1000 in absolute value."""
+    return _gl2z(rng, 1000)
 
 
 def test_normal_form_of_large_gl2z_images():
@@ -247,3 +253,168 @@ def test_cold_scan_builds_at_most_three_polytopes_per_candidate(constructions, m
     assert tuple(P.vertices for P in polys) == REFLEXIVE_ORDER
     assert candidates[0] > 0
     assert constructions[0] <= 3 * candidates[0]
+
+
+# ------------------------------------------------------------ normal form by norm reduction
+
+
+def _random_polygon(rng, lo=-6, hi=6, ylo=None, yhi=None):
+    """A seeded two-dimensional lattice polygon with vertices in the box."""
+    ylo, yhi = (lo, hi) if ylo is None else (ylo, yhi)
+    while True:
+        pts = [(rng.randint(lo, hi), rng.randint(ylo, yhi)) for _ in range(rng.randint(3, 9))]
+        P = Polytope.hull(pts)
+        if P.dim == 2:
+            return P
+
+
+def test_normal_form_matches_search_seeded():
+    rng = random.Random(606)
+    for _ in range(150):
+        P = _random_polygon(rng)
+        assert unimodular_normal_form(P) == normal_form_search(P), P.vertices
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), min_size=3, max_size=9))
+def test_normal_form_matches_search_hypothesis(pts):
+    P = Polytope.hull(pts)
+    if P.dim == 2:
+        assert unimodular_normal_form(P) == normal_form_search(P)
+
+
+def _has_whole_line(P):
+    """Does a vertex on the line <b1, v> = 0 of the reduced basis reach
+    |<b2, v>| = lambda2, so that a whole line of rows qualifies?"""
+    beta, gamma = polytope._reduced_basis(P.vertices)
+    lam2 = max(map(abs, gamma))
+    return any(b == 0 and abs(g) == lam2 for b, g in zip(beta, gamma))
+
+
+def test_thin_polygons_match_search():
+    rng = random.Random(607)
+    whole_lines = 0
+    for _ in range(60):
+        P = _random_polygon(rng, -7, 7, -1, 1)
+        U = _gl2z(rng, 3)
+        for Q in (P, Polytope.hull(polytope._apply(U, P.vertices))):
+            assert unimodular_normal_form(Q) == normal_form_search(P), Q.vertices
+            whole_lines += _has_whole_line(Q)
+    assert whole_lines > 40
+
+
+def test_normal_form_with_the_origin_as_least_vertex():
+    rng = random.Random(608)
+    for verts in ([(0, 0), (1, 0), (0, 1)], [(0, 0), (2, 1), (1, 3)]):
+        P = Polytope.hull(verts)
+        assert P.vertices[0] == (0, 0)
+        form = unimodular_normal_form(P)
+        assert form == normal_form_search(P)
+        for _ in range(10):
+            image = Polytope.hull(polytope._apply(_gl2z(rng, 50), verts))
+            assert unimodular_normal_form(image) == form
+
+
+def test_normal_form_of_gl2z_images_up_to_1e12():
+    rng = random.Random(609)
+    polygons = [Polytope.hull(v) for v in REFLEXIVE_ORDER]
+    polygons += [_random_polygon(rng) for _ in range(20)]
+    for P in polygons:
+        form = unimodular_normal_form(P)
+        for _ in range(15):
+            U = _gl2z(rng, 10**12)
+            image = Polytope.hull(polytope._apply(U, P.vertices))
+            assert unimodular_normal_form(image) == form
+
+
+@pytest.fixture
+def nf_counts(monkeypatch):
+    """Counts reduction steps and examined bases of the normal form."""
+    counts = {"steps": 0, "bases": 0}
+    step, basis = polytope._nearest_multiple, polytope._shear_key
+
+    def counting_step(*args):
+        counts["steps"] += 1
+        return step(*args)
+
+    def counting_basis(*args):
+        counts["bases"] += 1
+        return basis(*args)
+
+    monkeypatch.setattr(polytope, "_nearest_multiple", counting_step)
+    monkeypatch.setattr(polytope, "_shear_key", counting_basis)
+    return counts
+
+
+def test_reduction_steps_on_the_entry_ladder(nf_counts):
+    p2 = ((-1, -1), (1, 0), (0, 1))
+    steps = {}
+    for e in range(3, 10):
+        a = 10**e
+        U = ((1, a), (a + 1, a * a + a + 1))  # shear by a, then by a + 1
+        assert U[0][0] * U[1][1] - U[0][1] * U[1][0] == 1
+        nf_counts["steps"] = 0
+        assert unimodular_normal_form(Polytope.hull(polytope._apply(U, p2))).vertices == p2
+        steps[e] = nf_counts["steps"]
+    # at most linear in log a
+    assert all(steps[e] <= steps[3] * e / 3 for e in steps), steps
+
+
+def test_bases_examined_on_the_thin_ladder(nf_counts):
+    bases = {}
+    for L in (1, 2, 3, 4, 5, 6, 10, 10**2, 10**3, 10**4, 10**5, 10**6):
+        P = Polytope.hull([(L, 0), (-L, 0), (0, 1), (0, -1)])
+        nf_counts["bases"] = 0
+        form = unimodular_normal_form(P)
+        bases[L] = nf_counts["bases"]
+        assert form == Polytope.hull([(-L, -L), (-L, 1 - L), (L, L - 1), (L, L)])
+        if L <= 6:
+            assert form == normal_form_search(P)
+    # at most linear in L; in fact the same at every L from 10 on
+    assert all(bases[L] <= bases[1] * L for L in bases), bases
+    assert len({bases[L] for L in bases if L >= 10}) == 1, bases
+
+
+# ------------------------------------------------------------ smooth Fano and the scan
+
+
+def test_smooth_fano_needs_no_smith_form(monkeypatch):
+    from toriclab import lattice
+
+    def no_smith(M):
+        raise AssertionError("Smith form taken")
+
+    monkeypatch.setattr(lattice, "smith_normal_form", no_smith)
+    cube = Polytope.hull([(x, y, z) for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)])
+    octahedron = dual_polytope(cube)
+    rng = random.Random(610)
+    polytopes = [cube, octahedron, Polytope.hull([(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)])]
+    for verts in REFLEXIVE_ORDER:
+        polytopes += [Polytope.hull(verts), Polytope.hull(polytope._apply(_gl2z(rng, 100), verts))]
+    smooth = 0
+    for P in polytopes:
+        # unimodular facets: the gcd of the maximal minors is 1 (Smith form 1, ..., 1)
+        want = all(
+            len(members) == P.rank
+            and minor_gcds([P.vertices[i] for i in sorted(members)])[-1] == 1
+            for members, _ in facet_functionals(P)
+        )
+        assert polytope.is_smooth_fano_polytope(P) == want, P.vertices
+        smooth += want
+    assert smooth == 2 * 5 + 2
+
+
+def test_gap_check_matches_the_full_interior_scan(monkeypatch):
+    checked = [0, 0]
+    gap = polytope._gap_has_points
+
+    def compared(chain):
+        got = gap(chain)
+        assert got == any(q != (0, 0) for q in _interior_points(chain)), chain
+        checked[0] += 1
+        checked[1] += got
+        return got
+
+    monkeypatch.setattr(polytope, "_gap_has_points", compared)
+    assert tuple(P.vertices for P in _reflexive_polygon_scan(4)) == REFLEXIVE_ORDER
+    assert checked[0] > 1000 and checked[1] > 100
