@@ -2,13 +2,15 @@
 
 A cone is stored by its primitive extremal generators, a fan by a canonical
 (lexicographically sorted) ray list plus maximal cones as ray-index sets.
-All geometry is decided exactly: membership, faces and separation questions
-reduce to rational linear feasibility, decided by one two-phase simplex
-with Bland's rule on a fraction-free integer tableau, run on the system
-itself when every variable is sign-bounded and on its Farkas dual when
-some variable is free.  Where the answer is immediate no system is built:
-a cone with independent generators is strongly convex and each of its
-generators is extremal.  Nothing here ever touches a float.
+All geometry is decided exactly, by two kernels on integer rows.  One
+double-description run per cone gives its facets, from which membership,
+relative interiors, walls and faces are read.  Separation questions (strong
+convexity, extremality, whether two cones meet in a common face) are
+rational linear feasibility, decided by one two-phase simplex with Bland's
+rule on a fraction-free integer tableau, on the system itself when every
+variable is sign-bounded and on its Farkas dual otherwise.  A cone with
+independent generators is strongly convex with every generator extremal,
+and no system is built.  Nothing here ever touches a float.
 """
 
 from __future__ import annotations
@@ -312,6 +314,93 @@ class _Tableau:
 
 
 # ---------------------------------------------------------------------------
+# double description (facets of a cone from its generators)
+# ---------------------------------------------------------------------------
+
+
+def double_description(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], list[tuple[Vec, frozenset[int]]], int]:
+    """Facets of the cone spanned by nonzero integer rows, by the
+    double-description method (Motzkin, Raiffa, Thompson and Thrall 1953;
+    Fukuda and Prodon 1996).
+
+    Returns (pivots, facets, tests).  The rows span a space of dimension
+    d = len(pivots), and the pivot coordinates carry it one to one, so the
+    method runs on those d coordinates.  A facet is (inward normal h,
+    members): h is a primitive integer functional, zero off the pivots,
+    with h.row >= 0 on every row, and members holds the i with h.row_i = 0.
+    `tests` counts the combinatorial adjacency tests made.
+
+    One fraction-free Gauss-Jordan elimination of the transposed rows
+    beside an identity finds d independent rows, the seeds, and the
+    adjugate functionals vanishing on all seeds but one: the extreme rays
+    of the dual of the seeds' simplicial cone.  The other rows are then
+    cut in one by one, in the given order.  A new ray joins a ray on the
+    positive side to one on the negative side only when they are adjacent:
+    no third ray vanishes on every row both of them vanish on.  The dual
+    cone stays pointed throughout, where that test is exact.  Adjacent rays
+    share at least d - 2 zero rows, so pairs sharing fewer skip the test.
+    """
+    k, n = len(rows), len(rows[0])
+    # row c of T: (values on every row, coefficients) of one functional
+    T = [[g[c] for g in rows] + [int(c == j) for j in range(n)] for c in range(n)]
+    seeds, pivots = [], []
+    for s in range(k):
+        c = next((c for c in range(n) if T[c][s] and c not in pivots), None)
+        if c is None:
+            continue
+        p = T[c]
+        for i, row in enumerate(T):
+            f = row[s]
+            if f and i != c:
+                row = [p[s] * x - f * y for x, y in zip(row, p)]
+                q = math.gcd(*row)
+                T[i] = [x // q for x in row]
+        seeds.append(s)
+        pivots.append(c)
+    d = len(pivots)
+    proj = [tuple(g[c] for c in pivots) for g in rows]
+    full = sum(1 << s for s in seeds)
+    rays = []
+    for c, s in zip(pivots, seeds):
+        h = [T[c][k + j] for j in pivots]
+        q = math.gcd(*h) if T[c][s] > 0 else -math.gcd(*h)
+        rays.append((tuple(x // q for x in h), full & ~(1 << s)))
+    tests = 0
+    for j in sorted(set(range(k)) - set(seeds)):
+        g, bit = proj[j], 1 << j
+        pos, neg, kept = [], [], []
+        for h, z in rays:
+            v = sum(a * b for a, b in zip(h, g))
+            if v > 0:
+                pos.append((h, z, v))
+                kept.append((h, z))
+            elif v < 0:
+                neg.append((h, z, v))
+            else:
+                kept.append((h, z | bit))
+        if neg:
+            masks = [z for _, z in rays]
+            for hp, zp, vp in pos:
+                for hn, zn, vn in neg:
+                    common = zp & zn
+                    if common.bit_count() < d - 2:
+                        continue
+                    tests += 1
+                    if any(z & common == common and z != zp and z != zn for z in masks):
+                        continue
+                    h = [vp * b - vn * a for a, b in zip(hp, hn)]
+                    q = math.gcd(*h)
+                    kept.append((tuple(x // q for x in h), common | bit))
+        rays = kept
+    at = {c: r for r, c in enumerate(pivots)}  # zero-pad the normals off the pivots
+    facets = [
+        (tuple(h[at[c]] if c in at else 0 for c in range(n)), frozenset(i for i in range(k) if z >> i & 1))
+        for h, z in rays
+    ]
+    return tuple(pivots), facets, tests
+
+
+# ---------------------------------------------------------------------------
 # cones
 # ---------------------------------------------------------------------------
 
@@ -359,23 +448,27 @@ class Cone:
 
     def contains(self, x: Sequence) -> bool:
         """Exact membership test (x may have Fraction entries)."""
-        return self._combination(x, strict=False)
+        return self._satisfies(x, strict=False)
 
     def relint_contains(self, x: Sequence) -> bool:
         """Is x a combination of the generators with all coefficients > 0?"""
-        return self._combination(x, strict=True)
+        return self._satisfies(x, strict=True)
 
-    def _combination(self, x, strict):
+    def _satisfies(self, x, strict):
         if len(x) != self.rank:
             raise ValueError("point length differs from ambient rank")
-        k = len(self.generators)
-        if k == 0:
-            return all(c == 0 for c in x)
-        eqs = [(tuple(g[d] for g in self.generators), x[d]) for d in range(self.rank)]
-        bounds = [(tuple(1 if i == j else 0 for j in range(k)), 0) for i in range(k)]
-        if strict:
-            return linear_feasible(k, equalities=eqs, gt=bounds)
-        return linear_feasible(k, equalities=eqs, gte=bounds)
+        if any(vdot(e, x) for e in self.span_equations):
+            return False
+        try:
+            facets = self.facet_data
+        except ValueError:  # a line, which is its own span
+            return True
+        values = (vdot(h, x) for _, h in facets)
+        return all(v > 0 or (v == 0 and not strict) for v in values)
+
+    def membership_oracle(self):
+        """The predicate `contains`, for callers that take one."""
+        return self.contains
 
     def is_strongly_convex(self) -> bool:
         """True iff the cone contains no line, i.e. some functional is
@@ -391,9 +484,12 @@ class Cone:
         independent generators)."""
         if len(self.generators) == self.dim:
             return True
+        k = len(self.generators) - 1
+        bounds = [(tuple(int(i == j) for j in range(k)), 0) for i in range(k)]
         for i, g in enumerate(self.generators):
             others = self.generators[:i] + self.generators[i + 1 :]
-            if others and Cone(others, self.rank).contains(g):
+            eqs = [(tuple(o[d] for o in others), g[d]) for d in range(self.rank)]
+            if linear_feasible(k, equalities=eqs, gte=bounds):
                 return False
         return True
 
@@ -411,88 +507,22 @@ class Cone:
         return nullspace(self.generators, self.rank)
 
     @cached_property
-    def facet_data(self) -> tuple[tuple[frozenset[int], tuple[Fraction, ...]], ...]:
-        """Facets as (generator-index set, inward ambient normal).
+    def facet_data(self) -> tuple[tuple[frozenset[int], Vec], ...]:
+        """Facets as (generator-index set, inward ambient normal), sorted
+        by index set, from one double-description run.
 
-        The normal h satisfies h.g = 0 on the facet's generators and
-        h.g > 0 on every other generator; together with span_equations it
-        yields an H-description of the cone.
+        The normal h is a primitive integer functional with h.g = 0 on the
+        facet's generators and h.g > 0 on every other generator; together
+        with span_equations it yields an H-description of the cone.  A
+        1-dimensional cone has the origin as its one facet, unless it is a
+        line, which has none and raises ValueError.
         """
-        d = self.dim
-        if d == 0:
+        if not self.generators:
             return ()
-        if d == 1:
-            # facet is the origin; exposing functional positive on the gens
-            return ((frozenset(), _positive_functional(self.generators, self.rank)),)
-        span_ann = row_echelon(self.span_equations, self.rank)
-        found = {}
-        idx = range(len(self.generators))
-        for sub in itertools.combinations(idx, d - 1):
-            rows = [self.generators[i] for i in sub]
-            kernel = _nullspace_within(rows, self.generators, span_ann)
-            if kernel is None:
-                continue
-            vals = [vdot(kernel, g) for g in self.generators]
-            if all(v >= 0 for v in vals):
-                h = kernel
-            elif all(v <= 0 for v in vals):
-                h = tuple(-x for x in kernel)
-                vals = [-v for v in vals]
-            else:
-                continue
-            members = frozenset(i for i in idx if vals[i] == 0)
-            rows = [self.generators[i] for i in members]
-            if rows and matrix_rank(IntMatrix.from_rows(rows)) == d - 1:
-                found.setdefault(members, h)
-        return tuple(sorted(found.items(), key=lambda kv: sorted(kv[0])))
-
-    def membership_oracle(self):
-        """Returns a fast closure deciding membership via the cone's
-        H-description (span equations plus facet normals), built once per
-        cone."""
-        return self._member
-
-    @cached_property
-    def _member(self):
-        eqs = self.span_equations
-        normals = [h for _, h in self.facet_data]
-
-        def member(x):
-            return all(vdot(e, x) == 0 for e in eqs) and all(vdot(h, x) >= 0 for h in normals)
-
-        return member
-
-
-def _nullspace_within(rows, gens, span_ann) -> Optional[tuple[Fraction, ...]]:
-    """A functional vanishing on `rows` but not on all of `gens`, unique up
-    to scale modulo the span-annihilator; None if no such functional.
-
-    `span_ann` is the reduced echelon form (rows, pivots) of the
-    functionals killing all of `gens`; the candidate is made canonical by
-    clearing its pivot columns."""
-    for h in nullspace(rows, len(gens[0])):
-        if any(vdot(h, g) != 0 for g in gens):
-            break
-    else:
-        return None
-    ann_rows, ann_pivots = span_ann
-    for row, col in zip(ann_rows, ann_pivots):
-        if h[col] != 0:
-            f = h[col]
-            h = tuple(x - f * y for x, y in zip(h, row))
-    if all(x == 0 for x in h):
-        return None
-    return h
-
-
-def _positive_functional(gens, rank):
-    """Some rational h with h.g > 0 for every generator of a 1-dimensional
-    cone.  Its primitive generators are {g} or {g, -g}: the generator sum
-    works for the first, and no such functional exists for the second."""
-    total = tuple(sum(g[i] for g in gens) for i in range(rank))
-    if not all(vdot(total, g) > 0 for g in gens):
-        raise ValueError("no positive functional: cone is not strongly convex")
-    return tuple(Fraction(x) for x in total)
+        pivots, facets, _ = double_description(self.generators)
+        if len(pivots) == 1 and not facets:
+            raise ValueError("no positive functional: cone is not strongly convex")
+        return tuple(sorted(((members, h) for h, members in facets), key=lambda kv: sorted(kv[0])))
 
 
 # ---------------------------------------------------------------------------
@@ -722,14 +752,18 @@ def star_subdivision(fan: Fan, stratum: Iterable[int], ray: Optional[Sequence[in
 
 
 def _is_face(sub: Cone, cone: Cone) -> bool:
-    """Exposed-face test: some functional vanishes exactly on sub's
-    generators and is >= 1 on the remaining generators of `cone`."""
+    """Are sub's generators those of a face of `cone`?  Every face is the
+    intersection of the facets holding it (the cone, of none), so sub is
+    one iff exactly its generators lie on every facet that holds it."""
     sub_set = set(sub.generators)
-    if not sub_set <= set(cone.generators):
+    idx = frozenset(i for i, g in enumerate(cone.generators) if g in sub_set)
+    if len(idx) != len(sub_set):
         return False
-    eqs = [(g, 0) for g in sub.generators]
-    gte = [(g, 1) for g in cone.generators if g not in sub_set]
-    return linear_feasible(cone.rank, equalities=eqs, gte=gte)
+    closure = frozenset(range(len(cone.generators)))
+    for members, _ in cone.facet_data:
+        if idx <= members:
+            closure &= members
+    return closure == idx
 
 
 def is_refinement(fine: Fan, coarse: Fan) -> bool:
@@ -769,19 +803,16 @@ def _covers(fine: Fan, fine_indices: list[int], coarse_cone: Cone) -> bool:
             return True  # the coarse cone itself appears
     if any(c.dim != d for c in cones):
         return False
-    boundary_membership = [
-        Cone(tuple(coarse_cone.generators[m] for m in members), coarse_cone.rank).membership_oracle()
-        if members
-        else (lambda x: all(v == 0 for v in x))
-        for members, _ in coarse_cone.facet_data
-    ]
+    # the fine generators lie in the coarse cone, so one is on a coarse
+    # facet iff that facet's normal vanishes on it
+    normals = [h for _, h in coarse_cone.facet_data]
     wall_map = walls(cones)
     for key, ks in wall_map.items():
         if len(ks) == 2:
             continue
         if len(ks) != 1:
             return False
-        if not any(all(bm(g) for g in key) for bm in boundary_membership):
+        if not any(all(vdot(h, g) == 0 for g in key) for h in normals):
             return False
     return _connected(len(cones), wall_map)
 

@@ -3,9 +3,10 @@
 Vertices are stored exactly: a coordinate is an `int` when it is an
 integer and a `Fraction` only when it is not (duals), so lattice polygons
 run on integer arithmetic throughout.  A polygon's facets are read off its
-counterclockwise edge cycle; in higher rank facet enumeration is a
-brute-force supporting-hyperplane scan, which is entirely adequate at the
-handful-of-vertices scale this package works at.  Every predicate is exact.
+counterclockwise edge cycle.  In higher rank a polytope P is the cone over
+P x {1}, and one double-description run on that cone gives both its
+vertices and its facets.  Each polytope finds its facets at construction,
+and every predicate reads them from there.  Every predicate is exact.
 
 The polygon normal form is a true GL(2,Z)-orbit invariant: it minimizes
 (max |coordinate|, sorted vertex list) over the whole orbit.  A generalised
@@ -18,15 +19,14 @@ bit length of the coordinates, not with their size.
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
 from typing import Iterable, Optional, Sequence
 
-from toriclab.fan import Fan, linear_feasible
-from toriclab.lattice import IntMatrix, det, primitive, row_echelon, vdot
+from toriclab.fan import Fan, double_description
+from toriclab.lattice import IntMatrix, det, primitive
 
 
 @dataclass(frozen=True)
@@ -41,6 +41,11 @@ class Polytope:
 
     vertices: tuple[tuple, ...]
     rank: int
+    # dimension of the affine hull, and the facets of a full-dimensional
+    # polytope as (vertex-index set, h, h0): <h, x> + h0 >= 0 on the
+    # polytope, = 0 exactly on the facet; both set with the vertices
+    dim: int = field(init=False, repr=False, compare=False)
+    _facets: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = [tuple(_exact(x) for x in v) for v in self.vertices]
@@ -49,7 +54,10 @@ class Polytope:
         if any(len(p) != self.rank for p in pts):
             raise ValueError("point length differs from ambient rank")
         pts = sorted(set(pts))
-        object.__setattr__(self, "vertices", _hull_vertices(pts, self.rank))
+        vertices, dim, facets = _polygon(pts) if self.rank == 2 else _hull(pts)
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "_facets", facets)
 
     @classmethod
     def hull(cls, points: Iterable[Sequence], rank: Optional[int] = None) -> "Polytope":
@@ -64,32 +72,48 @@ class Polytope:
     def is_lattice(self) -> bool:
         return not any(isinstance(x, Fraction) for v in self.vertices for x in v)
 
-    @property
-    def dim(self) -> int:
-        if len(self.vertices) == 1:
-            return 0
-        if self.rank == 2:  # the hull of non-collinear points has >= 3 vertices
-            return min(len(self.vertices) - 1, 2)
-        v0 = self.vertices[0]
-        rows = [[a - b for a, b in zip(v, v0)] for v in self.vertices[1:]]
-        return len(row_echelon(rows, self.rank)[1])
-
     def contains_origin_interior(self) -> bool:
         """Is the origin strictly inside (the polytope being full-dim)?
+        That is, is h0 > 0 on every facet, or for a polygon, whose vertices
+        run counterclockwise, is det(v, w) > 0 on every edge (v, w)?"""
+        return self.dim == self.rank and all(h0 > 0 for _, _, h0 in self._facets)
 
-        A polygon's vertices run counterclockwise, so the origin is inside
-        iff it lies strictly left of every edge (v, w): det(v, w) > 0."""
-        if self.dim != self.rank:
-            return False
-        k = len(self.vertices)
-        if self.rank == 2:
-            return all(_det(self.vertices[i - 1], self.vertices[i]) > 0 for i in range(k))
-        eqs = [
-            (tuple(v[d] for v in self.vertices), 0) for d in range(self.rank)
-        ]
-        eqs.append((tuple(1 for _ in range(k)), 1))
-        pos = [(tuple(1 if i == j else 0 for j in range(k)), 0) for i in range(k)]
-        return linear_feasible(k, equalities=eqs, gt=pos)
+
+def _polygon(pts: list[tuple]) -> tuple[tuple, int, tuple]:
+    """Vertices, dimension and facets of conv(pts) in rank 2.
+
+    A counterclockwise edge (v, w) has h = (v2 - w2, w1 - v1) and
+    h0 = det(v, w): then <h, x> + h0 = cross(v, w, x), which is positive
+    inside."""
+    verts = _hull_2d(pts)
+    k = len(verts)
+    facets = tuple(
+        (frozenset((i, (i + 1) % k)), (v1 - w1, w0 - v0), v0 * w1 - v1 * w0)
+        for i, ((v0, v1), (w0, w1)) in enumerate(zip(verts, verts[1:] + verts[:1]))
+    )
+    return verts, min(k - 1, 2), facets  # >= 3 vertices iff not collinear
+
+
+def _hull(pts: list[tuple]) -> tuple[tuple, int, tuple]:
+    """Vertices (sorted), dimension and facets of conv(pts), from one
+    double-description run on the cone over pts x {1}.
+
+    A point is a vertex iff the facets through it meet in it alone,
+    i.e. iff no other point lies on all of them.  Facets of the cone are
+    (h, h0) with <h, x> + h0 >= 0 on the polytope."""
+    pivots, facets, _ = double_description([_lift(p) for p in pts])
+    on = [sum(1 << i for i in members) for _, members in facets]  # the points on each facet
+    keep = []
+    for i in range(len(pts)):
+        meet = (1 << len(pts)) - 1
+        for m in on:
+            if m >> i & 1:
+                meet &= m
+        if meet == 1 << i:
+            keep.append(i)
+    index = {i: r for r, i in enumerate(keep)}
+    facets = tuple((frozenset(index[i] for i in members if i in index), h[:-1], h[-1]) for h, members in facets)
+    return tuple(pts[i] for i in keep), len(pivots) - 1, facets
 
 
 def _exact(x):
@@ -100,24 +124,11 @@ def _exact(x):
     return int(f) if f.denominator == 1 else f
 
 
-def _hull_vertices(pts: list[tuple], rank: int) -> tuple[tuple, ...]:
-    if rank == 2:
-        return _hull_2d(pts)
-    # general rank: a point is a vertex iff it is not in the hull of the rest
-    verts = []
-    for i, p in enumerate(pts):
-        others = pts[:i] + pts[i + 1 :]
-        if not others or not _in_hull(p, others, rank):
-            verts.append(p)
-    return tuple(sorted(verts))
-
-
-def _in_hull(p, pts, rank) -> bool:
-    k = len(pts)
-    eqs = [(tuple(q[d] for q in pts), p[d]) for d in range(rank)]
-    eqs.append((tuple(1 for _ in range(k)), 1))
-    nonneg = [(tuple(1 if i == j else 0 for j in range(k)), 0) for i in range(k)]
-    return linear_feasible(k, equalities=eqs, gte=nonneg)
+def _lift(p: tuple) -> tuple[int, ...]:
+    """The point p x {1} scaled to an integer vector by the lcm of the
+    denominators of p."""
+    scale = math.lcm(*(x.denominator for x in p if type(x) is not int))
+    return (*(int(x * scale) for x in p), scale)
 
 
 def _det(a, b):
@@ -151,49 +162,14 @@ def _hull_2d(pts: list[tuple]) -> tuple[tuple, ...]:
 
 
 def facet_functionals(P: Polytope) -> tuple[tuple[frozenset[int], tuple[Fraction, ...]], ...]:
-    """Facets of a full-dimensional polytope with the origin interior, as
-    (vertex-index set, functional a) with <a, x> = -1 on the facet and
-    <a, x> > -1 on the rest of the polytope.
-
-    In rank 2 these are the counterclockwise edges (v, w) with
-    det(v, w) > 0, a = (v2 - w2, w1 - v1) / det(v, w): then
-    <a, x> + 1 = cross(v, w, x) / det(v, w), which vanishes on the edge and
-    is positive inside.  Higher rank scans the n-subsets of vertices."""
-    n = P.rank
-    if P.dim != n:
-        raise ValueError("facet scan needs a full-dimensional polytope")
-    verts = P.vertices
-    if n == 2:
-        k = len(verts)
-        edges = []
-        for i in range(k):
-            j = (i + 1) % k
-            v, w = verts[i], verts[j]
-            d = _det(v, w)
-            if d > 0:
-                a = (Fraction(v[1] - w[1], d), Fraction(w[0] - v[0], d))
-                edges.append((frozenset((i, j)), a))
-        return tuple(sorted(edges, key=lambda kv: sorted(kv[0])))
-    found = {}
-    for sub in itertools.combinations(range(len(verts)), n):
-        a = _solve_affine([verts[i] for i in sub], n)
-        if a is None:
-            continue
-        vals = [vdot(a, v) for v in verts]
-        if all(v >= -1 for v in vals):
-            members = frozenset(i for i, v in enumerate(vals) if v == -1)
-            if len(members) >= n:
-                found.setdefault(members, tuple(a))
-    return tuple(sorted(found.items(), key=lambda kv: sorted(kv[0])))
-
-
-def _solve_affine(rows, n) -> Optional[list[Fraction]]:
-    """Solve <a, row> = -1 for all rows (n rows, n unknowns), None if the
-    rows are linearly dependent, so that no unique solution exists."""
-    a, pivots = row_echelon([(*row, -1) for row in rows], n)
-    if len(pivots) != n:
-        return None
-    return [row[n] for row in a[:n]]
+    """Facets of a full-dimensional polytope that the origin lies strictly
+    inside of, as (vertex-index set, functional a) with <a, x> = -1 on the
+    facet and <a, x> > -1 on the rest of the polytope: a = h / h0 for each
+    cached facet (h, h0) with h0 > 0."""
+    if P.dim != P.rank:
+        raise ValueError("facets need a full-dimensional polytope")
+    facets = ((members, tuple(Fraction(x, h0) for x in h)) for members, h, h0 in P._facets if h0 > 0)
+    return tuple(sorted(facets, key=lambda kv: sorted(kv[0])))
 
 
 def dual_polytope(P: Polytope) -> Polytope:
@@ -204,8 +180,7 @@ def dual_polytope(P: Polytope) -> Polytope:
     """
     if not P.contains_origin_interior():
         raise ValueError("dual undefined: origin is not interior to the polytope")
-    facets = facet_functionals(P)
-    return Polytope.hull([a for _, a in facets], rank=P.rank)
+    return Polytope.hull([a for _, a in facet_functionals(P)], rank=P.rank)
 
 
 def is_reflexive(P: Polytope) -> bool:
@@ -223,7 +198,7 @@ def is_smooth_fano_polytope(P: Polytope) -> bool:
         raise ValueError("smooth Fano test needs a lattice polytope")
     if not P.contains_origin_interior():
         raise ValueError("smooth Fano test needs the origin interior")
-    for members, _ in facet_functionals(P):
+    for members, _, _ in P._facets:
         if len(members) != P.rank:
             return False
         M = IntMatrix.from_rows([P.vertices[i] for i in sorted(members)], cols=P.rank)
@@ -241,7 +216,7 @@ def face_fan(P: Polytope) -> Fan:
     rays = [primitive(tuple(int(x) for x in v)) for v in P.vertices]
     if len(set(rays)) != len(rays):
         raise ValueError("two vertices span the same ray")
-    cones = [tuple(sorted(members)) for members, _ in facet_functionals(P)]
+    cones = [tuple(sorted(members)) for members, _, _ in P._facets]
     return Fan.from_data(rays, cones, rank=P.rank)
 
 
@@ -259,13 +234,6 @@ def face_fan(P: Polytope) -> Fan:
 # A row is held by its coefficients (a, c) in a reduced basis (b1, b2), and
 # a vertex w by beta_w = <b1, w> and gamma_w = <b2, w>: the row a*b1 + c*b2
 # then maps w to a*beta_w + c*gamma_w.
-
-
-def _apply(U, verts: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
-    """The image of a vertex list under U; a unimodular image of a convex
-    polygon's vertices is the image polygon's vertex set."""
-    (a, b), (c, d) = U
-    return [(a * x + b * y, c * x + d * y) for x, y in verts]
 
 
 def _window(slopes: Sequence[int], offsets: Sequence[int], bound: int) -> Optional[tuple[int, int]]:

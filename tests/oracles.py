@@ -3,7 +3,8 @@
 Everything in this module recomputes expected values by a route different
 from the library's own: gcds of minors instead of elimination, exhaustive
 lattice scans instead of region arithmetic, angular walks instead of wall
-counting, Fourier-Motzkin elimination instead of simplex pivots.  numpy is
+counting, Fourier-Motzkin elimination instead of simplex pivots, subset
+scans and simplex LPs instead of the double description.  numpy is
 used only here, with integer dtypes, to keep the scans fast; the library
 itself stays pure.
 """
@@ -18,8 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
-from toriclab.fan import Fan
-from toriclab.lattice import row_echelon, vdot
+from toriclab.fan import Fan, linear_feasible
+from toriclab.lattice import IntMatrix, nullspace, rank as matrix_rank, row_echelon, vdot
 
 
 # ---------------------------------------------------------------- lattice
@@ -627,6 +628,138 @@ def markov_scan_quadratic(bound):
                 if c2 % 2 == 0 and b <= c2 // 2 <= bound:
                     out.add((a, b, c2 // 2))
     return out
+
+
+# ------------------------------------------- cones and polytopes by LP
+
+# The subset scans and LPs the double description replaced, moved here
+# unchanged: facets from the nullspace of every (d - 1)-subset of
+# generators, membership and hull vertices as simplex feasibility, and the
+# face test as an exposing functional.
+
+
+def facet_data_scan(cone):
+    """Facets as (generator-index set, inward ambient normal).
+
+    The normal h satisfies h.g = 0 on the facet's generators and
+    h.g > 0 on every other generator; together with span_equations it
+    yields an H-description of the cone.
+    """
+    d = cone.dim
+    if d == 0:
+        return ()
+    if d == 1:
+        # facet is the origin; exposing functional positive on the gens
+        return ((frozenset(), _positive_functional(cone.generators, cone.rank)),)
+    span_ann = row_echelon(cone.span_equations, cone.rank)
+    found = {}
+    idx = range(len(cone.generators))
+    for sub in itertools.combinations(idx, d - 1):
+        rows = [cone.generators[i] for i in sub]
+        kernel = _nullspace_within(rows, cone.generators, span_ann)
+        if kernel is None:
+            continue
+        vals = [vdot(kernel, g) for g in cone.generators]
+        if all(v >= 0 for v in vals):
+            h = kernel
+        elif all(v <= 0 for v in vals):
+            h = tuple(-x for x in kernel)
+            vals = [-v for v in vals]
+        else:
+            continue
+        members = frozenset(i for i in idx if vals[i] == 0)
+        rows = [cone.generators[i] for i in members]
+        if rows and matrix_rank(IntMatrix.from_rows(rows)) == d - 1:
+            found.setdefault(members, h)
+    return tuple(sorted(found.items(), key=lambda kv: sorted(kv[0])))
+
+
+def _nullspace_within(rows, gens, span_ann):
+    """A functional vanishing on `rows` but not on all of `gens`, unique up
+    to scale modulo the span-annihilator; None if no such functional.
+
+    `span_ann` is the reduced echelon form (rows, pivots) of the
+    functionals killing all of `gens`; the candidate is made canonical by
+    clearing its pivot columns."""
+    for h in nullspace(rows, len(gens[0])):
+        if any(vdot(h, g) != 0 for g in gens):
+            break
+    else:
+        return None
+    ann_rows, ann_pivots = span_ann
+    for row, col in zip(ann_rows, ann_pivots):
+        if h[col] != 0:
+            f = h[col]
+            h = tuple(x - f * y for x, y in zip(h, row))
+    if all(x == 0 for x in h):
+        return None
+    return h
+
+
+def _positive_functional(gens, rank):
+    """Some rational h with h.g > 0 for every generator of a 1-dimensional
+    cone.  Its primitive generators are {g} or {g, -g}: the generator sum
+    works for the first, and no such functional exists for the second."""
+    total = tuple(sum(g[i] for g in gens) for i in range(rank))
+    if not all(vdot(total, g) > 0 for g in gens):
+        raise ValueError("no positive functional: cone is not strongly convex")
+    return tuple(Fraction(x) for x in total)
+
+
+def cone_contains_lp(cone, x, strict):
+    """Is x a combination of the cone's generators with all coefficients
+    >= 0 (> 0 when strict)?"""
+    if len(x) != cone.rank:
+        raise ValueError("point length differs from ambient rank")
+    k = len(cone.generators)
+    if k == 0:
+        return all(c == 0 for c in x)
+    eqs = [(tuple(g[d] for g in cone.generators), x[d]) for d in range(cone.rank)]
+    bounds = [(tuple(1 if i == j else 0 for j in range(k)), 0) for i in range(k)]
+    if strict:
+        return linear_feasible(k, equalities=eqs, gt=bounds)
+    return linear_feasible(k, equalities=eqs, gte=bounds)
+
+
+def is_face_lp(sub, cone):
+    """Exposed-face test: some functional vanishes exactly on sub's
+    generators and is >= 1 on the remaining generators of `cone`."""
+    sub_set = set(sub.generators)
+    if not sub_set <= set(cone.generators):
+        return False
+    eqs = [(g, 0) for g in sub.generators]
+    gte = [(g, 1) for g in cone.generators if g not in sub_set]
+    return linear_feasible(cone.rank, equalities=eqs, gte=gte)
+
+
+def hull_vertices_lp(pts, rank):
+    """Sorted vertices of conv(pts): a point is a vertex iff it is not in
+    the hull of the rest."""
+    pts = sorted(set(pts))
+    verts = []
+    for i, p in enumerate(pts):
+        others = pts[:i] + pts[i + 1 :]
+        if not others or not _in_hull(p, others, rank):
+            verts.append(p)
+    return tuple(sorted(verts))
+
+
+def _in_hull(p, pts, rank) -> bool:
+    k = len(pts)
+    eqs = [(tuple(q[d] for q in pts), p[d]) for d in range(rank)]
+    eqs.append((tuple(1 for _ in range(k)), 1))
+    nonneg = [(tuple(1 if i == j else 0 for j in range(k)), 0) for i in range(k)]
+    return linear_feasible(k, equalities=eqs, gte=nonneg)
+
+
+def origin_interior_lp(vertices, rank):
+    """Is the origin a convex combination of the vertices with every
+    coefficient > 0 (for a full-dimensional polytope: strictly inside)?"""
+    k = len(vertices)
+    eqs = [(tuple(v[d] for v in vertices), 0) for d in range(rank)]
+    eqs.append((tuple(1 for _ in range(k)), 1))
+    pos = [(tuple(1 if i == j else 0 for j in range(k)), 0) for i in range(k)]
+    return linear_feasible(k, equalities=eqs, gt=pos)
 
 
 # ------------------------------------------------------ random instances

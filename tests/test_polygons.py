@@ -26,7 +26,7 @@ from toriclab.polytope import (
 )
 
 from oracles import dual_polygon_halfplane_oracle, facet_functionals_scan
-from oracles import minor_gcds, normal_form_search
+from oracles import _apply, minor_gcds, normal_form_search
 
 # enumerate_reflexive_polygons(), in its order: reflexive-01 ... reflexive-16
 REFLEXIVE_ORDER = (
@@ -212,7 +212,7 @@ def test_normal_form_of_large_gl2z_images():
             U = _big_gl2z(rng)
             assert max(abs(x) for row in U for x in row) <= 1000
             assert abs(U[0][0] * U[1][1] - U[0][1] * U[1][0]) == 1
-            image = Polytope.hull(polytope._apply(U, verts))
+            image = Polytope.hull(_apply(U, verts))
             assert unimodular_normal_form(image).vertices == verts
 
 
@@ -297,7 +297,7 @@ def test_thin_polygons_match_search():
     for _ in range(60):
         P = _random_polygon(rng, -7, 7, -1, 1)
         U = _gl2z(rng, 3)
-        for Q in (P, Polytope.hull(polytope._apply(U, P.vertices))):
+        for Q in (P, Polytope.hull(_apply(U, P.vertices))):
             assert unimodular_normal_form(Q) == normal_form_search(P), Q.vertices
             whole_lines += _has_whole_line(Q)
     assert whole_lines > 40
@@ -311,7 +311,7 @@ def test_normal_form_with_the_origin_as_least_vertex():
         form = unimodular_normal_form(P)
         assert form == normal_form_search(P)
         for _ in range(10):
-            image = Polytope.hull(polytope._apply(_gl2z(rng, 50), verts))
+            image = Polytope.hull(_apply(_gl2z(rng, 50), verts))
             assert unimodular_normal_form(image) == form
 
 
@@ -323,7 +323,7 @@ def test_normal_form_of_gl2z_images_up_to_1e12():
         form = unimodular_normal_form(P)
         for _ in range(15):
             U = _gl2z(rng, 10**12)
-            image = Polytope.hull(polytope._apply(U, P.vertices))
+            image = Polytope.hull(_apply(U, P.vertices))
             assert unimodular_normal_form(image) == form
 
 
@@ -354,7 +354,7 @@ def test_reduction_steps_on_the_entry_ladder(nf_counts):
         U = ((1, a), (a + 1, a * a + a + 1))  # shear by a, then by a + 1
         assert U[0][0] * U[1][1] - U[0][1] * U[1][0] == 1
         nf_counts["steps"] = 0
-        assert unimodular_normal_form(Polytope.hull(polytope._apply(U, p2))).vertices == p2
+        assert unimodular_normal_form(Polytope.hull(_apply(U, p2))).vertices == p2
         steps[e] = nf_counts["steps"]
     # at most linear in log a
     assert all(steps[e] <= steps[3] * e / 3 for e in steps), steps
@@ -390,7 +390,7 @@ def test_smooth_fano_needs_no_smith_form(monkeypatch):
     rng = random.Random(610)
     polytopes = [cube, octahedron, Polytope.hull([(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)])]
     for verts in REFLEXIVE_ORDER:
-        polytopes += [Polytope.hull(verts), Polytope.hull(polytope._apply(_gl2z(rng, 100), verts))]
+        polytopes += [Polytope.hull(verts), Polytope.hull(_apply(_gl2z(rng, 100), verts))]
     smooth = 0
     for P in polytopes:
         # unimodular facets: the gcd of the maximal minors is 1 (Smith form 1, ..., 1)
