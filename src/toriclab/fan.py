@@ -10,7 +10,9 @@ rational linear feasibility, decided by one two-phase simplex with Bland's
 rule on a fraction-free integer tableau, on the system itself when every
 variable is sign-bounded and on its Farkas dual otherwise.  A cone with
 independent generators is strongly convex with every generator extremal,
-and no system is built.  Nothing here ever touches a float.
+and no system is built.  Each cone also caches one Smith chart of its
+generator matrix (SolveChart), the integer solver for the linear pieces
+that toric and pairs read on it.  Nothing here ever touches a float.
 """
 
 from __future__ import annotations
@@ -406,6 +408,44 @@ def double_description(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], 
 
 
 @dataclass(frozen=True)
+class SolveChart:
+    """One Smith form U.G.V = diag(d) of a cone's generator matrix G (one
+    row per generator), read as an integer solver for G m = a.
+
+    d holds the r nonzero invariants and L = d[r-1] is the largest (1 when
+    r = 0).  M = sum over i < r of (L / d_i) V[:, i] (x) U[i] and Z = U[r:]:
+    G m = a has a rational solution iff Z.a = 0, and then m = M.a / L is
+    the one whose free Smith coordinates (V^-1 m)_i, i >= r, vanish.  As V
+    is unimodular, an integral solution exists iff that m is integral, i.e.
+    iff L divides M.a.
+    """
+
+    U: IntMatrix
+    d: tuple[int, ...]
+    V: IntMatrix
+    L: int
+    M: tuple[Vec, ...]
+    Z: tuple[Vec, ...]
+
+    @classmethod
+    def of(cls, G: IntMatrix) -> "SolveChart":
+        U, D, V = smith_normal_form(G)
+        d = tuple(x for x in D.diagonal() if x != 0)
+        r = len(d)
+        L = d[-1] if d else 1
+        scaled = [[L // di * x for x in row] for di, row in zip(d, U.entries)]
+        M = tuple(tuple(sum(vrow[i] * scaled[i][q] for i in range(r)) for q in range(G.rows)) for vrow in V.entries)
+        return cls(U, d, V, L, M, U.entries[r:])
+
+    def solve(self, a: Sequence[int]) -> Optional[Vec]:
+        """L.m for the chart's solution m of G m = a (a integral), or None
+        when G m = a has no rational solution."""
+        if any(vdot(z, a) for z in self.Z):
+            return None
+        return tuple(vdot(row, a) for row in self.M)
+
+
+@dataclass(frozen=True)
 class Cone:
     """Rational polyhedral cone given by primitive generators.
 
@@ -496,10 +536,13 @@ class Cone:
     def is_unimodular(self) -> bool:
         """Generators extend to a basis of the ambient lattice (and the
         cone is simplicial)."""
-        if len(self.generators) != self.dim:
-            return False
-        _, D, _ = smith_normal_form(self.generator_matrix)
-        return all(d == 1 for d in D.diagonal())
+        return len(self.generators) == self.dim and self.solve_chart.L == 1
+
+    @cached_property
+    def solve_chart(self) -> SolveChart:
+        """The Smith chart of the generator matrix, rows in generator
+        order; built once and shared by every pairs and toric question."""
+        return SolveChart.of(self.generator_matrix)
 
     @cached_property
     def span_equations(self) -> tuple[tuple[Fraction, ...], ...]:

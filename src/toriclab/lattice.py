@@ -4,9 +4,10 @@ Gaussian elimination over Q.
 All matrices and vectors carry plain Python integers (arbitrary precision),
 and every routine here is a pure function on immutable values.  Lattice
 vectors are ordinary tuples of ints; their length is the ambient rank.
-`row_echelon` is the only elimination over Q in the package: `rank`,
-`nullspace` and `solve_rational` read their answers off its reduced rows,
-and it accepts Fraction rows as readily as integer ones.
+`row_echelon` is the only elimination over Q in the package: `nullspace`
+and `solve_rational` read their answers off its reduced rows, and it
+accepts Fraction rows as readily as integer ones.  `rank` and `det` share
+one fraction-free (Bareiss) elimination on integers instead.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls.from_rows(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), cols=n)
+        return cls(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), n, n)
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "IntMatrix":
@@ -96,29 +97,40 @@ class IntMatrix:
         )
 
 
+def _bareiss(rows: Sequence[Sequence[int]], ncols: int) -> tuple[int, int, int]:
+    """Fraction-free (Bareiss) elimination of integer rows, skipping
+    columns without a pivot.  Returns (rank, sign of the row swaps, last
+    pivot); every division is exact, since each entry stays a minor of
+    the input (Sylvester's identity)."""
+    a = [list(row) for row in rows]
+    n = len(a)
+    r, sign, prev = 0, 1, 1
+    for col in range(ncols):
+        if r == n:
+            break
+        if a[r][col] == 0:
+            piv = next((i for i in range(r + 1, n) if a[i][col] != 0), None)
+            if piv is None:
+                continue
+            a[r], a[piv] = a[piv], a[r]
+            sign = -sign
+        top = a[r]
+        p = top[col]
+        for row in a[r + 1 :]:  # column col is never read again
+            f = row[col]
+            for j in range(col + 1, ncols):
+                row[j] = (row[j] * p - f * top[j]) // prev
+        prev = p
+        r += 1
+    return r, sign, prev
+
+
 def det(M: IntMatrix) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
     if M.rows != M.cols:
         raise ValueError("determinant of non-square matrix")
-    n = M.rows
-    if n == 0:
-        return 1
-    a = [list(row) for row in M.entries]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            pivot_row = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if pivot_row is None:
-                return 0
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    r, sign, last = _bareiss(M.entries, M.cols)
+    return sign * last if r == M.rows else 0
 
 
 def row_echelon(rows: Sequence[Sequence], ncols: int) -> tuple[list[list[Fraction]], tuple[int, ...]]:
@@ -153,8 +165,8 @@ def row_echelon(rows: Sequence[Sequence], ncols: int) -> tuple[list[list[Fractio
 
 
 def rank(M: IntMatrix) -> int:
-    """Rank over Q."""
-    return len(row_echelon(M.entries, M.cols)[1])
+    """Rank over Q, by the same fraction-free elimination as det."""
+    return _bareiss(M.entries, M.cols)[0]
 
 
 def nullspace(rows: Sequence[Sequence], width: int) -> tuple[tuple[Fraction, ...], ...]:
@@ -227,8 +239,8 @@ def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """
     rows, cols = M.rows, M.cols
     a = [list(r) for r in M.entries]
-    u = [list(r) for r in IntMatrix.identity(rows).entries]
-    v = [list(r) for r in IntMatrix.identity(cols).entries]
+    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
+    v = [[int(i == j) for j in range(cols)] for i in range(cols)]
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
@@ -297,9 +309,9 @@ def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             negate_row(t)
         t += 1
 
-    U = IntMatrix.from_rows(u, cols=rows)
-    D = IntMatrix.from_rows(a, cols=cols)
-    V = IntMatrix.from_rows(v, cols=cols)
+    U = IntMatrix(tuple(map(tuple, u)), rows, rows)
+    D = IntMatrix(tuple(map(tuple, a)), rows, cols)
+    V = IntMatrix(tuple(map(tuple, v)), cols, cols)
     return U, D, V
 
 

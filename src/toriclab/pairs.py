@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from toriclab.fan import Diagnostics, Fan, is_refinement
+from toriclab.fan import Cone, Diagnostics, Fan, is_refinement
 from toriclab.lattice import IntMatrix, Vec, smith_normal_form, vdot
 from toriclab.toric import ToricVariety, divisor_class_q, local_functionals, projective_space_fan
 
@@ -134,10 +134,10 @@ def log_discrepancy(pair: ToricPair, v: Sequence[int]) -> Fraction:
     return _psi(pair)(v)
 
 
-def _least_exceptional_psi(rays: Sequence[Vec], a: Sequence[Fraction], dim: int) -> Optional[Fraction]:
-    """Least psi over the primitive lattice points of cone(rays) that are
-    not rays, where psi is linear with psi(rays[i]) = a[i] > 0; None when
-    the cone has no such point.
+def _least_exceptional_psi(cone: Cone, a: Sequence[Fraction]) -> Optional[Fraction]:
+    """Least psi over the primitive lattice points of the cone that are
+    not rays, where psi is linear with psi(generators[i]) = a[i] > 0; None
+    when the cone has no such point.
 
     A simplicial cone with rays u_i, Smith form U.G.V = diag(d) of the ray
     matrix G, has the fundamental-parallelepiped points
@@ -146,14 +146,20 @@ def _least_exceptional_psi(rays: Sequence[Vec], a: Sequence[Fraction], dim: int)
     rays, or contains u_i + u_j; both only raise psi.  So the minimum is
     taken over the nonzero parallelepiped points and the sums a_i + a_j.  A
     non-simplicial cone is the union of its simplicial cones on linearly
-    independent dim-subsets of rays (Caratheodory).
+    independent dim-subsets of rays (Caratheodory).  A simplicial cone
+    reads (U, d) off its cached Smith chart; only the subsets of a
+    non-simplicial cone take Smith forms of their own.
     """
+    rays, dim = cone.generators, cone.dim
     best = None
     for sub in itertools.combinations(range(len(rays)), dim):
-        U, D, _ = smith_normal_form(IntMatrix.from_rows([rays[i] for i in sub]))
-        d = D.diagonal()
-        if 0 in d:
-            continue  # linearly dependent subset
+        if len(rays) == dim:  # simplicial: sub is the whole cone
+            U, d = cone.solve_chart.U, cone.solve_chart.d
+        else:
+            U, D, _ = smith_normal_form(IntMatrix.from_rows([rays[i] for i in sub]))
+            d = D.diagonal()
+            if 0 in d:
+                continue  # linearly dependent subset
         # integers throughout: psi = value / (L * A), L * frac(lambda_i) = lam_i mod L
         A = math.lcm(*(a[i].denominator for i in sub))
         alpha = [int(a[i] * A) for i in sub]
@@ -191,7 +197,7 @@ def singularity_type(pair: ToricPair) -> str:
     fan = pair.fan
     worst = None
     for c, cone in zip(fan.max_cones, fan.cones):
-        value = _least_exceptional_psi([fan.rays[i] for i in c], [1 - pair.boundary[i] for i in c], cone.dim)
+        value = _least_exceptional_psi(cone, [1 - pair.boundary[i] for i in c])
         if value is not None and value < 1:
             return "klt"
         if value is not None and (worst is None or value < worst):
@@ -211,25 +217,18 @@ def is_log_cy(pair: ToricPair) -> bool:
 def index(pair: ToricPair) -> int:
     """Least m >= 1 with m(K+B) Cartier.
 
-    On a maximal cone with ray matrix G and Smith form U.G.V = diag(d),
-    m(K+B) is Cartier iff m r_i / d_i is an integer wherever d_i != 0 and
-    r_i = 0 wherever d_i = 0, for r = U.(-(K+B) on the cone's rays).  So
-    the index is the lcm of the coefficient denominators and of the
-    denominators of r_i / d_i; a nonzero r_i over d_i = 0 means K+B is not
-    Q-Cartier, which raises ValueError.
+    m(K+B) is Cartier iff every coefficient m b_i is an integer and, on
+    each maximal cone, some integral m.psi agrees with m(1 - b_i) on the
+    rays.  The piece of psi that each cone's Smith chart returns has its
+    free Smith coordinates zero, and the chart's V is unimodular, so that
+    piece is integral iff some integral solution exists.  The index is
+    therefore the lcm of the coefficient denominators and of the
+    denominators of the pieces of psi.  K+B not Q-Cartier raises
+    ValueError.
     """
-    fan = pair.fan
     m = math.lcm(*(b.denominator for b in pair.boundary))
-    for c in fan.max_cones:
-        U, D, _ = smith_normal_form(IntMatrix.from_rows([fan.rays[i] for i in c], cols=fan.rank))
-        d = D.diagonal()
-        r = U.apply([1 - pair.boundary[i] for i in c])
-        for i, ri in enumerate(r):
-            di = d[i] if i < len(d) else 0
-            if di != 0:
-                m = math.lcm(m, (ri / di).denominator)
-            elif ri != 0:
-                raise ValueError(f"K+B is not Q-Cartier on the maximal cone {c}")
+    for piece in _psi(pair)._pieces:
+        m = math.lcm(m, *(x.denominator for x in piece))
     return m
 
 

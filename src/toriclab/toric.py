@@ -3,7 +3,9 @@
 The divisor class group is presented as the cokernel of the character
 lattice mapping into the free group on the rays; everything downstream
 (divisor classes, the rank computations used by the complexity invariant)
-reads off that one Smith normal form.
+reads off that one Smith normal form.  Linear pieces on maximal cones and
+the (Q-)Cartier tests read each cone's own Smith chart (fan.SolveChart)
+in integer arithmetic.
 """
 
 from __future__ import annotations
@@ -23,8 +25,6 @@ from toriclab.lattice import (
     cokernel_structure,
     primitive,
     smith_normal_form,
-    solve_integer,
-    solve_rational,
     vdot,
 )
 
@@ -68,13 +68,16 @@ class DivisorClass:
 
 @lru_cache(maxsize=256)
 def _presentation(fan: Fan):
-    """SNF data of the ray matrix: (U, diag, rank_of_image)."""
+    """Rows of the Smith transform U of the ray matrix that Cl(X) reads:
+    (free rows, torsion rows, torsion invariants).  A free row has
+    invariant 0, a torsion row one >= 2; rows with invariant 1 map to
+    zero in Cl(X) and are dropped."""
     rows = len(fan.rays)
-    matrix = IntMatrix.from_rows(fan.rays, cols=fan.rank)
-    U, D, _ = smith_normal_form(matrix)
+    U, D, _ = smith_normal_form(IntMatrix.from_rows(fan.rays, cols=fan.rank))
     diag = [D.entries[i][i] if i < min(D.rows, D.cols) else 0 for i in range(rows)]
-    image_rank = sum(1 for d in diag if d != 0)
-    return U, tuple(diag), image_rank
+    free = tuple(u for u, d in zip(U.entries, diag) if d == 0)
+    torsion = tuple(u for u, d in zip(U.entries, diag) if d >= 2)
+    return free, torsion, tuple(d for d in diag if d >= 2)
 
 
 def class_group(X: ToricVariety) -> AbelianGroupStructure:
@@ -91,11 +94,9 @@ def divisor_class(X: ToricVariety, D: Sequence) -> DivisorClass:
     d = tuple(int(c) for c in coeffs)
     if len(d) != len(X.fan.rays):
         raise ValueError("expected one coefficient per ray")
-    U, diag, _ = _presentation(X.fan)
-    e = U.apply(d)
-    free = tuple(e[i] for i in range(len(d)) if diag[i] == 0)
-    torsion = tuple(e[i] % diag[i] for i in range(len(d)) if diag[i] >= 2)
-    invariants = tuple(diag[i] for i in range(len(d)) if diag[i] >= 2)
+    free_rows, torsion_rows, invariants = _presentation(X.fan)
+    free = tuple(vdot(u, d) for u in free_rows)
+    torsion = tuple(vdot(u, d) % n for u, n in zip(torsion_rows, invariants))
     return DivisorClass(free, torsion, invariants)
 
 
@@ -104,9 +105,9 @@ def divisor_class_q(X: ToricVariety, D: Sequence) -> tuple[Fraction, ...]:
     d = tuple(Fraction(c) for c in D)
     if len(d) != len(X.fan.rays):
         raise ValueError("expected one coefficient per ray")
-    U, diag, _ = _presentation(X.fan)
-    e = U.apply(d)
-    return tuple(e[i] for i in range(len(d)) if diag[i] == 0)
+    A = math.lcm(*(c.denominator for c in d))
+    scaled = tuple(int(c * A) for c in d)
+    return tuple(Fraction(vdot(u, scaled), A) for u in _presentation(X.fan)[0])
 
 
 def principal_divisor(X: ToricVariety, character: Vec) -> Divisor:
@@ -116,14 +117,27 @@ def principal_divisor(X: ToricVariety, character: Vec) -> Divisor:
 
 def local_functionals(fan: Fan, values: Sequence) -> list[Optional[tuple[Fraction, ...]]]:
     """For each maximal cone, some m with <m, u_i> = values[i] on the
-    cone's rays u_i, or None where no such m exists."""
+    cone's rays u_i, or None where no such m exists.
+
+    The values are scaled once to integers alpha = A.values, A the lcm of
+    their denominators.  Each cone's Smith chart then answers in integers:
+    no piece iff Z.alpha != 0 on the cone's rays, and otherwise the piece
+    M.alpha / (L.A).  On a full-dimensional cone that is the only
+    solution; on a lower-dimensional one it is the solution whose free
+    Smith coordinates vanish, and only its values on the cone's span are
+    meaningful.
+    """
+    values = [Fraction(v) for v in values]
+    A = math.lcm(*(v.denominator for v in values))
+    alpha = [int(v * A) for v in values]
     out = []
-    for c in fan.max_cones:
-        A = IntMatrix.from_rows([fan.rays[i] for i in c], cols=fan.rank)
-        m = solve_rational(A, [values[i] for i in c])
-        if m is not None and any(vdot(m, fan.rays[i]) != values[i] for i in c):
+    for c, cone in zip(fan.max_cones, fan.cones):
+        chart = cone.solve_chart
+        a = [alpha[i] for i in c]
+        lm = chart.solve(a)
+        if lm is not None and any(vdot(lm, g) != chart.L * x for g, x in zip(cone.generators, a, strict=True)):
             raise RuntimeError("linear solve broken: local functional misses a prescribed value on a ray")
-        out.append(m)
+        out.append(None if lm is None else tuple(Fraction(x, chart.L * A) for x in lm))
     return out
 
 
@@ -134,14 +148,17 @@ def is_qcartier(X: ToricVariety, D: Sequence) -> bool:
 
 
 def is_cartier(X: ToricVariety, D: Sequence) -> bool:
-    """Like is_qcartier but the functional must be integral."""
+    """Like is_qcartier but the functional must be integral: on each
+    maximal cone, Z.b = 0 and L divides M.b for b = -D on the cone's rays
+    (see fan.SolveChart)."""
     coeffs = [Fraction(c) for c in D]
     if any(c.denominator != 1 for c in coeffs):
         return False
-    for c in X.fan.max_cones:
-        A = IntMatrix.from_rows([X.fan.rays[i] for i in c], cols=X.fan.rank)
-        b = [-int(coeffs[i]) for i in c]
-        if solve_integer(A, b) is None:
+    b = [-int(x) for x in coeffs]
+    for c, cone in zip(X.fan.max_cones, X.fan.cones):
+        chart = cone.solve_chart
+        lm = chart.solve([b[i] for i in c])
+        if lm is None or any(x % chart.L for x in lm):
             return False
     return True
 

@@ -4,7 +4,9 @@ Everything in this module recomputes expected values by a route different
 from the library's own: gcds of minors instead of elimination, exhaustive
 lattice scans instead of region arithmetic, angular walks instead of wall
 counting, Fourier-Motzkin elimination instead of simplex pivots, subset
-scans and simplex LPs instead of the double description.  numpy is
+scans and simplex LPs instead of the double description, Gauss-Jordan
+solves and per-call Smith forms instead of a cone's cached Smith chart.
+numpy is
 used only here, with integer dtypes, to keep the scans fast; the library
 itself stays pure.
 """
@@ -15,12 +17,21 @@ import itertools
 import math
 from fractions import Fraction
 from functools import cmp_to_key
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from toriclab.fan import Fan, linear_feasible
-from toriclab.lattice import IntMatrix, nullspace, rank as matrix_rank, row_echelon, vdot
+from toriclab.lattice import (
+    IntMatrix,
+    nullspace,
+    rank as matrix_rank,
+    row_echelon,
+    smith_normal_form,
+    solve_integer,
+    solve_rational,
+    vdot,
+)
 
 
 # ---------------------------------------------------------------- lattice
@@ -337,13 +348,62 @@ def singularity_type_scan(pair):
     return "canonical" if worst == 1 else "klt"
 
 
+def local_functionals_solve(fan: Fan, values: Sequence) -> list[Optional[tuple[Fraction, ...]]]:
+    """For each maximal cone, some m with <m, u_i> = values[i] on the
+    cone's rays u_i, or None where no such m exists."""
+    out = []
+    for c in fan.max_cones:
+        A = IntMatrix.from_rows([fan.rays[i] for i in c], cols=fan.rank)
+        m = solve_rational(A, [values[i] for i in c])
+        if m is not None and any(vdot(m, fan.rays[i]) != values[i] for i in c):
+            raise RuntimeError("linear solve broken: local functional misses a prescribed value on a ray")
+        out.append(m)
+    return out
+
+
+def is_cartier_solve(X, D: Sequence) -> bool:
+    """Like is_qcartier but the functional must be integral."""
+    coeffs = [Fraction(c) for c in D]
+    if any(c.denominator != 1 for c in coeffs):
+        return False
+    for c in X.fan.max_cones:
+        A = IntMatrix.from_rows([X.fan.rays[i] for i in c], cols=X.fan.rank)
+        b = [-int(coeffs[i]) for i in c]
+        if solve_integer(A, b) is None:
+            return False
+    return True
+
+
+def index_smith(pair) -> int:
+    """Least m >= 1 with m(K+B) Cartier.
+
+    On a maximal cone with ray matrix G and Smith form U.G.V = diag(d),
+    m(K+B) is Cartier iff m r_i / d_i is an integer wherever d_i != 0 and
+    r_i = 0 wherever d_i = 0, for r = U.(-(K+B) on the cone's rays).  So
+    the index is the lcm of the coefficient denominators and of the
+    denominators of r_i / d_i; a nonzero r_i over d_i = 0 means K+B is not
+    Q-Cartier, which raises ValueError.
+    """
+    fan = pair.fan
+    m = math.lcm(*(b.denominator for b in pair.boundary))
+    for c in fan.max_cones:
+        U, D, _ = smith_normal_form(IntMatrix.from_rows([fan.rays[i] for i in c], cols=fan.rank))
+        d = D.diagonal()
+        r = U.apply([1 - pair.boundary[i] for i in c])
+        for i, ri in enumerate(r):
+            di = d[i] if i < len(d) else 0
+            if di != 0:
+                m = math.lcm(m, (ri / di).denominator)
+            elif ri != 0:
+                raise ValueError(f"K+B is not Q-Cartier on the maximal cone {c}")
+    return m
+
+
 def index_scan(pair):
     """The m-scan the closed form replaced: least m with every coefficient
-    of m(K+B) integral and is_cartier (an integer solve per cone).  The
-    bound is the coefficient lcm times the lcm of the cones' lattice
+    of m(K+B) integral and is_cartier_solve (an integer solve per cone).
+    The bound is the coefficient lcm times the lcm of the cones' lattice
     indices, read off minor gcds; raises if K+B is not Q-Cartier."""
-    from toriclab.toric import is_cartier
-
     fan = pair.fan
     kb = pair.log_canonical_coefficients()
     cone_lcm = 1
@@ -354,7 +414,7 @@ def index_scan(pair):
     bound = math.lcm(*(c.denominator for c in kb)) * cone_lcm
     for m in range(1, bound + 1):
         scaled = [m * x for x in kb]
-        if all(x.denominator == 1 for x in scaled) and is_cartier(pair.variety, scaled):
+        if all(x.denominator == 1 for x in scaled) and is_cartier_solve(pair.variety, scaled):
             return m
     raise ValueError("no multiple of K+B up to the bound is Cartier: not Q-Cartier")
 
