@@ -8,11 +8,15 @@ semantic errors, unknown flags).
 Reports go to stdout; `--json-lines` switches them to one JSON record per
 line.  Subcommands whose output IS a fan or pair (subdivide, pullback)
 always print the file format, so their output can be piped back in.
+
+The argparse tree is built once per process, on the first call to `main`,
+and reused by every later call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional, Sequence
@@ -37,13 +41,17 @@ from toriclab.polytope import (
 )
 
 
+# json.dumps(record, sort_keys=True) would build a new encoder per record
+_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 class _Reporter:
     def __init__(self, json_lines: bool):
         self.json_lines = json_lines
 
     def emit(self, record: dict, text: str) -> None:
         if self.json_lines:
-            print(json.dumps(record, sort_keys=True))
+            print(_ENCODER.encode(record))
         else:
             print(text)
 
@@ -272,7 +280,11 @@ def _cmd_casebook_suite(args, rep: _Reporter) -> int:
 # -------------------------------------------------------------------- main
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The command tree, built on the first call and shared afterwards:
+    parse_args returns a fresh Namespace each time, and help and errors
+    look up sys.stderr and the terminal width only when they print."""
     parser = argparse.ArgumentParser(
         prog="toriclab",
         description="exact-arithmetic toolkit for toric log Calabi-Yau geometry",
@@ -344,8 +356,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     rep = _Reporter(args.json_lines)
     try:
         return args.func(args, rep)

@@ -28,7 +28,6 @@ from toriclab.lattice import (
     IntMatrix,
     Vec,
     is_zero,
-    nullspace,
     primitive,
     rank as matrix_rank,
     row_echelon,
@@ -545,9 +544,15 @@ class Cone:
         return SolveChart.of(self.generator_matrix)
 
     @cached_property
-    def span_equations(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Basis of the functionals vanishing on the cone's linear span."""
-        return nullspace(self.generators, self.rank)
+    def span_equations(self) -> tuple[Vec, ...]:
+        """Basis of the integer functionals vanishing on the cone's linear
+        span: the columns r, r+1, ... of the Smith chart's V, as
+        G.V[:, i] = 0 for i >= r = dim.  Empty for a full-dimensional cone,
+        which needs no Smith form for it."""
+        if self.dim == self.rank:
+            return ()
+        V = self.solve_chart.V.entries
+        return tuple(tuple(row[i] for row in V) for i in range(self.dim, self.rank))
 
     @cached_property
     def facet_data(self) -> tuple[tuple[frozenset[int], Vec], ...]:

@@ -10,19 +10,26 @@ The formats are deliberately flat and hand-writable:
                     vertex <c1> ... <cn>
 
 '#' starts a comment, blank lines are ignored, and cone/coeff indices refer
-to the ray lines in file order.  Emitters write the canonical ray order, so
+to the ray lines in file order.  A coefficient is an integer, p/q or a
+decimal, without an exponent.  Emitters write the canonical ray order, so
 emit(parse(file)) is byte-identical exactly on canonical-form files.
 """
 
 from __future__ import annotations
 
 import os
+import re
 from fractions import Fraction
 from typing import Optional
 
 from toriclab.fan import Fan, validate_fan
 from toriclab.pairs import ToricPair, validate_pair
 from toriclab.polytope import Polytope
+
+
+# an integer, p/q or a decimal; an exponent would let a few bytes ask
+# Fraction for a power of ten of any size
+_COEFF = re.compile(r"[+-]?(\d+(/\d+)?|\d*\.\d+)")
 
 
 class ParseError(ValueError):
@@ -51,7 +58,7 @@ def parse_fan(text: str, validate: bool = True) -> Fan:
         if key == "dim":
             if dim is not None:
                 raise ParseError(lineno, "duplicate dim line")
-            if len(args) != 1 or not args[0].isdigit():
+            if len(args) != 1 or not args[0].isdecimal():
                 raise ParseError(lineno, "expected: dim <n>")
             dim = int(args[0])
         elif key == "ray":
@@ -114,6 +121,8 @@ def parse_pair(text: str, base_dir: str = ".") -> ToricPair:
                 raise ParseError(lineno, "expected: coeff <ray-index> <p>/<q>")
             try:
                 idx = int(args[0])
+                if not _COEFF.fullmatch(args[1]):
+                    raise ValueError
                 value = Fraction(args[1])
             except (ValueError, ZeroDivisionError):
                 raise ParseError(lineno, "bad coefficient") from None
@@ -161,7 +170,7 @@ def parse_polytope(text: str) -> Polytope:
         if key == "dim":
             if dim is not None:
                 raise ParseError(lineno, "duplicate dim line")
-            if len(args) != 1 or not args[0].isdigit():
+            if len(args) != 1 or not args[0].isdecimal():
                 raise ParseError(lineno, "expected: dim <n>")
             dim = int(args[0])
         elif key == "vertex":

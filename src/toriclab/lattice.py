@@ -4,10 +4,10 @@ Gaussian elimination over Q.
 All matrices and vectors carry plain Python integers (arbitrary precision),
 and every routine here is a pure function on immutable values.  Lattice
 vectors are ordinary tuples of ints; their length is the ambient rank.
-`row_echelon` is the only elimination over Q in the package: `nullspace`
-and `solve_rational` read their answers off its reduced rows, and it
-accepts Fraction rows as readily as integer ones.  `rank` and `det` share
-one fraction-free (Bareiss) elimination on integers instead.
+`row_echelon` is the only elimination over Q in the package; it accepts
+Fraction rows as readily as integer ones, and `solve_rational` reads its
+answer off the reduced rows.  `rank` and `det` share one fraction-free
+(Bareiss) elimination on integers instead.
 """
 
 from __future__ import annotations
@@ -167,22 +167,6 @@ def row_echelon(rows: Sequence[Sequence], ncols: int) -> tuple[list[list[Fractio
 def rank(M: IntMatrix) -> int:
     """Rank over Q, by the same fraction-free elimination as det."""
     return _bareiss(M.entries, M.cols)[0]
-
-
-def nullspace(rows: Sequence[Sequence], width: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Basis of { h : h.row = 0 for all rows } over Q, one vector per free
-    column of the echelon form (1 there, 0 on the other free columns)."""
-    a, pivots = row_echelon(rows, width)
-    basis = []
-    for fc in range(width):
-        if fc in pivots:
-            continue
-        h = [Fraction(0)] * width
-        h[fc] = Fraction(1)
-        for row, col in enumerate(pivots):
-            h[col] = -a[row][fc]
-        basis.append(tuple(h))
-    return tuple(basis)
 
 
 @dataclass(frozen=True)

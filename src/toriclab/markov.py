@@ -7,8 +7,8 @@ d = 3ab - c), determines the trinomial hypersurface
     V(x1 x2 + x3^c + x4^d)  inside  P(a^2, b^2, d, c),
 
 a degeneration of the projective plane.  This module enumerates triples by
-Vieta jumping and computes the numerics of those hypersurfaces: degree,
-amplitude, well-formedness and quasismoothness.
+walking the Markov tree of Vieta jumps and computes the numerics of those
+hypersurfaces: degree, amplitude, well-formedness and quasismoothness.
 """
 
 from __future__ import annotations
@@ -34,25 +34,26 @@ class MarkovTriple:
 
 
 def enumerate_markov(bound: int) -> list[MarkovTriple]:
-    """All Markov triples with largest entry at most `bound`, found by
-    Vieta jumping from (1,1,1)."""
+    """All Markov triples with largest entry at most `bound`, sorted by
+    (c, b, a), from a walk of the Markov tree.
+
+    (1,1,1) -> (1,1,2) -> (1,2,5), and every (a, b, c) with a < b < c has
+    exactly the two children (a, c, 3ac - b) and (b, c, 3bc - a), each with
+    a larger largest entry; every triple occurs once in the tree, so a
+    branch stops at its first triple beyond the bound."""
     if bound < 1:
         raise ValueError("bound must be positive")
-    seen: set[tuple[int, int, int]] = set()
-    stack = [(1, 1, 1)]
+    found = [t for t in ((1, 1, 1), (1, 1, 2)) if t[2] <= bound]
+    stack = [(1, 2, 5)]
     while stack:
-        t = stack.pop()
-        if t in seen or t[2] > bound:
+        a, b, c = t = stack.pop()
+        if c > bound:
             continue
-        seen.add(t)
-        a, b, c = t
-        for jumped in (
-            (3 * b * c - a, b, c),
-            (a, 3 * a * c - b, c),
-            (a, b, 3 * a * b - c),
-        ):
-            stack.append(tuple(sorted(jumped)))
-    return [MarkovTriple(*t) for t in sorted(seen, key=lambda t: (t[2], t[1], t[0]))]
+        found.append(t)
+        stack.append((a, c, 3 * a * c - b))
+        stack.append((b, c, 3 * b * c - a))
+    found.sort(key=lambda t: (t[2], t[1], t[0]))
+    return [MarkovTriple(*t) for t in found]
 
 
 def adjacent_triple(t: MarkovTriple) -> MarkovTriple:
@@ -93,10 +94,7 @@ def hkw_surface(t: MarkovTriple) -> HkwSurfaceData:
     if degree != a * a + b * b:
         raise RuntimeError("Markov equation broken: c*d differs from a^2 + b^2")
     amplitude = sum(weights) - degree
-    wellformed = all(
-        math.gcd(*(w for j, w in enumerate(weights) if j != i)) == 1
-        for i in range(4)
-    )
+    wellformed = all(math.gcd(*weights[:i], *weights[i + 1 :]) == 1 for i in range(4))
     # Jacobian criterion for the trinomial x1 x2 + x3^c + x4^d: the partials
     # are (x2, x1, c x3^{c-1}, d x4^{d-1}).  If c == 1 or d == 1 one partial
     # is a nonzero constant, so there is no common zero at all; otherwise

@@ -213,22 +213,25 @@ def is_fano(X: ToricVariety) -> bool:
     """Is -K ample?  Decided by strict convexity of the support function
     taking value one on every ray, across every wall of the fan.  Only
     complete simplicial fans are supported.
+
+    Each maximal cone's Smith chart gives L.m for its piece m (m.u = 1 on
+    the cone's rays), so the test m.g < 1 across a wall reads
+    (L.m).g < L in integers.  One side of each wall suffices: the two
+    pieces differ by a functional vanishing on the wall, and the cones'
+    other rays lie on opposite sides of it.
     """
     fan = X.fan
     if not fan.max_cones or not is_complete(fan) or not is_simplicial(fan):
         raise ValueError("ampleness test unsupported: fan must be complete and simplicial")
-    functionals = local_functionals(fan, [Fraction(1)] * len(fan.rays))
-    if any(m is None for m in functionals):
-        return False
     cones = fan.cones
+    charts = [cone.solve_chart for cone in cones]
+    pieces = [chart.solve([1] * len(cone.generators)) for chart, cone in zip(charts, cones)]
+    if any(lm is None for lm in pieces):
+        return False
     for key, ks in walls(cones).items():
         if len(ks) != 2:
             continue
         a, b = ks
-        for g in set(cones[b].generators) - key:
-            if vdot(functionals[a], g) >= 1:
-                return False
-        for g in set(cones[a].generators) - key:
-            if vdot(functionals[b], g) >= 1:
-                return False
+        if any(vdot(pieces[a], g) >= charts[a].L for g in set(cones[b].generators) - key):
+            return False
     return True

@@ -5,10 +5,11 @@ from the library's own: gcds of minors instead of elimination, exhaustive
 lattice scans instead of region arithmetic, angular walks instead of wall
 counting, Fourier-Motzkin elimination instead of simplex pivots, subset
 scans and simplex LPs instead of the double description, Gauss-Jordan
-solves and per-call Smith forms instead of a cone's cached Smith chart.
-numpy is
-used only here, with integer dtypes, to keep the scans fast; the library
-itself stays pure.
+solves and per-call Smith forms instead of a cone's cached Smith chart
+(and a Fraction nullspace instead of its span equations), a Vieta-jump
+search with a seen set instead of the Markov tree walk.  numpy is used
+only here, with integer dtypes, to keep the scans fast; the library itself
+stays pure.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from toriclab.fan import Fan, linear_feasible
+from toriclab.fan import Fan, is_complete, is_simplicial, linear_feasible, walls
+from toriclab.markov import MarkovTriple
 from toriclab.lattice import (
     IntMatrix,
-    nullspace,
     rank as matrix_rank,
     row_echelon,
     smith_normal_form,
@@ -35,6 +36,22 @@ from toriclab.lattice import (
 
 
 # ---------------------------------------------------------------- lattice
+
+
+def nullspace(rows: Sequence[Sequence], width: int) -> tuple[tuple[Fraction, ...], ...]:
+    """Basis of { h : h.row = 0 for all rows } over Q, one vector per free
+    column of the echelon form (1 there, 0 on the other free columns)."""
+    a, pivots = row_echelon(rows, width)
+    basis = []
+    for fc in range(width):
+        if fc in pivots:
+            continue
+        h = [Fraction(0)] * width
+        h[fc] = Fraction(1)
+        for row, col in enumerate(pivots):
+            h[col] = -a[row][fc]
+        basis.append(tuple(h))
+    return tuple(basis)
 
 
 def minor_gcds(rows, kmax=None):
@@ -419,6 +436,30 @@ def index_scan(pair):
     raise ValueError("no multiple of K+B up to the bound is Cartier: not Q-Cartier")
 
 
+def is_fano_functionals(X) -> bool:
+    """The Fraction ampleness test that the chart's integer test replaced:
+    a piece m with m.u = 1 on every maximal cone's rays, here from
+    local_functionals_solve, and m.g < 1 across every wall."""
+    fan = X.fan
+    if not fan.max_cones or not is_complete(fan) or not is_simplicial(fan):
+        raise ValueError("ampleness test unsupported: fan must be complete and simplicial")
+    functionals = local_functionals_solve(fan, [Fraction(1)] * len(fan.rays))
+    if any(m is None for m in functionals):
+        return False
+    cones = fan.cones
+    for key, ks in walls(cones).items():
+        if len(ks) != 2:
+            continue
+        a, b = ks
+        for g in set(cones[b].generators) - key:
+            if vdot(functionals[a], g) >= 1:
+                return False
+        for g in set(cones[a].generators) - key:
+            if vdot(functionals[b], g) >= 1:
+                return False
+    return True
+
+
 # ------------------------------------------------------- 2D completeness
 
 
@@ -690,6 +731,28 @@ def markov_scan_quadratic(bound):
     return out
 
 
+def enumerate_markov_dfs(bound: int) -> list[MarkovTriple]:
+    """All Markov triples with largest entry at most `bound`, found by
+    Vieta jumping from (1,1,1)."""
+    if bound < 1:
+        raise ValueError("bound must be positive")
+    seen: set[tuple[int, int, int]] = set()
+    stack = [(1, 1, 1)]
+    while stack:
+        t = stack.pop()
+        if t in seen or t[2] > bound:
+            continue
+        seen.add(t)
+        a, b, c = t
+        for jumped in (
+            (3 * b * c - a, b, c),
+            (a, 3 * a * c - b, c),
+            (a, b, 3 * a * b - c),
+        ):
+            stack.append(tuple(sorted(jumped)))
+    return [MarkovTriple(*t) for t in sorted(seen, key=lambda t: (t[2], t[1], t[0]))]
+
+
 # ------------------------------------------- cones and polytopes by LP
 
 # The subset scans and LPs the double description replaced, moved here
@@ -779,6 +842,19 @@ def cone_contains_lp(cone, x, strict):
     if strict:
         return linear_feasible(k, equalities=eqs, gt=bounds)
     return linear_feasible(k, equalities=eqs, gte=bounds)
+
+
+def cone_contains_nullspace(cone, x, strict):
+    """Membership as the cone tested it before its span equations came
+    from the Smith chart: the Fraction nullspace of the generators, then
+    the facet normals."""
+    if any(vdot(e, x) for e in nullspace(cone.generators, cone.rank)):
+        return False
+    try:
+        facets = cone.facet_data
+    except ValueError:  # a line, which is its own span
+        return True
+    return all(v > 0 or (v == 0 and not strict) for v in (vdot(h, x) for _, h in facets))
 
 
 def is_face_lp(sub, cone):

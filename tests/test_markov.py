@@ -1,8 +1,14 @@
-import pytest
+import contextlib
+import hashlib
+import io
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from toriclab.cli import main
 from toriclab.markov import HkwSurfaceData, MarkovTriple, adjacent_triple, enumerate_markov, hkw_surface
 
-from oracles import markov_scan_quadratic, markov_scan_small
+from oracles import enumerate_markov_dfs, markov_scan_quadratic, markov_scan_small
 
 
 def test_triple_validation():
@@ -92,3 +98,45 @@ def test_surface_data_invariants_enforced():
             quasismooth=True,
             fano=True,
         )
+
+
+# ----------------------------------------- tree walk against the DFS
+
+
+@pytest.mark.parametrize("bound", [1, 2, 5, 13, 29] + [10**k for k in range(41)])
+def test_tree_walk_matches_dfs(bound):
+    assert enumerate_markov(bound) == enumerate_markov_dfs(bound)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.one_of(st.integers(1, 10**6), st.integers(1, 10**40)))
+def test_tree_walk_matches_dfs_hypothesis(bound):
+    assert enumerate_markov(bound) == enumerate_markov_dfs(bound)
+
+
+def test_nonpositive_bound_rejected():
+    for bound in (0, -1):
+        with pytest.raises(ValueError):
+            enumerate_markov(bound)
+
+
+# sha256 of the table printed before the tree walk and the shared JSON
+# encoder, which must print the same bytes
+TABLE_DIGESTS = {
+    (False, 1000): (14, "e84f878c8cfdfdfe4a647653f8d4ee28c4e98872c192fdb7dd493015748af3a2"),
+    (False, 10**40): (1572, "ede0dd8f3d4dc8dea1c74781cdfba523021dca09a481131581fb785b27a32448"),
+    (True, 1000): (13, "e949dc59b4bd2bf809376a928f4bc8ce651d50e139c74b102b219ad406469fbb"),
+    (True, 10**40): (1571, "43f55bc8f4ae4de9bc9a8e44474d8f3254b894683c10c30bb0957d99dd0e5546"),
+}
+
+
+@pytest.mark.parametrize("json_lines, bound", sorted(TABLE_DIGESTS))
+def test_markov_table_output_is_pinned(json_lines, bound):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main((["--json-lines"] if json_lines else []) + ["markov", "table", "--max", str(bound)])
+    assert code == 0
+    text = out.getvalue()
+    lines, digest = TABLE_DIGESTS[json_lines, bound]
+    assert len(text.splitlines()) == lines
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -13,11 +13,11 @@ import pytest
 
 import toriclab
 from toriclab.fan import Cone, Diagnostics, Fan, validate_fan, walls
-from toriclab.lattice import IntMatrix, nullspace, rank, row_echelon, solve_rational, vdot
+from toriclab.lattice import IntMatrix, rank, row_echelon, solve_rational, vdot
 from toriclab.pairs import ToricPair, validate_pair
 from toriclab.toric import local_functionals, projective_space_fan
 
-from oracles import minor_gcds
+from oracles import minor_gcds, nullspace
 
 
 def _random_matrix(rng):

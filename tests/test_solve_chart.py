@@ -1,7 +1,7 @@
 """A cone's Smith chart (fan.SolveChart) against the solves it replaced
-(tests/oracles.py): linear pieces, the index and the Cartier test.  Also
-the fraction-free rank, the Smith identities, and ray-order invariance
-of the pairs answers."""
+(tests/oracles.py): linear pieces, the index, the Cartier test, the span
+equations and the Fano test.  Also the fraction-free rank, the Smith
+identities, and ray-order invariance of the pairs answers."""
 
 import itertools
 import math
@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from toriclab.catalog import bundled_fans, cone_over_square_fan
-from toriclab.fan import Fan, SolveChart
+from toriclab.fan import Cone, Fan, SolveChart
 from toriclab.lattice import IntMatrix, det, rank, row_echelon, smith_normal_form, vdot
 from toriclab.pairs import ToricPair, index, is_log_cy, log_discrepancy, singularity_type
 from toriclab.toric import (
@@ -20,12 +20,23 @@ from toriclab.toric import (
     divisor_class,
     divisor_class_q,
     is_cartier,
+    is_fano,
     local_functionals,
     projective_space_fan,
     weighted_projective_fan,
 )
 
-from oracles import index_scan, index_smith, is_cartier_solve, local_functionals_solve, random_complete_2d_fan
+from oracles import (
+    cone_contains_lp,
+    cone_contains_nullspace,
+    index_scan,
+    index_smith,
+    is_cartier_solve,
+    is_fano_functionals,
+    local_functionals_solve,
+    nullspace,
+    random_complete_2d_fan,
+)
 
 # (name, generators): one affine fan each, every shape the chart must treat
 NAMED_CONES = [
@@ -356,3 +367,96 @@ def test_hypothesis_pairs_answers_ignore_the_ray_order(k, rnd):
     assert _pair_answers(first, points) == _pair_answers(second, points)
     for c, cone in zip(moved.max_cones, moved.cones):
         assert cone.generators == tuple(moved.rays[i] for i in c)
+
+
+# ------------------------------------------------------ span equations
+
+
+def _check_span_equations(cone, rng):
+    eqs = cone.span_equations
+    ref = nullspace(cone.generators, cone.rank)
+    assert all(type(x) is int for e in eqs for x in e)
+    assert len(eqs) == len(ref) == cone.rank - cone.dim
+    if eqs:
+        # the same row space, and a saturated one: V's columns extend to a basis
+        assert len(row_echelon(eqs + ref, cone.rank)[1]) == len(eqs)
+        assert all(vdot(e, g) == 0 for e in eqs for g in cone.generators)
+        assert set(smith_normal_form(IntMatrix.from_rows(eqs))[1].diagonal()) == {1}
+    gens = cone.generators
+    points = list(gens) + [tuple(-x for x in g) for g in gens]
+    for _ in range(12):
+        coeffs = [rng.randint(-2, 3) for _ in gens]
+        points.append(tuple(sum(c * g[i] for c, g in zip(coeffs, gens)) for i in range(cone.rank)))
+        points.append(tuple(rng.randint(-3, 3) for _ in range(cone.rank)))
+        points.append(tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(cone.rank)))
+    for x in points:
+        for strict, test in ((False, cone.contains), (True, cone.relint_contains)):
+            answer = test(x)
+            assert answer == cone_contains_nullspace(cone, x, strict), (gens, x, strict)
+            assert answer == cone_contains_lp(cone, x, strict), (gens, x, strict)
+
+
+@pytest.mark.parametrize("name,gens", NAMED_CONES, ids=[n for n, _ in NAMED_CONES])
+def test_named_span_equations_match_the_nullspace(name, gens):
+    _check_span_equations(Cone.from_generators(gens), random.Random(name))
+
+
+def test_seeded_span_equations_of_rank_2_to_5_match_the_nullspace():
+    rng = random.Random(5150)
+    full = 0
+    for n in range(2, 6):
+        for trial in range(40):
+            # generators inside a random sublattice of rank s: of full rank
+            # on even trials, lower on odd ones
+            s = n if trial % 2 == 0 else rng.randint(1, n - 1)
+            basis = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(s)]
+            gens = []
+            for _ in range(rng.randint(s, n + 2)):
+                c = [rng.randint(0, 2) for _ in range(s)]
+                gens.append(tuple(sum(ci * b[i] for ci, b in zip(c, basis)) for i in range(n)))
+            gens = _primitive_distinct(gens)
+            if not gens:
+                continue
+            cone = Cone.from_generators(gens)
+            full += cone.dim == n
+            _check_span_equations(cone, rng)
+    assert 40 < full <= 80
+
+
+def test_full_dimensional_cones_have_no_span_equations():
+    cone = Cone.from_generators([(1, 0, 0), (0, 1, 0), (3, 5, 11)])
+    assert cone.span_equations == ()
+    assert "solve_chart" not in cone.__dict__
+    assert Cone((), 3).span_equations == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+# ------------------------------------------------------------ is_fano
+
+
+# a Fano fan whose piece on the det-3 cone <(1,0), (-1,3)> is m = (1, 2/3):
+# across the wall at (-1,3), m.(-1,2) = 1/3, so (L.m).g = 1 < L = 3; and its
+# mirror image, as is_fano looks at each wall from one side only
+FANO_FANS = [
+    *bundled_fans(),
+    *((f"P{n}", projective_space_fan(n)) for n in range(2, 7)),
+    *(
+        (f"m.g = 1/L, x -> {s}x", Fan.from_data([(s, 0), (-s, 3), (-s, 2), (0, -1)], [(0, 1), (1, 2), (2, 3), (3, 0)]))
+        for s in (1, -1)
+    ),
+]
+
+
+@pytest.mark.parametrize("name,fan", FANO_FANS, ids=[n for n, _ in FANO_FANS])
+def test_is_fano_matches_the_fraction_test_on_named_fans(name, fan):
+    X = ToricVariety(fan)
+    assert is_fano(X) == is_fano_functionals(X)
+
+
+def test_is_fano_matches_the_fraction_test_on_random_2d_fans():
+    rng = random.Random(1018)
+    answers = []
+    for _ in range(60):
+        X = ToricVariety(random_complete_2d_fan(rng))
+        answers.append(is_fano(X))
+        assert answers[-1] == is_fano_functionals(X)
+    assert 0 < sum(answers) < 60
