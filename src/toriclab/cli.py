@@ -116,6 +116,9 @@ def _cmd_fan_subdivide(args, rep: _Reporter) -> int:
         if i < 0 or i >= len(file_rays):
             print(f"error: --stratum names ray index {i}, but the file has {len(file_rays)} rays", file=sys.stderr)
             return 2
+    if len(set(stratum_file)) != len(stratum_file):
+        print(f"error: --stratum repeats a ray index ({args.stratum})", file=sys.stderr)
+        return 2
     stratum = [fan.rays.index(file_rays[i]) for i in stratum_file]
     ray = _parse_ints(args.ray, "--ray") if args.ray else None
     result = star_subdivision(fan, stratum, ray)
@@ -221,19 +224,24 @@ def _cmd_markov_table(args, rep: _Reporter) -> int:
         print(header)
     for t in triples:
         s = markov.hkw_surface(t)
-        rep.emit(
-            {
-                "triple": list(t.as_tuple()),
-                "weights": list(s.weights),
-                "degree": s.degree,
-                "amplitude": s.amplitude,
-                "wellformed": s.wellformed,
-                "quasismooth": s.quasismooth,
-                "fano": s.fano,
-            },
-            f"{str(t.as_tuple()):<14}{str(s.weights):<18}{s.degree:<8}{s.amplitude:<11}"
-            f"{str(s.wellformed).lower():<12}{str(s.quasismooth).lower():<13}{str(s.fano).lower()}",
-        )
+        if rep.json_lines:
+            rep.emit(
+                {
+                    "triple": list(t.as_tuple()),
+                    "weights": list(s.weights),
+                    "degree": s.degree,
+                    "amplitude": s.amplitude,
+                    "wellformed": s.wellformed,
+                    "quasismooth": s.quasismooth,
+                    "fano": s.fano,
+                },
+                "",
+            )
+        else:
+            print(
+                f"{str(t.as_tuple()):<14}{str(s.weights):<18}{s.degree:<8}{s.amplitude:<11}"
+                f"{str(s.wellformed).lower():<12}{str(s.quasismooth).lower():<13}{str(s.fano).lower()}"
+            )
     return 0
 
 

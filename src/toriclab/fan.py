@@ -2,15 +2,14 @@
 
 A cone is stored by its primitive extremal generators, a fan by a canonical
 (lexicographically sorted) ray list plus maximal cones as ray-index sets.
-All geometry is decided exactly, by two kernels on integer rows.  One
-double-description run per cone gives its facets, from which membership,
+All geometry is decided exactly, by one kernel on integer rows: the double
+description.  One run per cone gives its facets, from which membership,
 relative interiors, walls and faces are read.  Separation questions (strong
-convexity, extremality, whether two cones meet in a common face) are
-rational linear feasibility, decided by one two-phase simplex with Bland's
-rule on a fraction-free integer tableau, on the system itself when every
-variable is sign-bounded and on its Farkas dual otherwise.  A cone with
+convexity, extremality, whether two cones meet in a common face, rational
+linear feasibility) ask whether a row lies in the lineality space of a
+cone, on every one of its facets (Gordan and Motzkin).  A cone with
 independent generators is strongly convex with every generator extremal,
-and no system is built.  Each cone also caches one Smith chart of its
+and no facets are computed.  Each cone also caches one Smith chart of its
 generator matrix (SolveChart), the integer solver for the linear pieces
 that toric and pairs read on it.  Nothing here ever touches a float.
 """
@@ -30,289 +29,9 @@ from toriclab.lattice import (
     is_zero,
     primitive,
     rank as matrix_rank,
-    row_echelon,
     smith_normal_form,
     vdot,
 )
-
-# ---------------------------------------------------------------------------
-# exact linear feasibility (two-phase simplex on an integer tableau)
-# ---------------------------------------------------------------------------
-
-# A system is three lists of (coeffs, rhs) pairs: equalities a.x = b,
-# inequalities a.x >= b and strict inequalities a.x > b.  Each constraint is
-# scaled once by the lcm of its denominators, so every tableau below holds
-# integers only.
-
-_EQ, _GE, _GT = 0, 1, 2
-
-
-def linear_feasible(
-    nvars: int,
-    equalities: Sequence[tuple[Sequence, object]] = (),
-    gte: Sequence[tuple[Sequence, object]] = (),
-    gt: Sequence[tuple[Sequence, object]] = (),
-) -> bool:
-    """Decide whether the mixed system { a.x = b, c.x >= d, e.x > f } has
-    a rational solution.  Exact: one simplex run, on the system itself
-    when every variable carries a sign bound (x_j >= 0 or x_j > 0 among
-    the inequalities), on its Farkas dual otherwise."""
-    return _solve(nvars, equalities, gte, gt)[0]
-
-
-def feasibility_certificate(
-    nvars: int,
-    equalities: Sequence[tuple[Sequence, object]] = (),
-    gte: Sequence[tuple[Sequence, object]] = (),
-    gt: Sequence[tuple[Sequence, object]] = (),
-) -> tuple[bool, tuple[Fraction, ...]]:
-    """The verdict of `linear_feasible` with a certificate that a separate
-    checker can verify exactly.
-
-    (True, x): x satisfies every constraint.  (False, y): one multiplier
-    per constraint, equalities first, then gte, then gt, with y >= 0 on
-    the inequalities and sum y_i a_i = 0, and either y.b > 0, or y.b = 0
-    and y > 0 on some strict inequality (Motzkin's transposition theorem).
-    """
-    feasible, certify = _solve(nvars, equalities, gte, gt)
-    return feasible, certify()
-
-
-def _solve(nvars, equalities, gte, gt):
-    """(verdict, function computing its certificate)."""
-    cons = [
-        (*_integral(a, b, nvars), kind)
-        for kind, rows in ((_EQ, equalities), (_GE, gte), (_GT, gt))
-        for a, b in rows
-    ]
-    # sign bounds: variable -> the constraint x_j >= 0 or x_j > 0 (strict wins)
-    bound = {}
-    for i, (a, b, _, kind) in enumerate(cons):
-        if kind != _EQ and b == 0:
-            nonzero = [j for j, x in enumerate(a) if x]
-            if len(nonzero) == 1 and a[nonzero[0]] > 0 and (nonzero[0] not in bound or kind == _GT):
-                bound[nonzero[0]] = i
-    if len(bound) == nvars:
-        return _primal(nvars, cons, bound)
-    return _dual(nvars, cons)
-
-
-def _integral(coeffs, rhs, nvars):
-    """(integer coeffs, integer rhs, scale): the constraint times the lcm
-    of its denominators, which has the same solutions."""
-    if len(coeffs) != nvars:
-        raise ValueError("constraint length differs from the number of variables")
-    if type(rhs) is int and all(type(x) is int for x in coeffs):
-        return list(coeffs), rhs, 1
-    vals = [Fraction(x) for x in (*coeffs, rhs)]
-    scale = math.lcm(*(x.denominator for x in vals))
-    ints = [x.numerator * (scale // x.denominator) for x in vals]
-    return ints[:-1], ints[-1], scale
-
-
-def _primal(n, cons, bound):
-    """Every variable is sign-bounded, so it is a nonnegative column: x_j
-    itself, or mu_j with x_j = mu_j + t for a strict bound.  Every other
-    constraint is a row; an inequality gets a slack column s, a.x - s = b
-    (a.x - s - t = b when strict).  With anything strict, t + u = 1 is one
-    more row and phase 2 maximises t, stopping once t > 0."""
-    strict_vars = {j for j, i in bound.items() if cons[i][3] == _GT}
-    bound_rows = set(bound.values())
-    row_cons = [i for i in range(len(cons)) if i not in bound_rows]
-    strict = bool(strict_vars) or any(cons[i][3] == _GT for i in row_cons)
-    t = n + sum(cons[i][3] != _EQ for i in row_cons)
-    ncols = t + 2 if strict else t
-    rows, rhs = [], []
-    slack = n
-    for i in row_cons:
-        a, b, _, kind = cons[i]
-        row = a + [0] * (ncols - n)
-        if kind != _EQ:
-            row[slack] = -1
-            slack += 1
-        if strict:
-            row[t] = sum(a[j] for j in strict_vars) - (kind == _GT)
-        rows.append(row)
-        rhs.append(b)
-    if strict:
-        rows.append([0] * t + [1, 1])
-        rhs.append(1)
-    tab = _Tableau(rows, rhs, ncols)
-    feasible = tab.phase_one() and (not strict or tab.raise_column(t))
-
-    def certify():
-        if feasible:
-            v = tab.solution()
-            lift = v[t] if strict else 0
-            return tuple(v[j] + lift if j in strict_vars else v[j] for j in range(n))
-        pi = tab.multipliers()
-        y = [Fraction(0)] * len(cons)
-        for r, i in enumerate(row_cons):
-            y[i] = -pi[r]
-        for j, i in bound.items():  # the bound reads c x_j >= 0 for some c > 0
-            y[i] = sum(p * row[j] for p, row in zip(pi, rows)) / cons[i][0][j]
-        return tuple(x * c[2] for x, c in zip(y, cons))
-
-    return feasible, certify
-
-
-def _dual(n, cons):
-    """Some variable is free.  Homogenised by tau > 0, the system is
-    infeasible iff some y, free on equalities and >= 0 elsewhere, has
-    sum y_i a_i = 0 and sum y_i (b_i + [i strict]) = 1 with y.b >= 0
-    (Motzkin); without strict constraints y.b = 1 already.  That is one
-    column per constraint (two per equality) and n + 1 rows, plus the row
-    y.b - y_tau = 0 when something is strict."""
-    strict = any(c[3] == _GT for c in cons)
-    cols = [(i, s) for i, c in enumerate(cons) for s in ((1, -1) if c[3] == _EQ else (1,))]
-    rows = [[s * cons[i][0][r] for i, s in cols] for r in range(n)]
-    rows.append([s * (cons[i][1] + (cons[i][3] == _GT)) for i, s in cols])
-    rhs = [0] * n + [1]
-    if strict:
-        rows = [row + [0] for row in rows]
-        rows.append([s * cons[i][1] for i, s in cols] + [-1])
-        rhs.append(0)
-    tab = _Tableau(rows, rhs, len(cols) + strict)
-    feasible = not tab.phase_one()
-
-    def certify():
-        if not feasible:
-            y = [Fraction(0)] * len(cons)
-            for (i, s), v in zip(cols, tab.solution()):
-                y[i] += s * v
-            return tuple(x * c[2] for x, c in zip(y, cons))
-        # pi.M >= 0 and pi.c < 0: x = pi[:n] / sigma meets every constraint
-        pi = tab.multipliers()
-        sigma = -sum(pi[n:])
-        return tuple(p / sigma for p in pi[:n])
-
-    return feasible, certify
-
-
-class _Tableau:
-    """Simplex tableau for { v >= 0 : M v = c }, M and c integer.
-
-    Rows are kept fraction-free: for the current basis B they hold
-    det(B) * B^-1 [M | c], integers by Cramer's rule, so a pivot on p sets
-    x <- (p*x - f*y) // det exactly (Bareiss), and det stays positive.
-    Rows with c_i < 0 are negated first.  A row starts on a unit column of
-    M if it has one, on an implicit artificial column (index ncols + i)
-    otherwise; artificials never re-enter, so their columns are not
-    stored.  Bland's rule (least entering column, ties in the ratio test
-    to the least basic index) rules out cycling.  The objective is the
-    last row, holding det times the negated reduced costs and the value.
-    """
-
-    def __init__(self, rows, rhs, ncols):
-        self.ncols = ncols
-        self.m = len(rows)
-        self.sign = [-1 if c < 0 else 1 for c in rhs]
-        self.rows = [[s * x for x in (*row, c)] for s, row, c in zip(self.sign, rows, rhs)]
-        self.det = 1
-        self.basis = [ncols + i for i in range(self.m)]
-        for j in range(ncols):
-            hits = [i for i, row in enumerate(self.rows) if row[j]]
-            if len(hits) == 1 and self.rows[hits[0]][j] == 1 and self.basis[hits[0]] >= ncols:
-                self.basis[hits[0]] = j
-        self.T = list(self.rows)
-        self.cost = None
-
-    def phase_one(self) -> bool:
-        """Maximise minus the sum of the artificials; True iff it reaches
-        zero, i.e. iff M v = c has a solution v >= 0."""
-        n, m = self.ncols, self.m
-        art = [row for row, j in zip(self.rows, self.basis) if j >= n]
-        self.T.append([-sum(col) for col in zip(*art)] if art else [0] * (n + 1))
-        self.cost = lambda j: -(j >= n)
-        self._run(lambda: self.T[m][n] == 0)
-        value = self.T[m][n]
-        if value > 0:
-            raise RuntimeError("simplex invariant broken: positive phase-1 value")
-        return value == 0
-
-    def raise_column(self, t: int) -> bool:
-        """Phase 2: maximise v_t, stopping once it is positive; True iff it
-        can be.  Artificials left basic at zero are pivoted out first where
-        their row has a nonzero entry (a row without one is redundant and
-        stays zero)."""
-        n, m = self.ncols, self.m
-        for i in range(m):
-            if self.basis[i] >= n:
-                j = next((j for j in range(n) if self.T[i][j]), None)
-                if j is not None:
-                    self._pivot(i, j)
-        obj = [0] * (n + 1)
-        obj[t] = -self.det
-        if t in self.basis:
-            obj = [x + y for x, y in zip(obj, self.T[self.basis.index(t)])]
-        self.T[m] = obj
-        self.cost = lambda j: int(j == t)
-
-        def positive():
-            return t in self.basis and self.T[self.basis.index(t)][n] > 0
-
-        self._run(positive)
-        return positive()
-
-    def _run(self, done):
-        n, m, basis = self.ncols, self.m, self.basis
-        while not done():
-            T = self.T
-            obj = T[m]
-            c = next((j for j in range(n) if obj[j] < 0), None)
-            if c is None:
-                return
-            r = None
-            for i in range(m):
-                a = T[i][c]
-                if a > 0:
-                    if r is not None:
-                        lhs, rhs = T[i][n] * den, num * a
-                        if lhs > rhs or (lhs == rhs and basis[i] > basis[r]):
-                            continue
-                    r, num, den = i, T[i][n], a
-            if r is None:
-                raise RuntimeError("simplex invariant broken: unbounded objective")
-            self._pivot(r, c)
-
-    def _pivot(self, r, c):
-        T, det = self.T, self.det
-        pr = T[r]
-        p = pr[c]
-        for i, row in enumerate(T):
-            if i != r:
-                f = row[c]
-                T[i] = [(p * x - f * y) // det for x, y in zip(row, pr)]
-        if p < 0:
-            self.T = [[-x for x in row] for row in T]
-            p = -p
-        self.det = p
-        self.basis[r] = c
-
-    def solution(self) -> list[Fraction]:
-        """The current basic solution, one value per column of M."""
-        n = self.ncols
-        v = [Fraction(0)] * n
-        for row, j in zip(self.T, self.basis):
-            if j < n:
-                v[j] = Fraction(row[n], self.det)
-        return v
-
-    def multipliers(self) -> list[Fraction]:
-        """Simplex multipliers of the current basis B and objective: pi
-        with pi.B = the costs of the basic columns, for the rows as given
-        (before any negation).  At an optimum pi.M_j >= cost_j on every
-        column."""
-        n, m = self.ncols, self.m
-        eqs = [
-            ([row[j] for row in self.rows] if j < n else [int(i == j - n) for i in range(m)]) + [self.cost(j)]
-            for j in self.basis
-        ]
-        reduced, pivots = row_echelon(eqs, m)
-        if len(pivots) != m:
-            raise RuntimeError("simplex invariant broken: singular basis")
-        return [s * row[m] for s, row in zip(self.sign, reduced)]
-
 
 # ---------------------------------------------------------------------------
 # double description (facets of a cone from its generators)
@@ -399,6 +118,118 @@ def double_description(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], 
         for h, z in rays
     ]
     return tuple(pivots), facets, tests
+
+
+# ---------------------------------------------------------------------------
+# separation (Gordan and Motzkin on the facets)
+# ---------------------------------------------------------------------------
+
+
+def _separating(
+    equal: Sequence[Sequence[int]], weak: Sequence[Sequence[int]], strict: Sequence[Sequence[int]]
+) -> Optional[Vec]:
+    """An integer y with y.e = 0 on the equal rows, y.r >= 0 on the weak
+    and y.s > 0 on the strict ones, or None; some row must be nonzero.
+
+    Such y form the face of the dual of cone(rows) spanned by the normals
+    of the facets holding every equal row, from one double-description
+    run.  By Gordan and Motzkin y exists iff no strict row lies on all of
+    those facets (a zero row always does), and then their sum is one."""
+    if not all(map(any, strict)):
+        return None
+    equal = [r for r in equal if any(r)]
+    rows = equal + [r for r in weak if any(r)] + list(strict)
+    _, facets, _ = double_description(rows)
+    held, lineal, normals = set(range(len(equal))), set(range(len(rows))), []
+    for h, members in facets:
+        if held <= members:
+            normals.append(h)
+            lineal &= members
+    if not lineal.isdisjoint(range(len(rows) - len(strict), len(rows))):
+        return None
+    return tuple(map(sum, zip(*normals))) if normals else (0,) * len(rows[0])
+
+
+# A system is three lists of (coeffs, rhs) pairs: equalities a.x = b,
+# inequalities a.x >= b and strict inequalities a.x > b.  Each becomes the
+# integer row (a, -b), times the lcm of its denominators, in the variables
+# (x, t); with t > 0 strict, (x, t) solves the rows iff x / t solves it.
+
+_EQ, _GE, _GT = 0, 1, 2
+
+
+def linear_feasible(
+    nvars: int,
+    equalities: Sequence[tuple[Sequence, object]] = (),
+    gte: Sequence[tuple[Sequence, object]] = (),
+    gt: Sequence[tuple[Sequence, object]] = (),
+) -> bool:
+    """Decide whether the mixed system { a.x = b, c.x >= d, e.x > f } has
+    a rational solution.  Exact: one double-description run on the
+    homogenised rows."""
+    return _feasible_point(nvars, _homogenise(nvars, equalities, gte, gt)) is not None
+
+
+def feasibility_certificate(
+    nvars: int,
+    equalities: Sequence[tuple[Sequence, object]] = (),
+    gte: Sequence[tuple[Sequence, object]] = (),
+    gt: Sequence[tuple[Sequence, object]] = (),
+) -> tuple[bool, tuple[Fraction, ...]]:
+    """The verdict of `linear_feasible` with a certificate that a separate
+    checker can verify exactly.
+
+    (True, x): x satisfies every constraint.  (False, y): one multiplier
+    per constraint, equalities first, then gte, then gt, with y >= 0 on
+    the inequalities and sum y_i a_i = 0, and either y.b > 0, or y.b = 0
+    and y > 0 on some strict inequality (Motzkin's transposition theorem).
+    """
+    cons = _homogenise(nvars, equalities, gte, gt)
+    x = _feasible_point(nvars, cons)
+    if x is not None:
+        return True, x
+    return False, _motzkin_multipliers(nvars, cons)
+
+
+def _homogenise(nvars, equalities, gte, gt):
+    """[(integer row (a, -b), kind, scale)], one per constraint in order."""
+    cons = []
+    for kind, rows in ((_EQ, equalities), (_GE, gte), (_GT, gt)):
+        for a, b in rows:
+            if len(a) != nvars:
+                raise ValueError("constraint length differs from the number of variables")
+            vals = [Fraction(x) for x in (*a, -b)]
+            scale = math.lcm(*(x.denominator for x in vals))
+            cons.append((tuple(x.numerator * (scale // x.denominator) for x in vals), kind, scale))
+    return cons
+
+
+def _feasible_point(n, cons) -> Optional[tuple[Fraction, ...]]:
+    """A solution of the system, or None: a functional y on the rows with
+    y_t > 0, read back as x = y[:n] / y_t."""
+    y = _separating(
+        [r for r, kind, _ in cons if kind == _EQ],
+        [r for r, kind, _ in cons if kind == _GE],
+        [r for r, kind, _ in cons if kind == _GT] + [(0,) * n + (1,)],
+    )
+    return None if y is None else tuple(Fraction(v, y[n]) for v in y[:n])
+
+
+def _motzkin_multipliers(n, cons) -> tuple[Fraction, ...]:
+    """Motzkin multipliers for an infeasible system: lambda.A = 0 on the
+    rows A of the constraints and t, lambda >= 0 on the inequalities and
+    t, > 0 on some strict one; then y_i = lambda_i * scale_i and y.b =
+    lambda_t.  Such lambda are mu.U[r:], U from the Smith form of A, with
+    mu.c_i >= 0 on the columns c_i of U[r:] at the inequalities; the sum
+    of the facet normals of the nonzero c_i is one, > 0 off the lineality
+    space, where infeasibility puts some strict c_i."""
+    rows = [r for r, _, _ in cons] + [(0,) * n + (1,)]
+    kinds = [kind for _, kind, _ in cons] + [_GT]
+    U, D, _ = smith_normal_form(IntMatrix.from_rows(rows, cols=n + 1))
+    kernel = U.entries[sum(1 for x in D.diagonal() if x) :]
+    cols = [tuple(z[i] for z in kernel) for i in range(len(rows))]
+    mu = _separating((), [c for c, kind in zip(cols, kinds) if kind != _EQ and any(c)], ())
+    return tuple(Fraction(vdot(mu, c) * scale) for c, (_, _, scale) in zip(cols, cons))
 
 
 # ---------------------------------------------------------------------------
@@ -510,25 +341,35 @@ class Cone:
         return self.contains
 
     def is_strongly_convex(self) -> bool:
-        """True iff the cone contains no line, i.e. some functional is
-        strictly positive on every generator.  Independent generators
-        always admit one."""
+        """True iff the cone contains no line, i.e. no generator lies in
+        its lineality space, on every facet.  Independent generators never
+        do; a line has no facets at all."""
         if len(self.generators) == self.dim:
             return True
-        cons = [(g, 1) for g in self.generators]
-        return linear_feasible(self.rank, gte=cons)
+        try:
+            facets = self.facet_data
+        except ValueError:  # a line
+            return False
+        return not any(all(i in members for members, _ in facets) for i in range(len(self.generators)))
 
     def generators_extremal(self) -> bool:
         """Every listed generator spans an extremal ray (always so for
-        independent generators)."""
+        independent generators).  A generator g is redundant iff it lies
+        in the cone over the other generators on every facet through g:
+        each generator in a combination for g is on every facet g is on.
+        On a pointed cone an extremal g has no such others."""
         if len(self.generators) == self.dim:
             return True
-        k = len(self.generators) - 1
-        bounds = [(tuple(int(i == j) for j in range(k)), 0) for i in range(k)]
+        try:
+            facets = self.facet_data
+        except ValueError:  # a line: neither generator spans the other
+            return True
         for i, g in enumerate(self.generators):
-            others = self.generators[:i] + self.generators[i + 1 :]
-            eqs = [(tuple(o[d] for o in others), g[d]) for d in range(self.rank)]
-            if linear_feasible(k, equalities=eqs, gte=bounds):
+            flat = frozenset(range(len(self.generators))) - {i}
+            for members, _ in facets:
+                if i in members:
+                    flat &= members
+            if flat and Cone(tuple(self.generators[j] for j in flat), self.rank).contains(g):
                 return False
         return True
 
@@ -685,15 +526,14 @@ def validate_fan(fan: Fan) -> Diagnostics:
 
 
 def _meet_in_common_face(fan: Fan, ca: tuple[int, ...], cb: tuple[int, ...]) -> bool:
-    """True iff cone(ca) and coneb meet exactly in cone(ca & cb), which is
-    then a face of both.  Decided by searching for a functional that is
-    zero on the common rays, >= 1 on the rest of ca and <= -1 on the rest
-    of cb; such a functional exposes the common face on both sides."""
+    """True iff cone(ca) and cone(cb) meet exactly in cone(ca & cb), which
+    is then a face of both: iff some functional is zero on the common
+    rays, > 0 on the rest of ca and < 0 on the rest of cb, for it exposes
+    the common face on both sides."""
     common = set(ca) & set(cb)
-    eqs = [(fan.rays[i], 0) for i in common]
-    gte = [(fan.rays[i], 1) for i in ca if i not in common]
-    gte += [(tuple(-x for x in fan.rays[i]), 1) for i in cb if i not in common]
-    return linear_feasible(fan.rank, equalities=eqs, gte=gte)
+    strict = [fan.rays[i] for i in ca if i not in common]
+    strict += [tuple(-x for x in fan.rays[i]) for i in cb if i not in common]
+    return _separating([fan.rays[i] for i in common], (), strict) is not None
 
 
 def is_simplicial(fan: Fan) -> bool:

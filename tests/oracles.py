@@ -3,8 +3,9 @@
 Everything in this module recomputes expected values by a route different
 from the library's own: gcds of minors instead of elimination, exhaustive
 lattice scans instead of region arithmetic, angular walks instead of wall
-counting, Fourier-Motzkin elimination instead of simplex pivots, subset
-scans and simplex LPs instead of the double description, Gauss-Jordan
+counting, Fourier-Motzkin elimination and simplex pivots instead of the
+double description's lineality test, subset scans and simplex LPs
+instead of its facets, Gauss-Jordan
 solves and per-call Smith forms instead of a cone's cached Smith chart
 (and a Fraction nullspace instead of its span equations), a Vieta-jump
 search with a seen set instead of the Markov tree walk.  numpy is used
@@ -22,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from toriclab.fan import Fan, is_complete, is_simplicial, linear_feasible, walls
+from toriclab.fan import Fan, is_complete, is_simplicial, walls
 from toriclab.markov import MarkovTriple
 from toriclab.lattice import (
     IntMatrix,
@@ -176,6 +177,287 @@ def linear_feasible_fm(
         if kind == "gt" and rhs >= 0:
             return False
     return True
+
+
+# ------------------------------------- linear feasibility by the simplex
+
+# The two-phase simplex the double description replaced in fan.py, moved
+# here unchanged: the oracle for fan.linear_feasible, and the LP behind the
+# cone and polytope oracles below.
+
+# A system is three lists of (coeffs, rhs) pairs: equalities a.x = b,
+# inequalities a.x >= b and strict inequalities a.x > b.  Each constraint is
+# scaled once by the lcm of its denominators, so every tableau below holds
+# integers only.
+
+_EQ, _GE, _GT = 0, 1, 2
+
+
+def linear_feasible_simplex(
+    nvars: int,
+    equalities: Sequence[tuple[Sequence, object]] = (),
+    gte: Sequence[tuple[Sequence, object]] = (),
+    gt: Sequence[tuple[Sequence, object]] = (),
+) -> bool:
+    """Decide whether the mixed system { a.x = b, c.x >= d, e.x > f } has
+    a rational solution.  Exact: one simplex run, on the system itself
+    when every variable carries a sign bound (x_j >= 0 or x_j > 0 among
+    the inequalities), on its Farkas dual otherwise."""
+    return _solve(nvars, equalities, gte, gt)[0]
+
+
+def feasibility_certificate_simplex(
+    nvars: int,
+    equalities: Sequence[tuple[Sequence, object]] = (),
+    gte: Sequence[tuple[Sequence, object]] = (),
+    gt: Sequence[tuple[Sequence, object]] = (),
+) -> tuple[bool, tuple[Fraction, ...]]:
+    """The verdict of `linear_feasible_simplex` with a certificate that a
+    separate checker can verify exactly.
+
+    (True, x): x satisfies every constraint.  (False, y): one multiplier
+    per constraint, equalities first, then gte, then gt, with y >= 0 on
+    the inequalities and sum y_i a_i = 0, and either y.b > 0, or y.b = 0
+    and y > 0 on some strict inequality (Motzkin's transposition theorem).
+    """
+    feasible, certify = _solve(nvars, equalities, gte, gt)
+    return feasible, certify()
+
+
+def _solve(nvars, equalities, gte, gt):
+    """(verdict, function computing its certificate)."""
+    cons = [
+        (*_integral(a, b, nvars), kind)
+        for kind, rows in ((_EQ, equalities), (_GE, gte), (_GT, gt))
+        for a, b in rows
+    ]
+    # sign bounds: variable -> the constraint x_j >= 0 or x_j > 0 (strict wins)
+    bound = {}
+    for i, (a, b, _, kind) in enumerate(cons):
+        if kind != _EQ and b == 0:
+            nonzero = [j for j, x in enumerate(a) if x]
+            if len(nonzero) == 1 and a[nonzero[0]] > 0 and (nonzero[0] not in bound or kind == _GT):
+                bound[nonzero[0]] = i
+    if len(bound) == nvars:
+        return _primal(nvars, cons, bound)
+    return _dual(nvars, cons)
+
+
+def _integral(coeffs, rhs, nvars):
+    """(integer coeffs, integer rhs, scale): the constraint times the lcm
+    of its denominators, which has the same solutions."""
+    if len(coeffs) != nvars:
+        raise ValueError("constraint length differs from the number of variables")
+    if type(rhs) is int and all(type(x) is int for x in coeffs):
+        return list(coeffs), rhs, 1
+    vals = [Fraction(x) for x in (*coeffs, rhs)]
+    scale = math.lcm(*(x.denominator for x in vals))
+    ints = [x.numerator * (scale // x.denominator) for x in vals]
+    return ints[:-1], ints[-1], scale
+
+
+def _primal(n, cons, bound):
+    """Every variable is sign-bounded, so it is a nonnegative column: x_j
+    itself, or mu_j with x_j = mu_j + t for a strict bound.  Every other
+    constraint is a row; an inequality gets a slack column s, a.x - s = b
+    (a.x - s - t = b when strict).  With anything strict, t + u = 1 is one
+    more row and phase 2 maximises t, stopping once t > 0."""
+    strict_vars = {j for j, i in bound.items() if cons[i][3] == _GT}
+    bound_rows = set(bound.values())
+    row_cons = [i for i in range(len(cons)) if i not in bound_rows]
+    strict = bool(strict_vars) or any(cons[i][3] == _GT for i in row_cons)
+    t = n + sum(cons[i][3] != _EQ for i in row_cons)
+    ncols = t + 2 if strict else t
+    rows, rhs = [], []
+    slack = n
+    for i in row_cons:
+        a, b, _, kind = cons[i]
+        row = a + [0] * (ncols - n)
+        if kind != _EQ:
+            row[slack] = -1
+            slack += 1
+        if strict:
+            row[t] = sum(a[j] for j in strict_vars) - (kind == _GT)
+        rows.append(row)
+        rhs.append(b)
+    if strict:
+        rows.append([0] * t + [1, 1])
+        rhs.append(1)
+    tab = _Tableau(rows, rhs, ncols)
+    feasible = tab.phase_one() and (not strict or tab.raise_column(t))
+
+    def certify():
+        if feasible:
+            v = tab.solution()
+            lift = v[t] if strict else 0
+            return tuple(v[j] + lift if j in strict_vars else v[j] for j in range(n))
+        pi = tab.multipliers()
+        y = [Fraction(0)] * len(cons)
+        for r, i in enumerate(row_cons):
+            y[i] = -pi[r]
+        for j, i in bound.items():  # the bound reads c x_j >= 0 for some c > 0
+            y[i] = sum(p * row[j] for p, row in zip(pi, rows)) / cons[i][0][j]
+        return tuple(x * c[2] for x, c in zip(y, cons))
+
+    return feasible, certify
+
+
+def _dual(n, cons):
+    """Some variable is free.  Homogenised by tau > 0, the system is
+    infeasible iff some y, free on equalities and >= 0 elsewhere, has
+    sum y_i a_i = 0 and sum y_i (b_i + [i strict]) = 1 with y.b >= 0
+    (Motzkin); without strict constraints y.b = 1 already.  That is one
+    column per constraint (two per equality) and n + 1 rows, plus the row
+    y.b - y_tau = 0 when something is strict."""
+    strict = any(c[3] == _GT for c in cons)
+    cols = [(i, s) for i, c in enumerate(cons) for s in ((1, -1) if c[3] == _EQ else (1,))]
+    rows = [[s * cons[i][0][r] for i, s in cols] for r in range(n)]
+    rows.append([s * (cons[i][1] + (cons[i][3] == _GT)) for i, s in cols])
+    rhs = [0] * n + [1]
+    if strict:
+        rows = [row + [0] for row in rows]
+        rows.append([s * cons[i][1] for i, s in cols] + [-1])
+        rhs.append(0)
+    tab = _Tableau(rows, rhs, len(cols) + strict)
+    feasible = not tab.phase_one()
+
+    def certify():
+        if not feasible:
+            y = [Fraction(0)] * len(cons)
+            for (i, s), v in zip(cols, tab.solution()):
+                y[i] += s * v
+            return tuple(x * c[2] for x, c in zip(y, cons))
+        # pi.M >= 0 and pi.c < 0: x = pi[:n] / sigma meets every constraint
+        pi = tab.multipliers()
+        sigma = -sum(pi[n:])
+        return tuple(p / sigma for p in pi[:n])
+
+    return feasible, certify
+
+
+class _Tableau:
+    """Simplex tableau for { v >= 0 : M v = c }, M and c integer.
+
+    Rows are kept fraction-free: for the current basis B they hold
+    det(B) * B^-1 [M | c], integers by Cramer's rule, so a pivot on p sets
+    x <- (p*x - f*y) // det exactly (Bareiss), and det stays positive.
+    Rows with c_i < 0 are negated first.  A row starts on a unit column of
+    M if it has one, on an implicit artificial column (index ncols + i)
+    otherwise; artificials never re-enter, so their columns are not
+    stored.  Bland's rule (least entering column, ties in the ratio test
+    to the least basic index) rules out cycling.  The objective is the
+    last row, holding det times the negated reduced costs and the value.
+    """
+
+    def __init__(self, rows, rhs, ncols):
+        self.ncols = ncols
+        self.m = len(rows)
+        self.sign = [-1 if c < 0 else 1 for c in rhs]
+        self.rows = [[s * x for x in (*row, c)] for s, row, c in zip(self.sign, rows, rhs)]
+        self.det = 1
+        self.basis = [ncols + i for i in range(self.m)]
+        for j in range(ncols):
+            hits = [i for i, row in enumerate(self.rows) if row[j]]
+            if len(hits) == 1 and self.rows[hits[0]][j] == 1 and self.basis[hits[0]] >= ncols:
+                self.basis[hits[0]] = j
+        self.T = list(self.rows)
+        self.cost = None
+
+    def phase_one(self) -> bool:
+        """Maximise minus the sum of the artificials; True iff it reaches
+        zero, i.e. iff M v = c has a solution v >= 0."""
+        n, m = self.ncols, self.m
+        art = [row for row, j in zip(self.rows, self.basis) if j >= n]
+        self.T.append([-sum(col) for col in zip(*art)] if art else [0] * (n + 1))
+        self.cost = lambda j: -(j >= n)
+        self._run(lambda: self.T[m][n] == 0)
+        value = self.T[m][n]
+        if value > 0:
+            raise RuntimeError("simplex invariant broken: positive phase-1 value")
+        return value == 0
+
+    def raise_column(self, t: int) -> bool:
+        """Phase 2: maximise v_t, stopping once it is positive; True iff it
+        can be.  Artificials left basic at zero are pivoted out first where
+        their row has a nonzero entry (a row without one is redundant and
+        stays zero)."""
+        n, m = self.ncols, self.m
+        for i in range(m):
+            if self.basis[i] >= n:
+                j = next((j for j in range(n) if self.T[i][j]), None)
+                if j is not None:
+                    self._pivot(i, j)
+        obj = [0] * (n + 1)
+        obj[t] = -self.det
+        if t in self.basis:
+            obj = [x + y for x, y in zip(obj, self.T[self.basis.index(t)])]
+        self.T[m] = obj
+        self.cost = lambda j: int(j == t)
+
+        def positive():
+            return t in self.basis and self.T[self.basis.index(t)][n] > 0
+
+        self._run(positive)
+        return positive()
+
+    def _run(self, done):
+        n, m, basis = self.ncols, self.m, self.basis
+        while not done():
+            T = self.T
+            obj = T[m]
+            c = next((j for j in range(n) if obj[j] < 0), None)
+            if c is None:
+                return
+            r = None
+            for i in range(m):
+                a = T[i][c]
+                if a > 0:
+                    if r is not None:
+                        lhs, rhs = T[i][n] * den, num * a
+                        if lhs > rhs or (lhs == rhs and basis[i] > basis[r]):
+                            continue
+                    r, num, den = i, T[i][n], a
+            if r is None:
+                raise RuntimeError("simplex invariant broken: unbounded objective")
+            self._pivot(r, c)
+
+    def _pivot(self, r, c):
+        T, det = self.T, self.det
+        pr = T[r]
+        p = pr[c]
+        for i, row in enumerate(T):
+            if i != r:
+                f = row[c]
+                T[i] = [(p * x - f * y) // det for x, y in zip(row, pr)]
+        if p < 0:
+            self.T = [[-x for x in row] for row in T]
+            p = -p
+        self.det = p
+        self.basis[r] = c
+
+    def solution(self) -> list[Fraction]:
+        """The current basic solution, one value per column of M."""
+        n = self.ncols
+        v = [Fraction(0)] * n
+        for row, j in zip(self.T, self.basis):
+            if j < n:
+                v[j] = Fraction(row[n], self.det)
+        return v
+
+    def multipliers(self) -> list[Fraction]:
+        """Simplex multipliers of the current basis B and objective: pi
+        with pi.B = the costs of the basic columns, for the rows as given
+        (before any negation).  At an optimum pi.M_j >= cost_j on every
+        column."""
+        n, m = self.ncols, self.m
+        eqs = [
+            ([row[j] for row in self.rows] if j < n else [int(i == j - n) for i in range(m)]) + [self.cost(j)]
+            for j in self.basis
+        ]
+        reduced, pivots = row_echelon(eqs, m)
+        if len(pivots) != m:
+            raise RuntimeError("simplex invariant broken: singular basis")
+        return [s * row[m] for s, row in zip(self.sign, reduced)]
 
 
 # -------------------------------------------------------- 2D cone lattice
@@ -840,8 +1122,33 @@ def cone_contains_lp(cone, x, strict):
     eqs = [(tuple(g[d] for g in cone.generators), x[d]) for d in range(cone.rank)]
     bounds = [(tuple(1 if i == j else 0 for j in range(k)), 0) for i in range(k)]
     if strict:
-        return linear_feasible(k, equalities=eqs, gt=bounds)
-    return linear_feasible(k, equalities=eqs, gte=bounds)
+        return linear_feasible_simplex(k, equalities=eqs, gt=bounds)
+    return linear_feasible_simplex(k, equalities=eqs, gte=bounds)
+
+
+def strongly_convex_lp(cone) -> bool:
+    """Some functional is >= 1 on every generator."""
+    return linear_feasible_simplex(cone.rank, gte=[(g, 1) for g in cone.generators])
+
+
+def generators_extremal_lp(cone) -> bool:
+    """No generator is a nonnegative combination of the others."""
+    gens = cone.generators
+    for i, g in enumerate(gens):
+        others = gens[:i] + gens[i + 1 :]
+        if others and cone_contains_lp(type(cone)(others, cone.rank), g, strict=False):
+            return False
+    return True
+
+
+def meet_in_common_face_lp(fan, ca, cb) -> bool:
+    """Some functional is zero on the rays ca and cb share, >= 1 on the
+    rest of ca and <= -1 on the rest of cb."""
+    common = set(ca) & set(cb)
+    eqs = [(fan.rays[i], 0) for i in common]
+    gte = [(fan.rays[i], 1) for i in ca if i not in common]
+    gte += [(tuple(-x for x in fan.rays[i]), 1) for i in cb if i not in common]
+    return linear_feasible_simplex(fan.rank, equalities=eqs, gte=gte)
 
 
 def cone_contains_nullspace(cone, x, strict):
@@ -865,7 +1172,7 @@ def is_face_lp(sub, cone):
         return False
     eqs = [(g, 0) for g in sub.generators]
     gte = [(g, 1) for g in cone.generators if g not in sub_set]
-    return linear_feasible(cone.rank, equalities=eqs, gte=gte)
+    return linear_feasible_simplex(cone.rank, equalities=eqs, gte=gte)
 
 
 def hull_vertices_lp(pts, rank):
@@ -885,7 +1192,7 @@ def _in_hull(p, pts, rank) -> bool:
     eqs = [(tuple(q[d] for q in pts), p[d]) for d in range(rank)]
     eqs.append((tuple(1 for _ in range(k)), 1))
     nonneg = [(tuple(1 if i == j else 0 for j in range(k)), 0) for i in range(k)]
-    return linear_feasible(k, equalities=eqs, gte=nonneg)
+    return linear_feasible_simplex(k, equalities=eqs, gte=nonneg)
 
 
 def origin_interior_lp(vertices, rank):
@@ -895,7 +1202,7 @@ def origin_interior_lp(vertices, rank):
     eqs = [(tuple(v[d] for v in vertices), 0) for d in range(rank)]
     eqs.append((tuple(1 for _ in range(k)), 1))
     pos = [(tuple(1 if i == j else 0 for j in range(k)), 0) for i in range(k)]
-    return linear_feasible(k, equalities=eqs, gt=pos)
+    return linear_feasible_simplex(k, equalities=eqs, gt=pos)
 
 
 # ------------------------------------------------------ random instances

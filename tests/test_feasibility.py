@@ -1,5 +1,7 @@
-"""The simplex feasibility kernel, checked against Fourier-Motzkin
-elimination (kept in oracles.py), its certificates checked exactly, and the
+"""The feasibility kernel (homogenised rows, one double-description run,
+Gordan and Motzkin on its facets), checked against Fourier-Motzkin
+elimination and the two-phase simplex it replaced (both kept in
+oracles.py), its certificates and the simplex's checked exactly, and the
 geometric predicates that used to blow up under elimination."""
 
 import itertools
@@ -12,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from toriclab.fan import Cone, feasibility_certificate, linear_feasible, validate_fan
 from toriclab.polytope import Polytope, face_fan, is_reflexive
 
-from oracles import linear_feasible_fm
+from oracles import feasibility_certificate_simplex, linear_feasible_fm, linear_feasible_simplex
 
 COEFFS = (0, 0, 1, -1, 2, -2, 3, Fraction(1, 2), Fraction(-2, 3))
 RHS = (0, 0, 1, -1, 2, Fraction(-1, 3))
@@ -51,13 +53,15 @@ def check_against_fm(nvars, eqs=(), gte=(), gt=()):
     feasible, cert = feasibility_certificate(nvars, eqs, gte, gt)
     assert feasible == expected
     check_certificate(nvars, eqs, gte, gt, feasible, cert)
+    assert linear_feasible_simplex(nvars, eqs, gte, gt) == expected
+    check_certificate(nvars, eqs, gte, gt, *feasibility_certificate_simplex(nvars, eqs, gte, gt))
     return expected
 
 
 def _random_system(rng):
     """0-4 variables, 0-6 mixed constraints, some of them sign bounds; a
-    third of the systems bound every variable, which selects the primal
-    simplex instead of the Farkas dual."""
+    third of the systems bound every variable, which takes the oracle
+    simplex down its primal route instead of the Farkas dual."""
     n = rng.randint(0, 4)
     eqs, gte, gt = [], [], []
     for _ in range(rng.randint(0, 6)):

@@ -47,6 +47,7 @@ MALFORMED = [
     ["fan", "subdivide", P2, "--stratum", ""],
     ["fan", "subdivide", P2, "--stratum", "0,9"],
     ["fan", "subdivide", P2, "--stratum", "-1"],
+    ["fan", "subdivide", P2, "--stratum", "0,0"],
     ["fan", "subdivide", P2, "--stratum", "0,1", "--ray=x"],
     ["fan", "subdivide", P2, "--stratum", "0,1", "--ray=0,0"],
     ["fan", "subdivide", P2, "--stratum", "0,1", "--ray=1,2,3"],
