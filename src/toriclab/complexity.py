@@ -3,12 +3,18 @@
 A decomposition writes the boundary as a weighted sum of reduced
 torus-invariant divisors.  Its complexity is
 
-    c  =  dim X  +  rank of the span of the part classes in Cl tensor Q
-          -  sum of the weights,
+    c  =  dim X  +  rho  -  sum of the weights,
 
-computed in exact rational arithmetic.  For a toric log Calabi-Yau pair
-with its prime decomposition this is zero, and it can never be negative
-for a log CY pair; a negative value here always means a bug.
+where rho, the rank of the span of the part classes in Cl tensor Q, is
+
+    rho  =  rank [P; R^T]  -  rank R
+
+for the ray matrix R (one ray per row) and the parts' indicator rows P:
+Cl tensor Q is Q^rays modulo the column span of R (the exact sequence
+0 -> M_Q -> Q^rays -> Cl(X)_Q -> 0).  Everything is exact integer and
+rational arithmetic.  For a toric log Calabi-Yau pair with its prime
+decomposition this is zero, and it can never be negative for a log CY
+pair; a negative value here always means a bug.
 """
 
 from __future__ import annotations
@@ -20,7 +26,6 @@ from typing import Iterable, Optional
 from toriclab.fan import Fan
 from toriclab.lattice import IntMatrix, rank as matrix_rank
 from toriclab.pairs import ToricPair, crepant_pullback
-from toriclab.toric import divisor_class
 
 
 @dataclass(frozen=True)
@@ -86,14 +91,10 @@ def complexity(pair: ToricPair, decomposition: Decomposition) -> ComplexityRepor
             raise ValueError(
                 f"decomposition mismatch at ray {pair.fan.rays[i]}: sums to {got}, boundary has {want}"
             )
-    class_rows = []
-    for _, rays in decomposition.parts:
-        indicator = [1 if i in rays else 0 for i in range(len(pair.fan.rays))]
-        class_rows.append(divisor_class(pair.variety, indicator).free)
-    if class_rows:
-        rho = matrix_rank(IntMatrix.from_rows(class_rows, cols=len(class_rows[0])))
-    else:
-        rho = 0
+    n = len(pair.fan.rays)
+    parts = [tuple(int(i in part) for i in range(n)) for _, part in decomposition.parts]
+    columns = list(zip(*pair.fan.rays))  # the rows of R^T
+    rho = matrix_rank(IntMatrix.from_rows(parts + columns, cols=n)) - matrix_rank(IntMatrix.from_rows(columns, cols=n))
     norm = decomposition.norm
     c = pair.dim + rho - norm
     return ComplexityReport(rho=rho, norm=norm, dim=pair.dim, c=c)

@@ -10,8 +10,9 @@ linear feasibility) ask whether a row lies in the lineality space of a
 cone, on every one of its facets (Gordan and Motzkin).  A cone with
 independent generators is strongly convex with every generator extremal,
 and no facets are computed.  Each cone also caches one Smith chart of its
-generator matrix (SolveChart), the integer solver for the linear pieces
-that toric and pairs read on it.  Nothing here ever touches a float.
+generator matrix (lattice.SolveChart, re-exported here), the integer
+solver for the linear pieces that toric and pairs read on it.  Nothing
+here ever touches a float.
 """
 
 from __future__ import annotations
@@ -25,11 +26,11 @@ from typing import Iterable, Optional, Sequence
 
 from toriclab.lattice import (
     IntMatrix,
+    SolveChart,
     Vec,
     is_zero,
     primitive,
     rank as matrix_rank,
-    smith_normal_form,
     vdot,
 )
 
@@ -219,14 +220,13 @@ def _motzkin_multipliers(n, cons) -> tuple[Fraction, ...]:
     """Motzkin multipliers for an infeasible system: lambda.A = 0 on the
     rows A of the constraints and t, lambda >= 0 on the inequalities and
     t, > 0 on some strict one; then y_i = lambda_i * scale_i and y.b =
-    lambda_t.  Such lambda are mu.U[r:], U from the Smith form of A, with
-    mu.c_i >= 0 on the columns c_i of U[r:] at the inequalities; the sum
-    of the facet normals of the nonzero c_i is one, > 0 off the lineality
-    space, where infeasibility puts some strict c_i."""
+    lambda_t.  Such lambda are mu.Z, Z the left-kernel rows of A's Smith
+    chart, with mu.c_i >= 0 on the columns c_i of Z at the inequalities;
+    the sum of the facet normals of the nonzero c_i is one, > 0 off the
+    lineality space, where infeasibility puts some strict c_i."""
     rows = [r for r, _, _ in cons] + [(0,) * n + (1,)]
     kinds = [kind for _, kind, _ in cons] + [_GT]
-    U, D, _ = smith_normal_form(IntMatrix.from_rows(rows, cols=n + 1))
-    kernel = U.entries[sum(1 for x in D.diagonal() if x) :]
+    kernel = SolveChart.of(IntMatrix.from_rows(rows, cols=n + 1)).Z
     cols = [tuple(z[i] for z in kernel) for i in range(len(rows))]
     mu = _separating((), [c for c, kind in zip(cols, kinds) if kind != _EQ and any(c)], ())
     return tuple(Fraction(vdot(mu, c) * scale) for c, (_, _, scale) in zip(cols, cons))
@@ -235,44 +235,6 @@ def _motzkin_multipliers(n, cons) -> tuple[Fraction, ...]:
 # ---------------------------------------------------------------------------
 # cones
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SolveChart:
-    """One Smith form U.G.V = diag(d) of a cone's generator matrix G (one
-    row per generator), read as an integer solver for G m = a.
-
-    d holds the r nonzero invariants and L = d[r-1] is the largest (1 when
-    r = 0).  M = sum over i < r of (L / d_i) V[:, i] (x) U[i] and Z = U[r:]:
-    G m = a has a rational solution iff Z.a = 0, and then m = M.a / L is
-    the one whose free Smith coordinates (V^-1 m)_i, i >= r, vanish.  As V
-    is unimodular, an integral solution exists iff that m is integral, i.e.
-    iff L divides M.a.
-    """
-
-    U: IntMatrix
-    d: tuple[int, ...]
-    V: IntMatrix
-    L: int
-    M: tuple[Vec, ...]
-    Z: tuple[Vec, ...]
-
-    @classmethod
-    def of(cls, G: IntMatrix) -> "SolveChart":
-        U, D, V = smith_normal_form(G)
-        d = tuple(x for x in D.diagonal() if x != 0)
-        r = len(d)
-        L = d[-1] if d else 1
-        scaled = [[L // di * x for x in row] for di, row in zip(d, U.entries)]
-        M = tuple(tuple(sum(vrow[i] * scaled[i][q] for i in range(r)) for q in range(G.rows)) for vrow in V.entries)
-        return cls(U, d, V, L, M, U.entries[r:])
-
-    def solve(self, a: Sequence[int]) -> Optional[Vec]:
-        """L.m for the chart's solution m of G m = a (a integral), or None
-        when G m = a has no rational solution."""
-        if any(vdot(z, a) for z in self.Z):
-            return None
-        return tuple(vdot(row, a) for row in self.M)
 
 
 @dataclass(frozen=True)
@@ -335,10 +297,6 @@ class Cone:
             return True
         values = (vdot(h, x) for _, h in facets)
         return all(v > 0 or (v == 0 and not strict) for v in values)
-
-    def membership_oracle(self):
-        """The predicate `contains`, for callers that take one."""
-        return self.contains
 
     def is_strongly_convex(self) -> bool:
         """True iff the cone contains no line, i.e. no generator lies in

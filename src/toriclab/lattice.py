@@ -7,7 +7,9 @@ vectors are ordinary tuples of ints; their length is the ambient rank.
 `row_echelon` is the only elimination over Q in the package; it accepts
 Fraction rows as readily as integer ones, and `solve_rational` reads its
 answer off the reduced rows.  `rank` and `det` share one fraction-free
-(Bareiss) elimination on integers instead.
+(Bareiss) elimination on integers instead.  Every Smith form is read
+through one chart (`SolveChart`): integer solves, cokernels, class groups
+and left kernels take its invariants and transforms.
 """
 
 from __future__ import annotations
@@ -189,14 +191,6 @@ class AbelianGroupStructure:
             if b % a != 0:
                 raise ValueError("torsion invariants violate divisibility chain")
 
-    @property
-    def is_free(self) -> bool:
-        return not self.torsion_invariants
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.torsion_invariants
-
 
 def _pick_pivot(a, t, rows, cols):
     """Smallest nonzero |entry| in the trailing block; ties by (row, col)."""
@@ -299,6 +293,45 @@ def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     return U, D, V
 
 
+@dataclass(frozen=True)
+class SolveChart:
+    """One Smith form U.G.V = diag(d) of an integer matrix G, read as an
+    integer solver for G m = a; the only reader of `smith_normal_form`.
+
+    d holds the r nonzero invariants and L = d[r-1] is the largest (1 when
+    r = 0).  M = sum over i < r of (L / d_i) V[:, i] (x) U[i] and Z = U[r:]:
+    G m = a has a rational solution iff Z.a = 0, and then m = M.a / L is
+    the one whose free Smith coordinates (V^-1 m)_i, i >= r, vanish.  As V
+    is unimodular, an integral solution exists iff that m is integral, i.e.
+    iff L divides M.a.  The rows of Z span the left kernel of G, and
+    Z^rows / column image of G is Z^(rows - r) + sum Z/d_i.
+    """
+
+    U: IntMatrix
+    d: tuple[int, ...]
+    V: IntMatrix
+    L: int
+    M: tuple[Vec, ...]
+    Z: tuple[Vec, ...]
+
+    @classmethod
+    def of(cls, G: IntMatrix) -> "SolveChart":
+        U, D, V = smith_normal_form(G)
+        d = tuple(x for x in D.diagonal() if x != 0)
+        r = len(d)
+        L = d[-1] if d else 1
+        scaled = [[L // di * x for x in row] for di, row in zip(d, U.entries)]
+        M = tuple(tuple(sum(vrow[i] * scaled[i][q] for i in range(r)) for q in range(G.rows)) for vrow in V.entries)
+        return cls(U, d, V, L, M, U.entries[r:])
+
+    def solve(self, a: Sequence[int]) -> Optional[Vec]:
+        """L.m for the chart's solution m of G m = a (a integral), or None
+        when G m = a has no rational solution."""
+        if any(vdot(z, a) for z in self.Z):
+            return None
+        return tuple(vdot(row, a) for row in self.M)
+
+
 def hermite_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     """Row-style Hermite normal form: returns (H, U) with H = U * M.
 
@@ -344,11 +377,8 @@ def hermite_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
 
 def cokernel_structure(M: IntMatrix) -> AbelianGroupStructure:
     """Structure of Z^rows modulo the column image of M."""
-    _, D, _ = smith_normal_form(M)
-    diag = [d for d in D.diagonal() if d != 0]
-    free = M.rows - len(diag)
-    torsion = tuple(d for d in diag if d >= 2)
-    return AbelianGroupStructure(free, torsion)
+    d = SolveChart.of(M).d
+    return AbelianGroupStructure(M.rows - len(d), tuple(x for x in d if x >= 2))
 
 
 def solve_rational(A: IntMatrix, b: Sequence) -> Optional[tuple[Fraction, ...]]:
@@ -365,16 +395,8 @@ def solve_rational(A: IntMatrix, b: Sequence) -> Optional[tuple[Fraction, ...]]:
 
 def solve_integer(A: IntMatrix, b: Sequence[int]) -> Optional[Vec]:
     """One integer solution x of A x = b, or None if none exists."""
-    U, D, V = smith_normal_form(A)
-    c = U.apply(tuple(int(x) for x in b))
-    y = [0] * A.cols
-    for i in range(A.rows):
-        d = D.entries[i][i] if i < min(A.rows, A.cols) else 0
-        if d == 0:
-            if c[i] != 0:
-                return None
-        else:
-            if c[i] % d != 0:
-                return None
-            y[i] = c[i] // d
-    return V.apply(tuple(y))
+    chart = SolveChart.of(A)
+    lm = chart.solve(tuple(int(x) for x in b))
+    if lm is None or any(x % chart.L for x in lm):
+        return None
+    return tuple(x // chart.L for x in lm)

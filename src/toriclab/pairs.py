@@ -19,8 +19,8 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from toriclab.fan import Cone, Diagnostics, Fan, is_refinement
-from toriclab.lattice import IntMatrix, Vec, smith_normal_form, vdot
-from toriclab.toric import ToricVariety, divisor_class_q, local_functionals, projective_space_fan
+from toriclab.lattice import IntMatrix, SolveChart, Vec, rank as matrix_rank, vdot
+from toriclab.toric import ToricVariety, local_functionals, projective_space_fan
 
 
 class EffectivityError(ValueError):
@@ -107,7 +107,7 @@ class LogDiscrepancyFunction:
         # facet data is computed per cone on first need and cached on the
         # fan's Cone objects; classification never asks
         for k, cone in enumerate(self.pair.fan.cones):
-            if cone.membership_oracle()(v):
+            if cone.contains(v):
                 return k
         return None
 
@@ -148,22 +148,18 @@ def _least_exceptional_psi(cone: Cone, a: Sequence[Fraction]) -> Optional[Fracti
     non-simplicial cone is the union of its simplicial cones on linearly
     independent dim-subsets of rays (Caratheodory).  A simplicial cone
     reads (U, d) off its cached Smith chart; only the subsets of a
-    non-simplicial cone take Smith forms of their own.
+    non-simplicial cone take Smith charts of their own.
     """
     rays, dim = cone.generators, cone.dim
     best = None
     for sub in itertools.combinations(range(len(rays)), dim):
-        if len(rays) == dim:  # simplicial: sub is the whole cone
-            U, d = cone.solve_chart.U, cone.solve_chart.d
-        else:
-            U, D, _ = smith_normal_form(IntMatrix.from_rows([rays[i] for i in sub]))
-            d = D.diagonal()
-            if 0 in d:
-                continue  # linearly dependent subset
+        chart = cone.solve_chart if len(rays) == dim else SolveChart.of(IntMatrix.from_rows([rays[i] for i in sub]))
+        if len(chart.d) < dim:
+            continue  # linearly dependent subset
+        U, d, L = chart.U, chart.d, chart.L
         # integers throughout: psi = value / (L * A), L * frac(lambda_i) = lam_i mod L
         A = math.lcm(*(a[i].denominator for i in sub))
         alpha = [int(a[i] * A) for i in sub]
-        L = math.lcm(*d)
         steps = [[L // dj * x for x in row] for dj, row in zip(d, U.entries)]
         pairs_sums = (L * (x + y) for x, y in itertools.combinations(alpha, 2))
         box_points = (
@@ -185,7 +181,7 @@ def singularity_type(pair: ToricPair) -> str:
     most one a toric pair is automatically lc; klt additionally needs all
     coefficients below one.  Canonical and terminal then compare with 1
     the least log discrepancy over the primitive non-ray lattice points,
-    which each maximal cone yields in closed form from one Smith form per
+    which each maximal cone yields in closed form from one Smith chart per
     simplicial piece (see _least_exceptional_psi); the cost does not
     depend on how close the coefficients are to 1.
     """
@@ -206,12 +202,20 @@ def singularity_type(pair: ToricPair) -> str:
 
 
 def is_log_cy(pair: ToricPair) -> bool:
-    """Log Calabi-Yau: lc and K+B trivial in Cl tensor Q."""
+    """Log Calabi-Yau: lc and K+B trivial in Cl tensor Q.
+
+    Cl tensor Q is Q^rays modulo the column span of the ray matrix R, so
+    K+B is trivial there iff appending A(1 - b) to R keeps its rank, A
+    the lcm of the denominators of b.  A coefficient above 1 gives False;
+    otherwise raises ValueError when K+B is not Q-Cartier."""
     if any(b > 1 for b in pair.boundary):
         return False
     _psi(pair)  # raises if K+B is not Q-Cartier
-    kb = pair.log_canonical_coefficients()
-    return all(x == 0 for x in divisor_class_q(pair.variety, kb))
+    A = math.lcm(*(b.denominator for b in pair.boundary))
+    rays = pair.fan.rays
+    rk = matrix_rank(IntMatrix.from_rows(rays, cols=pair.dim))
+    extended = [(*u, int(A * (1 - b))) for u, b in zip(rays, pair.boundary)]
+    return matrix_rank(IntMatrix.from_rows(extended, cols=pair.dim + 1)) == rk
 
 
 def index(pair: ToricPair) -> int:

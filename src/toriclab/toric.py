@@ -1,11 +1,12 @@
 """Toric varieties from fans: class groups, divisors, ampleness.
 
 The divisor class group is presented as the cokernel of the character
-lattice mapping into the free group on the rays; everything downstream
-(divisor classes, the rank computations used by the complexity invariant)
-reads off that one Smith normal form.  Linear pieces on maximal cones and
-the (Q-)Cartier tests read each cone's own Smith chart (fan.SolveChart)
-in integer arithmetic.
+lattice mapping into the free group on the rays; the class group and
+divisor classes read off that one Smith chart of the ray matrix.  The
+pair invariants (complexity, the log Calabi-Yau test) need only ranks of
+the ray matrix and never build it.  Linear pieces on maximal cones and
+the (Q-)Cartier tests read each cone's own Smith chart
+(lattice.SolveChart) in integer arithmetic.
 """
 
 from __future__ import annotations
@@ -18,15 +19,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from toriclab.fan import Fan, is_complete, is_simplicial, walls
-from toriclab.lattice import (
-    AbelianGroupStructure,
-    IntMatrix,
-    Vec,
-    cokernel_structure,
-    primitive,
-    smith_normal_form,
-    vdot,
-)
+from toriclab.lattice import AbelianGroupStructure, IntMatrix, SolveChart, Vec, primitive, vdot
 
 Divisor = tuple  # one (rational) coefficient per ray, in ray order
 
@@ -62,28 +55,22 @@ class DivisorClass:
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.free) and all(x == 0 for x in self.torsion)
 
-    def is_torsion(self) -> bool:
-        return all(x == 0 for x in self.free)
-
 
 @lru_cache(maxsize=256)
 def _presentation(fan: Fan):
     """Rows of the Smith transform U of the ray matrix that Cl(X) reads:
-    (free rows, torsion rows, torsion invariants).  A free row has
-    invariant 0, a torsion row one >= 2; rows with invariant 1 map to
-    zero in Cl(X) and are dropped."""
-    rows = len(fan.rays)
-    U, D, _ = smith_normal_form(IntMatrix.from_rows(fan.rays, cols=fan.rank))
-    diag = [D.entries[i][i] if i < min(D.rows, D.cols) else 0 for i in range(rows)]
-    free = tuple(u for u, d in zip(U.entries, diag) if d == 0)
-    torsion = tuple(u for u, d in zip(U.entries, diag) if d >= 2)
-    return free, torsion, tuple(d for d in diag if d >= 2)
+    (free rows, torsion rows, torsion invariants).  The free rows are the
+    chart's left kernel Z, a torsion row has invariant >= 2; rows with
+    invariant 1 map to zero in Cl(X) and are dropped."""
+    chart = SolveChart.of(IntMatrix.from_rows(fan.rays, cols=fan.rank))
+    torsion = [(u, d) for u, d in zip(chart.U.entries, chart.d) if d >= 2]
+    return chart.Z, tuple(u for u, _ in torsion), tuple(d for _, d in torsion)
 
 
 def class_group(X: ToricVariety) -> AbelianGroupStructure:
     """Cl(X) as the cokernel of the character-to-divisor map."""
-    matrix = IntMatrix.from_rows(X.fan.rays, cols=X.fan.rank)
-    return cokernel_structure(matrix)
+    free, _, invariants = _presentation(X.fan)
+    return AbelianGroupStructure(len(free), invariants)
 
 
 def divisor_class(X: ToricVariety, D: Sequence) -> DivisorClass:
@@ -128,6 +115,8 @@ def local_functionals(fan: Fan, values: Sequence) -> list[Optional[tuple[Fractio
     meaningful.
     """
     values = [Fraction(v) for v in values]
+    if len(values) != len(fan.rays):
+        raise ValueError("expected one coefficient per ray")
     A = math.lcm(*(v.denominator for v in values))
     alpha = [int(v * A) for v in values]
     out = []
@@ -150,8 +139,10 @@ def is_qcartier(X: ToricVariety, D: Sequence) -> bool:
 def is_cartier(X: ToricVariety, D: Sequence) -> bool:
     """Like is_qcartier but the functional must be integral: on each
     maximal cone, Z.b = 0 and L divides M.b for b = -D on the cone's rays
-    (see fan.SolveChart)."""
+    (see lattice.SolveChart)."""
     coeffs = [Fraction(c) for c in D]
+    if len(coeffs) != len(X.fan.rays):
+        raise ValueError("expected one coefficient per ray")
     if any(c.denominator != 1 for c in coeffs):
         return False
     b = [-int(x) for x in coeffs]
@@ -199,11 +190,10 @@ def weighted_projective_fan(weights: Sequence[int]) -> Fan:
     else:
         # rows 2..n+1 of a unimodular matrix sending the weight vector to e_1
         # give a projection Z^{n+1} -> Z^n with kernel Z.weights
-        column = IntMatrix.from_rows([[x] for x in w], cols=1)
-        U, D, _ = smith_normal_form(column)
-        if D.entries[0][0] != 1:
+        chart = SolveChart.of(IntMatrix.from_rows([[x] for x in w], cols=1))
+        if chart.d != (1,):
             raise RuntimeError("Smith form of coprime weights must have leading entry 1")
-        proj = [U.entries[i] for i in range(1, n + 1)]
+        proj = chart.Z
         rays = [primitive(tuple(row[i] for row in proj)) for i in range(n + 1)]
     cones = list(itertools.combinations(range(n + 1), n))
     return Fan.from_data(rays, cones, rank=n)

@@ -7,7 +7,8 @@ counting, Fourier-Motzkin elimination and simplex pivots instead of the
 double description's lineality test, subset scans and simplex LPs
 instead of its facets, Gauss-Jordan
 solves and per-call Smith forms instead of a cone's cached Smith chart
-(and a Fraction nullspace instead of its span equations), a Vieta-jump
+(and a Fraction nullspace instead of its span equations), class-group
+coordinates instead of ranks of the ray matrix, a Vieta-jump
 search with a seen set instead of the Markov tree walk.  numpy is used
 only here, with integer dtypes, to keep the scans fast; the library itself
 stays pure.
@@ -628,7 +629,7 @@ def singularity_type_scan(pair):
     rays = set(fan.rays)
     worst = None
     for k, c in enumerate(fan.max_cones):
-        member = fan.max_cone(k).membership_oracle()
+        member = fan.max_cone(k).contains
         lo, hi = [0] * fan.rank, [0] * fan.rank
         for i in c:
             scale = 1 / (1 - pair.boundary[i])
@@ -717,6 +718,35 @@ def index_scan(pair):
             return m
     raise ValueError("no multiple of K+B up to the bound is Cartier: not Q-Cartier")
 
+
+def complexity_rho_class_group(pair, decomposition) -> int:
+    """The class-group reading of rho that the ray-matrix ranks replaced:
+    the rank of the free coordinates, in Cl(X), of each part's indicator
+    divisor."""
+    from toriclab.toric import divisor_class
+
+    class_rows = []
+    for _, rays in decomposition.parts:
+        indicator = [1 if i in rays else 0 for i in range(len(pair.fan.rays))]
+        class_rows.append(divisor_class(pair.variety, indicator).free)
+    if class_rows:
+        rho = matrix_rank(IntMatrix.from_rows(class_rows, cols=len(class_rows[0])))
+    else:
+        rho = 0
+    return rho
+
+
+def is_log_cy_class_group(pair) -> bool:
+    """Log Calabi-Yau as the class-group test the rank test replaced: lc
+    and K+B trivial in Cl tensor Q; raises if K+B is not Q-Cartier."""
+    from toriclab.pairs import _psi
+    from toriclab.toric import divisor_class_q
+
+    if any(b > 1 for b in pair.boundary):
+        return False
+    _psi(pair)  # raises if K+B is not Q-Cartier
+    kb = pair.log_canonical_coefficients()
+    return all(x == 0 for x in divisor_class_q(pair.variety, kb))
 
 def is_fano_functionals(X) -> bool:
     """The Fraction ampleness test that the chart's integer test replaced:

@@ -1,9 +1,12 @@
 """The shared primitives: the echelon routine over Q, the wall map of a set
 of cones, and the per-cone functional solve.  Randomized checks run against
-the minor-gcd oracle, which never eliminates."""
+the minor-gcd oracle, which never eliminates.  AST guards keep the library
+free of asserts and unbounded caches, and keep every Smith form in
+lattice."""
 
 import ast
 import importlib
+import itertools
 import math
 import pathlib
 import random
@@ -12,9 +15,11 @@ from fractions import Fraction
 import pytest
 
 import toriclab
+from toriclab import toric
+from toriclab.complexity import complexity, decomposition_by_primes
 from toriclab.fan import Cone, Diagnostics, Fan, validate_fan, walls
 from toriclab.lattice import IntMatrix, rank, row_echelon, solve_rational, vdot
-from toriclab.pairs import ToricPair, validate_pair
+from toriclab.pairs import ToricPair, is_log_cy, validate_pair
 from toriclab.toric import local_functionals, projective_space_fan
 
 from oracles import minor_gcds, nullspace
@@ -132,6 +137,42 @@ def test_library_has_no_unbounded_caches():
                     offenders.append(f"{path.name}:{node.lineno}")
     assert not offenders, offenders
 
+
+def test_only_lattice_reads_smith_forms():
+    # every other module reads U, d and Z off a lattice.SolveChart
+    package = pathlib.Path(toriclab.__file__).parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "lattice.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            names = [a.name for a in node.names] if isinstance(node, ast.ImportFrom) else []
+            names.append(node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None))
+            if "smith_normal_form" in names:
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders, offenders
+
+
+def test_pair_invariants_import_no_class_group_code():
+    package = pathlib.Path(toriclab.__file__).parent
+    for name, banned in (("complexity", {"toriclab.toric"}), ("pairs", {"divisor_class", "divisor_class_q"})):
+        tree = ast.parse((package / f"{name}.py").read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                imported |= {node.module} | {a.name for a in node.names}
+        assert not imported & banned, (name, imported & banned)
+
+
+def test_pair_invariants_take_no_class_group_presentation():
+    fan = Fan.from_data([(1, 0, 0), (0, 1, 0), (0, 0, 1), (-2, -3, -7)], list(itertools.combinations(range(4), 3)))
+    pair = ToricPair.from_fan(fan, [Fraction(1, 2), 1, Fraction(2, 3), 0])
+    before = toric._presentation.cache_info()
+    complexity(pair, decomposition_by_primes(pair))
+    is_log_cy(pair)
+    is_log_cy(ToricPair.reduced(fan))
+    assert toric._presentation.cache_info() == before
 
 def test_traced_names_resolve():
     # the bench tracer wraps (module, attribute) pairs by name; read its

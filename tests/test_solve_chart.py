@@ -1,4 +1,4 @@
-"""A cone's Smith chart (fan.SolveChart) against the solves it replaced
+"""A cone's Smith chart (lattice.SolveChart) against the solves it replaced
 (tests/oracles.py): linear pieces, the index, the Cartier test, the span
 equations and the Fano test.  Also the fraction-free rank, the Smith
 identities, and ray-order invariance of the pairs answers."""

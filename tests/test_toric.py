@@ -17,6 +17,7 @@ from toriclab.toric import (
     is_cartier,
     is_fano,
     is_qcartier,
+    local_functionals,
     principal_divisor,
     projective_space_fan,
     weighted_projective_fan,
@@ -134,6 +135,18 @@ def test_cone_over_square_not_qfactorial():
     # K itself is Cartier here (the cone is Gorenstein)
     assert is_cartier(X, canonical_divisor(X))
 
+
+@pytest.mark.parametrize("coefficients", [[1, 0], [1, 0, 0, 5]], ids=["short", "long"])
+def test_cartier_tests_need_one_coefficient_per_ray(coefficients):
+    X = variety(projective_space_fan(2))
+    for test in (is_cartier, is_qcartier):
+        with pytest.raises(ValueError, match="one coefficient per ray"):
+            test(X, coefficients)
+    with pytest.raises(ValueError, match="one coefficient per ray"):
+        local_functionals(X.fan, coefficients)
+    # a half-integral divisor of the wrong length is rejected, not just non-Cartier
+    with pytest.raises(ValueError, match="one coefficient per ray"):
+        is_cartier(X, [Fraction(1, 2)] * len(coefficients))
 
 def test_cartier_implies_qcartier_randomized():
     rng = random.Random(8)
