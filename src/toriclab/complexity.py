@@ -11,10 +11,11 @@ where rho, the rank of the span of the part classes in Cl tensor Q, is
 
 for the ray matrix R (one ray per row) and the parts' indicator rows P:
 Cl tensor Q is Q^rays modulo the column span of R (the exact sequence
-0 -> M_Q -> Q^rays -> Cl(X)_Q -> 0).  Everything is exact integer and
-rational arithmetic.  For a toric log Calabi-Yau pair with its prime
-decomposition this is zero, and it can never be negative for a log CY
-pair; a negative value here always means a bug.
+0 -> M_Q -> Q^rays -> Cl(X)_Q -> 0); rank R is the fan's cached
+`ray_rank`.  Everything is exact integer and rational arithmetic.  For a
+toric log Calabi-Yau pair with its prime decomposition this is zero, and
+it can never be negative for a log CY pair; a negative value here always
+means a bug.
 """
 
 from __future__ import annotations
@@ -94,7 +95,7 @@ def complexity(pair: ToricPair, decomposition: Decomposition) -> ComplexityRepor
     n = len(pair.fan.rays)
     parts = [tuple(int(i in part) for i in range(n)) for _, part in decomposition.parts]
     columns = list(zip(*pair.fan.rays))  # the rows of R^T
-    rho = matrix_rank(IntMatrix.from_rows(parts + columns, cols=n)) - matrix_rank(IntMatrix.from_rows(columns, cols=n))
+    rho = matrix_rank(IntMatrix.from_rows(parts + columns, cols=n)) - pair.fan.ray_rank
     norm = decomposition.norm
     c = pair.dim + rho - norm
     return ComplexityReport(rho=rho, norm=norm, dim=pair.dim, c=c)

@@ -3,16 +3,17 @@
 A cone is stored by its primitive extremal generators, a fan by a canonical
 (lexicographically sorted) ray list plus maximal cones as ray-index sets.
 All geometry is decided exactly, by one kernel on integer rows: the double
-description.  One run per cone gives its facets, from which membership,
-relative interiors, walls and faces are read.  Separation questions (strong
-convexity, extremality, whether two cones meet in a common face, rational
-linear feasibility) ask whether a row lies in the lineality space of a
-cone, on every one of its facets (Gordan and Motzkin).  A cone with
-independent generators is strongly convex with every generator extremal,
-and no facets are computed.  Each cone also caches one Smith chart of its
-generator matrix (lattice.SolveChart, re-exported here), the integer
-solver for the linear pieces that toric and pairs read on it.  Nothing
-here ever touches a float.
+description, seeded by the one elimination over Q (lattice.echelon, which
+also gives cone dimensions and the rank of a fan's ray matrix).  One run
+per cone gives its facets, from which membership, relative interiors, walls
+and faces are read.  Separation questions (strong convexity, extremality,
+whether two cones meet in a common face, rational linear feasibility) ask
+whether a row lies in the lineality space of a cone, on every one of its
+facets (Gordan and Motzkin).  A cone with independent generators is
+strongly convex with every generator extremal, and no facets are computed.
+Each cone also caches one Smith chart of its generator matrix
+(lattice.SolveChart, re-exported here), the integer solver for the linear
+pieces that toric and pairs read on it.  Nothing here ever touches a float.
 """
 
 from __future__ import annotations
@@ -24,15 +25,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-from toriclab.lattice import (
-    IntMatrix,
-    SolveChart,
-    Vec,
-    is_zero,
-    primitive,
-    rank as matrix_rank,
-    vdot,
-)
+from toriclab.lattice import IntMatrix, SolveChart, Vec, echelon, is_zero, primitive, rank as matrix_rank, vdot
 
 # ---------------------------------------------------------------------------
 # double description (facets of a cone from its generators)
@@ -51,43 +44,28 @@ def double_description(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], 
     with h.row >= 0 on every row, and members holds the i with h.row_i = 0.
     `tests` counts the combinatorial adjacency tests made.
 
-    One fraction-free Gauss-Jordan elimination of the transposed rows
-    beside an identity finds d independent rows, the seeds, and the
-    adjugate functionals vanishing on all seeds but one: the extreme rays
-    of the dual of the seeds' simplicial cone.  The other rows are then
-    cut in one by one, in the given order.  A new ray joins a ray on the
-    positive side to one on the negative side only when they are adjacent:
-    no third ray vanishes on every row both of them vanish on.  The dual
-    cone stays pointed throughout, where that test is exact.  Adjacent rays
-    share at least d - 2 zero rows, so pairs sharing fewer skip the test.
+    One `lattice.echelon` run on the transposed rows beside an identity
+    finds d independent rows, the seeds, and the adjugate functionals
+    vanishing on all seeds but one (the identity block of the pivot rows,
+    each worth the last pivot on its own seed, so oriented by its sign):
+    the extreme rays of the dual of the seeds' simplicial cone.  The other
+    rows are then cut in one by one, in the given order.  A new ray joins
+    a ray on the positive side to one on the negative side only when they
+    are adjacent: no third ray vanishes on every row both of them vanish
+    on.  The dual cone stays pointed throughout, where that test is exact.
+    Adjacent rays share at least d - 2 zero rows, so pairs sharing fewer
+    skip the test.
     """
     k, n = len(rows), len(rows[0])
     # row c of T: (values on every row, coefficients) of one functional
-    T = [[g[c] for g in rows] + [int(c == j) for j in range(n)] for c in range(n)]
-    seeds, pivots = [], []
-    for s in range(k):
-        c = next((c for c in range(n) if T[c][s] and c not in pivots), None)
-        if c is None:
-            continue
-        p = T[c]
-        for i, row in enumerate(T):
-            f = row[s]
-            if f and i != c:
-                row = [p[s] * x - f * y for x, y in zip(row, p)]
-                q = math.gcd(*row)
-                T[i] = [x // q for x in row]
-        seeds.append(s)
-        pivots.append(c)
+    T, seeded, last = echelon([[g[c] for g in rows] + [int(c == j) for j in range(n)] for c in range(n)], k)
+    pivots = [c for c, _ in seeded]
     d = len(pivots)
     proj = [tuple(g[c] for c in pivots) for g in rows]
-    full = sum(1 << s for s in seeds)
-    rays = []
-    for c, s in zip(pivots, seeds):
-        h = [T[c][k + j] for j in pivots]
-        q = math.gcd(*h) if T[c][s] > 0 else -math.gcd(*h)
-        rays.append((tuple(x // q for x in h), full & ~(1 << s)))
+    full = sum(1 << s for _, s in seeded)
+    rays = [(primitive(tuple(last * T[c][k + j] for j in pivots)), full & ~(1 << s)) for c, s in seeded]
     tests = 0
-    for j in sorted(set(range(k)) - set(seeds)):
+    for j in sorted(set(range(k)) - {s for _, s in seeded}):
         g, bit = proj[j], 1 << j
         pos, neg, kept = [], [], []
         for h, z in rays:
@@ -270,9 +248,7 @@ class Cone:
 
     @cached_property
     def dim(self) -> int:
-        if not self.generators:
-            return 0
-        return matrix_rank(IntMatrix.from_rows(self.generators))
+        return matrix_rank(self.generator_matrix)
 
     @cached_property
     def generator_matrix(self) -> IntMatrix:
@@ -435,6 +411,11 @@ class Fan:
         """The maximal cones as Cone objects, built once per fan so their
         cached facet data is shared by every predicate."""
         return tuple(self.cone(c) for c in self.max_cones)
+
+    @cached_property
+    def ray_rank(self) -> int:
+        """Rank of the ray matrix, once per fan (complexity, log CY)."""
+        return matrix_rank(IntMatrix.from_rows(self.rays, cols=self.rank))
 
     def max_cone(self, k: int) -> Cone:
         return self.cones[k]

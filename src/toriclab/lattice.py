@@ -1,15 +1,15 @@
-"""Exact linear algebra: Smith/Hermite normal forms, cokernels, and one
-Gaussian elimination over Q.
+"""Exact linear algebra: one fraction-free elimination, Smith/Hermite
+normal forms, cokernels.
 
 All matrices and vectors carry plain Python integers (arbitrary precision),
 and every routine here is a pure function on immutable values.  Lattice
 vectors are ordinary tuples of ints; their length is the ambient rank.
-`row_echelon` is the only elimination over Q in the package; it accepts
-Fraction rows as readily as integer ones, and `solve_rational` reads its
-answer off the reduced rows.  `rank` and `det` share one fraction-free
-(Bareiss) elimination on integers instead.  Every Smith form is read
-through one chart (`SolveChart`): integer solves, cokernels, class groups
-and left kernels take its invariants and transforms.
+`echelon`, a fraction-free Gauss-Jordan routine on integer rows, is the
+only elimination over Q in the package: `rank`, `det` and `solve_rational`
+read it here, and `fan.double_description` takes its seeds from it.  Every
+Smith form is read through one chart (`SolveChart`): integer solves,
+cokernels, class groups and left kernels take its invariants and
+transforms.
 """
 
 from __future__ import annotations
@@ -99,76 +99,64 @@ class IntMatrix:
         )
 
 
-def _bareiss(rows: Sequence[Sequence[int]], ncols: int) -> tuple[int, int, int]:
-    """Fraction-free (Bareiss) elimination of integer rows, skipping
-    columns without a pivot.  Returns (rank, sign of the row swaps, last
-    pivot); every division is exact, since each entry stays a minor of
-    the input (Sylvester's identity)."""
+def echelon(rows: Sequence[Sequence[int]], ncols: int) -> tuple[list[list[int]], tuple[tuple[int, int], ...], int]:
+    """Fraction-free Gauss-Jordan elimination of integer rows (Bareiss
+    1968; Nakos, Turner and Williams 1997): the one elimination over Q.
+
+    Pivots are taken in the first `ncols` columns, left to right, each in
+    the first row not yet holding one; rows stay in place and later
+    columns ride along.  Pivot p in row x maps every other row y to
+    (p.y - f.x) / prev, f = y's entry in the pivot column, prev the last
+    pivot (first 1), exactly: every entry stays a minor (Sylvester).
+    Returns (rows, pivots, last), pivots as (row, column): every pivot row
+    ends with `last`, the minor on the pivot rows (in pivot order) and
+    columns, in its pivot column and 0 in the others; the other rows
+    vanish on the first `ncols` columns.
+
+    >>> echelon([[2, 4, 2], [1, 3, 2]], 2)
+    ([[2, 0, -2], [0, 2, 2]], ((0, 0), (1, 1)), 2)
+    """
     a = [list(row) for row in rows]
-    n = len(a)
-    r, sign, prev = 0, 1, 1
+    pivots, free, prev = [], list(range(len(a))), 1
     for col in range(ncols):
-        if r == n:
-            break
-        if a[r][col] == 0:
-            piv = next((i for i in range(r + 1, n) if a[i][col] != 0), None)
-            if piv is None:
+        for r in free:
+            if a[r][col]:
+                break
+        else:
+            continue
+        x = a[r]
+        p = x[col]
+        for i, y in enumerate(a):
+            if i == r:
                 continue
-            a[r], a[piv] = a[piv], a[r]
-            sign = -sign
-        top = a[r]
-        p = top[col]
-        for row in a[r + 1 :]:  # column col is never read again
-            f = row[col]
-            for j in range(col + 1, ncols):
-                row[j] = (row[j] * p - f * top[j]) // prev
+            f = y[col]
+            if f:
+                a[i] = [(p * u - f * v) // prev for u, v in zip(y, x)]
+            elif p != prev:
+                a[i] = [p * u // prev for u in y]
+        free.remove(r)
+        pivots.append((r, col))
         prev = p
-        r += 1
-    return r, sign, prev
+        if not free:
+            break
+    return a, tuple(pivots), prev
 
 
 def det(M: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
+    """Exact determinant: `echelon`'s last pivot, signed by its row order."""
     if M.rows != M.cols:
         raise ValueError("determinant of non-square matrix")
-    r, sign, last = _bareiss(M.entries, M.cols)
-    return sign * last if r == M.rows else 0
-
-
-def row_echelon(rows: Sequence[Sequence], ncols: int) -> tuple[list[list[Fraction]], tuple[int, ...]]:
-    """Reduced row echelon form over Q, by exact Gauss-Jordan elimination.
-
-    Pivots are taken in the first `ncols` columns only, so columns past
-    them (a right-hand side, say) ride along.  Returns (rows, pivots): the
-    first len(pivots) rows carry a 1 in their pivot column and 0 in every
-    other pivot column; the remaining rows vanish on the first `ncols`
-    columns.
-
-    >>> row_echelon([[2, 4, 2], [1, 3, 2]], 2)[1]
-    (0, 1)
-    """
-    a = [[Fraction(x) for x in row] for row in rows]
-    pivots = []
-    for col in range(ncols):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(a)) if a[i][col] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        lead = a[r][col]
-        if lead != 1:
-            a[r] = [x / lead for x in a[r]]
-        for i in range(len(a)):
-            if i != r and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(col)
-    return a, tuple(pivots)
+    _, pivots, last = echelon(M.entries, M.cols)
+    order = [r for r, _ in pivots]
+    flips = sum(a > b for i, a in enumerate(order) for b in order[i + 1 :])
+    return 0 if len(order) < M.rows else (-1) ** flips * last
 
 
 def rank(M: IntMatrix) -> int:
-    """Rank over Q, by the same fraction-free elimination as det."""
-    return _bareiss(M.entries, M.cols)[0]
+    """Rank over Q: the number of pivots of `echelon`, on M or on its
+    transpose, whichever has fewer rows to update at each pivot."""
+    rows = M.entries if M.rows <= M.cols else tuple(zip(*M.entries))
+    return len(echelon(rows, max(M.rows, M.cols))[1])
 
 
 @dataclass(frozen=True)
@@ -382,19 +370,26 @@ def cokernel_structure(M: IntMatrix) -> AbelianGroupStructure:
 
 
 def solve_rational(A: IntMatrix, b: Sequence) -> Optional[tuple[Fraction, ...]]:
-    """One exact solution x of A x = b over Q, or None if inconsistent."""
-    cols = A.cols
-    a, pivots = row_echelon([row + (b[i],) for i, row in enumerate(A.entries)], cols)
-    if any(row[cols] != 0 for row in a[len(pivots):]):
+    """One exact solution x of A x = b over Q, or None if inconsistent:
+    `echelon` on [A | B.b], B the lcm of the denominators of b, gives
+    None when B.b takes a pivot and else the x that is 0 off the pivots."""
+    if len(b) != A.rows:
+        raise ValueError("shape mismatch")
+    b = [Fraction(x) for x in b]
+    B = math.lcm(*(x.denominator for x in b))
+    a, pivots, last = echelon([(*row, int(x * B)) for row, x in zip(A.entries, b)], A.cols + 1)
+    if pivots and pivots[-1][1] == A.cols:
         return None
-    x = [Fraction(0)] * cols
-    for i, col in enumerate(pivots):
-        x[col] = a[i][cols]
+    x = [Fraction(0)] * A.cols
+    for r, col in pivots:
+        x[col] = Fraction(a[r][-1], last * B)
     return tuple(x)
 
 
 def solve_integer(A: IntMatrix, b: Sequence[int]) -> Optional[Vec]:
     """One integer solution x of A x = b, or None if none exists."""
+    if len(b) != A.rows:
+        raise ValueError("shape mismatch")
     chart = SolveChart.of(A)
     lm = chart.solve(tuple(int(x) for x in b))
     if lm is None or any(x % chart.L for x in lm):

@@ -205,17 +205,16 @@ def is_log_cy(pair: ToricPair) -> bool:
     """Log Calabi-Yau: lc and K+B trivial in Cl tensor Q.
 
     Cl tensor Q is Q^rays modulo the column span of the ray matrix R, so
-    K+B is trivial there iff appending A(1 - b) to R keeps its rank, A
-    the lcm of the denominators of b.  A coefficient above 1 gives False;
-    otherwise raises ValueError when K+B is not Q-Cartier."""
+    K+B is trivial there iff appending A(1 - b) to R keeps its rank
+    (Fan.ray_rank), A the lcm of the denominators of b.  A coefficient
+    above 1 gives False; otherwise raises ValueError when K+B is not
+    Q-Cartier."""
     if any(b > 1 for b in pair.boundary):
         return False
     _psi(pair)  # raises if K+B is not Q-Cartier
     A = math.lcm(*(b.denominator for b in pair.boundary))
-    rays = pair.fan.rays
-    rk = matrix_rank(IntMatrix.from_rows(rays, cols=pair.dim))
-    extended = [(*u, int(A * (1 - b))) for u, b in zip(rays, pair.boundary)]
-    return matrix_rank(IntMatrix.from_rows(extended, cols=pair.dim + 1)) == rk
+    extended = [(*u, int(A * (1 - b))) for u, b in zip(pair.fan.rays, pair.boundary)]
+    return matrix_rank(IntMatrix.from_rows(extended, cols=pair.dim + 1)) == pair.fan.ray_rank
 
 
 def index(pair: ToricPair) -> int:

@@ -137,21 +137,14 @@ def is_qcartier(X: ToricVariety, D: Sequence) -> bool:
 
 
 def is_cartier(X: ToricVariety, D: Sequence) -> bool:
-    """Like is_qcartier but the functional must be integral: on each
-    maximal cone, Z.b = 0 and L divides M.b for b = -D on the cone's rays
-    (see lattice.SolveChart)."""
+    """Like is_qcartier but the functional must be integral: D is
+    integral and so is every piece of local_functionals(-D), i.e. L
+    divides M.(-D) on each maximal cone (see lattice.SolveChart)."""
     coeffs = [Fraction(c) for c in D]
-    if len(coeffs) != len(X.fan.rays):
-        raise ValueError("expected one coefficient per ray")
+    pieces = local_functionals(X.fan, [-c for c in coeffs])
     if any(c.denominator != 1 for c in coeffs):
         return False
-    b = [-int(x) for x in coeffs]
-    for c, cone in zip(X.fan.max_cones, X.fan.cones):
-        chart = cone.solve_chart
-        lm = chart.solve([b[i] for i in c])
-        if lm is None or any(x % chart.L for x in lm):
-            return False
-    return True
+    return all(m is not None and all(x.denominator == 1 for x in m) for m in pieces)
 
 
 def canonical_divisor(X: ToricVariety) -> Divisor:

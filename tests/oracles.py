@@ -1,7 +1,9 @@
 """Independent brute-force oracles used by the tests.
 
 Everything in this module recomputes expected values by a route different
-from the library's own: gcds of minors instead of elimination, exhaustive
+from the library's own: gcds of minors instead of elimination, Gauss-Jordan
+over Fractions and forward Bareiss elimination (both with row swaps) and a
+gcd-reduced seeding loop instead of the one fraction-free echelon, exhaustive
 lattice scans instead of region arithmetic, angular walks instead of wall
 counting, Fourier-Motzkin elimination and simplex pivots instead of the
 double description's lineality test, subset scans and simplex LPs
@@ -29,7 +31,6 @@ from toriclab.markov import MarkovTriple
 from toriclab.lattice import (
     IntMatrix,
     rank as matrix_rank,
-    row_echelon,
     smith_normal_form,
     solve_integer,
     solve_rational,
@@ -38,6 +39,107 @@ from toriclab.lattice import (
 
 
 # ---------------------------------------------------------------- lattice
+
+# The two eliminations lattice.echelon replaced, kept as references:
+# Gauss-Jordan over Fraction rows with row swaps, and forward-only Bareiss
+# elimination with row swaps.  Neither shares code with echelon.
+
+
+def row_echelon(rows: Sequence[Sequence], ncols: int) -> tuple[list[list[Fraction]], tuple[int, ...]]:
+    """Reduced row echelon form over Q, by exact Gauss-Jordan elimination.
+
+    Pivots are taken in the first `ncols` columns only, so columns past
+    them (a right-hand side, say) ride along.  Returns (rows, pivots): the
+    first len(pivots) rows carry a 1 in their pivot column and 0 in every
+    other pivot column; the remaining rows vanish on the first `ncols`
+    columns.
+
+    >>> row_echelon([[2, 4, 2], [1, 3, 2]], 2)[1]
+    (0, 1)
+    """
+    a = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(a)) if a[i][col] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        lead = a[r][col]
+        if lead != 1:
+            a[r] = [x / lead for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][col] != 0:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(col)
+    return a, tuple(pivots)
+
+
+def _bareiss(rows: Sequence[Sequence[int]], ncols: int) -> tuple[int, int, int]:
+    """Fraction-free (Bareiss) elimination of integer rows, skipping
+    columns without a pivot.  Returns (rank, sign of the row swaps, last
+    pivot); every division is exact, since each entry stays a minor of
+    the input (Sylvester's identity)."""
+    a = [list(row) for row in rows]
+    n = len(a)
+    r, sign, prev = 0, 1, 1
+    for col in range(ncols):
+        if r == n:
+            break
+        if a[r][col] == 0:
+            piv = next((i for i in range(r + 1, n) if a[i][col] != 0), None)
+            if piv is None:
+                continue
+            a[r], a[piv] = a[piv], a[r]
+            sign = -sign
+        top = a[r]
+        p = top[col]
+        for row in a[r + 1 :]:  # column col is never read again
+            f = row[col]
+            for j in range(col + 1, ncols):
+                row[j] = (row[j] * p - f * top[j]) // prev
+        prev = p
+        r += 1
+    return r, sign, prev
+
+
+def det_bareiss(rows) -> int:
+    """The determinant of a square integer matrix from `_bareiss`."""
+    r, sign, last = _bareiss(rows, len(rows))
+    return sign * last if r == len(rows) else 0
+
+
+def double_description_seeds(rows):
+    """The seeds of a double-description run by Gauss-Jordan elimination
+    of the transposed rows beside an identity, each new row divided by the
+    gcd of its entries: (pivot coordinates, seed rows, [(functional,
+    bitmask of the seeds it vanishes on)]), one primitive functional per
+    seed, zero off the pivots and positive on its own seed."""
+    k, n = len(rows), len(rows[0])
+    # row c of T: (values on every row, coefficients) of one functional
+    T = [[g[c] for g in rows] + [int(c == j) for j in range(n)] for c in range(n)]
+    seeds, pivots = [], []
+    for s in range(k):
+        c = next((c for c in range(n) if T[c][s] and c not in pivots), None)
+        if c is None:
+            continue
+        p = T[c]
+        for i, row in enumerate(T):
+            f = row[s]
+            if f and i != c:
+                row = [p[s] * x - f * y for x, y in zip(row, p)]
+                q = math.gcd(*row)
+                T[i] = [x // q for x in row]
+        seeds.append(s)
+        pivots.append(c)
+    full = sum(1 << s for s in seeds)
+    rays = []
+    for c, s in zip(pivots, seeds):
+        h = [T[c][k + j] for j in pivots]
+        q = math.gcd(*h) if T[c][s] > 0 else -math.gcd(*h)
+        rays.append((tuple(x // q for x in h), full & ~(1 << s)))
+    return tuple(pivots), tuple(seeds), rays
 
 
 def nullspace(rows: Sequence[Sequence], width: int) -> tuple[tuple[Fraction, ...], ...]:

@@ -21,7 +21,7 @@ from toriclab.fan import (
     star_subdivision,
     validate_fan,
 )
-from toriclab.lattice import row_echelon, vdot
+from toriclab.lattice import vdot
 from toriclab.polytope import Polytope, _lift, dual_polytope, facet_functionals
 from toriclab.toric import projective_space_fan
 
@@ -33,6 +33,7 @@ from oracles import (
     is_face_lp,
     origin_interior_lp,
     random_complete_2d_fan,
+    row_echelon,
 )
 
 

@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 from toriclab import polytope
 from toriclab.catalog import bundled_fans
 from toriclab.fileformats import emit_polytope
-from toriclab.lattice import row_echelon
 from toriclab.polytope import (
     Polytope,
     _fan_triangle_clean,
@@ -26,7 +25,7 @@ from toriclab.polytope import (
 )
 
 from oracles import dual_polygon_halfplane_oracle, facet_functionals_scan
-from oracles import _apply, minor_gcds, normal_form_search
+from oracles import _apply, minor_gcds, normal_form_search, row_echelon
 
 # enumerate_reflexive_polygons(), in its order: reflexive-01 ... reflexive-16
 REFLEXIVE_ORDER = (

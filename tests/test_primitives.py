@@ -18,11 +18,11 @@ import toriclab
 from toriclab import toric
 from toriclab.complexity import complexity, decomposition_by_primes
 from toriclab.fan import Cone, Diagnostics, Fan, validate_fan, walls
-from toriclab.lattice import IntMatrix, rank, row_echelon, solve_rational, vdot
+from toriclab.lattice import IntMatrix, rank, solve_rational, vdot
 from toriclab.pairs import ToricPair, is_log_cy, validate_pair
 from toriclab.toric import local_functionals, projective_space_fan
 
-from oracles import minor_gcds, nullspace
+from oracles import minor_gcds, nullspace, row_echelon
 
 
 def _random_matrix(rng):

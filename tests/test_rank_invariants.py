@@ -10,11 +10,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from toriclab import complexity as complexity_module, fan as fan_module, pairs as pairs_module
 from toriclab.catalog import bundled_fans, cone_over_square_fan
 from toriclab.complexity import Decomposition, complexity, decomposition_by_primes
 from toriclab.fan import Fan
-from toriclab.lattice import AbelianGroupStructure, IntMatrix, cokernel_structure, vdot
-from toriclab.pairs import ToricPair, is_log_cy
+from toriclab.lattice import AbelianGroupStructure, IntMatrix, cokernel_structure, rank, vdot
+from toriclab.pairs import ToricPair, _psi, is_log_cy
 from toriclab.toric import ToricVariety, class_group, weighted_projective_fan
 
 from oracles import complexity_rho_class_group, is_log_cy_class_group, minor_gcds, random_complete_2d_fan
@@ -124,6 +125,32 @@ def test_edge_cases():
     with pytest.raises(ValueError, match="Q-Cartier"):
         is_log_cy(square)
     assert _check_log_cy(ToricPair.reduced(cone_over_square_fan())) is True
+
+
+def test_rank_of_the_ray_matrix_is_taken_once_per_fan(monkeypatch):
+    # complexity ranks [P; R^T] and R, the log CY test [R | A(1 - b)] and R;
+    # R comes from Fan.ray_rank, so a fresh fan costs three eliminations
+    # and every further pair on it two, one fewer than ranking R each time
+    fan = Fan.from_data([(1, 0), (0, 1), (-2, -3)], [(0, 1), (1, 2), (0, 2)])  # P(1,2,3)
+    pairs = [ToricPair.reduced(fan), ToricPair.from_fan(fan, [Fraction(1, 2), 1, 0])]
+    for pair in pairs:
+        _psi(pair)  # cone data for the Q-Cartier check, not a rank of R
+    calls = []
+
+    def counted(M):
+        calls.append(M)
+        return rank(M)
+
+    for module in (fan_module, complexity_module, pairs_module):
+        monkeypatch.setattr(module, "matrix_rank", counted)
+    for pair, want in zip(pairs, (3, 2)):
+        calls.clear()
+        report = complexity(pair, decomposition_by_primes(pair))
+        verdict = is_log_cy(pair)
+        assert len(calls) == want
+        assert report.rho == complexity_rho_class_group(pair, decomposition_by_primes(pair))
+        assert verdict == is_log_cy_class_group(pair)
+    assert fan.ray_rank == 2 and Fan.from_data([], [], rank=3).ray_rank == 0
 
 
 def _primitive_distinct(gens):

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from toriclab.catalog import bundled_fans, cone_over_square_fan
 from toriclab.fan import Cone, Fan, SolveChart
-from toriclab.lattice import IntMatrix, det, rank, row_echelon, smith_normal_form, vdot
+from toriclab.lattice import IntMatrix, det, rank, smith_normal_form, vdot
 from toriclab.pairs import ToricPair, index, is_log_cy, log_discrepancy, singularity_type
 from toriclab.toric import (
     ToricVariety,
@@ -36,6 +36,7 @@ from oracles import (
     local_functionals_solve,
     nullspace,
     random_complete_2d_fan,
+    row_echelon,
 )
 
 # (name, generators): one affine fan each, every shape the chart must treat

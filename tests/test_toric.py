@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toriclab.catalog import bundled_fans, cone_over_square_fan, hirzebruch_fan, p1xp1_fan
 from toriclab.fan import Fan, is_complete, star_subdivision, validate_fan
@@ -22,6 +23,8 @@ from toriclab.toric import (
     projective_space_fan,
     weighted_projective_fan,
 )
+
+from oracles import is_cartier_solve
 
 
 def variety(fan):
@@ -147,6 +150,72 @@ def test_cartier_tests_need_one_coefficient_per_ray(coefficients):
     # a half-integral divisor of the wrong length is rejected, not just non-Cartier
     with pytest.raises(ValueError, match="one coefficient per ray"):
         is_cartier(X, [Fraction(1, 2)] * len(coefficients))
+
+
+PLANE_FAN_PLUS_RAY = Fan.from_data([(1, 0, 0), (0, 1, 0), (-1, -1, 0), (0, 0, 1)], [(0, 1), (1, 2), (0, 2), (3,)])
+CARTIER_FANS = [
+    ("cone over the square", cone_over_square_fan()),
+    ("P(1,1,2)", weighted_projective_fan((1, 1, 2))),
+    ("P(2,3,5)", weighted_projective_fan((2, 3, 5))),
+    ("plane fan plus a ray", PLANE_FAN_PLUS_RAY),
+    ("two cones in Z^3", Fan.from_data([(1, 0, 0), (0, 1, 0), (1, 1, 2), (-1, 0, 0)], [(0, 1, 2), (1, 3)])),
+]
+
+
+def _divisor(rng, fan):
+    """Integral, principal (minus div of an integral functional, so
+    Cartier), or half-integral in one coefficient."""
+    kind = rng.randrange(3)
+    if kind == 1:
+        m = [rng.randint(-3, 3) for _ in range(fan.rank)]
+        return [-sum(a * b for a, b in zip(m, u)) for u in fan.rays]
+    d = [rng.randint(-4, 4) for _ in fan.rays]
+    if kind == 2:
+        d[rng.randrange(len(d))] += Fraction(1, 2)
+    return d
+
+
+@pytest.mark.parametrize("name,fan", CARTIER_FANS, ids=[n for n, _ in CARTIER_FANS])
+def test_cartier_test_matches_the_integer_solves(name, fan):
+    rng = random.Random(name)
+    X = variety(fan)
+    seen = set()
+    for _ in range(60):
+        d = _divisor(rng, fan)
+        seen.add(is_cartier(X, d))
+        assert is_cartier(X, d) == is_cartier_solve(X, d), (name, d)
+    assert seen == {True, False}
+    assert not is_cartier(X, [Fraction(1, 2)] + [0] * (len(fan.rays) - 1))
+    with pytest.raises(ValueError, match="one coefficient per ray"):
+        is_cartier(X, [0] * (len(fan.rays) + 1))
+
+
+def test_cartier_test_on_a_lower_dimensional_cone():
+    # every maximal cone is lower-dimensional: a piece is fixed only on
+    # its cone's span, and the chart's choice is integral iff one is
+    X = variety(PLANE_FAN_PLUS_RAY)
+    assert is_cartier(X, [1, 1, 1, 5]) and is_cartier(X, [0, 0, 0, 1])
+    assert not is_cartier(X, [0, 0, 0, Fraction(5, 2)])
+    two = variety(CARTIER_FANS[-1][1])
+    assert is_cartier(two, [0, 0, 0, 0]) == is_cartier_solve(two, [0, 0, 0, 0]) is True
+    # a ray in no maximal cone: no piece sees it, yet a fractional
+    # coefficient there still makes D non-Cartier
+    loose = variety(Fan.from_data([(1, 0), (0, 1), (-1, -1)], [(0, 1)]))
+    for c in (1, Fraction(1, 2)):
+        d = [c if u == (-1, -1) else 0 for u in loose.fan.rays]
+        assert is_cartier(loose, d) == is_cartier_solve(loose, d) == (c == 1)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(CARTIER_FANS + list(bundled_fans()[:6])), st.data())
+def test_hypothesis_cartier_test_matches_the_integer_solves(named, data):
+    _, fan = named
+    d = data.draw(
+        st.lists(st.fractions(-4, 4, max_denominator=2), min_size=len(fan.rays), max_size=len(fan.rays))
+    )
+    X = variety(fan)
+    assert is_cartier(X, d) == is_cartier_solve(X, d), d
+
 
 def test_cartier_implies_qcartier_randomized():
     rng = random.Random(8)
