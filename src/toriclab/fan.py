@@ -11,9 +11,13 @@ whether two cones meet in a common face, rational linear feasibility) ask
 whether a row lies in the lineality space of a cone, on every one of its
 facets (Gordan and Motzkin).  A cone with independent generators is
 strongly convex with every generator extremal, and no facets are computed.
-Each cone also caches one Smith chart of its generator matrix
-(lattice.SolveChart, re-exported here), the integer solver for the linear
-pieces that toric and pairs read on it.  Nothing here ever touches a float.
+A full-dimensional simplicial cone is read from one cached adjugate
+(Cone.dual_basis, the echelon call the double description seeds from):
+its facets, dimension, unimodularity and the linear pieces that toric and
+pairs read on it; a complete fan of such cones is validated by its walls.
+Any other cone caches one Smith chart of its generator matrix
+(lattice.SolveChart, re-exported here) for its span and pieces.  Nothing
+here ever touches a float.
 """
 
 from __future__ import annotations
@@ -57,8 +61,7 @@ def double_description(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], 
     skip the test.
     """
     k, n = len(rows), len(rows[0])
-    # row c of T: (values on every row, coefficients) of one functional
-    T, seeded, last = echelon([[g[c] for g in rows] + [int(c == j) for j in range(n)] for c in range(n)], k)
+    T, seeded, last = _seed_echelon(rows)
     pivots = [c for c, _ in seeded]
     d = len(pivots)
     proj = [tuple(g[c] for c in pivots) for g in rows]
@@ -97,6 +100,15 @@ def double_description(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], 
         for h, z in rays
     ]
     return tuple(pivots), facets, tests
+
+
+def _seed_echelon(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], tuple[tuple[int, int], ...], int]:
+    """`lattice.echelon` of [G^T | I], G the rows: row c holds one
+    functional's values on every row, then its coefficients, so a pivot
+    (c, s) is a functional worth `last` on row s and 0 on the other pivot
+    rows."""
+    n = len(rows[0])
+    return echelon([[g[c] for g in rows] + [int(c == j) for j in range(n)] for c in range(n)], len(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +260,26 @@ class Cone:
 
     @cached_property
     def dim(self) -> int:
-        return matrix_rank(self.generator_matrix)
+        """Dimension of the span: the rank, for a cone with a dual basis,
+        else one `lattice.rank` of the generator matrix."""
+        return self.rank if self.dual_basis is not None else matrix_rank(self.generator_matrix)
+
+    @cached_property
+    def dual_basis(self) -> Optional[tuple[int, tuple[Vec, ...]]]:
+        """(last, h) when the generators g_0, ..., g_{n-1} are n = rank
+        independent vectors, else None: one `echelon` of [G^T | I], as
+        `double_description` seeds, gives last = +-det G and adjugate
+        functionals h_s with h_s.g_j = last if s = j and 0 otherwise."""
+        n = self.rank
+        if not self.generators or len(self.generators) != n:
+            return None
+        T, pivots, last = _seed_echelon(self.generators)
+        if len(pivots) < n:
+            return None
+        h: list[Vec] = [()] * n
+        for c, s in pivots:
+            h[s] = tuple(T[c][n:])
+        return last, tuple(h)
 
     @cached_property
     def generator_matrix(self) -> IntMatrix:
@@ -309,13 +340,16 @@ class Cone:
 
     def is_unimodular(self) -> bool:
         """Generators extend to a basis of the ambient lattice (and the
-        cone is simplicial)."""
+        cone is simplicial): |last| = |det G| = 1 for a cone with a dual
+        basis, else every invariant of the Smith chart is 1."""
+        if self.dual_basis is not None:
+            return abs(self.dual_basis[0]) == 1
         return len(self.generators) == self.dim and self.solve_chart.L == 1
 
     @cached_property
     def solve_chart(self) -> SolveChart:
         """The Smith chart of the generator matrix, rows in generator
-        order; built once and shared by every pairs and toric question."""
+        order; built once, and only for a cone without a dual basis."""
         return SolveChart.of(self.generator_matrix)
 
     @cached_property
@@ -332,7 +366,9 @@ class Cone:
     @cached_property
     def facet_data(self) -> tuple[tuple[frozenset[int], Vec], ...]:
         """Facets as (generator-index set, inward ambient normal), sorted
-        by index set, from one double-description run.
+        by index set, from one double-description run; a cone with a dual
+        basis (last, h) reads them off it instead, the facet missing g_s
+        with normal primitive(sign(last).h_s), as the run would seed them.
 
         The normal h is a primitive integer functional with h.g = 0 on the
         facet's generators and h.g > 0 on every other generator; together
@@ -342,9 +378,14 @@ class Cone:
         """
         if not self.generators:
             return ()
-        pivots, facets, _ = double_description(self.generators)
-        if len(pivots) == 1 and not facets:
-            raise ValueError("no positive functional: cone is not strongly convex")
+        if self.dual_basis is not None:
+            last, h = self.dual_basis
+            every = frozenset(range(self.rank))
+            facets = [(primitive(hs if last > 0 else tuple(-x for x in hs)), every - {s}) for s, hs in enumerate(h)]
+        else:
+            pivots, facets, _ = double_description(self.generators)
+            if len(pivots) == 1 and not facets:
+                raise ValueError("no positive functional: cone is not strongly convex")
         return tuple(sorted(((members, h) for h, members in facets), key=lambda kv: sorted(kv[0])))
 
 
@@ -413,6 +454,12 @@ class Fan:
         return tuple(self.cone(c) for c in self.max_cones)
 
     @cached_property
+    def wall_map(self) -> dict[frozenset[Vec], list[int]]:
+        """walls(cones), once per fan: shared by is_complete, validate_fan
+        and toric.is_fano."""
+        return walls(self.cones)
+
+    @cached_property
     def ray_rank(self) -> int:
         """Rank of the ray matrix, once per fan (complexity, log CY)."""
         return matrix_rank(IntMatrix.from_rows(self.rays, cols=self.rank))
@@ -439,7 +486,11 @@ def validate_fan(fan: Fan) -> Diagnostics:
     Checks, in order: every ray used, strong convexity and extremality of
     each maximal cone, no cone contained in another, and the pairwise
     intersection-is-a-common-face condition (via an exact separating
-    functional).
+    functional).  A complete fan of full-dimensional simplicial cones,
+    n >= 2, is accepted by its walls after the per-cone checks, in time
+    linear in the cones (_walls_cover_once); the pairwise scan runs only
+    where that criterion rejects or does not apply, so every invalid fan
+    reports the same first violation and witness.
     """
     used = set(itertools.chain.from_iterable(fan.max_cones))
     for i in range(len(fan.rays)):
@@ -451,6 +502,8 @@ def validate_fan(fan: Fan) -> Diagnostics:
             return Diagnostics(False, "maximal cone is not strongly convex", (idx,))
         if not cone.generators_extremal():
             return Diagnostics(False, "non-extremal generator in maximal cone", (idx,))
+    if _walls_cover_once(fan):
+        return Diagnostics(True)
     for a, b in itertools.combinations(range(len(cones)), 2):
         ia, ib = set(fan.max_cones[a]), set(fan.max_cones[b])
         if ia <= ib or ib <= ia:
@@ -462,6 +515,31 @@ def validate_fan(fan: Fan) -> Diagnostics:
                 (fan.max_cones[a], fan.max_cones[b]),
             )
     return Diagnostics(True)
+
+
+def _walls_cover_once(fan: Fan) -> bool:
+    """The wall criterion (De Loera, Rambau and Santos, Triangulations,
+    2010, ch. 4): full-dimensional simplicial cones in R^n, n >= 2, form
+    a complete fan iff (1) every wall lies in exactly two cones, (2) the
+    generators opposite a wall lie strictly on opposite sides of it, and
+    (3) the sum of cone 0's rays lies in no other cone.  (1) and (2) keep
+    the number of cones over a generic point constant, as codimension-2
+    cones do not disconnect the sphere, and (3) makes it 1.  False when a
+    condition fails or the criterion does not apply."""
+    cones = fan.cones
+    if fan.rank < 2 or not cones or any(cone.dual_basis is None for cone in cones):
+        return False
+    for wall, ks in fan.wall_map.items():
+        if len(ks) != 2:
+            return False
+        a, b = cones[ks[0]], cones[ks[1]]
+        last, h = a.dual_basis
+        s = next(i for i, g in enumerate(a.generators) if g not in wall)
+        g = next(g for g in b.generators if g not in wall)
+        if last * vdot(h[s], g) >= 0:
+            return False
+    inside = tuple(map(sum, zip(*cones[0].generators)))
+    return not any(cone.contains(inside) for cone in cones[1:])
 
 
 def _meet_in_common_face(fan: Fan, ca: tuple[int, ...], cb: tuple[int, ...]) -> bool:
@@ -491,15 +569,17 @@ def is_complete(fan: Fan) -> bool:
 
     Uses the wall criterion: in a valid fan all of whose maximal cones are
     full-dimensional, the support is everything iff every facet of every
-    maximal cone is shared by exactly two of them (plus connectivity).
-    Fans with a lower-dimensional maximal cone are rejected.
+    maximal cone is shared by exactly two of them (plus connectivity),
+    read from the fan's one cached wall map (Fan.wall_map), which
+    validate_fan shares.  Fans with a lower-dimensional maximal cone are
+    rejected.
     """
     if not fan.max_cones:
         return fan.rank == 0
     cones = fan.cones
     if any(cone.dim != fan.rank for cone in cones):
         raise ValueError("completeness undefined: maximal cone is not full-dimensional")
-    wall_map = walls(cones)
+    wall_map = fan.wall_map
     return all(len(ks) == 2 for ks in wall_map.values()) and _connected(len(cones), wall_map)
 
 

@@ -92,7 +92,9 @@ def validate_pair(pair: ToricPair) -> Diagnostics:
 
 class LogDiscrepancyFunction:
     """The PL function psi with psi(u_i) = 1 - b_i, one linear piece per
-    maximal cone.  Exists exactly when K+B is Q-Cartier."""
+    maximal cone (toric.local_functionals: the adjugate of a
+    full-dimensional simplicial cone, else its Smith chart).  Exists
+    exactly when K+B is Q-Cartier."""
 
     def __init__(self, pair: ToricPair):
         self.pair = pair
@@ -222,12 +224,13 @@ def index(pair: ToricPair) -> int:
 
     m(K+B) is Cartier iff every coefficient m b_i is an integer and, on
     each maximal cone, some integral m.psi agrees with m(1 - b_i) on the
-    rays.  The piece of psi that each cone's Smith chart returns has its
-    free Smith coordinates zero, and the chart's V is unimodular, so that
-    piece is integral iff some integral solution exists.  The index is
-    therefore the lcm of the coefficient denominators and of the
-    denominators of the pieces of psi.  K+B not Q-Cartier raises
-    ValueError.
+    rays.  On a full-dimensional simplicial cone the piece of psi is the
+    only solution, read off the cone's adjugate.  On any other cone the
+    piece that its Smith chart returns has its free Smith coordinates
+    zero, and the chart's V is unimodular, so that piece is integral iff
+    some integral solution exists.  The index is therefore the lcm of the
+    coefficient denominators and of the denominators of the pieces of
+    psi.  K+B not Q-Cartier raises ValueError.
     """
     m = math.lcm(*(b.denominator for b in pair.boundary))
     for piece in _psi(pair)._pieces:

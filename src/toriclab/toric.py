@@ -5,8 +5,9 @@ lattice mapping into the free group on the rays; the class group and
 divisor classes read off that one Smith chart of the ray matrix.  The
 pair invariants (complexity, the log Calabi-Yau test) need only ranks of
 the ray matrix and never build it.  Linear pieces on maximal cones and
-the (Q-)Cartier tests read each cone's own Smith chart
-(lattice.SolveChart) in integer arithmetic.
+the (Q-)Cartier tests are read in integer arithmetic from each cone's
+adjugate (fan.Cone.dual_basis) when it is full-dimensional and
+simplicial, and from its own Smith chart (lattice.SolveChart) otherwise.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from toriclab.fan import Fan, is_complete, is_simplicial, walls
+from toriclab.fan import Cone, Fan, is_complete, is_simplicial
 from toriclab.lattice import AbelianGroupStructure, IntMatrix, SolveChart, Vec, primitive, vdot
 
 Divisor = tuple  # one (rational) coefficient per ray, in ray order
@@ -102,14 +103,35 @@ def principal_divisor(X: ToricVariety, character: Vec) -> Divisor:
     return tuple(Fraction(vdot(character, u)) for u in X.fan.rays)
 
 
+def _scaled_piece(cone: Cone, a: Sequence[int]) -> tuple[int, Optional[Vec]]:
+    """(L, L.m) with L > 0 for the piece m with m.g_i = a_i on the cone's
+    generators, or (L, None) when no such m exists (a integral).
+
+    A cone with a dual basis (last, h) has the one piece m = sum a_s h_s /
+    last, so L = |last| and L.m = sign(last) sum a_s h_s.  Any other cone
+    reads its Smith chart: L the largest invariant and L.m = M.a."""
+    if cone.dual_basis is not None:
+        last, h = cone.dual_basis
+        sign = 1 if last > 0 else -1
+        L, lm = abs(last), tuple(sign * sum(x * hs[i] for x, hs in zip(a, h)) for i in range(cone.rank))
+    else:
+        chart = cone.solve_chart
+        L, lm = chart.L, chart.solve(a)
+    if lm is not None and any(vdot(lm, g) != L * x for g, x in zip(cone.generators, a, strict=True)):
+        raise RuntimeError("linear solve broken: local functional misses a prescribed value on a ray")
+    return L, lm
+
+
 def local_functionals(fan: Fan, values: Sequence) -> list[Optional[tuple[Fraction, ...]]]:
     """For each maximal cone, some m with <m, u_i> = values[i] on the
     cone's rays u_i, or None where no such m exists.
 
     The values are scaled once to integers alpha = A.values, A the lcm of
-    their denominators.  Each cone's Smith chart then answers in integers:
-    no piece iff Z.alpha != 0 on the cone's rays, and otherwise the piece
-    M.alpha / (L.A).  On a full-dimensional cone that is the only
+    their denominators, and each cone answers in integers (_scaled_piece).
+    A full-dimensional simplicial cone reads its dual basis: the piece is
+    unique and no Smith form is taken.  Any other cone reads its Smith
+    chart: no piece iff Z.alpha != 0 on the cone's rays, and otherwise the
+    piece M.alpha / (L.A).  On a full-dimensional cone that is the only
     solution; on a lower-dimensional one it is the solution whose free
     Smith coordinates vanish, and only its values on the cone's span are
     meaningful.
@@ -121,12 +143,8 @@ def local_functionals(fan: Fan, values: Sequence) -> list[Optional[tuple[Fractio
     alpha = [int(v * A) for v in values]
     out = []
     for c, cone in zip(fan.max_cones, fan.cones):
-        chart = cone.solve_chart
-        a = [alpha[i] for i in c]
-        lm = chart.solve(a)
-        if lm is not None and any(vdot(lm, g) != chart.L * x for g, x in zip(cone.generators, a, strict=True)):
-            raise RuntimeError("linear solve broken: local functional misses a prescribed value on a ray")
-        out.append(None if lm is None else tuple(Fraction(x, chart.L * A) for x in lm))
+        L, lm = _scaled_piece(cone, [alpha[i] for i in c])
+        out.append(None if lm is None else tuple(Fraction(x, L * A) for x in lm))
     return out
 
 
@@ -139,7 +157,7 @@ def is_qcartier(X: ToricVariety, D: Sequence) -> bool:
 def is_cartier(X: ToricVariety, D: Sequence) -> bool:
     """Like is_qcartier but the functional must be integral: D is
     integral and so is every piece of local_functionals(-D), i.e. L
-    divides M.(-D) on each maximal cone (see lattice.SolveChart)."""
+    divides L.m on each maximal cone (see _scaled_piece)."""
     coeffs = [Fraction(c) for c in D]
     pieces = local_functionals(X.fan, [-c for c in coeffs])
     if any(c.denominator != 1 for c in coeffs):
@@ -197,24 +215,23 @@ def is_fano(X: ToricVariety) -> bool:
     taking value one on every ray, across every wall of the fan.  Only
     complete simplicial fans are supported.
 
-    Each maximal cone's Smith chart gives L.m for its piece m (m.u = 1 on
-    the cone's rays), so the test m.g < 1 across a wall reads
-    (L.m).g < L in integers.  One side of each wall suffices: the two
-    pieces differ by a functional vanishing on the wall, and the cones'
-    other rays lie on opposite sides of it.
+    Each maximal cone gives L.m for its piece m (m.u = 1 on the cone's
+    rays) from the reader local_functionals uses, with L = |det| > 0, so
+    the test m.g < 1 across a wall reads (L.m).g < L in integers.  The
+    walls come from the fan's one cached wall map (Fan.wall_map), which
+    is_complete has already built.  One side of each wall suffices: the
+    two pieces differ by a functional vanishing on the wall, and the
+    cones' other rays lie on opposite sides of it.
     """
     fan = X.fan
     if not fan.max_cones or not is_complete(fan) or not is_simplicial(fan):
         raise ValueError("ampleness test unsupported: fan must be complete and simplicial")
     cones = fan.cones
-    charts = [cone.solve_chart for cone in cones]
-    pieces = [chart.solve([1] * len(cone.generators)) for chart, cone in zip(charts, cones)]
-    if any(lm is None for lm in pieces):
+    pieces = [_scaled_piece(cone, [1] * len(cone.generators)) for cone in cones]
+    if any(lm is None for _, lm in pieces):
         return False
-    for key, ks in walls(cones).items():
-        if len(ks) != 2:
-            continue
-        a, b = ks
-        if any(vdot(pieces[a], g) >= charts[a].L for g in set(cones[b].generators) - key):
+    for key, (a, b) in fan.wall_map.items():
+        L, lm = pieces[a]
+        if any(vdot(lm, g) >= L for g in set(cones[b].generators) - key):
             return False
     return True

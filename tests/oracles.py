@@ -9,7 +9,9 @@ counting, Fourier-Motzkin elimination and simplex pivots instead of the
 double description's lineality test, subset scans and simplex LPs
 instead of its facets, Gauss-Jordan
 solves and per-call Smith forms instead of a cone's cached Smith chart
-(and a Fraction nullspace instead of its span equations), class-group
+(and a Fraction nullspace instead of its span equations), the pairwise
+common-face scan instead of the wall criterion, Smith charts instead of a
+cone's dual basis, class-group
 coordinates instead of ranks of the ray matrix, a Vieta-jump
 search with a seen set instead of the Markov tree walk.  numpy is used
 only here, with integer dtypes, to keep the scans fast; the library itself
@@ -26,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from toriclab.fan import Fan, is_complete, is_simplicial, walls
+from toriclab.fan import Diagnostics, Fan, _meet_in_common_face, is_complete, is_simplicial, walls
 from toriclab.markov import MarkovTriple
 from toriclab.lattice import (
     IntMatrix,
@@ -1335,6 +1337,79 @@ def origin_interior_lp(vertices, rank):
     eqs.append((tuple(1 for _ in range(k)), 1))
     pos = [(tuple(1 if i == j else 0 for j in range(k)), 0) for i in range(k)]
     return linear_feasible_simplex(k, equalities=eqs, gt=pos)
+
+
+# ---------------------------------- fan validation and Smith-chart pieces
+
+# What the wall criterion and a cone's dual basis replaced, moved here
+# unchanged: validate_fan's pairwise scan (one double-description run per
+# pair of maximal cones), and local_functionals and is_unimodular reading
+# every cone's Smith chart.
+
+
+def validate_fan_pairwise(fan: Fan) -> Diagnostics:
+    """Check the fan axioms; reports the first violation with a witness.
+
+    Checks, in order: every ray used, strong convexity and extremality of
+    each maximal cone, no cone contained in another, and the pairwise
+    intersection-is-a-common-face condition (via an exact separating
+    functional).
+    """
+    used = set(itertools.chain.from_iterable(fan.max_cones))
+    for i in range(len(fan.rays)):
+        if i not in used:
+            return Diagnostics(False, "ray not contained in any maximal cone", (fan.rays[i],))
+    cones = fan.cones
+    for idx, cone in zip(fan.max_cones, cones):
+        if not cone.is_strongly_convex():
+            return Diagnostics(False, "maximal cone is not strongly convex", (idx,))
+        if not cone.generators_extremal():
+            return Diagnostics(False, "non-extremal generator in maximal cone", (idx,))
+    for a, b in itertools.combinations(range(len(cones)), 2):
+        ia, ib = set(fan.max_cones[a]), set(fan.max_cones[b])
+        if ia <= ib or ib <= ia:
+            return Diagnostics(False, "maximal cone contained in another", (fan.max_cones[a], fan.max_cones[b]))
+        if not _meet_in_common_face(fan, fan.max_cones[a], fan.max_cones[b]):
+            return Diagnostics(
+                False,
+                "cones do not intersect in a common face",
+                (fan.max_cones[a], fan.max_cones[b]),
+            )
+    return Diagnostics(True)
+
+
+def local_functionals_smith(fan: Fan, values: Sequence) -> list[Optional[tuple[Fraction, ...]]]:
+    """For each maximal cone, some m with <m, u_i> = values[i] on the
+    cone's rays u_i, or None where no such m exists.
+
+    The values are scaled once to integers alpha = A.values, A the lcm of
+    their denominators.  Each cone's Smith chart then answers in integers:
+    no piece iff Z.alpha != 0 on the cone's rays, and otherwise the piece
+    M.alpha / (L.A).  On a full-dimensional cone that is the only
+    solution; on a lower-dimensional one it is the solution whose free
+    Smith coordinates vanish, and only its values on the cone's span are
+    meaningful.
+    """
+    values = [Fraction(v) for v in values]
+    if len(values) != len(fan.rays):
+        raise ValueError("expected one coefficient per ray")
+    A = math.lcm(*(v.denominator for v in values))
+    alpha = [int(v * A) for v in values]
+    out = []
+    for c, cone in zip(fan.max_cones, fan.cones):
+        chart = cone.solve_chart
+        a = [alpha[i] for i in c]
+        lm = chart.solve(a)
+        if lm is not None and any(vdot(lm, g) != chart.L * x for g, x in zip(cone.generators, a, strict=True)):
+            raise RuntimeError("linear solve broken: local functional misses a prescribed value on a ray")
+        out.append(None if lm is None else tuple(Fraction(x, chart.L * A) for x in lm))
+    return out
+
+
+def is_unimodular_smith(cone) -> bool:
+    """Generators extend to a basis of the ambient lattice (and the cone is
+    simplicial), read off the cone's Smith chart."""
+    return len(cone.generators) == matrix_rank(cone.generator_matrix) and cone.solve_chart.L == 1
 
 
 # ------------------------------------------------------ random instances

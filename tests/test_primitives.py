@@ -2,10 +2,12 @@
 of cones, and the per-cone functional solve.  Randomized checks run against
 the minor-gcd oracle, which never eliminates.  AST guards keep the library
 free of asserts and unbounded caches, and keep every Smith form in
-lattice."""
+lattice.  Count guards keep complete simplicial fans off the double
+description and pair queries off Smith forms outside the least-psi scan."""
 
 import ast
 import importlib
+import inspect
 import itertools
 import math
 import pathlib
@@ -15,12 +17,13 @@ from fractions import Fraction
 import pytest
 
 import toriclab
-from toriclab import toric
+from toriclab import fan as fan_module, lattice, pairs, toric
+from toriclab.catalog import bundled_fans
 from toriclab.complexity import complexity, decomposition_by_primes
-from toriclab.fan import Cone, Diagnostics, Fan, validate_fan, walls
+from toriclab.fan import Cone, Diagnostics, Fan, is_complete, star_subdivision, validate_fan, walls
 from toriclab.lattice import IntMatrix, rank, solve_rational, vdot
-from toriclab.pairs import ToricPair, is_log_cy, validate_pair
-from toriclab.toric import local_functionals, projective_space_fan
+from toriclab.pairs import ToricPair, index, is_log_cy, singularity_type, validate_pair
+from toriclab.toric import local_functionals, projective_space_fan, weighted_projective_fan
 
 from oracles import minor_gcds, nullspace, row_echelon
 
@@ -194,3 +197,80 @@ def test_traced_names_resolve():
                 missing.append(f"{module_name}.{attr}")
                 break
     assert not missing, missing
+
+
+# ------------------------------------------------------------ count guards
+
+
+def _count_calls(monkeypatch, module, name, log):
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        log.append(tuple(frame.function for frame in inspect.stack()[1:]))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def _star_subdivided_p3(cones, seed):
+    """P3 star-subdivided at seeded maximal cones and 2-faces until it has
+    the given number of maximal cones (each step adds two)."""
+    rng = random.Random(seed)
+    fan = projective_space_fan(3)
+    while len(fan.max_cones) < cones:
+        host = rng.choice(fan.max_cones)
+        fan = star_subdivision(fan, rng.sample(host, 2) if len(fan.max_cones) + 4 <= cones and rng.random() < 0.3 else host)
+    return Fan(fan.rays, fan.max_cones, fan.rank)
+
+
+def test_complete_simplicial_fans_take_no_double_description(monkeypatch):
+    fans = [projective_space_fan(n) for n in range(2, 7)] + [_star_subdivided_p3(256, 1234)]
+    assert len(fans[-1].max_cones) == 256
+    fans += [Fan(fan.rays, fan.max_cones, fan.rank) for _, fan in bundled_fans() if fan.rank >= 2]
+    runs, separations = [], []
+    _count_calls(monkeypatch, fan_module, "double_description", runs)
+    _count_calls(monkeypatch, fan_module, "_separating", separations)
+    for fan in fans:
+        assert validate_fan(fan) and is_complete(fan)
+    assert (len(runs), len(separations)) == (0, 0)
+
+
+def test_one_wall_map_per_fan_and_no_smith_form_for_fano(monkeypatch):
+    built, smith = [], []
+    _count_calls(monkeypatch, fan_module, "walls", built)
+    _count_calls(monkeypatch, lattice, "smith_normal_form", smith)
+    fans = [projective_space_fan(n) for n in range(2, 5)] + [_star_subdivided_p3(40, 5)]
+    for k, fan in enumerate(fans, 1):
+        assert validate_fan(fan) and is_complete(fan) and toric.is_fano(toric.ToricVariety(fan)) == (k < 4)
+        assert len(built) == k
+    assert smith == []
+
+
+def _classify(pair):
+    """What `pair classify` asks of a pair read from a file."""
+    validate_fan(Fan(pair.fan.rays, pair.fan.max_cones, pair.fan.rank))
+    return singularity_type(pair), is_log_cy(pair), index(pair), complexity(pair, decomposition_by_primes(pair)).c
+
+
+def test_pair_queries_take_smith_forms_only_for_the_least_psi(monkeypatch):
+    fans = [
+        projective_space_fan(3),
+        weighted_projective_fan((1, 4, 1, 5)),
+        weighted_projective_fan((2, 3, 5)),
+        Fan.from_data([(1, 0, 0), (0, 1, 0), (3, 5, 11), (-4, -6, -11)], list(itertools.combinations(range(4), 3))),
+        _star_subdivided_p3(12, 77),
+    ]
+    smith = []
+    _count_calls(monkeypatch, lattice, "smith_normal_form", smith)
+    pairs._psi.cache_clear()
+    for fan in fans:
+        lc = ToricPair.from_fan(fan, [1] + [Fraction(1, 2)] * (len(fan.rays) - 1))
+        assert _classify(lc)[0] == "lc"
+    assert smith == []
+    below_lc = 0
+    for fan in fans:
+        for b in (Fraction(1, 3), Fraction(5, 6), 0):
+            pair = ToricPair.from_fan(fan, [b] * len(fan.rays))
+            below_lc += _classify(pair)[0] in ("klt", "canonical", "terminal")
+    assert below_lc == 15 and smith
+    assert all("_least_exceptional_psi" in stack for stack in smith)

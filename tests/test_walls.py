@@ -1,0 +1,258 @@
+"""validate_fan's wall criterion against the pairwise scan it skips
+(oracles.validate_fan_pairwise): the same Diagnostics (valid, problem and
+witness) on named, seeded and hypothesis fans of rank 1 to 4, and the
+criterion accepting exactly the valid complete simplicial fans.  The
+count guard (no double-description run where it accepts) is in
+test_primitives."""
+
+import itertools
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from toriclab.catalog import bundled_fans, cone_over_square_fan
+from toriclab.fan import Fan, _walls_cover_once, is_complete, validate_fan
+from toriclab.lattice import primitive
+from toriclab.toric import projective_space_fan, weighted_projective_fan
+
+from oracles import random_complete_2d_fan, validate_fan_pairwise
+
+
+def _copy(fan):
+    """The same fan as a new object, so no cached cone data is shared."""
+    return Fan(fan.rays, fan.max_cones, fan.rank)
+
+
+def _both(fan):
+    return validate_fan(_copy(fan)), validate_fan_pairwise(_copy(fan))
+
+
+def _accepts_exactly_the_complete_simplicial_fans(fan):
+    """Where every ray is used, the criterion holds iff the fan is valid,
+    of rank at least 2, complete, and made of full-dimensional simplicial
+    cones."""
+    if set(range(len(fan.rays))) != set(itertools.chain.from_iterable(fan.max_cones)):
+        return
+    fan = _copy(fan)
+    expected = (
+        fan.rank >= 2
+        and bool(fan.max_cones)
+        and all(len(c) == fan.rank == cone.dim for c, cone in zip(fan.max_cones, fan.cones))
+        and bool(validate_fan_pairwise(fan))
+        and is_complete(fan)
+    )
+    assert _walls_cover_once(_copy(fan)) == expected, fan
+
+
+# --------------------------------------------------------------- fans
+
+
+def _star(rays, cones, tau):
+    """Star subdivision of the cones holding every ray of tau, inserting
+    the primitive sum of tau's rays."""
+    v = primitive(tuple(map(sum, zip(*(rays[i] for i in tau)))))
+    if v in rays:
+        return rays, cones
+    rays = rays + [v]
+    new = len(rays) - 1
+    out = []
+    for c in cones:
+        if set(tau) <= set(c):
+            out += [tuple(sorted((set(c) - {i}) | {new})) for i in tau]
+        else:
+            out.append(tuple(c))
+    return rays, out
+
+
+def _projective(n):
+    fan = projective_space_fan(n)
+    return list(fan.rays), list(fan.max_cones)
+
+
+# rays in angular order, each about 72 degrees past the last, so that steps
+# of two go round the origin twice in cones of 144 degrees
+PENTAGON = [(1, 0), (1, 3), (-4, 3), (-4, -3), (1, -3)]
+DOUBLE_COVER_2D = Fan.from_data(PENTAGON, [(i, (i + 2) % 5) for i in range(5)])
+# its suspension: every wall matched and crossed, covering degree 2
+DOUBLE_COVER_3D = Fan.from_data(
+    [(x, y, 0) for x, y in PENTAGON] + [(0, 0, 1), (0, 0, -1)],
+    [(i, (i + 2) % 5, pole) for i in range(5) for pole in (5, 6)],
+)
+# rays at about 0, 100, 50 and 200 degrees: every wall lies in two cones,
+# but both cones at the ray (-1, 6) lie on the same side of it
+FOLDED_2D = Fan.from_data([(1, 0), (-1, 6), (5, 6), (-3, -1)], [(0, 1), (1, 2), (2, 3), (3, 0)])
+
+
+def _hanging_vertex(n, host=0, edge=(0, 1)):
+    """P^n with one of the cones at a 2-face subdivided along it and the
+    others not: the new ray hangs in a facet of the cones left whole."""
+    rays, cones = _projective(n)
+    c = cones[host]
+    tau = (c[edge[0]], c[edge[1]])
+    v = primitive(tuple(map(sum, zip(*(rays[i] for i in tau)))))
+    rays = rays + [v]
+    new = len(rays) - 1
+    cones = cones[:host] + [tuple(sorted((set(c) - {i}) | {new})) for i in tau] + cones[host + 1 :]
+    return Fan.from_data(rays, cones)
+
+
+CUBE = [(x, y, z) for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)]
+CUBE_FACE_FAN = Fan.from_data(
+    CUBE, [tuple(i for i, v in enumerate(CUBE) if v[axis] == s) for axis in range(3) for s in (-1, 1)]
+)
+
+NAMED = [
+    ("P1", Fan.from_data([(1,), (-1,)], [(0,), (1,)])),
+    ("half-line", Fan.from_data([(1,)], [(0,)])),
+    ("line as one cone", Fan.from_data([(1,), (-1,)], [(0, 1)])),
+    ("empty fan of rank 2", Fan((), (), 2)),
+    *((f"P{n}", projective_space_fan(n)) for n in range(2, 5)),
+    ("P(2,3,5)", weighted_projective_fan((2, 3, 5))),
+    ("P(1,4,1,5)", weighted_projective_fan((1, 4, 1, 5))),
+    *bundled_fans(),
+    ("2D double cover", DOUBLE_COVER_2D),
+    ("3D double cover", DOUBLE_COVER_3D),
+    ("2D fold", FOLDED_2D),
+    ("hanging vertex in P3", _hanging_vertex(3)),
+    ("hanging vertex in P3, other cone", _hanging_vertex(3, host=2, edge=(1, 2))),
+    ("hanging vertex in P4", _hanging_vertex(4, host=1)),
+    ("P2 with an unused ray", Fan.from_data([(1, 0), (0, 1), (-1, -1), (1, 1)], [(0, 1), (1, 2), (0, 2)])),
+    ("P2 without a cone", Fan.from_data(projective_space_fan(2).rays, projective_space_fan(2).max_cones[1:])),
+    ("P3 without a cone", Fan.from_data(projective_space_fan(3).rays, projective_space_fan(3).max_cones[:-1])),
+    ("one quadrant", Fan.from_data([(1, 0), (0, 1)], [(0, 1)])),
+    ("cone over the square", cone_over_square_fan()),
+    ("face fan of the cube", CUBE_FACE_FAN),
+    ("overlapping quadrants", Fan.from_data([(1, 0), (0, 1), (1, 1), (-1, 1)], [(0, 1), (2, 3)])),
+    ("plane fan plus a ray", Fan.from_data([(1, 0, 0), (0, 1, 0), (-1, -1, 0), (0, 0, 1)], [(0, 1), (1, 2), (0, 2), (3,)])),
+]
+
+
+@pytest.mark.parametrize("name,fan", NAMED, ids=[n for n, _ in NAMED])
+def test_named_fans_get_the_pairwise_diagnostics(name, fan):
+    fast, pairwise = _both(fan)
+    assert fast == pairwise
+    _accepts_exactly_the_complete_simplicial_fans(fan)
+
+
+def test_the_named_failures_are_the_ones_meant():
+    named = dict(NAMED)
+    for name in ("2D double cover", "3D double cover", "2D fold", "hanging vertex in P3", "hanging vertex in P4"):
+        diag = validate_fan(_copy(named[name]))
+        assert diag.problem == "cones do not intersect in a common face", name
+    # every wall of the covers and the fold is matched; the hanging vertex's is not
+    for name in ("2D double cover", "3D double cover", "2D fold"):
+        assert all(len(ks) == 2 for ks in _copy(named[name]).wall_map.values()), name
+    assert any(len(ks) == 1 for ks in _copy(named["hanging vertex in P3"]).wall_map.values())
+    for name in ("P1", "P3", "P(2,3,5)", "P3 without a cone", "face fan of the cube"):
+        assert validate_fan(_copy(named[name])), name
+    assert not _walls_cover_once(_copy(named["P1"]))  # rank 1: the pairwise scan decides
+
+
+# ------------------------------------------------------ random fans
+
+
+def _random_fan(rng):
+    """A seeded complete fan of rank 1 to 4 (P^n and its star
+    subdivisions, random complete 2D fans, weighted projective fans), then
+    up to two of: drop a cone, move a ray, hang a vertex in one cone, merge
+    two cones into one, add a cone on random rays."""
+    kind = rng.randrange(6)
+    if kind == 0:
+        n = rng.randint(1, 4)
+        rays, cones = _projective(n)
+    elif kind in (1, 2):
+        rays, cones = _projective(rng.randint(2, 4))
+        for _ in range(rng.randint(1, 8)):
+            host = rng.choice(cones)
+            rays, cones = _star(rays, cones, rng.sample(host, rng.randint(2, len(host))))
+    elif kind == 3:
+        fan = random_complete_2d_fan(rng)
+        rays, cones = list(fan.rays), list(fan.max_cones)
+    elif kind == 4:
+        fan = weighted_projective_fan([rng.randint(1, 5) for _ in range(rng.randint(3, 4))] + [1])
+        rays, cones = list(fan.rays), list(fan.max_cones)
+    else:
+        rays, cones = list(CUBE_FACE_FAN.rays), list(CUBE_FACE_FAN.max_cones)
+    n = len(rays[0])
+    for _ in range(rng.choice((0, 0, 1, 1, 2))):
+        move = rng.randrange(5)
+        if move == 0 and len(cones) > 1:
+            cones.pop(rng.randrange(len(cones)))
+        elif move == 1:
+            i = rng.randrange(len(rays))
+            moved = tuple(x + rng.randint(-2, 2) for x in rays[i])
+            if any(moved):
+                rays[i] = primitive(moved)
+        elif move == 2 and n >= 2:
+            k = rng.randrange(len(cones))
+            c = cones[k]
+            tau = rng.sample(c, 2)
+            v = primitive(tuple(map(sum, zip(*(rays[i] for i in tau)))))
+            if v not in rays:
+                rays.append(v)
+                cones[k : k + 1] = [tuple(sorted((set(c) - {i}) | {len(rays) - 1})) for i in tau]
+        elif move == 3 and len(cones) > 1:
+            a, b = rng.sample(range(len(cones)), 2)
+            merged = tuple(sorted(set(cones[a]) | set(cones[b])))
+            cones = [c for k, c in enumerate(cones) if k not in (a, b)] + [merged]
+        elif move == 4:
+            cones.append(tuple(rng.sample(range(len(rays)), min(n, len(rays)))))
+    if len(set(rays)) != len(rays):
+        return None
+    return Fan.from_data(rays, cones, rank=n)
+
+
+def test_seeded_fans_get_the_pairwise_diagnostics():
+    rng = random.Random(13013)
+    verdicts = {"accepted": 0, "valid by pairs": 0, "invalid": 0}
+    ranks = set()
+    for _ in range(400):
+        fan = _random_fan(rng)
+        if fan is None:
+            continue
+        ranks.add(fan.rank)
+        fast, pairwise = _both(fan)
+        assert fast == pairwise, fan
+        _accepts_exactly_the_complete_simplicial_fans(fan)
+        if _walls_cover_once(_copy(fan)):
+            verdicts["accepted"] += 1
+        elif pairwise:
+            verdicts["valid by pairs"] += 1
+        else:
+            verdicts["invalid"] += 1
+    assert ranks == {1, 2, 3, 4}
+    assert all(v >= 30 for v in verdicts.values()), verdicts
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.randoms(use_true_random=False))
+def test_hypothesis_fans_get_the_pairwise_diagnostics(rnd):
+    fan = _random_fan(rnd)
+    if fan is None:
+        return
+    fast, pairwise = _both(fan)
+    assert fast == pairwise, fan
+    _accepts_exactly_the_complete_simplicial_fans(fan)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(2, 3).flatmap(
+        lambda n: st.lists(st.tuples(*[st.integers(-3, 3)] * n).filter(any), min_size=n, max_size=6, unique=True)
+    ),
+    st.randoms(use_true_random=False),
+)
+def test_hypothesis_arbitrary_simplicial_cones(rays, rnd):
+    # cones on random rank-sized subsets of random rays: mostly invalid,
+    # overlapping or non-complete, sometimes a fan
+    rays = list(dict.fromkeys(primitive(r) for r in rays))
+    n = len(rays[0])
+    if len(rays) < n:
+        return
+    subsets = list(itertools.combinations(range(len(rays)), n))
+    cones = rnd.sample(subsets, rnd.randint(1, min(len(subsets), 8)))
+    fan = Fan.from_data(rays, cones, rank=n)
+    fast, pairwise = _both(fan)
+    assert fast == pairwise, fan
+    _accepts_exactly_the_complete_simplicial_fans(fan)
