@@ -12,7 +12,12 @@ where rho, the rank of the span of the part classes in Cl tensor Q, is
 for the ray matrix R (one ray per row) and the parts' indicator rows P:
 Cl tensor Q is Q^rays modulo the column span of R (the exact sequence
 0 -> M_Q -> Q^rays -> Cl(X)_Q -> 0); rank R is the fan's cached
-`ray_rank`.  Everything is exact integer and rational arithmetic.  For a
+`ray_rank`.  A singleton part {i} is the unit row e_i of P, so it adds one
+to the rank and its column can be deleted from every other row: the one
+elimination runs on the columns that no singleton part covers, and not
+at all when none is left (a boundary with a positive coefficient on
+every ray, decomposed into primes).  Everything is exact integer and
+rational arithmetic.  For a
 toric log Calabi-Yau pair with its prime decomposition this is zero, and
 it can never be negative for a log CY pair; a negative value here always
 means a bug.
@@ -39,16 +44,17 @@ class Decomposition:
     def __post_init__(self):
         norm = []
         for alpha, rays in self.parts:
+            alpha = Fraction(alpha)
             if alpha < 0:
                 raise ValueError("part weights must be non-negative")
             if not rays:
                 raise ValueError("empty part in decomposition")
-            norm.append((Fraction(alpha), frozenset(int(i) for i in rays)))
+            norm.append((alpha, frozenset(int(i) for i in rays)))
         object.__setattr__(self, "parts", tuple(norm))
 
     @classmethod
     def of(cls, parts: Iterable[tuple[object, Iterable[int]]]) -> "Decomposition":
-        return cls(tuple((Fraction(a), frozenset(b)) for a, b in parts))
+        return cls(tuple((a, frozenset(b)) for a, b in parts))
 
     def coefficient_vector(self, ray_count: int) -> tuple[Fraction, ...]:
         coeffs = [Fraction(0)] * ray_count
@@ -85,17 +91,21 @@ def decomposition_by_primes(pair: ToricPair) -> Decomposition:
 
 def complexity(pair: ToricPair, decomposition: Decomposition) -> ComplexityReport:
     """Complexity of the decomposition; raises if it does not decompose
-    the pair's boundary."""
+    the pair's boundary.  rho = #singleton rays + rank of [P; R^T] on the
+    other columns - rank R (see the module docstring)."""
     coeffs = decomposition.coefficient_vector(len(pair.fan.rays))
     for i, (got, want) in enumerate(zip(coeffs, pair.boundary)):
         if got != want:
             raise ValueError(
                 f"decomposition mismatch at ray {pair.fan.rays[i]}: sums to {got}, boundary has {want}"
             )
-    n = len(pair.fan.rays)
-    parts = [tuple(int(i in part) for i in range(n)) for _, part in decomposition.parts]
-    columns = list(zip(*pair.fan.rays))  # the rows of R^T
-    rho = matrix_rank(IntMatrix.from_rows(parts + columns, cols=n)) - pair.fan.ray_rank
+    singles = {i for _, part in decomposition.parts if len(part) == 1 for i in part}
+    rest = [i for i in range(len(pair.fan.rays)) if i not in singles]
+    rho = len(singles) - pair.fan.ray_rank
+    if rest:
+        rows = [tuple(int(i in part) for i in rest) for _, part in decomposition.parts if len(part) > 1]
+        rows += [tuple(x[i] for i in rest) for x in zip(*pair.fan.rays)]  # the rows of R^T
+        rho += matrix_rank(IntMatrix.from_rows(rows, cols=len(rest)))
     norm = decomposition.norm
     c = pair.dim + rho - norm
     return ComplexityReport(rho=rho, norm=norm, dim=pair.dim, c=c)

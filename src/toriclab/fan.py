@@ -4,7 +4,8 @@ A cone is stored by its primitive extremal generators, a fan by a canonical
 (lexicographically sorted) ray list plus maximal cones as ray-index sets.
 All geometry is decided exactly, by one kernel on integer rows: the double
 description, seeded by the one elimination over Q (lattice.echelon, which
-also gives cone dimensions and the rank of a fan's ray matrix).  One run
+also gives cone dimensions and, when no maximal cone has a dual basis,
+the rank of a fan's ray matrix).  One run
 per cone gives its facets, from which membership, relative interiors, walls
 and faces are read.  Separation questions (strong convexity, extremality,
 whether two cones meet in a common face, rational linear feasibility) ask
@@ -461,7 +462,11 @@ class Fan:
 
     @cached_property
     def ray_rank(self) -> int:
-        """Rank of the ray matrix, once per fan (complexity, log CY)."""
+        """Rank of the ray matrix, once per fan (complexity, log CY): the
+        ambient rank when some maximal cone has a dual basis, whose
+        generators are independent rays, else one `lattice.rank`."""
+        if any(cone.dual_basis is not None for cone in self.cones):
+            return self.rank
         return matrix_rank(IntMatrix.from_rows(self.rays, cols=self.rank))
 
     def max_cone(self, k: int) -> Cone:

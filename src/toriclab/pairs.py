@@ -7,6 +7,10 @@ primitive lattice point is the log discrepancy of the corresponding
 divisorial valuation.  Only torus-invariant valuations are consulted: for
 a toric pair the extremal log discrepancies are attained by them, so the
 singularity class computed from lattice points is the honest one.
+
+Every pair query reads one integer record of psi per pair
+(LogDiscrepancyFunction); with a full-dimensional maximal cone none of
+them takes an elimination.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from typing import Optional, Sequence
 
 from toriclab.fan import Cone, Diagnostics, Fan, is_refinement
 from toriclab.lattice import IntMatrix, SolveChart, Vec, rank as matrix_rank, vdot
-from toriclab.toric import ToricVariety, local_functionals, projective_space_fan
+from toriclab.toric import ToricVariety, _scaled_piece, local_functionals, projective_space_fan
 
 
 class EffectivityError(ValueError):
@@ -37,7 +41,10 @@ class ToricPair:
     """A toric variety plus an effective boundary divisor.
 
     Effectivity (all coefficients >= 0) is enforced at construction;
-    whether K+B is Q-Cartier is a property, checked by validate_pair.
+    whether K+B is Q-Cartier is a property, checked by validate_pair.  The
+    coefficients are converted to Fractions once, and the hash of the
+    fields is taken once, at construction, for the cached pair queries
+    that look the pair up again and again.
     """
 
     variety: ToricVariety
@@ -50,10 +57,14 @@ class ToricPair:
         if any(c < 0 for c in coeffs):
             raise ValueError("boundary must be effective")
         object.__setattr__(self, "boundary", coeffs)
+        object.__setattr__(self, "_hash", hash((self.variety, coeffs)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def from_fan(cls, fan: Fan, coefficients: Sequence) -> "ToricPair":
-        return cls(ToricVariety(fan), tuple(Fraction(c) for c in coefficients))
+        return cls(ToricVariety(fan), tuple(coefficients))
 
     @classmethod
     def reduced(cls, fan: Fan) -> "ToricPair":
@@ -92,24 +103,45 @@ def validate_pair(pair: ToricPair) -> Diagnostics:
 
 class LogDiscrepancyFunction:
     """The PL function psi with psi(u_i) = 1 - b_i, one linear piece per
-    maximal cone (toric.local_functionals: the adjugate of a
-    full-dimensional simplicial cone, else its Smith chart).  Exists
-    exactly when K+B is Q-Cartier."""
+    maximal cone.  Exists exactly when K+B is Q-Cartier.
+
+    It is held as one integer record, built once per pair: A, the lcm of
+    the boundary denominators; alpha = A(1 - b); and `scaled`, per
+    maximal cone (L.A, L.m) with psi = L.m / (L.A) on that cone, where
+    (L, L.m) is toric._scaled_piece of alpha on the cone's rays (the
+    adjugate of a full-dimensional simplicial cone, else its Smith chart).
+    `piece` gives the same Fractions as toric.local_functionals.
+    """
 
     def __init__(self, pair: ToricPair):
         self.pair = pair
-        self._pieces: list[tuple[Fraction, ...]] = local_functionals(pair.fan, [1 - b for b in pair.boundary])
-        if any(m is None for m in self._pieces):
-            raise ValueError("K+B is not Q-Cartier; no log discrepancy function")
+        self.A = A = math.lcm(*(b.denominator for b in pair.boundary))
+        self.alpha = alpha = tuple(A - b.numerator * (A // b.denominator) for b in pair.boundary)
+        self.scaled: list[tuple[int, Vec]] = []
+        for c, cone in zip(pair.fan.max_cones, pair.fan.cones):
+            L, lm = _scaled_piece(cone, [alpha[i] for i in c])
+            if lm is None:
+                raise ValueError("K+B is not Q-Cartier; no log discrepancy function")
+            self.scaled.append((L * A, lm))
 
     def piece(self, cone_index: int) -> tuple[Fraction, ...]:
-        return self._pieces[cone_index]
+        LA, lm = self.scaled[cone_index]
+        return tuple(Fraction(x, LA) for x in lm)
 
     def cone_index_of(self, v: Sequence) -> Optional[int]:
-        # facet data is computed per cone on first need and cached on the
-        # fan's Cone objects; classification never asks
-        for k, cone in enumerate(self.pair.fan.cones):
-            if cone.contains(v):
+        """The first maximal cone, in order, that holds v; None if none
+        does.  A cone with a dual basis (last, h) holds v iff
+        sign(last).h_s.v >= 0 for every s; only the other cones compute
+        facet data (Cone.contains)."""
+        cones = self.pair.fan.cones
+        if cones and len(v) != self.pair.dim:
+            raise ValueError("point length differs from ambient rank")
+        for k, cone in enumerate(cones):
+            basis = cone.dual_basis
+            if basis is None:
+                if cone.contains(v):
+                    return k
+            elif all(vdot(hs, v) * basis[0] >= 0 for hs in basis[1]):
                 return k
         return None
 
@@ -117,7 +149,8 @@ class LogDiscrepancyFunction:
         k = self.cone_index_of(v)
         if k is None:
             raise ValueError("valuation not visible in this fan: point outside the support")
-        return Fraction(vdot(self._pieces[k], v))
+        LA, lm = self.scaled[k]
+        return Fraction(vdot(lm, v), LA)
 
 
 @lru_cache(maxsize=256)
@@ -136,10 +169,10 @@ def log_discrepancy(pair: ToricPair, v: Sequence[int]) -> Fraction:
     return _psi(pair)(v)
 
 
-def _least_exceptional_psi(cone: Cone, a: Sequence[Fraction]) -> Optional[Fraction]:
+def _least_exceptional_psi(cone: Cone, alpha: Sequence[int], A: int) -> Optional[Fraction]:
     """Least psi over the primitive lattice points of the cone that are
-    not rays, where psi is linear with psi(generators[i]) = a[i] > 0; None
-    when the cone has no such point.
+    not rays, where psi is linear with psi(generators[i]) = alpha[i] / A > 0;
+    None when the cone has no such point.
 
     A simplicial cone with rays u_i, Smith form U.G.V = diag(d) of the ray
     matrix G, has the fundamental-parallelepiped points
@@ -160,12 +193,11 @@ def _least_exceptional_psi(cone: Cone, a: Sequence[Fraction]) -> Optional[Fracti
             continue  # linearly dependent subset
         U, d, L = chart.U, chart.d, chart.L
         # integers throughout: psi = value / (L * A), L * frac(lambda_i) = lam_i mod L
-        A = math.lcm(*(a[i].denominator for i in sub))
-        alpha = [int(a[i] * A) for i in sub]
+        a = [alpha[i] for i in sub]
         steps = [[L // dj * x for x in row] for dj, row in zip(d, U.entries)]
-        pairs_sums = (L * (x + y) for x, y in itertools.combinations(alpha, 2))
+        pairs_sums = (L * (x + y) for x, y in itertools.combinations(a, 2))
         box_points = (
-            sum(alpha[i] * (sum(tj * step[i] for tj, step in zip(t, steps)) % L) for i in range(dim))
+            sum(a[i] * (sum(tj * step[i] for tj, step in zip(t, steps)) % L) for i in range(dim))
             for t in itertools.product(*(range(dj) for dj in d))
             if any(t)
         )
@@ -184,18 +216,19 @@ def singularity_type(pair: ToricPair) -> str:
     coefficients below one.  Canonical and terminal then compare with 1
     the least log discrepancy over the primitive non-ray lattice points,
     which each maximal cone yields in closed form from one Smith chart per
-    simplicial piece (see _least_exceptional_psi); the cost does not
-    depend on how close the coefficients are to 1.
+    simplicial piece (see _least_exceptional_psi), fed the integers alpha
+    and A of the pair's psi record; the cost does not depend on how close
+    the coefficients are to 1.
     """
     if any(b > 1 for b in pair.boundary):
         return "not-lc"
-    _psi(pair)  # raises if K+B is not Q-Cartier
-    if any(b == 1 for b in pair.boundary):
+    psi = _psi(pair)  # raises if K+B is not Q-Cartier
+    if 0 in psi.alpha:
         return "lc"
     fan = pair.fan
     worst = None
     for c, cone in zip(fan.max_cones, fan.cones):
-        value = _least_exceptional_psi(cone, [1 - pair.boundary[i] for i in c])
+        value = _least_exceptional_psi(cone, [psi.alpha[i] for i in c], psi.A)
         if value is not None and value < 1:
             return "klt"
         if value is not None and (worst is None or value < worst):
@@ -204,19 +237,26 @@ def singularity_type(pair: ToricPair) -> str:
 
 
 def is_log_cy(pair: ToricPair) -> bool:
-    """Log Calabi-Yau: lc and K+B trivial in Cl tensor Q.
+    """Log Calabi-Yau: lc and K+B trivial in Cl tensor Q, that is, some
+    rational m has m.u_i = 1 - b_i on every ray u_i.
 
-    Cl tensor Q is Q^rays modulo the column span of the ray matrix R, so
-    K+B is trivial there iff appending A(1 - b) to R keeps its rank
-    (Fan.ray_rank), A the lcm of the denominators of b.  A coefficient
-    above 1 gives False; otherwise raises ValueError when K+B is not
-    Q-Cartier."""
+    A coefficient above 1 gives False; otherwise raises ValueError when
+    K+B is not Q-Cartier.  When some maximal cone is full-dimensional, its
+    piece of psi is the only candidate for m, so the test reads
+    L.m.u_i.A == L.A.alpha_i on every ray off the psi record, with no
+    elimination.  Otherwise Cl tensor Q is Q^rays modulo the column span
+    of the ray matrix R, and K+B is trivial there iff appending alpha =
+    A(1 - b) to R keeps its rank (Fan.ray_rank)."""
     if any(b > 1 for b in pair.boundary):
         return False
-    _psi(pair)  # raises if K+B is not Q-Cartier
-    A = math.lcm(*(b.denominator for b in pair.boundary))
-    extended = [(*u, int(A * (1 - b))) for u, b in zip(pair.fan.rays, pair.boundary)]
-    return matrix_rank(IntMatrix.from_rows(extended, cols=pair.dim + 1)) == pair.fan.ray_rank
+    psi = _psi(pair)  # raises if K+B is not Q-Cartier
+    fan = pair.fan
+    for (LA, lm), cone in zip(psi.scaled, fan.cones):
+        # full-dimensional: a dual basis, or the Smith chart its piece read
+        if cone.dual_basis is not None or len(cone.solve_chart.d) == fan.rank:
+            return all(vdot(lm, u) * psi.A == LA * a for u, a in zip(fan.rays, psi.alpha))
+    extended = [(*u, a) for u, a in zip(fan.rays, psi.alpha)]
+    return matrix_rank(IntMatrix.from_rows(extended, cols=pair.dim + 1)) == fan.ray_rank
 
 
 def index(pair: ToricPair) -> int:
@@ -228,13 +268,15 @@ def index(pair: ToricPair) -> int:
     only solution, read off the cone's adjugate.  On any other cone the
     piece that its Smith chart returns has its free Smith coordinates
     zero, and the chart's V is unimodular, so that piece is integral iff
-    some integral solution exists.  The index is therefore the lcm of the
-    coefficient denominators and of the denominators of the pieces of
-    psi.  K+B not Q-Cartier raises ValueError.
+    some integral solution exists.  The index is therefore the lcm of A,
+    the lcm of the coefficient denominators, and of the denominators of
+    the pieces L.m / (L.A) of the psi record, LA / gcd(LA, *Lm) per cone.
+    K+B not Q-Cartier raises ValueError.
     """
-    m = math.lcm(*(b.denominator for b in pair.boundary))
-    for piece in _psi(pair)._pieces:
-        m = math.lcm(m, *(x.denominator for x in piece))
+    psi = _psi(pair)
+    m = psi.A
+    for LA, lm in psi.scaled:
+        m = math.lcm(m, LA // math.gcd(LA, *lm))
     return m
 
 

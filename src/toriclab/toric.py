@@ -3,8 +3,8 @@
 The divisor class group is presented as the cokernel of the character
 lattice mapping into the free group on the rays; the class group and
 divisor classes read off that one Smith chart of the ray matrix.  The
-pair invariants (complexity, the log Calabi-Yau test) need only ranks of
-the ray matrix and never build it.  Linear pieces on maximal cones and
+pair invariants (complexity, the log Calabi-Yau test) read the pieces
+below and ranks of the ray matrix, and never build it.  Linear pieces on maximal cones and
 the (Q-)Cartier tests are read in integer arithmetic from each cone's
 adjugate (fan.Cone.dual_basis) when it is full-dimensional and
 simplicial, and from its own Smith chart (lattice.SolveChart) otherwise.

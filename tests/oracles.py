@@ -12,7 +12,8 @@ solves and per-call Smith forms instead of a cone's cached Smith chart
 (and a Fraction nullspace instead of its span equations), the pairwise
 common-face scan instead of the wall criterion, Smith charts instead of a
 cone's dual basis, class-group
-coordinates instead of ranks of the ray matrix, a Vieta-jump
+coordinates instead of ranks of the ray matrix, and those ranks and
+Fraction pieces of psi instead of its integer record, a Vieta-jump
 search with a seen set instead of the Markov tree walk.  numpy is used
 only here, with integer dtypes, to keep the scans fast; the library itself
 stays pure.
@@ -852,6 +853,79 @@ def is_log_cy_class_group(pair) -> bool:
     kb = pair.log_canonical_coefficients()
     return all(x == 0 for x in divisor_class_q(pair.variety, kb))
 
+
+# The Fraction and rank readings of the pair invariants that the integer
+# psi record replaced, kept as they were; only rank R is taken here by a
+# fresh elimination instead of Fan.ray_rank, which now reads it off a dual
+# basis.
+
+
+class LogDiscrepancyFunctionPieces:
+    """The PL function psi with psi(u_i) = 1 - b_i, one linear piece per
+    maximal cone (toric.local_functionals: the adjugate of a
+    full-dimensional simplicial cone, else its Smith chart).  Exists
+    exactly when K+B is Q-Cartier."""
+
+    def __init__(self, pair):
+        from toriclab.toric import local_functionals
+
+        self.pair = pair
+        self._pieces: list[tuple[Fraction, ...]] = local_functionals(pair.fan, [1 - b for b in pair.boundary])
+        if any(m is None for m in self._pieces):
+            raise ValueError("K+B is not Q-Cartier; no log discrepancy function")
+
+    def piece(self, cone_index: int) -> tuple[Fraction, ...]:
+        return self._pieces[cone_index]
+
+    def cone_index_of(self, v: Sequence) -> Optional[int]:
+        # facet data is computed per cone on first need and cached on the
+        # fan's Cone objects; classification never asks
+        for k, cone in enumerate(self.pair.fan.cones):
+            if cone.contains(v):
+                return k
+        return None
+
+    def __call__(self, v: Sequence) -> Fraction:
+        k = self.cone_index_of(v)
+        if k is None:
+            raise ValueError("valuation not visible in this fan: point outside the support")
+        return Fraction(vdot(self._pieces[k], v))
+
+
+def index_pieces(pair) -> int:
+    """The index as the lcm of the coefficient denominators and of the
+    denominators of the Fraction pieces of psi."""
+    m = math.lcm(*(b.denominator for b in pair.boundary))
+    for piece in LogDiscrepancyFunctionPieces(pair)._pieces:
+        m = math.lcm(m, *(x.denominator for x in piece))
+    return m
+
+
+def _ray_rank(fan) -> int:
+    return matrix_rank(IntMatrix.from_rows(fan.rays, cols=fan.rank))
+
+
+def is_log_cy_rank(pair) -> bool:
+    """Log Calabi-Yau as the rank test: lc, K+B Q-Cartier (else
+    ValueError), and rank[R | A(1 - b)] = rank R."""
+    from toriclab.pairs import _psi
+
+    if any(b > 1 for b in pair.boundary):
+        return False
+    _psi(pair)  # raises if K+B is not Q-Cartier
+    A = math.lcm(*(b.denominator for b in pair.boundary))
+    extended = [(*u, int(A * (1 - b))) for u, b in zip(pair.fan.rays, pair.boundary)]
+    return matrix_rank(IntMatrix.from_rows(extended, cols=pair.dim + 1)) == _ray_rank(pair.fan)
+
+
+def complexity_rho_rank(pair, decomposition) -> int:
+    """rho = rank[P; R^T] - rank R, P the parts' indicator rows, in one
+    elimination over every column."""
+    n = len(pair.fan.rays)
+    parts = [tuple(int(i in part) for i in range(n)) for _, part in decomposition.parts]
+    columns = list(zip(*pair.fan.rays))  # the rows of R^T
+    return matrix_rank(IntMatrix.from_rows(parts + columns, cols=n)) - _ray_rank(pair.fan)
+
 def is_fano_functionals(X) -> bool:
     """The Fraction ampleness test that the chart's integer test replaced:
     a piece m with m.u = 1 on every maximal cone's rays, here from
@@ -1430,6 +1504,17 @@ def random_complete_2d_fan(rng, max_rays=8, coord=5) -> Fan:
     order = sorted(rays, key=cmp_to_key(_angle_cmp))
     k = len(order)
     return Fan.from_data(order, [(i, (i + 1) % k) for i in range(k)])
+
+
+def primitive_distinct(gens):
+    """The primitive vectors of the nonzero gens, first occurrences in order."""
+    out = []
+    for g in gens:
+        if any(g):
+            p = tuple(x // math.gcd(*g) for x in g)
+            if p not in out:
+                out.append(p)
+    return out
 
 
 def random_decomposition(rng, pair):

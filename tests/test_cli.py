@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -294,3 +296,22 @@ def test_cli_reports_deterministic(capsys):
     first = capsys.readouterr().out
     main(["casebook", "suite"])
     assert capsys.readouterr().out == first
+
+
+def test_pair_answers_are_the_same_under_python_O():
+    # python -O strips asserts: every check the pair commands rely on must
+    # be a real exception, so both interpreters print the same bytes
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"))
+    names = sorted(n for n in os.listdir(SAMPLES) if n.endswith(".pair"))
+    assert len(names) >= 4
+    for name in names:
+        for command in ("classify", "complexity"):
+            argv = ["-m", "toriclab.cli", "--json-lines", "pair", command, sample(name)]
+            plain = subprocess.run([sys.executable, *argv], env=env, capture_output=True)
+            optimised = subprocess.run([sys.executable, "-O", *argv], env=env, capture_output=True)
+            assert plain.returncode == 0 and plain.stdout, (name, command, plain.stderr)
+            assert (optimised.returncode, optimised.stdout, optimised.stderr) == (
+                plain.returncode,
+                plain.stdout,
+                plain.stderr,
+            ), (name, command)

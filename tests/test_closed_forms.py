@@ -2,6 +2,7 @@
 the searches they replaced (the box scan and the m-scan, kept in
 oracles.py) and against the whole-support brute force."""
 
+import itertools
 import math
 import random
 import time
@@ -170,9 +171,17 @@ def test_classification_computes_no_facet_data():
     is_log_cy(pair)
     index(pair)
     assert not any("facet_data" in vars(cone) for cone in pair.fan.cones)
-    _psi(pair)((1, 0, 0))  # a point lookup stops at the first cone holding the point
-    assert "facet_data" in vars(pair.fan.max_cone(0))
-    assert "facet_data" not in vars(pair.fan.max_cone(3))
+    # a point lookup reads the signs of each cone's dual basis
+    psi = _psi(pair)
+    for v in itertools.product(range(-2, 3), repeat=3):
+        if any(v):
+            psi(v)
+    assert all(cone.dual_basis is not None for cone in pair.fan.cones)
+    assert not any("facet_data" in vars(cone) for cone in pair.fan.cones)
+    # a cone without one (the cone over the square) asks its facets
+    square = ToricPair.reduced(Fan.from_data([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)], [(0, 1, 2, 3)]))
+    assert _psi(square)((0, 0, 1)) == 0
+    assert "facet_data" in vars(square.fan.max_cone(0))
 
 
 # ------------------------------------------------------------ caches

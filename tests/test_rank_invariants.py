@@ -3,7 +3,6 @@ against the class-group formulas they replaced (tests/oracles.py); and the
 class group, read off the cached presentation, against the cokernel of the
 ray matrix and against gcds of its minors."""
 
-import math
 import random
 from fractions import Fraction
 
@@ -15,10 +14,16 @@ from toriclab.catalog import bundled_fans, cone_over_square_fan
 from toriclab.complexity import Decomposition, complexity, decomposition_by_primes
 from toriclab.fan import Fan
 from toriclab.lattice import AbelianGroupStructure, IntMatrix, cokernel_structure, rank, vdot
-from toriclab.pairs import ToricPair, _psi, is_log_cy
+from toriclab.pairs import ToricPair, is_log_cy
 from toriclab.toric import ToricVariety, class_group, weighted_projective_fan
 
-from oracles import complexity_rho_class_group, is_log_cy_class_group, minor_gcds, random_complete_2d_fan
+from oracles import (
+    complexity_rho_class_group,
+    is_log_cy_class_group,
+    minor_gcds,
+    primitive_distinct,
+    random_complete_2d_fan,
+)
 
 FANS = [
     ("two rays in Z^3", Fan.from_data([(1, 0, 0), (0, 1, 0)], [(0, 1)])),
@@ -128,39 +133,42 @@ def test_edge_cases():
 
 
 def test_rank_of_the_ray_matrix_is_taken_once_per_fan(monkeypatch):
-    # complexity ranks [P; R^T] and R, the log CY test [R | A(1 - b)] and R;
-    # R comes from Fan.ray_rank, so a fresh fan costs three eliminations
-    # and every further pair on it two, one fewer than ranking R each time
-    fan = Fan.from_data([(1, 0), (0, 1), (-2, -3)], [(0, 1), (1, 2), (0, 2)])  # P(1,2,3)
-    pairs = [ToricPair.reduced(fan), ToricPair.from_fan(fan, [Fraction(1, 2), 1, 0])]
-    for pair in pairs:
-        _psi(pair)  # cone data for the Q-Cartier check, not a rank of R
+    # where some maximal cone has a dual basis, rank R is the ambient rank
+    # and the log CY test reads the psi record, and complexity deletes the
+    # columns of singleton parts: on P(1,2,3) a pair that is positive on
+    # every ray takes no elimination at all, and one with b = 0 on a ray
+    # one, on that ray's column.  With no full-dimensional maximal cone R
+    # is still ranked once per fan, and [R | A(1 - b)] once per pair.
+    p123 = Fan.from_data([(1, 0), (0, 1), (-2, -3)], [(0, 1), (1, 2), (0, 2)])
+    flat = Fan.from_data([(1, 0, 0), (0, 1, 0), (-1, -1, 0), (0, 0, 1)], [(0, 1), (1, 2), (0, 2), (3,)])
+    cases = [
+        (ToricPair.reduced(p123), []),
+        (ToricPair.from_fan(p123, [Fraction(1, 2), 1, Fraction(1, 3)]), []),
+        (ToricPair.from_fan(p123, [Fraction(1, 2), 1, 0]), ["complexity"]),
+        (ToricPair.reduced(flat), ["fan", "pairs"]),
+        (ToricPair.from_fan(flat, [Fraction(1, 2), Fraction(1, 3), 1, Fraction(2, 5)]), ["pairs"]),
+        (ToricPair.from_fan(flat, [0, Fraction(1, 3), 1, 1]), ["complexity", "pairs"]),
+    ]
     calls = []
 
-    def counted(M):
-        calls.append(M)
-        return rank(M)
+    def counting(name):
+        def counted(M):
+            calls.append(name)
+            return rank(M)
+
+        return counted
 
     for module in (fan_module, complexity_module, pairs_module):
-        monkeypatch.setattr(module, "matrix_rank", counted)
-    for pair, want in zip(pairs, (3, 2)):
+        monkeypatch.setattr(module, "matrix_rank", counting(module.__name__.rsplit(".", 1)[1]))
+    for pair, want in cases:
         calls.clear()
         report = complexity(pair, decomposition_by_primes(pair))
         verdict = is_log_cy(pair)
-        assert len(calls) == want
+        assert sorted(calls) == want, (pair.fan.rays, pair.boundary)
         assert report.rho == complexity_rho_class_group(pair, decomposition_by_primes(pair))
         assert verdict == is_log_cy_class_group(pair)
-    assert fan.ray_rank == 2 and Fan.from_data([], [], rank=3).ray_rank == 0
-
-
-def _primitive_distinct(gens):
-    out = []
-    for g in gens:
-        if any(g):
-            p = tuple(x // math.gcd(*g) for x in g)
-            if p not in out:
-                out.append(p)
-    return out
+    monkeypatch.undo()
+    assert p123.ray_rank == 2 and flat.ray_rank == 3 and Fan.from_data([], [], rank=3).ray_rank == 0
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -169,7 +177,7 @@ def test_hypothesis_pairs_match_the_class_group_formulas(rnd, rank):
     if rnd.random() < 0.3:
         fan = random_complete_2d_fan(rnd)
     else:
-        gens = _primitive_distinct(
+        gens = primitive_distinct(
             [tuple(rnd.randint(-3, 3) for _ in range(rank)) for _ in range(rnd.randint(1, rank + 2))]
         )
         if not gens:
@@ -192,7 +200,7 @@ def test_class_group_matches_the_cokernel_on_seeded_ray_matrices():
     rng = random.Random(11)
     for _ in range(150):
         rank = rng.randint(1, 4)
-        rays = _primitive_distinct([tuple(rng.randint(-4, 4) for _ in range(rank)) for _ in range(rng.randint(1, 6))])
+        rays = primitive_distinct([tuple(rng.randint(-4, 4) for _ in range(rank)) for _ in range(rng.randint(1, 6))])
         if not rays:
             continue
         fan = Fan.from_data(rays, [(i,) for i in range(len(rays))])

@@ -35,6 +35,7 @@ from oracles import (
     is_fano_functionals,
     local_functionals_solve,
     nullspace,
+    primitive_distinct,
     random_complete_2d_fan,
     row_echelon,
 )
@@ -67,16 +68,6 @@ NAMED_FANS = [
     ("plane fan plus a ray", PLANE_FAN_PLUS_RAY),
     *bundled_fans(),
 ]
-
-
-def _primitive_distinct(gens):
-    out = []
-    for g in gens:
-        if any(g):
-            p = tuple(x // math.gcd(*g) for x in g)
-            if p not in out:
-                out.append(p)
-    return out
 
 
 def _affine(gens):
@@ -178,7 +169,7 @@ def test_seeded_cones_of_rank_2_to_4_match_the_solves():
     shapes = {"simplicial": 0, "non-simplicial": 0, "lower-dimensional": 0, "q-cartier": 0, "not q-cartier": 0}
     for _ in range(300):
         n = rng.randint(2, 4)
-        gens = _primitive_distinct([tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(rng.randint(1, n + 2))])
+        gens = primitive_distinct([tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(rng.randint(1, n + 2))])
         if not gens:
             continue
         fan = _affine(gens)
@@ -206,7 +197,7 @@ def test_seeded_complete_2d_fans_match_the_solves():
     st.integers(0, 10**6),
 )
 def test_hypothesis_cones_match_the_solves(gens, seed):
-    gens = _primitive_distinct(gens)
+    gens = primitive_distinct(gens)
     if not gens:
         return
     rng = random.Random(seed)
@@ -415,7 +406,7 @@ def test_seeded_span_equations_of_rank_2_to_5_match_the_nullspace():
             for _ in range(rng.randint(s, n + 2)):
                 c = [rng.randint(0, 2) for _ in range(s)]
                 gens.append(tuple(sum(ci * b[i] for ci, b in zip(c, basis)) for i in range(n)))
-            gens = _primitive_distinct(gens)
+            gens = primitive_distinct(gens)
             if not gens:
                 continue
             cone = Cone.from_generators(gens)
