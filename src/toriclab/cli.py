@@ -93,9 +93,7 @@ def _cmd_fan_check(args, rep: _Reporter) -> int:
 
 
 def _cmd_fan_resolve2d(args, rep: _Reporter) -> int:
-    text = _read(args.file)
-    fan = fileformats.parse_fan(text)
-    cones = fileformats.fan_file_cone_order(text)
+    fan, _, cones = fileformats.parse_fan_file(_read(args.file))
     if args.cone < 0 or args.cone >= len(cones):
         print(f"error: fan file has no cone line {args.cone}", file=sys.stderr)
         return 2
@@ -108,18 +106,16 @@ def _cmd_fan_resolve2d(args, rep: _Reporter) -> int:
 
 
 def _cmd_fan_subdivide(args, rep: _Reporter) -> int:
-    text = _read(args.file)
-    fan = fileformats.parse_fan(text)
-    file_rays = fileformats.fan_file_ray_order(text)
+    fan, ray_index, _ = fileformats.parse_fan_file(_read(args.file))
     stratum_file = _parse_ints(args.stratum, "--stratum")
     for i in stratum_file:
-        if i < 0 or i >= len(file_rays):
-            print(f"error: --stratum names ray index {i}, but the file has {len(file_rays)} rays", file=sys.stderr)
+        if i < 0 or i >= len(ray_index):
+            print(f"error: --stratum names ray index {i}, but the file has {len(ray_index)} rays", file=sys.stderr)
             return 2
     if len(set(stratum_file)) != len(stratum_file):
         print(f"error: --stratum repeats a ray index ({args.stratum})", file=sys.stderr)
         return 2
-    stratum = [fan.rays.index(file_rays[i]) for i in stratum_file]
+    stratum = [ray_index[i] for i in stratum_file]
     ray = _parse_ints(args.ray, "--ray") if args.ray else None
     result = star_subdivision(fan, stratum, ray)
     sys.stdout.write(fileformats.emit_fan(result))

@@ -14,8 +14,8 @@ facets (Gordan and Motzkin).  A cone with independent generators is
 strongly convex with every generator extremal, and no facets are computed.
 A full-dimensional simplicial cone is read from one cached adjugate
 (Cone.dual_basis, the echelon call the double description seeds from):
-its facets, dimension, unimodularity and the linear pieces that toric and
-pairs read on it; a complete fan of such cones is validated by its walls.
+its facets, dimension, membership, unimodularity and the linear pieces
+that toric and pairs read on it; a complete fan of such cones is validated by its walls.
 Any other cone caches one Smith chart of its generator matrix
 (lattice.SolveChart, re-exported here) for its span and pieces.  Nothing
 here ever touches a float.
@@ -295,15 +295,22 @@ class Cone:
         return self._satisfies(x, strict=True)
 
     def _satisfies(self, x, strict):
+        """Is <h, x> >= 0 (> 0 when strict) on every facet normal h, with x
+        in the span?  A cone with a dual basis (last, h) reads the signs of
+        last.h_s.x, with no facet data."""
         if len(x) != self.rank:
             raise ValueError("point length differs from ambient rank")
-        if any(vdot(e, x) for e in self.span_equations):
-            return False
-        try:
-            facets = self.facet_data
-        except ValueError:  # a line, which is its own span
-            return True
-        values = (vdot(h, x) for _, h in facets)
+        if self.dual_basis is not None:
+            last, h = self.dual_basis
+            values = (vdot(hs, x) * last for hs in h)
+        else:
+            if any(vdot(e, x) for e in self.span_equations):
+                return False
+            try:
+                facets = self.facet_data
+            except ValueError:  # a line, which is its own span
+                return True
+            values = (vdot(h, x) for _, h in facets)
         return all(v > 0 or (v == 0 and not strict) for v in values)
 
     def is_strongly_convex(self) -> bool:

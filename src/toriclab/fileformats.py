@@ -20,9 +20,10 @@ from __future__ import annotations
 import os
 import re
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from toriclab.fan import Fan, validate_fan
+from toriclab.lattice import primitive
 from toriclab.pairs import ToricPair, validate_pair
 from toriclab.polytope import Polytope
 
@@ -45,10 +46,26 @@ def _logical_lines(text: str):
             yield lineno, line.split()
 
 
+class FanFile(NamedTuple):
+    """A parsed fan file: the fan, and in the order written the canonical
+    index of each ray line and the sorted canonical ray indices of each
+    cone line, which translate the file's indices into the fan's."""
+
+    fan: Fan
+    rays: list[int]
+    cones: list[tuple[int, ...]]
+
+
 def parse_fan(text: str, validate: bool = True) -> Fan:
     """Parse a fan file.  With validate=True (the default) the fan axioms
     are checked too and a violation is a semantic ParseError; pass
     validate=False to obtain the raw fan and run diagnostics yourself."""
+    return parse_fan_file(text, validate).fan
+
+
+def parse_fan_file(text: str, validate: bool = True) -> FanFile:
+    """Parse a fan file as parse_fan does, keeping the file's ray and cone
+    order (FanFile)."""
     dim: Optional[int] = None
     rays: list[tuple[int, ...]] = []
     cones: list[tuple[int, ...]] = []
@@ -99,7 +116,9 @@ def parse_fan(text: str, validate: bool = True) -> Fan:
         diag = validate_fan(fan)
         if not diag.valid:
             raise ParseError(1, f"invalid fan: {diag.problem} (witness {diag.witness})")
-    return fan
+    index = {ray: k for k, ray in enumerate(fan.rays)}
+    ray_index = [index[primitive(ray)] for ray in rays]
+    return FanFile(fan, ray_index, [tuple(sorted(ray_index[i] for i in cone)) for cone in cones])
 
 
 def parse_pair(text: str, base_dir: str = ".") -> ToricPair:
@@ -142,16 +161,14 @@ def parse_pair(text: str, base_dir: str = ".") -> ToricPair:
         fan_text = "\n".join(inline)
     else:
         raise ParseError(1, "pair file has no fan")
-    fan = parse_fan(fan_text)
-
     # coeff indices refer to the ray order of the fan as written; map onto
     # the canonical order of the constructed fan
-    file_rays = fan_file_ray_order(fan_text)
+    fan, ray_index, _ = parse_fan_file(fan_text)
     coeffs = [Fraction(0)] * len(fan.rays)
     for lineno, idx, value in coeff_lines:
-        if idx < 0 or idx >= len(file_rays):
-            raise ParseError(lineno, f"coeff names ray index {idx}, but only {len(file_rays)} rays exist")
-        coeffs[fan.rays.index(file_rays[idx])] += value
+        if idx < 0 or idx >= len(ray_index):
+            raise ParseError(lineno, f"coeff names ray index {idx}, but only {len(ray_index)} rays exist")
+        coeffs[ray_index[idx]] += value
     try:
         pair = ToricPair.from_fan(fan, coeffs)
     except ValueError as e:
@@ -190,31 +207,6 @@ def parse_polytope(text: str) -> Polytope:
     if not vertices:
         raise ParseError(1, "polytope file has no vertices")
     return Polytope.hull(vertices, rank=dim)
-
-
-def fan_file_ray_order(text: str) -> list[tuple[int, ...]]:
-    """The (primitivized) rays of a fan file in the order written; used to
-    translate user-facing ray indices into canonical ones."""
-    from toriclab.lattice import primitive
-
-    return [
-        primitive(tuple(int(x) for x in words[1:]))
-        for _, words in _logical_lines(text)
-        if words[0] == "ray"
-    ]
-
-
-def fan_file_cone_order(text: str) -> list[tuple[int, ...]]:
-    """The cone index tuples of a fan file in the order written, already
-    translated into canonical ray indices."""
-    rays = fan_file_ray_order(text)
-    fan = parse_fan(text, validate=False)
-    out = []
-    for _, words in _logical_lines(text):
-        if words[0] == "cone":
-            file_idx = [int(x) for x in words[1:]]
-            out.append(tuple(sorted(fan.rays.index(rays[i]) for i in file_idx)))
-    return out
 
 
 def emit_fan(fan: Fan) -> str:

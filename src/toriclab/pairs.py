@@ -129,21 +129,9 @@ class LogDiscrepancyFunction:
         return tuple(Fraction(x, LA) for x in lm)
 
     def cone_index_of(self, v: Sequence) -> Optional[int]:
-        """The first maximal cone, in order, that holds v; None if none
-        does.  A cone with a dual basis (last, h) holds v iff
-        sign(last).h_s.v >= 0 for every s; only the other cones compute
-        facet data (Cone.contains)."""
-        cones = self.pair.fan.cones
-        if cones and len(v) != self.pair.dim:
-            raise ValueError("point length differs from ambient rank")
-        for k, cone in enumerate(cones):
-            basis = cone.dual_basis
-            if basis is None:
-                if cone.contains(v):
-                    return k
-            elif all(vdot(hs, v) * basis[0] >= 0 for hs in basis[1]):
-                return k
-        return None
+        """The first maximal cone, in order, that holds v (Cone.contains);
+        None if none does."""
+        return next((k for k, cone in enumerate(self.pair.fan.cones) if cone.contains(v)), None)
 
     def __call__(self, v: Sequence) -> Fraction:
         k = self.cone_index_of(v)

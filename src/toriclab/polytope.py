@@ -15,6 +15,11 @@ Gauss reduction of the norm N(u) = max_v |<u, v>| finds the least max
 bases whose rows have norm at most lambda2 are then listed line by line in
 the reduced basis and compared in closed form, so the cost grows with the
 bit length of the coordinates, not with their size.
+
+The 16 reflexive polygons are found by descent from the three maximal
+ones, inside one of which every reflexive polygon lies up to GL(2,Z):
+drop one vertex at a time and keep the hull of the remaining lattice
+points while the origin stays strictly inside.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cmp_to_key, lru_cache
+from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from toriclab.fan import Fan, double_description
@@ -131,10 +136,6 @@ def _lift(p: tuple) -> tuple[int, ...]:
     return (*(int(x * scale) for x in p), scale)
 
 
-def _det(a, b):
-    return a[0] * b[1] - a[1] * b[0]
-
-
 def _cross(o, a, b):
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
@@ -186,9 +187,7 @@ def dual_polytope(P: Polytope) -> Polytope:
 def is_reflexive(P: Polytope) -> bool:
     """Lattice polytope with the origin interior whose dual is again a
     lattice polytope."""
-    if not P.is_lattice:
-        return False
-    return dual_polytope(P).is_lattice
+    return P.is_lattice and P.contains_origin_interior() and dual_polytope(P).is_lattice
 
 
 def is_smooth_fano_polytope(P: Polytope) -> bool:
@@ -411,152 +410,57 @@ def unimodular_normal_form(P: Polytope) -> Polytope:
 # enumeration of reflexive polygons
 # ---------------------------------------------------------------------------
 
-
-def _angle_cmp(a, b) -> int:
-    """Exact counterclockwise angular comparison of nonzero lattice
-    vectors, starting from the positive x-axis."""
-
-    def half(v):
-        return 0 if (v[1] > 0 or (v[1] == 0 and v[0] > 0)) else 1
-
-    ha, hb = half(a), half(b)
-    if ha != hb:
-        return -1 if ha < hb else 1
-    cross = _det(a, b)
-    if cross > 0:
-        return -1
-    if cross < 0:
-        return 1
-    return 0
+# reflexive-02, -03 and -11, the triangles with 9 and 8 boundary points and
+# the square [-1, 1]^2: every reflexive polygon lies inside one of these up to
+# GL(2,Z) (Rabinowitz, Ars Combin. 28, 1989; Poonen and Rodriguez-Villegas,
+# Amer. Math. Monthly 107, 2000)
+_MAXIMAL_REFLEXIVE = (
+    ((-2, -1), (1, -1), (1, 2)),
+    ((-2, -1), (2, -1), (0, 1)),
+    ((-1, -1), (1, -1), (1, 1), (-1, 1)),
+)
 
 
-def _interior_points(vertices: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Lattice points strictly inside a convex polygon given in
-    counterclockwise vertex order."""
-    xs = [v[0] for v in vertices]
-    ys = [v[1] for v in vertices]
-    out = []
-    k = len(vertices)
-    for x in range(min(xs) + 1, max(xs)):
-        for y in range(min(ys) + 1, max(ys)):
-            p = (x, y)
-            if all(
-                _cross(vertices[i], vertices[(i + 1) % k], p) > 0 for i in range(k)
-            ):
-                out.append(p)
-    return out
-
-
-def _fan_triangle_clean(a, b) -> bool:
-    """No lattice point strictly inside the counterclockwise triangle
-    (0, a, b), for primitive a and b.  By Pick's theorem twice the number
-    of interior points is det(a, b) - gcd(b - a)."""
-    d = _det(a, b)
-    return d > 0 and d == math.gcd(b[0] - a[0], b[1] - a[1])
-
-
-def _gap_has_points(chain: Sequence[tuple[int, int]]) -> bool:
-    """Does a lattice point other than the origin lie strictly left of
-    every edge of the closed cycle through a chain of the scan?
-
-    The chain's primitive vertices v_0, ..., v_j increase in angle, it
-    turns left at every inner vertex, and Pick's test has found each fan
-    triangle (0, v_i, v_i+1) free of interior lattice points.  A point
-    strictly left of the edge (v_i, v_i+1) and inside the angle from v_i to
-    v_i+1 lies in that triangle off the edge, so it is the origin.  The
-    rest is the gap from v_j back to v_0:
-    - under a half turn, det(v_j, v_0) > 0, a point of the gap strictly
-      left of the closing edge lies inside the triangle (0, v_j, v_0);
-    - from a half turn up, the chain spans at most a half turn, so the
-      cycle is a convex polygon inside the union of the fan triangles with
-      the origin outside or on its boundary, and no lattice point is inside.
-    """
-    first, last = chain[0], chain[-1]
-    if _det(last, first) <= 0:
-        return False
-    k = len(chain)
-    return any(
-        all(_cross(chain[i - 1], chain[i], q) > 0 for i in range(k))
-        for q in _interior_points([(0, 0), last, first])
-    )
-
-
-def _accept_cycle(seq: list[tuple[int, int]], found: dict) -> None:
-    """Record the normal form of a closed vertex cycle of the scan.
-
-    The scan closes a cycle only with a left turn at every vertex and a
-    clean fan triangle (0, v, w) on every edge, where Pick's test reads
-    det(v, w) = gcd(w - v): each edge lies at lattice distance 1 from the
-    origin, so its facet functional is integral and the polygon, whose
-    vertices are all of seq, is reflexive."""
-    nf = unimodular_normal_form(Polytope.hull(seq, rank=2))
-    found.setdefault(nf.vertices, nf)
-
-
-def _reflexive_polygon_scan(box: int) -> list[Polytope]:
-    """All reflexive polygons whose vertices fit in [-box, box]^2, up to
-    unimodular equivalence.
-
-    Depth-first search over vertex cycles in strictly increasing angular
-    order around the origin.  Reflexive polygons have primitive vertices
-    and a lattice-point-free triangle between the origin and every pair of
-    cyclically consecutive vertices, so both facts prune the search
-    without losing any candidate.
-    """
-    pts = [
+def _lattice_points(P: Polytope) -> list[tuple[int, int]]:
+    """The lattice points of a lattice polygon, read off its cached facets."""
+    (x0, x1), (y0, y1) = ((min(c), max(c)) for c in zip(*P.vertices))
+    return [
         (x, y)
-        for x in range(-box, box + 1)
-        for y in range(-box, box + 1)
-        if (x, y) != (0, 0) and math.gcd(x, y) == 1
+        for x in range(x0, x1 + 1)
+        for y in range(y0, y1 + 1)
+        if all(h[0] * x + h[1] * y + h0 >= 0 for _, h, h0 in P._facets)
     ]
-    pts.sort(key=cmp_to_key(_angle_cmp))
-    npts = len(pts)
-    found: dict[tuple, Polytope] = {}
-
-    def dfs(start: int, seq: list, last: int):
-        for nxt in range(last + 1, npts):
-            p = pts[nxt]
-            if not _fan_triangle_clean(pts[seq[-1]], p):
-                continue
-            if len(seq) >= 2 and _cross(pts[seq[-2]], pts[seq[-1]], p) <= 0:
-                continue
-            new_seq = seq + [nxt]
-            verts = [pts[i] for i in new_seq]
-            if len(new_seq) >= 3:
-                if _gap_has_points(verts):
-                    continue
-                # try to close the cycle
-                if (
-                    _fan_triangle_clean(p, pts[start])
-                    and _cross(pts[seq[-1]], p, pts[start]) > 0
-                    and _cross(p, pts[start], pts[new_seq[1]]) > 0
-                ):
-                    _accept_cycle(verts, found)
-            dfs(start, new_seq, nxt)
-
-    for s in range(npts):
-        dfs(s, [s], s)
-    return sorted(found.values(), key=lambda P: (len(P.vertices), P.vertices))
 
 
 def enumerate_reflexive_polygons() -> list[Polytope]:
-    """The reflexive polygons up to unimodular equivalence (there are 16).
+    """The reflexive polygons up to unimodular equivalence (there are 16),
+    as normal forms ordered by (number of vertices, vertices).
 
-    Enumerates inside a coordinate box and then self-checks the box: if
-    some normal form touched the boundary the box is enlarged and the scan
-    repeated, so the bound is verified rather than assumed.
+    A descent from the three maximal reflexive polygons: each new normal
+    form drops one vertex v at a time, keeping the hull of its other
+    lattice points when the origin stays strictly inside.  Such a hull has
+    the origin as its only interior lattice point, so it is reflexive.  And
+    every reflexive P inside a reflexive Q != P is reached: some vertex v
+    of Q is not in P, and the hull of the lattice points of Q other than v
+    still holds P and has fewer lattice points than Q.
     """
     return list(_enumerate_reflexive_cached())
 
 
 @lru_cache(maxsize=1)
 def _enumerate_reflexive_cached() -> tuple[Polytope, ...]:
-    box = 4
-    while True:
-        polys = _reflexive_polygon_scan(box)
-        touched = any(
-            max(abs(int(x)) for v in P.vertices for x in v) >= box for P in polys
-        )
-        if not touched:
-            return tuple(polys)
-        box += 1
+    found: dict[tuple, Polytope] = {}
+    stack = [Polytope.hull(v, rank=2) for v in _MAXIMAL_REFLEXIVE]
+    while stack:
+        P = unimodular_normal_form(stack.pop())
+        if P.vertices in found:
+            continue
+        if not is_reflexive(P):
+            raise RuntimeError(f"descent reached a non-reflexive polygon {P.vertices}")
+        found[P.vertices] = P
+        points = _lattice_points(P)
+        for v in P.vertices:
+            Q = Polytope.hull([p for p in points if p != v], rank=2)
+            if Q.contains_origin_interior():
+                stack.append(Q)
+    return tuple(sorted(found.values(), key=lambda P: (len(P.vertices), P.vertices)))

@@ -5,7 +5,8 @@ from the library's own: gcds of minors instead of elimination, Gauss-Jordan
 over Fractions and forward Bareiss elimination (both with row swaps) and a
 gcd-reduced seeding loop instead of the one fraction-free echelon, exhaustive
 lattice scans instead of region arithmetic, angular walks instead of wall
-counting, Fourier-Motzkin elimination and simplex pivots instead of the
+counting, angular scans and walks instead of the reflexive-polygon
+descent, Fourier-Motzkin elimination and simplex pivots instead of the
 double description's lineality test, subset scans and simplex LPs
 instead of its facets, Gauss-Jordan
 solves and per-call Smith forms instead of a cone's cached Smith chart
@@ -1187,6 +1188,140 @@ def reflexive_polygons_boundary_walk(box=4):
     for s in range(npts):
         dfs(s, [s])
     return found
+
+
+# The angular scan polytope.enumerate_reflexive_polygons ran before the
+# descent from the three maximal polygons replaced it, kept as a reference.
+
+
+def _cross(o, a, b):
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _interior_points(vertices: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Lattice points strictly inside a convex polygon given in
+    counterclockwise vertex order."""
+    xs = [v[0] for v in vertices]
+    ys = [v[1] for v in vertices]
+    out = []
+    k = len(vertices)
+    for x in range(min(xs) + 1, max(xs)):
+        for y in range(min(ys) + 1, max(ys)):
+            p = (x, y)
+            if all(
+                _cross(vertices[i], vertices[(i + 1) % k], p) > 0 for i in range(k)
+            ):
+                out.append(p)
+    return out
+
+
+def _fan_triangle_clean(a, b) -> bool:
+    """No lattice point strictly inside the counterclockwise triangle
+    (0, a, b), for primitive a and b.  By Pick's theorem twice the number
+    of interior points is det(a, b) - gcd(b - a)."""
+    d = _det(a, b)
+    return d > 0 and d == math.gcd(b[0] - a[0], b[1] - a[1])
+
+
+def _gap_has_points(chain: Sequence[tuple[int, int]]) -> bool:
+    """Does a lattice point other than the origin lie strictly left of
+    every edge of the closed cycle through a chain of the scan?
+
+    The chain's primitive vertices v_0, ..., v_j increase in angle, it
+    turns left at every inner vertex, and Pick's test has found each fan
+    triangle (0, v_i, v_i+1) free of interior lattice points.  A point
+    strictly left of the edge (v_i, v_i+1) and inside the angle from v_i to
+    v_i+1 lies in that triangle off the edge, so it is the origin.  The
+    rest is the gap from v_j back to v_0:
+    - under a half turn, det(v_j, v_0) > 0, a point of the gap strictly
+      left of the closing edge lies inside the triangle (0, v_j, v_0);
+    - from a half turn up, the chain spans at most a half turn, so the
+      cycle is a convex polygon inside the union of the fan triangles with
+      the origin outside or on its boundary, and no lattice point is inside.
+    """
+    first, last = chain[0], chain[-1]
+    if _det(last, first) <= 0:
+        return False
+    k = len(chain)
+    return any(
+        all(_cross(chain[i - 1], chain[i], q) > 0 for i in range(k))
+        for q in _interior_points([(0, 0), last, first])
+    )
+
+
+def _accept_cycle(seq: list[tuple[int, int]], found: dict) -> None:
+    """Record the normal form of a closed vertex cycle of the scan.
+
+    The scan closes a cycle only with a left turn at every vertex and a
+    clean fan triangle (0, v, w) on every edge, where Pick's test reads
+    det(v, w) = gcd(w - v): each edge lies at lattice distance 1 from the
+    origin, so its facet functional is integral and the polygon, whose
+    vertices are all of seq, is reflexive."""
+    from toriclab.polytope import Polytope, unimodular_normal_form
+
+    nf = unimodular_normal_form(Polytope.hull(seq, rank=2))
+    found.setdefault(nf.vertices, nf)
+
+
+def _reflexive_polygon_scan_in_box(box: int) -> list:
+    """All reflexive polygons whose vertices fit in [-box, box]^2, up to
+    unimodular equivalence.
+
+    Depth-first search over vertex cycles in strictly increasing angular
+    order around the origin.  Reflexive polygons have primitive vertices
+    and a lattice-point-free triangle between the origin and every pair of
+    cyclically consecutive vertices, so both facts prune the search
+    without losing any candidate.
+    """
+    pts = [
+        (x, y)
+        for x in range(-box, box + 1)
+        for y in range(-box, box + 1)
+        if (x, y) != (0, 0) and math.gcd(x, y) == 1
+    ]
+    pts.sort(key=cmp_to_key(_angle_cmp))
+    npts = len(pts)
+    found: dict = {}
+
+    def dfs(start: int, seq: list, last: int):
+        for nxt in range(last + 1, npts):
+            p = pts[nxt]
+            if not _fan_triangle_clean(pts[seq[-1]], p):
+                continue
+            if len(seq) >= 2 and _cross(pts[seq[-2]], pts[seq[-1]], p) <= 0:
+                continue
+            new_seq = seq + [nxt]
+            verts = [pts[i] for i in new_seq]
+            if len(new_seq) >= 3:
+                if _gap_has_points(verts):
+                    continue
+                # try to close the cycle
+                if (
+                    _fan_triangle_clean(p, pts[start])
+                    and _cross(pts[seq[-1]], p, pts[start]) > 0
+                    and _cross(p, pts[start], pts[new_seq[1]]) > 0
+                ):
+                    _accept_cycle(verts, found)
+            dfs(start, new_seq, nxt)
+
+    for s in range(npts):
+        dfs(s, [s], s)
+    return sorted(found.values(), key=lambda P: (len(P.vertices), P.vertices))
+
+
+def reflexive_polygon_scan(box: int = 4) -> list:
+    """The reflexive polygons up to unimodular equivalence, as normal forms
+    ordered by (number of vertices, vertices), by the angular scan.
+
+    Scans inside [-box, box]^2 and self-checks the box: if some normal form
+    touches its boundary the box is enlarged and the scan repeated.  This
+    never proves completeness, since a class whose normal form lies outside
+    the box is never seen."""
+    while True:
+        polys = _reflexive_polygon_scan_in_box(box)
+        if not any(max(abs(x) for v in P.vertices for x in v) >= box for P in polys):
+            return polys
+        box += 1
 
 
 # ------------------------------------------------------------- markov

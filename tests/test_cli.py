@@ -5,13 +5,16 @@ import sys
 
 import pytest
 
+from toriclab import fileformats
 from toriclab.cli import main
+from toriclab.fan import Fan
 from toriclab.fileformats import (
     ParseError,
     emit_fan,
     emit_pair,
     emit_polytope,
     parse_fan,
+    parse_fan_file,
     parse_pair,
     parse_polytope,
 )
@@ -212,6 +215,46 @@ def test_cli_indices_follow_file_order(tmp_path, capsys):
     assert main(["fan", "resolve2d", str(cone_file), "--cone", "0"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out == ["inserted 1 1", "count 1"]  # the <(1,0),(1,2)> cone
+
+
+def test_fan_file_keeps_the_written_order():
+    # rays written out of canonical order, one of them not primitive
+    read = parse_fan_file("dim 2\nray 0 1\nray 2 0\nray -1 -1\ncone 1 0\ncone 2 1\ncone 0 2\n")
+    assert read.fan.rays == ((-1, -1), (0, 1), (1, 0))
+    assert read.rays == [1, 2, 0]
+    assert read.cones == [(1, 2), (0, 2), (0, 1)]
+    assert read.fan == parse_fan("dim 2\nray 0 1\nray 2 0\nray -1 -1\ncone 1 0\ncone 2 1\ncone 0 2\n")
+
+
+def test_each_fan_text_is_read_once(tmp_path, monkeypatch, capsys):
+    counts = {"lines": 0, "fans": 0}
+    lines, init = fileformats._logical_lines, Fan.__post_init__
+
+    def counting_lines(text):
+        counts["lines"] += 1
+        return lines(text)
+
+    def counting_init(self):
+        counts["fans"] += 1
+        init(self)
+
+    monkeypatch.setattr(fileformats, "_logical_lines", counting_lines)
+    monkeypatch.setattr(Fan, "__post_init__", counting_init)
+    cone_file = tmp_path / "cones.fan"
+    cone_file.write_text("dim 2\nray 1 0\nray 0 1\nray 1 2\ncone 0 2\ncone 1 2\n")
+    inline = tmp_path / "inline.pair"
+    inline.write_text(open(sample("p2.fan")).read() + "coeff 0 1/2\n")
+    runs = [
+        (["fan", "resolve2d", str(cone_file), "--cone", "0"], 1, 1),
+        (["fan", "subdivide", sample("p2.fan"), "--stratum", "0,1"], 1, 2),  # the fan and its subdivision
+        (["pair", "classify", sample("p2_boundary.pair")], 2, 1),  # the pair file and its fan file
+        (["pair", "classify", str(inline)], 2, 1),  # the pair text and its inline fan block
+    ]
+    for argv, texts, fans in runs:
+        counts.update(lines=0, fans=0)
+        assert main(argv) == 0, argv
+        assert (counts["lines"], counts["fans"]) == (texts, fans), argv
+    capsys.readouterr()
 
 
 def test_cli_pair_pullback_and_failure(tmp_path, capsys):

@@ -1,6 +1,6 @@
 """A full-dimensional simplicial cone's dual basis (Cone.dual_basis, one
-adjugate) against what it replaced: the double description for facets,
-each cone's Smith chart for the linear pieces (oracles.local_functionals_smith)
+adjugate) against what it replaced: the double description for facets, a
+Gauss-Jordan solve over Fractions for membership, each cone's Smith chart for the linear pieces (oracles.local_functionals_smith)
 and the unimodular test, and the Smith and Fraction readings of the Cartier
 and Fano tests."""
 
@@ -30,6 +30,7 @@ from oracles import (
     is_unimodular_smith,
     local_functionals_smith,
     random_complete_2d_fan,
+    row_echelon,
 )
 
 
@@ -84,6 +85,28 @@ def test_cones_without_a_dual_basis():
         assert cone.dual_basis is None, gens
         assert cone.dim == rank(cone.generator_matrix), gens
     assert Cone((), 2).dual_basis is None
+
+
+def test_membership_reads_the_dual_basis():
+    # x = sum c_j g_j, c from a Gauss-Jordan solve over Fractions: x is in
+    # the cone iff every c_j >= 0, in its relative interior iff every c_j > 0
+    rng = random.Random(1515)
+    boundary = outside = 0
+    for trial in range(200):
+        n = 1 + trial % 4
+        cone = Cone.from_generators(_random_basis(rng, n, (5, 1000)[trial % 2]))
+        G = cone.generators
+        for _ in range(6):
+            c = [Fraction(rng.randint(-1, 2), rng.randint(1, 3)) for _ in range(n)]
+            x = tuple(sum(cj * g[i] for cj, g in zip(c, G)) for i in range(n))
+            solved, _ = row_echelon([[g[i] for g in G] + [x[i]] for i in range(n)], n)
+            assert [row[n] for row in solved] == c
+            assert cone.contains(x) == all(cj >= 0 for cj in c), (G, x)
+            assert cone.relint_contains(x) == all(cj > 0 for cj in c), (G, x)
+            boundary += min(c) == 0
+            outside += min(c) < 0
+        assert "facet_data" not in cone.__dict__
+    assert boundary > 100 and outside > 100
 
 
 def test_simplicial_facet_data_is_the_double_description():

@@ -1,9 +1,13 @@
 """The integer-only polygon path: exact coordinate types, degenerate hulls,
-the rank-2 closed forms against their scans, the pinned enumeration, and
-how many polytopes the normal form and the enumeration build."""
+the rank-2 closed forms against their scans, the pinned enumeration and
+the descent behind it, and how many polytopes the normal form builds and
+how many normal forms the enumeration takes."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,9 +18,6 @@ from toriclab.catalog import bundled_fans
 from toriclab.fileformats import emit_polytope
 from toriclab.polytope import (
     Polytope,
-    _fan_triangle_clean,
-    _interior_points,
-    _reflexive_polygon_scan,
     dual_polytope,
     enumerate_reflexive_polygons,
     face_fan,
@@ -24,8 +25,11 @@ from toriclab.polytope import (
     unimodular_normal_form,
 )
 
+import oracles
 from oracles import dual_polygon_halfplane_oracle, facet_functionals_scan
 from oracles import _apply, minor_gcds, normal_form_search, row_echelon
+from oracles import _fan_triangle_clean, _interior_points, reflexive_polygon_scan
+from oracles import reflexive_polygons_boundary_walk
 
 # enumerate_reflexive_polygons(), in its order: reflexive-01 ... reflexive-16
 REFLEXIVE_ORDER = (
@@ -215,7 +219,7 @@ def test_normal_form_of_large_gl2z_images():
             assert unimodular_normal_form(image).vertices == verts
 
 
-# ------------------------------------------------------------ construction counts
+# ------------------------------------------------------------ construction counts and the descent
 
 
 @pytest.fixture
@@ -239,19 +243,71 @@ def test_normal_form_builds_one_polytope(constructions):
     assert constructions[0] - start == 1
 
 
-def test_cold_scan_builds_at_most_three_polytopes_per_candidate(constructions, monkeypatch):
-    candidates = [0]
-    accept = polytope._accept_cycle
+@pytest.fixture
+def cold_enumeration():
+    """Clears the enumeration cache before and after the test, so the test
+    sees a cold run and leaves no result of a patched run behind."""
+    polytope._enumerate_reflexive_cached.cache_clear()
+    yield
+    polytope._enumerate_reflexive_cached.cache_clear()
 
-    def counting(seq, found):
-        candidates[0] += 1
-        accept(seq, found)
 
-    monkeypatch.setattr(polytope, "_accept_cycle", counting)
-    polys = _reflexive_polygon_scan(4)
+@pytest.fixture
+def descended(cold_enumeration, monkeypatch):
+    """The polygons a cold enumeration hands to the normal form: its three
+    roots and every hull the descent pushes."""
+    seen = []
+    form = polytope.unimodular_normal_form
+
+    def recording(P):
+        seen.append(P)
+        return form(P)
+
+    monkeypatch.setattr(polytope, "unimodular_normal_form", recording)
+    polys = enumerate_reflexive_polygons()
     assert tuple(P.vertices for P in polys) == REFLEXIVE_ORDER
-    assert candidates[0] > 0
-    assert constructions[0] <= 3 * candidates[0]
+    return seen
+
+
+def test_descent_takes_at_most_64_normal_forms(descended):
+    assert len(descended) <= 64
+
+
+def test_descent_matches_the_scan_and_the_boundary_walk():
+    produced = [P.vertices for P in enumerate_reflexive_polygons()]
+    assert [P.vertices for P in reflexive_polygon_scan(4)] == produced
+    assert reflexive_polygons_boundary_walk(4) == set(produced)
+
+
+def test_descent_pushes_only_one_interior_point_polygons(descended):
+    assert len(descended) > 16
+    for P in descended:
+        assert _interior_points(P.vertices) == [(0, 0)], P.vertices
+
+
+def test_descent_pushes_polygons_whose_large_images_normalise_into_the_order(descended):
+    rng = random.Random(1015)
+    for P in descended:
+        image = Polytope.hull(_apply(_big_gl2z(rng), P.vertices))
+        assert unimodular_normal_form(image).vertices in REFLEXIVE_ORDER, P.vertices
+
+
+def test_descent_from_a_non_reflexive_root_raises(cold_enumeration, monkeypatch):
+    # the origin is interior, but the edge x + y = 2 lies at lattice distance 2
+    monkeypatch.setattr(polytope, "_MAXIMAL_REFLEXIVE", (((-1, -1), (3, -1), (-1, 3)),))
+    with pytest.raises(RuntimeError, match="non-reflexive"):
+        enumerate_reflexive_polygons()
+
+
+def test_descent_checks_hold_under_python_O():
+    # python -O strips asserts: the RuntimeError of the descent is a real
+    # exception, and every descent test passes without asserts in src/
+    here = os.path.dirname(__file__)
+    env = dict(os.environ, PYTHONPATH=os.path.join(here, "..", "src"))
+    argv = [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider", "-k", "descent and not python_O"]
+    run = subprocess.run([*argv, os.path.join(here, "test_polygons.py")], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert "5 passed" in run.stdout, run.stdout
 
 
 # ------------------------------------------------------------ normal form by norm reduction
@@ -374,7 +430,7 @@ def test_bases_examined_on_the_thin_ladder(nf_counts):
     assert len({bases[L] for L in bases if L >= 10}) == 1, bases
 
 
-# ------------------------------------------------------------ smooth Fano and the scan
+# ------------------------------------------------------------ smooth Fano and the scan oracle
 
 
 def test_smooth_fano_needs_no_smith_form(monkeypatch):
@@ -405,7 +461,7 @@ def test_smooth_fano_needs_no_smith_form(monkeypatch):
 
 def test_gap_check_matches_the_full_interior_scan(monkeypatch):
     checked = [0, 0]
-    gap = polytope._gap_has_points
+    gap = oracles._gap_has_points
 
     def compared(chain):
         got = gap(chain)
@@ -414,6 +470,6 @@ def test_gap_check_matches_the_full_interior_scan(monkeypatch):
         checked[1] += got
         return got
 
-    monkeypatch.setattr(polytope, "_gap_has_points", compared)
-    assert tuple(P.vertices for P in _reflexive_polygon_scan(4)) == REFLEXIVE_ORDER
+    monkeypatch.setattr(oracles, "_gap_has_points", compared)
+    assert tuple(P.vertices for P in reflexive_polygon_scan(4)) == REFLEXIVE_ORDER
     assert checked[0] > 1000 and checked[1] > 100

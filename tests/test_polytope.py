@@ -95,6 +95,25 @@ def test_reflexive_examples():
     assert not is_reflexive(Polytope.hull([(1, 0), (0, 1), (-1, -3)]))
 
 
+def test_reflexive_is_false_without_the_origin_interior():
+    not_interior = [
+        Polytope.hull([(1, 0), (0, 1), (1, 1)]),  # origin outside
+        Polytope.hull([(-1, 0), (1, 0), (0, 1)]),  # origin on an edge
+        Polytope.hull([(0, 0), (2, 0), (1, 3)]),  # origin a vertex
+        Polytope.hull([(-1, 0), (1, 0)]),  # a segment through the origin
+        Polytope.hull([(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)]),  # origin a vertex
+        Polytope.hull([(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, 0)]),  # origin on a facet
+        Polytope.hull([(x, y, 0) for x in (-1, 1) for y in (-1, 1)]),  # a square through the origin
+    ]
+    for P in not_interior:
+        assert not P.contains_origin_interior(), P.vertices
+        assert is_reflexive(P) is False, P.vertices
+        with pytest.raises(ValueError, match="origin"):
+            dual_polytope(P)
+        with pytest.raises(ValueError, match="origin interior"):
+            is_smooth_fano_polytope(P)
+
+
 def test_smooth_fano_examples():
     assert is_smooth_fano_polytope(P2_TRIANGLE)
     assert is_smooth_fano_polytope(CROSS)
