@@ -16,7 +16,10 @@ Cl tensor Q is Q^rays modulo the column span of R (the exact sequence
 to the rank and its column can be deleted from every other row: the one
 elimination runs on the columns that no singleton part covers, and not
 at all when none is left (a boundary with a positive coefficient on
-every ray, decomposed into primes).  Everything is exact integer and
+every ray, decomposed into primes).  The check that the parts sum to
+the boundary and the sum of the weights run in integers over D, the lcm
+of the pair's A (pairs.ToricPair) and the weights' denominators; the norm
+is one Fraction over D.  Everything is exact integer and
 rational arithmetic.  For a
 toric log Calabi-Yau pair with its prime decomposition this is zero, and
 it can never be negative for a log CY pair; a negative value here always
@@ -25,6 +28,7 @@ means a bug.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -44,8 +48,9 @@ class Decomposition:
     def __post_init__(self):
         norm = []
         for alpha, rays in self.parts:
-            alpha = Fraction(alpha)
-            if alpha < 0:
+            if not isinstance(alpha, Fraction):
+                alpha = Fraction(alpha)
+            if alpha.numerator < 0:
                 raise ValueError("part weights must be non-negative")
             if not rays:
                 raise ValueError("empty part in decomposition")
@@ -60,14 +65,10 @@ class Decomposition:
         coeffs = [Fraction(0)] * ray_count
         for alpha, rays in self.parts:
             for i in rays:
-                if i >= ray_count:
+                if not 0 <= i < ray_count:
                     raise ValueError("part mentions a ray index outside the fan")
                 coeffs[i] += alpha
         return tuple(coeffs)
-
-    @property
-    def norm(self) -> Fraction:
-        return sum((alpha for alpha, _ in self.parts), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -83,30 +84,41 @@ class ComplexityReport:
 
 
 def decomposition_by_primes(pair: ToricPair) -> Decomposition:
-    """One singleton part per ray carrying a positive coefficient."""
-    return Decomposition.of(
-        (b, (i,)) for i, b in enumerate(pair.boundary) if b > 0
-    )
+    """One singleton part per ray carrying a positive coefficient (the
+    boundary is effective, so a nonzero one)."""
+    return Decomposition.of((b, (i,)) for i, b in enumerate(pair.boundary) if b)
 
 
 def complexity(pair: ToricPair, decomposition: Decomposition) -> ComplexityReport:
     """Complexity of the decomposition; raises if it does not decompose
     the pair's boundary.  rho = #singleton rays + rank of [P; R^T] on the
-    other columns - rank R (see the module docstring)."""
-    coeffs = decomposition.coefficient_vector(len(pair.fan.rays))
-    for i, (got, want) in enumerate(zip(coeffs, pair.boundary)):
-        if got != want:
+    other columns - rank R (see the module docstring).  With D the lcm of
+    the pair's A and the weights' denominators, the parts must sum to
+    D.b_i = D - (D/A).alpha_i on every ray, in integers, and the norm is
+    the sum of the scaled weights over D."""
+    n = len(pair.fan.rays)
+    D = math.lcm(pair.A, *(alpha.denominator for alpha, _ in decomposition.parts))
+    weights = [alpha.numerator * (D // alpha.denominator) for alpha, _ in decomposition.parts]
+    sums = [0] * n
+    for w, (_, part) in zip(weights, decomposition.parts):
+        for i in part:
+            if not 0 <= i < n:
+                raise ValueError("part mentions a ray index outside the fan")
+            sums[i] += w
+    scale = D // pair.A
+    for i, (got, a) in enumerate(zip(sums, pair.alpha)):
+        if got != D - scale * a:
             raise ValueError(
-                f"decomposition mismatch at ray {pair.fan.rays[i]}: sums to {got}, boundary has {want}"
+                f"decomposition mismatch at ray {pair.fan.rays[i]}: sums to {Fraction(got, D)}, boundary has {pair.boundary[i]}"
             )
     singles = {i for _, part in decomposition.parts if len(part) == 1 for i in part}
-    rest = [i for i in range(len(pair.fan.rays)) if i not in singles]
+    rest = [i for i in range(n) if i not in singles]
     rho = len(singles) - pair.fan.ray_rank
     if rest:
         rows = [tuple(int(i in part) for i in rest) for _, part in decomposition.parts if len(part) > 1]
         rows += [tuple(x[i] for i in rest) for x in zip(*pair.fan.rays)]  # the rows of R^T
         rho += matrix_rank(IntMatrix.from_rows(rows, cols=len(rest)))
-    norm = decomposition.norm
+    norm = Fraction(sum(weights), D)
     c = pair.dim + rho - norm
     return ComplexityReport(rho=rho, norm=norm, dim=pair.dim, c=c)
 

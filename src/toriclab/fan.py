@@ -259,6 +259,17 @@ class Cone:
             rank = len(gens[0])
         return cls(tuple(gens), rank)
 
+    @classmethod
+    def _trusted(cls, generators: tuple[Vec, ...], rank: int) -> "Cone":
+        """The cone on generators that are already primitive, distinct and
+        sorted, as __post_init__ would leave them (a fan's maximal cones:
+        sorted indices into its sorted primitive rays); nothing is checked
+        or normalised again."""
+        cone = object.__new__(cls)
+        object.__setattr__(cone, "generators", generators)
+        object.__setattr__(cone, "rank", rank)
+        return cone
+
     @cached_property
     def dim(self) -> int:
         """Dimension of the span: the rank, for a cone with a dual basis,
@@ -417,11 +428,12 @@ class Fan:
     def __post_init__(self):
         rays = []
         for r in self.rays:
+            r = tuple(map(int, r))
             if len(r) != self.rank:
                 raise ValueError("ray length differs from ambient rank")
             if is_zero(r):
                 raise ValueError("zero ray")
-            rays.append(primitive(tuple(int(x) for x in r)))
+            rays.append(primitive(r))
         if len(set(rays)) != len(rays):
             raise ValueError("duplicate ray")
         order = sorted(range(len(rays)), key=lambda i: rays[i])
@@ -429,7 +441,7 @@ class Fan:
         sorted_rays = tuple(rays[i] for i in order)
         cones = []
         for cone in self.max_cones:
-            raw = tuple(int(i) for i in cone)
+            raw = tuple(map(int, cone))
             if any(i < 0 or i >= len(rays) for i in raw):
                 raise ValueError("ray index out of range")
             mapped = tuple(sorted(relabel[i] for i in raw))
@@ -445,12 +457,12 @@ class Fan:
     def from_data(
         cls, rays: Iterable[Sequence[int]], max_cones: Iterable[Iterable[int]], rank: Optional[int] = None
     ) -> "Fan":
-        rays = [tuple(int(x) for x in r) for r in rays]
+        rays = tuple(tuple(r) for r in rays)
         if rank is None:
             if not rays:
                 raise ValueError("cannot infer rank of empty fan; pass rank=")
             rank = len(rays[0])
-        return cls(tuple(rays), tuple(tuple(c) for c in max_cones), rank)
+        return cls(rays, tuple(tuple(c) for c in max_cones), rank)
 
     def cone(self, indices: Iterable[int]) -> Cone:
         return Cone(tuple(self.rays[i] for i in indices), self.rank)
@@ -458,8 +470,10 @@ class Fan:
     @cached_property
     def cones(self) -> tuple[Cone, ...]:
         """The maximal cones as Cone objects, built once per fan so their
-        cached facet data is shared by every predicate."""
-        return tuple(self.cone(c) for c in self.max_cones)
+        cached facet data is shared by every predicate.  The rays are
+        primitive, distinct and sorted and each index tuple is sorted, so
+        the generators are already normal (Cone._trusted)."""
+        return tuple(Cone._trusted(tuple(self.rays[i] for i in c), self.rank) for c in self.max_cones)
 
     @cached_property
     def wall_map(self) -> dict[frozenset[Vec], list[int]]:

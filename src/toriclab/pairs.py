@@ -8,7 +8,10 @@ divisorial valuation.  Only torus-invariant valuations are consulted: for
 a toric pair the extremal log discrepancies are attained by them, so the
 singularity class computed from lattice points is the honest one.
 
-Every pair query reads one integer record of psi per pair
+A pair carries its boundary in integers from construction: A, the lcm
+of the coefficient denominators, and alpha = A(1 - b), so every boundary
+test is an integer sign (b > 1 iff alpha_i < 0, b = 1 iff alpha_i = 0).
+Every pair query reads these and one integer record of psi per pair
 (LogDiscrepancyFunction); with a full-dimensional maximal cone none of
 them takes an elimination.
 """
@@ -17,14 +20,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
 from toriclab.fan import Cone, Diagnostics, Fan, is_refinement
 from toriclab.lattice import IntMatrix, SolveChart, Vec, rank as matrix_rank, vdot
-from toriclab.toric import ToricVariety, _scaled_piece, local_functionals, projective_space_fan
+from toriclab.toric import ToricVariety, _scaled_piece, projective_space_fan
 
 
 class EffectivityError(ValueError):
@@ -42,21 +45,28 @@ class ToricPair:
 
     Effectivity (all coefficients >= 0) is enforced at construction;
     whether K+B is Q-Cartier is a property, checked by validate_pair.  The
-    coefficients are converted to Fractions once, and the hash of the
-    fields is taken once, at construction, for the cached pair queries
-    that look the pair up again and again.
+    boundary stays a tuple of Fractions; a coefficient that is not one
+    already is converted once.  Construction also computes the integers
+    every pair query reads: A, the lcm of the coefficient denominators,
+    and alpha = A(1 - b), one per ray; and the hash of the fields, for the
+    cached pair queries that look the pair up again and again.
     """
 
     variety: ToricVariety
     boundary: tuple[Fraction, ...]
+    A: int = field(init=False, repr=False, compare=False)
+    alpha: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        coeffs = tuple(Fraction(c) for c in self.boundary)
+        coeffs = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in self.boundary)
         if len(coeffs) != len(self.variety.fan.rays):
             raise ValueError("expected one boundary coefficient per ray")
-        if any(c < 0 for c in coeffs):
+        if any(c.numerator < 0 for c in coeffs):
             raise ValueError("boundary must be effective")
+        A = math.lcm(*(c.denominator for c in coeffs))
         object.__setattr__(self, "boundary", coeffs)
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "alpha", tuple(A - c.numerator * (A // c.denominator) for c in coeffs))
         object.__setattr__(self, "_hash", hash((self.variety, coeffs)))
 
     def __hash__(self) -> int:
@@ -90,13 +100,14 @@ def standard_pair(n: int) -> ToricPair:
 
 
 def validate_pair(pair: ToricPair) -> Diagnostics:
-    """Effectivity plus Q-Cartierness of K+B, reported per cone."""
-    if any(b < 0 for b in pair.boundary):
-        idx = next(i for i, b in enumerate(pair.boundary) if b < 0)
+    """Effectivity plus Q-Cartierness of K+B, reported per cone: the first
+    maximal cone on which no piece takes the values alpha = A(1 - b) on
+    its rays (toric._scaled_piece) is the witness."""
+    if any(b.numerator < 0 for b in pair.boundary):
+        idx = next(i for i, b in enumerate(pair.boundary) if b.numerator < 0)
         return Diagnostics(False, "boundary not effective", (pair.fan.rays[idx],))
-    pieces = local_functionals(pair.fan, [1 - b for b in pair.boundary])
-    for c, m in zip(pair.fan.max_cones, pieces):
-        if m is None:
+    for c, cone in zip(pair.fan.max_cones, pair.fan.cones):
+        if _scaled_piece(cone, [pair.alpha[i] for i in c])[1] is None:
             return Diagnostics(False, "K+B is not Q-Cartier on a maximal cone", (c,))
     return Diagnostics(True)
 
@@ -105,18 +116,17 @@ class LogDiscrepancyFunction:
     """The PL function psi with psi(u_i) = 1 - b_i, one linear piece per
     maximal cone.  Exists exactly when K+B is Q-Cartier.
 
-    It is held as one integer record, built once per pair: A, the lcm of
-    the boundary denominators; alpha = A(1 - b); and `scaled`, per
-    maximal cone (L.A, L.m) with psi = L.m / (L.A) on that cone, where
-    (L, L.m) is toric._scaled_piece of alpha on the cone's rays (the
-    adjugate of a full-dimensional simplicial cone, else its Smith chart).
-    `piece` gives the same Fractions as toric.local_functionals.
+    It is held as one integer record, built once per pair from the
+    pair's A and alpha = A(1 - b): `scaled`, per maximal cone (L.A, L.m)
+    with psi = L.m / (L.A) on that cone, where (L, L.m) is
+    toric._scaled_piece of alpha on the cone's rays (the adjugate of a
+    full-dimensional simplicial cone, else its Smith chart).  `piece`
+    gives the same Fractions as toric.local_functionals.
     """
 
     def __init__(self, pair: ToricPair):
         self.pair = pair
-        self.A = A = math.lcm(*(b.denominator for b in pair.boundary))
-        self.alpha = alpha = tuple(A - b.numerator * (A // b.denominator) for b in pair.boundary)
+        A, alpha = pair.A, pair.alpha
         self.scaled: list[tuple[int, Vec]] = []
         for c, cone in zip(pair.fan.max_cones, pair.fan.cones):
             L, lm = _scaled_piece(cone, [alpha[i] for i in c])
@@ -157,10 +167,10 @@ def log_discrepancy(pair: ToricPair, v: Sequence[int]) -> Fraction:
     return _psi(pair)(v)
 
 
-def _least_exceptional_psi(cone: Cone, alpha: Sequence[int], A: int) -> Optional[Fraction]:
-    """Least psi over the primitive lattice points of the cone that are
-    not rays, where psi is linear with psi(generators[i]) = alpha[i] / A > 0;
-    None when the cone has no such point.
+def _least_exceptional_psi(cone: Cone, alpha: Sequence[int], A: int) -> Optional[int]:
+    """The sign of (least psi) - 1 over the primitive lattice points of the
+    cone that are not rays, where psi is linear with psi(generators[i]) =
+    alpha[i] / A > 0: -1, 0 or 1, or None when the cone has no such point.
 
     A simplicial cone with rays u_i, Smith form U.G.V = diag(d) of the ray
     matrix G, has the fundamental-parallelepiped points
@@ -171,7 +181,8 @@ def _least_exceptional_psi(cone: Cone, alpha: Sequence[int], A: int) -> Optional
     non-simplicial cone is the union of its simplicial cones on linearly
     independent dim-subsets of rays (Caratheodory).  A simplicial cone
     reads (U, d) off its cached Smith chart; only the subsets of a
-    non-simplicial cone take Smith charts of their own.
+    non-simplicial cone take Smith charts of their own.  Each subset
+    compares its least value of L.A.psi with L.A, in integers.
     """
     rays, dim = cone.generators, cone.dim
     best = None
@@ -191,8 +202,8 @@ def _least_exceptional_psi(cone: Cone, alpha: Sequence[int], A: int) -> Optional
         )
         low = min(itertools.chain(pairs_sums, box_points), default=None)
         if low is not None:
-            value = Fraction(low, L * A)
-            best = value if best is None else min(best, value)
+            sign = (low > L * A) - (low < L * A)
+            best = sign if best is None else min(best, sign)
     return best
 
 
@@ -204,24 +215,24 @@ def singularity_type(pair: ToricPair) -> str:
     coefficients below one.  Canonical and terminal then compare with 1
     the least log discrepancy over the primitive non-ray lattice points,
     which each maximal cone yields in closed form from one Smith chart per
-    simplicial piece (see _least_exceptional_psi), fed the integers alpha
-    and A of the pair's psi record; the cost does not depend on how close
-    the coefficients are to 1.
+    simplicial piece (see _least_exceptional_psi), fed the pair's integers
+    alpha and A; the cost does not depend on how close the coefficients
+    are to 1.  A coefficient above 1 is a negative alpha_i, one equal to 1
+    a zero.
     """
-    if any(b > 1 for b in pair.boundary):
+    if any(a < 0 for a in pair.alpha):
         return "not-lc"
-    psi = _psi(pair)  # raises if K+B is not Q-Cartier
-    if 0 in psi.alpha:
+    _psi(pair)  # raises if K+B is not Q-Cartier
+    if 0 in pair.alpha:
         return "lc"
     fan = pair.fan
-    worst = None
+    canonical = False
     for c, cone in zip(fan.max_cones, fan.cones):
-        value = _least_exceptional_psi(cone, [psi.alpha[i] for i in c], psi.A)
-        if value is not None and value < 1:
+        sign = _least_exceptional_psi(cone, [pair.alpha[i] for i in c], pair.A)
+        if sign == -1:
             return "klt"
-        if value is not None and (worst is None or value < worst):
-            worst = value
-    return "canonical" if worst == 1 else "terminal"
+        canonical = canonical or sign == 0
+    return "canonical" if canonical else "terminal"
 
 
 def is_log_cy(pair: ToricPair) -> bool:
@@ -231,19 +242,20 @@ def is_log_cy(pair: ToricPair) -> bool:
     A coefficient above 1 gives False; otherwise raises ValueError when
     K+B is not Q-Cartier.  When some maximal cone is full-dimensional, its
     piece of psi is the only candidate for m, so the test reads
-    L.m.u_i.A == L.A.alpha_i on every ray off the psi record, with no
+    L.m.u_i.A == L.A.alpha_i on every ray off the psi record and the
+    pair's integers (a coefficient above 1 is alpha_i < 0), with no
     elimination.  Otherwise Cl tensor Q is Q^rays modulo the column span
     of the ray matrix R, and K+B is trivial there iff appending alpha =
     A(1 - b) to R keeps its rank (Fan.ray_rank)."""
-    if any(b > 1 for b in pair.boundary):
+    if any(a < 0 for a in pair.alpha):
         return False
     psi = _psi(pair)  # raises if K+B is not Q-Cartier
     fan = pair.fan
     for (LA, lm), cone in zip(psi.scaled, fan.cones):
         # full-dimensional: a dual basis, or the Smith chart its piece read
         if cone.dual_basis is not None or len(cone.solve_chart.d) == fan.rank:
-            return all(vdot(lm, u) * psi.A == LA * a for u, a in zip(fan.rays, psi.alpha))
-    extended = [(*u, a) for u, a in zip(fan.rays, psi.alpha)]
+            return all(vdot(lm, u) * pair.A == LA * a for u, a in zip(fan.rays, pair.alpha))
+    extended = [(*u, a) for u, a in zip(fan.rays, pair.alpha)]
     return matrix_rank(IntMatrix.from_rows(extended, cols=pair.dim + 1)) == fan.ray_rank
 
 
@@ -261,9 +273,8 @@ def index(pair: ToricPair) -> int:
     the pieces L.m / (L.A) of the psi record, LA / gcd(LA, *Lm) per cone.
     K+B not Q-Cartier raises ValueError.
     """
-    psi = _psi(pair)
-    m = psi.A
-    for LA, lm in psi.scaled:
+    m = pair.A
+    for LA, lm in _psi(pair).scaled:
         m = math.lcm(m, LA // math.gcd(LA, *lm))
     return m
 
