@@ -7,7 +7,7 @@ equalities, so approximate arithmetic would be meaningless.
 
 Subpackages by theme:
 
-- ``lattice``    exact linear algebra (Smith/Hermite forms, cokernels, echelon form over Q)
+- ``lattice``    exact linear algebra (echelon form over Q, Smith forms read through one chart)
 - ``fan``        cones, fans, star subdivisions, 2D resolutions
 - ``toric``      class groups, (Q-)Cartier tests, Fano test, weighted projective fans
 - ``pairs``      toric pairs, log discrepancies, singularity classes, crepant pullback

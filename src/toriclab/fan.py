@@ -162,27 +162,6 @@ def linear_feasible(
     return _feasible_point(nvars, _homogenise(nvars, equalities, gte, gt)) is not None
 
 
-def feasibility_certificate(
-    nvars: int,
-    equalities: Sequence[tuple[Sequence, object]] = (),
-    gte: Sequence[tuple[Sequence, object]] = (),
-    gt: Sequence[tuple[Sequence, object]] = (),
-) -> tuple[bool, tuple[Fraction, ...]]:
-    """The verdict of `linear_feasible` with a certificate that a separate
-    checker can verify exactly.
-
-    (True, x): x satisfies every constraint.  (False, y): one multiplier
-    per constraint, equalities first, then gte, then gt, with y >= 0 on
-    the inequalities and sum y_i a_i = 0, and either y.b > 0, or y.b = 0
-    and y > 0 on some strict inequality (Motzkin's transposition theorem).
-    """
-    cons = _homogenise(nvars, equalities, gte, gt)
-    x = _feasible_point(nvars, cons)
-    if x is not None:
-        return True, x
-    return False, _motzkin_multipliers(nvars, cons)
-
-
 def _homogenise(nvars, equalities, gte, gt):
     """[(integer row (a, -b), kind, scale)], one per constraint in order."""
     cons = []
@@ -205,22 +184,6 @@ def _feasible_point(n, cons) -> Optional[tuple[Fraction, ...]]:
         [r for r, kind, _ in cons if kind == _GT] + [(0,) * n + (1,)],
     )
     return None if y is None else tuple(Fraction(v, y[n]) for v in y[:n])
-
-
-def _motzkin_multipliers(n, cons) -> tuple[Fraction, ...]:
-    """Motzkin multipliers for an infeasible system: lambda.A = 0 on the
-    rows A of the constraints and t, lambda >= 0 on the inequalities and
-    t, > 0 on some strict one; then y_i = lambda_i * scale_i and y.b =
-    lambda_t.  Such lambda are mu.Z, Z the left-kernel rows of A's Smith
-    chart, with mu.c_i >= 0 on the columns c_i of Z at the inequalities;
-    the sum of the facet normals of the nonzero c_i is one, > 0 off the
-    lineality space, where infeasibility puts some strict c_i."""
-    rows = [r for r, _, _ in cons] + [(0,) * n + (1,)]
-    kinds = [kind for _, kind, _ in cons] + [_GT]
-    kernel = SolveChart.of(IntMatrix.from_rows(rows, cols=n + 1)).Z
-    cols = [tuple(z[i] for z in kernel) for i in range(len(rows))]
-    mu = _separating((), [c for c, kind in zip(cols, kinds) if kind != _EQ and any(c)], ())
-    return tuple(Fraction(vdot(mu, c) * scale) for c, (_, _, scale) in zip(cols, cons))
 
 
 # ---------------------------------------------------------------------------
@@ -490,9 +453,6 @@ class Fan:
             return self.rank
         return matrix_rank(IntMatrix.from_rows(self.rays, cols=self.rank))
 
-    def max_cone(self, k: int) -> Cone:
-        return self.cones[k]
-
 
 @dataclass(frozen=True)
 class Diagnostics:
@@ -730,7 +690,7 @@ def _covers(fine: Fan, fine_indices: list[int], coarse_cone: Cone) -> bool:
     if not fine_indices:
         return False
     d = coarse_cone.dim
-    cones = [fine.max_cone(i) for i in fine_indices]
+    cones = [fine.cones[i] for i in fine_indices]
     for c in cones:
         if c.dim == d and set(c.generators) == set(coarse_cone.generators):
             return True  # the coarse cone itself appears

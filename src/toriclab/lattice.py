@@ -1,5 +1,5 @@
-"""Exact linear algebra: one fraction-free elimination, Smith/Hermite
-normal forms, cokernels.
+"""Exact linear algebra: one fraction-free elimination, and Smith normal
+forms read through one chart.
 
 All matrices and vectors carry plain Python integers (arbitrary precision),
 and every routine here is a pure function on immutable values.  Lattice
@@ -8,8 +8,7 @@ vectors are ordinary tuples of ints; their length is the ambient rank.
 only elimination over Q in the package: `rank`, `det` and `solve_rational`
 read it here, and `fan.double_description` takes its seeds from it.  Every
 Smith form is read through one chart (`SolveChart`): integer solves,
-cokernels, class groups and left kernels take its invariants and
-transforms.
+class groups and left kernels take its invariants and transforms.
 """
 
 from __future__ import annotations
@@ -63,14 +62,6 @@ class IntMatrix:
             raise ValueError("cols does not match row width")
         return cls(data, len(data), width)
 
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), n, n)
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(tuple(tuple(0 for _ in range(cols)) for _ in range(rows)), rows, cols)
-
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
@@ -89,14 +80,6 @@ class IntMatrix:
 
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))
-
-    def is_diagonal(self) -> bool:
-        return all(
-            self.entries[i][j] == 0
-            for i in range(self.rows)
-            for j in range(self.cols)
-            if i != j
-        )
 
 
 def echelon(rows: Sequence[Sequence[int]], ncols: int) -> tuple[list[list[int]], tuple[tuple[int, int], ...], int]:
@@ -322,55 +305,6 @@ class SolveChart:
         if any(vdot(z, a) for z in self.Z):
             return None
         return tuple(vdot(row, a) for row in self.M)
-
-
-def hermite_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
-    """Row-style Hermite normal form: returns (H, U) with H = U * M.
-
-    H is in row echelon form with positive pivots and entries above each
-    pivot reduced into [0, pivot).
-    """
-    rows, cols = M.rows, M.cols
-    a = [list(r) for r in M.entries]
-    u = [list(r) for r in IntMatrix.identity(rows).entries]
-    r = 0
-    for col in range(cols):
-        while True:
-            live = [i for i in range(r, rows) if a[i][col] != 0]
-            if not live:
-                break
-            i0 = min(live, key=lambda i: (abs(a[i][col]), i))
-            if a[i0][col] < 0:
-                a[i0] = [-x for x in a[i0]]
-                u[i0] = [-x for x in u[i0]]
-            a[r], a[i0] = a[i0], a[r]
-            u[r], u[i0] = u[i0], u[r]
-            finished = True
-            for i in range(r + 1, rows):
-                if a[i][col] != 0:
-                    q = a[i][col] // a[r][col]
-                    a[i] = [x - q * y for x, y in zip(a[i], a[r])]
-                    u[i] = [x - q * y for x, y in zip(u[i], u[r])]
-                    if a[i][col] != 0:
-                        finished = False
-            if finished:
-                break
-        if r < rows and a[r][col] != 0:
-            for i in range(r):
-                q = a[i][col] // a[r][col]
-                if q != 0:
-                    a[i] = [x - q * y for x, y in zip(a[i], a[r])]
-                    u[i] = [x - q * y for x, y in zip(u[i], u[r])]
-            r += 1
-    H = IntMatrix.from_rows(a, cols=cols)
-    U = IntMatrix.from_rows(u, cols=rows)
-    return H, U
-
-
-def cokernel_structure(M: IntMatrix) -> AbelianGroupStructure:
-    """Structure of Z^rows modulo the column image of M."""
-    d = SolveChart.of(M).d
-    return AbelianGroupStructure(M.rows - len(d), tuple(x for x in d if x >= 2))
 
 
 def solve_rational(A: IntMatrix, b: Sequence) -> Optional[tuple[Fraction, ...]]:

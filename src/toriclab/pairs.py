@@ -89,10 +89,6 @@ class ToricPair:
     def dim(self) -> int:
         return self.variety.dim
 
-    def log_canonical_coefficients(self) -> tuple[Fraction, ...]:
-        """Coefficients of K+B: b_i - 1 on each ray."""
-        return tuple(b - 1 for b in self.boundary)
-
 
 def standard_pair(n: int) -> ToricPair:
     """(P^n, sum of the coordinate hyperplanes)."""
@@ -100,15 +96,13 @@ def standard_pair(n: int) -> ToricPair:
 
 
 def validate_pair(pair: ToricPair) -> Diagnostics:
-    """Effectivity plus Q-Cartierness of K+B, reported per cone: the first
-    maximal cone on which no piece takes the values alpha = A(1 - b) on
-    its rays (toric._scaled_piece) is the witness."""
-    if any(b.numerator < 0 for b in pair.boundary):
-        idx = next(i for i, b in enumerate(pair.boundary) if b.numerator < 0)
-        return Diagnostics(False, "boundary not effective", (pair.fan.rays[idx],))
-    for c, cone in zip(pair.fan.max_cones, pair.fan.cones):
-        if _scaled_piece(cone, [pair.alpha[i] for i in c])[1] is None:
-            return Diagnostics(False, "K+B is not Q-Cartier on a maximal cone", (c,))
+    """Q-Cartierness of K+B (effectivity is enforced at construction),
+    read by building the pair's one psi record: the first maximal cone on
+    which no piece takes the values 1 - b on its rays is the witness."""
+    try:
+        _psi(pair)
+    except ValueError as e:  # not Q-Cartier: the only ValueError building psi raises
+        return Diagnostics(False, "K+B is not Q-Cartier on a maximal cone", (pair.fan.max_cones[e.cone_index],))
     return Diagnostics(True)
 
 
@@ -121,17 +115,22 @@ class LogDiscrepancyFunction:
     with psi = L.m / (L.A) on that cone, where (L, L.m) is
     toric._scaled_piece of alpha on the cone's rays (the adjugate of a
     full-dimensional simplicial cone, else its Smith chart).  `piece`
-    gives the same Fractions as toric.local_functionals.
+    gives the same Fractions as toric.local_functionals.  Building it
+    raises ValueError at the first maximal cone without a piece, with that
+    cone's index as its `cone_index`.  The class stays the builtin one, as
+    pair answers report an error by its class name and message.
     """
 
     def __init__(self, pair: ToricPair):
         self.pair = pair
         A, alpha = pair.A, pair.alpha
         self.scaled: list[tuple[int, Vec]] = []
-        for c, cone in zip(pair.fan.max_cones, pair.fan.cones):
+        for k, (c, cone) in enumerate(zip(pair.fan.max_cones, pair.fan.cones)):
             L, lm = _scaled_piece(cone, [alpha[i] for i in c])
             if lm is None:
-                raise ValueError("K+B is not Q-Cartier; no log discrepancy function")
+                error = ValueError("K+B is not Q-Cartier; no log discrepancy function")
+                error.cone_index = k
+                raise error
             self.scaled.append((L * A, lm))
 
     def piece(self, cone_index: int) -> tuple[Fraction, ...]:
@@ -300,17 +299,6 @@ def crepant_pullback(pair: ToricPair, fine: Fan) -> ToricPair:
                 raise EffectivityError(ray, c)
             coeffs.append(c)
     return ToricPair.from_fan(fine, coeffs)
-
-
-def restrict_boundary(pair: ToricPair, coarse: Fan) -> ToricPair:
-    """Push the boundary forward to a coarser fan by dropping the rays that
-    are not rays of that fan."""
-    lookup = {ray: pair.boundary[i] for i, ray in enumerate(pair.fan.rays)}
-    try:
-        coeffs = tuple(lookup[ray] for ray in coarse.rays)
-    except KeyError as e:
-        raise ValueError(f"ray {e.args[0]} missing from the finer fan") from e
-    return ToricPair.from_fan(coarse, coeffs)
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,6 @@ from typing import Optional, Sequence
 from toriclab.fan import Cone, Fan, is_complete, is_simplicial
 from toriclab.lattice import AbelianGroupStructure, IntMatrix, SolveChart, Vec, primitive, vdot
 
-Divisor = tuple  # one (rational) coefficient per ray, in ray order
-
 
 @dataclass(frozen=True)
 class ToricVariety:
@@ -32,12 +30,6 @@ class ToricVariety:
     @property
     def dim(self) -> int:
         return self.fan.rank
-
-    def divisor(self, coefficients: Sequence) -> Divisor:
-        coeffs = tuple(Fraction(c) for c in coefficients)
-        if len(coeffs) != len(self.fan.rays):
-            raise ValueError("expected one coefficient per ray")
-        return coeffs
 
 
 @dataclass(frozen=True)
@@ -96,11 +88,6 @@ def divisor_class_q(X: ToricVariety, D: Sequence) -> tuple[Fraction, ...]:
     A = math.lcm(*(c.denominator for c in d))
     scaled = tuple(int(c * A) for c in d)
     return tuple(Fraction(vdot(u, scaled), A) for u in _presentation(X.fan)[0])
-
-
-def principal_divisor(X: ToricVariety, character: Vec) -> Divisor:
-    """div(chi^m): coefficient <m, u_i> on the ray u_i."""
-    return tuple(Fraction(vdot(character, u)) for u in X.fan.rays)
 
 
 def _scaled_piece(cone: Cone, a: Sequence[int]) -> tuple[int, Optional[Vec]]:
@@ -163,11 +150,6 @@ def is_cartier(X: ToricVariety, D: Sequence) -> bool:
     if any(c.denominator != 1 for c in coeffs):
         return False
     return all(m is not None and all(x.denominator == 1 for x in m) for m in pieces)
-
-
-def canonical_divisor(X: ToricVariety) -> Divisor:
-    """K_X = minus the sum of the torus-invariant prime divisors."""
-    return tuple(Fraction(-1) for _ in X.fan.rays)
 
 
 def projective_space_fan(n: int) -> Fan:

@@ -18,6 +18,11 @@ Fraction pieces of psi instead of its integer record, a Vieta-jump
 search with a seen set instead of the Markov tree walk.  numpy is used
 only here, with integer dtypes, to keep the scans fast; the library itself
 stays pure.
+
+It also holds, unchanged, the few helpers the library dropped because
+nothing in it calls them: the cokernel structure of an integer matrix, the
+principal and canonical divisors, and the restriction of a boundary to a
+coarser fan.  Tests build their inputs and references from them.
 """
 
 from __future__ import annotations
@@ -33,7 +38,9 @@ import numpy as np
 from toriclab.fan import Diagnostics, Fan, _meet_in_common_face, is_complete, is_simplicial, walls
 from toriclab.markov import MarkovTriple
 from toriclab.lattice import (
+    AbelianGroupStructure,
     IntMatrix,
+    SolveChart,
     rank as matrix_rank,
     smith_normal_form,
     solve_integer,
@@ -198,6 +205,12 @@ def _det_int(a):
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1] if n else 1
+
+
+def cokernel_structure(M: IntMatrix) -> AbelianGroupStructure:
+    """Structure of Z^rows modulo the column image of M."""
+    d = SolveChart.of(M).d
+    return AbelianGroupStructure(M.rows - len(d), tuple(x for x in d if x >= 2))
 
 
 # ------------------------------------------------------ linear feasibility
@@ -735,7 +748,7 @@ def singularity_type_scan(pair):
     rays = set(fan.rays)
     worst = None
     for k, c in enumerate(fan.max_cones):
-        member = fan.max_cone(k).contains
+        member = fan.cones[k].contains
         lo, hi = [0] * fan.rank, [0] * fan.rank
         for i in c:
             scale = 1 / (1 - pair.boundary[i])
@@ -752,6 +765,33 @@ def singularity_type_scan(pair):
     if worst is None or worst > 1:
         return "terminal"
     return "canonical" if worst == 1 else "klt"
+
+
+# Divisors and boundaries the tests build their inputs from; the library
+# holds none of them, as nothing in it calls them.
+
+
+def principal_divisor(X, character) -> tuple:
+    """div(chi^m): coefficient <m, u_i> on the ray u_i."""
+    return tuple(Fraction(vdot(character, u)) for u in X.fan.rays)
+
+
+def canonical_divisor(X) -> tuple:
+    """K_X = minus the sum of the torus-invariant prime divisors."""
+    return tuple(Fraction(-1) for _ in X.fan.rays)
+
+
+def restrict_boundary(pair, coarse: Fan):
+    """Push the boundary forward to a coarser fan by dropping the rays that
+    are not rays of that fan."""
+    from toriclab.pairs import ToricPair
+
+    lookup = {ray: pair.boundary[i] for i, ray in enumerate(pair.fan.rays)}
+    try:
+        coeffs = tuple(lookup[ray] for ray in coarse.rays)
+    except KeyError as e:
+        raise ValueError(f"ray {e.args[0]} missing from the finer fan") from e
+    return ToricPair.from_fan(coarse, coeffs)
 
 
 def local_functionals_solve(fan: Fan, values: Sequence) -> list[Optional[tuple[Fraction, ...]]]:
@@ -811,7 +851,7 @@ def index_scan(pair):
     The bound is the coefficient lcm times the lcm of the cones' lattice
     indices, read off minor gcds; raises if K+B is not Q-Cartier."""
     fan = pair.fan
-    kb = pair.log_canonical_coefficients()
+    kb = tuple(b - 1 for b in pair.boundary)
     cone_lcm = 1
     for c in fan.max_cones:
         # minor gcds are nonzero exactly up to the rank; the last is d_1...d_r
@@ -851,7 +891,7 @@ def is_log_cy_class_group(pair) -> bool:
     if any(b > 1 for b in pair.boundary):
         return False
     _psi(pair)  # raises if K+B is not Q-Cartier
-    kb = pair.log_canonical_coefficients()
+    kb = tuple(b - 1 for b in pair.boundary)
     return all(x == 0 for x in divisor_class_q(pair.variety, kb))
 
 

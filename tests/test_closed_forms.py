@@ -181,7 +181,7 @@ def test_classification_computes_no_facet_data():
     # a cone without one (the cone over the square) asks its facets
     square = ToricPair.reduced(Fan.from_data([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)], [(0, 1, 2, 3)]))
     assert _psi(square)((0, 0, 1)) == 0
-    assert "facet_data" in vars(square.fan.max_cone(0))
+    assert "facet_data" in vars(square.fan.cones[0])
 
 
 # ------------------------------------------------------------ caches
@@ -203,7 +203,7 @@ def test_whole_pair_caches_stay_bounded():
 
 def test_fan_builds_each_maximal_cone_once():
     fan = projective_space_fan(2)
-    assert fan.max_cone(0) is fan.max_cone(0)
+    assert fan.cones[0] is fan.cones[0]
     assert fan.cones == tuple(fan.cone(c) for c in fan.max_cones)
 
 

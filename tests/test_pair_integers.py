@@ -1,16 +1,22 @@
 """The pair's integers from construction (ToricPair.A and alpha = A(1 - b))
 against the Fraction tests they replace, the maximal cones Fan.cones
-builds without re-normalising them, and count guards on both."""
+builds without re-normalising them, and count guards on both and on the
+psi pieces a pair command solves."""
 
+import contextlib
+import io
 import itertools
 import math
+import os
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from toriclab import pairs as pairs_module
 from toriclab.catalog import bundled_fans, cone_over_square_fan
+from toriclab.cli import main
 from toriclab.complexity import Decomposition, complexity, decomposition_by_primes
 from toriclab.fan import Cone, Diagnostics, Fan
 from toriclab.pairs import (
@@ -27,6 +33,8 @@ from toriclab.polytope import Polytope
 from toriclab.toric import local_functionals, projective_space_fan, weighted_projective_fan
 
 from oracles import primitive_distinct, random_complete_2d_fan
+
+SAMPLES = os.path.join(os.path.dirname(__file__), "..", "samples")
 
 NAMED = [
     cone_over_square_fan(),
@@ -230,3 +238,25 @@ def test_pair_queries_build_few_fractions(monkeypatch):
                 pass
     monkeypatch.undo()
     assert next(calls) < 5 * len(queries)
+
+
+def test_pair_classify_solves_each_maximal_cone_once(monkeypatch):
+    """A cold `pair classify` on a sample pair solves one psi piece per
+    maximal cone: validating the file builds the psi record that the
+    queries then read."""
+    original = pairs_module._scaled_piece
+    calls = itertools.count()
+
+    def counting(cone, a):
+        next(calls)
+        return original(cone, a)
+
+    monkeypatch.setattr(pairs_module, "_scaled_piece", counting)
+    solved = {}
+    for name in sorted(n for n in os.listdir(SAMPLES) if n.endswith(".pair")):
+        _psi.cache_clear()
+        start = next(calls)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["pair", "classify", os.path.join(SAMPLES, name)]) == 0
+        solved[name] = next(calls) - start - 1
+    assert solved == {"p1xp1_boundary.pair": 4, "p2_boundary.pair": 3, "p3_boundary.pair": 4, "wp112_boundary.pair": 3}

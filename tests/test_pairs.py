@@ -15,14 +15,13 @@ from toriclab.pairs import (
     index,
     is_log_cy,
     log_discrepancy,
-    restrict_boundary,
     singularity_type,
     standard_pair,
     validate_pair,
 )
 from toriclab.toric import projective_space_fan, weighted_projective_fan
 
-from oracles import classify_cone_brute, classify_pair_brute
+from oracles import classify_cone_brute, classify_pair_brute, restrict_boundary
 
 P2_PAIR = standard_pair(2)
 

@@ -13,11 +13,12 @@ from toriclab import complexity as complexity_module, fan as fan_module, pairs a
 from toriclab.catalog import bundled_fans, cone_over_square_fan
 from toriclab.complexity import Decomposition, complexity, decomposition_by_primes
 from toriclab.fan import Fan
-from toriclab.lattice import AbelianGroupStructure, IntMatrix, cokernel_structure, rank, vdot
+from toriclab.lattice import AbelianGroupStructure, IntMatrix, rank, vdot
 from toriclab.pairs import ToricPair, is_log_cy
 from toriclab.toric import ToricVariety, class_group, weighted_projective_fan
 
 from oracles import (
+    cokernel_structure,
     complexity_rho_class_group,
     is_log_cy_class_group,
     minor_gcds,

@@ -1,0 +1,134 @@
+"""The library's public surface: every public top-level function and class
+in src/toriclab, and every public method of such a class, is referenced
+somewhere in src/ outside its own definition, or is kept in KEEP for a
+reason checked here against real text.
+
+References are read by name from the syntax trees: a function or class is
+referenced by a name, an import or an attribute, a method only by an
+attribute.  Matching by name errs towards keeping a name, never towards
+flagging a used one.
+"""
+
+import ast
+import collections
+import pathlib
+import re
+
+import toriclab
+
+PACKAGE = pathlib.Path(toriclab.__file__).parent
+ROOT = PACKAGE.parent.parent
+ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
+PINNED = ROOT / "tests" / "test_pair_digest.py"
+BENCH = ROOT / "bench"
+
+# The deciders of the north star's facts that nothing in src/ calls: the
+# class-group, Cartier and smoothness tests that state them.
+NORTH_STAR = frozenset({"class_group", "divisor_class_q", "is_cartier", "is_qcartier", "is_smooth"})
+
+# Names kept with no caller in src/, each with its reason:
+# - "acceptance": the acceptance criteria (tests/test_acceptance.py) use it;
+# - "bench": a file under bench/ uses it;
+# - "north star": it is in NORTH_STAR;
+# - "view": a method that reads an object of a class that src/ uses;
+# - "pinned": the sha256-pinned answers of tests/test_pair_digest.py read it.
+KEEP = {
+    "casebook.IncidenceArrangement.drop_incidence": "acceptance",
+    "casebook.SuiteReport.failures": "view",
+    "catalog.cone_over_square_fan": "pinned",
+    "complexity.Decomposition.coefficient_vector": "view",
+    "complexity.assert_bmsz": "acceptance",
+    "complexity.complexity_transport": "acceptance",
+    "fan.Cone.from_generators": "acceptance",
+    "fan.is_smooth": "north star",
+    "fan.linear_feasible": "bench",
+    "lattice.IntMatrix.apply": "view",
+    "lattice.solve_integer": "bench",
+    "lattice.solve_rational": "bench",
+    "pairs.LogDiscrepancyFunction.piece": "view",
+    "pairs.standard_pair": "acceptance",
+    "toric.class_group": "north star",
+    "toric.divisor_class_q": "north star",
+    "toric.is_cartier": "north star",
+    "toric.is_qcartier": "north star",
+}
+
+
+def _references(node):
+    """(names, attributes) used inside the node, with multiplicities."""
+    names, attrs = collections.Counter(), collections.Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            names[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            attrs[n.attr] += 1
+        elif isinstance(n, ast.alias):
+            names[n.name.rsplit(".", 1)[-1]] += 1
+    return names, attrs
+
+
+def _surface():
+    """{qualified name: referenced in src/ outside its own definition} for
+    every public top-level function and class and every public method."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
+    names, attrs = collections.Counter(), collections.Counter()
+    for tree in trees.values():
+        n, a = _references(tree)
+        names.update(n)
+        attrs.update(a)
+    out = {}
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            defs = [(f"{module}.{node.name}", node, False)]
+            if isinstance(node, ast.ClassDef):
+                defs += [(f"{module}.{node.name}.{s.name}", s, True) for s in node.body if isinstance(s, ast.FunctionDef)]
+            for qualname, d, method in defs:
+                if d.name.startswith("_"):
+                    continue
+                own_names, own_attrs = _references(d)
+                used = attrs[d.name] - own_attrs[d.name]
+                if not method:
+                    used += names[d.name] - own_names[d.name]
+                out[qualname] = used > 0
+    return out
+
+
+def _mentions(path, name):
+    return re.search(rf"\b{re.escape(name)}\b", path.read_text(encoding="utf-8")) is not None
+
+
+def _reason_holds(qualname, reason, surface):
+    name = qualname.rsplit(".", 1)[-1]
+    if reason == "acceptance":
+        return _mentions(ACCEPTANCE, name)
+    if reason == "pinned":
+        return _mentions(PINNED, name)
+    if reason == "bench":
+        return any(_mentions(path, name) for path in BENCH.rglob("*.py"))
+    if reason == "north star":
+        return name in NORTH_STAR
+    if reason == "view":
+        owner = qualname.rsplit(".", 1)[0]
+        return owner.count(".") == 1 and surface.get(owner, False)
+    return False
+
+
+def test_every_public_name_is_called_or_kept():
+    surface = _surface()
+    unkept = sorted(q for q, used in surface.items() if not used and q not in KEEP)
+    assert not unkept, f"public names nothing in src/ calls, not in KEEP: {unkept}"
+
+
+def test_keep_lists_only_unreferenced_names():
+    surface = _surface()
+    stale = sorted(q for q in KEEP if surface.get(q, True))
+    assert not stale, f"KEEP entries that are gone or that src/ references: {stale}"
+
+
+def test_every_keep_reason_holds():
+    surface = _surface()
+    wrong = sorted(f"{q}: {r}" for q, r in KEEP.items() if not _reason_holds(q, r, surface))
+    assert not wrong, wrong
+

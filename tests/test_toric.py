@@ -11,7 +11,6 @@ from toriclab.lattice import AbelianGroupStructure, IntMatrix, rank as matrix_ra
 from toriclab.polytope import Polytope, face_fan, is_smooth_fano_polytope, unimodular_normal_form
 from toriclab.toric import (
     ToricVariety,
-    canonical_divisor,
     class_group,
     divisor_class,
     divisor_class_q,
@@ -19,12 +18,11 @@ from toriclab.toric import (
     is_fano,
     is_qcartier,
     local_functionals,
-    principal_divisor,
     projective_space_fan,
     weighted_projective_fan,
 )
 
-from oracles import is_cartier_solve
+from oracles import canonical_divisor, is_cartier_solve, principal_divisor
 
 
 def variety(fan):
