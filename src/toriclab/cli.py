@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -69,8 +70,6 @@ def _parse_ints(raw: str, what: str) -> tuple[int, ...]:
 
 
 def _load_pair(path: str) -> ToricPair:
-    import os
-
     return fileformats.parse_pair(_read(path), base_dir=os.path.dirname(path) or ".")
 
 
@@ -202,7 +201,7 @@ def _cmd_polytope_enumerate(args, rep: _Reporter) -> int:
         return 0
     for i, poly in enumerate(polys):
         if rep.json_lines:
-            rep.emit({"index": i, "vertices": [[int(x) for x in v] for v in poly.vertices]}, "")
+            rep.emit({"index": i, "vertices": [list(v) for v in poly.vertices]}, "")
         else:
             if i:
                 print()
@@ -364,9 +363,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     rep = _Reporter(args.json_lines)
     try:
         return args.func(args, rep)
-    except fileformats.ParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

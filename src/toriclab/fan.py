@@ -163,7 +163,7 @@ def linear_feasible(
 
 
 def _homogenise(nvars, equalities, gte, gt):
-    """[(integer row (a, -b), kind, scale)], one per constraint in order."""
+    """[(integer row (a, -b), kind)], one per constraint in order."""
     cons = []
     for kind, rows in ((_EQ, equalities), (_GE, gte), (_GT, gt)):
         for a, b in rows:
@@ -171,7 +171,7 @@ def _homogenise(nvars, equalities, gte, gt):
                 raise ValueError("constraint length differs from the number of variables")
             vals = [Fraction(x) for x in (*a, -b)]
             scale = math.lcm(*(x.denominator for x in vals))
-            cons.append((tuple(x.numerator * (scale // x.denominator) for x in vals), kind, scale))
+            cons.append((tuple(x.numerator * (scale // x.denominator) for x in vals), kind))
     return cons
 
 
@@ -179,9 +179,9 @@ def _feasible_point(n, cons) -> Optional[tuple[Fraction, ...]]:
     """A solution of the system, or None: a functional y on the rows with
     y_t > 0, read back as x = y[:n] / y_t."""
     y = _separating(
-        [r for r, kind, _ in cons if kind == _EQ],
-        [r for r, kind, _ in cons if kind == _GE],
-        [r for r, kind, _ in cons if kind == _GT] + [(0,) * n + (1,)],
+        [r for r, kind in cons if kind == _EQ],
+        [r for r, kind in cons if kind == _GE],
+        [r for r, kind in cons if kind == _GT] + [(0,) * n + (1,)],
     )
     return None if y is None else tuple(Fraction(v, y[n]) for v in y[:n])
 

@@ -66,11 +66,17 @@ def parse_fan(text: str, validate: bool = True) -> Fan:
 def parse_fan_file(text: str, validate: bool = True) -> FanFile:
     """Parse a fan file as parse_fan does, keeping the file's ray and cone
     order (FanFile)."""
+    return _read_fan(_logical_lines(text), validate)
+
+
+def _read_fan(entries, validate: bool = True) -> FanFile:
+    """The fan of the dim/ray/cone lines given as (lineno, words) entries,
+    which cite their own line numbers in errors."""
     dim: Optional[int] = None
     rays: list[tuple[int, ...]] = []
     cones: list[tuple[int, ...]] = []
     ray_lines: dict[tuple[int, ...], int] = {}
-    for lineno, words in _logical_lines(text):
+    for lineno, words in entries:
         key, args = words[0], words[1:]
         if key == "dim":
             if dim is not None:
@@ -125,7 +131,7 @@ def parse_pair(text: str, base_dir: str = ".") -> ToricPair:
     """Parse a pair file; `fan <path>` loads the fan from a file relative
     to base_dir, or the fan block may appear inline."""
     fan_path: Optional[str] = None
-    inline: list[str] = []
+    inline: list[tuple[int, list[str]]] = []
     coeff_lines: list[tuple[int, int, Fraction]] = []
     for lineno, words in _logical_lines(text):
         key, args = words[0], words[1:]
@@ -134,7 +140,7 @@ def parse_pair(text: str, base_dir: str = ".") -> ToricPair:
                 raise ParseError(lineno, "expected: fan <path>")
             fan_path = args[0]
         elif key in ("dim", "ray", "cone"):
-            inline.append(" ".join(words))
+            inline.append((lineno, words))
         elif key == "coeff":
             if len(args) != 2:
                 raise ParseError(lineno, "expected: coeff <ray-index> <p>/<q>")
@@ -154,16 +160,16 @@ def parse_pair(text: str, base_dir: str = ".") -> ToricPair:
         path = os.path.join(base_dir, fan_path)
         try:
             with open(path, encoding="utf-8") as fh:
-                fan_text = fh.read()
+                entries = _logical_lines(fh.read())
         except OSError as e:
             raise ParseError(1, f"cannot read fan file {path}: {e}") from None
     elif inline:
-        fan_text = "\n".join(inline)
+        entries = inline
     else:
         raise ParseError(1, "pair file has no fan")
     # coeff indices refer to the ray order of the fan as written; map onto
     # the canonical order of the constructed fan
-    fan, ray_index, _ = parse_fan_file(fan_text)
+    fan, ray_index, _ = _read_fan(entries)
     coeffs = [Fraction(0)] * len(fan.rays)
     for lineno, idx, value in coeff_lines:
         if idx < 0 or idx >= len(ray_index):
@@ -225,8 +231,6 @@ def emit_pair(pair: ToricPair) -> str:
 
 
 def emit_polytope(P: Polytope) -> str:
-    if not P.is_lattice:
-        raise ValueError("can only emit lattice polytopes")
     lines = [f"dim {P.rank}"]
-    lines += ["vertex " + " ".join(str(int(x)) for x in v) for v in P.vertices]
+    lines += ["vertex " + " ".join(str(x) for x in v) for v in P.vertices]
     return "\n".join(lines) + "\n"

@@ -1,12 +1,13 @@
-"""Lattice polytopes: duality, reflexivity, normal forms, enumeration.
+"""Lattice polytopes: reflexivity, face fans, normal forms, enumeration.
 
-Vertices are stored exactly: a coordinate is an `int` when it is an
-integer and a `Fraction` only when it is not (duals), so lattice polygons
-run on integer arithmetic throughout.  A polygon's facets are read off its
-counterclockwise edge cycle.  In higher rank a polytope P is the cone over
-P x {1}, and one double-description run on that cone gives both its
-vertices and its facets.  Each polytope finds its facets at construction,
-and every predicate reads them from there.  Every predicate is exact.
+Vertices are integer points, so every predicate runs on integer
+arithmetic.  A polygon's facets are read off its counterclockwise edge
+cycle.  In higher rank a polytope P is the cone over P x {1}, and one
+double-description run on that cone gives both its vertices and its
+facets.  Each polytope finds its facets at construction, and every
+predicate reads them from there.  Every predicate is exact.  The polar
+dual is never built: its vertices are `facet_functionals(P)`, and
+reflexivity is read off the facets.
 
 The polygon normal form is a true GL(2,Z)-orbit invariant: it minimizes
 (max |coordinate|, sorted vertex list) over the whole orbit.  A generalised
@@ -36,7 +37,7 @@ from toriclab.lattice import IntMatrix, det, primitive
 
 @dataclass(frozen=True)
 class Polytope:
-    """Convex polytope given by its vertices (exact coordinates).
+    """Convex lattice polytope given by its vertices (integer coordinates).
 
     The constructor keeps only the actual vertices of the convex hull of
     the supplied points and orders them canonically: counterclockwise from
@@ -53,7 +54,9 @@ class Polytope:
     _facets: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        pts = [tuple(_exact(x) for x in v) for v in self.vertices]
+        pts = [tuple(v) for v in self.vertices]
+        if any(type(x) is not int for p in pts for x in p):
+            raise ValueError("polytope vertices must be integers")
         if not pts:
             raise ValueError("polytope needs at least one point")
         if any(len(p) != self.rank for p in pts):
@@ -72,10 +75,6 @@ class Polytope:
                 raise ValueError("cannot infer rank")
             rank = len(pts[0])
         return cls(tuple(pts), rank)
-
-    @property
-    def is_lattice(self) -> bool:
-        return not any(isinstance(x, Fraction) for v in self.vertices for x in v)
 
     def contains_origin_interior(self) -> bool:
         """Is the origin strictly inside (the polytope being full-dim)?
@@ -106,7 +105,7 @@ def _hull(pts: list[tuple]) -> tuple[tuple, int, tuple]:
     A point is a vertex iff the facets through it meet in it alone,
     i.e. iff no other point lies on all of them.  Facets of the cone are
     (h, h0) with <h, x> + h0 >= 0 on the polytope."""
-    pivots, facets, _ = double_description([_lift(p) for p in pts])
+    pivots, facets, _ = double_description([(*p, 1) for p in pts])
     on = [sum(1 << i for i in members) for _, members in facets]  # the points on each facet
     keep = []
     for i in range(len(pts)):
@@ -119,21 +118,6 @@ def _hull(pts: list[tuple]) -> tuple[tuple, int, tuple]:
     index = {i: r for r, i in enumerate(keep)}
     facets = tuple((frozenset(index[i] for i in members if i in index), h[:-1], h[-1]) for h, members in facets)
     return tuple(pts[i] for i in keep), len(pivots) - 1, facets
-
-
-def _exact(x):
-    """x as an int when it is an integer, else as a Fraction."""
-    if type(x) is int:
-        return x
-    f = Fraction(x)
-    return int(f) if f.denominator == 1 else f
-
-
-def _lift(p: tuple) -> tuple[int, ...]:
-    """The point p x {1} scaled to an integer vector by the lcm of the
-    denominators of p."""
-    scale = math.lcm(*(x.denominator for x in p if type(x) is not int))
-    return (*(int(x * scale) for x in p), scale)
 
 
 def _cross(o, a, b):
@@ -173,28 +157,17 @@ def facet_functionals(P: Polytope) -> tuple[tuple[frozenset[int], tuple[Fraction
     return tuple(sorted(facets, key=lambda kv: sorted(kv[0])))
 
 
-def dual_polytope(P: Polytope) -> Polytope:
-    """Polar dual { y : <y, x> >= -1 on P }, exact rational vertices.
-
-    Requires the origin strictly inside; the dual's vertices are the facet
-    functionals of P.
-    """
-    if not P.contains_origin_interior():
-        raise ValueError("dual undefined: origin is not interior to the polytope")
-    return Polytope.hull([a for _, a in facet_functionals(P)], rank=P.rank)
-
-
 def is_reflexive(P: Polytope) -> bool:
-    """Lattice polytope with the origin interior whose dual is again a
-    lattice polytope."""
-    return P.is_lattice and P.contains_origin_interior() and dual_polytope(P).is_lattice
+    """The origin is interior and the polar dual is a lattice polytope.
+
+    The dual's vertices are the facet functionals h / h0, so it is a
+    lattice polytope iff h0 divides every entry of h on every facet."""
+    return P.contains_origin_interior() and all(x % h0 == 0 for _, h, h0 in P._facets for x in h)
 
 
 def is_smooth_fano_polytope(P: Polytope) -> bool:
     """The vertex set of every facet is a basis of the lattice: each facet
     has n vertices, and their n x n matrix has determinant +-1."""
-    if not P.is_lattice:
-        raise ValueError("smooth Fano test needs a lattice polytope")
     if not P.contains_origin_interior():
         raise ValueError("smooth Fano test needs the origin interior")
     for members, _, _ in P._facets:
@@ -208,11 +181,9 @@ def is_smooth_fano_polytope(P: Polytope) -> bool:
 
 def face_fan(P: Polytope) -> Fan:
     """Fan whose maximal cones are the cones over the facets."""
-    if not P.is_lattice:
-        raise ValueError("face fan needs a lattice polytope")
     if not P.contains_origin_interior():
         raise ValueError("face fan needs the origin interior")
-    rays = [primitive(tuple(int(x) for x in v)) for v in P.vertices]
+    rays = [primitive(v) for v in P.vertices]
     if len(set(rays)) != len(rays):
         raise ValueError("two vertices span the same ray")
     cones = [tuple(sorted(members)) for members, _, _ in P._facets]
@@ -377,8 +348,6 @@ def unimodular_normal_form(P: Polytope) -> Polytope:
     """
     if P.rank != 2:
         raise ValueError("normal form implemented for polygons only")
-    if not P.is_lattice:
-        raise ValueError("normal form needs a lattice polygon")
     if P.dim != 2:
         raise ValueError("normal form needs a two-dimensional polygon")
     beta, gamma = _reduced_basis(P.vertices)

@@ -1067,6 +1067,25 @@ def facet_functionals_scan(P):
     return tuple(sorted(found.items(), key=lambda kv: sorted(kv[0])))
 
 
+def is_reflexive_scan(P):
+    """Reflexivity from the scan: the polytope is full-dimensional, the
+    origin is strictly inside it (by the LP), and every facet functional
+    is integral, so that the polar dual is a lattice polytope."""
+    if P.dim != P.rank or not origin_interior_lp(P.vertices, P.rank):
+        return False
+    return all(x.denominator == 1 for _, a in facet_functionals_scan(P) for x in a)
+
+
+def scaled_dual_scan(P):
+    """(L, vertices of L * P*) for a polytope with the origin strictly
+    inside: P* = { y : <y, x> >= -1 on P } is the polar dual, whose
+    vertices are the scanned facet functionals, and L is the least positive
+    integer that makes L * P* a lattice polytope."""
+    duals = [a for _, a in facet_functionals_scan(P)]
+    L = math.lcm(*(x.denominator for a in duals for x in a))
+    return L, [tuple(int(x * L) for x in a) for a in duals]
+
+
 def _solve_affine(rows, n):
     """Solve <a, row> = -1 for all rows (n rows, n unknowns), None if the
     rows are linearly dependent, so that no unique solution exists."""
@@ -1126,8 +1145,6 @@ def normal_form_search(P):
 
     if P.rank != 2:
         raise ValueError("normal form implemented for polygons only")
-    if not P.is_lattice:
-        raise ValueError("normal form needs a lattice polygon")
     if P.dim != 2:
         raise ValueError("normal form needs a two-dimensional polygon")
     current = list(P.vertices)

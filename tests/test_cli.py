@@ -58,6 +58,17 @@ def test_parse_pair_with_bad_coeff_index():
         parse_pair(text)
 
 
+def test_parse_pair_inline_fan_errors_cite_the_pair_file_lines():
+    # comments, a blank line and a coeff line come before the bad ray, so
+    # the fan block alone would put it on line 3
+    text = "# a pair\n\ncoeff 0 1\ndim 2\nray 1 0\n# the next ray is bad\nray x 1\nray -1 -1\n"
+    with pytest.raises(ParseError, match="^line 7: ray coordinates must be integers$") as err:
+        parse_pair(text)
+    assert err.value.line == 7
+    with pytest.raises(ParseError, match="^line 5: ray before dim$"):
+        parse_pair("coeff 0 1\n\n\n\nray 1 0\ndim 2\n")
+
+
 def test_parse_validates_semantics():
     overlapping = "dim 2\nray 1 0\nray 0 1\nray 1 1\nray -1 1\ncone 0 1\ncone 2 3\n"
     with pytest.raises(ParseError, match="invalid fan"):
@@ -244,11 +255,15 @@ def test_each_fan_text_is_read_once(tmp_path, monkeypatch, capsys):
     cone_file.write_text("dim 2\nray 1 0\nray 0 1\nray 1 2\ncone 0 2\ncone 1 2\n")
     inline = tmp_path / "inline.pair"
     inline.write_text(open(sample("p2.fan")).read() + "coeff 0 1/2\n")
+    (tmp_path / "p2.fan").write_text(open(sample("p2.fan")).read())
+    by_path = tmp_path / "by_path.pair"
+    by_path.write_text("fan p2.fan\ncoeff 0 1/2\n")
     runs = [
         (["fan", "resolve2d", str(cone_file), "--cone", "0"], 1, 1),
         (["fan", "subdivide", sample("p2.fan"), "--stratum", "0,1"], 1, 2),  # the fan and its subdivision
-        (["pair", "classify", sample("p2_boundary.pair")], 2, 1),  # the pair file and its fan file
-        (["pair", "classify", str(inline)], 2, 1),  # the pair text and its inline fan block
+        (["pair", "classify", str(by_path)], 2, 1),  # the pair file and its fan file
+        (["pair", "classify", sample("p2_boundary.pair")], 1, 1),  # an inline fan block, read in place
+        (["pair", "classify", str(inline)], 1, 1),
     ]
     for argv, texts, fans in runs:
         counts.update(lines=0, fans=0)

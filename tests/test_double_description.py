@@ -22,7 +22,7 @@ from toriclab.fan import (
     validate_fan,
 )
 from toriclab.lattice import vdot
-from toriclab.polytope import Polytope, _lift, dual_polytope, facet_functionals
+from toriclab.polytope import Polytope, facet_functionals, is_reflexive
 from toriclab.toric import projective_space_fan
 
 from oracles import (
@@ -31,9 +31,11 @@ from oracles import (
     facet_functionals_scan,
     hull_vertices_lp,
     is_face_lp,
+    is_reflexive_scan,
     origin_interior_lp,
     random_complete_2d_fan,
     row_echelon,
+    scaled_dual_scan,
 )
 
 
@@ -233,11 +235,9 @@ def _polytope_cases():
     for _ in range(25):  # 4D sets stay small: the scan over their duals' facets is slow
         rank = rng.choice((3, 3, 4))
         sets.append([tuple(rng.randint(-3, 3) for _ in range(rank)) for _ in range(rng.randint(4, 15 - 2 * rank))])
-    for _ in range(10):
+    for _ in range(10):  # points with denominators up to 4, scaled by 12 to lattice points
         rank = rng.choice((3, 4))
-        sets.append(
-            [tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(rank)) for _ in range(rng.randint(4, 9))]
-        )
+        sets.append([tuple(12 * rng.randint(-6, 6) // rng.randint(1, 4) for _ in range(rank)) for _ in range(rng.randint(4, 9))])
     return sets
 
 
@@ -254,6 +254,7 @@ def _check_polytope(P, pts):
     else:
         with pytest.raises(ValueError, match="full-dimensional"):
             facet_functionals(P)
+    assert is_reflexive(P) == is_reflexive_scan(P)
     return interior
 
 
@@ -262,8 +263,12 @@ def test_polytopes_match_scan_and_lp():
     for pts in _polytope_cases():
         P = Polytope.hull(pts)
         if _check_polytope(P, pts):
-            D = dual_polytope(P)  # Fraction vertices where the dual is not a lattice polytope
-            _check_polytope(D, list(D.vertices))
+            # L times the dual is a lattice polytope, and its facet
+            # functionals are the vertices of P over L
+            L, dual = scaled_dual_scan(P)
+            D = Polytope.hull(dual)
+            _check_polytope(D, dual)
+            assert {a for _, a in facet_functionals(D)} == {tuple(Fraction(x, L) for x in v) for v in P.vertices}
             duals += 1
     assert duals >= 8
 
@@ -357,7 +362,7 @@ def test_adjacency_tests_grow_at_most_quadratically():
     # times the adjacency tests of the rung below it
     ladders = [
         [(k, [g for g in sorted(set(_kgon(k)))]) for k in (8, 16, 24, 32)],
-        [(len(_ball(R)), sorted(_lift(p) for p in _ball(R))) for R in (1, 2, 3)],
+        [(len(_ball(R)), sorted((*p, 1) for p in _ball(R))) for R in (1, 2, 3)],
     ]
     for ladder in ladders:
         counts = [(size, double_description(rows)[2]) for size, rows in ladder]

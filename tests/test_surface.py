@@ -47,6 +47,7 @@ KEEP = {
     "lattice.solve_rational": "bench",
     "pairs.LogDiscrepancyFunction.piece": "view",
     "pairs.standard_pair": "acceptance",
+    "polytope.facet_functionals": "bench",
     "toric.class_group": "north star",
     "toric.divisor_class_q": "north star",
     "toric.is_cartier": "north star",
