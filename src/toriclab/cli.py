@@ -212,31 +212,35 @@ def _cmd_polytope_enumerate(args, rep: _Reporter) -> int:
 # ------------------------------------------------------------------ markov
 
 
+_MARKOV_HEADER = f"{'triple':<14}{'weights':<18}{'degree':<8}{'amplitude':<11}{'wellformed':<12}{'quasismooth':<13}fano"
+_LOWER = {True: "true", False: "false"}
+
+
+def _markov_json(s: markov.HkwSurfaceData) -> str:
+    """The bytes _ENCODER.encode prints for the row's record: keys sorted,
+    ints by repr, bools as true/false."""
+    t = s.triple
+    w0, w1, w2, w3 = s.weights
+    return (
+        f'{{"amplitude": {s.amplitude}, "degree": {s.degree}, "fano": {_LOWER[s.fano]}, '
+        f'"quasismooth": {_LOWER[s.quasismooth]}, "triple": [{t.a}, {t.b}, {t.c}], '
+        f'"weights": [{w0}, {w1}, {w2}, {w3}], "wellformed": {_LOWER[s.wellformed]}}}'
+    )
+
+
+def _markov_text(s: markov.HkwSurfaceData) -> str:
+    return (
+        f"{str(s.triple.as_tuple()):<14}{str(s.weights):<18}{s.degree:<8}{s.amplitude:<11}"
+        f"{_LOWER[s.wellformed]:<12}{_LOWER[s.quasismooth]:<13}{_LOWER[s.fano]}"
+    )
+
+
 def _cmd_markov_table(args, rep: _Reporter) -> int:
-    triples = markov.enumerate_markov(args.max)
-    header = f"{'triple':<14}{'weights':<18}{'degree':<8}{'amplitude':<11}{'wellformed':<12}{'quasismooth':<13}fano"
+    row = _markov_json if rep.json_lines else _markov_text
+    rows = [row(markov.hkw_surface(t)) for t in markov.enumerate_markov(args.max)]
     if not rep.json_lines:
-        print(header)
-    for t in triples:
-        s = markov.hkw_surface(t)
-        if rep.json_lines:
-            rep.emit(
-                {
-                    "triple": list(t.as_tuple()),
-                    "weights": list(s.weights),
-                    "degree": s.degree,
-                    "amplitude": s.amplitude,
-                    "wellformed": s.wellformed,
-                    "quasismooth": s.quasismooth,
-                    "fano": s.fano,
-                },
-                "",
-            )
-        else:
-            print(
-                f"{str(t.as_tuple()):<14}{str(s.weights):<18}{s.degree:<8}{s.amplitude:<11}"
-                f"{str(s.wellformed).lower():<12}{str(s.quasismooth).lower():<13}{str(s.fano).lower()}"
-            )
+        rows.insert(0, _MARKOV_HEADER)
+    sys.stdout.write("\n".join(rows) + "\n")
     return 0
 
 

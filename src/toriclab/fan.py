@@ -661,18 +661,19 @@ def _is_face(sub: Cone, cone: Cone) -> bool:
 
 def is_refinement(fine: Fan, coarse: Fan) -> bool:
     """True iff every maximal cone of `fine` sits inside a cone of
-    `coarse` and the two fans have the same support."""
+    `coarse` and the two fans have the same support.
+
+    Each fine ray is located once, in the set of coarse cones holding it.
+    A coarse cone is convex, so it holds a fine cone iff it holds all of
+    its rays: the hosts of a fine cone are the intersection of its rays'
+    sets."""
     if fine.rank != coarse.rank:
         return False
     coarse_cones = coarse.cones
-    assignment: dict[int, list[int]] = {k: [] for k in range(len(coarse_cones))}
+    holders = [{k for k, cc in enumerate(coarse_cones) if cc.contains(r)} for r in fine.rays]
+    assignment: list[list[int]] = [[] for _ in coarse_cones]
     for i, c in enumerate(fine.max_cones):
-        gens = [fine.rays[j] for j in c]
-        hosts = [
-            k
-            for k, cc in enumerate(coarse_cones)
-            if all(cc.contains(g) for g in gens)
-        ]
+        hosts = set.intersection(*(holders[j] for j in c))
         if not hosts:
             return False
         for k in hosts:

@@ -9,11 +9,15 @@ d = 3ab - c), determines the trinomial hypersurface
 a degeneration of the projective plane.  This module enumerates triples by
 walking the Markov tree of Vieta jumps and computes the numerics of those
 hypersurfaces: degree, amplitude, well-formedness and quasismoothness.
+
+No numeric is searched for.  The degree c*d = a^2 + b^2 is checked on every
+triple; the rest are proved once, in `hkw_surface`: the weights are
+pairwise coprime, so the surface is well-formed; the amplitude is c + d,
+so it is Fano; the Jacobian criterion makes it quasismooth.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 
@@ -85,30 +89,47 @@ class HkwSurfaceData:
 
 
 def hkw_surface(t: MarkovTriple) -> HkwSurfaceData:
-    """Weighted-hypersurface data for the triple and its adjacent one."""
-    a, b, c = t.as_tuple()
+    """Weighted-hypersurface data for the triple and its adjacent one, in
+    closed form.
+
+    Write d = 3ab - c.  The Markov equation c^2 - 3abc + a^2 + b^2 = 0
+    gives c*d = a^2 + b^2 (checked below), so d > 0 and the degree is
+    a^2 + b^2.
+
+    Well-formed: the weights (a^2, b^2, d, c) are pairwise coprime, so any
+    three of them have gcd 1.
+    - The entries of a Markov triple are pairwise coprime.  A prime p
+      dividing two of them divides the square of the third, hence all
+      three; a Vieta jump x -> 3yz - x keeps all three divisible by p, and
+      the jumps lead every triple down to (1, 1, 1).
+    - No entry is divisible by 3.  Squares are 0 or 1 mod 3, and three of
+      them sum to 0 mod 3 only if all are 0 or all are 1; all 0 would put
+      3 in every entry.
+    - (a, b, d) is the Vieta jump of (a, b, c), again a Markov triple, so
+      a, b, d are pairwise coprime as well.
+    - g = gcd(c, d) divides c + d = 3ab and is prime to ab, since c is, so
+      g divides 3; 3 does not divide c, so g = 1.
+
+    Fano: the amplitude is a^2 + b^2 + d + c - c*d = c + d > 0.
+
+    Quasismooth, by the Jacobian criterion for the trinomial
+    x1 x2 + x3^c + x4^d: the partials are (x2, x1, c x3^{c-1},
+    d x4^{d-1}).  If c == 1 or d == 1 one partial is a nonzero constant,
+    so there is no common zero at all; otherwise the common zero locus is
+    x1 = x2 = x3 = x4 = 0, which the weighted projective space excludes.
+    Either way the affine cone is smooth away from the origin."""
+    a, b, c = t.a, t.b, t.c
     d = 3 * a * b - c
-    weights = (a * a, b * b, d, c)
     degree = c * d
     # c*d = a^2 + b^2 is forced by the Markov equation; keep it checked
     if degree != a * a + b * b:
         raise RuntimeError("Markov equation broken: c*d differs from a^2 + b^2")
-    amplitude = sum(weights) - degree
-    wellformed = all(math.gcd(*weights[:i], *weights[i + 1 :]) == 1 for i in range(4))
-    # Jacobian criterion for the trinomial x1 x2 + x3^c + x4^d: the partials
-    # are (x2, x1, c x3^{c-1}, d x4^{d-1}).  If c == 1 or d == 1 one partial
-    # is a nonzero constant, so there is no common zero at all; otherwise
-    # the common zero locus is x1 = x2 = x3 = x4 = 0, which the weighted
-    # projective space excludes.  Either way the affine cone is smooth away
-    # from the origin.
-    quasismooth = True
-    fano = amplitude > 0
     return HkwSurfaceData(
         triple=t,
-        weights=weights,
+        weights=(a * a, b * b, d, c),
         degree=degree,
-        amplitude=amplitude,
-        wellformed=wellformed,
-        quasismooth=quasismooth,
-        fano=fano,
+        amplitude=c + d,
+        wellformed=True,
+        quasismooth=True,
+        fano=True,
     )

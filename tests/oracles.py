@@ -11,13 +11,15 @@ double description's lineality test, subset scans and simplex LPs
 instead of its facets, Gauss-Jordan
 solves and per-call Smith forms instead of a cone's cached Smith chart
 (and a Fraction nullspace instead of its span equations), the pairwise
-common-face scan instead of the wall criterion, Smith charts instead of a
+common-face scan instead of the wall criterion, a per-cone scan instead
+of rays located once for refinements, Smith charts instead of a
 cone's dual basis, class-group
 coordinates instead of ranks of the ray matrix, and those ranks and
 Fraction pieces of psi instead of its integer record, a Vieta-jump
-search with a seen set instead of the Markov tree walk.  numpy is used
-only here, with integer dtypes, to keep the scans fast; the library itself
-stays pure.
+search with a seen set instead of the Markov tree walk, gcds of the
+weights instead of the closed forms of the Markov hypersurfaces.  numpy
+is used only here, with integer dtypes, to keep the scans fast; the
+library itself stays pure.
 
 It also holds, unchanged, the few helpers the library dropped because
 nothing in it calls them: the cokernel structure of an integer matrix, the
@@ -35,8 +37,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from toriclab.fan import Diagnostics, Fan, _meet_in_common_face, is_complete, is_simplicial, walls
-from toriclab.markov import MarkovTriple
+from toriclab.fan import Diagnostics, Fan, _covers, _meet_in_common_face, is_complete, is_simplicial, walls
+from toriclab.markov import HkwSurfaceData, MarkovTriple
 from toriclab.lattice import (
     AbelianGroupStructure,
     IntMatrix,
@@ -1435,6 +1437,41 @@ def enumerate_markov_dfs(bound: int) -> list[MarkovTriple]:
     return [MarkovTriple(*t) for t in sorted(seen, key=lambda t: (t[2], t[1], t[0]))]
 
 
+# The gcd test markov.hkw_surface replaced by its closed forms, kept as
+# the reference: well-formedness from the gcd of every three weights, the
+# amplitude from the weights and the degree.
+
+
+def hkw_surface_gcd(t: MarkovTriple) -> HkwSurfaceData:
+    """Weighted-hypersurface data for the triple and its adjacent one."""
+    a, b, c = t.as_tuple()
+    d = 3 * a * b - c
+    weights = (a * a, b * b, d, c)
+    degree = c * d
+    # c*d = a^2 + b^2 is forced by the Markov equation; keep it checked
+    if degree != a * a + b * b:
+        raise RuntimeError("Markov equation broken: c*d differs from a^2 + b^2")
+    amplitude = sum(weights) - degree
+    wellformed = all(math.gcd(*weights[:i], *weights[i + 1 :]) == 1 for i in range(4))
+    # Jacobian criterion for the trinomial x1 x2 + x3^c + x4^d: the partials
+    # are (x2, x1, c x3^{c-1}, d x4^{d-1}).  If c == 1 or d == 1 one partial
+    # is a nonzero constant, so there is no common zero at all; otherwise
+    # the common zero locus is x1 = x2 = x3 = x4 = 0, which the weighted
+    # projective space excludes.  Either way the affine cone is smooth away
+    # from the origin.
+    quasismooth = True
+    fano = amplitude > 0
+    return HkwSurfaceData(
+        triple=t,
+        weights=weights,
+        degree=degree,
+        amplitude=amplitude,
+        wellformed=wellformed,
+        quasismooth=quasismooth,
+        fano=fano,
+    )
+
+
 # ------------------------------------------- cones and polytopes by LP
 
 # The subset scans and LPs the double description replaced, moved here
@@ -1609,8 +1646,9 @@ def origin_interior_lp(vertices, rank):
 
 # What the wall criterion and a cone's dual basis replaced, moved here
 # unchanged: validate_fan's pairwise scan (one double-description run per
-# pair of maximal cones), and local_functionals and is_unimodular reading
-# every cone's Smith chart.
+# pair of maximal cones), is_refinement's per-cone scan (every fine cone's
+# rays against every coarse cone), and local_functionals and is_unimodular
+# reading every cone's Smith chart.
 
 
 def validate_fan_pairwise(fan: Fan) -> Diagnostics:
@@ -1642,6 +1680,30 @@ def validate_fan_pairwise(fan: Fan) -> Diagnostics:
                 (fan.max_cones[a], fan.max_cones[b]),
             )
     return Diagnostics(True)
+
+
+def is_refinement_scan(fine: Fan, coarse: Fan) -> bool:
+    """True iff every maximal cone of `fine` sits inside a cone of
+    `coarse` and the two fans have the same support."""
+    if fine.rank != coarse.rank:
+        return False
+    coarse_cones = coarse.cones
+    assignment: dict[int, list[int]] = {k: [] for k in range(len(coarse_cones))}
+    for i, c in enumerate(fine.max_cones):
+        gens = [fine.rays[j] for j in c]
+        hosts = [
+            k
+            for k, cc in enumerate(coarse_cones)
+            if all(cc.contains(g) for g in gens)
+        ]
+        if not hosts:
+            return False
+        for k in hosts:
+            assignment[k].append(i)
+    for k, cc in enumerate(coarse_cones):
+        if not _covers(fine, assignment[k], cc):
+            return False
+    return True
 
 
 def local_functionals_smith(fan: Fan, values: Sequence) -> list[Optional[tuple[Fraction, ...]]]:

@@ -31,6 +31,7 @@ from oracles import (
     facet_functionals_scan,
     hull_vertices_lp,
     is_face_lp,
+    is_refinement_scan,
     is_reflexive_scan,
     origin_interior_lp,
     random_complete_2d_fan,
@@ -333,7 +334,10 @@ def _moved_fan(fan, rng):
 
 
 def _fan_answers(fan, coarse):
-    return validate_fan(fan).valid, is_complete(fan), is_refinement(fan, coarse), is_refinement(coarse, fan)
+    # is_refinement, in both directions, against the per-cone scan it replaced
+    refines = is_refinement(fan, coarse), is_refinement(coarse, fan)
+    assert refines == (is_refinement_scan(fan, coarse), is_refinement_scan(coarse, fan))
+    return (validate_fan(fan).valid, is_complete(fan)) + refines
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

@@ -17,7 +17,7 @@ from toriclab.fan import (
 from toriclab.lattice import primitive
 from toriclab.toric import projective_space_fan, weighted_projective_fan
 
-from oracles import complete_2d_oracle, det2, expected_2d_insertions, random_complete_2d_fan
+from oracles import complete_2d_oracle, det2, expected_2d_insertions, is_refinement_scan, random_complete_2d_fan
 
 P2 = projective_space_fan(2)
 
@@ -215,6 +215,43 @@ def test_refinement_chain():
 def test_refinement_rejects_different_combinatorics():
     assert not is_refinement(P2, p1xp1_fan())
     assert not is_refinement(p1xp1_fan(), P2)
+
+
+def _refinement_fans():
+    """The fans the refinement tests above and below build: P2 with its
+    blow-ups, seeded star subdivisions of P2, P1xP1 and P3, the cone over
+    the square with its full subdivision, and 2D cones with their
+    resolutions."""
+    fine = blowup_p2()
+    tau = [i for i, r in enumerate(fine.rays) if r in ((1, 1), (0, 1))]
+    fans = [P2, p1xp1_fan(), fine, star_subdivision(fine, tau)]
+    tau = [i for i, r in enumerate(P2.rays) if r in ((1, 0), (0, 1))]
+    fans.append(star_subdivision(P2, tau, (2, 1)))
+    rng = random.Random(5)
+    for fan in [P2, p1xp1_fan(), projective_space_fan(3)]:
+        fans.append(fan)
+        for _ in range(3):
+            cone = rng.choice(fans[-1].max_cones)
+            fans.append(star_subdivision(fans[-1], rng.sample(cone, rng.randrange(1, len(cone) + 1))))
+    square = cone_over_square_fan()
+    fans += [square, star_subdivision(square, [0, 1, 2, 3])]
+    for a, b in ((1, 2), (2, 5), (3, 7)):
+        cone = Cone.from_generators([(1, 0), (a, b)])
+        rays = [cone.generators[0]] + resolve_cone_2d(cone) + [cone.generators[1]]
+        fans.append(Fan.from_data(rays, [(i, i + 1) for i in range(len(rays) - 1)]))
+        fans.append(Fan.from_data(cone.generators, [(0, 1)]))
+    return fans
+
+
+def test_refinement_matches_per_cone_scan():
+    fans = _refinement_fans()
+    verdicts = set()
+    for fine in fans:
+        for coarse in fans:
+            want = is_refinement_scan(fine, coarse)
+            assert is_refinement(fine, coarse) == want, (fine, coarse)
+            verdicts.add(want)
+    assert verdicts == {True, False}
 
 
 # -------------------------------------------------------- 2D resolution

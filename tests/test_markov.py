@@ -1,14 +1,17 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
+import itertools
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from toriclab.cli import main
+from toriclab.cli import _markov_json, main
 from toriclab.markov import HkwSurfaceData, MarkovTriple, adjacent_triple, enumerate_markov, hkw_surface
 
-from oracles import enumerate_markov_dfs, markov_scan_quadratic, markov_scan_small
+from oracles import enumerate_markov_dfs, hkw_surface_gcd, markov_scan_quadratic, markov_scan_small
 
 
 def test_triple_validation():
@@ -100,6 +103,57 @@ def test_surface_data_invariants_enforced():
         )
 
 
+# ------------------------------------ closed forms against the gcd test
+
+
+def test_hkw_surface_matches_gcd_oracle_to_1e40():
+    triples = enumerate_markov(10**40)
+    assert len(triples) == 1571
+    for t in triples:
+        assert dataclasses.astuple(hkw_surface(t)) == dataclasses.astuple(hkw_surface_gcd(t)), t
+
+
+def _record(s):
+    """The record a --json-lines row encodes."""
+    return {
+        "triple": list(s.triple.as_tuple()),
+        "weights": list(s.weights),
+        "degree": s.degree,
+        "amplitude": s.amplitude,
+        "wellformed": s.wellformed,
+        "quasismooth": s.quasismooth,
+        "fano": s.fano,
+    }
+
+
+def test_json_rows_are_the_encoded_records():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["--json-lines", "markov", "table", "--max", str(10**40)]) == 0
+    lines = out.getvalue().splitlines()
+    triples = enumerate_markov(10**40)
+    assert len(lines) == len(triples)
+    for line, t in zip(lines, triples):
+        assert line == json.dumps(_record(hkw_surface_gcd(t)), sort_keys=True)
+
+
+@pytest.mark.parametrize("flags", list(itertools.product((False, True), repeat=3)))
+def test_json_row_spells_every_bool(flags):
+    # every triple is well-formed, quasismooth and Fano; the row format
+    # must still spell false the way the JSON encoder does
+    wellformed, quasismooth, fano = flags
+    s = HkwSurfaceData(
+        triple=MarkovTriple(1, 2, 5),
+        weights=(1, 4, 1, 5),
+        degree=5,
+        amplitude=6,
+        wellformed=wellformed,
+        quasismooth=quasismooth,
+        fano=fano,
+    )
+    assert _markov_json(s) == json.dumps(_record(s), sort_keys=True)
+
+
 # ----------------------------------------- tree walk against the DFS
 
 
@@ -120,8 +174,8 @@ def test_nonpositive_bound_rejected():
             enumerate_markov(bound)
 
 
-# sha256 of the table printed before the tree walk and the shared JSON
-# encoder, which must print the same bytes
+# sha256 of the table printed before the tree walk, the shared JSON
+# encoder and the rows formatted in place, which must print the same bytes
 TABLE_DIGESTS = {
     (False, 1000): (14, "e84f878c8cfdfdfe4a647653f8d4ee28c4e98872c192fdb7dd493015748af3a2"),
     (False, 10**40): (1572, "ede0dd8f3d4dc8dea1c74781cdfba523021dca09a481131581fb785b27a32448"),

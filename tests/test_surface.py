@@ -7,6 +7,9 @@ References are read by name from the syntax trees: a function or class is
 referenced by a name, an import or an attribute, a method only by an
 attribute.  Matching by name errs towards keeping a name, never towards
 flagging a used one.
+
+The same trees hold no `assert` statement: `python -O` strips them, so the
+library's invariants raise real exceptions.
 """
 
 import ast
@@ -133,3 +136,12 @@ def test_every_keep_reason_holds():
     wrong = sorted(f"{q}: {r}" for q, r in KEEP.items() if not _reason_holds(q, r, surface))
     assert not wrong, wrong
 
+
+def test_library_has_no_bare_assert():
+    found = sorted(
+        f"{path.name}:{node.lineno}"
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    )
+    assert not found, f"assert statements in src/toriclab: {found}"
