@@ -138,9 +138,6 @@ class SuiteReport:
     def passed(self) -> bool:
         return all(line.status != "fail" for line in self.lines)
 
-    def failures(self) -> tuple[SuiteLine, ...]:
-        return tuple(line for line in self.lines if line.status == "fail")
-
 
 def toric_boundary_suite() -> SuiteReport:
     """Check, over every bundled fan with its reduced boundary: K+B has

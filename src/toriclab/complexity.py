@@ -34,7 +34,7 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from toriclab.fan import Fan
-from toriclab.lattice import IntMatrix, rank as matrix_rank
+from toriclab.lattice import rank as matrix_rank
 from toriclab.pairs import ToricPair, crepant_pullback
 
 
@@ -60,15 +60,6 @@ class Decomposition:
     @classmethod
     def of(cls, parts: Iterable[tuple[object, Iterable[int]]]) -> "Decomposition":
         return cls(tuple((a, frozenset(b)) for a, b in parts))
-
-    def coefficient_vector(self, ray_count: int) -> tuple[Fraction, ...]:
-        coeffs = [Fraction(0)] * ray_count
-        for alpha, rays in self.parts:
-            for i in rays:
-                if not 0 <= i < ray_count:
-                    raise ValueError("part mentions a ray index outside the fan")
-                coeffs[i] += alpha
-        return tuple(coeffs)
 
 
 @dataclass(frozen=True)
@@ -117,7 +108,7 @@ def complexity(pair: ToricPair, decomposition: Decomposition) -> ComplexityRepor
     if rest:
         rows = [tuple(int(i in part) for i in rest) for _, part in decomposition.parts if len(part) > 1]
         rows += [tuple(x[i] for i in rest) for x in zip(*pair.fan.rays)]  # the rows of R^T
-        rho += matrix_rank(IntMatrix.from_rows(rows, cols=len(rest)))
+        rho += matrix_rank(rows)
     norm = Fraction(sum(weights), D)
     c = pair.dim + rho - norm
     return ComplexityReport(rho=rho, norm=norm, dim=pair.dim, c=c)

@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-from toriclab.lattice import IntMatrix, SolveChart, Vec, echelon, is_zero, primitive, rank as matrix_rank, vdot
+from toriclab.lattice import SolveChart, Vec, echelon, is_zero, primitive, rank as matrix_rank, vdot
 
 # ---------------------------------------------------------------------------
 # double description (facets of a cone from its generators)
@@ -236,8 +236,8 @@ class Cone:
     @cached_property
     def dim(self) -> int:
         """Dimension of the span: the rank, for a cone with a dual basis,
-        else one `lattice.rank` of the generator matrix."""
-        return self.rank if self.dual_basis is not None else matrix_rank(self.generator_matrix)
+        else one `lattice.rank` of the generators."""
+        return self.rank if self.dual_basis is not None else matrix_rank(self.generators)
 
     @cached_property
     def dual_basis(self) -> Optional[tuple[int, tuple[Vec, ...]]]:
@@ -255,10 +255,6 @@ class Cone:
         for c, s in pivots:
             h[s] = tuple(T[c][n:])
         return last, tuple(h)
-
-    @cached_property
-    def generator_matrix(self) -> IntMatrix:
-        return IntMatrix.from_rows(self.generators, cols=self.rank)
 
     def contains(self, x: Sequence) -> bool:
         """Exact membership test (x may have Fraction entries)."""
@@ -332,7 +328,7 @@ class Cone:
     def solve_chart(self) -> SolveChart:
         """The Smith chart of the generator matrix, rows in generator
         order; built once, and only for a cone without a dual basis."""
-        return SolveChart.of(self.generator_matrix)
+        return SolveChart.of(self.generators, self.rank)
 
     @cached_property
     def span_equations(self) -> tuple[Vec, ...]:
@@ -342,7 +338,7 @@ class Cone:
         which needs no Smith form for it."""
         if self.dim == self.rank:
             return ()
-        V = self.solve_chart.V.entries
+        V = self.solve_chart.V
         return tuple(tuple(row[i] for row in V) for i in range(self.dim, self.rank))
 
     @cached_property
@@ -451,7 +447,7 @@ class Fan:
         generators are independent rays, else one `lattice.rank`."""
         if any(cone.dual_basis is not None for cone in self.cones):
             return self.rank
-        return matrix_rank(IntMatrix.from_rows(self.rays, cols=self.rank))
+        return matrix_rank(self.rays)
 
 
 @dataclass(frozen=True)

@@ -46,6 +46,29 @@ def _logical_lines(text: str):
             yield lineno, line.split()
 
 
+def _dim(lineno: int, args: list[str], dim: Optional[int]) -> int:
+    """The n of a `dim <n>` line, given the dim read so far (None)."""
+    if dim is not None:
+        raise ParseError(lineno, "duplicate dim line")
+    if len(args) != 1 or not args[0].isdecimal():
+        raise ParseError(lineno, "expected: dim <n>")
+    return int(args[0])
+
+
+def _point(lineno: int, key: str, args: list[str], dim: Optional[int]) -> tuple[int, ...]:
+    """The integer coordinates of a `<key> <c1> ... <cn>` line (a ray or
+    a vertex), n the dim read so far."""
+    if dim is None:
+        raise ParseError(lineno, f"{key} before dim")
+    try:
+        point = tuple(int(x) for x in args)
+    except ValueError:
+        raise ParseError(lineno, f"{key} coordinates must be integers") from None
+    if len(point) != dim:
+        raise ParseError(lineno, f"expected {dim} coordinates")
+    return point
+
+
 class FanFile(NamedTuple):
     """A parsed fan file: the fan, and in the order written the canonical
     index of each ray line and the sorted canonical ray indices of each
@@ -79,20 +102,9 @@ def _read_fan(entries, validate: bool = True) -> FanFile:
     for lineno, words in entries:
         key, args = words[0], words[1:]
         if key == "dim":
-            if dim is not None:
-                raise ParseError(lineno, "duplicate dim line")
-            if len(args) != 1 or not args[0].isdecimal():
-                raise ParseError(lineno, "expected: dim <n>")
-            dim = int(args[0])
+            dim = _dim(lineno, args, dim)
         elif key == "ray":
-            if dim is None:
-                raise ParseError(lineno, "ray before dim")
-            try:
-                ray = tuple(int(x) for x in args)
-            except ValueError:
-                raise ParseError(lineno, "ray coordinates must be integers") from None
-            if len(ray) != dim:
-                raise ParseError(lineno, f"expected {dim} coordinates")
+            ray = _point(lineno, key, args, dim)
             if ray in ray_lines:
                 raise ParseError(lineno, f"duplicate ray (first seen on line {ray_lines[ray]})")
             ray_lines[ray] = lineno
@@ -191,21 +203,9 @@ def parse_polytope(text: str) -> Polytope:
     for lineno, words in _logical_lines(text):
         key, args = words[0], words[1:]
         if key == "dim":
-            if dim is not None:
-                raise ParseError(lineno, "duplicate dim line")
-            if len(args) != 1 or not args[0].isdecimal():
-                raise ParseError(lineno, "expected: dim <n>")
-            dim = int(args[0])
+            dim = _dim(lineno, args, dim)
         elif key == "vertex":
-            if dim is None:
-                raise ParseError(lineno, "vertex before dim")
-            try:
-                v = tuple(int(x) for x in args)
-            except ValueError:
-                raise ParseError(lineno, "vertex coordinates must be integers") from None
-            if len(v) != dim:
-                raise ParseError(lineno, f"expected {dim} coordinates")
-            vertices.append(v)
+            vertices.append(_point(lineno, key, args, dim))
         else:
             raise ParseError(lineno, f"unknown directive {key!r}")
     if dim is None:

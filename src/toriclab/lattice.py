@@ -3,7 +3,10 @@ forms read through one chart.
 
 All matrices and vectors carry plain Python integers (arbitrary precision),
 and every routine here is a pure function on immutable values.  Lattice
-vectors are ordinary tuples of ints; their length is the ambient rank.
+vectors are ordinary tuples of ints; their length is the ambient rank.  A
+matrix is its integer rows, one format throughout: taken as any sequence
+of rows, returned as a tuple of tuples.  A routine whose matrix may have
+no rows also takes its column count `ncols`.
 `echelon`, a fraction-free Gauss-Jordan routine on integer rows, is the
 only elimination over Q in the package: `rank`, `det` and `solve_rational`
 read it here, and `fan.double_description` takes its seeds from it.  Every
@@ -39,47 +42,6 @@ def primitive(v: Vec) -> Vec:
     if g == 0:
         raise ValueError("zero vector has no primitive representative")
     return tuple(x // g for x in v)
-
-
-@dataclass(frozen=True)
-class IntMatrix:
-    """Immutable integer matrix, row-major."""
-
-    entries: tuple[tuple[int, ...], ...]
-    rows: int
-    cols: int
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]], cols: Optional[int] = None) -> "IntMatrix":
-        data = tuple(tuple(int(x) for x in r) for r in rows)
-        if data:
-            width = len(data[0])
-            if any(len(r) != width for r in data):
-                raise ValueError("ragged rows")
-        else:
-            width = 0 if cols is None else cols
-        if cols is not None and data and cols != width:
-            raise ValueError("cols does not match row width")
-        return cls(data, len(data), width)
-
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        ot = tuple(zip(*other.entries)) if other.entries else ()
-        data = tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in ot)
-            for row in self.entries
-        )
-        return IntMatrix(data, self.rows, other.cols)
-
-    def apply(self, v: Sequence) -> tuple:
-        """Matrix-vector product; keeps Fractions exact if ``v`` has any."""
-        if len(v) != self.cols:
-            raise ValueError("shape mismatch")
-        return tuple(vdot(row, v) for row in self.entries)
-
-    def diagonal(self) -> tuple[int, ...]:
-        return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))
 
 
 def echelon(rows: Sequence[Sequence[int]], ncols: int) -> tuple[list[list[int]], tuple[tuple[int, int], ...], int]:
@@ -125,21 +87,26 @@ def echelon(rows: Sequence[Sequence[int]], ncols: int) -> tuple[list[list[int]],
     return a, tuple(pivots), prev
 
 
-def det(M: IntMatrix) -> int:
-    """Exact determinant: `echelon`'s last pivot, signed by its row order."""
-    if M.rows != M.cols:
+def det(rows: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of square integer rows: `echelon`'s last pivot,
+    signed by its row order."""
+    n = len(rows)
+    if any(len(row) != n for row in rows):
         raise ValueError("determinant of non-square matrix")
-    _, pivots, last = echelon(M.entries, M.cols)
+    _, pivots, last = echelon(rows, n)
     order = [r for r, _ in pivots]
     flips = sum(a > b for i, a in enumerate(order) for b in order[i + 1 :])
-    return 0 if len(order) < M.rows else (-1) ** flips * last
+    return 0 if len(order) < n else (-1) ** flips * last
 
 
-def rank(M: IntMatrix) -> int:
-    """Rank over Q: the number of pivots of `echelon`, on M or on its
-    transpose, whichever has fewer rows to update at each pivot."""
-    rows = M.entries if M.rows <= M.cols else tuple(zip(*M.entries))
-    return len(echelon(rows, max(M.rows, M.cols))[1])
+def rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank over Q of integer rows: the number of pivots of `echelon`, on
+    the rows or on their transpose, whichever has fewer rows to update at
+    each pivot."""
+    width = len(rows[0]) if rows else 0
+    if len(rows) > width:
+        rows, width = tuple(zip(*rows)), len(rows)
+    return len(echelon(rows, width)[1])
 
 
 @dataclass(frozen=True)
@@ -174,20 +141,22 @@ def _pick_pivot(a, t, rows, cols):
     return best
 
 
-def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Smith normal form: returns (U, D, V) with D = U * M * V.
+def smith_normal_form(M: Sequence[Sequence[int]], ncols: int) -> tuple[tuple[Vec, ...], tuple[Vec, ...], tuple[Vec, ...]]:
+    """Smith normal form of the integer rows M, `ncols` wide: returns
+    (U, D, V), each a tuple of rows, with D = U * M * V.
 
     U and V are unimodular, D is diagonal with non-negative entries
     satisfying d_i | d_{i+1}.  Pivoting always picks the smallest nonzero
     entry in absolute value (ties broken by position), so the transforms
-    are reproducible.
+    are reproducible.  With no rows, V is the ncols x ncols identity.
 
-    >>> _, D, _ = smith_normal_form(IntMatrix.from_rows([[2, 0], [0, 3]]))
-    >>> D.diagonal()
-    (1, 6)
+    >>> smith_normal_form([[2, 0], [0, 3]], 2)[1]
+    ((1, 0), (0, 6))
     """
-    rows, cols = M.rows, M.cols
-    a = [list(r) for r in M.entries]
+    rows, cols = len(M), ncols
+    if any(len(r) != cols for r in M):
+        raise ValueError("row width differs from ncols")
+    a = [list(r) for r in M]
     u = [[int(i == j) for j in range(rows)] for i in range(rows)]
     v = [[int(i == j) for j in range(cols)] for i in range(cols)]
 
@@ -258,16 +227,14 @@ def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             negate_row(t)
         t += 1
 
-    U = IntMatrix(tuple(map(tuple, u)), rows, rows)
-    D = IntMatrix(tuple(map(tuple, a)), rows, cols)
-    V = IntMatrix(tuple(map(tuple, v)), cols, cols)
-    return U, D, V
+    return tuple(map(tuple, u)), tuple(map(tuple, a)), tuple(map(tuple, v))
 
 
 @dataclass(frozen=True)
 class SolveChart:
-    """One Smith form U.G.V = diag(d) of an integer matrix G, read as an
-    integer solver for G m = a; the only reader of `smith_normal_form`.
+    """One Smith form U.G.V = diag(d) of an integer matrix G (its rows,
+    `ncols` wide), read as an integer solver for G m = a; the only reader
+    of `smith_normal_form`.  U and V are kept as tuples of integer rows.
     Cones read it only when they are lower-dimensional or not simplicial
     (and pairs for the parallelepiped of the least log discrepancy): a
     full-dimensional simplicial cone reads its adjugate instead
@@ -282,22 +249,22 @@ class SolveChart:
     Z^rows / column image of G is Z^(rows - r) + sum Z/d_i.
     """
 
-    U: IntMatrix
+    U: tuple[Vec, ...]
     d: tuple[int, ...]
-    V: IntMatrix
+    V: tuple[Vec, ...]
     L: int
     M: tuple[Vec, ...]
     Z: tuple[Vec, ...]
 
     @classmethod
-    def of(cls, G: IntMatrix) -> "SolveChart":
-        U, D, V = smith_normal_form(G)
-        d = tuple(x for x in D.diagonal() if x != 0)
+    def of(cls, G: Sequence[Sequence[int]], ncols: int) -> "SolveChart":
+        U, D, V = smith_normal_form(G, ncols)
+        d = tuple(row[i] for i, row in enumerate(D[:ncols]) if row[i])
         r = len(d)
         L = d[-1] if d else 1
-        scaled = [[L // di * x for x in row] for di, row in zip(d, U.entries)]
-        M = tuple(tuple(sum(vrow[i] * scaled[i][q] for i in range(r)) for q in range(G.rows)) for vrow in V.entries)
-        return cls(U, d, V, L, M, U.entries[r:])
+        scaled = [[L // di * x for x in row] for di, row in zip(d, U)]
+        M = tuple(tuple(sum(vrow[i] * scaled[i][q] for i in range(r)) for q in range(len(G))) for vrow in V)
+        return cls(U, d, V, L, M, U[r:])
 
     def solve(self, a: Sequence[int]) -> Optional[Vec]:
         """L.m for the chart's solution m of G m = a (a integral), or None
@@ -307,28 +274,30 @@ class SolveChart:
         return tuple(vdot(row, a) for row in self.M)
 
 
-def solve_rational(A: IntMatrix, b: Sequence) -> Optional[tuple[Fraction, ...]]:
-    """One exact solution x of A x = b over Q, or None if inconsistent:
-    `echelon` on [A | B.b], B the lcm of the denominators of b, gives
-    None when B.b takes a pivot and else the x that is 0 off the pivots."""
-    if len(b) != A.rows:
+def solve_rational(A: Sequence[Sequence[int]], ncols: int, b: Sequence) -> Optional[tuple[Fraction, ...]]:
+    """One exact solution x of A x = b over Q (A integer rows, `ncols`
+    wide), or None if inconsistent: `echelon` on [A | B.b], B the lcm of
+    the denominators of b, gives None when B.b takes a pivot and else the
+    x that is 0 off the pivots."""
+    if len(b) != len(A):
         raise ValueError("shape mismatch")
     b = [Fraction(x) for x in b]
     B = math.lcm(*(x.denominator for x in b))
-    a, pivots, last = echelon([(*row, int(x * B)) for row, x in zip(A.entries, b)], A.cols + 1)
-    if pivots and pivots[-1][1] == A.cols:
+    a, pivots, last = echelon([(*row, int(x * B)) for row, x in zip(A, b)], ncols + 1)
+    if pivots and pivots[-1][1] == ncols:
         return None
-    x = [Fraction(0)] * A.cols
+    x = [Fraction(0)] * ncols
     for r, col in pivots:
         x[col] = Fraction(a[r][-1], last * B)
     return tuple(x)
 
 
-def solve_integer(A: IntMatrix, b: Sequence[int]) -> Optional[Vec]:
-    """One integer solution x of A x = b, or None if none exists."""
-    if len(b) != A.rows:
+def solve_integer(A: Sequence[Sequence[int]], ncols: int, b: Sequence[int]) -> Optional[Vec]:
+    """One integer solution x of A x = b (A integer rows, `ncols` wide),
+    or None if none exists."""
+    if len(b) != len(A):
         raise ValueError("shape mismatch")
-    chart = SolveChart.of(A)
+    chart = SolveChart.of(A, ncols)
     lm = chart.solve(tuple(int(x) for x in b))
     if lm is None or any(x % chart.L for x in lm):
         return None

@@ -26,7 +26,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from toriclab.fan import Cone, Diagnostics, Fan, is_refinement
-from toriclab.lattice import IntMatrix, SolveChart, Vec, rank as matrix_rank, vdot
+from toriclab.lattice import SolveChart, Vec, rank as matrix_rank, vdot
 from toriclab.toric import ToricVariety, _scaled_piece, projective_space_fan
 
 
@@ -114,8 +114,7 @@ class LogDiscrepancyFunction:
     pair's A and alpha = A(1 - b): `scaled`, per maximal cone (L.A, L.m)
     with psi = L.m / (L.A) on that cone, where (L, L.m) is
     toric._scaled_piece of alpha on the cone's rays (the adjugate of a
-    full-dimensional simplicial cone, else its Smith chart).  `piece`
-    gives the same Fractions as toric.local_functionals.  Building it
+    full-dimensional simplicial cone, else its Smith chart).  Building it
     raises ValueError at the first maximal cone without a piece, with that
     cone's index as its `cone_index`.  The class stays the builtin one, as
     pair answers report an error by its class name and message.
@@ -132,10 +131,6 @@ class LogDiscrepancyFunction:
                 error.cone_index = k
                 raise error
             self.scaled.append((L * A, lm))
-
-    def piece(self, cone_index: int) -> tuple[Fraction, ...]:
-        LA, lm = self.scaled[cone_index]
-        return tuple(Fraction(x, LA) for x in lm)
 
     def cone_index_of(self, v: Sequence) -> Optional[int]:
         """The first maximal cone, in order, that holds v (Cone.contains);
@@ -186,13 +181,13 @@ def _least_exceptional_psi(cone: Cone, alpha: Sequence[int], A: int) -> Optional
     rays, dim = cone.generators, cone.dim
     best = None
     for sub in itertools.combinations(range(len(rays)), dim):
-        chart = cone.solve_chart if len(rays) == dim else SolveChart.of(IntMatrix.from_rows([rays[i] for i in sub]))
+        chart = cone.solve_chart if len(rays) == dim else SolveChart.of([rays[i] for i in sub], cone.rank)
         if len(chart.d) < dim:
             continue  # linearly dependent subset
         U, d, L = chart.U, chart.d, chart.L
         # integers throughout: psi = value / (L * A), L * frac(lambda_i) = lam_i mod L
         a = [alpha[i] for i in sub]
-        steps = [[L // dj * x for x in row] for dj, row in zip(d, U.entries)]
+        steps = [[L // dj * x for x in row] for dj, row in zip(d, U)]
         pairs_sums = (L * (x + y) for x, y in itertools.combinations(a, 2))
         box_points = (
             sum(a[i] * (sum(tj * step[i] for tj, step in zip(t, steps)) % L) for i in range(dim))
@@ -255,7 +250,7 @@ def is_log_cy(pair: ToricPair) -> bool:
         if cone.dual_basis is not None or len(cone.solve_chart.d) == fan.rank:
             return all(vdot(lm, u) * pair.A == LA * a for u, a in zip(fan.rays, pair.alpha))
     extended = [(*u, a) for u, a in zip(fan.rays, pair.alpha)]
-    return matrix_rank(IntMatrix.from_rows(extended, cols=pair.dim + 1)) == fan.ray_rank
+    return matrix_rank(extended) == fan.ray_rank
 
 
 def index(pair: ToricPair) -> int:

@@ -32,7 +32,7 @@ from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from toriclab.fan import Fan, double_description
-from toriclab.lattice import IntMatrix, det, primitive
+from toriclab.lattice import det, primitive
 
 
 @dataclass(frozen=True)
@@ -173,8 +173,7 @@ def is_smooth_fano_polytope(P: Polytope) -> bool:
     for members, _, _ in P._facets:
         if len(members) != P.rank:
             return False
-        M = IntMatrix.from_rows([P.vertices[i] for i in sorted(members)], cols=P.rank)
-        if abs(det(M)) != 1:
+        if abs(det([P.vertices[i] for i in sorted(members)])) != 1:
             return False
     return True
 

@@ -20,7 +20,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from toriclab.fan import Cone, Fan, is_complete, is_simplicial
-from toriclab.lattice import AbelianGroupStructure, IntMatrix, SolveChart, Vec, primitive, vdot
+from toriclab.lattice import AbelianGroupStructure, SolveChart, Vec, primitive, vdot
 
 
 @dataclass(frozen=True)
@@ -55,8 +55,8 @@ def _presentation(fan: Fan):
     (free rows, torsion rows, torsion invariants).  The free rows are the
     chart's left kernel Z, a torsion row has invariant >= 2; rows with
     invariant 1 map to zero in Cl(X) and are dropped."""
-    chart = SolveChart.of(IntMatrix.from_rows(fan.rays, cols=fan.rank))
-    torsion = [(u, d) for u, d in zip(chart.U.entries, chart.d) if d >= 2]
+    chart = SolveChart.of(fan.rays, fan.rank)
+    torsion = [(u, d) for u, d in zip(chart.U, chart.d) if d >= 2]
     return chart.Z, tuple(u for u, _ in torsion), tuple(d for _, d in torsion)
 
 
@@ -183,7 +183,7 @@ def weighted_projective_fan(weights: Sequence[int]) -> Fan:
     else:
         # rows 2..n+1 of a unimodular matrix sending the weight vector to e_1
         # give a projection Z^{n+1} -> Z^n with kernel Z.weights
-        chart = SolveChart.of(IntMatrix.from_rows([[x] for x in w], cols=1))
+        chart = SolveChart.of([[x] for x in w], 1)
         if chart.d != (1,):
             raise RuntimeError("Smith form of coprime weights must have leading entry 1")
         proj = chart.Z

@@ -22,9 +22,12 @@ is used only here, with integer dtypes, to keep the scans fast; the
 library itself stays pure.
 
 It also holds, unchanged, the few helpers the library dropped because
-nothing in it calls them: the cokernel structure of an integer matrix, the
-principal and canonical divisors, and the restriction of a boundary to a
-coarser fan.  Tests build their inputs and references from them.
+nothing in it calls them: the cokernel structure of an integer matrix (read
+as rows beside their column count, the one matrix format of lattice), the
+principal and canonical divisors, the restriction of a boundary to a
+coarser fan, the Fraction pieces of psi and the boundary a decomposition
+sums to.  Tests build their inputs and references from them, and multiply
+integer rows with `matmul`.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ from toriclab.fan import Diagnostics, Fan, _covers, _meet_in_common_face, is_com
 from toriclab.markov import HkwSurfaceData, MarkovTriple
 from toriclab.lattice import (
     AbelianGroupStructure,
-    IntMatrix,
     SolveChart,
     rank as matrix_rank,
     smith_normal_form,
@@ -209,10 +211,19 @@ def _det_int(a):
     return sign * a[n - 1][n - 1] if n else 1
 
 
-def cokernel_structure(M: IntMatrix) -> AbelianGroupStructure:
-    """Structure of Z^rows modulo the column image of M."""
-    d = SolveChart.of(M).d
-    return AbelianGroupStructure(M.rows - len(d), tuple(x for x in d if x >= 2))
+def cokernel_structure(rows, ncols: int) -> AbelianGroupStructure:
+    """Structure of Z^rows modulo the column image of the integer rows,
+    `ncols` wide."""
+    d = SolveChart.of(rows, ncols).d
+    return AbelianGroupStructure(len(rows) - len(d), tuple(x for x in d if x >= 2))
+
+
+def matmul(A, B) -> tuple[tuple[int, ...], ...]:
+    """The product of two matrices given as rows (B has at least one row)."""
+    if any(len(row) != len(B) for row in A):
+        raise ValueError("shape mismatch")
+    columns = tuple(zip(*B))
+    return tuple(tuple(vdot(row, col) for col in columns) for row in A)
 
 
 # ------------------------------------------------------ linear feasibility
@@ -723,7 +734,7 @@ def classify_pair_brute(fan: Fan, boundary, box_factor=4):
         k = psi.cone_index_of(pt)
         if k is None:
             continue
-        values.append(Fraction(sum(c * x for c, x in zip(psi.piece(k), pt))))
+        values.append(Fraction(sum(c * x for c, x in zip(piece(psi, k), pt))))
     if any(b == 1 for b in pair.boundary):
         return "lc"
     if not values:
@@ -761,7 +772,7 @@ def singularity_type_scan(pair):
         for pt in itertools.product(*(range(lo[d], hi[d] + 1) for d in range(fan.rank))):
             if all(x == 0 for x in pt) or math.gcd(*pt) != 1 or pt in rays or not member(pt):
                 continue
-            value = Fraction(sum(m * x for m, x in zip(psi.piece(k), pt)))
+            value = Fraction(sum(m * x for m, x in zip(piece(psi, k), pt)))
             if value <= 1:
                 worst = value if worst is None else min(worst, value)
     if worst is None or worst > 1:
@@ -801,8 +812,7 @@ def local_functionals_solve(fan: Fan, values: Sequence) -> list[Optional[tuple[F
     cone's rays u_i, or None where no such m exists."""
     out = []
     for c in fan.max_cones:
-        A = IntMatrix.from_rows([fan.rays[i] for i in c], cols=fan.rank)
-        m = solve_rational(A, [values[i] for i in c])
+        m = solve_rational([fan.rays[i] for i in c], fan.rank, [values[i] for i in c])
         if m is not None and any(vdot(m, fan.rays[i]) != values[i] for i in c):
             raise RuntimeError("linear solve broken: local functional misses a prescribed value on a ray")
         out.append(m)
@@ -815,9 +825,8 @@ def is_cartier_solve(X, D: Sequence) -> bool:
     if any(c.denominator != 1 for c in coeffs):
         return False
     for c in X.fan.max_cones:
-        A = IntMatrix.from_rows([X.fan.rays[i] for i in c], cols=X.fan.rank)
         b = [-int(coeffs[i]) for i in c]
-        if solve_integer(A, b) is None:
+        if solve_integer([X.fan.rays[i] for i in c], X.fan.rank, b) is None:
             return False
     return True
 
@@ -835,9 +844,10 @@ def index_smith(pair) -> int:
     fan = pair.fan
     m = math.lcm(*(b.denominator for b in pair.boundary))
     for c in fan.max_cones:
-        U, D, _ = smith_normal_form(IntMatrix.from_rows([fan.rays[i] for i in c], cols=fan.rank))
-        d = D.diagonal()
-        r = U.apply([1 - pair.boundary[i] for i in c])
+        U, D, _ = smith_normal_form([fan.rays[i] for i in c], fan.rank)
+        d = tuple(row[i] for i, row in enumerate(D[: fan.rank]))
+        values = [1 - pair.boundary[i] for i in c]
+        r = tuple(vdot(row, values) for row in U)
         for i, ri in enumerate(r):
             di = d[i] if i < len(d) else 0
             if di != 0:
@@ -878,7 +888,7 @@ def complexity_rho_class_group(pair, decomposition) -> int:
         indicator = [1 if i in rays else 0 for i in range(len(pair.fan.rays))]
         class_rows.append(divisor_class(pair.variety, indicator).free)
     if class_rows:
-        rho = matrix_rank(IntMatrix.from_rows(class_rows, cols=len(class_rows[0])))
+        rho = matrix_rank(class_rows)
     else:
         rho = 0
     return rho
@@ -935,6 +945,24 @@ class LogDiscrepancyFunctionPieces:
         return Fraction(vdot(self._pieces[k], v))
 
 
+def piece(psi, cone_index: int) -> tuple[Fraction, ...]:
+    """The linear piece of psi (pairs.LogDiscrepancyFunction) on a maximal
+    cone, as Fractions: L.A.m over L.A."""
+    LA, lm = psi.scaled[cone_index]
+    return tuple(Fraction(x, LA) for x in lm)
+
+
+def coefficient_vector(decomposition, ray_count: int) -> tuple[Fraction, ...]:
+    """The boundary a decomposition sums to, one coefficient per ray."""
+    coeffs = [Fraction(0)] * ray_count
+    for alpha, rays in decomposition.parts:
+        for i in rays:
+            if not 0 <= i < ray_count:
+                raise ValueError("part mentions a ray index outside the fan")
+            coeffs[i] += alpha
+    return tuple(coeffs)
+
+
 def index_pieces(pair) -> int:
     """The index as the lcm of the coefficient denominators and of the
     denominators of the Fraction pieces of psi."""
@@ -945,7 +973,7 @@ def index_pieces(pair) -> int:
 
 
 def _ray_rank(fan) -> int:
-    return matrix_rank(IntMatrix.from_rows(fan.rays, cols=fan.rank))
+    return matrix_rank(fan.rays)
 
 
 def is_log_cy_rank(pair) -> bool:
@@ -958,7 +986,7 @@ def is_log_cy_rank(pair) -> bool:
     _psi(pair)  # raises if K+B is not Q-Cartier
     A = math.lcm(*(b.denominator for b in pair.boundary))
     extended = [(*u, int(A * (1 - b))) for u, b in zip(pair.fan.rays, pair.boundary)]
-    return matrix_rank(IntMatrix.from_rows(extended, cols=pair.dim + 1)) == _ray_rank(pair.fan)
+    return matrix_rank(extended) == _ray_rank(pair.fan)
 
 
 def complexity_rho_rank(pair, decomposition) -> int:
@@ -967,7 +995,7 @@ def complexity_rho_rank(pair, decomposition) -> int:
     n = len(pair.fan.rays)
     parts = [tuple(int(i in part) for i in range(n)) for _, part in decomposition.parts]
     columns = list(zip(*pair.fan.rays))  # the rows of R^T
-    return matrix_rank(IntMatrix.from_rows(parts + columns, cols=n)) - _ray_rank(pair.fan)
+    return matrix_rank(parts + columns) - _ray_rank(pair.fan)
 
 def is_fano_functionals(X) -> bool:
     """The Fraction ampleness test that the chart's integer test replaced:
@@ -1511,7 +1539,7 @@ def facet_data_scan(cone):
             continue
         members = frozenset(i for i in idx if vals[i] == 0)
         rows = [cone.generators[i] for i in members]
-        if rows and matrix_rank(IntMatrix.from_rows(rows)) == d - 1:
+        if rows and matrix_rank(rows) == d - 1:
             found.setdefault(members, h)
     return tuple(sorted(found.items(), key=lambda kv: sorted(kv[0])))
 
@@ -1737,7 +1765,7 @@ def local_functionals_smith(fan: Fan, values: Sequence) -> list[Optional[tuple[F
 def is_unimodular_smith(cone) -> bool:
     """Generators extend to a basis of the ambient lattice (and the cone is
     simplicial), read off the cone's Smith chart."""
-    return len(cone.generators) == matrix_rank(cone.generator_matrix) and cone.solve_chart.L == 1
+    return len(cone.generators) == matrix_rank(cone.generators) and cone.solve_chart.L == 1
 
 
 # ------------------------------------------------------ random instances

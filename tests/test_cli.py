@@ -69,6 +69,24 @@ def test_parse_pair_inline_fan_errors_cite_the_pair_file_lines():
         parse_pair("coeff 0 1\n\n\n\nray 1 0\ndim 2\n")
 
 
+DIM_AND_POINT_ERRORS = [
+    ("dim 2\ndim 2\n", "line 2: duplicate dim line"),
+    ("dim x\n", "line 1: expected: dim <n>"),
+    ("{key} 1 0\ndim 2\n", "line 1: {key} before dim"),
+    ("dim 2\n{key} 1 x\n", "line 2: {key} coordinates must be integers"),
+    ("dim 2\n{key} 1 0 0\n", "line 2: expected 2 coordinates"),
+    ("# no dim\n", "line 1: missing dim line"),
+]
+
+
+@pytest.mark.parametrize("parse,key", [(parse_fan, "ray"), (parse_polytope, "vertex")], ids=["fan", "polytope"])
+@pytest.mark.parametrize("text,message", DIM_AND_POINT_ERRORS, ids=[m for _, m in DIM_AND_POINT_ERRORS])
+def test_fan_and_polytope_files_read_dim_and_points_alike(parse, key, text, message):
+    with pytest.raises(ParseError) as err:
+        parse(text.format(key=key))
+    assert str(err.value) == message.format(key=key)
+
+
 def test_parse_validates_semantics():
     overlapping = "dim 2\nray 1 0\nray 0 1\nray 1 1\nray -1 1\ncone 0 1\ncone 2 3\n"
     with pytest.raises(ParseError, match="invalid fan"):

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from toriclab import fan as fan_module, lattice
 from toriclab.fan import double_description
-from toriclab.lattice import IntMatrix, det, echelon, rank, solve_integer, solve_rational, vdot
+from toriclab.lattice import det, echelon, rank, solve_integer, solve_rational, vdot
 
 from oracles import det_bareiss, double_description_seeds, minor_gcds, row_echelon
 
@@ -43,7 +43,7 @@ def _check_echelon(rows, ncols):
     minor = [[rows[r][c] for _, c in pivots] for r, _ in pivots]
     assert last == det_bareiss(minor), rows
     if len(rows) == ncols:
-        assert det(IntMatrix.from_rows(rows, cols=ncols)) == det_bareiss(rows)
+        assert det(rows) == det_bareiss(rows)
     return a, pivots, last
 
 
@@ -73,9 +73,9 @@ def _solve_row_echelon(rows, b, cols):
 
 def test_named_shapes():
     assert echelon([], 3) == ([], (), 1)
-    assert det(IntMatrix.from_rows([], cols=0)) == 1
-    assert rank(IntMatrix.from_rows([], cols=3)) == 0
-    assert rank(IntMatrix.from_rows([[0, 0, 0], [0, 0, 0]])) == 0
+    assert det(()) == 1
+    assert rank(()) == 0
+    assert rank([[0, 0, 0], [0, 0, 0]]) == 0
     # a pivot-free column between two pivots
     a, pivots, last = _check_echelon([[1, 2, 0], [2, 4, 3]], 3)
     assert pivots == ((0, 0), (1, 2)) and last == 3
@@ -83,10 +83,10 @@ def test_named_shapes():
     # dependent rows: the second pivot sits in the third row
     _, pivots, _ = _check_echelon([[1, 2, 3], [2, 4, 6], [0, 1, 1]], 3)
     assert pivots == ((0, 0), (2, 1))
-    assert det(IntMatrix.from_rows([[1, 2, 3], [2, 4, 6], [0, 1, 1]])) == 0
+    assert det([[1, 2, 3], [2, 4, 6], [0, 1, 1]]) == 0
     # a zero leading column and rows out of order: det reads the row order
-    assert det(IntMatrix.from_rows([[0, 2], [3, 1]])) == -6
-    assert det(IntMatrix.from_rows([[0, 0, 1], [0, 1, 0], [1, 0, 0]])) == -1
+    assert det([[0, 2], [3, 1]]) == -6
+    assert det([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
     # extra columns ride along
     a, _, last = echelon([[2, 0, 7], [0, 3, 5]], 2)
     assert (a, last) == ([[6, 0, 21], [0, 6, 10]], 6)
@@ -101,7 +101,7 @@ def test_seeded_matrices_match_the_oracles():
             assert len(pivots) == sum(1 for g in minor_gcds(rows) if g), rows
         k = min(len(rows), n)
         square = [row[:k] for row in rows[:k]]
-        assert det(IntMatrix.from_rows(square, cols=k)) == _leibniz(square), square
+        assert det(square) == _leibniz(square), square
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -119,10 +119,10 @@ def test_seeded_matrices_match_the_oracles():
 def test_hypothesis_matrices_match_the_oracles(shape):
     n, rows = shape
     _, pivots, _ = _check_echelon(rows, n)
-    assert rank(IntMatrix.from_rows(rows, cols=n)) == len(pivots)
+    assert rank(rows) == len(pivots)
     k = min(len(rows), n)
     square = [row[:k] for row in rows[:k]]
-    assert det(IntMatrix.from_rows(square, cols=k)) == _leibniz(square)
+    assert det(square) == _leibniz(square)
 
 
 # ---------------------------------------------------------- rational solve
@@ -137,7 +137,7 @@ def test_solve_rational_matches_the_row_echelon_solve():
         if rows and rng.random() < 0.5:  # consistent on purpose
             x = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)]
             b = [vdot(row, x) for row in rows]
-        got = solve_rational(IntMatrix.from_rows(rows, cols=n), b)
+        got = solve_rational(rows, n, b)
         assert got == _solve_row_echelon(rows, b, n), (rows, b)
         if got is not None:
             assert [vdot(row, got) for row in rows] == b
@@ -147,13 +147,13 @@ def test_solve_rational_matches_the_row_echelon_solve():
 
 @pytest.mark.parametrize("b", [[1, 2, 3], [1]], ids=["long", "short"])
 def test_solves_reject_a_right_hand_side_of_the_wrong_length(b):
-    A = IntMatrix.from_rows([[1, 0], [0, 1]])
+    A = [[1, 0], [0, 1]]
     with pytest.raises(ValueError, match="shape mismatch"):
-        solve_rational(A, b)
+        solve_rational(A, 2, b)
     with pytest.raises(ValueError, match="shape mismatch"):
-        solve_integer(A, b)
-    assert solve_rational(A, [1, 2]) == (1, 2)
-    assert solve_integer(A, [1, 2]) == (1, 2)
+        solve_integer(A, 2, b)
+    assert solve_rational(A, 2, [1, 2]) == (1, 2)
+    assert solve_integer(A, 2, [1, 2]) == (1, 2)
 
 
 # ------------------------------------------------------ double description
@@ -218,11 +218,11 @@ def test_each_reader_runs_the_routine_once(monkeypatch):
 
     monkeypatch.setattr(lattice, "echelon", counted)
     monkeypatch.setattr(fan_module, "echelon", counted)
-    M = IntMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 10]])
+    M = [[1, 2, 3], [4, 5, 6], [7, 8, 10]]
     for run in (
         lambda: rank(M),
         lambda: det(M),
-        lambda: solve_rational(M, [1, 2, 3]),
+        lambda: solve_rational(M, 3, [1, 2, 3]),
         lambda: double_description([(1, 0, 0), (0, 1, 0), (1, 1, 1), (0, 0, 1)]),
     ):
         calls.clear()

@@ -21,7 +21,7 @@ from toriclab.catalog import bundled_fans, cone_over_square_fan
 from toriclab.cli import main
 from toriclab.complexity import Decomposition, complexity, decomposition_by_primes
 from toriclab.fan import Fan, star_subdivision
-from toriclab.lattice import IntMatrix, det, vdot
+from toriclab.lattice import det, vdot
 from toriclab.pairs import (
     ToricPair,
     classify_extracted_place,
@@ -59,7 +59,7 @@ def _fans(rng):
         yield random_complete_2d_fan(rng, max_rays=7, coord=4)
     for _ in range(12):  # single cones in Z^3: simplicial, and over lattice polygons
         gens = primitive_distinct([tuple(rng.randint(-3, 3) for _ in range(3)) for _ in range(3)])
-        if len(gens) == 3 and det(IntMatrix.from_rows(gens)) != 0:
+        if len(gens) == 3 and det(gens) != 0:
             yield Fan.from_data(gens, [(0, 1, 2)])
         hull = Polytope.hull([(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(5)], rank=2)
         if len(hull.vertices) >= 4:

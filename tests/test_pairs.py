@@ -21,7 +21,7 @@ from toriclab.pairs import (
 )
 from toriclab.toric import projective_space_fan, weighted_projective_fan
 
-from oracles import classify_cone_brute, classify_pair_brute, restrict_boundary
+from oracles import classify_cone_brute, classify_pair_brute, piece, restrict_boundary
 
 P2_PAIR = standard_pair(2)
 
@@ -128,8 +128,8 @@ def test_psi_agrees_on_shared_faces():
                 common = set(fan.max_cones[a]) & set(fan.max_cones[b])
                 for i in common:
                     ray = fan.rays[i]
-                    va = sum(c * x for c, x in zip(psi.piece(a), ray))
-                    vb = sum(c * x for c, x in zip(psi.piece(b), ray))
+                    va = sum(c * x for c, x in zip(piece(psi, a), ray))
+                    vb = sum(c * x for c, x in zip(piece(psi, b), ray))
                     assert va == vb == 1 - pair.boundary[i]
 
 

@@ -21,7 +21,7 @@ from toriclab import fan as fan_module, lattice, pairs, toric
 from toriclab.catalog import bundled_fans
 from toriclab.complexity import complexity, decomposition_by_primes
 from toriclab.fan import Cone, Diagnostics, Fan, is_complete, star_subdivision, validate_fan, walls
-from toriclab.lattice import IntMatrix, rank, solve_rational, vdot
+from toriclab.lattice import rank, solve_rational, vdot
 from toriclab.pairs import ToricPair, index, is_log_cy, singularity_type, validate_pair
 from toriclab.toric import local_functionals, projective_space_fan, weighted_projective_fan
 
@@ -42,7 +42,7 @@ def test_rank_and_nullspace_against_minor_gcds():
     for _ in range(300):
         rows, width = _random_matrix(rng)
         r = sum(1 for g in minor_gcds(rows) if g != 0)
-        assert rank(IntMatrix.from_rows(rows, cols=width)) == r, rows
+        assert rank(rows) == r, rows
         basis = nullspace(rows, width)
         assert len(basis) == width - r, rows
         for h in basis:
@@ -66,7 +66,7 @@ def test_row_echelon_is_reduced_and_keeps_extra_columns():
             assert [a[k][col] for k in range(len(a))] == [int(k == i) for k in range(len(a))]
         for row in a[len(pivots):]:
             assert all(x == 0 for x in row[:width])
-        x = solve_rational(IntMatrix.from_rows(rows, cols=width), rhs)
+        x = solve_rational(rows, width, rhs)
         consistent = all(row[width] == 0 for row in a[len(pivots):])
         assert (x is not None) == consistent
         if x is not None:

@@ -27,6 +27,7 @@ from oracles import (
     index_smith,
     is_log_cy_class_group,
     is_log_cy_rank,
+    piece,
     primitive_distinct,
     random_complete_2d_fan,
     singularity_type_scan,
@@ -138,7 +139,7 @@ def _check_pair(pair, rng, scan=False):
         return verdict
     psi = _psi(pair)
     for k in range(len(pair.fan.max_cones)):
-        assert psi.piece(k) == oracle.piece(k)
+        assert piece(psi, k) == oracle.piece(k)
     for v in _points(pair.fan):
         _same(lambda: psi.cone_index_of(v), lambda: oracle.cone_index_of(v))
         _same(lambda: psi(v), lambda: oracle(v))

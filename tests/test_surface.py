@@ -33,22 +33,17 @@ NORTH_STAR = frozenset({"class_group", "divisor_class_q", "is_cartier", "is_qcar
 # - "acceptance": the acceptance criteria (tests/test_acceptance.py) use it;
 # - "bench": a file under bench/ uses it;
 # - "north star": it is in NORTH_STAR;
-# - "view": a method that reads an object of a class that src/ uses;
 # - "pinned": the sha256-pinned answers of tests/test_pair_digest.py read it.
 KEEP = {
     "casebook.IncidenceArrangement.drop_incidence": "acceptance",
-    "casebook.SuiteReport.failures": "view",
     "catalog.cone_over_square_fan": "pinned",
-    "complexity.Decomposition.coefficient_vector": "view",
     "complexity.assert_bmsz": "acceptance",
     "complexity.complexity_transport": "acceptance",
     "fan.Cone.from_generators": "acceptance",
     "fan.is_smooth": "north star",
     "fan.linear_feasible": "bench",
-    "lattice.IntMatrix.apply": "view",
     "lattice.solve_integer": "bench",
     "lattice.solve_rational": "bench",
-    "pairs.LogDiscrepancyFunction.piece": "view",
     "pairs.standard_pair": "acceptance",
     "polytope.facet_functionals": "bench",
     "toric.class_group": "north star",
@@ -103,7 +98,7 @@ def _mentions(path, name):
     return re.search(rf"\b{re.escape(name)}\b", path.read_text(encoding="utf-8")) is not None
 
 
-def _reason_holds(qualname, reason, surface):
+def _reason_holds(qualname, reason):
     name = qualname.rsplit(".", 1)[-1]
     if reason == "acceptance":
         return _mentions(ACCEPTANCE, name)
@@ -113,9 +108,6 @@ def _reason_holds(qualname, reason, surface):
         return any(_mentions(path, name) for path in BENCH.rglob("*.py"))
     if reason == "north star":
         return name in NORTH_STAR
-    if reason == "view":
-        owner = qualname.rsplit(".", 1)[0]
-        return owner.count(".") == 1 and surface.get(owner, False)
     return False
 
 
@@ -132,8 +124,7 @@ def test_keep_lists_only_unreferenced_names():
 
 
 def test_every_keep_reason_holds():
-    surface = _surface()
-    wrong = sorted(f"{q}: {r}" for q, r in KEEP.items() if not _reason_holds(q, r, surface))
+    wrong = sorted(f"{q}: {r}" for q, r in KEEP.items() if not _reason_holds(q, r))
     assert not wrong, wrong
 
 
