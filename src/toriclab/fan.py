@@ -15,10 +15,13 @@ strongly convex with every generator extremal, and no facets are computed.
 A full-dimensional simplicial cone is read from one cached adjugate
 (Cone.dual_basis, the echelon call the double description seeds from):
 its facets, dimension, membership, unimodularity and the linear pieces
-that toric and pairs read on it; a complete fan of such cones is validated by its walls.
-Any other cone caches one Smith chart of its generator matrix
-(lattice.SolveChart, re-exported here) for its span and pieces.  Nothing
-here ever touches a float.
+that toric and pairs read on it.  Any other cone caches one Smith chart
+of its generator matrix (lattice.SolveChart, re-exported here) for its
+span and pieces.  One oriented wall test (_covers_once), on the walls and
+their inward normals, decides whether cones cover a region exactly once:
+the space for validate_fan (on complete fans of such cones) and
+is_complete, each coarse cone for is_refinement.  Nothing here ever
+touches a float.
 """
 
 from __future__ import annotations
@@ -435,9 +438,10 @@ class Fan:
         return tuple(Cone._trusted(tuple(self.rays[i] for i in c), self.rank) for c in self.max_cones)
 
     @cached_property
-    def wall_map(self) -> dict[frozenset[Vec], list[int]]:
-        """walls(cones), once per fan: shared by is_complete, validate_fan
-        and toric.is_fano."""
+    def wall_map(self) -> dict[frozenset[Vec], list[tuple[int, Vec]]]:
+        """walls(cones), once per fan: each wall's (cone index, inward
+        normal) pairs, read by the one coverage test (_covers_once) that
+        validate_fan and is_complete share, and by toric.is_fano."""
         return walls(self.cones)
 
     @cached_property
@@ -470,9 +474,10 @@ def validate_fan(fan: Fan) -> Diagnostics:
     intersection-is-a-common-face condition (via an exact separating
     functional).  A complete fan of full-dimensional simplicial cones,
     n >= 2, is accepted by its walls after the per-cone checks, in time
-    linear in the cones (_walls_cover_once); the pairwise scan runs only
-    where that criterion rejects or does not apply, so every invalid fan
-    reports the same first violation and witness.
+    linear in the cones (_covers_once, which then shows the cones cover
+    the space exactly once, hence meet in common faces); the pairwise scan
+    runs only where that test rejects or does not apply, so every invalid
+    fan reports the same first violation and witness.
     """
     used = set(itertools.chain.from_iterable(fan.max_cones))
     for i in range(len(fan.rays)):
@@ -484,8 +489,9 @@ def validate_fan(fan: Fan) -> Diagnostics:
             return Diagnostics(False, "maximal cone is not strongly convex", (idx,))
         if not cone.generators_extremal():
             return Diagnostics(False, "non-extremal generator in maximal cone", (idx,))
-    if _walls_cover_once(fan):
-        return Diagnostics(True)
+    if fan.rank >= 2 and cones and all(cone.dual_basis is not None for cone in cones):
+        if _covers_once(cones, fan.wall_map):
+            return Diagnostics(True)
     for a, b in itertools.combinations(range(len(cones)), 2):
         ia, ib = set(fan.max_cones[a]), set(fan.max_cones[b])
         if ia <= ib or ib <= ia:
@@ -499,29 +505,39 @@ def validate_fan(fan: Fan) -> Diagnostics:
     return Diagnostics(True)
 
 
-def _walls_cover_once(fan: Fan) -> bool:
-    """The wall criterion (De Loera, Rambau and Santos, Triangulations,
-    2010, ch. 4): full-dimensional simplicial cones in R^n, n >= 2, form
-    a complete fan iff (1) every wall lies in exactly two cones, (2) the
-    generators opposite a wall lie strictly on opposite sides of it, and
-    (3) the sum of cone 0's rays lies in no other cone.  (1) and (2) keep
-    the number of cones over a generic point constant, as codimension-2
-    cones do not disconnect the sphere, and (3) makes it 1.  False when a
-    condition fails or the criterion does not apply."""
-    cones = fan.cones
-    if fan.rank < 2 or not cones or any(cone.dual_basis is None for cone in cones):
-        return False
-    for wall, ks in fan.wall_map.items():
-        if len(ks) != 2:
+def _covers_once(
+    cones: Sequence[Cone], wall_map: dict[frozenset[Vec], list[tuple[int, Vec]]], boundary: Sequence[Vec] = ()
+) -> bool:
+    """Do the cones, all of one dimension d, cover their region exactly
+    once?  wall_map is walls(cones).  The region is the whole space when
+    `boundary` is empty, else the cone holding all of them whose facet
+    normals `boundary` lists.  Four checks decide it (the interior-facet
+    theorem; De Loera, Rambau and Santos, Triangulations, 2010, ch. 4):
+    (1) every wall lies in one or two cones; (2) across a wall in two
+    cones, every generator of the second off the wall is < 0 on the first
+    cone's inward normal for it; (3) every wall in one cone lies on a
+    boundary normal; (4) the sum of the first cone's rays lies in no other
+    cone.
+
+    The degree argument: let f(x) count the cones holding a point x of the
+    region's relative interior that lies on no cone of dimension d - 2.
+    Such x is interior to every wall holding it, all in one hyperplane.
+    Crossing a wall in two cones, matched and opposite-sided by (1) and
+    (2), swaps one cone for the other; a wall in one cone lies on the
+    region's boundary by (3), never inside it.  So f is locally constant,
+    and the interior of the region minus the cones of codimension 2 is
+    connected, so f is constant; (4) makes it 1 near that sum.  The cones
+    of a fan covering the region meet in common faces, so they pass all
+    four checks."""
+    for wall, sides in wall_map.items():
+        if len(sides) == 2:
+            (_, h), (b, _) = sides
+            if any(vdot(h, g) >= 0 for g in cones[b].generators if g not in wall):
+                return False
+        elif len(sides) != 1 or not any(all(vdot(h, g) == 0 for g in wall) for h in boundary):
             return False
-        a, b = cones[ks[0]], cones[ks[1]]
-        last, h = a.dual_basis
-        s = next(i for i, g in enumerate(a.generators) if g not in wall)
-        g = next(g for g in b.generators if g not in wall)
-        if last * vdot(h[s], g) >= 0:
-            return False
-    inside = tuple(map(sum, zip(*cones[0].generators)))
-    return not any(cone.contains(inside) for cone in cones[1:])
+    inside = tuple(map(sum, zip(*cones[0].generators)))  # in every cone's span
+    return not any(all(vdot(h, inside) >= 0 for _, h in cone.facet_data) for cone in cones[1:])
 
 
 def _meet_in_common_face(fan: Fan, ca: tuple[int, ...], cb: tuple[int, ...]) -> bool:
@@ -547,48 +563,31 @@ def is_smooth(fan: Fan) -> bool:
 
 
 def is_complete(fan: Fan) -> bool:
-    """Support equals the whole space.
+    """Do the maximal cones cover the space exactly once?
 
-    Uses the wall criterion: in a valid fan all of whose maximal cones are
-    full-dimensional, the support is everything iff every facet of every
-    maximal cone is shared by exactly two of them (plus connectivity),
-    read from the fan's one cached wall map (Fan.wall_map), which
-    validate_fan shares.  Fans with a lower-dimensional maximal cone are
-    rejected.
+    Decided by the one wall test (_covers_once, no boundary allowed) on
+    the fan's cached wall map (Fan.wall_map), which validate_fan shares.
+    A valid fan passes iff its support is the whole space; cones that
+    overlap or wind round more than once fail.  A lower-dimensional
+    maximal cone raises ValueError.
     """
     if not fan.max_cones:
         return fan.rank == 0
     cones = fan.cones
     if any(cone.dim != fan.rank for cone in cones):
         raise ValueError("completeness undefined: maximal cone is not full-dimensional")
-    wall_map = fan.wall_map
-    return all(len(ks) == 2 for ks in wall_map.values()) and _connected(len(cones), wall_map)
+    return _covers_once(cones, fan.wall_map)
 
 
-def walls(cones: Sequence[Cone]) -> dict[frozenset[Vec], list[int]]:
+def walls(cones: Sequence[Cone]) -> dict[frozenset[Vec], list[tuple[int, Vec]]]:
     """Map the generator set of every facet of the given cones to the
-    indices of the cones that have that facet."""
-    out: dict[frozenset[Vec], list[int]] = {}
+    cones that have that facet, as (cone index, the facet's inward normal
+    in that cone) from facet_data."""
+    out: dict[frozenset[Vec], list[tuple[int, Vec]]] = {}
     for k, cone in enumerate(cones):
-        for members, _ in cone.facet_data:
-            out.setdefault(frozenset(cone.generators[m] for m in members), []).append(k)
+        for members, h in cone.facet_data:
+            out.setdefault(frozenset(cone.generators[m] for m in members), []).append((k, h))
     return out
-
-
-def _connected(n: int, wall_map: dict[frozenset[Vec], list[int]]) -> bool:
-    """Are the cones 0..n-1 linked into one piece by shared walls?"""
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for ks in wall_map.values():
-        for k in ks[1:]:
-            parent[find(k)] = find(ks[0])
-    return len({find(i) for i in range(n)}) == 1
 
 
 def star_subdivision(fan: Fan, stratum: Iterable[int], ray: Optional[Sequence[int]] = None) -> Fan:
@@ -657,12 +656,16 @@ def _is_face(sub: Cone, cone: Cone) -> bool:
 
 def is_refinement(fine: Fan, coarse: Fan) -> bool:
     """True iff every maximal cone of `fine` sits inside a cone of
-    `coarse` and the two fans have the same support.
+    `coarse` and the fine cones inside each coarse cone cover it exactly
+    once: for a valid fine fan, iff the two fans have the same support.
 
     Each fine ray is located once, in the set of coarse cones holding it.
     A coarse cone is convex, so it holds a fine cone iff it holds all of
     its rays: the hosts of a fine cone are the intersection of its rays'
-    sets."""
+    sets.  The fine cones in one coarse cone, all of its dimension, then
+    take the one wall test (_covers_once) with the coarse facet normals
+    as the allowed boundary, unless the coarse cone itself is the only
+    one."""
     if fine.rank != coarse.rank:
         return False
     coarse_cones = coarse.cones
@@ -675,36 +678,14 @@ def is_refinement(fine: Fan, coarse: Fan) -> bool:
         for k in hosts:
             assignment[k].append(i)
     for k, cc in enumerate(coarse_cones):
-        if not _covers(fine, assignment[k], cc):
+        cones = [fine.cones[i] for i in assignment[k]]
+        if len(cones) == 1 and cones[0].generators == cc.generators:
+            continue
+        if not cones or any(c.dim != cc.dim for c in cones):
+            return False
+        if not _covers_once(cones, walls(cones), [h for _, h in cc.facet_data]):
             return False
     return True
-
-
-def _covers(fine: Fan, fine_indices: list[int], coarse_cone: Cone) -> bool:
-    """Do the listed fine cones cover `coarse_cone`?  Wall criterion
-    relative to the coarse cone: interior walls are shared by exactly two
-    fine cones, boundary walls lie on coarse facets."""
-    if not fine_indices:
-        return False
-    d = coarse_cone.dim
-    cones = [fine.cones[i] for i in fine_indices]
-    for c in cones:
-        if c.dim == d and set(c.generators) == set(coarse_cone.generators):
-            return True  # the coarse cone itself appears
-    if any(c.dim != d for c in cones):
-        return False
-    # the fine generators lie in the coarse cone, so one is on a coarse
-    # facet iff that facet's normal vanishes on it
-    normals = [h for _, h in coarse_cone.facet_data]
-    wall_map = walls(cones)
-    for key, ks in wall_map.items():
-        if len(ks) == 2:
-            continue
-        if len(ks) != 1:
-            return False
-        if not any(all(vdot(h, g) == 0 for g in key) for h in normals):
-            return False
-    return _connected(len(cones), wall_map)
 
 
 # ---------------------------------------------------------------------------

@@ -274,7 +274,9 @@ def index(pair: ToricPair) -> int:
 
 
 def crepant_pullback(pair: ToricPair, fine: Fan) -> ToricPair:
-    """Log pullback of the pair along a fan refinement.
+    """Log pullback of the pair along a fan refinement: `fine` must pass
+    is_refinement, its cones inside each cone of the pair's fan covering
+    that cone exactly once, else ValueError.
 
     New rays receive coefficient 1 - psi(v); existing rays keep theirs.
     Raises EffectivityError when some new coefficient is negative (the log

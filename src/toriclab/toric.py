@@ -212,7 +212,7 @@ def is_fano(X: ToricVariety) -> bool:
     pieces = [_scaled_piece(cone, [1] * len(cone.generators)) for cone in cones]
     if any(lm is None for _, lm in pieces):
         return False
-    for key, (a, b) in fan.wall_map.items():
+    for key, ((a, _), (b, _)) in fan.wall_map.items():
         L, lm = pieces[a]
         if any(vdot(lm, g) >= L for g in set(cones[b].generators) - key):
             return False

@@ -11,8 +11,9 @@ double description's lineality test, subset scans and simplex LPs
 instead of its facets, Gauss-Jordan
 solves and per-call Smith forms instead of a cone's cached Smith chart
 (and a Fraction nullspace instead of its span equations), the pairwise
-common-face scan instead of the wall criterion, a per-cone scan instead
-of rays located once for refinements, Smith charts instead of a
+common-face scan instead of the wall criterion, a per-cone scan and an
+unoriented wall cover with connectivity instead of rays located once and
+the oriented wall test for refinements, Smith charts instead of a
 cone's dual basis, class-group
 coordinates instead of ranks of the ray matrix, and those ranks and
 Fraction pieces of psi instead of its integer record, a Vieta-jump
@@ -40,7 +41,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from toriclab.fan import Diagnostics, Fan, _covers, _meet_in_common_face, is_complete, is_simplicial, walls
+from toriclab.fan import Cone, Diagnostics, Fan, _meet_in_common_face, is_complete, is_simplicial, walls
 from toriclab.markov import HkwSurfaceData, MarkovTriple
 from toriclab.lattice import (
     AbelianGroupStructure,
@@ -49,6 +50,7 @@ from toriclab.lattice import (
     smith_normal_form,
     solve_integer,
     solve_rational,
+    Vec,
     vdot,
 )
 
@@ -1011,7 +1013,7 @@ def is_fano_functionals(X) -> bool:
     for key, ks in walls(cones).items():
         if len(ks) != 2:
             continue
-        a, b = ks
+        (a, _), (b, _) = ks
         for g in set(cones[b].generators) - key:
             if vdot(functionals[a], g) >= 1:
                 return False
@@ -1732,6 +1734,57 @@ def is_refinement_scan(fine: Fan, coarse: Fan) -> bool:
         if not _covers(fine, assignment[k], cc):
             return False
     return True
+
+
+# The coverage test is_refinement used before the one oriented wall test
+# (fan._covers_once): walls in one or two cones, boundary walls on coarse
+# facets, and the cones connected across walls.  It never checks that two
+# cones across a wall lie on opposite sides, so on an invalid fine fan it
+# can accept an overlap; is_refinement_scan is a reference only where the
+# fine fan is valid.
+
+
+def _covers(fine: Fan, fine_indices: list[int], coarse_cone: Cone) -> bool:
+    """Do the listed fine cones cover `coarse_cone`?  Wall criterion
+    relative to the coarse cone: interior walls are shared by exactly two
+    fine cones, boundary walls lie on coarse facets."""
+    if not fine_indices:
+        return False
+    d = coarse_cone.dim
+    cones = [fine.cones[i] for i in fine_indices]
+    for c in cones:
+        if c.dim == d and set(c.generators) == set(coarse_cone.generators):
+            return True  # the coarse cone itself appears
+    if any(c.dim != d for c in cones):
+        return False
+    # the fine generators lie in the coarse cone, so one is on a coarse
+    # facet iff that facet's normal vanishes on it
+    normals = [h for _, h in coarse_cone.facet_data]
+    wall_map = {key: [k for k, _ in ks] for key, ks in walls(cones).items()}  # cone indices only
+    for key, ks in wall_map.items():
+        if len(ks) == 2:
+            continue
+        if len(ks) != 1:
+            return False
+        if not any(all(vdot(h, g) == 0 for g in key) for h in normals):
+            return False
+    return _connected(len(cones), wall_map)
+
+
+def _connected(n: int, wall_map: dict[frozenset[Vec], list[int]]) -> bool:
+    """Are the cones 0..n-1 linked into one piece by shared walls?"""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for ks in wall_map.values():
+        for k in ks[1:]:
+            parent[find(k)] = find(ks[0])
+    return len({find(i) for i in range(n)}) == 1
 
 
 def local_functionals_smith(fan: Fan, values: Sequence) -> list[Optional[tuple[Fraction, ...]]]:

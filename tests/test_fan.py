@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -15,9 +16,17 @@ from toriclab.fan import (
     validate_fan,
 )
 from toriclab.lattice import primitive
+from toriclab.pairs import ToricPair, crepant_pullback
 from toriclab.toric import projective_space_fan, weighted_projective_fan
 
-from oracles import complete_2d_oracle, det2, expected_2d_insertions, is_refinement_scan, random_complete_2d_fan
+from oracles import (
+    complete_2d_oracle,
+    det2,
+    expected_2d_insertions,
+    is_refinement_scan,
+    random_complete_2d_fan,
+    validate_fan_pairwise,
+)
 
 P2 = projective_space_fan(2)
 
@@ -133,6 +142,33 @@ def test_complete_agrees_with_2d_angle_criterion():
             assert not is_complete(broken)
 
 
+def _winding_fan(rng, w):
+    """A seeded 2D fan on k rays in angular order, each joined by a cone to
+    the ray w places on: with k and w coprime and every cone under a half
+    turn, its cones wind w times round the origin."""
+    while True:
+        k = rng.randint(2 * w + 1, 2 * w + 6)
+        if math.gcd(k, w) != 1:
+            continue
+        angles = sorted(2 * math.pi * (j + rng.uniform(-0.3, 0.3)) / k for j in range(k))
+        rays = [primitive((round(40 * math.cos(a)), round(40 * math.sin(a)))) for a in angles]
+        steps = [det2(rays[j], rays[(j + s) % k]) for j in range(k) for s in (1, w)]
+        if len(set(rays)) == k and all(d > 0 for d in steps):
+            return Fan.from_data(rays, [(j, (j + w) % k) for j in range(k)])
+
+
+def test_complete_agrees_with_2d_angle_criterion_on_winding_fans():
+    # complete_2d_oracle reads the rays' cyclic order, never a wall map;
+    # every wall of a winding fan lies in two cones on opposite sides, so
+    # only the covering degree tells w = 1 from w = 2 and 3
+    rng = random.Random(2121)
+    for w in (1, 2, 3):
+        for _ in range(12):
+            fan = _winding_fan(rng, w)
+            assert all(len(ks) == 2 for ks in fan.wall_map.values())
+            assert is_complete(fan) == complete_2d_oracle(fan) == (w == 1), (w, fan)
+
+
 # ------------------------------------------------------ star subdivision
 
 
@@ -210,6 +246,21 @@ def test_refinement_chain():
     assert is_refinement(finer, fine)
     assert is_refinement(finer, P2)
     assert not is_refinement(P2, finer)
+
+
+def test_refinement_rejects_overlapping_fine_cones():
+    quadrant = Fan.from_data([(1, 0), (0, 1)], [(0, 1)])
+    # three cones folded inside the quadrant, missing (0, 1): every wall
+    # lies in two cones, but on one side of each
+    folded = Fan.from_data([(1, 0), (1, 2), (2, 1)], [(0, 1), (1, 2), (2, 0)])
+    # the quadrant itself plus a piece of it
+    overlap = Fan.from_data([(1, 0), (0, 1), (1, 1)], [(0, 1), (0, 2)])
+    for fine in (folded, overlap):
+        assert not validate_fan_pairwise(fine)
+        assert not is_refinement(fine, quadrant)
+        assert is_refinement_scan(fine, quadrant)  # the unoriented cover accepts both
+        with pytest.raises(ValueError, match="fan is not a refinement of the pair's fan"):
+            crepant_pullback(ToricPair.reduced(quadrant), fine)
 
 
 def test_refinement_rejects_different_combinatorics():

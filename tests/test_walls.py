@@ -12,16 +12,29 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from toriclab.catalog import bundled_fans, cone_over_square_fan
-from toriclab.fan import Fan, _walls_cover_once, is_complete, validate_fan
+from toriclab import fan as fan_module
+from toriclab.fan import Fan, _covers_once, is_complete, is_refinement, validate_fan
 from toriclab.lattice import primitive
-from toriclab.toric import projective_space_fan, weighted_projective_fan
+from toriclab.toric import ToricVariety, is_fano, projective_space_fan, weighted_projective_fan
 
-from oracles import random_complete_2d_fan, validate_fan_pairwise
+from oracles import is_refinement_scan, random_complete_2d_fan, validate_fan_pairwise
 
 
 def _copy(fan):
     """The same fan as a new object, so no cached cone data is shared."""
     return Fan(fan.rays, fan.max_cones, fan.rank)
+
+
+def _walls_accept(fan):
+    """validate_fan's wall test behind its guard: rank at least 2 and a
+    dual basis on every maximal cone, then _covers_once with no boundary."""
+    cones = fan.cones
+    return (
+        fan.rank >= 2
+        and bool(cones)
+        and all(cone.dual_basis is not None for cone in cones)
+        and _covers_once(cones, fan.wall_map)
+    )
 
 
 def _both(fan):
@@ -42,7 +55,7 @@ def _accepts_exactly_the_complete_simplicial_fans(fan):
         and bool(validate_fan_pairwise(fan))
         and is_complete(fan)
     )
-    assert _walls_cover_once(_copy(fan)) == expected, fan
+    assert _walls_accept(_copy(fan)) == expected, fan
 
 
 # --------------------------------------------------------------- fans
@@ -135,18 +148,31 @@ def test_named_fans_get_the_pairwise_diagnostics(name, fan):
     _accepts_exactly_the_complete_simplicial_fans(fan)
 
 
-def test_the_named_failures_are_the_ones_meant():
+def test_the_named_failures_are_the_ones_meant(monkeypatch):
     named = dict(NAMED)
     for name in ("2D double cover", "3D double cover", "2D fold", "hanging vertex in P3", "hanging vertex in P4"):
         diag = validate_fan(_copy(named[name]))
         assert diag.problem == "cones do not intersect in a common face", name
-    # every wall of the covers and the fold is matched; the hanging vertex's is not
+    # every wall of the covers and the fold is matched; the hanging vertex's
+    # is not; none of them covers the space exactly once
     for name in ("2D double cover", "3D double cover", "2D fold"):
         assert all(len(ks) == 2 for ks in _copy(named[name]).wall_map.values()), name
+        assert not is_complete(_copy(named[name])), name
     assert any(len(ks) == 1 for ks in _copy(named["hanging vertex in P3"]).wall_map.values())
     for name in ("P1", "P3", "P(2,3,5)", "P3 without a cone", "face fan of the cube"):
         assert validate_fan(_copy(named[name])), name
-    assert not _walls_cover_once(_copy(named["P1"]))  # rank 1: the pairwise scan decides
+    # rank 1: P1 covers the line once, yet the pairwise scan decides it
+    p1 = _copy(named["P1"])
+    assert _covers_once(p1.cones, p1.wall_map) and not _walls_accept(p1)
+    scanned = []
+    meet = fan_module._meet_in_common_face
+    monkeypatch.setattr(fan_module, "_meet_in_common_face", lambda *a: scanned.append(a) or meet(*a))
+    assert validate_fan(_copy(named["P1"])) and len(scanned) == 1
+
+
+def test_is_fano_needs_a_fan_covering_the_space_once():
+    with pytest.raises(ValueError, match="must be complete"):
+        is_fano(ToricVariety(_copy(DOUBLE_COVER_2D)))
 
 
 # ------------------------------------------------------ random fans
@@ -215,7 +241,7 @@ def test_seeded_fans_get_the_pairwise_diagnostics():
         fast, pairwise = _both(fan)
         assert fast == pairwise, fan
         _accepts_exactly_the_complete_simplicial_fans(fan)
-        if _walls_cover_once(_copy(fan)):
+        if _walls_accept(_copy(fan)):
             verdicts["accepted"] += 1
         elif pairwise:
             verdicts["valid by pairs"] += 1
@@ -223,6 +249,28 @@ def test_seeded_fans_get_the_pairwise_diagnostics():
             verdicts["invalid"] += 1
     assert ranks == {1, 2, 3, 4}
     assert all(v >= 30 for v in verdicts.values()), verdicts
+
+
+def test_seeded_refinements_of_projective_space_match_the_scan():
+    """is_refinement onto P^n equals the per-cone scan on every fine fan
+    valid by pairs.  On any fan it implies the scan: cones covering a coarse
+    cone once are linked across their walls.  An invalid fan can still
+    cover each coarse cone once, when its cones miss each other's faces
+    only across a coarse wall (a hanging vertex there)."""
+    rng = random.Random(21021)
+    verdicts = {}
+    for _ in range(200):
+        fan = _random_fan(rng)
+        if fan is None:
+            continue
+        coarse = projective_space_fan(fan.rank)
+        got, scan = is_refinement(_copy(fan), coarse), is_refinement_scan(_copy(fan), coarse)
+        assert scan or not got, fan
+        valid = bool(validate_fan_pairwise(_copy(fan)))
+        if valid:
+            assert got == scan, fan
+        verdicts[got, valid] = verdicts.get((got, valid), 0) + 1
+    assert all(verdicts.get(k, 0) >= 10 for k in ((True, True), (False, True), (False, False))), verdicts
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
