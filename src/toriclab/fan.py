@@ -472,8 +472,8 @@ def validate_fan(fan: Fan) -> Diagnostics:
     Checks, in order: every ray used, strong convexity and extremality of
     each maximal cone, no cone contained in another, and the pairwise
     intersection-is-a-common-face condition (via an exact separating
-    functional).  A complete fan of full-dimensional simplicial cones,
-    n >= 2, is accepted by its walls after the per-cone checks, in time
+    functional).  A complete fan of full-dimensional simplicial cones
+    is accepted by its walls after the per-cone checks, in time
     linear in the cones (_covers_once, which then shows the cones cover
     the space exactly once, hence meet in common faces); the pairwise scan
     runs only where that test rejects or does not apply, so every invalid
@@ -489,7 +489,7 @@ def validate_fan(fan: Fan) -> Diagnostics:
             return Diagnostics(False, "maximal cone is not strongly convex", (idx,))
         if not cone.generators_extremal():
             return Diagnostics(False, "non-extremal generator in maximal cone", (idx,))
-    if fan.rank >= 2 and cones and all(cone.dual_basis is not None for cone in cones):
+    if cones and all(cone.dual_basis is not None for cone in cones):
         if _covers_once(cones, fan.wall_map):
             return Diagnostics(True)
     for a, b in itertools.combinations(range(len(cones)), 2):

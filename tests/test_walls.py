@@ -12,12 +12,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from toriclab.catalog import bundled_fans, cone_over_square_fan
-from toriclab import fan as fan_module
 from toriclab.fan import Fan, _covers_once, is_complete, is_refinement, validate_fan
 from toriclab.lattice import primitive
 from toriclab.toric import ToricVariety, is_fano, projective_space_fan, weighted_projective_fan
 
-from oracles import is_refinement_scan, random_complete_2d_fan, validate_fan_pairwise
+from oracles import _connected, is_refinement_scan, random_complete_2d_fan, validate_fan_pairwise
 
 
 def _copy(fan):
@@ -26,15 +25,10 @@ def _copy(fan):
 
 
 def _walls_accept(fan):
-    """validate_fan's wall test behind its guard: rank at least 2 and a
-    dual basis on every maximal cone, then _covers_once with no boundary."""
+    """validate_fan's wall test behind its guard: a dual basis on every
+    maximal cone, then _covers_once with no boundary."""
     cones = fan.cones
-    return (
-        fan.rank >= 2
-        and bool(cones)
-        and all(cone.dual_basis is not None for cone in cones)
-        and _covers_once(cones, fan.wall_map)
-    )
+    return bool(cones) and all(cone.dual_basis is not None for cone in cones) and _covers_once(cones, fan.wall_map)
 
 
 def _both(fan):
@@ -43,17 +37,19 @@ def _both(fan):
 
 def _accepts_exactly_the_complete_simplicial_fans(fan):
     """Where every ray is used, the criterion holds iff the fan is valid,
-    of rank at least 2, complete, and made of full-dimensional simplicial
-    cones."""
+    complete, and made of full-dimensional simplicial cones.  Completeness
+    is read without _covers_once: a valid fan of full-dimensional cones is
+    complete iff every wall lies in two cones and the cones are linked
+    across their walls."""
     if set(range(len(fan.rays))) != set(itertools.chain.from_iterable(fan.max_cones)):
         return
     fan = _copy(fan)
     expected = (
-        fan.rank >= 2
-        and bool(fan.max_cones)
+        bool(fan.max_cones)
         and all(len(c) == fan.rank == cone.dim for c, cone in zip(fan.max_cones, fan.cones))
         and bool(validate_fan_pairwise(fan))
-        and is_complete(fan)
+        and all(len(ks) == 2 for ks in fan.wall_map.values())
+        and _connected(len(fan.cones), {w: [k for k, _ in ks] for w, ks in fan.wall_map.items()})
     )
     assert _walls_accept(_copy(fan)) == expected, fan
 
@@ -148,7 +144,7 @@ def test_named_fans_get_the_pairwise_diagnostics(name, fan):
     _accepts_exactly_the_complete_simplicial_fans(fan)
 
 
-def test_the_named_failures_are_the_ones_meant(monkeypatch):
+def test_the_named_failures_are_the_ones_meant():
     named = dict(NAMED)
     for name in ("2D double cover", "3D double cover", "2D fold", "hanging vertex in P3", "hanging vertex in P4"):
         diag = validate_fan(_copy(named[name]))
@@ -161,13 +157,10 @@ def test_the_named_failures_are_the_ones_meant(monkeypatch):
     assert any(len(ks) == 1 for ks in _copy(named["hanging vertex in P3"]).wall_map.values())
     for name in ("P1", "P3", "P(2,3,5)", "P3 without a cone", "face fan of the cube"):
         assert validate_fan(_copy(named[name])), name
-    # rank 1: P1 covers the line once, yet the pairwise scan decides it
-    p1 = _copy(named["P1"])
-    assert _covers_once(p1.cones, p1.wall_map) and not _walls_accept(p1)
-    scanned = []
-    meet = fan_module._meet_in_common_face
-    monkeypatch.setattr(fan_module, "_meet_in_common_face", lambda *a: scanned.append(a) or meet(*a))
-    assert validate_fan(_copy(named["P1"])) and len(scanned) == 1
+    # rank 1: the walls accept P1, which covers the line once, but not the
+    # half-line
+    assert _walls_accept(_copy(named["P1"]))
+    assert not _walls_accept(_copy(named["half-line"]))
 
 
 def test_is_fano_needs_a_fan_covering_the_space_once():
