@@ -16,12 +16,12 @@ A full-dimensional simplicial cone is read from one cached adjugate
 (Cone.dual_basis, the echelon call the double description seeds from):
 its facets, dimension, membership, unimodularity and the linear pieces
 that toric and pairs read on it.  Any other cone caches one Smith chart
-of its generator matrix (lattice.SolveChart, re-exported here) for its
-span and pieces.  One oriented wall test (_covers_once), on the walls and
-their inward normals, decides whether cones cover a region exactly once:
-the space for validate_fan (on complete fans of such cones) and
-is_complete, each coarse cone for is_refinement.  Nothing here ever
-touches a float.
+of its generator matrix (lattice.SolveChart) for its span and pieces, and
+one pulling triangulation into simplices with charts of their own.  One
+oriented wall test (_covers_once), on the walls and their inward normals,
+decides whether cones cover a region exactly once: the space for
+validate_fan (on complete fans of such cones) and is_complete, each coarse
+cone for is_refinement.  Nothing here ever touches a float.
 """
 
 from __future__ import annotations
@@ -368,6 +368,25 @@ class Cone:
             if len(pivots) == 1 and not facets:
                 raise ValueError("no positive functional: cone is not strongly convex")
         return tuple(sorted(((members, h) for h, members in facets), key=lambda kv: sorted(kv[0])))
+
+    @cached_property
+    def triangulation(self) -> tuple[tuple[tuple[int, ...], "Cone"], ...]:
+        """The pulling triangulation from g_0 (De Loera, Rambau and Santos,
+        *Triangulations*, ch. 4) as (generator indices, Cone._trusted
+        simplex) pairs: a simplicial cone is its own; otherwise each simplex
+        S of each facet missing g_0 gives cone(g_0, S).  Strongly convex only.
+        >>> square = Cone.from_generators([(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)])
+        >>> [indices for indices, _ in square.triangulation]
+        [(0, 1, 3), (0, 2, 3)]
+        """
+        gens = self.generators
+        if len(gens) == self.dim:
+            return ((tuple(range(len(gens))), self),)
+        return tuple(
+            ((0, *(f[i] for i in s)), Cone._trusted((gens[0], *simplex.generators), self.rank))
+            for f in (sorted(members) for members, _ in self.facet_data if 0 not in members)
+            for s, simplex in Cone._trusted(tuple(gens[i] for i in f), self.rank).triangulation
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from toriclab.fan import Cone, Diagnostics, Fan, is_refinement
-from toriclab.lattice import SolveChart, Vec, rank as matrix_rank, vdot
+from toriclab.lattice import Vec, rank as matrix_rank, vdot
 from toriclab.toric import ToricVariety, _scaled_piece, projective_space_fan
 
 
@@ -166,31 +166,27 @@ def _least_exceptional_psi(cone: Cone, alpha: Sequence[int], A: int) -> Optional
     cone that are not rays, where psi is linear with psi(generators[i]) =
     alpha[i] / A > 0: -1, 0 or 1, or None when the cone has no such point.
 
-    A simplicial cone with rays u_i, Smith form U.G.V = diag(d) of the ray
-    matrix G, has the fundamental-parallelepiped points
-    sum frac(lambda_i) u_i with lambda = (t_1/d_1, ..., t_k/d_k).U,
-    0 <= t_j < d_j.  Any other non-ray primitive point is one of them plus
-    rays, or contains u_i + u_j; both only raise psi.  So the minimum is
-    taken over the nonzero parallelepiped points and the sums a_i + a_j.  A
-    non-simplicial cone is the union of its simplicial cones on linearly
-    independent dim-subsets of rays (Caratheodory).  A simplicial cone
-    reads (U, d) off its cached Smith chart; only the subsets of a
-    non-simplicial cone take Smith charts of their own.  Each subset
-    compares its least value of L.A.psi with L.A, in integers.
+    A simplex with rays u_i, cached Smith form U.G.V = diag(d) of the ray
+    matrix G, has the fundamental-parallelepiped points sum frac(lambda_i)
+    u_i with lambda = (t_1/d_1, ..., t_k/d_k).U, 0 <= t_j < d_j; any other
+    of its non-ray primitive points is one of them plus rays, or contains
+    u_i + u_j, which only raises psi, so its candidates are the nonzero
+    parallelepiped points and the sums a_i + a_j.  Every non-ray primitive
+    point of the cone lies in a simplex of Cone.triangulation (psi > 0 on
+    the generators makes the cone strongly convex), whose rays are
+    generators, so the least value over those simplices is the least over
+    all independent dim-subsets of generators.
     """
-    rays, dim = cone.generators, cone.dim
     best = None
-    for sub in itertools.combinations(range(len(rays)), dim):
-        chart = cone.solve_chart if len(rays) == dim else SolveChart.of([rays[i] for i in sub], cone.rank)
-        if len(chart.d) < dim:
-            continue  # linearly dependent subset
+    for sub, simplex in cone.triangulation:
+        chart = simplex.solve_chart
         U, d, L = chart.U, chart.d, chart.L
         # integers throughout: psi = value / (L * A), L * frac(lambda_i) = lam_i mod L
         a = [alpha[i] for i in sub]
         steps = [[L // dj * x for x in row] for dj, row in zip(d, U)]
         pairs_sums = (L * (x + y) for x, y in itertools.combinations(a, 2))
         box_points = (
-            sum(a[i] * (sum(tj * step[i] for tj, step in zip(t, steps)) % L) for i in range(dim))
+            sum(a[i] * (sum(tj * step[i] for tj, step in zip(t, steps)) % L) for i in range(len(a)))
             for t in itertools.product(*(range(dj) for dj in d))
             if any(t)
         )
@@ -209,10 +205,10 @@ def singularity_type(pair: ToricPair) -> str:
     coefficients below one.  Canonical and terminal then compare with 1
     the least log discrepancy over the primitive non-ray lattice points,
     which each maximal cone yields in closed form from one Smith chart per
-    simplicial piece (see _least_exceptional_psi), fed the pair's integers
-    alpha and A; the cost does not depend on how close the coefficients
-    are to 1.  A coefficient above 1 is a negative alpha_i, one equal to 1
-    a zero.
+    simplex of its cached triangulation (_least_exceptional_psi, fed the
+    pair's alpha and A); the cost does not depend on how close the
+    coefficients are to 1.  A coefficient above 1 is a negative alpha_i,
+    one equal to 1 a zero.
     """
     if any(a < 0 for a in pair.alpha):
         return "not-lc"
@@ -274,13 +270,13 @@ def index(pair: ToricPair) -> int:
 
 
 def crepant_pullback(pair: ToricPair, fine: Fan) -> ToricPair:
-    """Log pullback of the pair along a fan refinement: `fine` must pass
-    is_refinement, its cones inside each cone of the pair's fan covering
-    that cone exactly once, else ValueError.
+    """Log pullback of the pair along a fan refinement.  `fine` must be a
+    valid fan, which is not checked here (validate_fan), and must pass
+    is_refinement, its cones covering each cone of the pair's fan exactly
+    once, else ValueError.
 
     New rays receive coefficient 1 - psi(v); existing rays keep theirs.
-    Raises EffectivityError when some new coefficient is negative (the log
-    pullback need not be effective).
+    Raises EffectivityError when some new coefficient is negative.
     """
     if not is_refinement(fine, pair.fan):
         raise ValueError("fan is not a refinement of the pair's fan")

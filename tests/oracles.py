@@ -14,7 +14,8 @@ solves and per-call Smith forms instead of a cone's cached Smith chart
 common-face scan instead of the wall criterion, a per-cone scan and an
 unoriented wall cover with connectivity instead of rays located once and
 the oriented wall test for refinements, Smith charts instead of a
-cone's dual basis, class-group
+cone's dual basis, every independent subset of a cone's generators
+instead of its triangulation for the least log discrepancy, class-group
 coordinates instead of ranks of the ray matrix, and those ranks and
 Fraction pieces of psi instead of its integer record, a Vieta-jump
 search with a seen set instead of the Markov tree walk, gcds of the
@@ -780,6 +781,35 @@ def singularity_type_scan(pair):
     if worst is None or worst > 1:
         return "terminal"
     return "canonical" if worst == 1 else "klt"
+
+
+def least_psi_all_subsets(cone: Cone, alpha: Sequence[int], A: int) -> Optional[int]:
+    """The Caratheodory search Cone.triangulation replaced in
+    pairs._least_exceptional_psi: the sign of (least psi) - 1 over the
+    candidates of every linearly independent dim-subset of the generators
+    (its nonzero parallelepiped points and the sums a_i + a_j), one fresh
+    Smith chart per subset of a non-simplicial cone, on every call."""
+    rays, dim = cone.generators, cone.dim
+    best = None
+    for sub in itertools.combinations(range(len(rays)), dim):
+        chart = cone.solve_chart if len(rays) == dim else SolveChart.of([rays[i] for i in sub], cone.rank)
+        if len(chart.d) < dim:
+            continue  # linearly dependent subset
+        U, d, L = chart.U, chart.d, chart.L
+        # integers throughout: psi = value / (L * A), L * frac(lambda_i) = lam_i mod L
+        a = [alpha[i] for i in sub]
+        steps = [[L // dj * x for x in row] for dj, row in zip(d, U)]
+        pairs_sums = (L * (x + y) for x, y in itertools.combinations(a, 2))
+        box_points = (
+            sum(a[i] * (sum(tj * step[i] for tj, step in zip(t, steps)) % L) for i in range(dim))
+            for t in itertools.product(*(range(dj) for dj in d))
+            if any(t)
+        )
+        low = min(itertools.chain(pairs_sums, box_points), default=None)
+        if low is not None:
+            sign = (low > L * A) - (low < L * A)
+            best = sign if best is None else min(best, sign)
+    return best
 
 
 # Divisors and boundaries the tests build their inputs from; the library
