@@ -21,19 +21,41 @@ one pulling triangulation into simplices with charts of their own.  One
 oriented wall test (_covers_once), on the walls and their inward normals,
 decides whether cones cover a region exactly once: the space for
 validate_fan (on complete fans of such cones) and is_complete, each coarse
-cone for is_refinement.  Nothing here ever touches a float.
+cone for is_refinement.  Nothing here ever touches a float: a coordinate,
+ray index or fan rank that is not an integer raises ValueError.
+
+Fan.from_data shares fans: while an equal fan built by it from the same
+data is still held anywhere (a cached pair or presentation, the bundled
+catalogue, the caller), it returns that object, with every chart, wall
+map and rank it has cached; a fan nobody holds is dropped as before.
+Fan(...) always builds a new fan.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Optional, Sequence
 
 from toriclab.lattice import SolveChart, Vec, echelon, is_zero, primitive, rank as matrix_rank, vdot
+
+
+def _integers(xs: Iterable) -> tuple[int, ...]:
+    """xs as ints, or ValueError when int() would change the value of one
+    (a string must spell an integer, which int() itself checks)."""
+    xs = tuple(xs)
+    ns = tuple(map(int, xs))
+    if ns != xs:
+        for n, x in zip(ns, xs):
+            if n != x and not isinstance(x, str):
+                raise ValueError(f"not an integer: {x!r}")
+    return ns
+
 
 # ---------------------------------------------------------------------------
 # double description (facets of a cone from its generators)
@@ -218,7 +240,7 @@ class Cone:
 
     @classmethod
     def from_generators(cls, gens: Iterable[Sequence[int]], rank: Optional[int] = None) -> "Cone":
-        gens = [tuple(int(x) for x in g) for g in gens]
+        gens = [_integers(g) for g in gens]
         if rank is None:
             if not gens:
                 raise ValueError("cannot infer ambient rank of empty cone")
@@ -394,6 +416,11 @@ class Cone:
 # ---------------------------------------------------------------------------
 
 
+# Fan.from_data's fans that something still holds, by (class, rays,
+# cones, rank) as given; a fan drops out when the last holder lets go.
+_ALIVE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 @dataclass(frozen=True)
 class Fan:
     """Fan as canonical ray list plus maximal cones (ray-index tuples).
@@ -407,9 +434,11 @@ class Fan:
     rank: int
 
     def __post_init__(self):
+        (rank,) = _integers([self.rank])  # an int, so equal from_data keys build identical fans
+        object.__setattr__(self, "rank", rank)
         rays = []
         for r in self.rays:
-            r = tuple(map(int, r))
+            r = _integers(r)
             if len(r) != self.rank:
                 raise ValueError("ray length differs from ambient rank")
             if is_zero(r):
@@ -422,7 +451,7 @@ class Fan:
         sorted_rays = tuple(rays[i] for i in order)
         cones = []
         for cone in self.max_cones:
-            raw = tuple(map(int, cone))
+            raw = _integers(cone)
             if any(i < 0 or i >= len(rays) for i in raw):
                 raise ValueError("ray index out of range")
             mapped = tuple(sorted(relabel[i] for i in raw))
@@ -438,12 +467,27 @@ class Fan:
     def from_data(
         cls, rays: Iterable[Sequence[int]], max_cones: Iterable[Iterable[int]], rank: Optional[int] = None
     ) -> "Fan":
+        """The fan on the given rays and maximal cones (ray-index sets);
+        rank defaults to the length of the first ray.  An equal fan built
+        here from the same data and still alive is returned itself, with
+        its caches; Fan(...) always builds a new one.
+
+        >>> p1 = Fan.from_data([(1,), (-1,)], [(0,), (1,)])
+        >>> Fan.from_data([[1], [-1]], [[0], [1]]) is p1
+        True
+        >>> Fan(p1.rays, p1.max_cones, p1.rank) is p1
+        False
+        """
         rays = tuple(tuple(r) for r in rays)
         if rank is None:
             if not rays:
                 raise ValueError("cannot infer rank of empty fan; pass rank=")
             rank = len(rays[0])
-        return cls(rays, tuple(tuple(c) for c in max_cones), rank)
+        key = (cls, rays, tuple(tuple(c) for c in max_cones), rank)
+        fan = _ALIVE.get(key)
+        if fan is None:
+            fan = _ALIVE[key] = cls(*key[1:])
+        return fan
 
     def cone(self, indices: Iterable[int]) -> Cone:
         return Cone(tuple(self.rays[i] for i in indices), self.rank)
@@ -457,11 +501,12 @@ class Fan:
         return tuple(Cone._trusted(tuple(self.rays[i] for i in c), self.rank) for c in self.max_cones)
 
     @cached_property
-    def wall_map(self) -> dict[frozenset[Vec], list[tuple[int, Vec]]]:
+    def wall_map(self) -> Mapping[frozenset[Vec], tuple[tuple[int, Vec], ...]]:
         """walls(cones), once per fan: each wall's (cone index, inward
         normal) pairs, read by the one coverage test (_covers_once) that
-        validate_fan and is_complete share, and by toric.is_fano."""
-        return walls(self.cones)
+        validate_fan and is_complete share, and by toric.is_fano.  Read
+        only, as every holder of a shared fan (Fan.from_data) reads it."""
+        return MappingProxyType(walls(self.cones))
 
     @cached_property
     def ray_rank(self) -> int:
@@ -525,7 +570,7 @@ def validate_fan(fan: Fan) -> Diagnostics:
 
 
 def _covers_once(
-    cones: Sequence[Cone], wall_map: dict[frozenset[Vec], list[tuple[int, Vec]]], boundary: Sequence[Vec] = ()
+    cones: Sequence[Cone], wall_map: Mapping[frozenset[Vec], tuple[tuple[int, Vec], ...]], boundary: Sequence[Vec] = ()
 ) -> bool:
     """Do the cones, all of one dimension d, cover their region exactly
     once?  wall_map is walls(cones).  The region is the whole space when
@@ -598,15 +643,15 @@ def is_complete(fan: Fan) -> bool:
     return _covers_once(cones, fan.wall_map)
 
 
-def walls(cones: Sequence[Cone]) -> dict[frozenset[Vec], list[tuple[int, Vec]]]:
+def walls(cones: Sequence[Cone]) -> dict[frozenset[Vec], tuple[tuple[int, Vec], ...]]:
     """Map the generator set of every facet of the given cones to the
-    cones that have that facet, as (cone index, the facet's inward normal
-    in that cone) from facet_data."""
+    cones that have that facet, as a tuple of (cone index, the facet's
+    inward normal in that cone) from facet_data."""
     out: dict[frozenset[Vec], list[tuple[int, Vec]]] = {}
     for k, cone in enumerate(cones):
         for members, h in cone.facet_data:
             out.setdefault(frozenset(cone.generators[m] for m in members), []).append((k, h))
-    return out
+    return {wall: tuple(sides) for wall, sides in out.items()}
 
 
 def star_subdivision(fan: Fan, stratum: Iterable[int], ray: Optional[Sequence[int]] = None) -> Fan:
@@ -619,7 +664,7 @@ def star_subdivision(fan: Fan, stratum: Iterable[int], ray: Optional[Sequence[in
     all other cones are kept.  This is the combinatorial model of blowing
     up the closed torus orbit attached to the stratum.
     """
-    tau = tuple(sorted(set(int(i) for i in stratum)))
+    tau = tuple(sorted(set(_integers(stratum))))
     if not tau:
         raise ValueError("stratum must contain at least one ray")
     if any(i < 0 or i >= len(fan.rays) for i in tau):
@@ -633,7 +678,7 @@ def star_subdivision(fan: Fan, stratum: Iterable[int], ray: Optional[Sequence[in
     if ray is None:
         v = primitive(tuple(sum(fan.rays[i][d] for i in tau) for d in range(fan.rank)))
     else:
-        v = primitive(tuple(int(x) for x in ray))
+        v = primitive(_integers(ray))
         if not tau_cone.relint_contains(v):
             raise ValueError("subdivision ray does not lie in the relative interior of the stratum")
 

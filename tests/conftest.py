@@ -1,7 +1,19 @@
 import os
 import sys
+import weakref
+
+import pytest
+
+from toriclab import fan
 
 sys.path.insert(0, os.path.dirname(__file__))
+
+
+@pytest.fixture(autouse=True)
+def _no_shared_fans(monkeypatch):
+    """Each test starts with no live fans for Fan.from_data to share, so
+    fans an earlier test left in a cache do not warm its cold counts."""
+    monkeypatch.setattr(fan, "_ALIVE", weakref.WeakValueDictionary())
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -92,7 +92,7 @@ def test_walls_of_projective_plane_are_shared_twice():
     assert all(len(ks) == 2 for ks in wall_map.values())
     # each wall maps to its (cone index, inward normal) pairs
     single = walls([Cone.from_generators([(1, 0), (0, 1)])])
-    assert sorted(single.values()) == [[(0, (0, 1))], [(0, (1, 0))]]
+    assert sorted(single.values()) == [((0, (0, 1)),), ((0, (1, 0)),)]
 
 
 def test_local_functionals_match_values_or_report_none():
