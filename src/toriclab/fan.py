@@ -4,7 +4,7 @@ A cone is stored by its primitive extremal generators, a fan by a canonical
 (lexicographically sorted) ray list plus maximal cones as ray-index sets.
 All geometry is decided exactly, by one kernel on integer rows: the double
 description, seeded by the one elimination over Q (lattice.echelon, which
-also gives cone dimensions and, when no maximal cone has a dual basis,
+also gives cone dimensions and, when no maximal cone is full-dimensional,
 the rank of a fan's ray matrix).  One run
 per cone gives its facets, from which membership, relative interiors, walls
 and faces are read.  Separation questions (strong convexity, extremality,
@@ -12,17 +12,19 @@ whether two cones meet in a common face, rational linear feasibility) ask
 whether a row lies in the lineality space of a cone, on every one of its
 facets (Gordan and Motzkin).  A cone with independent generators is
 strongly convex with every generator extremal, and no facets are computed.
-A full-dimensional simplicial cone is read from one cached adjugate
-(Cone.dual_basis, the echelon call the double description seeds from):
-its facets, dimension, membership, unimodularity and the linear pieces
-that toric and pairs read on it.  Any other cone caches one Smith chart
-of its generator matrix (lattice.SolveChart) for its span and pieces, and
-one pulling triangulation into simplices with charts of their own.  One
-oriented wall test (_covers_once), on the walls and their inward normals,
-decides whether cones cover a region exactly once: the space for
-validate_fan (on complete fans of such cones) and is_complete, each coarse
-cone for is_refinement.  Nothing here ever touches a float: a coordinate,
-ray index or fan rank that is not an integer raises ValueError.
+A cone caches the seeds its double description starts from (Cone.seeds):
+dim independent generators, each with a functional vanishing on the
+others.  They give its dimension and, on a full-dimensional cone, strongly
+convex or not, the linear pieces that toric and pairs read; the facets,
+membership and unimodularity of a full-dimensional simplicial cone too
+(Cone.dual_basis).  A lower-dimensional cone reads its span and pieces off
+one Smith chart (lattice.SolveChart).  A strongly convex cone that is not
+simplicial caches one pulling triangulation into simplices.  One oriented
+wall test (_covers_once), on the walls and their inward normals, decides
+whether cones cover a region exactly once: the space for validate_fan (on
+complete fans of full-dimensional simplicial cones) and is_complete, each
+coarse cone for is_refinement.  Nothing here ever touches a float: a
+coordinate, ray index or fan rank that is not an integer raises ValueError.
 
 Fan.from_data shares fans: while an equal fan built by it from the same
 data is still held anywhere (a cached pair or presentation, the bundled
@@ -259,27 +261,30 @@ class Cone:
         return cone
 
     @cached_property
+    def seeds(self) -> tuple[int, tuple[tuple[int, Vec], ...]]:
+        """(last, ((s, h_s), ...)): the dim independent generators g_s that
+        `double_description` seeds from, in pivot order, each with the
+        functional h_s worth `last` on g_s and 0 on the other seeds, from
+        one `echelon` of [G^T | I]; (1, ()) for a cone with no generators."""
+        if not self.generators:
+            return 1, ()
+        T, pivots, last = _seed_echelon(self.generators)
+        return last, tuple((s, tuple(T[c][len(self.generators) :])) for c, s in pivots)
+
+    @cached_property
     def dim(self) -> int:
-        """Dimension of the span: the rank, for a cone with a dual basis,
-        else one `lattice.rank` of the generators."""
-        return self.rank if self.dual_basis is not None else matrix_rank(self.generators)
+        """Dimension of the span: the number of seeds."""
+        return len(self.seeds[1])
 
     @cached_property
     def dual_basis(self) -> Optional[tuple[int, tuple[Vec, ...]]]:
         """(last, h) when the generators g_0, ..., g_{n-1} are n = rank
-        independent vectors, else None: one `echelon` of [G^T | I], as
-        `double_description` seeds, gives last = +-det G and adjugate
-        functionals h_s with h_s.g_j = last if s = j and 0 otherwise."""
-        n = self.rank
-        if not self.generators or len(self.generators) != n:
+        independent vectors, else None: then every generator is a seed,
+        last = +-det G and h_s.g_j = last if s = j and 0 otherwise."""
+        if not self.generators or len(self.generators) != self.rank or self.dim < self.rank:
             return None
-        T, pivots, last = _seed_echelon(self.generators)
-        if len(pivots) < n:
-            return None
-        h: list[Vec] = [()] * n
-        for c, s in pivots:
-            h[s] = tuple(T[c][n:])
-        return last, tuple(h)
+        last, seeds = self.seeds
+        return last, tuple(h for _, h in seeds)
 
     def contains(self, x: Sequence) -> bool:
         """Exact membership test (x may have Fraction entries)."""
@@ -396,7 +401,8 @@ class Cone:
         """The pulling triangulation from g_0 (De Loera, Rambau and Santos,
         *Triangulations*, ch. 4) as (generator indices, Cone._trusted
         simplex) pairs: a simplicial cone is its own; otherwise each simplex
-        S of each facet missing g_0 gives cone(g_0, S).  Strongly convex only.
+        S of each facet missing g_0 gives cone(g_0, S).  A cone that is not
+        strongly convex has none and raises ValueError.
         >>> square = Cone.from_generators([(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)])
         >>> [indices for indices, _ in square.triangulation]
         [(0, 1, 3), (0, 2, 3)]
@@ -404,6 +410,8 @@ class Cone:
         gens = self.generators
         if len(gens) == self.dim:
             return ((tuple(range(len(gens))), self),)
+        if not self.is_strongly_convex():
+            raise ValueError("no triangulation: cone is not strongly convex")
         return tuple(
             ((0, *(f[i] for i in s)), Cone._trusted((gens[0], *simplex.generators), self.rank))
             for f in (sorted(members) for members, _ in self.facet_data if 0 not in members)
@@ -511,9 +519,9 @@ class Fan:
     @cached_property
     def ray_rank(self) -> int:
         """Rank of the ray matrix, once per fan (complexity, log CY): the
-        ambient rank when some maximal cone has a dual basis, whose
-        generators are independent rays, else one `lattice.rank`."""
-        if any(cone.dual_basis is not None for cone in self.cones):
+        ambient rank when some maximal cone is full-dimensional, else one
+        `lattice.rank`."""
+        if any(cone.dim == self.rank for cone in self.cones):
             return self.rank
         return matrix_rank(self.rays)
 

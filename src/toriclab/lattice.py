@@ -235,10 +235,10 @@ class SolveChart:
     """One Smith form U.G.V = diag(d) of an integer matrix G (its rows,
     `ncols` wide), read as an integer solver for G m = a; the only reader
     of `smith_normal_form`.  U and V are kept as tuples of integer rows.
-    Cones read it only when they are lower-dimensional or not simplicial,
-    and pairs on each simplex of Cone.triangulation for the parallelepiped
-    of the least log discrepancy; otherwise a full-dimensional simplicial
-    cone reads its adjugate (fan.Cone.dual_basis).
+    Cones read it only when they are lower-dimensional, and pairs on each
+    simplex of Cone.triangulation for the parallelepiped of the least log
+    discrepancy; a full-dimensional cone reads its pieces off its seeds
+    (fan.Cone.seeds).
 
     d holds the r nonzero invariants and L = d[r-1] is the largest (1 when
     r = 0).  M = sum over i < r of (L / d_i) V[:, i] (x) U[i] and Z = U[r:]:

@@ -113,11 +113,12 @@ class LogDiscrepancyFunction:
     It is held as one integer record, built once per pair from the
     pair's A and alpha = A(1 - b): `scaled`, per maximal cone (L.A, L.m)
     with psi = L.m / (L.A) on that cone, where (L, L.m) is
-    toric._scaled_piece of alpha on the cone's rays (the adjugate of a
-    full-dimensional simplicial cone, else its Smith chart).  Building it
-    raises ValueError at the first maximal cone without a piece, with that
-    cone's index as its `cone_index`.  The class stays the builtin one, as
-    pair answers report an error by its class name and message.
+    toric._scaled_piece of alpha on the cone's rays (the seeds of a
+    full-dimensional cone, the Smith chart of a lower-dimensional one).
+    Building it raises ValueError at the first maximal cone without a
+    piece, with that cone's index as its `cone_index`.  The class stays the
+    builtin one, as pair answers report an error by its class name and
+    message.
     """
 
     def __init__(self, pair: ToricPair):
@@ -231,10 +232,10 @@ def is_log_cy(pair: ToricPair) -> bool:
 
     A coefficient above 1 gives False; otherwise raises ValueError when
     K+B is not Q-Cartier.  When some maximal cone is full-dimensional, its
-    piece of psi is the only candidate for m, so the test reads
-    L.m.u_i.A == L.A.alpha_i on every ray off the psi record and the
-    pair's integers (a coefficient above 1 is alpha_i < 0), with no
-    elimination.  Otherwise Cl tensor Q is Q^rays modulo the column span
+    piece of psi, read off its seeds, is the only candidate for m, so the
+    test reads L.m.u_i.A == L.A.alpha_i on every ray off the psi record
+    and the pair's integers (a coefficient above 1 is alpha_i < 0), with
+    no elimination.  Otherwise Cl tensor Q is Q^rays modulo the column span
     of the ray matrix R, and K+B is trivial there iff appending alpha =
     A(1 - b) to R keeps its rank (Fan.ray_rank)."""
     if any(a < 0 for a in pair.alpha):
@@ -242,8 +243,7 @@ def is_log_cy(pair: ToricPair) -> bool:
     psi = _psi(pair)  # raises if K+B is not Q-Cartier
     fan = pair.fan
     for (LA, lm), cone in zip(psi.scaled, fan.cones):
-        # full-dimensional: a dual basis, or the Smith chart its piece read
-        if cone.dual_basis is not None or len(cone.solve_chart.d) == fan.rank:
+        if cone.dim == fan.rank:
             return all(vdot(lm, u) * pair.A == LA * a for u, a in zip(fan.rays, pair.alpha))
     extended = [(*u, a) for u, a in zip(fan.rays, pair.alpha)]
     return matrix_rank(extended) == fan.ray_rank
@@ -254,8 +254,8 @@ def index(pair: ToricPair) -> int:
 
     m(K+B) is Cartier iff every coefficient m b_i is an integer and, on
     each maximal cone, some integral m.psi agrees with m(1 - b_i) on the
-    rays.  On a full-dimensional simplicial cone the piece of psi is the
-    only solution, read off the cone's adjugate.  On any other cone the
+    rays.  On a full-dimensional cone the piece of psi is the only
+    solution, read off the cone's seeds.  On a lower-dimensional cone the
     piece that its Smith chart returns has its free Smith coordinates
     zero, and the chart's V is unimodular, so that piece is integral iff
     some integral solution exists.  The index is therefore the lcm of A,

@@ -4,10 +4,10 @@ The divisor class group is presented as the cokernel of the character
 lattice mapping into the free group on the rays; the class group and
 divisor classes read off that one Smith chart of the ray matrix.  The
 pair invariants (complexity, the log Calabi-Yau test) read the pieces
-below and ranks of the ray matrix, and never build it.  Linear pieces on maximal cones and
-the (Q-)Cartier tests are read in integer arithmetic from each cone's
-adjugate (fan.Cone.dual_basis) when it is full-dimensional and
-simplicial, and from its own Smith chart (lattice.SolveChart) otherwise.
+below and ranks of the ray matrix, and never build it.  Linear pieces on
+maximal cones and the (Q-)Cartier tests are read in integer arithmetic
+from the seeds of a full-dimensional cone (fan.Cone.seeds), strongly
+convex or not, else from the cone's Smith chart (lattice.SolveChart).
 """
 
 from __future__ import annotations
@@ -94,18 +94,22 @@ def _scaled_piece(cone: Cone, a: Sequence[int]) -> tuple[int, Optional[Vec]]:
     """(L, L.m) with L > 0 for the piece m with m.g_i = a_i on the cone's
     generators, or (L, None) when no such m exists (a integral).
 
-    A cone with a dual basis (last, h) has the one piece m = sum a_s h_s /
-    last, so L = |last| and L.m = sign(last) sum a_s h_s.  Any other cone
-    reads its Smith chart: L the largest invariant and L.m = M.a."""
-    if cone.dual_basis is not None:
-        last, h = cone.dual_basis
+    A full-dimensional cone, strongly convex or not, reads its seeds (last,
+    ((s, h_s), ...)): L = |last| and L.m = sign(last) sum a_s h_s, a piece
+    iff it takes its values on the other generators too.  A lower-dimensional
+    cone reads its Smith chart: L the largest invariant and L.m = M.a."""
+    if cone.dim == cone.rank:
+        last, seeds = cone.seeds
         sign = 1 if last > 0 else -1
-        L, lm = abs(last), tuple(sign * sum(x * hs[i] for x, hs in zip(a, h)) for i in range(cone.rank))
+        L, lm = abs(last), tuple(sign * sum(a[s] * hs[i] for s, hs in seeds) for i in range(cone.rank))
     else:
         chart = cone.solve_chart
         L, lm = chart.L, chart.solve(a)
-    if lm is not None and any(vdot(lm, g) != L * x for g, x in zip(cone.generators, a, strict=True)):
-        raise RuntimeError("linear solve broken: local functional misses a prescribed value on a ray")
+    for j, (g, x) in enumerate(zip(cone.generators, a, strict=True)):
+        if lm is not None and vdot(lm, g) != L * x:
+            if cone.dim < cone.rank or any(s == j for s, _ in cone.seeds[1]):
+                raise RuntimeError("linear solve broken: local functional misses a prescribed value on a ray")
+            return L, None
     return L, lm
 
 
@@ -115,13 +119,11 @@ def local_functionals(fan: Fan, values: Sequence) -> list[Optional[tuple[Fractio
 
     The values are scaled once to integers alpha = A.values, A the lcm of
     their denominators, and each cone answers in integers (_scaled_piece).
-    A full-dimensional simplicial cone reads its dual basis: the piece is
-    unique and no Smith form is taken.  Any other cone reads its Smith
-    chart: no piece iff Z.alpha != 0 on the cone's rays, and otherwise the
-    piece M.alpha / (L.A).  On a full-dimensional cone that is the only
-    solution; on a lower-dimensional one it is the solution whose free
-    Smith coordinates vanish, and only its values on the cone's span are
-    meaningful.
+    A full-dimensional cone reads its seeds: the piece is unique and no
+    Smith form is taken.  A lower-dimensional cone reads its Smith chart:
+    no piece iff Z.alpha != 0 on the cone's rays, and otherwise the piece
+    M.alpha / (L.A), the solution whose free Smith coordinates vanish;
+    only its values on the cone's span are meaningful.
     """
     values = [Fraction(v) for v in values]
     if len(values) != len(fan.rays):

@@ -14,7 +14,7 @@ solves and per-call Smith forms instead of a cone's cached Smith chart
 common-face scan instead of the wall criterion, a per-cone scan and an
 unoriented wall cover with connectivity instead of rays located once and
 the oriented wall test for refinements, Smith charts instead of a
-cone's dual basis, every independent subset of a cone's generators
+cone's dual basis and seeds, every independent subset of a cone's generators
 instead of its triangulation for the least log discrepancy, class-group
 coordinates instead of ranks of the ray matrix, and those ranks and
 Fraction pieces of psi instead of its integer record, a Vieta-jump
@@ -1843,6 +1843,19 @@ def local_functionals_smith(fan: Fan, values: Sequence) -> list[Optional[tuple[F
             raise RuntimeError("linear solve broken: local functional misses a prescribed value on a ray")
         out.append(None if lm is None else tuple(Fraction(x, chart.L * A) for x in lm))
     return out
+
+
+def scaled_piece_smith(cone, a: Sequence[int]) -> tuple[int, Optional[Vec]]:
+    """(L, L.m) with L > 0 for the piece m with m.g_i = a_i on the cone's
+    generators, or (L, None) when no such m exists (a integral), read off
+    the cone's Smith chart: L the largest invariant and L.m = M.a.  The
+    reader toric._scaled_piece used on every cone without a dual basis
+    before a full-dimensional cone read its seeds."""
+    chart = cone.solve_chart
+    L, lm = chart.L, chart.solve(a)
+    if lm is not None and any(vdot(lm, g) != L * x for g, x in zip(cone.generators, a, strict=True)):
+        raise RuntimeError("linear solve broken: local functional misses a prescribed value on a ray")
+    return L, lm
 
 
 def is_unimodular_smith(cone) -> bool:

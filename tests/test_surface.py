@@ -9,13 +9,16 @@ attribute.  Matching by name errs towards keeping a name, never towards
 flagging a used one.
 
 The same trees hold no `assert` statement: `python -O` strips them, so the
-library's invariants raise real exceptions.
+library's invariants raise real exceptions.  Nor do they import anything
+but `__future__`, toriclab and the standard library: the library stays
+standard-library only.
 """
 
 import ast
 import collections
 import pathlib
 import re
+import sys
 
 import toriclab
 
@@ -136,3 +139,25 @@ def test_library_has_no_bare_assert():
         if isinstance(node, ast.Assert)
     )
     assert not found, f"assert statements in src/toriclab: {found}"
+
+
+
+def _imports(tree):
+    """(line, top-level module) for every import; a relative one is
+    toriclab's own."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((node.lineno, a.name.split(".")[0]) for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield node.lineno, "toriclab" if node.level else node.module.split(".")[0]
+
+
+def test_library_imports_only_the_standard_library():
+    allowed = sys.stdlib_module_names | {"__future__", "toriclab"}
+    found = sorted(
+        f"{path.name}:{line} {module}"
+        for path in PACKAGE.glob("*.py")
+        for line, module in _imports(ast.parse(path.read_text(encoding="utf-8")))
+        if module not in allowed
+    )
+    assert not found, f"imports from outside the standard library in src/toriclab: {found}"
