@@ -96,8 +96,7 @@ def _cmd_fan_resolve2d(args, rep: _Reporter) -> int:
     if args.cone < 0 or args.cone >= len(cones):
         print(f"error: fan file has no cone line {args.cone}", file=sys.stderr)
         return 2
-    cone = fan.cone(cones[args.cone])
-    inserted = resolve_cone_2d(cone)
+    inserted = resolve_cone_2d(fan.cones[fan.max_cones.index(cones[args.cone])])  # cached by validation
     for v in inserted:
         rep.emit({"inserted": list(v)}, "inserted " + " ".join(str(x) for x in v))
     rep.emit({"count": len(inserted)}, f"count {len(inserted)}")

@@ -26,11 +26,15 @@ complete fans of full-dimensional simplicial cones) and is_complete, each
 coarse cone for is_refinement.  Nothing here ever touches a float: a
 coordinate, ray index or fan rank that is not an integer raises ValueError.
 
-Fan.from_data shares fans: while an equal fan built by it from the same
-data is still held anywhere (a cached pair or presentation, the bundled
-catalogue, the caller), it returns that object, with every chart, wall
-map and rank it has cached; a fan nobody holds is dropped as before.
-Fan(...) always builds a new fan.
+Fan.from_data shares fans by the fan, not by the data: while an equal fan
+built by it is still held anywhere (a cached pair or presentation, the
+bundled catalogue, the caller), it returns that object for any data
+giving that fan (rays in another order or not primitive, cones listed
+otherwise), with every chart, wall map and rank it has cached.  It looks
+the data up as given first and then by its normal form (_normal_form),
+which Fan(...) also computes.  A fan nobody holds is dropped.  Fan(...)
+always builds a new fan.  validate_fan runs its checks once per fan and
+caches the Diagnostics on it, so a fan shared this way is validated once.
 """
 
 from __future__ import annotations
@@ -424,17 +428,53 @@ class Cone:
 # ---------------------------------------------------------------------------
 
 
-# Fan.from_data's fans that something still holds, by (class, rays,
-# cones, rank) as given; a fan drops out when the last holder lets go.
+# Fan.from_data's fans that something still holds, each under two keys:
+# (class, rays, cones, rank) as given and (class, *its normal form); a fan
+# drops out, with both keys, when the last holder lets go.
 _ALIVE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _normal_form(
+    rays: Iterable[Sequence[int]], max_cones: Iterable[Iterable[int]], rank
+) -> tuple[tuple[Vec, ...], tuple[tuple[int, ...], ...], int]:
+    """(rays, max_cones, rank) of the fan on the given data: the rays made
+    primitive and sorted, each cone remapped onto them and sorted, the
+    cones sorted without repeats, the rank an int.  The data of equal fans
+    have one normal form.  ValueError on data that is not a fan's."""
+    (rank,) = _integers([rank])
+    primitives = []
+    for r in rays:
+        r = _integers(r)
+        if len(r) != rank:
+            raise ValueError("ray length differs from ambient rank")
+        if is_zero(r):
+            raise ValueError("zero ray")
+        primitives.append(primitive(r))
+    if len(set(primitives)) != len(primitives):
+        raise ValueError("duplicate ray")
+    order = sorted(range(len(primitives)), key=primitives.__getitem__)
+    relabel = {old: new for new, old in enumerate(order)}
+    cones = set()
+    for cone in max_cones:
+        raw = _integers(cone)
+        if any(i < 0 or i >= len(primitives) for i in raw):
+            raise ValueError("ray index out of range")
+        mapped = tuple(sorted(relabel[i] for i in raw))
+        if len(set(mapped)) != len(mapped):
+            raise ValueError("repeated ray index in cone")
+        if not mapped:
+            raise ValueError("empty maximal cone")
+        cones.add(mapped)
+    return tuple(primitives[i] for i in order), tuple(sorted(cones)), rank
 
 
 @dataclass(frozen=True)
 class Fan:
     """Fan as canonical ray list plus maximal cones (ray-index tuples).
 
-    Rays are sorted lexicographically on construction and cone index sets
-    are remapped accordingly, so equal fans compare equal structurally.
+    The data is brought to its normal form on construction (_normal_form):
+    rays primitive and sorted lexicographically, cone index sets remapped
+    accordingly, so equal fans compare equal structurally.
     """
 
     rays: tuple[Vec, ...]
@@ -442,46 +482,37 @@ class Fan:
     rank: int
 
     def __post_init__(self):
-        (rank,) = _integers([self.rank])  # an int, so equal from_data keys build identical fans
-        object.__setattr__(self, "rank", rank)
-        rays = []
-        for r in self.rays:
-            r = _integers(r)
-            if len(r) != self.rank:
-                raise ValueError("ray length differs from ambient rank")
-            if is_zero(r):
-                raise ValueError("zero ray")
-            rays.append(primitive(r))
-        if len(set(rays)) != len(rays):
-            raise ValueError("duplicate ray")
-        order = sorted(range(len(rays)), key=lambda i: rays[i])
-        relabel = {old: new for new, old in enumerate(order)}
-        sorted_rays = tuple(rays[i] for i in order)
-        cones = []
-        for cone in self.max_cones:
-            raw = _integers(cone)
-            if any(i < 0 or i >= len(rays) for i in raw):
-                raise ValueError("ray index out of range")
-            mapped = tuple(sorted(relabel[i] for i in raw))
-            if len(set(mapped)) != len(mapped):
-                raise ValueError("repeated ray index in cone")
-            if not mapped:
-                raise ValueError("empty maximal cone")
-            cones.append(mapped)
-        object.__setattr__(self, "rays", sorted_rays)
-        object.__setattr__(self, "max_cones", tuple(sorted(set(cones))))
+        for name, value in zip(("rays", "max_cones", "rank"), _normal_form(self.rays, self.max_cones, self.rank)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _trusted(cls, rays: tuple[Vec, ...], max_cones: tuple[tuple[int, ...], ...], rank: int) -> "Fan":
+        """The fan on data already in normal form, as _normal_form returns
+        it; nothing is checked or normalised again."""
+        fan = object.__new__(cls)
+        for name, value in (("rays", rays), ("max_cones", max_cones), ("rank", rank)):
+            object.__setattr__(fan, name, value)
+        return fan
 
     @classmethod
     def from_data(
         cls, rays: Iterable[Sequence[int]], max_cones: Iterable[Iterable[int]], rank: Optional[int] = None
     ) -> "Fan":
         """The fan on the given rays and maximal cones (ray-index sets);
-        rank defaults to the length of the first ray.  An equal fan built
-        here from the same data and still alive is returned itself, with
-        its caches; Fan(...) always builds a new one.
+        rank defaults to the length of the first ray.  While an equal fan
+        built here is alive, whatever data it was built from, that fan is
+        returned itself, with its caches (its validation included);
+        Fan(...) always builds a new one.
+
+        The data as given is looked up first, so a caller passing the same
+        data again pays no normalisation; on a miss, the normal form.  A
+        fan missing under both is built once from its normal form and
+        registered under both keys.
 
         >>> p1 = Fan.from_data([(1,), (-1,)], [(0,), (1,)])
         >>> Fan.from_data([[1], [-1]], [[0], [1]]) is p1
+        True
+        >>> Fan.from_data([(-2,), (3,)], [(1,), (0,)]) is p1  # reordered, not primitive
         True
         >>> Fan(p1.rays, p1.max_cones, p1.rank) is p1
         False
@@ -494,7 +525,11 @@ class Fan:
         key = (cls, rays, tuple(tuple(c) for c in max_cones), rank)
         fan = _ALIVE.get(key)
         if fan is None:
-            fan = _ALIVE[key] = cls(*key[1:])
+            normal = (cls, *_normal_form(*key[1:]))
+            fan = _ALIVE.get(normal)
+            if fan is None:
+                fan = _ALIVE[normal] = cls._trusted(*normal[1:])
+            _ALIVE[key] = fan
         return fan
 
     def cone(self, indices: Iterable[int]) -> Cone:
@@ -515,6 +550,11 @@ class Fan:
         validate_fan and is_complete share, and by toric.is_fano.  Read
         only, as every holder of a shared fan (Fan.from_data) reads it."""
         return MappingProxyType(walls(self.cones))
+
+    @cached_property
+    def _diagnostics(self) -> "Diagnostics":
+        """validate_fan's answer, found once per fan (_check_axioms)."""
+        return _check_axioms(self)
 
     @cached_property
     def ray_rank(self) -> int:
@@ -550,7 +590,16 @@ def validate_fan(fan: Fan) -> Diagnostics:
     the space exactly once, hence meet in common faces); the pairwise scan
     runs only where that test rejects or does not apply, so every invalid
     fan reports the same first violation and witness.
+
+    The checks run once per fan object, and their Diagnostics is cached
+    on the fan like its wall map: every later call, on a fan that
+    Fan.from_data shares among all data of an equal fan, reads it back.
     """
+    return fan._diagnostics
+
+
+def _check_axioms(fan: Fan) -> Diagnostics:
+    """validate_fan's checks, run on a fan once (Fan._diagnostics)."""
     used = set(itertools.chain.from_iterable(fan.max_cones))
     for i in range(len(fan.rays)):
         if i not in used:

@@ -33,6 +33,26 @@ class MarkovTriple:
         if self.a**2 + self.b**2 + self.c**2 != 3 * self.a * self.b * self.c:
             raise ValueError(f"({self.a},{self.b},{self.c}) does not solve the Markov equation")
 
+    @classmethod
+    def _trusted(cls, a: int, b: int, c: int) -> "MarkovTriple":
+        """A triple of the tree walk in `enumerate_markov`, sorted and a
+        solution by construction, so nothing is checked again.
+
+        The walk's proof: (1, 1, 1), (1, 1, 2) and (1, 2, 5) solve the
+        equation.  A Vieta jump x -> 3yz - x keeps it, since the equation
+        is x^2 - 3yz x + (y^2 + z^2) = 0, a quadratic in x whose two roots
+        sum to 3yz.  The children (a, c, 3ac - b) and (b, c, 3bc - a) of a
+        solution a < b < c are the jumps of b and of a, and stay sorted:
+        a < c, and 3ac - b > c because 3ac - b >= 3c - b > 2c > c; so too
+        b < c < 3bc - a.  Checked input, such as `markov adjacent`, goes
+        through MarkovTriple(...).  `markov table` still checks every row
+        exactly: `hkw_surface` raises unless c*d = a^2 + b^2, and with
+        d = 3ab - c that is the Markov equation."""
+        t = object.__new__(cls)
+        for name, value in (("a", a), ("b", b), ("c", c)):
+            object.__setattr__(t, name, value)
+        return t
+
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.a, self.b, self.c)
 
@@ -57,7 +77,7 @@ def enumerate_markov(bound: int) -> list[MarkovTriple]:
         stack.append((a, c, 3 * a * c - b))
         stack.append((b, c, 3 * b * c - a))
     found.sort(key=lambda t: (t[2], t[1], t[0]))
-    return [MarkovTriple(*t) for t in found]
+    return [MarkovTriple._trusted(*t) for t in found]
 
 
 def adjacent_triple(t: MarkovTriple) -> MarkovTriple:

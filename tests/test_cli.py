@@ -9,7 +9,6 @@ import pytest
 from toriclab import fan as fan_module
 from toriclab import fileformats
 from toriclab.cli import main
-from toriclab.fan import Fan
 from toriclab.fileformats import (
     ParseError,
     emit_fan,
@@ -20,6 +19,8 @@ from toriclab.fileformats import (
     parse_pair,
     parse_polytope,
 )
+
+from test_primitives import _count_calls
 
 SAMPLES = os.path.join(os.path.dirname(__file__), "..", "samples")
 
@@ -258,19 +259,23 @@ def test_fan_file_keeps_the_written_order():
 
 
 def test_each_fan_text_is_read_once(tmp_path, monkeypatch, capsys):
+    """Each fan is normalised once: Fan.from_data builds a fan missing from
+    the live table from its normal form, with no second normalisation, so
+    the builds are counted through fan._normal_form, which Fan(...) (the
+    subdivision) also calls."""
     counts = {"lines": 0, "fans": 0}
-    lines, init = fileformats._logical_lines, Fan.__post_init__
+    lines, normal_form = fileformats._logical_lines, fan_module._normal_form
 
     def counting_lines(text):
         counts["lines"] += 1
         return lines(text)
 
-    def counting_init(self):
+    def counting_normal_form(*data):
         counts["fans"] += 1
-        init(self)
+        return normal_form(*data)
 
     monkeypatch.setattr(fileformats, "_logical_lines", counting_lines)
-    monkeypatch.setattr(Fan, "__post_init__", counting_init)
+    monkeypatch.setattr(fan_module, "_normal_form", counting_normal_form)
     cone_file = tmp_path / "cones.fan"
     cone_file.write_text("dim 2\nray 1 0\nray 0 1\nray 1 2\ncone 0 2\ncone 1 2\n")
     inline = tmp_path / "inline.pair"
@@ -290,6 +295,23 @@ def test_each_fan_text_is_read_once(tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(fan_module, "_ALIVE", weakref.WeakValueDictionary())  # run 3's cached pair holds the p2 fan
         assert main(argv) == 0, argv
         assert (counts["lines"], counts["fans"]) == (texts, fans), argv
+    capsys.readouterr()
+
+
+def test_a_second_run_on_a_catalogue_fan_takes_no_geometry(monkeypatch, capsys, catalogue):
+    """With the catalogue alive, p3.fan and f2.fan are the catalogue's P3
+    and F2: the first run validates each once, and a second run reads the
+    cached Diagnostics and the cone's cached dimension, with no echelon
+    and no wall test."""
+    runs = [["fan", "check", sample("p3.fan")], ["fan", "resolve2d", sample("f2.fan"), "--cone", "1"]]
+    for argv in runs:
+        assert main(argv) == 0, argv
+    echelons, covers = [], []
+    _count_calls(monkeypatch, fan_module, "_seed_echelon", echelons)
+    _count_calls(monkeypatch, fan_module, "_covers_once", covers)
+    for argv in runs:
+        assert main(argv) == 0, argv
+    assert (echelons, covers) == ([], [])
     capsys.readouterr()
 
 

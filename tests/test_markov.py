@@ -168,6 +168,17 @@ def test_tree_walk_matches_dfs_hypothesis(bound):
     assert enumerate_markov(bound) == enumerate_markov_dfs(bound)
 
 
+def test_walked_triples_equal_the_checked_ones_to_1e40():
+    """Every triple the walk builds unchecked (MarkovTriple._trusted)
+    passes the checked constructor and equals what it builds, fields,
+    type, order and hash alike."""
+    walked = enumerate_markov(10**40)
+    checked = [MarkovTriple(*t.as_tuple()) for t in walked]
+    assert walked == checked and sorted(walked) == sorted(checked)
+    assert all(type(t) is MarkovTriple and vars(t) == vars(c) and hash(t) == hash(c) for t, c in zip(walked, checked))
+    assert all(type(x) is int for t in walked for x in t.as_tuple())
+
+
 def test_nonpositive_bound_rejected():
     for bound in (0, -1):
         with pytest.raises(ValueError):

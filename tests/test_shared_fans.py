@@ -1,19 +1,26 @@
-"""Fan.from_data shares a live equal fan built from the same data, with its
-caches; Fan(...) always builds a new one; a fan nobody holds drops out of
-the table; and coordinates or indices that are not integers raise instead
-of being truncated."""
+"""Fan.from_data shares one live object per fan, whatever data it comes
+from (rays reordered or not primitive, cones listed otherwise), with its
+caches and its validation; Fan(...) always builds a new one; a fan nobody
+holds drops out of the table with both of its keys; and coordinates or
+indices that are not integers raise instead of being truncated."""
 
+import glob
+import os
 import random
 from fractions import Fraction
 
 import pytest
 
 from toriclab import fan as fan_module
-from toriclab.fan import Cone, Fan, star_subdivision, validate_fan
+from toriclab.fan import Cone, Diagnostics, Fan, is_complete, star_subdivision, validate_fan
+from toriclab.fileformats import parse_fan, parse_pair
 from toriclab.pairs import ToricPair, index, is_log_cy, singularity_type
 
-from oracles import random_complete_2d_fan
+from oracles import random_complete_2d_fan, validate_fan_pairwise
+from test_primitives import _star_subdivided_p3
+from test_walls import NAMED
 
+SAMPLES = os.path.join(os.path.dirname(__file__), "..", "samples")
 P2 = ([(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)])
 
 
@@ -26,10 +33,25 @@ def test_equal_data_gives_the_same_live_fan():
     assert "cones" in vars(Fan.from_data(*P2))  # the second caller sees the first one's cones
 
 
-def test_other_data_gives_another_fan_even_when_equal():
+def _live():
+    """(live fans, keys) in the live table, which each test starts empty
+    (conftest)."""
+    return len({id(fan) for fan in fan_module._ALIVE.values()}), len(fan_module._ALIVE)
+
+
+def test_other_data_of_an_equal_fan_gives_the_same_object():
     first = Fan.from_data(*P2)
-    reordered = Fan.from_data([(0, 1), (1, 0), (-1, -1)], [(1, 0), (0, 2), (1, 2)])
-    assert reordered == first and reordered is not first
+    assert _live() == (1, 2)  # the data as given and the normal form
+    for rays, cones in [
+        ([(0, 1), (-1, -1), (1, 0)], [(2, 0), (0, 1), (2, 1)]),  # rays reordered, cones remapped
+        (P2[0], [(2, 0), (1, 0), (2, 1)]),  # the cone list and each cone permuted
+        ([(3, 0), (0, 2), (-5, -5)], P2[1]),  # rays that are not primitive
+        ([(0.0, 1.0), (1.0, 0), (-1.0, -1.0)], [(1, 0), (0, 2), (1, 2)]),  # integral floats, reordered
+        ([(Fraction(2), 0), ("0", "1"), (-1, -1)], P2[1]),
+        (first.rays, first.max_cones),  # the normal form itself
+    ]:
+        assert Fan.from_data(rays, cones) is first, (rays, cones)
+    assert _live()[0] == 1
 
 
 def test_the_constructor_always_builds_a_new_fan():
@@ -41,19 +63,22 @@ def test_the_constructor_always_builds_a_new_fan():
 
 
 def test_a_fan_nobody_holds_is_dropped():
-    before = len(fan_module._ALIVE)
     held = Fan.from_data(*P2)
-    assert validate_fan(held) and len(fan_module._ALIVE) == before + 1
+    assert validate_fan(held)
+    live, keys = _live()
+    assert live == 1 and keys <= 2
     del held
-    assert len(fan_module._ALIVE) == before
+    assert _live() == (0, 0)  # both keys go with the fan
 
 
 def test_a_long_loop_of_distinct_fans_keeps_the_table_small():
-    before = len(fan_module._ALIVE)
     for k in range(2000):
         fan = Fan.from_data([(1, 0), (k, 1), (-1 - k, -1)], [(0, 1), (1, 2), (0, 2)])
         assert validate_fan(fan)
-    assert len(fan_module._ALIVE) <= before + 1
+        live, keys = _live()
+        assert live == 1 and keys <= 2
+    del fan
+    assert _live() == (0, 0)
 
 
 def test_rejected_data_is_not_kept():
@@ -68,18 +93,60 @@ def test_a_pair_keeps_its_fan_shared():
     assert Fan.from_data(*P2) is pair.fan
 
 
+def _permuted(rng, fan):
+    """The fan's data with the rays, the cone list and each cone shuffled."""
+    order = list(range(len(fan.rays)))
+    rng.shuffle(order)
+    at = {old: new for new, old in enumerate(order)}
+    cones = [rng.sample([at[i] for i in c], len(c)) for c in fan.max_cones]
+    rng.shuffle(cones)
+    return [fan.rays[i] for i in order], cones
+
+
 def test_pairs_on_a_shared_fan_answer_as_on_a_new_one():
+    """Seeded complete 2D fans and star subdivisions of P3: every permuted
+    copy of the data gives the one shared fan, which validate_fan,
+    is_complete and the pair queries answer as a new Fan(...) does."""
     rng = random.Random(2323)
-    for _ in range(40):
-        built = random_complete_2d_fan(rng)
-        data = (built.rays, built.max_cones)
+    fans = [random_complete_2d_fan(rng) for _ in range(40)]
+    fans += [_star_subdivided_p3(cones, seed) for cones, seed in ((8, 3), (12, 77), (16, 1234))]
+    for built in fans:
+        shared = Fan.from_data(built.rays, built.max_cones, built.rank)
+        fresh = Fan(built.rays, built.max_cones, built.rank)
+        for _ in range(6):
+            assert Fan.from_data(*_permuted(rng, built), built.rank) is shared
+        assert validate_fan(shared) == validate_fan(fresh) == Diagnostics(True)
+        assert is_complete(shared) and is_complete(fresh)
         for _ in range(3):
             coeffs = [Fraction(rng.randrange(d), d) for d in (rng.randrange(1, 6) for _ in built.rays)]
-            shared = ToricPair.from_fan(Fan.from_data(*data), coeffs)
-            fresh = ToricPair.from_fan(Fan(*data, built.rank), coeffs)
-            assert shared.fan is Fan.from_data(*data) and fresh.fan is not shared.fan
-            answers = [(singularity_type(p), is_log_cy(p), index(p)) for p in (shared, fresh)]
-            assert answers[0] == answers[1], (data, coeffs)
+            pairs = [ToricPair.from_fan(f, coeffs) for f in (Fan.from_data(*_permuted(rng, built), built.rank), fresh)]
+            assert pairs[0].fan is shared
+            answers = [(singularity_type(p), is_log_cy(p), index(p)) for p in pairs]
+            assert answers[0] == answers[1], (built, coeffs)
+
+
+@pytest.mark.parametrize("name,fan", NAMED, ids=[n for n, _ in NAMED])
+def test_cached_diagnostics_match_the_pairwise_scan(name, fan):
+    """Valid or not (the double covers, the fold, the hanging vertices),
+    a shared fan answers validate_fan twice with the scan's Diagnostics,
+    whatever data it is reached from."""
+    expected = validate_fan_pairwise(Fan(fan.rays, fan.max_cones, fan.rank))
+    shared = Fan.from_data(fan.rays, fan.max_cones, fan.rank)
+    assert validate_fan(shared) == expected
+    assert validate_fan(shared) is validate_fan(shared) == expected
+    if fan.rays:
+        again = Fan.from_data(*_permuted(random.Random(name), fan), fan.rank)
+        assert again is shared and validate_fan(again) == expected
+
+
+def test_sample_files_resolve_to_the_live_catalogue_fans(catalogue):
+    ids = {id(fan) for _, fan in catalogue}
+    for path in sorted(glob.glob(os.path.join(SAMPLES, "*.fan"))):
+        fan = parse_fan(open(path).read())
+        assert (id(fan) in ids) == (os.path.basename(path) != "cone_over_square.fan"), path
+        assert "_diagnostics" in vars(fan)  # validated once, then read back
+    for path in sorted(glob.glob(os.path.join(SAMPLES, "*.pair"))):
+        assert id(parse_pair(open(path).read(), SAMPLES).fan) in ids, path
 
 
 def test_a_shared_wall_map_cannot_be_changed():
