@@ -248,11 +248,7 @@ def _cmd_markov_adjacent(args, rep: _Reporter) -> int:
     if len(entries) != 3:
         print("error: --triple needs three entries", file=sys.stderr)
         return 2
-    try:
-        t = markov.MarkovTriple(*sorted(entries))
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    t = markov.MarkovTriple(*sorted(entries))
     adj = markov.adjacent_triple(t)
     rep.emit({"triple": list(t.as_tuple()), "adjacent": list(adj.as_tuple())}, str(adj.as_tuple()))
     return 0

@@ -12,19 +12,21 @@ whether two cones meet in a common face, rational linear feasibility) ask
 whether a row lies in the lineality space of a cone, on every one of its
 facets (Gordan and Motzkin).  A cone with independent generators is
 strongly convex with every generator extremal, and no facets are computed.
-A cone caches the seeds its double description starts from (Cone.seeds):
-dim independent generators, each with a functional vanishing on the
-others.  They give its dimension and, on a full-dimensional cone, strongly
-convex or not, the linear pieces that toric and pairs read; the facets,
-membership and unimodularity of a full-dimensional simplicial cone too
-(Cone.dual_basis).  A lower-dimensional cone reads its span and pieces off
-one Smith chart (lattice.SolveChart).  A strongly convex cone that is not
-simplicial caches one pulling triangulation into simplices.  One oriented
-wall test (_covers_once), on the walls and their inward normals, decides
-whether cones cover a region exactly once: the space for validate_fan (on
-complete fans of full-dimensional simplicial cones) and is_complete, each
-coarse cone for is_refinement.  Nothing here ever touches a float: a
-coordinate, ray index or fan rank that is not an integer raises ValueError.
+A cone caches one elimination of its generators, the echelon of
+[G^T | I], and reads every rational fact off it: its dimension, its span
+(the rows without a pivot), the start of its double description, and its
+seeds (Cone.seeds: dim independent generators, each with a functional
+vanishing on the others), which give the linear pieces of a
+full-dimensional cone and the facets, membership and unimodularity of a
+full-dimensional simplicial one (Cone.dual_basis).  Its Smith chart
+(lattice.SolveChart) answers lattice questions only.  A strongly convex
+cone that is not simplicial caches one pulling triangulation into
+simplices.  One oriented wall test (_covers_once), on the walls and their
+inward normals, decides whether cones cover a region exactly once: the
+space for validate_fan (on complete fans of full-dimensional simplicial
+cones) and is_complete, each coarse cone for is_refinement.  Nothing here
+ever touches a float: a coordinate, ray index or fan rank that is not an
+integer raises ValueError.
 
 Fan.from_data shares fans by the fan, not by the data: while an equal fan
 built by it is still held anywhere (a cached pair or presentation, the
@@ -32,9 +34,11 @@ bundled catalogue, the caller), it returns that object for any data
 giving that fan (rays in another order or not primitive, cones listed
 otherwise), with every chart, wall map and rank it has cached.  It looks
 the data up as given first and then by its normal form (_normal_form),
-which Fan(...) also computes.  A fan nobody holds is dropped.  Fan(...)
-always builds a new fan.  validate_fan runs its checks once per fan and
-caches the Diagnostics on it, so a fan shared this way is validated once.
+which Fan(...) also computes, and keeps each fan under two keys only: its
+normal form and the data it was built from.  A fan nobody holds is
+dropped.  Fan(...) always builds a new fan.  validate_fan runs its checks
+once per fan and caches the Diagnostics on it, so a fan shared this way
+is validated once.
 """
 
 from __future__ import annotations
@@ -92,13 +96,19 @@ def double_description(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], 
     Adjacent rays share at least d - 2 zero rows, so pairs sharing fewer
     skip the test.
     """
+    return _double_description(rows, _seed_echelon(rows, len(rows[0])))
+
+
+def _double_description(rows, seed_echelon) -> tuple[tuple[int, ...], list[tuple[Vec, frozenset[int]]], int]:
+    """double_description(rows) from the rows' `_seed_echelon`, which it
+    only reads (a cone passes its cached one, Cone._echelon)."""
     k, n = len(rows), len(rows[0])
-    T, seeded, last = _seed_echelon(rows)
+    H, seeded, last = seed_echelon
     pivots = [c for c, _ in seeded]
     d = len(pivots)
     proj = [tuple(g[c] for c in pivots) for g in rows]
     full = sum(1 << s for _, s in seeded)
-    rays = [(primitive(tuple(last * T[c][k + j] for j in pivots)), full & ~(1 << s)) for c, s in seeded]
+    rays = [(primitive(tuple(last * H[c][j] for j in pivots)), full & ~(1 << s)) for c, s in seeded]
     tests = 0
     for j in sorted(set(range(k)) - {s for _, s in seeded}):
         g, bit = proj[j], 1 << j
@@ -134,13 +144,16 @@ def double_description(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], 
     return tuple(pivots), facets, tests
 
 
-def _seed_echelon(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], tuple[tuple[int, int], ...], int]:
-    """`lattice.echelon` of [G^T | I], G the rows: row c holds one
-    functional's values on every row, then its coefficients, so a pivot
-    (c, s) is a functional worth `last` on row s and 0 on the other pivot
-    rows."""
-    n = len(rows[0])
-    return echelon([[g[c] for g in rows] + [int(c == j) for j in range(n)] for c in range(n)], len(rows))
+def _seed_echelon(rows: Sequence[Sequence[int]], n: int) -> tuple[tuple[Vec, ...], tuple[tuple[int, int], ...], int]:
+    """(H, pivots, last) from `lattice.echelon` of [G^T | I], G the rows, n
+    wide: row c holds one functional's values on every row, then its
+    coefficients, which H[c] keeps.  A pivot (c, s) makes H[c] worth `last`
+    on row s and 0 on the other pivot rows.  Every other H[c] vanishes on
+    every row of G, and as the elimination keeps the identity block
+    invertible, those span the functionals vanishing on G over Q."""
+    k = len(rows)
+    T, pivots, last = echelon([[g[c] for g in rows] + [int(c == j) for j in range(n)] for c in range(n)], k)
+    return tuple(tuple(row[k:]) for row in T), pivots, last
 
 
 # ---------------------------------------------------------------------------
@@ -265,20 +278,25 @@ class Cone:
         return cone
 
     @cached_property
+    def _echelon(self) -> tuple[tuple[Vec, ...], tuple[tuple[int, int], ...], int]:
+        """`_seed_echelon` of the generators: the cone's one elimination
+        over Q, read by dim, seeds, span membership and facet_data."""
+        return _seed_echelon(self.generators, self.rank)
+
+    @cached_property
     def seeds(self) -> tuple[int, tuple[tuple[int, Vec], ...]]:
         """(last, ((s, h_s), ...)): the dim independent generators g_s that
-        `double_description` seeds from, in pivot order, each with the
-        functional h_s worth `last` on g_s and 0 on the other seeds, from
-        one `echelon` of [G^T | I]; (1, ()) for a cone with no generators."""
-        if not self.generators:
-            return 1, ()
-        T, pivots, last = _seed_echelon(self.generators)
-        return last, tuple((s, tuple(T[c][len(self.generators) :])) for c, s in pivots)
+        the double description seeds from, in pivot order, each with the
+        functional h_s worth `last` on g_s and 0 on the other seeds, read
+        off the cone's echelon of [G^T | I]; (1, ()) for a cone with no
+        generators."""
+        H, pivots, last = self._echelon
+        return last, tuple((s, H[c]) for c, s in pivots)
 
     @cached_property
     def dim(self) -> int:
-        """Dimension of the span: the number of seeds."""
-        return len(self.seeds[1])
+        """Dimension of the span: the number of pivots of the echelon."""
+        return len(self._echelon[1])
 
     @cached_property
     def dual_basis(self) -> Optional[tuple[int, tuple[Vec, ...]]]:
@@ -301,14 +319,18 @@ class Cone:
     def _satisfies(self, x, strict):
         """Is <h, x> >= 0 (> 0 when strict) on every facet normal h, with x
         in the span?  A cone with a dual basis (last, h) reads the signs of
-        last.h_s.x, with no facet data."""
+        last.h_s.x, with no facet data.  Otherwise x is in the span iff
+        every functional of the echelon's rows without a pivot, which span
+        those vanishing on the generators, vanishes on x."""
         if len(x) != self.rank:
             raise ValueError("point length differs from ambient rank")
         if self.dual_basis is not None:
             last, h = self.dual_basis
             values = (vdot(hs, x) * last for hs in h)
         else:
-            if any(vdot(e, x) for e in self.span_equations):
+            H, pivots, _ = self._echelon
+            held = {c for c, _ in pivots}
+            if any(vdot(h, x) for c, h in enumerate(H) if c not in held):
                 return False
             try:
                 facets = self.facet_data
@@ -361,19 +383,10 @@ class Cone:
     @cached_property
     def solve_chart(self) -> SolveChart:
         """The Smith chart of the generator matrix, rows in generator
-        order; built once, and only for a cone without a dual basis."""
+        order, built on first read for lattice questions only: unimodularity
+        without a dual basis, the pieces of a lower-dimensional cone
+        (toric._scaled_piece), a simplex's parallelepiped (pairs)."""
         return SolveChart.of(self.generators, self.rank)
-
-    @cached_property
-    def span_equations(self) -> tuple[Vec, ...]:
-        """Basis of the integer functionals vanishing on the cone's linear
-        span: the columns r, r+1, ... of the Smith chart's V, as
-        G.V[:, i] = 0 for i >= r = dim.  Empty for a full-dimensional cone,
-        which needs no Smith form for it."""
-        if self.dim == self.rank:
-            return ()
-        V = self.solve_chart.V
-        return tuple(tuple(row[i] for row in V) for i in range(self.dim, self.rank))
 
     @cached_property
     def facet_data(self) -> tuple[tuple[frozenset[int], Vec], ...]:
@@ -383,10 +396,12 @@ class Cone:
         with normal primitive(sign(last).h_s), as the run would seed them.
 
         The normal h is a primitive integer functional with h.g = 0 on the
-        facet's generators and h.g > 0 on every other generator; together
-        with span_equations it yields an H-description of the cone.  A
-        1-dimensional cone has the origin as its one facet, unless it is a
-        line, which has none and raises ValueError.
+        facet's generators and h.g > 0 on every other generator; with the
+        functionals vanishing on the span (the echelon's rows without a
+        pivot) it yields an H-description of the cone.  The run starts from
+        the cone's cached echelon, so it takes no elimination of its own.
+        A 1-dimensional cone has the origin as its one facet, unless it is
+        a line, which has none and raises ValueError.
         """
         if not self.generators:
             return ()
@@ -395,8 +410,8 @@ class Cone:
             every = frozenset(range(self.rank))
             facets = [(primitive(hs if last > 0 else tuple(-x for x in hs)), every - {s}) for s, hs in enumerate(h)]
         else:
-            pivots, facets, _ = double_description(self.generators)
-            if len(pivots) == 1 and not facets:
+            _, facets, _ = _double_description(self.generators, self._echelon)
+            if self.dim == 1 and not facets:
                 raise ValueError("no positive functional: cone is not strongly convex")
         return tuple(sorted(((members, h) for h, members in facets), key=lambda kv: sorted(kv[0])))
 
@@ -428,9 +443,10 @@ class Cone:
 # ---------------------------------------------------------------------------
 
 
-# Fan.from_data's fans that something still holds, each under two keys:
-# (class, rays, cones, rank) as given and (class, *its normal form); a fan
-# drops out, with both keys, when the last holder lets go.
+# Fan.from_data's fans that something still holds, each under at most two
+# keys: (class, *its normal form) and (class, rays, cones, rank) as given to
+# the call that built it; other data reaching it add none.  A fan drops
+# out, with its keys, when the last holder lets go.
 _ALIVE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
@@ -504,10 +520,11 @@ class Fan:
         returned itself, with its caches (its validation included);
         Fan(...) always builds a new one.
 
-        The data as given is looked up first, so a caller passing the same
-        data again pays no normalisation; on a miss, the normal form.  A
-        fan missing under both is built once from its normal form and
-        registered under both keys.
+        The data as given is looked up first, so a caller passing the data
+        a fan was built from again pays no normalisation; on a miss, the
+        normal form.  A fan missing under both is built once from its
+        normal form and registered under both keys; other data found by
+        the normal form add none, so a live fan holds at most two.
 
         >>> p1 = Fan.from_data([(1,), (-1,)], [(0,), (1,)])
         >>> Fan.from_data([[1], [-1]], [[0], [1]]) is p1
@@ -528,8 +545,7 @@ class Fan:
             normal = (cls, *_normal_form(*key[1:]))
             fan = _ALIVE.get(normal)
             if fan is None:
-                fan = _ALIVE[normal] = cls._trusted(*normal[1:])
-            _ALIVE[key] = fan
+                fan = _ALIVE[normal] = _ALIVE[key] = cls._trusted(*normal[1:])
         return fan
 
     def cone(self, indices: Iterable[int]) -> Cone:

@@ -7,11 +7,14 @@ vectors are ordinary tuples of ints; their length is the ambient rank.  A
 matrix is its integer rows, one format throughout: taken as any sequence
 of rows, returned as a tuple of tuples.  A routine whose matrix may have
 no rows also takes its column count `ncols`.
-`echelon`, a fraction-free Gauss-Jordan routine on integer rows, is the
-only elimination over Q in the package: `rank`, `det` and `solve_rational`
-read it here, and `fan.double_description` takes its seeds from it.  Every
-Smith form is read through one chart (`SolveChart`): integer solves,
-class groups and left kernels take its invariants and transforms.
+The split is by the question asked.  Rational questions read `echelon`,
+a fraction-free Gauss-Jordan routine on integer rows and the only
+elimination over Q in the package: `rank`, `det` and `solve_rational`
+here, and a cone's dimension, seeds, span and double description
+(fan.Cone, one cached echelon per cone).  Lattice questions read a
+`SolveChart`, through which every Smith form is read: integer solves,
+class groups and left kernels, and a cone's unimodularity, the pieces of
+a lower-dimensional cone and the parallelepiped of a simplex.
 """
 
 from __future__ import annotations
@@ -235,10 +238,12 @@ class SolveChart:
     """One Smith form U.G.V = diag(d) of an integer matrix G (its rows,
     `ncols` wide), read as an integer solver for G m = a; the only reader
     of `smith_normal_form`.  U and V are kept as tuples of integer rows.
-    Cones read it only when they are lower-dimensional, and pairs on each
-    simplex of Cone.triangulation for the parallelepiped of the least log
-    discrepancy; a full-dimensional cone reads its pieces off its seeds
-    (fan.Cone.seeds).
+    It answers lattice questions only: integer solves and class groups,
+    the unimodularity of a cone without a dual basis and the pieces of a
+    lower-dimensional one (fan.Cone.solve_chart), and on each simplex of
+    Cone.triangulation the parallelepiped of the least log discrepancy.
+    Rational questions (ranks, spans, facets, the pieces of a
+    full-dimensional cone off its seeds) read `echelon`.
 
     d holds the r nonzero invariants and L = d[r-1] is the largest (1 when
     r = 0).  M = sum over i < r of (L / d_i) V[:, i] (x) U[i] and Z = U[r:]:

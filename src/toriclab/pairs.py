@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from toriclab.fan import Cone, Diagnostics, Fan, is_refinement
+from toriclab.fan import Cone, Diagnostics, Fan, _integers, is_refinement
 from toriclab.lattice import Vec, rank as matrix_rank, vdot
 from toriclab.toric import ToricVariety, _scaled_piece, projective_space_fan
 
@@ -154,7 +154,7 @@ def _psi(pair: ToricPair) -> LogDiscrepancyFunction:
 def log_discrepancy(pair: ToricPair, v: Sequence[int]) -> Fraction:
     """Log discrepancy of the toric valuation at a primitive point of the
     support; on a ray u_i this is 1 - b_i."""
-    v = tuple(int(x) for x in v)
+    v = _integers(v)
     if all(x == 0 for x in v):
         raise ValueError("the origin is not a valuation")
     if math.gcd(*v) != 1:
@@ -325,7 +325,7 @@ class PlaceClassification:
 def classify_extracted_place(pair: ToricPair, v: Sequence[int]) -> PlaceClassification:
     """Classify the exceptional valuation at a primitive point that is not
     already a ray of the fan."""
-    v = tuple(int(x) for x in v)
+    v = _integers(v)
     if v in pair.fan.rays:
         raise ValueError("not exceptional: the point is a ray of the fan")
     a = log_discrepancy(pair, v)

@@ -1544,8 +1544,8 @@ def facet_data_scan(cone):
     """Facets as (generator-index set, inward ambient normal).
 
     The normal h satisfies h.g = 0 on the facet's generators and
-    h.g > 0 on every other generator; together with span_equations it
-    yields an H-description of the cone.
+    h.g > 0 on every other generator; together with the nullspace of the
+    generators it yields an H-description of the cone.
     """
     d = cone.dim
     if d == 0:
@@ -1553,7 +1553,7 @@ def facet_data_scan(cone):
     if d == 1:
         # facet is the origin; exposing functional positive on the gens
         return ((frozenset(), _positive_functional(cone.generators, cone.rank)),)
-    span_ann = row_echelon(cone.span_equations, cone.rank)
+    span_ann = row_echelon(nullspace(cone.generators, cone.rank), cone.rank)
     found = {}
     idx = range(len(cone.generators))
     for sub in itertools.combinations(idx, d - 1):
@@ -1649,9 +1649,8 @@ def meet_in_common_face_lp(fan, ca, cb) -> bool:
 
 
 def cone_contains_nullspace(cone, x, strict):
-    """Membership as the cone tested it before its span equations came
-    from the Smith chart: the Fraction nullspace of the generators, then
-    the facet normals."""
+    """Membership read off the Fraction nullspace of the generators, an
+    elimination apart from the cone's own, then the facet normals."""
     if any(vdot(e, x) for e in nullspace(cone.generators, cone.rank)):
         return False
     try:

@@ -3,7 +3,8 @@ of cones, and the per-cone functional solve.  Randomized checks run against
 the minor-gcd oracle, which never eliminates.  AST guards keep the library
 free of asserts and unbounded caches, and keep every Smith form in
 lattice.  Count guards keep complete simplicial fans off the double
-description and pair queries off Smith forms outside the least-psi scan."""
+description, a cone to one elimination over Q, span membership off Smith
+forms, and pair queries off Smith forms outside the least-psi scan."""
 
 import ast
 import importlib
@@ -26,6 +27,7 @@ from toriclab.pairs import ToricPair, index, is_log_cy, singularity_type, valida
 from toriclab.toric import local_functionals, projective_space_fan, weighted_projective_fan
 
 from oracles import minor_gcds, nullspace, row_echelon
+from test_double_description import _kgon
 
 
 def _random_matrix(rng):
@@ -229,11 +231,39 @@ def test_complete_simplicial_fans_take_no_double_description(monkeypatch):
     assert len(fans[-1].max_cones) == 256
     fans += [Fan(fan.rays, fan.max_cones, fan.rank) for _, fan in bundled_fans() if fan.rank >= 2]
     runs, separations = [], []
-    _count_calls(monkeypatch, fan_module, "double_description", runs)
+    _count_calls(monkeypatch, fan_module, "_double_description", runs)
     _count_calls(monkeypatch, fan_module, "_separating", separations)
     for fan in fans:
         assert validate_fan(fan) and is_complete(fan)
     assert (len(runs), len(separations)) == (0, 0)
+
+
+def test_a_cone_takes_one_elimination_for_its_dimension_and_facets(monkeypatch):
+    echelons = []
+    _count_calls(monkeypatch, fan_module, "_seed_echelon", echelons)
+    cone = Cone.from_generators(_kgon(12))
+    assert (cone.dim, len(cone.facet_data)) == (3, 12)
+    assert len(echelons) == 1
+
+
+def test_a_cold_kgon_pair_takes_one_elimination_per_cone_and_simplex(monkeypatch):
+    # the cone over the 12-gon and the 10 simplices of its triangulation
+    echelons = []
+    _count_calls(monkeypatch, fan_module, "_seed_echelon", echelons)
+    pairs._psi.cache_clear()
+    pair = ToricPair.from_fan(Fan.from_data(_kgon(12), [range(12)]), [Fraction(1, 2)] * 12)
+    assert singularity_type(pair) == "klt"
+    assert len(echelons) == 11
+
+
+def test_span_membership_takes_no_smith_form(monkeypatch):
+    smith = []
+    _count_calls(monkeypatch, lattice, "smith_normal_form", smith)
+    cone = Cone.from_generators([(1, 0, 0), (1, 2, 0)])
+    assert cone.contains((2, 2, 0)) and cone.relint_contains((2, 2, 0))
+    assert not cone.contains((0, 0, 1)) and not cone.relint_contains((1, 0, 0))
+    assert not cone.contains((Fraction(1, 2), 0, Fraction(1, 3)))
+    assert smith == []
 
 
 def test_one_wall_map_per_fan_and_no_smith_form_for_fano(monkeypatch):

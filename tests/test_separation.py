@@ -1,7 +1,8 @@
 """The separation predicates read off double-description facets (strong
 convexity, extremal generators, the common-face test of validate_fan),
 against the simplex LPs they replaced (tests/oracles.py), on cones with
-lineality, and a count guard: one double-description run per cone."""
+lineality, and a count guard: one elimination and one double-description
+run per cone."""
 
 import math
 import random
@@ -130,15 +131,17 @@ def _kgon(k, radius=100):
 
 @pytest.mark.parametrize("k", range(4, 13))
 def test_one_double_description_run_per_kgon_cone(k, monkeypatch):
-    runs = []
-    kernel = fan_module.double_description
+    # the run starts from the cone's cached echelon, so the cone takes
+    # one elimination in all
+    echelons, runs = [], []
+    for name, log in (("_seed_echelon", echelons), ("_double_description", runs)):
 
-    def counted(rows):
-        runs.append(len(rows))
-        return kernel(rows)
+        def counted(rows, *rest, kernel=getattr(fan_module, name), log=log):
+            log.append(len(rows))
+            return kernel(rows, *rest)
 
-    monkeypatch.setattr(fan_module, "double_description", counted)
+        monkeypatch.setattr(fan_module, name, counted)
     cone = Cone.from_generators(_kgon(k))
     assert cone.is_strongly_convex()
     assert cone.generators_extremal()
-    assert runs == [k]
+    assert (echelons, runs) == ([k], [k])

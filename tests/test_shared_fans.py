@@ -1,12 +1,15 @@
 """Fan.from_data shares one live object per fan, whatever data it comes
 from (rays reordered or not primitive, cones listed otherwise), with its
 caches and its validation; Fan(...) always builds a new one; a fan nobody
-holds drops out of the table with both of its keys; and coordinates or
-indices that are not integers raise instead of being truncated."""
+holds drops out of the table with both of its keys, and no other data
+reaching a live fan add a key; and coordinates, indices or query points
+that are not integers raise instead of being truncated."""
 
+import gc
 import glob
 import os
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -14,7 +17,14 @@ import pytest
 from toriclab import fan as fan_module
 from toriclab.fan import Cone, Diagnostics, Fan, is_complete, star_subdivision, validate_fan
 from toriclab.fileformats import parse_fan, parse_pair
-from toriclab.pairs import ToricPair, index, is_log_cy, singularity_type
+from toriclab.pairs import (
+    ToricPair,
+    classify_extracted_place,
+    index,
+    is_log_cy,
+    log_discrepancy,
+    singularity_type,
+)
 
 from oracles import random_complete_2d_fan, validate_fan_pairwise
 from test_primitives import _star_subdivided_p3
@@ -139,6 +149,36 @@ def test_cached_diagnostics_match_the_pairwise_scan(name, fan):
         assert again is shared and validate_fan(again) == expected
 
 
+def test_presentations_of_a_live_fan_keep_the_table_flat(catalogue):
+    """10^4 seeded presentations of a catalogue fan (rays reordered and
+    scaled, cones listed otherwise) after a warm-up all reach the one live
+    fan, and register no key: the second half leaves no more keys in the
+    table, nor more traced bytes outside this file, than the first."""
+    fan = dict(catalogue)["P2"]
+    rng = random.Random(1616)
+
+    def presentation():
+        rays, cones = _permuted(rng, fan)
+        return [tuple(k * x for x in r) for r, k in zip(rays, (rng.randint(1, 9) for _ in rays))], cones
+
+    warm_up, first, second = ([presentation() for _ in range(n)] for n in (200, 5000, 5000))
+
+    def retained(presentations):
+        for rays, cones in presentations:
+            assert Fan.from_data(rays, cones, fan.rank) is fan
+        gc.collect()
+        traces = tracemalloc.take_snapshot().filter_traces([tracemalloc.Filter(False, __file__)]).traces
+        return len(fan_module._ALIVE), sum(trace.size for trace in traces)
+
+    tracemalloc.start()
+    try:
+        retained(warm_up)
+        (keys, size), (more_keys, more_size) = retained(first), retained(second)
+    finally:
+        tracemalloc.stop()
+    assert more_keys <= keys and more_size <= size, (keys, more_keys, size, more_size)
+
+
 def test_sample_files_resolve_to_the_live_catalogue_fans(catalogue):
     ids = {id(fan) for _, fan in catalogue}
     for path in sorted(glob.glob(os.path.join(SAMPLES, "*.fan"))):
@@ -182,3 +222,12 @@ def test_integral_values_of_other_types_are_taken():
     with pytest.raises(ValueError):
         Cone.from_generators([("1.5", 0), (0, 1)])
     assert Fan.from_data([(Fraction(1), 0.0), (0, 1), (-1, -1)], P2[1]) == Fan.from_data(*P2)
+
+
+@pytest.mark.parametrize("query", [log_discrepancy, classify_extracted_place])
+def test_point_queries_take_integers_only(query):
+    pair = ToricPair.from_fan(Fan.from_data(*P2), [Fraction(1, 2)] * 3)
+    with pytest.raises(ValueError, match="not an integer: 1.5"):
+        query(pair, (1.5, 1))
+    assert query(pair, ("1", "1")) == query(pair, (1, 1))
+    assert log_discrepancy(pair, ("1", "1")) == 1

@@ -1,6 +1,6 @@
 """A cone's Smith chart (lattice.SolveChart) against the solves it replaced
-(tests/oracles.py): linear pieces, the index, the Cartier test, the span
-equations and the Fano test.  Also the fraction-free rank, the Smith
+(tests/oracles.py): linear pieces, the index, the Cartier test and the
+Fano test; and span membership, which reads the cone's echelon instead.  Also the fraction-free rank, the Smith
 identities, and ray-order invariance of the pairs answers."""
 
 import itertools
@@ -35,7 +35,6 @@ from oracles import (
     is_fano_functionals,
     local_functionals_solve,
     matmul,
-    nullspace,
     primitive_distinct,
     random_complete_2d_fan,
     row_echelon,
@@ -266,10 +265,10 @@ def test_matrices_with_no_rows_keep_their_width(n):
     assert (chart.U, chart.d, chart.V, chart.L, chart.M, chart.Z) == ((), (), identity, 1, ((),) * n, ())
     assert chart.solve(()) == (0,) * n
     cone = Cone((), n)
-    assert (cone.dim, cone.dual_basis, cone.span_equations, cone.facet_data) == (0, None, identity, ())
+    assert (cone.dim, cone.dual_basis, cone.facet_data) == (0, None, ())
     assert cone.contains((0,) * n) and cone.relint_contains((0,) * n) and cone.is_unimodular()
     assert not any(cone.contains(e) or cone.contains(tuple(-x for x in e)) for e in identity)
-    _check_span_equations(cone, random.Random(n))
+    _check_span_membership(cone, random.Random(n))
     assert Fan((), (), n).ray_rank == 0
 
 
@@ -378,20 +377,13 @@ def test_hypothesis_pairs_answers_ignore_the_ray_order(k, rnd):
         assert cone.generators == tuple(moved.rays[i] for i in c)
 
 
-# ------------------------------------------------------ span equations
+# ------------------------------------------------------ span membership
 
 
-def _check_span_equations(cone, rng):
-    eqs = cone.span_equations
-    ref = nullspace(cone.generators, cone.rank)
-    assert all(type(x) is int for e in eqs for x in e)
-    assert len(eqs) == len(ref) == cone.rank - cone.dim
-    if eqs:
-        # the same row space, and a saturated one: V's columns extend to a basis
-        assert len(row_echelon(eqs + ref, cone.rank)[1]) == len(eqs)
-        assert all(vdot(e, g) == 0 for e in eqs for g in cone.generators)
-        D = smith_normal_form(eqs, cone.rank)[1]
-        assert {row[i] for i, row in enumerate(D)} == {1}
+def _check_span_membership(cone, rng):
+    """contains and relint_contains, whose span test reads the cone's
+    echelon, against the nullspace and LP oracles, on points in and out
+    of the span."""
     gens = cone.generators
     points = list(gens) + [tuple(-x for x in g) for g in gens]
     for _ in range(12):
@@ -408,7 +400,7 @@ def _check_span_equations(cone, rng):
 
 @pytest.mark.parametrize("name,gens", NAMED_CONES, ids=[n for n, _ in NAMED_CONES])
 def test_named_span_equations_match_the_nullspace(name, gens):
-    _check_span_equations(Cone.from_generators(gens), random.Random(name))
+    _check_span_membership(Cone.from_generators(gens), random.Random(name))
 
 
 def test_seeded_span_equations_of_rank_2_to_5_match_the_nullspace():
@@ -429,15 +421,19 @@ def test_seeded_span_equations_of_rank_2_to_5_match_the_nullspace():
                 continue
             cone = Cone.from_generators(gens)
             full += cone.dim == n
-            _check_span_equations(cone, rng)
+            _check_span_membership(cone, rng)
     assert 40 < full <= 80
 
 
 def test_full_dimensional_cones_have_no_span_equations():
-    cone = Cone.from_generators([(1, 0, 0), (0, 1, 0), (3, 5, 11)])
-    assert cone.span_equations == ()
-    assert "solve_chart" not in cone.__dict__
-    assert Cone((), 3).span_equations == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    # membership, the span test included, takes no Smith chart
+    for gens in ([(1, 0, 0), (0, 1, 0), (3, 5, 11)], [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)]):
+        cone = Cone.from_generators(gens)
+        _check_span_membership(cone, random.Random(str(gens)))
+        assert "solve_chart" not in cone.__dict__
+    empty = Cone((), 3)
+    assert empty.contains((0, 0, 0)) and not any(empty.contains(e) for e in [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    assert "solve_chart" not in empty.__dict__
 
 
 # ------------------------------------------------------------ is_fano
