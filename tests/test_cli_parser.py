@@ -1,6 +1,7 @@
-"""The command tree is built once per process and reused: every command
-on samples/, run twice and interleaved with failing calls, prints and
-exits exactly as with a freshly built parser."""
+"""The command tree is built once per process, each distinct argv is
+parsed once and each Markov table is rendered once: every command on
+samples/, run twice and interleaved with failing calls, prints and exits
+exactly as with a freshly built parser and no cache at all."""
 
 import contextlib
 import io
@@ -8,10 +9,14 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import toriclab
-from toriclab import cli
+from toriclab import cli, markov
 from toriclab.fan import star_subdivision
 from toriclab.fileformats import emit_fan, parse_fan
+
+from test_primitives import _count_calls
 
 SAMPLES = os.path.join(os.path.dirname(__file__), "..", "samples")
 
@@ -78,15 +83,38 @@ def _sequence(tmp_path):
     return seq
 
 
-def test_cached_parser_answers_like_a_fresh_one(tmp_path, monkeypatch):
+CACHES = ("_build_parser", "_parse", "_markov_table")
+
+
+@pytest.fixture
+def cold_caches():
+    """Every CLI cache empty before the test, and again after it, so that
+    no parser built around a patched handler outlives the test."""
+    caches = [getattr(cli, name) for name in CACHES]
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+def test_cached_parser_answers_like_a_fresh_one(tmp_path, monkeypatch, cold_caches):
     seq = _sequence(tmp_path)
     assert len(seq) > 190 and all(f in seq for f in FAILING)
-    cli._build_parser.cache_clear()
     cached = [_run(argv) for argv in seq]
+    # "--frobnicate" is the one argv that fails to parse: it is parsed
+    # again on every call, and every other distinct argv exactly once
+    parsed = [tuple(argv) for argv in seq if "--frobnicate" not in argv]
+    unparsed = len(seq) - len(parsed)
+    parse = cli._parse.cache_info()
+    assert unparsed > 0 and parse.currsize == len(set(parsed))
+    assert (parse.misses, parse.hits) == (len(set(parsed)) + unparsed, len(parsed) - len(set(parsed)))
     assert cli._build_parser.cache_info().misses == 1
-    assert cli._build_parser.cache_info().hits == len(seq) - 1
+    assert cli._build_parser.cache_info().hits == parse.misses - 1
+    assert cli._markov_table.cache_info()[:2] == (2, 2)  # two tables, each run twice
 
-    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    for name in CACHES:
+        monkeypatch.setattr(cli, name, getattr(cli, name).__wrapped__)
     fresh = [_run(argv) for argv in seq]
     assert cached == fresh
     codes = {str(code) for code, _, _ in cached}
@@ -102,3 +130,51 @@ def test_importing_the_cli_builds_no_parser():
     probe = "import toriclab.cli as c; print(c._build_parser.cache_info().currsize)"
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "0"
+
+
+def test_each_call_gets_its_own_namespace(monkeypatch, cold_caches):
+    seen = []
+
+    def handler(args, rep):
+        seen.append((args, args.triple))
+        args.triple = "changed by the handler"
+        return 0
+
+    monkeypatch.setattr(cli, "_cmd_markov_adjacent", handler)  # read when the parser is built
+    argv = ["markov", "adjacent", "--triple", "1,2,5"]
+    assert cli.main(argv) == cli.main(argv) == 0
+    assert cli._parse.cache_info()[:2] == (1, 1)
+    (first, _), (second, triple) = seen
+    assert first is not second and triple == "1,2,5"
+
+
+def test_failing_argv_print_the_same_on_every_call(cold_caches):
+    for argv in (["fan", "check", "--frobnicate"], ["markov", "table", "--max", "0"], ["markov", "adjacent", "--triple", "1,2"]):
+        runs = [_run(argv) for _ in range(3)]
+        assert runs[0] == runs[1] == runs[2], argv
+        code, out, err = runs[0]
+        assert code in (2, ("SystemExit", 2)) and not out and err.count("error:") == 1, (argv, err)
+    assert cli._markov_table.cache_info().currsize == 0
+
+
+def test_main_without_argv_reads_sys_argv(monkeypatch, cold_caches):
+    for triple in ("1,2,5", "2,5,29"):
+        argv = ["--json-lines", "markov", "adjacent", "--triple", triple]
+        monkeypatch.setattr(sys, "argv", ["toriclab"] + argv)
+        got = _run(None)
+        assert got == _run(argv) and triple.replace(",", ", ") in got[1]
+
+
+def test_a_repeated_markov_table_takes_no_surface_data(monkeypatch, cold_caches):
+    argv = ["--json-lines", "markov", "table", "--max", str(10**40)]
+    calls = []
+    _count_calls(monkeypatch, markov, "hkw_surface", calls)
+    first = _run(argv)
+    assert len(calls) == len(markov.enumerate_markov(10**40)) == 1571
+    assert _run(argv) == first and len(calls) == 1571
+
+
+@pytest.mark.parametrize("json_lines", [False, True])
+def test_the_cached_table_is_the_fresh_one(json_lines, cold_caches):
+    for bound in (1, 1000, 10**40):
+        assert cli._markov_table(bound, json_lines) == cli._markov_table.__wrapped__(bound, json_lines)
