@@ -9,11 +9,11 @@ Reports go to stdout; `--json-lines` switches them to one JSON record per
 line.  Subcommands whose output IS a fan or pair (subdivide, pullback)
 always print the file format, so their output can be piped back in.
 
-Per process, the argparse tree is built once, on the first call to `main`;
-each distinct argv is parsed once (a bounded cache of 256), and each
-`markov table` text is rendered once (a bounded cache of 2).  Nothing that
-reads a file is cached: fan, pair and polytope commands read their files
-on every call, and `casebook suite` is recomputed on every call.
+The argparse tree is built once per process, on the first call to `main`,
+and reused by every later call.  A command line that names its group and
+subcommand outright is parsed by that subcommand's parser alone; any other
+goes through the whole tree.  Nothing else is kept between calls: files
+are read, and `casebook suite` is recomputed, on every call.
 """
 
 from __future__ import annotations
@@ -237,22 +237,12 @@ def _markov_text(s: markov.HkwSurfaceData) -> str:
     )
 
 
-@functools.lru_cache(maxsize=2)
-def _markov_table(bound: int, json_lines: bool) -> str:
-    """The whole output of `markov table --max bound`, built once per bound
-    and format: hkw_surface checks each row once, in the build.  It keeps
-    at most two texts, each of the size the building call already peaked
-    at; a --json-lines table is 0.53 MB at 10**40, 6.3 MB at 10**100 and
-    46 MB at 10**200.  A ValueError (bound < 1) is not cached."""
-    row = _markov_json if json_lines else _markov_text
-    rows = [row(markov.hkw_surface(t)) for t in markov.enumerate_markov(bound)]
-    if not json_lines:
-        rows.insert(0, _MARKOV_HEADER)
-    return "\n".join(rows) + "\n"
-
-
 def _cmd_markov_table(args, rep: _Reporter) -> int:
-    sys.stdout.write(_markov_table(args.max, rep.json_lines))
+    row = _markov_json if rep.json_lines else _markov_text
+    rows = [row(markov.hkw_surface(t)) for t in markov.enumerate_markov(args.max)]
+    if not rep.json_lines:
+        rows.insert(0, _MARKOV_HEADER)
+    sys.stdout.write("\n".join(rows) + "\n")
     return 0
 
 
@@ -296,10 +286,11 @@ def _cmd_casebook_suite(args, rep: _Reporter) -> int:
 
 
 @functools.lru_cache(maxsize=1)
-def _build_parser() -> argparse.ArgumentParser:
-    """The command tree, built on the first call and shared afterwards:
-    parse_args returns a fresh Namespace each time, and help and errors
-    look up sys.stderr and the terminal width only when they print."""
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The command tree and its subcommand parsers by (group, subcommand),
+    built on the first call and shared afterwards: parse_args returns a
+    fresh Namespace each time, and help and errors look up sys.stderr and
+    the terminal width only when they print."""
     parser = argparse.ArgumentParser(
         prog="toriclab",
         description="exact-arithmetic toolkit for toric log Calabi-Yau geometry",
@@ -367,21 +358,30 @@ def _build_parser() -> argparse.ArgumentParser:
     p = cb.add_parser("suite", help="toric boundary laws over every bundled fan")
     p.set_defaults(func=_cmd_casebook_suite)
 
-    return parser
+    groups = {"fan": fan, "pair": pair, "polytope": poly, "markov": mk, "casebook": cb}
+    return parser, {(g, name): p for g, action in groups.items() for name, p in action.choices.items()}
 
 
-@functools.lru_cache(maxsize=256)
-def _parse(argv: tuple[str, ...]) -> tuple:
-    """The parsed values of argv, as (name, value) items.  A failed parse,
-    or --help, raises SystemExit before anything is cached, so its text
-    prints on every call."""
-    return tuple(vars(_build_parser().parse_args(argv)).items())
+def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    """What the whole tree's parse_args returns, for less.  When argv
+    starts with `[--json-lines] group subcommand`, the tree would hand the
+    rest to that subcommand's parser untouched, and only it can print or
+    exit; so that parser runs alone, and the tree runs only on the
+    arguments it leaves over, to print the usage error it would print."""
+    parser, leaves = _build_parser()
+    json_lines = argv[:1] == ["--json-lines"]
+    names = tuple(argv[json_lines : json_lines + 2])
+    leaf = leaves.get(names)
+    if leaf is not None:
+        args, extras = leaf.parse_known_args(argv[json_lines + 2 :])
+        if not extras:
+            args.json_lines, (args.group, args.sub) = json_lines, names
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    args = argparse.Namespace(**dict(_parse(tuple(argv))))
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     rep = _Reporter(args.json_lines)
     try:
         return args.func(args, rep)

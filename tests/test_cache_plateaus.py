@@ -1,14 +1,14 @@
 """Every bounded cache keeps memory flat in a long loop: after a warm-up
 that fills it, 2 x 5,000 distinct inputs leave it with no more entries,
 and no more traced bytes outside this file, after the second half than
-after the first.  The layers: the CLI's argv parses and Markov tables,
-and the psi records and class-group presentations behind pair queries.
+after the first.  The layers: the psi records and class-group
+presentations behind pair queries.
 Each loop's inputs have one shape and size (same digit counts, small
 ints), so an entry of the second half retains about what one of the first
 did.  "About": a freed tuple or int is reused from a free list and keeps
 the trace of its first allocation, and a hash is an int of 32 or 36 bytes,
-so the halves differ by some tens of bytes with no entry more (at most
-+80 bytes measured over these loops, alone and in the whole suite).  A
+so the halves differ by some tens of bytes with no entry more (from -92
+to +12 bytes measured over these loops, alone and in the whole suite).  A
 second half may therefore read up to NOISE bytes above the first; one
 leaked entry in a thousand inputs would add more than that, and a cache
 with no bound adds megabytes."""
@@ -18,7 +18,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 
-from toriclab import cli, pairs, toric
+from toriclab import pairs, toric
 from toriclab.fan import Fan
 from toriclab.pairs import ToricPair, validate_pair
 from toriclab.toric import ToricVariety, class_group
@@ -52,22 +52,6 @@ def _halves(inputs):
     """300 warm-up inputs, then two halves of 5,000; all distinct."""
     assert len(set(inputs)) == len(inputs) == 10300
     return inputs[:300], inputs[300:5300], inputs[5300:]
-
-
-def test_distinct_argv_keep_the_parse_cache_flat():
-    argv = [("markov", "adjacent", f"--triple=1,1,{n}") for n in range(100000, 110300)]
-    cli._parse.cache_clear()
-    _assert_plateau(cli._parse, lambda: cli._parse.cache_info().currsize, _halves(argv), 256)
-
-
-def test_distinct_bounds_keep_two_markov_tables():
-    # no Markov number lies in 14701 < n < 28657: every table is the same
-    # 23 rows under its own bound
-    bounds = list(range(14701, 25001))
-    cli._markov_table.cache_clear()
-    _assert_plateau(
-        lambda n: cli._markov_table(n, False), lambda: cli._markov_table.cache_info().currsize, _halves(bounds), 2
-    )
 
 
 def test_distinct_pairs_keep_the_psi_cache_flat():

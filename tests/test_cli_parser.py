@@ -1,22 +1,20 @@
-"""The command tree is built once per process, each distinct argv is
-parsed once and each Markov table is rendered once: every command on
-samples/, run twice and interleaved with failing calls, prints and exits
-exactly as with a freshly built parser and no cache at all."""
+"""The command tree is built once per process and a well-formed command is
+parsed by its subcommand's parser alone: every command on samples/, run
+twice and interleaved with failing calls, prints and exits exactly as with
+a freshly built parser, and the subcommand parsers answer every command
+line, good or bad, as the whole tree does."""
 
 import contextlib
 import io
+import itertools
 import os
 import subprocess
 import sys
 
-import pytest
-
 import toriclab
-from toriclab import cli, markov
+from toriclab import cli
 from toriclab.fan import star_subdivision
 from toriclab.fileformats import emit_fan, parse_fan
-
-from test_primitives import _count_calls
 
 SAMPLES = os.path.join(os.path.dirname(__file__), "..", "samples")
 
@@ -83,38 +81,15 @@ def _sequence(tmp_path):
     return seq
 
 
-CACHES = ("_build_parser", "_parse", "_markov_table")
-
-
-@pytest.fixture
-def cold_caches():
-    """Every CLI cache empty before the test, and again after it, so that
-    no parser built around a patched handler outlives the test."""
-    caches = [getattr(cli, name) for name in CACHES]
-    for cache in caches:
-        cache.cache_clear()
-    yield
-    for cache in caches:
-        cache.cache_clear()
-
-
-def test_cached_parser_answers_like_a_fresh_one(tmp_path, monkeypatch, cold_caches):
+def test_cached_parser_answers_like_a_fresh_one(tmp_path, monkeypatch):
     seq = _sequence(tmp_path)
     assert len(seq) > 190 and all(f in seq for f in FAILING)
+    cli._build_parser.cache_clear()
     cached = [_run(argv) for argv in seq]
-    # "--frobnicate" is the one argv that fails to parse: it is parsed
-    # again on every call, and every other distinct argv exactly once
-    parsed = [tuple(argv) for argv in seq if "--frobnicate" not in argv]
-    unparsed = len(seq) - len(parsed)
-    parse = cli._parse.cache_info()
-    assert unparsed > 0 and parse.currsize == len(set(parsed))
-    assert (parse.misses, parse.hits) == (len(set(parsed)) + unparsed, len(parsed) - len(set(parsed)))
     assert cli._build_parser.cache_info().misses == 1
-    assert cli._build_parser.cache_info().hits == parse.misses - 1
-    assert cli._markov_table.cache_info()[:2] == (2, 2)  # two tables, each run twice
+    assert cli._build_parser.cache_info().hits == len(seq) - 1
 
-    for name in CACHES:
-        monkeypatch.setattr(cli, name, getattr(cli, name).__wrapped__)
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
     fresh = [_run(argv) for argv in seq]
     assert cached == fresh
     codes = {str(code) for code, _, _ in cached}
@@ -132,49 +107,50 @@ def test_importing_the_cli_builds_no_parser():
     assert out.stdout.strip() == "0"
 
 
-def test_each_call_gets_its_own_namespace(monkeypatch, cold_caches):
-    seen = []
-
-    def handler(args, rep):
-        seen.append((args, args.triple))
-        args.triple = "changed by the handler"
-        return 0
-
-    monkeypatch.setattr(cli, "_cmd_markov_adjacent", handler)  # read when the parser is built
-    argv = ["markov", "adjacent", "--triple", "1,2,5"]
-    assert cli.main(argv) == cli.main(argv) == 0
-    assert cli._parse.cache_info()[:2] == (1, 1)
-    (first, _), (second, triple) = seen
-    assert first is not second and triple == "1,2,5"
+HEADS = [[], ["--json-lines"], ["--json"], ["--json-lines", "--json-lines"], ["-h"], ["--"]]
+TAILS = [
+    [], ["x"], ["x", "y"], ["-h"], ["--he"], ["--"], ["--", "x"], ["x", "--"], ["x", "--json-lines"], ["x", "fan", "check"],
+    ["x", "--exp", "inv"], ["x", "--expect=valid"], ["x", "--expect", "bogus"], ["x", "--co", "2"], ["x", "--cone", "-1"],
+    ["x", "--cone", "a"], ["x", "--stratum=0,1", "--ray=-1,2"], ["x", "--ray", "-1,2"], ["--point=1,1", "x"],
+    ["--refinement", "r", "x"], ["--dim", "2", "--count"], ["--max=0"], ["--max", "-5"], ["--tr", "1,1,1"],
+    ["x", "--frobnicate"], ["-1"], ["x", "-"],
+]
 
 
-def test_failing_argv_print_the_same_on_every_call(cold_caches):
-    for argv in (["fan", "check", "--frobnicate"], ["markov", "table", "--max", "0"], ["markov", "adjacent", "--triple", "1,2"]):
-        runs = [_run(argv) for _ in range(3)]
-        assert runs[0] == runs[1] == runs[2], argv
-        code, out, err = runs[0]
-        assert code in (2, ("SystemExit", 2)) and not out and err.count("error:") == 1, (argv, err)
-    assert cli._markov_table.cache_info().currsize == 0
+def _parsed(parse, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            got = sorted((k, repr(v)) for k, v in vars(parse(list(argv))).items())
+        except SystemExit as e:
+            got = ("SystemExit", e.code)
+    return got, out.getvalue(), err.getvalue()
 
 
-def test_main_without_argv_reads_sys_argv(monkeypatch, cold_caches):
+def test_subcommand_parsers_answer_like_the_whole_tree():
+    tree, leaves = cli._build_parser()
+    commands = [list(names) for names in leaves] + [["fan"], ["fan", "chec"], ["fan", "--", "check"]]
+    assert len(leaves) == 13
+    for head, command, tail in itertools.product(HEADS, commands, TAILS):
+        argv = head + command + tail
+        assert _parsed(cli._parse_args, argv) == _parsed(tree.parse_args, argv), argv
+
+
+def test_well_formed_commands_skip_the_tree(tmp_path, monkeypatch):
+    tree, _ = cli._build_parser()
+    calls = []
+    whole = tree.parse_args
+    monkeypatch.setattr(tree, "parse_args", lambda argv: calls.append(argv) or whole(argv))
+    assert all(_run(argv)[0] == 0 for argv in _commands(tmp_path))
+    assert calls == []
+    argv = ["fan", "check", "x.fan", "--frobnicate"]
+    code, _, err = _run(argv)
+    assert code == ("SystemExit", 2) and "unrecognized arguments: --frobnicate" in err and calls == [argv]
+
+
+def test_main_without_argv_reads_sys_argv(monkeypatch):
     for triple in ("1,2,5", "2,5,29"):
         argv = ["--json-lines", "markov", "adjacent", "--triple", triple]
         monkeypatch.setattr(sys, "argv", ["toriclab"] + argv)
         got = _run(None)
         assert got == _run(argv) and triple.replace(",", ", ") in got[1]
-
-
-def test_a_repeated_markov_table_takes_no_surface_data(monkeypatch, cold_caches):
-    argv = ["--json-lines", "markov", "table", "--max", str(10**40)]
-    calls = []
-    _count_calls(monkeypatch, markov, "hkw_surface", calls)
-    first = _run(argv)
-    assert len(calls) == len(markov.enumerate_markov(10**40)) == 1571
-    assert _run(argv) == first and len(calls) == 1571
-
-
-@pytest.mark.parametrize("json_lines", [False, True])
-def test_the_cached_table_is_the_fresh_one(json_lines, cold_caches):
-    for bound in (1, 1000, 10**40):
-        assert cli._markov_table(bound, json_lines) == cli._markov_table.__wrapped__(bound, json_lines)
