@@ -14,10 +14,8 @@ from toriclab.toric import projective_space_fan, weighted_projective_fan
 
 
 def p1xp1_fan() -> Fan:
-    return Fan.from_data(
-        [(1, 0), (0, 1), (-1, 0), (0, -1)],
-        [(0, 1), (1, 2), (2, 3), (3, 0)],
-    )
+    """Fan of P1 x P1, the Hirzebruch surface F0."""
+    return hirzebruch_fan(0)
 
 
 def hirzebruch_fan(k: int) -> Fan:

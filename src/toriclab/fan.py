@@ -17,10 +17,10 @@ A cone caches one elimination of its generators, the echelon of
 (the rows without a pivot), the start of its double description, and its
 seeds (Cone.seeds: dim independent generators, each with a functional
 vanishing on the others), which give the linear pieces of a
-full-dimensional cone and the facets, membership and unimodularity of a
-full-dimensional simplicial one (Cone.dual_basis).  Its Smith chart
-(lattice.SolveChart) answers lattice questions only.  A strongly convex
-cone that is not simplicial caches one pulling triangulation into
+full-dimensional cone and the facets and unimodularity of a
+full-dimensional simplicial one, with no double description.  Its Smith
+chart (lattice.SolveChart) answers lattice questions only.  A strongly
+convex cone that is not simplicial caches one pulling triangulation into
 simplices.  One oriented wall test (_covers_once), on the walls and their
 inward normals, decides whether cones cover a region exactly once: the
 space for validate_fan (on complete fans of full-dimensional simplicial
@@ -186,14 +186,6 @@ def _separating(
     return tuple(map(sum, zip(*normals))) if normals else (0,) * len(rows[0])
 
 
-# A system is three lists of (coeffs, rhs) pairs: equalities a.x = b,
-# inequalities a.x >= b and strict inequalities a.x > b.  Each becomes the
-# integer row (a, -b), times the lcm of its denominators, in the variables
-# (x, t); with t > 0 strict, (x, t) solves the rows iff x / t solves it.
-
-_EQ, _GE, _GT = 0, 1, 2
-
-
 def linear_feasible(
     nvars: int,
     equalities: Sequence[tuple[Sequence, object]] = (),
@@ -201,33 +193,19 @@ def linear_feasible(
     gt: Sequence[tuple[Sequence, object]] = (),
 ) -> bool:
     """Decide whether the mixed system { a.x = b, c.x >= d, e.x > f } has
-    a rational solution.  Exact: one double-description run on the
-    homogenised rows."""
-    return _feasible_point(nvars, _homogenise(nvars, equalities, gte, gt)) is not None
-
-
-def _homogenise(nvars, equalities, gte, gt):
-    """[(integer row (a, -b), kind)], one per constraint in order."""
-    cons = []
-    for kind, rows in ((_EQ, equalities), (_GE, gte), (_GT, gt)):
-        for a, b in rows:
+    a rational solution.  Exact: each constraint (a, b) becomes the
+    integer row (a, -b), times the lcm of its denominators, in the
+    variables (x, t); with t > 0 strict, (x, t) solves the rows iff x / t
+    solves the system, which one separation test (_separating) decides."""
+    equal, weak, strict = [], [], []
+    for out, system in ((equal, equalities), (weak, gte), (strict, gt)):
+        for a, b in system:
             if len(a) != nvars:
                 raise ValueError("constraint length differs from the number of variables")
             vals = [Fraction(x) for x in (*a, -b)]
             scale = math.lcm(*(x.denominator for x in vals))
-            cons.append((tuple(x.numerator * (scale // x.denominator) for x in vals), kind))
-    return cons
-
-
-def _feasible_point(n, cons) -> Optional[tuple[Fraction, ...]]:
-    """A solution of the system, or None: a functional y on the rows with
-    y_t > 0, read back as x = y[:n] / y_t."""
-    y = _separating(
-        [r for r, kind in cons if kind == _EQ],
-        [r for r, kind in cons if kind == _GE],
-        [r for r, kind in cons if kind == _GT] + [(0,) * n + (1,)],
-    )
-    return None if y is None else tuple(Fraction(v, y[n]) for v in y[:n])
+            out.append(tuple(x.numerator * (scale // x.denominator) for x in vals))
+    return _separating(equal, weak, strict + [(0,) * nvars + (1,)]) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -298,16 +276,6 @@ class Cone:
         """Dimension of the span: the number of pivots of the echelon."""
         return len(self._echelon[1])
 
-    @cached_property
-    def dual_basis(self) -> Optional[tuple[int, tuple[Vec, ...]]]:
-        """(last, h) when the generators g_0, ..., g_{n-1} are n = rank
-        independent vectors, else None: then every generator is a seed,
-        last = +-det G and h_s.g_j = last if s = j and 0 otherwise."""
-        if not self.generators or len(self.generators) != self.rank or self.dim < self.rank:
-            return None
-        last, seeds = self.seeds
-        return last, tuple(h for _, h in seeds)
-
     def contains(self, x: Sequence) -> bool:
         """Exact membership test (x may have Fraction entries)."""
         return self._satisfies(x, strict=False)
@@ -318,25 +286,22 @@ class Cone:
 
     def _satisfies(self, x, strict):
         """Is <h, x> >= 0 (> 0 when strict) on every facet normal h, with x
-        in the span?  A cone with a dual basis (last, h) reads the signs of
-        last.h_s.x, with no facet data.  Otherwise x is in the span iff
-        every functional of the echelon's rows without a pivot, which span
-        those vanishing on the generators, vanishes on x."""
+        in the span?  x is in the span iff every functional of the
+        echelon's rows without a pivot, which span those vanishing on the
+        generators, vanishes on x (no such row when dim == rank).  A
+        full-dimensional simplicial cone reads its facets off its seeds."""
         if len(x) != self.rank:
             raise ValueError("point length differs from ambient rank")
-        if self.dual_basis is not None:
-            last, h = self.dual_basis
-            values = (vdot(hs, x) * last for hs in h)
-        else:
+        if self.dim < self.rank:
             H, pivots, _ = self._echelon
             held = {c for c, _ in pivots}
             if any(vdot(h, x) for c, h in enumerate(H) if c not in held):
                 return False
-            try:
-                facets = self.facet_data
-            except ValueError:  # a line, which is its own span
-                return True
-            values = (vdot(h, x) for _, h in facets)
+        try:
+            facets = self.facet_data
+        except ValueError:  # a line, which is its own span
+            return True
+        values = (vdot(h, x) for _, h in facets)
         return all(v > 0 or (v == 0 and not strict) for v in values)
 
     def is_strongly_convex(self) -> bool:
@@ -374,26 +339,29 @@ class Cone:
 
     def is_unimodular(self) -> bool:
         """Generators extend to a basis of the ambient lattice (and the
-        cone is simplicial): |last| = |det G| = 1 for a cone with a dual
-        basis, else every invariant of the Smith chart is 1."""
-        if self.dual_basis is not None:
-            return abs(self.dual_basis[0]) == 1
+        cone is simplicial): for n = rank independent generators, every one
+        a seed, |last| = |det G| = 1 (Cone.seeds), else every invariant of
+        the Smith chart is 1."""
+        if len(self.generators) == self.dim == self.rank:
+            return abs(self.seeds[0]) == 1
         return len(self.generators) == self.dim and self.solve_chart.L == 1
 
     @cached_property
     def solve_chart(self) -> SolveChart:
         """The Smith chart of the generator matrix, rows in generator
         order, built on first read for lattice questions only: unimodularity
-        without a dual basis, the pieces of a lower-dimensional cone
-        (toric._scaled_piece), a simplex's parallelepiped (pairs)."""
+        of a cone that is not full-dimensional simplicial, the pieces of a
+        lower-dimensional cone (toric._scaled_piece), a simplex's
+        parallelepiped (pairs)."""
         return SolveChart.of(self.generators, self.rank)
 
     @cached_property
     def facet_data(self) -> tuple[tuple[frozenset[int], Vec], ...]:
         """Facets as (generator-index set, inward ambient normal), sorted
-        by index set, from one double-description run; a cone with a dual
-        basis (last, h) reads them off it instead, the facet missing g_s
-        with normal primitive(sign(last).h_s), as the run would seed them.
+        by index set, from one double-description run; a cone of n = rank
+        independent generators reads them off its seeds (last, ((s, h_s),
+        ...)) instead, every generator a seed: the facet missing g_s has
+        normal primitive(sign(last).h_s), as the run would seed them.
 
         The normal h is a primitive integer functional with h.g = 0 on the
         facet's generators and h.g > 0 on every other generator; with the
@@ -405,10 +373,10 @@ class Cone:
         """
         if not self.generators:
             return ()
-        if self.dual_basis is not None:
-            last, h = self.dual_basis
+        if len(self.generators) == self.dim == self.rank:
+            last, seeds = self.seeds
             every = frozenset(range(self.rank))
-            facets = [(primitive(hs if last > 0 else tuple(-x for x in hs)), every - {s}) for s, hs in enumerate(h)]
+            facets = [(primitive(hs if last > 0 else tuple(-x for x in hs)), every - {s}) for s, hs in seeds]
         else:
             _, facets, _ = _double_description(self.generators, self._echelon)
             if self.dim == 1 and not facets:
@@ -626,7 +594,7 @@ def _check_axioms(fan: Fan) -> Diagnostics:
             return Diagnostics(False, "maximal cone is not strongly convex", (idx,))
         if not cone.generators_extremal():
             return Diagnostics(False, "non-extremal generator in maximal cone", (idx,))
-    if cones and all(cone.dual_basis is not None for cone in cones):
+    if cones and all(len(cone.generators) == cone.dim == cone.rank for cone in cones):
         if _covers_once(cones, fan.wall_map):
             return Diagnostics(True)
     for a, b in itertools.combinations(range(len(cones)), 2):

@@ -239,9 +239,10 @@ class SolveChart:
     `ncols` wide), read as an integer solver for G m = a; the only reader
     of `smith_normal_form`.  U and V are kept as tuples of integer rows.
     It answers lattice questions only: integer solves and class groups,
-    the unimodularity of a cone without a dual basis and the pieces of a
-    lower-dimensional one (fan.Cone.solve_chart), and on each simplex of
-    Cone.triangulation the parallelepiped of the least log discrepancy.
+    the unimodularity of a cone that is not full-dimensional simplicial
+    and the pieces of a lower-dimensional one (fan.Cone.solve_chart), and
+    the parallelepiped of the least log discrepancy on each simplex of
+    Cone.triangulation.
     Rational questions (ranks, spans, facets, the pieces of a
     full-dimensional cone off its seeds) read `echelon`.
 

@@ -12,12 +12,14 @@ from functools import cached_property
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from toriclab import fan as fan_module
 from toriclab.fan import Cone, Fan
 from toriclab.pairs import ToricPair, _psi, index, is_log_cy, singularity_type
 from toriclab.polytope import Polytope
 from toriclab.toric import ToricVariety, _presentation, is_fano, projective_space_fan, weighted_projective_fan
 
 from oracles import classify_pair_brute, index_scan, random_complete_2d_fan, singularity_type_scan
+from test_primitives import _count_calls
 
 SMALL_B = (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3))
 DET11_CONE = [(1, 0, 0), (0, 1, 0), (3, 5, 11)]
@@ -165,20 +167,23 @@ def test_index_rejects_non_qcartier_pair():
         is_log_cy(pair)
 
 
-def test_classification_computes_no_facet_data():
+def test_classification_computes_no_facet_data(monkeypatch):
     pair = ToricPair.from_fan(projective_space_fan(3), [Fraction(1, 2), 0, Fraction(1, 3), 0])
     singularity_type(pair)
     is_log_cy(pair)
     index(pair)
     assert not any("facet_data" in vars(cone) for cone in pair.fan.cones)
-    # a point lookup reads the signs of each cone's dual basis
+    # a point lookup reads the signs on each cone's facets, read off its
+    # seeds (every cone full-dimensional simplicial): no double description
+    runs = []
+    _count_calls(monkeypatch, fan_module, "_double_description", runs)
     psi = _psi(pair)
     for v in itertools.product(range(-2, 3), repeat=3):
         if any(v):
             psi(v)
-    assert all(cone.dual_basis is not None for cone in pair.fan.cones)
-    assert not any("facet_data" in vars(cone) for cone in pair.fan.cones)
-    # a cone without one (the cone over the square) asks its facets
+    assert all(len(cone.generators) == cone.dim == cone.rank for cone in pair.fan.cones)
+    assert runs == []
+    # a cone that is not simplicial (the cone over the square) asks its facets
     square = ToricPair.reduced(Fan.from_data([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)], [(0, 1, 2, 3)]))
     assert _psi(square)((0, 0, 1)) == 0
     assert "facet_data" in vars(square.fan.cones[0])

@@ -1,8 +1,9 @@
-"""A full-dimensional simplicial cone's dual basis (Cone.dual_basis, one
-adjugate) against what it replaced: the double description for facets, a
-Gauss-Jordan solve over Fractions for membership, each cone's Smith chart for the linear pieces (oracles.local_functionals_smith)
-and the unimodular test, and the Smith and Fraction readings of the Cartier
-and Fano tests."""
+"""A full-dimensional simplicial cone's dual basis (its seeds, Cone.seeds,
+when len(generators) == dim == rank: one adjugate) against what it
+replaced: the double description for facets, a Gauss-Jordan solve over
+Fractions for membership, each cone's Smith chart for the linear pieces
+(oracles.local_functionals_smith) and the unimodular test, and the Smith
+and Fraction readings of the Cartier and Fano tests."""
 
 import itertools
 import math
@@ -12,6 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from toriclab import fan as fan_module
 from toriclab.catalog import bundled_fans, cone_over_square_fan
 from toriclab.fan import Cone, Fan, double_description, star_subdivision
 from toriclab.lattice import det, primitive, rank, vdot
@@ -32,6 +34,7 @@ from oracles import (
     random_complete_2d_fan,
     row_echelon,
 )
+from test_primitives import _count_calls
 
 
 def _random_basis(rng, n, size):
@@ -54,6 +57,17 @@ def _named_facets(cone):
     return {frozenset(cone.generators[i] for i in members): h for members, h in cone.facet_data}
 
 
+def _adjugate(cone):
+    """(last, (h_0, ..., h_{n-1})) off the seeds of a cone of n = rank
+    independent generators, every one a seed in generator order; None for
+    any other cone."""
+    if not (len(cone.generators) == cone.dim == cone.rank):
+        return None
+    last, seeds = cone.seeds
+    assert [s for s, _ in seeds] == list(range(cone.rank))
+    return last, tuple(h for _, h in seeds)
+
+
 # ------------------------------------------------------------ dual basis
 
 
@@ -64,7 +78,7 @@ def test_dual_basis_is_the_adjugate_of_the_generators():
         n = 1 + trial % 5
         gens = _random_basis(rng, n, (3, 50, 10**6)[trial % 3])
         cone = Cone.from_generators(gens)
-        last, h = cone.dual_basis
+        last, h = _adjugate(cone)
         G = cone.generators
         assert [[vdot(hs, g) for g in G] for hs in h] == [[last * (s == j) for j in range(n)] for s in range(n)]
         assert abs(last) == abs(det(G))
@@ -82,14 +96,17 @@ def test_cones_without_a_dual_basis():
     ]
     for gens in shapes:
         cone = Cone.from_generators(gens)
-        assert cone.dual_basis is None, gens
+        assert _adjugate(cone) is None, gens
         assert cone.dim == rank(cone.generators), gens
-    assert Cone((), 2).dual_basis is None
+    assert _adjugate(Cone((), 2)) is None
 
 
-def test_membership_reads_the_dual_basis():
+def test_membership_reads_the_dual_basis(monkeypatch):
     # x = sum c_j g_j, c from a Gauss-Jordan solve over Fractions: x is in
-    # the cone iff every c_j >= 0, in its relative interior iff every c_j > 0
+    # the cone iff every c_j >= 0, in its relative interior iff every c_j > 0;
+    # the signs are read on facets off the seeds, with no double description
+    runs = []
+    _count_calls(monkeypatch, fan_module, "_double_description", runs)
     rng = random.Random(1515)
     boundary = outside = 0
     for trial in range(200):
@@ -105,7 +122,7 @@ def test_membership_reads_the_dual_basis():
             assert cone.relint_contains(x) == all(cj > 0 for cj in c), (G, x)
             boundary += min(c) == 0
             outside += min(c) < 0
-        assert "facet_data" not in cone.__dict__
+    assert runs == []
     assert boundary > 100 and outside > 100
 
 
@@ -123,7 +140,7 @@ def test_simplicial_facet_data_is_the_double_description():
         assert cone.facet_data == direct, gens
         for perm in itertools.islice(itertools.permutations(gens), 4):
             assert _named_facets(Cone.from_generators(perm)) == _facets_by_double_description(list(perm))
-        negative += cone.dual_basis[0] < 0
+        negative += _adjugate(cone)[0] < 0
     assert negative > 50
 
 
@@ -198,7 +215,7 @@ def test_local_functionals_match_the_smith_charts_on_seeded_fans():
     rng = random.Random(31337)
     negative = 0
     for fan in _random_simplicial_fans(rng):
-        negative += sum(cone.dual_basis[0] < 0 for cone in fan.cones)
+        negative += sum(_adjugate(cone)[0] < 0 for cone in fan.cones)
         for trial in range(6):
             values = _values(rng, fan, trial % 3)
             assert local_functionals(fan, values) == local_functionals_smith(Fan(fan.rays, fan.max_cones, fan.rank), values)

@@ -265,7 +265,7 @@ def test_matrices_with_no_rows_keep_their_width(n):
     assert (chart.U, chart.d, chart.V, chart.L, chart.M, chart.Z) == ((), (), identity, 1, ((),) * n, ())
     assert chart.solve(()) == (0,) * n
     cone = Cone((), n)
-    assert (cone.dim, cone.dual_basis, cone.facet_data) == (0, None, ())
+    assert (cone.dim, cone.seeds, cone.facet_data) == (0, (1, ()), ())
     assert cone.contains((0,) * n) and cone.relint_contains((0,) * n) and cone.is_unimodular()
     assert not any(cone.contains(e) or cone.contains(tuple(-x for x in e)) for e in identity)
     _check_span_membership(cone, random.Random(n))

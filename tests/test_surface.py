@@ -1,7 +1,8 @@
-"""The library's public surface: every public top-level function and class
-in src/toriclab, and every public method of such a class, is referenced
-somewhere in src/ outside its own definition, or is kept in KEEP for a
-reason checked here against real text.
+"""The library's surface: every top-level function and class in
+src/toriclab, and every method of such a class but the dunders, is
+referenced somewhere in src/ outside its own definition.  A public one
+with no such reference may instead be kept in KEEP, for a reason checked
+here against real text; a private one may not.
 
 References are read by name from the syntax trees: a function or class is
 referenced by a name, an import or an attribute, a method only by an
@@ -71,7 +72,7 @@ def _references(node):
 
 def _surface():
     """{qualified name: referenced in src/ outside its own definition} for
-    every public top-level function and class and every public method."""
+    every top-level function and class and every method but the dunders."""
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
     names, attrs = collections.Counter(), collections.Counter()
     for tree in trees.values():
@@ -87,7 +88,7 @@ def _surface():
             if isinstance(node, ast.ClassDef):
                 defs += [(f"{module}.{node.name}.{s.name}", s, True) for s in node.body if isinstance(s, ast.FunctionDef)]
             for qualname, d, method in defs:
-                if d.name.startswith("_"):
+                if d.name.startswith("__") and d.name.endswith("__"):
                     continue
                 own_names, own_attrs = _references(d)
                 used = attrs[d.name] - own_attrs[d.name]
@@ -114,10 +115,19 @@ def _reason_holds(qualname, reason):
     return False
 
 
+def _private(qualname):
+    return qualname.rsplit(".", 1)[-1].startswith("_")
+
+
 def test_every_public_name_is_called_or_kept():
     surface = _surface()
-    unkept = sorted(q for q, used in surface.items() if not used and q not in KEEP)
+    unkept = sorted(q for q, used in surface.items() if not used and not _private(q) and q not in KEEP)
     assert not unkept, f"public names nothing in src/ calls, not in KEEP: {unkept}"
+
+
+def test_every_private_name_is_called():
+    unused = sorted(q for q, used in _surface().items() if not used and _private(q))
+    assert not unused, f"private names nothing in src/ calls: {unused}"
 
 
 def test_keep_lists_only_unreferenced_names():

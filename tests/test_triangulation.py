@@ -47,10 +47,10 @@ def test_kgon_cone_has_k_minus_2_simplices_filling_its_area(k):
     simplices = cone.triangulation
     assert len(simplices) == k - 2
     for indices, simplex in simplices:
-        assert simplex.dual_basis is not None
+        assert len(simplex.generators) == simplex.dim == simplex.rank
         assert simplex.generators == tuple(cone.generators[i] for i in indices)
         assert set(simplex.generators) <= set(cone.generators)
-    assert sum(abs(simplex.dual_basis[0]) for _, simplex in simplices) == _shoelace2(points)
+    assert sum(abs(simplex.seeds[0]) for _, simplex in simplices) == _shoelace2(points)
     gens = cone.generators
     fine = Fan.from_data(gens, [indices for indices, _ in simplices])
     assert is_refinement(fine, Fan.from_data(gens, [tuple(range(k))]))
@@ -60,7 +60,7 @@ def test_cube_cone_has_six_simplices_of_total_determinant_48():
     cube = Cone.from_generators([(x, y, z, 1) for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)])
     simplices = cube.triangulation
     assert len(simplices) == 6
-    assert sum(abs(simplex.dual_basis[0]) for _, simplex in simplices) == 48
+    assert sum(abs(simplex.seeds[0]) for _, simplex in simplices) == 48
 
 
 def test_simplicial_cones_are_their_own_triangulation():

@@ -25,10 +25,11 @@ def _copy(fan):
 
 
 def _walls_accept(fan):
-    """validate_fan's wall test behind its guard: a dual basis on every
-    maximal cone, then _covers_once with no boundary."""
+    """validate_fan's wall test behind its guard: every maximal cone
+    full-dimensional simplicial, then _covers_once with no boundary."""
     cones = fan.cones
-    return bool(cones) and all(cone.dual_basis is not None for cone in cones) and _covers_once(cones, fan.wall_map)
+    full = all(len(cone.generators) == cone.dim == cone.rank for cone in cones)
+    return bool(cones) and full and _covers_once(cones, fan.wall_map)
 
 
 def _both(fan):
