@@ -142,12 +142,12 @@ def _cmd_pair_classify(args, rep: _Reporter) -> int:
 def _cmd_pair_discrepancy(args, rep: _Reporter) -> int:
     pair = _load_pair(args.file)
     point = _parse_ints(args.point, "--point")
-    a = log_discrepancy(pair, point)
     if tuple(point) in pair.fan.rays:
+        a = log_discrepancy(pair, point)
         rep.emit({"point": list(point), "log_discrepancy": str(a)}, str(a))
     else:
         place = classify_extracted_place(pair, point)
-        labels = place.labels()
+        a, labels = place.discrepancy, place.labels()
         rep.emit(
             {"point": list(point), "log_discrepancy": str(a), "labels": list(labels)},
             f"{a}  ({'; '.join(labels)})",

@@ -237,7 +237,8 @@ def smith_normal_form(M: Sequence[Sequence[int]], ncols: int) -> tuple[tuple[Vec
 class SolveChart:
     """One Smith form U.G.V = diag(d) of an integer matrix G (its rows,
     `ncols` wide), read as an integer solver for G m = a; the only reader
-    of `smith_normal_form`.  U and V are kept as tuples of integer rows.
+    of `smith_normal_form`.  U is kept as a tuple of integer rows, and V
+    only through M.
     It answers lattice questions only: integer solves and class groups,
     the unimodularity of a cone that is not full-dimensional simplicial
     and the pieces of a lower-dimensional one (fan.Cone.solve_chart), and
@@ -257,7 +258,6 @@ class SolveChart:
 
     U: tuple[Vec, ...]
     d: tuple[int, ...]
-    V: tuple[Vec, ...]
     L: int
     M: tuple[Vec, ...]
     Z: tuple[Vec, ...]
@@ -270,7 +270,7 @@ class SolveChart:
         L = d[-1] if d else 1
         scaled = [[L // di * x for x in row] for di, row in zip(d, U)]
         M = tuple(tuple(sum(vrow[i] * scaled[i][q] for i in range(r)) for q in range(len(G))) for vrow in V)
-        return cls(U, d, V, L, M, U[r:])
+        return cls(U, d, L, M, U[r:])
 
     def solve(self, a: Sequence[int]) -> Optional[Vec]:
         """L.m for the chart's solution m of G m = a (a integral), or None

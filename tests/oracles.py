@@ -1,7 +1,7 @@
-"""Independent brute-force oracles used by the tests.
+"""Brute-force oracles used by the tests.
 
-Everything in this module recomputes expected values by a route different
-from the library's own: gcds of minors instead of elimination, Gauss-Jordan
+Each oracle recomputes expected values by a route different from the
+library's own: gcds of minors instead of elimination, Gauss-Jordan
 over Fractions and forward Bareiss elimination (both with row swaps) and a
 gcd-reduced seeding loop instead of the one fraction-free echelon, exhaustive
 lattice scans instead of region arithmetic, angular walks instead of wall
@@ -23,13 +23,34 @@ weights instead of the closed forms of the Markov hypersurfaces.  numpy
 is used only here, with integer dtypes, to keep the scans fast; the
 library itself stays pure.
 
-It also holds, unchanged, the few helpers the library dropped because
-nothing in it calls them: the cokernel structure of an integer matrix (read
-as rows beside their column count, the one matrix format of lattice), the
-principal and canonical divisors, the restriction of a boundary to a
-coarser fan, the Fraction pieces of psi and the boundary a decomposition
-sums to.  Tests build their inputs and references from them, and multiply
-integer rows with `matmul`.
+That route is not independent of the library everywhere: some oracles
+read a library routine on the way, and agree with the library only where
+that routine is right.  They are:
+- validate_fan_pairwise: fan._meet_in_common_face and
+  Cone.is_strongly_convex;
+- least_psi_all_subsets, local_functionals_smith, scaled_piece_smith and
+  is_unimodular_smith: lattice.SolveChart, through Cone.solve_chart;
+  index_smith: lattice.smith_normal_form;
+- local_functionals_solve: lattice.solve_rational; is_cartier_solve:
+  lattice.solve_integer;
+- facet_data_scan, is_unimodular_smith, complexity_rho_class_group,
+  complexity_rho_rank and is_log_cy_rank: lattice.rank;
+- is_fano_functionals: fan.walls, is_complete and is_simplicial;
+  is_refinement_scan: fan.walls and Cone.facet_data (in _covers) and
+  Cone.contains; cone_contains_nullspace: Cone.facet_data;
+- classify_pair_brute, singularity_type_scan, is_log_cy_class_group and
+  is_log_cy_rank: pairs._psi; LogDiscrepancyFunctionPieces:
+  toric.local_functionals;
+- reflexive_polygons_boundary_walk: polytope.unimodular_normal_form.
+
+It also holds the few helpers the library dropped because nothing in it
+calls them: the cokernel structure of an integer matrix (read as rows
+beside their column count, the one matrix format of lattice; computed
+from determinantal divisors, not a Smith form), the principal and canonical
+divisors, the restriction of a boundary to a coarser fan, the Fraction
+pieces of psi and the boundary a decomposition sums to.  Tests build
+their inputs and references from them, and multiply integer rows with
+`matmul`.
 """
 
 from __future__ import annotations
@@ -216,9 +237,12 @@ def _det_int(a):
 
 def cokernel_structure(rows, ncols: int) -> AbelianGroupStructure:
     """Structure of Z^rows modulo the column image of the integer rows,
-    `ncols` wide."""
-    d = SolveChart.of(rows, ncols).d
-    return AbelianGroupStructure(len(rows) - len(d), tuple(x for x in d if x >= 2))
+    `ncols` wide, from determinantal divisors: with D_k the gcd of the k x k
+    minors and r the rank, the free rank is rows - r and the invariant
+    factors are d_k = D_k / D_(k-1), ones dropped."""
+    gcds = [g for g in minor_gcds(rows, min(len(rows), ncols)) if g != 0]
+    invariants = [g // prev for prev, g in zip([1] + gcds, gcds)]
+    return AbelianGroupStructure(len(rows) - len(gcds), tuple(d for d in invariants if d >= 2))
 
 
 def matmul(A, B) -> tuple[tuple[int, ...], ...]:
@@ -1129,21 +1153,23 @@ def facet_functionals_scan(P):
     return tuple(sorted(found.items(), key=lambda kv: sorted(kv[0])))
 
 
-def is_reflexive_scan(P):
+def is_reflexive_scan(P, facets=None):
     """Reflexivity from the scan: the polytope is full-dimensional, the
     origin is strictly inside it (by the LP), and every facet functional
-    is integral, so that the polar dual is a lattice polytope."""
+    is integral, so that the polar dual is a lattice polytope.  `facets`
+    is P's facet_functionals_scan, when the caller already has it."""
     if P.dim != P.rank or not origin_interior_lp(P.vertices, P.rank):
         return False
-    return all(x.denominator == 1 for _, a in facet_functionals_scan(P) for x in a)
+    return all(x.denominator == 1 for _, a in facets or facet_functionals_scan(P) for x in a)
 
 
-def scaled_dual_scan(P):
+def scaled_dual_scan(P, facets=None):
     """(L, vertices of L * P*) for a polytope with the origin strictly
     inside: P* = { y : <y, x> >= -1 on P } is the polar dual, whose
-    vertices are the scanned facet functionals, and L is the least positive
-    integer that makes L * P* a lattice polytope."""
-    duals = [a for _, a in facet_functionals_scan(P)]
+    vertices are the scanned facet functionals (`facets`, when the caller
+    already has them), and L is the least positive integer that makes
+    L * P* a lattice polytope."""
+    duals = [a for _, a in facets or facet_functionals_scan(P)]
     L = math.lcm(*(x.denominator for a in duals for x in a))
     return L, [tuple(int(x * L) for x in a) for a in duals]
 

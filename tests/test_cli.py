@@ -20,8 +20,6 @@ from toriclab.fileformats import (
     parse_polytope,
 )
 
-from test_primitives import _count_calls
-
 SAMPLES = os.path.join(os.path.dirname(__file__), "..", "samples")
 
 
@@ -258,24 +256,13 @@ def test_fan_file_keeps_the_written_order():
     assert read.fan == parse_fan("dim 2\nray 0 1\nray 2 0\nray -1 -1\ncone 1 0\ncone 2 1\ncone 0 2\n")
 
 
-def test_each_fan_text_is_read_once(tmp_path, monkeypatch, capsys):
+def test_each_fan_text_is_read_once(tmp_path, monkeypatch, count_calls, capsys):
     """Each fan is normalised once: Fan.from_data builds a fan missing from
     the live table from its normal form, with no second normalisation, so
     the builds are counted through fan._normal_form, which Fan(...) (the
     subdivision) also calls."""
-    counts = {"lines": 0, "fans": 0}
-    lines, normal_form = fileformats._logical_lines, fan_module._normal_form
-
-    def counting_lines(text):
-        counts["lines"] += 1
-        return lines(text)
-
-    def counting_normal_form(*data):
-        counts["fans"] += 1
-        return normal_form(*data)
-
-    monkeypatch.setattr(fileformats, "_logical_lines", counting_lines)
-    monkeypatch.setattr(fan_module, "_normal_form", counting_normal_form)
+    lines = count_calls("_logical_lines", fileformats)
+    fans = count_calls("_normal_form", fan_module)
     cone_file = tmp_path / "cones.fan"
     cone_file.write_text("dim 2\nray 1 0\nray 0 1\nray 1 2\ncone 0 2\ncone 1 2\n")
     inline = tmp_path / "inline.pair"
@@ -290,15 +277,16 @@ def test_each_fan_text_is_read_once(tmp_path, monkeypatch, capsys):
         (["pair", "classify", sample("p2_boundary.pair")], 1, 1),  # an inline fan block, read in place
         (["pair", "classify", str(inline)], 1, 1),
     ]
-    for argv, texts, fans in runs:
-        counts.update(lines=0, fans=0)
+    for argv, texts, built in runs:
+        lines.clear()
+        fans.clear()
         monkeypatch.setattr(fan_module, "_ALIVE", weakref.WeakValueDictionary())  # run 3's cached pair holds the p2 fan
         assert main(argv) == 0, argv
-        assert (counts["lines"], counts["fans"]) == (texts, fans), argv
+        assert (len(lines), len(fans)) == (texts, built), argv
     capsys.readouterr()
 
 
-def test_a_second_run_on_a_catalogue_fan_takes_no_geometry(monkeypatch, capsys, catalogue):
+def test_a_second_run_on_a_catalogue_fan_takes_no_geometry(count_calls, capsys, catalogue):
     """With the catalogue alive, p3.fan and f2.fan are the catalogue's P3
     and F2: the first run validates each once, and a second run reads the
     cached Diagnostics and the cone's cached dimension, with no echelon
@@ -306,9 +294,8 @@ def test_a_second_run_on_a_catalogue_fan_takes_no_geometry(monkeypatch, capsys, 
     runs = [["fan", "check", sample("p3.fan")], ["fan", "resolve2d", sample("f2.fan"), "--cone", "1"]]
     for argv in runs:
         assert main(argv) == 0, argv
-    echelons, covers = [], []
-    _count_calls(monkeypatch, fan_module, "_seed_echelon", echelons)
-    _count_calls(monkeypatch, fan_module, "_covers_once", covers)
+    echelons = count_calls("_seed_echelon", fan_module)
+    covers = count_calls("_covers_once", fan_module)
     for argv in runs:
         assert main(argv) == 0, argv
     assert (echelons, covers) == ([], [])

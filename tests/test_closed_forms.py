@@ -7,7 +7,6 @@ import math
 import random
 import time
 from fractions import Fraction
-from functools import cached_property
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -19,7 +18,6 @@ from toriclab.polytope import Polytope
 from toriclab.toric import ToricVariety, _presentation, is_fano, projective_space_fan, weighted_projective_fan
 
 from oracles import classify_pair_brute, index_scan, random_complete_2d_fan, singularity_type_scan
-from test_primitives import _count_calls
 
 SMALL_B = (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3))
 DET11_CONE = [(1, 0, 0), (0, 1, 0), (3, 5, 11)]
@@ -167,7 +165,7 @@ def test_index_rejects_non_qcartier_pair():
         is_log_cy(pair)
 
 
-def test_classification_computes_no_facet_data(monkeypatch):
+def test_classification_computes_no_facet_data(count_calls):
     pair = ToricPair.from_fan(projective_space_fan(3), [Fraction(1, 2), 0, Fraction(1, 3), 0])
     singularity_type(pair)
     is_log_cy(pair)
@@ -175,8 +173,7 @@ def test_classification_computes_no_facet_data(monkeypatch):
     assert not any("facet_data" in vars(cone) for cone in pair.fan.cones)
     # a point lookup reads the signs on each cone's facets, read off its
     # seeds (every cone full-dimensional simplicial): no double description
-    runs = []
-    _count_calls(monkeypatch, fan_module, "_double_description", runs)
+    runs = count_calls("_double_description", fan_module)
     psi = _psi(pair)
     for v in itertools.product(range(-2, 3), repeat=3):
         if any(v):
@@ -212,16 +209,7 @@ def test_fan_builds_each_maximal_cone_once():
     assert fan.cones == tuple(fan.cone(c) for c in fan.max_cones)
 
 
-def test_is_fano_computes_each_facet_set_once(monkeypatch):
-    computed = []
-    original = Cone.__dict__["facet_data"].func
-
-    def counting(cone):
-        computed.append(cone.generators)
-        return original(cone)
-
-    patched = cached_property(counting)
-    patched.__set_name__(Cone, "facet_data")
-    monkeypatch.setattr(Cone, "facet_data", patched)
+def test_is_fano_computes_each_facet_set_once(count_calls):
+    computed = count_calls("facet_data", Cone)
     assert is_fano(ToricVariety(projective_space_fan(3)))
     assert len(computed) == 4

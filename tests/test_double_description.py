@@ -243,6 +243,8 @@ def _polytope_cases():
 
 
 def _check_polytope(P, pts):
+    """Check P against the scan and the LPs; return its scanned facets
+    when the origin is interior (the scan runs once), else None."""
     rank = P.rank
     assert P.vertices == hull_vertices_lp(pts, rank)
     v0 = P.vertices[0]
@@ -250,23 +252,26 @@ def _check_polytope(P, pts):
     assert P.dim == dim
     interior = dim == rank and origin_interior_lp(P.vertices, rank)
     assert P.contains_origin_interior() == interior
+    facets = None
     if dim == rank:
-        assert facet_functionals(P) == facet_functionals_scan(P)
+        facets = facet_functionals_scan(P)
+        assert facet_functionals(P) == facets
     else:
         with pytest.raises(ValueError, match="full-dimensional"):
             facet_functionals(P)
-    assert is_reflexive(P) == is_reflexive_scan(P)
-    return interior
+    assert is_reflexive(P) == is_reflexive_scan(P, facets)
+    return facets if interior else None
 
 
 def test_polytopes_match_scan_and_lp():
     duals = 0
     for pts in _polytope_cases():
         P = Polytope.hull(pts)
-        if _check_polytope(P, pts):
+        facets = _check_polytope(P, pts)
+        if facets is not None:
             # L times the dual is a lattice polytope, and its facet
             # functionals are the vertices of P over L
-            L, dual = scaled_dual_scan(P)
+            L, dual = scaled_dual_scan(P, facets)
             D = Polytope.hull(dual)
             _check_polytope(D, dual)
             assert {a for _, a in facet_functionals(D)} == {tuple(Fraction(x, L) for x in v) for v in P.vertices}

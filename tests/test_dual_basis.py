@@ -34,7 +34,6 @@ from oracles import (
     random_complete_2d_fan,
     row_echelon,
 )
-from test_primitives import _count_calls
 
 
 def _random_basis(rng, n, size):
@@ -101,12 +100,11 @@ def test_cones_without_a_dual_basis():
     assert _adjugate(Cone((), 2)) is None
 
 
-def test_membership_reads_the_dual_basis(monkeypatch):
+def test_membership_reads_the_dual_basis(count_calls):
     # x = sum c_j g_j, c from a Gauss-Jordan solve over Fractions: x is in
     # the cone iff every c_j >= 0, in its relative interior iff every c_j > 0;
     # the signs are read on facets off the seeds, with no double description
-    runs = []
-    _count_calls(monkeypatch, fan_module, "_double_description", runs)
+    runs = count_calls("_double_description", fan_module)
     rng = random.Random(1515)
     boundary = outside = 0
     for trial in range(200):

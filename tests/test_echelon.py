@@ -209,15 +209,8 @@ def test_hypothesis_rows_match_the_seeding_loop(rows):
     _check_seeds(rows)
 
 
-def test_each_reader_runs_the_routine_once(monkeypatch):
-    calls = []
-
-    def counted(rows, ncols):
-        calls.append(ncols)
-        return echelon(rows, ncols)
-
-    monkeypatch.setattr(lattice, "echelon", counted)
-    monkeypatch.setattr(fan_module, "echelon", counted)
+def test_each_reader_runs_the_routine_once(count_calls):
+    calls = count_calls("echelon", lattice, fan_module)
     M = [[1, 2, 3], [4, 5, 6], [7, 8, 10]]
     for run in (
         lambda: rank(M),

@@ -5,7 +5,6 @@ psi pieces a pair command solves."""
 
 import contextlib
 import io
-import itertools
 import math
 import os
 import random
@@ -88,15 +87,8 @@ def test_hypothesis_trusted_cones_equal_constructed_cones(rnd, rank):
     _assert_cones_normal(Fan.from_data(rays, sorted(cones)))
 
 
-def test_fan_cones_run_no_cone_post_init(monkeypatch):
-    calls = []
-    original = Cone.__post_init__
-
-    def counting(self):
-        calls.append(self)
-        original(self)
-
-    monkeypatch.setattr(Cone, "__post_init__", counting)
+def test_fan_cones_run_no_cone_post_init(count_calls):
+    calls = count_calls("__post_init__", Cone)
     fans = [Fan.from_data(f.rays, f.max_cones, f.rank) for f in NAMED]  # fresh fans, nothing cached
     for fan in fans:
         assert len(fan.cones) == len(fan.max_cones)
@@ -205,7 +197,7 @@ def test_validate_pair_matches_the_fraction_pieces():
 # ----------------------------------------------------------- count guards
 
 
-def test_pair_queries_build_few_fractions(monkeypatch):
+def test_pair_queries_build_few_fractions(monkeypatch, count_calls):
     """Library Fraction constructions per pair query (the five readers of
     one fresh pair) stay below 5; the pairs are built from Fractions
     before counting starts."""
@@ -216,15 +208,8 @@ def test_pair_queries_build_few_fractions(monkeypatch):
             boundary = [Fraction(rng.randint(0, 9), rng.randint(1, 9)) for _ in fan.rays]
             point = tuple(rng.randint(-2, 2) for _ in range(fan.rank))
             queries.append((ToricPair.from_fan(fan, boundary), point if math.gcd(*point) == 1 else None))
-    calls = itertools.count()
-    original = Fraction.__new__
-
-    def counting(cls, *args, **kwargs):
-        next(calls)
-        return original(cls, *args, **kwargs)
-
     _psi.cache_clear()
-    monkeypatch.setattr(Fraction, "__new__", counting)
+    made = count_calls("__new__", Fraction)
     for pair, point in queries:
         for f in (singularity_type, is_log_cy, index, lambda p: complexity(p, decomposition_by_primes(p))):
             try:
@@ -237,26 +222,19 @@ def test_pair_queries_build_few_fractions(monkeypatch):
             except ValueError:
                 pass
     monkeypatch.undo()
-    assert next(calls) < 5 * len(queries)
+    assert len(made) < 5 * len(queries)
 
 
-def test_pair_classify_solves_each_maximal_cone_once(monkeypatch):
+def test_pair_classify_solves_each_maximal_cone_once(count_calls):
     """A cold `pair classify` on a sample pair solves one psi piece per
     maximal cone: validating the file builds the psi record that the
     queries then read."""
-    original = pairs_module._scaled_piece
-    calls = itertools.count()
-
-    def counting(cone, a):
-        next(calls)
-        return original(cone, a)
-
-    monkeypatch.setattr(pairs_module, "_scaled_piece", counting)
+    calls = count_calls("_scaled_piece", pairs_module)
     solved = {}
     for name in sorted(n for n in os.listdir(SAMPLES) if n.endswith(".pair")):
         _psi.cache_clear()
-        start = next(calls)
+        calls.clear()
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["pair", "classify", os.path.join(SAMPLES, name)]) == 0
-        solved[name] = next(calls) - start - 1
+        solved[name] = len(calls)
     assert solved == {"p1xp1_boundary.pair": 4, "p2_boundary.pair": 3, "p3_boundary.pair": 4, "wp112_boundary.pair": 3}

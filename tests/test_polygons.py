@@ -206,25 +206,12 @@ def test_normal_form_of_large_gl2z_images():
 # ------------------------------------------------------------ construction counts and the descent
 
 
-@pytest.fixture
-def constructions(monkeypatch):
-    calls = [0]
-    original = Polytope.__post_init__
-
-    def counting(self):
-        calls[0] += 1
-        original(self)
-
-    monkeypatch.setattr(Polytope, "__post_init__", counting)
-    return calls
-
-
-def test_normal_form_builds_one_polytope(constructions):
+def test_normal_form_builds_one_polytope(count_calls):
     # the shear ((1, 7), (0, 1)) applied to the triangle of P2
     sheared = Polytope.hull([(1, 0), (7, 1), (-8, -1)])
-    start = constructions[0]
+    constructions = count_calls("__post_init__", Polytope)
     assert unimodular_normal_form(sheared).vertices == ((-1, -1), (1, 0), (0, 1))
-    assert constructions[0] - start == 1
+    assert len(constructions) == 1
 
 
 @pytest.fixture
@@ -237,20 +224,13 @@ def cold_enumeration():
 
 
 @pytest.fixture
-def descended(cold_enumeration, monkeypatch):
+def descended(cold_enumeration, count_calls):
     """The polygons a cold enumeration hands to the normal form: its three
     roots and every hull the descent pushes."""
-    seen = []
-    form = polytope.unimodular_normal_form
-
-    def recording(P):
-        seen.append(P)
-        return form(P)
-
-    monkeypatch.setattr(polytope, "unimodular_normal_form", recording)
+    seen = count_calls("unimodular_normal_form", polytope)
     polys = enumerate_reflexive_polygons()
     assert tuple(P.vertices for P in polys) == REFLEXIVE_ORDER
-    return seen
+    return [call.args[0] for call in seen]
 
 
 def test_descent_takes_at_most_64_normal_forms(descended):
@@ -366,46 +346,29 @@ def test_normal_form_of_gl2z_images_up_to_1e12():
             assert unimodular_normal_form(image) == form
 
 
-@pytest.fixture
-def nf_counts(monkeypatch):
-    """Counts reduction steps and examined bases of the normal form."""
-    counts = {"steps": 0, "bases": 0}
-    step, basis = polytope._nearest_multiple, polytope._shear_key
-
-    def counting_step(*args):
-        counts["steps"] += 1
-        return step(*args)
-
-    def counting_basis(*args):
-        counts["bases"] += 1
-        return basis(*args)
-
-    monkeypatch.setattr(polytope, "_nearest_multiple", counting_step)
-    monkeypatch.setattr(polytope, "_shear_key", counting_basis)
-    return counts
-
-
-def test_reduction_steps_on_the_entry_ladder(nf_counts):
+def test_reduction_steps_on_the_entry_ladder(count_calls):
+    calls = count_calls("_nearest_multiple", polytope)
     p2 = ((-1, -1), (1, 0), (0, 1))
     steps = {}
     for e in range(3, 10):
         a = 10**e
         U = ((1, a), (a + 1, a * a + a + 1))  # shear by a, then by a + 1
         assert U[0][0] * U[1][1] - U[0][1] * U[1][0] == 1
-        nf_counts["steps"] = 0
+        calls.clear()
         assert unimodular_normal_form(Polytope.hull(_apply(U, p2))).vertices == p2
-        steps[e] = nf_counts["steps"]
+        steps[e] = len(calls)
     # at most linear in log a
     assert all(steps[e] <= steps[3] * e / 3 for e in steps), steps
 
 
-def test_bases_examined_on_the_thin_ladder(nf_counts):
+def test_bases_examined_on_the_thin_ladder(count_calls):
+    calls = count_calls("_shear_key", polytope)
     bases = {}
     for L in (1, 2, 3, 4, 5, 6, 10, 10**2, 10**3, 10**4, 10**5, 10**6):
         P = Polytope.hull([(L, 0), (-L, 0), (0, 1), (0, -1)])
-        nf_counts["bases"] = 0
+        calls.clear()
         form = unimodular_normal_form(P)
-        bases[L] = nf_counts["bases"]
+        bases[L] = len(calls)
         assert form == Polytope.hull([(-L, -L), (-L, 1 - L), (L, L - 1), (L, L)])
         if L <= 6:
             assert form == normal_form_search(P)
@@ -417,13 +380,10 @@ def test_bases_examined_on_the_thin_ladder(nf_counts):
 # ------------------------------------------------------------ smooth Fano and the scan oracle
 
 
-def test_smooth_fano_needs_no_smith_form(monkeypatch):
+def test_smooth_fano_needs_no_smith_form(count_calls):
     from toriclab import lattice
 
-    def no_smith(M):
-        raise AssertionError("Smith form taken")
-
-    monkeypatch.setattr(lattice, "smith_normal_form", no_smith)
+    smith = count_calls("smith_normal_form", lattice)
     cube = Polytope.hull([(x, y, z) for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)])
     octahedron = Polytope.hull(scaled_dual_scan(cube)[1])
     rng = random.Random(610)
@@ -441,6 +401,7 @@ def test_smooth_fano_needs_no_smith_form(monkeypatch):
         assert polytope.is_smooth_fano_polytope(P) == want, P.vertices
         smooth += want
     assert smooth == 2 * 5 + 2
+    assert smith == []
 
 
 def test_gap_check_matches_the_full_interior_scan(monkeypatch):

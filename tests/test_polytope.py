@@ -232,18 +232,14 @@ def test_non_integer_coordinates_are_rejected():
             Polytope(((1, 0, 0), (0, x, 1)), 3)
 
 
-def test_is_reflexive_builds_no_polytope_and_no_fraction(monkeypatch):
+def test_is_reflexive_builds_no_polytope_and_no_fraction(monkeypatch, count_calls):
     polys = list(enumerate_reflexive_polygons()) + [
         Polytope.hull([(1, 0), (0, 1), (-1, -3)]),
         Polytope.hull([(x, y, z) for x in (-1, 1) for y in (-1, 1) for z in (-1, 2)]),
         Polytope.hull([(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, 0)]),
     ]
-    built = []
-    post_init = Polytope.__post_init__
-    monkeypatch.setattr(Polytope, "__post_init__", lambda self: built.append(post_init(self)))
-    made = []
-    new = Fraction.__new__
-    monkeypatch.setattr(Fraction, "__new__", lambda cls, *a, **k: made.append(a) or new(cls, *a, **k))
+    built = count_calls("__post_init__", Polytope)
+    made = count_calls("__new__", Fraction)
     answers = [is_reflexive(P) for P in polys]
     monkeypatch.undo()
     assert answers == [True] * 16 + [False] * 3

@@ -12,7 +12,6 @@ import itertools
 import math
 import pathlib
 import random
-import sys
 from fractions import Fraction
 
 import pytest
@@ -205,20 +204,6 @@ def test_traced_names_resolve():
 # ------------------------------------------------------------ count guards
 
 
-def _count_calls(monkeypatch, module, name, log):
-    original = getattr(module, name)
-
-    def counted(*args, **kwargs):
-        names, frame = [], sys._getframe(1)  # the callers' names, as inspect.stack()[1:] without reading source
-        while frame is not None:
-            names.append(frame.f_code.co_name)
-            frame = frame.f_back
-        log.append(tuple(names))
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, counted)
-
-
 def _star_subdivided_p3(cones, seed):
     """P3 star-subdivided at seeded maximal cones and 2-faces until it has
     the given number of maximal cones (each step adds two)."""
@@ -230,39 +215,35 @@ def _star_subdivided_p3(cones, seed):
     return Fan(fan.rays, fan.max_cones, fan.rank)
 
 
-def test_complete_simplicial_fans_take_no_double_description(monkeypatch):
+def test_complete_simplicial_fans_take_no_double_description(count_calls):
     fans = [projective_space_fan(n) for n in range(2, 7)] + [_star_subdivided_p3(256, 1234)]
     assert len(fans[-1].max_cones) == 256
     fans += [Fan(fan.rays, fan.max_cones, fan.rank) for _, fan in bundled_fans() if fan.rank >= 2]
-    runs, separations = [], []
-    _count_calls(monkeypatch, fan_module, "_double_description", runs)
-    _count_calls(monkeypatch, fan_module, "_separating", separations)
+    runs = count_calls("_double_description", fan_module)
+    separations = count_calls("_separating", fan_module)
     for fan in fans:
         assert validate_fan(fan) and is_complete(fan)
     assert (len(runs), len(separations)) == (0, 0)
 
 
-def test_a_cone_takes_one_elimination_for_its_dimension_and_facets(monkeypatch):
-    echelons = []
-    _count_calls(monkeypatch, fan_module, "_seed_echelon", echelons)
+def test_a_cone_takes_one_elimination_for_its_dimension_and_facets(count_calls):
+    echelons = count_calls("_seed_echelon", fan_module)
     cone = Cone.from_generators(_kgon(12))
     assert (cone.dim, len(cone.facet_data)) == (3, 12)
     assert len(echelons) == 1
 
 
-def test_a_cold_kgon_pair_takes_one_elimination_per_cone_and_simplex(monkeypatch):
+def test_a_cold_kgon_pair_takes_one_elimination_per_cone_and_simplex(count_calls):
     # the cone over the 12-gon and the 10 simplices of its triangulation
-    echelons = []
-    _count_calls(monkeypatch, fan_module, "_seed_echelon", echelons)
+    echelons = count_calls("_seed_echelon", fan_module)
     pairs._psi.cache_clear()
     pair = ToricPair.from_fan(Fan.from_data(_kgon(12), [range(12)]), [Fraction(1, 2)] * 12)
     assert singularity_type(pair) == "klt"
     assert len(echelons) == 11
 
 
-def test_span_membership_takes_no_smith_form(monkeypatch):
-    smith = []
-    _count_calls(monkeypatch, lattice, "smith_normal_form", smith)
+def test_span_membership_takes_no_smith_form(count_calls):
+    smith = count_calls("smith_normal_form", lattice)
     cone = Cone.from_generators([(1, 0, 0), (1, 2, 0)])
     assert cone.contains((2, 2, 0)) and cone.relint_contains((2, 2, 0))
     assert not cone.contains((0, 0, 1)) and not cone.relint_contains((1, 0, 0))
@@ -270,10 +251,9 @@ def test_span_membership_takes_no_smith_form(monkeypatch):
     assert smith == []
 
 
-def test_one_wall_map_per_fan_and_no_smith_form_for_fano(monkeypatch):
-    built, smith = [], []
-    _count_calls(monkeypatch, fan_module, "walls", built)
-    _count_calls(monkeypatch, lattice, "smith_normal_form", smith)
+def test_one_wall_map_per_fan_and_no_smith_form_for_fano(count_calls):
+    built = count_calls("walls", fan_module)
+    smith = count_calls("smith_normal_form", lattice)
     fans = [projective_space_fan(n) for n in range(2, 5)] + [_star_subdivided_p3(40, 5)]
     for k, fan in enumerate(fans, 1):
         assert validate_fan(fan) and is_complete(fan) and toric.is_fano(toric.ToricVariety(fan)) == (k < 4)
@@ -287,7 +267,7 @@ def _classify(pair):
     return singularity_type(pair), is_log_cy(pair), index(pair), complexity(pair, decomposition_by_primes(pair)).c
 
 
-def test_pair_queries_take_smith_forms_only_for_the_least_psi(monkeypatch):
+def test_pair_queries_take_smith_forms_only_for_the_least_psi(count_calls):
     fans = [
         projective_space_fan(3),
         weighted_projective_fan((1, 4, 1, 5)),
@@ -295,8 +275,7 @@ def test_pair_queries_take_smith_forms_only_for_the_least_psi(monkeypatch):
         Fan.from_data([(1, 0, 0), (0, 1, 0), (3, 5, 11), (-4, -6, -11)], list(itertools.combinations(range(4), 3))),
         _star_subdivided_p3(12, 77),
     ]
-    smith = []
-    _count_calls(monkeypatch, lattice, "smith_normal_form", smith)
+    smith = count_calls("smith_normal_form", lattice)
     pairs._psi.cache_clear()
     for fan in fans:
         lc = ToricPair.from_fan(fan, [1] + [Fraction(1, 2)] * (len(fan.rays) - 1))
@@ -308,4 +287,4 @@ def test_pair_queries_take_smith_forms_only_for_the_least_psi(monkeypatch):
             pair = ToricPair.from_fan(fan, [b] * len(fan.rays))
             below_lc += _classify(pair)[0] in ("klt", "canonical", "terminal")
     assert below_lc == 15 and smith
-    assert all("_least_exceptional_psi" in stack for stack in smith)
+    assert all("_least_exceptional_psi" in call.callers for call in smith)

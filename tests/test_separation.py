@@ -14,10 +14,7 @@ from toriclab import fan as fan_module
 from toriclab.fan import Cone, Fan, _meet_in_common_face
 
 from oracles import generators_extremal_lp, meet_in_common_face_lp, strongly_convex_lp
-
-
-def _units(rank):
-    return [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+from test_double_description import _kgon, _units
 
 
 def _pm(vectors):
@@ -122,26 +119,13 @@ def test_meet_in_common_face_matches_the_simplex():
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
-def _kgon(k, radius=100):
-    return [
-        (round(radius * math.cos(2 * math.pi * i / k)), round(radius * math.sin(2 * math.pi * i / k)), 1)
-        for i in range(k)
-    ]
-
-
 @pytest.mark.parametrize("k", range(4, 13))
-def test_one_double_description_run_per_kgon_cone(k, monkeypatch):
+def test_one_double_description_run_per_kgon_cone(k, count_calls):
     # the run starts from the cone's cached echelon, so the cone takes
     # one elimination in all
-    echelons, runs = [], []
-    for name, log in (("_seed_echelon", echelons), ("_double_description", runs)):
-
-        def counted(rows, *rest, kernel=getattr(fan_module, name), log=log):
-            log.append(len(rows))
-            return kernel(rows, *rest)
-
-        monkeypatch.setattr(fan_module, name, counted)
+    echelons = count_calls("_seed_echelon", fan_module)
+    runs = count_calls("_double_description", fan_module)
     cone = Cone.from_generators(_kgon(k))
     assert cone.is_strongly_convex()
     assert cone.generators_extremal()
-    assert (echelons, runs) == ([k], [k])
+    assert ([len(c.args[0]) for c in echelons], [len(c.args[0]) for c in runs]) == ([k], [k])

@@ -5,11 +5,9 @@ holds drops out of the table with both of its keys, and no other data
 reaching a live fan add a key; and coordinates, indices or query points
 that are not integers raise instead of being truncated."""
 
-import gc
 import glob
 import os
 import random
-import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -149,11 +147,12 @@ def test_cached_diagnostics_match_the_pairwise_scan(name, fan):
         assert again is shared and validate_fan(again) == expected
 
 
-def test_presentations_of_a_live_fan_keep_the_table_flat(catalogue):
+def test_presentations_of_a_live_fan_keep_the_table_flat(catalogue, assert_plateau):
     """10^4 seeded presentations of a catalogue fan (rays reordered and
     scaled, cones listed otherwise) after a warm-up all reach the one live
-    fan, and register no key: the second half leaves no more keys in the
-    table, nor more traced bytes outside this file, than the first."""
+    fan, and register no key: the table keeps the catalogue's keys, and
+    the second half leaves not one traced byte more than the first outside
+    this file and the conftest harness."""
     fan = dict(catalogue)["P2"]
     rng = random.Random(1616)
 
@@ -161,22 +160,11 @@ def test_presentations_of_a_live_fan_keep_the_table_flat(catalogue):
         rays, cones = _permuted(rng, fan)
         return [tuple(k * x for x in r) for r, k in zip(rays, (rng.randint(1, 9) for _ in rays))], cones
 
-    warm_up, first, second = ([presentation() for _ in range(n)] for n in (200, 5000, 5000))
+    def run(data):
+        assert Fan.from_data(*data, fan.rank) is fan
 
-    def retained(presentations):
-        for rays, cones in presentations:
-            assert Fan.from_data(rays, cones, fan.rank) is fan
-        gc.collect()
-        traces = tracemalloc.take_snapshot().filter_traces([tracemalloc.Filter(False, __file__)]).traces
-        return len(fan_module._ALIVE), sum(trace.size for trace in traces)
-
-    tracemalloc.start()
-    try:
-        retained(warm_up)
-        (keys, size), (more_keys, more_size) = retained(first), retained(second)
-    finally:
-        tracemalloc.stop()
-    assert more_keys <= keys and more_size <= size, (keys, more_keys, size, more_size)
+    inputs = [[presentation() for _ in range(n)] for n in (200, 5000, 5000)]
+    assert_plateau(run, lambda: len(fan_module._ALIVE), inputs, len(fan_module._ALIVE), 0)
 
 
 def test_sample_files_resolve_to_the_live_catalogue_fans(catalogue):

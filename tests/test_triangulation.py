@@ -23,7 +23,6 @@ from toriclab.polytope import Polytope
 
 from oracles import least_psi_all_subsets, singularity_type_scan
 from test_double_description import _kgon
-from test_primitives import _count_calls
 
 # ------------------------------------------------ the triangulation itself
 
@@ -145,15 +144,14 @@ def test_hypothesis_point_set_cones_match_the_subset_search(rnd, rank):
 # ------------------------------------------------------------ count guards
 
 
-def test_hexagon_pairs_take_one_smith_form_per_simplex(monkeypatch):
+def test_hexagon_pairs_take_one_smith_form_per_simplex(count_calls):
     fan = Fan.from_data([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1), (1, 1, 1), (-1, -1, 1)], [tuple(range(6))])
     pair_list = []
     for m, extra in [((0, 0, 1), 0), ((0, 0, 1), 1), ((0, 0, 1), 2), ((1, 0, 2), 0), ((1, 1, 3), 1), ((1, -1, 2), 0)]:
         values = [sum(a * x for a, x in zip(m, u)) for u in fan.rays]
         D = max(values) + extra
         pair_list.append(ToricPair.from_fan(fan, [Fraction(D - v, D) for v in values]))
-    smith = []
-    _count_calls(monkeypatch, lattice, "smith_normal_form", smith)
+    smith = count_calls("smith_normal_form", lattice)
     pairs._psi.cache_clear()
     found = [singularity_type(pair) for pair in pair_list]
     assert len(fan.cones[0].triangulation) == 4
@@ -164,11 +162,10 @@ def test_hexagon_pairs_take_one_smith_form_per_simplex(monkeypatch):
     assert found == [singularity_type_scan(pair) for pair in pair_list]
 
 
-def test_cold_24gon_cone_takes_one_smith_form_per_simplex(monkeypatch):
+def test_cold_24gon_cone_takes_one_smith_form_per_simplex(count_calls):
     fan = Fan.from_data([(i, i * i, 1) for i in range(24)], [tuple(range(24))])
     pair = ToricPair.from_fan(fan, [Fraction(1, 2)] * 24)
-    smith = []
-    _count_calls(monkeypatch, lattice, "smith_normal_form", smith)
+    smith = count_calls("smith_normal_form", lattice)
     pairs._psi.cache_clear()
     assert singularity_type(pair) in ("klt", "canonical", "terminal")
     assert len(smith) <= 23  # 22 simplices and the cone's own chart
