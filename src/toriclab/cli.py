@@ -215,33 +215,25 @@ def _cmd_polytope_enumerate(args, rep: _Reporter) -> int:
 
 
 _MARKOV_HEADER = f"{'triple':<14}{'weights':<18}{'degree':<8}{'amplitude':<11}{'wellformed':<12}{'quasismooth':<13}fano"
-_LOWER = {True: "true", False: "false"}
-
-
-def _markov_json(s: markov.HkwSurfaceData) -> str:
-    """The bytes _ENCODER.encode prints for the row's record: keys sorted,
-    ints by repr, bools as true/false."""
-    t = s.triple
-    w0, w1, w2, w3 = s.weights
-    return (
-        f'{{"amplitude": {s.amplitude}, "degree": {s.degree}, "fano": {_LOWER[s.fano]}, '
-        f'"quasismooth": {_LOWER[s.quasismooth]}, "triple": [{t.a}, {t.b}, {t.c}], '
-        f'"weights": [{w0}, {w1}, {w2}, {w3}], "wellformed": {_LOWER[s.wellformed]}}}'
-    )
-
-
-def _markov_text(s: markov.HkwSurfaceData) -> str:
-    return (
-        f"{str(s.triple.as_tuple()):<14}{str(s.weights):<18}{s.degree:<8}{s.amplitude:<11}"
-        f"{_LOWER[s.wellformed]:<12}{_LOWER[s.quasismooth]:<13}{_LOWER[s.fano]}"
-    )
+_TRUE_COLUMNS = f"{'true':<12}{'true':<13}true"  # every surface is well-formed, quasismooth and Fano
 
 
 def _cmd_markov_table(args, rep: _Reporter) -> int:
-    row = _markov_json if rep.json_lines else _markov_text
-    rows = [row(markov.hkw_surface(t)) for t in markov.enumerate_markov(args.max)]
-    if not rep.json_lines:
-        rows.insert(0, _MARKOV_HEADER)
+    """One row per triple of the walk, in the closed forms `markov.hkw_surface`
+    proves: `_numerics` gives d and the degree and checks the Markov equation.
+    A JSON row is the bytes _ENCODER.encode prints for the row's record: keys
+    sorted, ints by repr.  Every row is built before any is printed."""
+    rows = [] if rep.json_lines else [_MARKOV_HEADER]
+    for t in markov.enumerate_markov(args.max):
+        a, b, c = t.a, t.b, t.c
+        d, degree = markov._numerics(a, b, c)
+        if rep.json_lines:
+            rows.append(
+                f'{{"amplitude": {c + d}, "degree": {degree}, "fano": true, "quasismooth": true, '
+                f'"triple": [{a}, {b}, {c}], "weights": [{a * a}, {b * b}, {d}, {c}], "wellformed": true}}'
+            )
+        else:
+            rows.append(f"{f'({a}, {b}, {c})':<14}{f'({a * a}, {b * b}, {d}, {c})':<18}{degree:<8}{c + d:<11}{_TRUE_COLUMNS}")
     sys.stdout.write("\n".join(rows) + "\n")
     return 0
 

@@ -44,13 +44,12 @@ class MarkovTriple:
         sum to 3yz.  The children (a, c, 3ac - b) and (b, c, 3bc - a) of a
         solution a < b < c are the jumps of b and of a, and stay sorted:
         a < c, and 3ac - b > c because 3ac - b >= 3c - b > 2c > c; so too
-        b < c < 3bc - a.  Checked input, such as `markov adjacent`, goes
-        through MarkovTriple(...).  `markov table` still checks every row
-        exactly: `hkw_surface` raises unless c*d = a^2 + b^2, and with
-        d = 3ab - c that is the Markov equation."""
-        t = object.__new__(cls)
-        for name, value in (("a", a), ("b", b), ("c", c)):
-            object.__setattr__(t, name, value)
+        b < c < 3bc - a.  Checked input (`markov adjacent`) goes through
+        MarkovTriple(...); `_numerics` checks every row of `markov table`."""
+        t = object.__new__(cls)  # t.__dict__.update(...) would give each triple a dict of its own
+        object.__setattr__(t, "a", a)
+        object.__setattr__(t, "b", b)
+        object.__setattr__(t, "c", c)
         return t
 
     def as_tuple(self) -> tuple[int, int, int]:
@@ -71,11 +70,9 @@ def enumerate_markov(bound: int) -> list[MarkovTriple]:
     stack = [(1, 2, 5)]
     while stack:
         a, b, c = t = stack.pop()
-        if c > bound:
-            continue
-        found.append(t)
-        stack.append((a, c, 3 * a * c - b))
-        stack.append((b, c, 3 * b * c - a))
+        if c <= bound:
+            found.append(t)
+            stack += (a, c, 3 * a * c - b), (b, c, 3 * b * c - a)
     found.sort(key=lambda t: (t[2], t[1], t[0]))
     return [MarkovTriple._trusted(*t) for t in found]
 
@@ -86,6 +83,15 @@ def adjacent_triple(t: MarkovTriple) -> MarkovTriple:
     if d <= 0:
         raise RuntimeError("the jump of the maximal entry of a Markov triple must be positive")
     return MarkovTriple(*sorted((t.a, t.b, d)))
+
+
+def _numerics(a: int, b: int, c: int) -> tuple[int, int]:
+    """d = 3ab - c and the degree c*d, checked to be a^2 + b^2: with this d, the Markov equation."""
+    d = 3 * a * b - c
+    degree = c * d
+    if degree != a * a + b * b:
+        raise RuntimeError("Markov equation broken: c*d differs from a^2 + b^2")
+    return d, degree
 
 
 @dataclass(frozen=True)
@@ -112,9 +118,8 @@ def hkw_surface(t: MarkovTriple) -> HkwSurfaceData:
     """Weighted-hypersurface data for the triple and its adjacent one, in
     closed form.
 
-    Write d = 3ab - c.  The Markov equation c^2 - 3abc + a^2 + b^2 = 0
-    gives c*d = a^2 + b^2 (checked below), so d > 0 and the degree is
-    a^2 + b^2.
+    Write d = 3ab - c.  The Markov equation c^2 - 3abc + a^2 + b^2 = 0 gives
+    c*d = a^2 + b^2 (`_numerics` checks it), so d > 0 and the degree is a^2 + b^2.
 
     Well-formed: the weights (a^2, b^2, d, c) are pairwise coprime, so any
     three of them have gcd 1.
@@ -139,11 +144,7 @@ def hkw_surface(t: MarkovTriple) -> HkwSurfaceData:
     x1 = x2 = x3 = x4 = 0, which the weighted projective space excludes.
     Either way the affine cone is smooth away from the origin."""
     a, b, c = t.a, t.b, t.c
-    d = 3 * a * b - c
-    degree = c * d
-    # c*d = a^2 + b^2 is forced by the Markov equation; keep it checked
-    if degree != a * a + b * b:
-        raise RuntimeError("Markov equation broken: c*d differs from a^2 + b^2")
+    d, degree = _numerics(a, b, c)
     return HkwSurfaceData(
         triple=t,
         weights=(a * a, b * b, d, c),

@@ -19,7 +19,8 @@ instead of its triangulation for the least log discrepancy, class-group
 coordinates instead of ranks of the ray matrix, and those ranks and
 Fraction pieces of psi instead of its integer record, a Vieta-jump
 search with a seen set instead of the Markov tree walk, gcds of the
-weights instead of the closed forms of the Markov hypersurfaces.  numpy
+weights instead of the closed forms of the Markov hypersurfaces, and
+`markov table` rows formatted from those hypersurfaces' data.  numpy
 is used only here, with integer dtypes, to keep the scans fast; the
 library itself stays pure.
 
@@ -1555,6 +1556,32 @@ def hkw_surface_gcd(t: MarkovTriple) -> HkwSurfaceData:
         wellformed=wellformed,
         quasismooth=quasismooth,
         fano=fano,
+    )
+
+
+# The row formatters `markov table` used before it wrote its rows from
+# the closed forms directly, kept as the reference: one row per
+# HkwSurfaceData, in either output format.
+
+_LOWER = {True: "true", False: "false"}
+
+
+def _markov_json(s: HkwSurfaceData) -> str:
+    """The bytes _ENCODER.encode prints for the row's record: keys sorted,
+    ints by repr, bools as true/false."""
+    t = s.triple
+    w0, w1, w2, w3 = s.weights
+    return (
+        f'{{"amplitude": {s.amplitude}, "degree": {s.degree}, "fano": {_LOWER[s.fano]}, '
+        f'"quasismooth": {_LOWER[s.quasismooth]}, "triple": [{t.a}, {t.b}, {t.c}], '
+        f'"weights": [{w0}, {w1}, {w2}, {w3}], "wellformed": {_LOWER[s.wellformed]}}}'
+    )
+
+
+def _markov_text(s: HkwSurfaceData) -> str:
+    return (
+        f"{str(s.triple.as_tuple()):<14}{str(s.weights):<18}{s.degree:<8}{s.amplitude:<11}"
+        f"{_LOWER[s.wellformed]:<12}{_LOWER[s.quasismooth]:<13}{_LOWER[s.fano]}"
     )
 
 

@@ -8,10 +8,18 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from toriclab.cli import _markov_json, main
+from toriclab import markov
+from toriclab.cli import main
 from toriclab.markov import HkwSurfaceData, MarkovTriple, adjacent_triple, enumerate_markov, hkw_surface
 
-from oracles import enumerate_markov_dfs, hkw_surface_gcd, markov_scan_quadratic, markov_scan_small
+from oracles import (
+    _markov_json,
+    _markov_text,
+    enumerate_markov_dfs,
+    hkw_surface_gcd,
+    markov_scan_quadratic,
+    markov_scan_small,
+)
 
 
 def test_triple_validation():
@@ -126,11 +134,16 @@ def _record(s):
     }
 
 
-def test_json_rows_are_the_encoded_records():
+def _table(json_lines, bound):
+    """The stdout of one `markov table --max bound` through cli.main."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        assert main(["--json-lines", "markov", "table", "--max", str(10**40)]) == 0
-    lines = out.getvalue().splitlines()
+        assert main((["--json-lines"] if json_lines else []) + ["markov", "table", "--max", str(bound)]) == 0
+    return out.getvalue()
+
+
+def test_json_rows_are_the_encoded_records():
+    lines = _table(True, 10**40).splitlines()
     triples = enumerate_markov(10**40)
     assert len(lines) == len(triples)
     for line, t in zip(lines, triples):
@@ -152,6 +165,37 @@ def test_json_row_spells_every_bool(flags):
         fano=fano,
     )
     assert _markov_json(s) == json.dumps(_record(s), sort_keys=True)
+
+
+@pytest.mark.parametrize("json_lines", (False, True))
+@pytest.mark.parametrize("bound", (1000, 10**40))
+def test_table_rows_are_the_oracle_rows(json_lines, bound):
+    # each row, after the text header, is the old row formatter applied to
+    # the gcd oracle's surface of the DFS oracle's triple
+    lines = _table(json_lines, bound).splitlines()
+    row = _markov_json if json_lines else _markov_text
+    assert lines[0 if json_lines else 1 :] == [row(hkw_surface_gcd(t)) for t in enumerate_markov_dfs(bound)]
+
+
+def test_table_builds_no_surface_per_row(count_calls):
+    walks = count_calls("enumerate_markov", markov)
+    surfaces = count_calls("hkw_surface", markov)
+    data = count_calls("__init__", HkwSurfaceData)
+    _table(True, 10**40)
+    assert (len(walks), surfaces, data) == (1, [], [])
+
+
+@pytest.mark.parametrize("json_lines", (False, True))
+def test_a_broken_row_raises_before_anything_is_printed(monkeypatch, json_lines):
+    # (1, 2, 6) is not a Markov triple: d = 3*1*2 - 6 = 0, and c*d = 0 != 5
+    broken = MarkovTriple._trusted(1, 2, 6)
+    monkeypatch.setattr(markov, "enumerate_markov", lambda bound: [*enumerate_markov(bound), broken])
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(RuntimeError, match="Markov equation broken"):
+        main((["--json-lines"] if json_lines else []) + ["markov", "table", "--max", "1000"])
+    assert out.getvalue() == ""
+    with pytest.raises(RuntimeError, match="Markov equation broken"):
+        hkw_surface(broken)
 
 
 # ----------------------------------------- tree walk against the DFS
@@ -197,11 +241,7 @@ TABLE_DIGESTS = {
 
 @pytest.mark.parametrize("json_lines, bound", sorted(TABLE_DIGESTS))
 def test_markov_table_output_is_pinned(json_lines, bound):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main((["--json-lines"] if json_lines else []) + ["markov", "table", "--max", str(bound)])
-    assert code == 0
-    text = out.getvalue()
+    text = _table(json_lines, bound)
     lines, digest = TABLE_DIGESTS[json_lines, bound]
     assert len(text.splitlines()) == lines
     assert hashlib.sha256(text.encode()).hexdigest() == digest
