@@ -114,7 +114,7 @@ def _double_description(rows, seed_echelon) -> tuple[tuple[int, ...], list[tuple
         g, bit = proj[j], 1 << j
         pos, neg, kept = [], [], []
         for h, z in rays:
-            v = sum(a * b for a, b in zip(h, g))
+            v = vdot(h, g)
             if v > 0:
                 pos.append((h, z, v))
                 kept.append((h, z))

@@ -20,6 +20,7 @@ a lower-dimensional cone and the parallelepiped of a simplex.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -28,7 +29,9 @@ Vec = tuple[int, ...]
 
 
 def vdot(a: Sequence, b: Sequence):
-    return sum(x * y for x, y in zip(a, b, strict=True))
+    if len(a) != len(b):
+        raise ValueError("dot product of vectors of different lengths")
+    return sum(map(operator.mul, a, b))
 
 
 def is_zero(a: Sequence) -> bool:

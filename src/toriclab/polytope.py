@@ -2,7 +2,9 @@
 
 Vertices are integer points, so every predicate runs on integer
 arithmetic.  A polygon's facets are read off its counterclockwise edge
-cycle.  In higher rank a polytope P is the cone over P x {1}, and one
+cycle, and each edge (v, w) keeps det(v, w) as its h0: a polygon with
+the origin inside is smooth Fano iff every h0 is 1, with no elimination
+run.  In higher rank a polytope P is the cone over P x {1}, and one
 double-description run on that cone gives both its vertices and its
 facets.  Each polytope finds its facets at construction, and every
 predicate reads them from there.  Every predicate is exact.  The polar
@@ -15,7 +17,10 @@ Gauss reduction of the norm N(u) = max_v |<u, v>| finds the least max
 |coordinate|, lambda2, in a number of steps logarithmic in the entries; the
 bases whose rows have norm at most lambda2 are then listed line by line in
 the reduced basis and compared in closed form, so the cost grows with the
-bit length of the coordinates, not with their size.
+bit length of the coordinates, not with their size.  The least image is
+already a sorted list of distinct vertices in convex position, so the
+polygon returned is built by one monotone-chain pass that orders its edge
+cycle, without the constructor's type check, sort and deduplication.
 
 The 16 reflexive polygons are found by descent from the three maximal
 ones, inside one of which every reflexive polygon lies up to GL(2,Z):
@@ -66,6 +71,17 @@ class Polytope:
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "_facets", facets)
+
+    @classmethod
+    def _trusted_polygon(cls, points: list[tuple[int, int]]) -> "Polytope":
+        """The polygon on sorted, distinct integer points in convex position
+        (a unimodular image of a polygon's sorted vertices), as __post_init__
+        would build it; nothing is checked or normalised again."""
+        P = object.__new__(cls)
+        object.__setattr__(P, "rank", 2)
+        for name, value in zip(("vertices", "dim", "_facets"), _polygon(points)):
+            object.__setattr__(P, name, value)
+        return P
 
     @classmethod
     def hull(cls, points: Iterable[Sequence], rank: Optional[int] = None) -> "Polytope":
@@ -167,9 +183,16 @@ def is_reflexive(P: Polytope) -> bool:
 
 def is_smooth_fano_polytope(P: Polytope) -> bool:
     """The vertex set of every facet is a basis of the lattice: each facet
-    has n vertices, and their n x n matrix has determinant +-1."""
+    has n vertices, and their n x n matrix has determinant +-1.
+
+    A polygon's edges (v, w) run counterclockwise, and each keeps
+    h0 = det(v, w), which is positive with the origin inside: the polygon
+    is smooth iff every h0 is 1.  In higher rank h is primitive and h0 is
+    no determinant, so each facet's vertex matrix is reduced."""
     if not P.contains_origin_interior():
         raise ValueError("smooth Fano test needs the origin interior")
+    if P.rank == 2:
+        return all(h0 == 1 for _, _, h0 in P._facets)
     for members, _, _ in P._facets:
         if len(members) != P.rank:
             return False
@@ -232,10 +255,12 @@ def _nearest_multiple(beta: Sequence[int], gamma: Sequence[int]) -> int:
     sign of f(t + 1) - f(t).  Since f(t) >= |beta_w*| * |t - gamma_w*/beta_w*|,
     every minimiser lies within f(mu)/N(b1) + 1 of the rounded mu."""
 
-    def f(t):
-        return max(abs(g - t * b) for b, g in zip(beta, gamma))
+    pairs = list(zip(beta, gamma))
 
-    b, g = max(zip(beta, gamma), key=lambda bg: abs(bg[0]))
+    def f(t):
+        return max([abs(g - t * b) for b, g in pairs])
+
+    b, g = max(pairs, key=lambda bg: abs(bg[0]))
     if b < 0:
         b, g = -b, -g
     mu = (2 * g + b) // (2 * b)
@@ -329,7 +354,7 @@ def _shear_key(xs: Sequence[int], ys: Sequence[int], lam2: int) -> Optional[list
     if w is None:
         return None
     k = w[1]
-    return sorted(zip(xs, [y + k * x for x, y in zip(xs, ys)]))
+    return sorted([(x, y + k * x) for x, y in zip(xs, ys)])
 
 
 def unimodular_normal_form(P: Polytope) -> Polytope:
@@ -343,7 +368,10 @@ def unimodular_normal_form(P: Polytope) -> Polytope:
     vertex with first coordinate -lambda2, which leaves a few rows per line
     (the two ends of a whole line of rows, on thin polygons).  For each
     first row the second rows form two shear families, each resolved in
-    closed form.  The only hull built is the returned one.
+    closed form.  The only hull built is the returned one: the least image
+    is a sorted list of distinct vertices in convex position, so it goes
+    straight to the edge-cycle pass of `Polytope._trusted_polygon`, and its
+    vertices, dimension and facets are those of `Polytope.hull` on it.
     """
     if P.rank != 2:
         raise ValueError("normal form implemented for polygons only")
@@ -371,7 +399,7 @@ def unimodular_normal_form(P: Polytope) -> Polytope:
                 key = _shear_key(xs, ys if sigma == 1 else [-y for y in ys], lam2)
                 if key is not None and (best is None or key < best):
                     best = key
-    return Polytope.hull(best, rank=2)
+    return Polytope._trusted_polygon(best)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,9 @@ double description's lineality test, subset scans and simplex LPs
 instead of its facets, Gauss-Jordan
 solves and per-call Smith forms instead of a cone's cached Smith chart
 (and a Fraction nullspace instead of its span equations), the pairwise
-common-face scan instead of the wall criterion, a per-cone scan and an
+common-face scan instead of the wall criterion, the determinant of each
+edge's vertex matrix instead of a polygon's cached edge determinants for
+smoothness, a per-cone scan and an
 unoriented wall cover with connectivity instead of rays located once and
 the oriented wall test for refinements, Smith charts instead of a
 cone's dual basis and seeds, every independent subset of a cone's generators
@@ -42,7 +44,8 @@ that routine is right.  They are:
 - classify_pair_brute, singularity_type_scan, is_log_cy_class_group and
   is_log_cy_rank: pairs._psi; LogDiscrepancyFunctionPieces:
   toric.local_functionals;
-- reflexive_polygons_boundary_walk: polytope.unimodular_normal_form.
+- reflexive_polygons_boundary_walk: polytope.unimodular_normal_form;
+  is_smooth_fano_det: lattice.det.
 
 It also holds the few helpers the library dropped because nothing in it
 calls them: the cokernel structure of an integer matrix (read as rows
@@ -69,6 +72,7 @@ from toriclab.markov import HkwSurfaceData, MarkovTriple
 from toriclab.lattice import (
     AbelianGroupStructure,
     SolveChart,
+    det,
     rank as matrix_rank,
     smith_normal_form,
     solve_integer,
@@ -1130,6 +1134,20 @@ def dual_polygon_halfplane_oracle(vertices):
         assert b[0] * y[0] + b[1] * y[1] == -1
         out.add(y)
     return out
+
+
+def is_smooth_fano_det(P) -> bool:
+    """The smooth Fano test as the library ran it on polygons before it read
+    the edges' cached determinants: each facet has n vertices, and their
+    n x n matrix has determinant +-1."""
+    if not P.contains_origin_interior():
+        raise ValueError("smooth Fano test needs the origin interior")
+    for members, _, _ in P._facets:
+        if len(members) != P.rank:
+            return False
+        if abs(det([P.vertices[i] for i in sorted(members)])) != 1:
+            return False
+    return True
 
 
 def facet_functionals_scan(P):

@@ -33,6 +33,7 @@ from toriclab.toric import ToricVariety, divisor_class, projective_space_fan
 from oracles import (
     classify_cone_brute,
     expected_2d_insertions,
+    is_smooth_fano_det,
     markov_scan_quadratic,
     random_complete_2d_fan,
     random_decomposition,
@@ -200,7 +201,7 @@ def test_criterion_7_enumeration():
     assert sum(1 for P in polys if is_smooth_fano_polytope(P)) == 5
     oracle_forms = reflexive_polygons_boundary_walk(box=4)
     assert {P.vertices for P in polys} == oracle_forms
-    assert sum(1 for v in oracle_forms if is_smooth_fano_polytope(Polytope.hull(v))) == 5
+    assert sum(1 for v in oracle_forms if is_smooth_fano_det(Polytope.hull(v))) == 5
     assert time.monotonic() - start < 60.0
 
 

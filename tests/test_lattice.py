@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -165,3 +166,14 @@ def test_matrix_shapes_are_checked():
         det([[1, 2]])
     with pytest.raises(ValueError, match="^row width differs from ncols$"):
         smith_normal_form([[1, 2], [3, 4]], 3)
+
+
+def test_vdot_checks_lengths_and_takes_fractions():
+    assert vdot((1, -2, 3), (4, 5, 6)) == 12
+    assert vdot((), ()) == 0
+    for a, b in (((1, 2), (1, 2, 3)), ((1, 2, 3), (1, 2)), ((), (1,))):
+        with pytest.raises(ValueError, match="^dot product of vectors of different lengths$"):
+            vdot(a, b)
+    got = vdot((Fraction(1, 2), Fraction(-2, 3)), (3, Fraction(3, 4)))
+    assert got == 1 and type(got) is Fraction
+    assert vdot([Fraction(1, 3)] * 3, [1, 1, 1]) == 1

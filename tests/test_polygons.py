@@ -27,7 +27,7 @@ from toriclab.polytope import (
 
 import oracles
 from oracles import dual_polygon_halfplane_oracle, facet_functionals_scan, is_reflexive_scan, scaled_dual_scan
-from oracles import _apply, minor_gcds, normal_form_search, row_echelon
+from oracles import _apply, is_smooth_fano_det, minor_gcds, normal_form_search, row_echelon
 from oracles import _fan_triangle_clean, _interior_points, reflexive_polygon_scan
 from oracles import reflexive_polygons_boundary_walk
 
@@ -210,8 +210,53 @@ def test_normal_form_builds_one_polytope(count_calls):
     # the shear ((1, 7), (0, 1)) applied to the triangle of P2
     sheared = Polytope.hull([(1, 0), (7, 1), (-8, -1)])
     constructions = count_calls("__post_init__", Polytope)
+    hulls = count_calls("_polygon", polytope)
     assert unimodular_normal_form(sheared).vertices == ((-1, -1), (1, 0), (0, 1))
-    assert len(constructions) == 1
+    assert len(hulls) == 1 and constructions == []
+
+
+def _assert_built_as_its_hull(form):
+    """The trusted normal form has the vertices, rank, dimension and facets
+    of the hull of its vertices (dim and _facets take no part in ==)."""
+    rebuilt = Polytope.hull(form.vertices, rank=2)
+    assert form.vertices == rebuilt.vertices
+    assert form.rank == rebuilt.rank == 2
+    assert form.dim == rebuilt.dim == 2
+    assert form._facets == rebuilt._facets
+
+
+def test_normal_form_is_built_as_its_hull_seeded():
+    rng = random.Random(611)
+    for _ in range(200):
+        P = _random_polygon(rng, -9, 9)
+        _assert_built_as_its_hull(unimodular_normal_form(P))
+        _assert_built_as_its_hull(unimodular_normal_form(Polytope.hull(_apply(_gl2z(rng, 10**6), P.vertices))))
+    for verts in REFLEXIVE_ORDER:
+        _assert_built_as_its_hull(unimodular_normal_form(Polytope.hull(verts)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.integers(-8, 8), st.integers(-8, 8)), min_size=3, max_size=10))
+def test_normal_form_is_built_as_its_hull_hypothesis(pts):
+    P = Polytope.hull(pts)
+    if P.dim == 2:
+        _assert_built_as_its_hull(unimodular_normal_form(P))
+
+
+def test_polygon_queries_run_no_elimination(count_calls):
+    from toriclab import fan, lattice
+
+    eliminations = count_calls("echelon", lattice, fan)
+    rng = random.Random(612)
+    smooth = 0
+    for verts in REFLEXIVE_ORDER:
+        for U in (((1, 0), (0, 1)), _gl2z(rng, 10**6)):
+            P = Polytope.hull(_apply(U, verts), rank=2)
+            assert unimodular_normal_form(P).vertices == verts
+            assert is_reflexive(P)
+            smooth += polytope.is_smooth_fano_polytope(P)
+    assert smooth == 2 * 5
+    assert eliminations == []
 
 
 @pytest.fixture
@@ -380,6 +425,31 @@ def test_bases_examined_on_the_thin_ladder(count_calls):
 # ------------------------------------------------------------ smooth Fano and the scan oracle
 
 
+def _smooth_by_minors(P):
+    """Unimodular facets, read off the scanned facets: each has n vertices
+    and the gcd of their maximal minors is 1 (Smith form 1, ..., 1)."""
+    return all(
+        len(members) == P.rank and minor_gcds([P.vertices[i] for i in sorted(members)])[-1] == 1
+        for members, _ in facet_functionals_scan(P)
+    )
+
+
+def _check_smoothness(P):
+    """is_smooth_fano_polytope against the determinant loop it replaced on
+    polygons and against the minor gcds; returns the answer."""
+    got = polytope.is_smooth_fano_polytope(P)
+    assert got == is_smooth_fano_det(P) == _smooth_by_minors(P), P.vertices
+    return got
+
+
+def _origin_inside_not_reflexive(rng):
+    """A seeded polygon with the origin strictly inside that is not reflexive."""
+    while True:
+        P = _random_polygon(rng, -5, 5)
+        if P.contains_origin_interior() and not is_reflexive(P):
+            return P
+
+
 def test_smooth_fano_needs_no_smith_form(count_calls):
     from toriclab import lattice
 
@@ -392,16 +462,33 @@ def test_smooth_fano_needs_no_smith_form(count_calls):
         polytopes += [Polytope.hull(verts), Polytope.hull(_apply(_gl2z(rng, 100), verts))]
     smooth = 0
     for P in polytopes:
-        # unimodular facets: the gcd of the maximal minors is 1 (Smith form 1, ..., 1)
-        want = all(
-            len(members) == P.rank
-            and minor_gcds([P.vertices[i] for i in sorted(members)])[-1] == 1
-            for members, _ in facet_functionals(P)
-        )
+        want = _smooth_by_minors(P)
         assert polytope.is_smooth_fano_polytope(P) == want, P.vertices
         smooth += want
     assert smooth == 2 * 5 + 2
     assert smith == []
+
+
+def test_smooth_fano_polygons_match_the_determinant_loop():
+    reflexive = [Polytope.hull(verts) for verts in REFLEXIVE_ORDER]
+    assert sum(_check_smoothness(P) for P in reflexive) == 5
+    rng = random.Random(613)
+    others = [_origin_inside_not_reflexive(rng) for _ in range(60)]
+    # h0 = 1 on every edge makes every h / h0 integral: smooth implies reflexive
+    assert not any(_check_smoothness(P) for P in others)
+    for P in reflexive + others[:20]:
+        want = _check_smoothness(P)
+        for _ in range(5):
+            image = Polytope.hull(_apply(_gl2z(rng, 10**12), P.vertices))
+            assert _check_smoothness(image) == want
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), min_size=3, max_size=9))
+def test_smooth_fano_polygons_match_the_determinant_loop_hypothesis(pts):
+    P = Polytope.hull(pts)
+    if P.contains_origin_interior() and not is_reflexive(P):
+        _check_smoothness(P)
 
 
 def test_gap_check_matches_the_full_interior_scan(monkeypatch):
