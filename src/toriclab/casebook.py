@@ -11,7 +11,7 @@ canonicity, complexity zero) over every bundled fan.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -115,7 +115,7 @@ def segre_certificate(arrangement: Optional[IncidenceArrangement] = None) -> Cre
     )
     return CrepantCertificate(
         coefficients=coeffs,
-        contracted_line_count=len(list(itertools.combinations(BLOWN_UP_POINTS, 2))),
+        contracted_line_count=math.comb(len(BLOWN_UP_POINTS), 2),
         effective=all(c >= 0 for _, c in coeffs),
     )
 

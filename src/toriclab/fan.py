@@ -767,7 +767,15 @@ def is_refinement(fine: Fan, coarse: Fan) -> bool:
     Each fine ray is located once, in the set of coarse cones holding it.
     A coarse cone is convex, so it holds a fine cone iff it holds all of
     its rays: the hosts of a fine cone are the intersection of its rays'
-    sets.  The fine cones in one coarse cone, all of its dimension, then
+    sets.  When the coarse cones are full-dimensional and cover the space
+    (is_complete), the fine fan's own wall test on its cached wall map
+    decides the rest: is_complete(fine), False when a fine cone is
+    lower-dimensional.  That is enough: a point interior to coarse cone k
+    lies in no other coarse cone, so every fine cone covering it sits in
+    k, and the fine cones in k cover k once iff all fine cones cover the
+    space once.  Matching fine walls across coarse walls too, the test
+    rejects a fine ray hanging on a coarse wall, which is not a fan.
+    Otherwise the fine cones in one coarse cone, all of its dimension,
     take the one wall test (_covers_once) with the coarse facet normals
     as the allowed boundary, unless the coarse cone itself is the only
     one."""
@@ -775,15 +783,13 @@ def is_refinement(fine: Fan, coarse: Fan) -> bool:
         return False
     coarse_cones = coarse.cones
     holders = [{k for k, cc in enumerate(coarse_cones) if cc.contains(r)} for r in fine.rays]
-    assignment: list[list[int]] = [[] for _ in coarse_cones]
-    for i, c in enumerate(fine.max_cones):
-        hosts = set.intersection(*(holders[j] for j in c))
-        if not hosts:
-            return False
-        for k in hosts:
-            assignment[k].append(i)
+    hosts = [set.intersection(*(holders[j] for j in c)) for c in fine.max_cones]
+    if not all(hosts):
+        return False
+    if all(cc.dim == coarse.rank for cc in coarse_cones) and is_complete(coarse):
+        return all(cone.dim == fine.rank for cone in fine.cones) and is_complete(fine)
     for k, cc in enumerate(coarse_cones):
-        cones = [fine.cones[i] for i in assignment[k]]
+        cones = [cone for cone, h in zip(fine.cones, hosts) if k in h]
         if len(cones) == 1 and cones[0].generators == cc.generators:
             continue
         if not cones or any(c.dim != cc.dim for c in cones):
@@ -794,58 +800,47 @@ def is_refinement(fine: Fan, coarse: Fan) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# two-dimensional resolution (continued-fraction corner walk)
+# two-dimensional resolution (Hirzebruch-Jung continued fraction)
 # ---------------------------------------------------------------------------
 
 
-def _det2(a: Vec, b: Vec) -> int:
-    return a[0] * b[1] - a[1] * b[0]
-
-
 def resolve_cone_2d(cone: Cone) -> list[Vec]:
-    """Rays to insert so the 2D cone becomes a union of unimodular cones.
+    """Rays to insert so the 2D cone becomes a union of unimodular cones:
+    the Hilbert-basis members that are not generators, in order from one
+    generator to the other; [] when the cone is already unimodular.
 
-    Walks the boundary of the convex hull of the nonzero lattice points of
-    the cone from one generator to the other; consecutive boundary points
-    span determinant-one cones, so the inserted rays are exactly the
-    Hilbert-basis members that are not generators.  Returns [] when the
-    cone is already unimodular.
+    With u, w ordered so that D = det(u, w) > 0 and r = det(v, w) at the
+    current ray v, the rays follow the Hirzebruch-Jung continued fraction
+    (Oda, Convex Bodies and Algebraic Geometry, 1.6; Fulton, Introduction
+    to Toric Varieties, 2.6).  The first is (s u + w) / D, the lattice
+    point with det(u, v) = 1 and 0 < r = s < D; each next one is
+    b v - v_prev with b = ceil(r_prev / r), and r becomes b r - r_prev.
+    Consecutive rays span determinant-one cones; at r = 0 the walk stands
+    on w.
     """
     if cone.rank != 2:
         raise ValueError("2D resolution requires ambient rank 2")
-    if len(cone.generators) != 2 or cone.dim != 2:
+    if len(cone.generators) != 2:
         raise ValueError("cone must be two-dimensional")
     u, w = cone.generators
-    if _det2(u, w) < 0:
-        u, w = w, u
+    d = u[0] * w[1] - u[1] * w[0]
+    if d < 0:
+        u, w, d = w, u, -d
+    if d == 1:
+        return []
+    if d == 0:
+        raise ValueError("cone must be two-dimensional")
+    # x u1 + y u2 = 1; u is primitive, and u2 = 0 means u = (+-1, 0)
+    x = pow(u[0], -1, abs(u[1])) if u[1] else u[0]
+    y = (1 - x * u[0]) // u[1] if u[1] else 0
+    r = -(x * w[0] + y * w[1]) % d
+    prev, cur, r_prev = u, ((r * u[0] + w[0]) // d, (r * u[1] + w[1]) // d), d
     inserted = []
-    cur = u
-    while _det2(cur, w) > 1:
-        # normalize cur to (1, 0) by a unimodular map, take the next hull
-        # point (m, 1) with minimal m, and map it back
-        x, y = cur
-        g, p, q = _xgcd(x, y)
-        if g != 1:
-            raise RuntimeError("boundary walk invariant broken: reached a non-primitive point")
-        a = p * w[0] + q * w[1]
-        b = -y * w[0] + x * w[1]
-        m = -((-a) // b)  # ceil(a / b); b = det(cur, w) > 1
-        # inverse of [[p, q], [-y, x]] is [[x, -q], [y, p]]; pull (m, 1) back
-        nxt = (m * x - q, m * y + p)
-        inserted.append(nxt)
-        cur = nxt
-    return inserted
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
     while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
+        inserted.append(cur)
+        b = -(-r_prev // r)
+        prev, cur = cur, (b * cur[0] - prev[0], b * cur[1] - prev[1])
+        r_prev, r = r, b * r - r_prev
+    if cur != w:
+        raise RuntimeError("Hirzebruch-Jung walk invariant broken: the walk did not end on the second generator")
+    return inserted

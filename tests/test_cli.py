@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 import weakref
@@ -371,6 +372,29 @@ def test_cli_casebook_suite(capsys):
     out = capsys.readouterr().out.splitlines()
     assert all(" pass " in line or " info " in line for line in out)
     assert len(out) >= 25 * 5
+
+
+def _readme_command_lines():
+    """The `toriclab ...` lines of README's "Command line" block, each as
+    (argv, the text after `#`), that name no file outside samples/."""
+    readme = open(os.path.join(SAMPLES, "..", "README.md"), encoding="utf-8").read()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        argv = shlex.split(command)[1:]
+        if all(arg.startswith("samples/") for arg in argv if "/" in arg or "." in arg):
+            yield argv, comment.strip()
+
+
+def test_readme_command_lines_run(monkeypatch, capsys):
+    monkeypatch.chdir(os.path.join(SAMPLES, ".."))
+    lines = list(_readme_command_lines())
+    assert len(lines) == 11
+    for argv, comment in lines:
+        assert main(argv) == 0, argv
+        out = capsys.readouterr().out
+        if argv[:2] == ["pair", "classify"]:
+            assert out == comment + "\n"
 
 
 def test_cli_json_lines_are_json(capsys):

@@ -350,3 +350,42 @@ def test_resolve_matches_hilbert_basis_oracle():
             assert is_smooth(fan), (a, b)
             single = Fan.from_data(cone.generators, [(0, 1)])
             assert is_refinement(fan, single), (a, b)
+
+
+def _general_2d_cones(rng):
+    """Cones whose generators are both general: named ones, then seeded
+    ones with 1 < |det| <= 300."""
+    yield from [
+        ((-1, 0), (3, -7)),  # u = (-1, 0)
+        ((0, 1), (-5, 3)),  # u = (0, 1)
+        ((5, 1), (-2, 7)),  # u = (5, 1)
+        ((2, 3), (4, 9)),  # u = (2, 3), D = 6: neither coordinate invertible mod D
+        ((-4, -3), (2, 3)),  # the same u and D, the other orientation
+    ]
+    count = 0
+    while count < 60:
+        u, w = [(rng.randint(-25, 25), rng.randint(-25, 25)) for _ in range(2)]
+        if math.gcd(*u) == math.gcd(*w) == 1 and 1 < abs(det2(u, w)) <= 300:
+            count += 1
+            yield u, w
+
+
+def test_resolve_general_generators_match_hilbert_basis_oracle():
+    seen = set()
+    for gens in _general_2d_cones(random.Random(2026)):
+        cone = Cone.from_generators(gens)
+        assert resolve_cone_2d(cone) == expected_2d_insertions(*gens), gens
+        u, w = cone.generators
+        d = det2(u, w)
+        if d < 0:
+            u, w, d = w, u, -d
+        seen.add("counterclockwise" if cone.generators[0] == u else "clockwise")
+        if 0 in u + w:
+            seen.add("zero coordinate")
+        if abs(u[1]) == 1:
+            seen.add("|u_2| = 1")
+        if math.gcd(u[0], d) > 1 and math.gcd(u[1], d) > 1:
+            seen.add("u not invertible")
+        if d > 200:
+            seen.add("D > 200")
+    assert seen == {"counterclockwise", "clockwise", "zero coordinate", "|u_2| = 1", "u not invertible", "D > 200"}

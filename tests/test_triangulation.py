@@ -16,12 +16,13 @@ from hypothesis import given, settings, strategies as st
 
 from toriclab import lattice, pairs
 from toriclab.cli import main
-from toriclab.fan import Cone, Fan, is_refinement, validate_fan
+from toriclab.fan import Cone, Fan, is_complete, is_refinement, validate_fan
 from toriclab.fileformats import emit_fan
 from toriclab.pairs import ToricPair, _least_exceptional_psi, crepant_pullback, singularity_type
 from toriclab.polytope import Polytope
+from toriclab.toric import projective_space_fan
 
-from oracles import least_psi_all_subsets, singularity_type_scan
+from oracles import is_refinement_scan, least_psi_all_subsets, singularity_type_scan
 from test_double_description import _kgon
 
 # ------------------------------------------------ the triangulation itself
@@ -185,8 +186,40 @@ def test_hanging_vertex_across_a_coarse_wall_is_not_a_fan(tmp_path, capsys):
     diagnostics = validate_fan(fine)
     assert not diagnostics and diagnostics.witness == ((0, 1, 2), (0, 3, 4))
     assert "must be a valid fan" in " ".join(crepant_pullback.__doc__.split())
+    p3 = projective_space_fan(3)
+    assert not is_refinement(fine, p3)
+    with pytest.raises(ValueError, match="fan is not a refinement of the pair's fan"):
+        crepant_pullback(ToricPair.reduced(p3), fine)
     path = tmp_path / "hanging.fan"
     path.write_text(emit_fan(fine))
     pair = pathlib.Path(__file__).parents[1] / "samples" / "p3_boundary.pair"
     assert main(["pair", "pullback", str(pair), "--refinement", str(path)]) == 2
     assert "invalid fan: cones do not intersect in a common face" in capsys.readouterr().err
+
+
+def _one_sided_wall_subdivisions(rng):
+    """P^3 with one wall subdivided, at a seeded primitive point of its
+    relative interior, inside only one of the two cones holding it: the
+    new ray hangs on the other cone's facet.  Six walls, two sides each."""
+    p3 = projective_space_fan(3)
+    new = len(p3.rays)
+    for cone in p3.max_cones:
+        for wall in itertools.combinations(cone, 2):
+            p, q = rng.randint(1, 9), rng.randint(1, 9)
+            v = lattice.primitive(tuple(p * x + q * y for x, y in zip(*(p3.rays[i] for i in wall))))
+            halves = [tuple(sorted((set(cone) - {i}) | {new})) for i in wall]
+            yield Fan.from_data(p3.rays + (v,), [c for c in p3.max_cones if c != cone] + halves)
+
+
+def test_one_sided_wall_subdivisions_of_p3_are_not_refinements():
+    # the per-cone scan accepts these, so the reference is validate_fan
+    # and is_complete
+    p3 = projective_space_fan(3)
+    fans = list(_one_sided_wall_subdivisions(random.Random(33)))
+    assert len(fans) == 12
+    for fine in fans:
+        assert not validate_fan(fine) and not is_complete(fine), fine
+        assert is_refinement_scan(fine, p3), fine
+        assert not is_refinement(fine, p3), fine
+        with pytest.raises(ValueError, match="fan is not a refinement of the pair's fan"):
+            crepant_pullback(ToricPair.reduced(p3), fine)
