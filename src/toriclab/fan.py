@@ -5,7 +5,9 @@ A cone is stored by its primitive extremal generators, a fan by a canonical
 All geometry is decided exactly, by one kernel on integer rows: the double
 description, seeded by the one elimination over Q (lattice.echelon, which
 also gives cone dimensions and, when no maximal cone is full-dimensional,
-the rank of a fan's ray matrix).  One run
+the rank of a fan's ray matrix).  Rows spanning Q^2 or Q^3 read the
+elimination's exact output off the cofactors of their first independent
+rows instead, with no elimination run.  One run
 per cone gives its facets, from which membership, relative interiors, walls
 and faces are read.  Separation questions (strong convexity, extremality,
 whether two cones meet in a common face, rational linear feasibility) ask
@@ -85,6 +87,7 @@ def double_description(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], 
     `tests` counts the combinatorial adjacency tests made.
 
     One `lattice.echelon` run on the transposed rows beside an identity
+    (or, for rows spanning Q^2 or Q^3, its output read off cofactors)
     finds d independent rows, the seeds, and the adjugate functionals
     vanishing on all seeds but one (the identity block of the pivot rows,
     each worth the last pivot on its own seed, so oriented by its sign):
@@ -150,10 +153,72 @@ def _seed_echelon(rows: Sequence[Sequence[int]], n: int) -> tuple[tuple[Vec, ...
     coefficients, which H[c] keeps.  A pivot (c, s) makes H[c] worth `last`
     on row s and 0 on the other pivot rows.  Every other H[c] vanishes on
     every row of G, and as the elimination keeps the identity block
-    invertible, those span the functionals vanishing on G over Q."""
+    invertible, those span the functionals vanishing on G over Q.
+
+    Rows spanning Q^n for n = 2 or 3 read the same output off cofactors
+    (_cofactor_echelon), with no elimination."""
+    if 2 <= n <= 3:
+        seeded = _cofactor_echelon(rows, n)
+        if seeded is not None:
+            return seeded
     k = len(rows)
     T, pivots, last = echelon([[g[c] for g in rows] + [int(c == j) for j in range(n)] for c in range(n)], k)
     return tuple(tuple(row[k:]) for row in T), pivots, last
+
+
+def _cofactor_echelon(rows, n):
+    """`_seed_echelon` of rows spanning Q^n, n = 2 or 3, read off cofactors;
+    None when they do not span.  The elimination's pivot columns are the
+    greedy seeds s_i: each the first later row outside the span of the
+    earlier seeds.  Its pivot rows r_i: r_0 is the first nonzero coordinate
+    of g_s0, r_1 the least other c with g_s0[r_0] g_s1[c] - g_s0[c] g_s1[r_0]
+    nonzero (that column's entries after the first pivot), and r_2 the one
+    left.  The last pivot is the minor on those rows and columns,
+    sign(r).det(g_s), and H[r_i] = sign(r) times g_si's cofactor row, the
+    one solution of H[r_i].g_sj = last when i = j and 0 otherwise."""
+    gens = iter(enumerate(rows))
+    for s0, a in gens:
+        if any(a):
+            break
+    else:
+        return None
+    if n == 2:
+        for s1, b in gens:
+            d = a[0] * b[1] - a[1] * b[0]
+            if d:
+                break
+        else:
+            return None
+        if a[0]:
+            return ((b[1], -b[0]), (-a[1], a[0])), ((0, s0), (1, s1)), d
+        return ((a[1], -a[0]), (-b[1], b[0])), ((1, s0), (0, s1)), -d
+    for s1, b in gens:
+        ab = _cross(a, b)
+        if any(ab):
+            break
+    else:
+        return None
+    for s2, c in gens:
+        d = ab[0] * c[0] + ab[1] * c[1] + ab[2] * c[2]
+        if d:
+            break
+    else:
+        return None
+    r0 = 0 if a[0] else 1 if a[1] else 2
+    lo = 1 if r0 == 0 else 0
+    hi = 3 - r0 - lo
+    r = (r0, lo, hi) if ab[hi] else (r0, hi, lo)  # ab[hi] = +-(a[r0] b[lo] - a[lo] b[r0])
+    H = [None] * 3
+    if r[1] == (r0 + 2) % 3:  # sign(r) = -1: negate by swapping each product
+        H[r0], H[r[1]], H[r[2]] = _cross(c, b), _cross(a, c), _cross(b, a)
+        d = -d
+    else:
+        H[r0], H[r[1]], H[r[2]] = _cross(b, c), _cross(c, a), ab
+    return tuple(H), tuple(zip(r, (s0, s1, s2))), d
+
+
+def _cross(u, v):
+    return u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +323,10 @@ class Cone:
     @cached_property
     def _echelon(self) -> tuple[tuple[Vec, ...], tuple[tuple[int, int], ...], int]:
         """`_seed_echelon` of the generators: the cone's one elimination
-        over Q, read by dim, seeds, span membership and facet_data."""
+        over Q, read by dim, seeds, span membership and facet_data.  In
+        rank 2 and 3 a full-dimensional cone reads that output off the
+        cofactors of its seeds (_cofactor_echelon) and runs no
+        elimination."""
         return _seed_echelon(self.generators, self.rank)
 
     @cached_property
@@ -273,7 +341,8 @@ class Cone:
 
     @cached_property
     def dim(self) -> int:
-        """Dimension of the span: the number of pivots of the echelon."""
+        """Dimension of the span: the number of pivots of the echelon
+        (read off cofactors for a full-dimensional cone in rank 2 or 3)."""
         return len(self._echelon[1])
 
     def contains(self, x: Sequence) -> bool:
@@ -361,7 +430,9 @@ class Cone:
         by index set, from one double-description run; a cone of n = rank
         independent generators reads them off its seeds (last, ((s, h_s),
         ...)) instead, every generator a seed: the facet missing g_s has
-        normal primitive(sign(last).h_s), as the run would seed them.
+        normal primitive(sign(last).h_s), as the run would seed them, and
+        the seeds in descending order give the facets sorted.  In rank 2
+        and 3 the h_s are cofactor rows (Cone._echelon).
 
         The normal h is a primitive integer functional with h.g = 0 on the
         facet's generators and h.g > 0 on every other generator; with the
@@ -376,11 +447,12 @@ class Cone:
         if len(self.generators) == self.dim == self.rank:
             last, seeds = self.seeds
             every = frozenset(range(self.rank))
-            facets = [(primitive(hs if last > 0 else tuple(-x for x in hs)), every - {s}) for s, hs in seeds]
-        else:
-            _, facets, _ = _double_description(self.generators, self._echelon)
-            if self.dim == 1 and not facets:
-                raise ValueError("no positive functional: cone is not strongly convex")
+            return tuple(
+                (every - {s}, primitive(hs if last > 0 else tuple(-x for x in hs))) for s, hs in reversed(seeds)
+            )
+        _, facets, _ = _double_description(self.generators, self._echelon)
+        if self.dim == 1 and not facets:
+            raise ValueError("no positive functional: cone is not strongly convex")
         return tuple(sorted(((members, h) for h, members in facets), key=lambda kv: sorted(kv[0])))
 
     @cached_property

@@ -1,8 +1,9 @@
 """The one elimination over Q (lattice.echelon) against the eliminations it
 replaced (tests/oracles.py: swapping Gauss-Jordan over Fractions,
 forward-only Bareiss, the gcd-reduced seeding loop of the double
-description), the Leibniz sum and gcds of minors; and its readers rank,
-det, solve_rational and double_description."""
+description), the Leibniz sum and gcds of minors; its readers rank,
+det, solve_rational and double_description; and the cofactor seeds of
+rows spanning Q^2 or Q^3 against the elimination they stand in for."""
 
 import itertools
 import math
@@ -216,8 +217,111 @@ def test_each_reader_runs_the_routine_once(count_calls):
         lambda: rank(M),
         lambda: det(M),
         lambda: solve_rational(M, 3, [1, 2, 3]),
-        lambda: double_description([(1, 0, 0), (0, 1, 0), (1, 1, 1), (0, 0, 1)]),
+        lambda: double_description([(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 1, 1), (0, 0, 1, 0), (0, 0, 0, 1)]),
     ):
         calls.clear()
         run()
         assert len(calls) == 1
+    # rows spanning Q^3 read the elimination's output off cofactors
+    calls.clear()
+    double_description([(1, 0, 0), (0, 1, 0), (1, 1, 1), (0, 0, 1)])
+    assert calls == []
+
+
+# ------------------------------------------------------ cofactor seeds
+
+
+def _elimination_seeds(rows, n):
+    """_seed_echelon as the elimination of [G^T | I] gives it."""
+    k = len(rows)
+    T, pivots, last = echelon([[g[c] for g in rows] + [int(c == j) for j in range(n)] for c in range(n)], k)
+    return tuple(tuple(row[k:]) for row in T), pivots, last
+
+
+def _check_seed_echelon(rows, n, eliminations):
+    """_seed_echelon(rows, n) equals the elimination's output, runs one
+    elimination exactly when the rows do not span Q^2 or Q^3, and its
+    pivot rows H[c] take `last` on their own seed and 0 on the others;
+    returns the facts the callers count."""
+    eliminations.clear()
+    got = fan_module._seed_echelon(rows, n)
+    assert got == _elimination_seeds(rows, n), (rows, n)
+    H, pivots, last = got
+    spans = len(pivots) == n
+    assert len(eliminations) == (0 if 2 <= n <= 3 and spans else 1), (rows, n)
+    for c, s in pivots:
+        assert [vdot(H[c], rows[t]) for _, t in pivots] == [last * (t == s) for _, t in pivots], (rows, n)
+    assert last == det_bareiss([[rows[s][c] for _, s in pivots] for c, _ in pivots])
+    if spans:
+        assert abs(last) == abs(det_bareiss([rows[s] for _, s in pivots]))
+    facts = {
+        "spanning": spans,
+        "deficient": not spans,
+        "rows out of order": [c for c, _ in pivots] != sorted(c for c, _ in pivots),
+        "dependent leading rows": spans and [s for _, s in pivots] != list(range(n)),
+        "big": any(abs(x) > 10**20 for g in rows for x in g),
+        "last < 0": spans and last < 0,
+        "last > 0": spans and last > 0,
+        "no rows": not rows,
+        f"n = {n}": True,
+    }
+    return {fact for fact, holds in facts.items() if holds}
+
+
+def _seeded_seed_rows(rng):
+    n = rng.choice((1, 2, 2, 3, 3, 3, 4))
+    top = 10**30 if rng.random() < 0.2 else rng.choice((1, 3, 9))
+    rows = [tuple(rng.choice((0, rng.randint(-top, top))) for _ in range(n)) for _ in range(rng.randint(0, 7))]
+    shape = rng.random()
+    if len(rows) >= 2 and shape < 0.3:  # a dependent leading row
+        k = rng.choice((-2, -1, 1, 3))
+        rows[1] = tuple(k * x for x in rows[0])
+    elif rows and shape < 0.45:  # every row in one hyperplane or line
+        basis = [tuple(rng.randint(-top, top) for _ in range(n)) for _ in range(max(1, n - 1))]
+        rows = [tuple(sum(rng.randint(-2, 2) * b[c] for b in basis) for c in range(n)) for _ in rows]
+    return [g for g in rows if any(g) or rng.random() < 0.1], n
+
+
+def test_seeded_rows_seed_from_cofactors_as_the_elimination_does(count_calls):
+    eliminations = count_calls("echelon", fan_module)
+    rng = random.Random(20261019)
+    seen = set()
+    for _ in range(10_000):
+        seen |= _check_seed_echelon(*_seeded_seed_rows(rng), eliminations)
+    for n in (1, 4):
+        seen |= _check_seed_echelon([], n, eliminations)
+    assert seen == {
+        "spanning",
+        "deficient",
+        "rows out of order",
+        "dependent leading rows",
+        "big",
+        "last < 0",
+        "last > 0",
+        "no rows",
+        "n = 1",
+        "n = 2",
+        "n = 3",
+        "n = 4",
+    }
+
+
+def test_hypothesis_rows_seed_from_cofactors_as_the_elimination_does(count_calls):
+    eliminations = count_calls("echelon", fan_module)
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda n: st.tuples(
+                st.lists(
+                    st.lists(st.integers(-(10**30), 10**30) | st.integers(-3, 3), min_size=n, max_size=n).map(tuple),
+                    max_size=7,
+                ),
+                st.just(n),
+            )
+        )
+    )
+    def check(shape):
+        _check_seed_echelon(*shape, eliminations)
+
+    check()

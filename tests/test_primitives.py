@@ -3,8 +3,9 @@ of cones, and the per-cone functional solve.  Randomized checks run against
 the minor-gcd oracle, which never eliminates.  AST guards keep the library
 free of asserts and unbounded caches, and keep every Smith form in
 lattice.  Count guards keep complete simplicial fans off the double
-description, a cone to one elimination over Q, span membership off Smith
-forms, and pair queries off Smith forms outside the least-psi scan."""
+description, a cone to one elimination over Q (none in rank 2 and 3,
+where its seeds are cofactors), span membership off Smith forms, and pair
+queries off Smith forms outside the least-psi scan."""
 
 import ast
 import importlib
@@ -20,9 +21,10 @@ import toriclab
 from toriclab import fan as fan_module, lattice, pairs, toric
 from toriclab.catalog import bundled_fans
 from toriclab.complexity import complexity, decomposition_by_primes
-from toriclab.fan import Cone, Diagnostics, Fan, is_complete, star_subdivision, validate_fan, walls
+from toriclab.fan import Cone, Diagnostics, Fan, is_complete, is_refinement, star_subdivision, validate_fan, walls
 from toriclab.lattice import rank, solve_rational, vdot
-from toriclab.pairs import ToricPair, index, is_log_cy, singularity_type, validate_pair
+from toriclab.pairs import ToricPair, crepant_pullback, index, is_log_cy, singularity_type, validate_pair
+from toriclab.polytope import enumerate_reflexive_polygons, face_fan
 from toriclab.toric import local_functionals, projective_space_fan, weighted_projective_fan
 
 from oracles import minor_gcds, nullspace, row_echelon
@@ -240,6 +242,29 @@ def test_a_cold_kgon_pair_takes_one_elimination_per_cone_and_simplex(count_calls
     pair = ToricPair.from_fan(Fan.from_data(_kgon(12), [range(12)]), [Fraction(1, 2)] * 12)
     assert singularity_type(pair) == "klt"
     assert len(echelons) == 11
+
+
+def test_fans_in_rank_2_and_3_take_no_elimination(count_calls):
+    # fresh fans, so every cone seeds once, from cofactors
+    p2, p3 = projective_space_fan(2), projective_space_fan(3)
+    cases = [(p2, p2)] + [(face_fan(P), face_fan(P)) for P in enumerate_reflexive_polygons()]
+    cases += [(_star_subdivided_p3(cones, seed), p3) for cones, seed in ((8, 3), (12, 77), (16, 1234), (40, 5))]
+    assert len(cases) == 21
+    echelons = count_calls("echelon", fan_module)
+    seeds = count_calls("_seed_echelon", fan_module)
+    for fine, coarse in cases:
+        fine, coarse = (Fan(f.rays, f.max_cones, f.rank) for f in (fine, coarse))
+        seeds.clear()
+        pairs._psi.cache_clear()
+        assert validate_fan(fine) and is_complete(fine) and is_refinement(fine, coarse)
+        crepant_pullback(ToricPair.reduced(coarse), fine)
+        assert (len(echelons), len(seeds)) == (0, len(fine.max_cones) + len(coarse.max_cones))
+    # rank 4 keeps the elimination, one per cone
+    seeds.clear()
+    p4 = projective_space_fan(4)
+    p4 = Fan(p4.rays, p4.max_cones, p4.rank)
+    assert validate_fan(p4) and is_complete(p4)
+    assert len(echelons) == len(seeds) == 5
 
 
 def test_span_membership_takes_no_smith_form(count_calls):
