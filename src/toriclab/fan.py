@@ -25,8 +25,9 @@ chart (lattice.SolveChart) answers lattice questions only.  A strongly
 convex cone that is not simplicial caches one pulling triangulation into
 simplices.  One oriented wall test (_covers_once), on the walls and their
 inward normals, decides whether cones cover a region exactly once: the
-space for validate_fan (on complete fans of full-dimensional simplicial
-cones) and is_complete, each coarse cone for is_refinement.  Nothing here
+space for validate_fan (on complete fans of full-dimensional cones,
+simplicial or not), is_complete and is_refinement onto a complete fan,
+each coarse cone for is_refinement onto any other.  Nothing here
 ever touches a float: a coordinate, ray index or fan rank that is not an
 integer raises ValueError.
 
@@ -640,8 +641,8 @@ def validate_fan(fan: Fan) -> Diagnostics:
     Checks, in order: every ray used, strong convexity and extremality of
     each maximal cone, no cone contained in another, and the pairwise
     intersection-is-a-common-face condition (via an exact separating
-    functional).  A complete fan of full-dimensional simplicial cones
-    is accepted by its walls after the per-cone checks, in time
+    functional).  A complete fan of full-dimensional cones, simplicial or
+    not, is accepted by its walls after the per-cone checks, in time
     linear in the cones (_covers_once, which then shows the cones cover
     the space exactly once, hence meet in common faces); the pairwise scan
     runs only where that test rejects or does not apply, so every invalid
@@ -666,9 +667,8 @@ def _check_axioms(fan: Fan) -> Diagnostics:
             return Diagnostics(False, "maximal cone is not strongly convex", (idx,))
         if not cone.generators_extremal():
             return Diagnostics(False, "non-extremal generator in maximal cone", (idx,))
-    if cones and all(len(cone.generators) == cone.dim == cone.rank for cone in cones):
-        if _covers_once(cones, fan.wall_map):
-            return Diagnostics(True)
+    if _covers_space(fan):
+        return Diagnostics(True)
     for a, b in itertools.combinations(range(len(cones)), 2):
         ia, ib = set(fan.max_cones[a]), set(fan.max_cones[b])
         if ia <= ib or ib <= ia:
@@ -688,24 +688,39 @@ def _covers_once(
     """Do the cones, all of one dimension d, cover their region exactly
     once?  wall_map is walls(cones).  The region is the whole space when
     `boundary` is empty, else the cone holding all of them whose facet
-    normals `boundary` lists.  Four checks decide it (the interior-facet
-    theorem; De Loera, Rambau and Santos, Triangulations, 2010, ch. 4):
-    (1) every wall lies in one or two cones; (2) across a wall in two
-    cones, every generator of the second off the wall is < 0 on the first
-    cone's inward normal for it; (3) every wall in one cone lies on a
-    boundary normal; (4) the sum of the first cone's rays lies in no other
-    cone.
+    normals `boundary` lists.  Four checks decide it, for cones that are
+    strongly convex with extremal generators, simplicial or not (the
+    interior-facet theorem; De Loera, Rambau and Santos, Triangulations,
+    2010, ch. 4): (1) every wall lies in one or two cones; (2) across a
+    wall in two cones, every generator of the second off the wall is < 0
+    on the first cone's inward normal for it; (3) every wall in one cone
+    lies on a boundary normal; (4) the sum of the first cone's rays lies
+    in no other cone.
 
-    The degree argument: let f(x) count the cones holding a point x of the
-    region's relative interior that lies on no cone of dimension d - 2.
-    Such x is interior to every wall holding it, all in one hyperplane.
-    Crossing a wall in two cones, matched and opposite-sided by (1) and
-    (2), swaps one cone for the other; a wall in one cone lies on the
-    region's boundary by (3), never inside it.  So f is locally constant,
-    and the interior of the region minus the cones of codimension 2 is
-    connected, so f is constant; (4) makes it 1 near that sum.  The cones
-    of a fan covering the region meet in common faces, so they pass all
-    four checks."""
+    The degree argument: a wall is a set of generators, so a wall in two
+    cones is one facet of both.  Let X be the region's relative interior
+    minus every face of dimension <= d - 2 of every cone; X is connected.
+    A point y of X on a cone's boundary lies in the relative interior of
+    one facet F of it, and near y the cone is a half-ball on one side of
+    F.  By (3) F is no wall in one cone, as y is not on the region's
+    boundary, so by (1) and (2) it is a facet of one other cone, a
+    half-ball on the other side: the half-balls at y pair into balls.  So
+    f(x), the number of cones holding x, is the same at all points of X
+    near y on no facet, hence constant on X; (4) makes it 1 near that sum.
+
+    With no boundary, passing all four checks makes the cones a fan.  Let
+    x lie in two cones A and B, and take a ball about x that meets only
+    the cones holding x and, of each, only the faces holding x.  A path in
+    the ball, from A's interior to B's within X, leaves each cone C it
+    crosses through the relative interior of a facet F of C, which holds
+    x, into the one cone across F (degree 1), which also has F as a facet.
+    The least face of C holding x is the least face of F holding x, and
+    so is the other cone's; so A and B have one least face G holding x.
+    For x in the relative interior of A & B, a face of A holding x holds
+    all of A & B, so A & B = G: a face of both, whose extremal rays are
+    the generators common to A and B.  Conversely, the cones of a fan
+    covering the region meet in common faces, so they pass all four
+    checks."""
     for wall, sides in wall_map.items():
         if len(sides) == 2:
             (_, h), (b, _) = sides
@@ -715,6 +730,15 @@ def _covers_once(
             return False
     inside = tuple(map(sum, zip(*cones[0].generators)))  # in every cone's span
     return not any(all(vdot(h, inside) >= 0 for _, h in cone.facet_data) for cone in cones[1:])
+
+
+def _covers_space(fan: Fan) -> bool:
+    """Has the fan maximal cones, all full-dimensional, that cover the
+    space exactly once (_covers_once with no boundary, on the cached wall
+    map)?  The one guard of the wall test in validate_fan, is_complete and
+    is_refinement."""
+    cones = fan.cones
+    return bool(cones) and all(cone.dim == fan.rank for cone in cones) and _covers_once(cones, fan.wall_map)
 
 
 def _meet_in_common_face(fan: Fan, ca: tuple[int, ...], cb: tuple[int, ...]) -> bool:
@@ -748,12 +772,9 @@ def is_complete(fan: Fan) -> bool:
     overlap or wind round more than once fail.  A lower-dimensional
     maximal cone raises ValueError.
     """
-    if not fan.max_cones:
-        return fan.rank == 0
-    cones = fan.cones
-    if any(cone.dim != fan.rank for cone in cones):
+    if any(cone.dim != fan.rank for cone in fan.cones):
         raise ValueError("completeness undefined: maximal cone is not full-dimensional")
-    return _covers_once(cones, fan.wall_map)
+    return _covers_space(fan) if fan.max_cones else fan.rank == 0
 
 
 def walls(cones: Sequence[Cone]) -> dict[frozenset[Vec], tuple[tuple[int, Vec], ...]]:
@@ -840,8 +861,8 @@ def is_refinement(fine: Fan, coarse: Fan) -> bool:
     A coarse cone is convex, so it holds a fine cone iff it holds all of
     its rays: the hosts of a fine cone are the intersection of its rays'
     sets.  When the coarse cones are full-dimensional and cover the space
-    (is_complete), the fine fan's own wall test on its cached wall map
-    decides the rest: is_complete(fine), False when a fine cone is
+    (_covers_space), the fine fan's own wall test on its cached wall map
+    decides the rest: _covers_space(fine), False when a fine cone is
     lower-dimensional.  That is enough: a point interior to coarse cone k
     lies in no other coarse cone, so every fine cone covering it sits in
     k, and the fine cones in k cover k once iff all fine cones cover the
@@ -858,8 +879,8 @@ def is_refinement(fine: Fan, coarse: Fan) -> bool:
     hosts = [set.intersection(*(holders[j] for j in c)) for c in fine.max_cones]
     if not all(hosts):
         return False
-    if all(cc.dim == coarse.rank for cc in coarse_cones) and is_complete(coarse):
-        return all(cone.dim == fine.rank for cone in fine.cones) and is_complete(fine)
+    if _covers_space(coarse):
+        return _covers_space(fine)
     for k, cc in enumerate(coarse_cones):
         cones = [cone for cone, h in zip(fine.cones, hosts) if k in h]
         if len(cones) == 1 and cones[0].generators == cc.generators:

@@ -21,7 +21,17 @@ import toriclab
 from toriclab import fan as fan_module, lattice, pairs, toric
 from toriclab.catalog import bundled_fans
 from toriclab.complexity import complexity, decomposition_by_primes
-from toriclab.fan import Cone, Diagnostics, Fan, is_complete, is_refinement, star_subdivision, validate_fan, walls
+from toriclab.fan import (
+    Cone,
+    Diagnostics,
+    Fan,
+    is_complete,
+    is_refinement,
+    is_simplicial,
+    star_subdivision,
+    validate_fan,
+    walls,
+)
 from toriclab.lattice import rank, solve_rational, vdot
 from toriclab.pairs import ToricPair, crepant_pullback, index, is_log_cy, singularity_type, validate_pair
 from toriclab.polytope import enumerate_reflexive_polygons, face_fan
@@ -29,6 +39,13 @@ from toriclab.toric import local_functionals, projective_space_fan, weighted_pro
 
 from oracles import minor_gcds, nullspace, row_echelon
 from test_double_description import _kgon
+from test_walls import (
+    CUBE_FACE_FAN,
+    CUBE_SPLIT_ON_ONE_SIDE,
+    CUBOCTAHEDRON_FACE_FAN,
+    HEXAGONAL_PRISM_FACE_FAN,
+    _random_face_fan,
+)
 
 
 def _random_matrix(rng):
@@ -226,6 +243,25 @@ def test_complete_simplicial_fans_take_no_double_description(count_calls):
     for fan in fans:
         assert validate_fan(fan) and is_complete(fan)
     assert (len(runs), len(separations)) == (0, 0)
+
+
+def test_complete_non_simplicial_fans_take_no_separation(count_calls):
+    # fresh copies: the face fans of the cube, the cuboctahedron, a
+    # hexagonal prism and 20 seeded 3D lattice polytopes, each with a facet
+    # that is not a triangle, are accepted by their walls alone
+    rng = random.Random(35)
+    fans = [CUBE_FACE_FAN, CUBOCTAHEDRON_FACE_FAN, HEXAGONAL_PRISM_FACE_FAN]
+    fans += [_random_face_fan(rng) for _ in range(20)]
+    separations = count_calls("_separating", fan_module)
+    for fan in fans:
+        fan = Fan(fan.rays, fan.max_cones, fan.rank)
+        assert validate_fan(fan) and is_complete(fan) and not is_simplicial(fan)
+    assert separations == []
+    # the one-sided split is rejected by its walls, and the pairwise scan
+    # finds its first violation
+    fan = Fan(CUBE_SPLIT_ON_ONE_SIDE.rays, CUBE_SPLIT_ON_ONE_SIDE.max_cones, 3)
+    assert validate_fan(fan).problem == "cones do not intersect in a common face"
+    assert separations
 
 
 def test_a_cone_takes_one_elimination_for_its_dimension_and_facets(count_calls):

@@ -1,9 +1,10 @@
 """validate_fan's wall criterion against the pairwise scan it skips
 (oracles.validate_fan_pairwise): the same Diagnostics (valid, problem and
-witness) on named, seeded and hypothesis fans of rank 1 to 4, and the
-criterion accepting exactly the valid complete simplicial fans.  The
-count guard (no double-description run where it accepts) is in
-test_primitives."""
+witness) on named, seeded and hypothesis fans of rank 1 to 4 and on
+seeded face fans of 3D lattice polytopes, and the criterion accepting
+exactly the valid complete fans of full-dimensional cones, simplicial or
+not.  The count guards (no double-description run or separation where it
+accepts) are in test_primitives."""
 
 import itertools
 import random
@@ -12,8 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from toriclab.catalog import bundled_fans, cone_over_square_fan
-from toriclab.fan import Fan, _covers_once, is_complete, is_refinement, validate_fan
+from toriclab.fan import Fan, _covers_once, _covers_space, is_complete, is_refinement, validate_fan
 from toriclab.lattice import primitive
+from toriclab.polytope import Polytope, face_fan
 from toriclab.toric import ToricVariety, is_fano, projective_space_fan, weighted_projective_fan
 
 from oracles import _connected, is_refinement_scan, random_complete_2d_fan, validate_fan_pairwise
@@ -24,35 +26,32 @@ def _copy(fan):
     return Fan(fan.rays, fan.max_cones, fan.rank)
 
 
-def _walls_accept(fan):
-    """validate_fan's wall test behind its guard: every maximal cone
-    full-dimensional simplicial, then _covers_once with no boundary."""
-    cones = fan.cones
-    full = all(len(cone.generators) == cone.dim == cone.rank for cone in cones)
-    return bool(cones) and full and _covers_once(cones, fan.wall_map)
-
-
 def _both(fan):
     return validate_fan(_copy(fan)), validate_fan_pairwise(_copy(fan))
 
 
-def _accepts_exactly_the_complete_simplicial_fans(fan):
-    """Where every ray is used, the criterion holds iff the fan is valid,
-    complete, and made of full-dimensional simplicial cones.  Completeness
-    is read without _covers_once: a valid fan of full-dimensional cones is
-    complete iff every wall lies in two cones and the cones are linked
-    across their walls."""
+def _accepts_exactly_the_valid_complete_fans(fan):
+    """Where every ray is used and every maximal cone is strongly convex
+    with extremal generators, validate_fan's wall test behind its guard
+    (_covers_space) holds iff the fan is valid, complete, and made of
+    full-dimensional cones.  Completeness is read without _covers_once: a
+    valid fan of full-dimensional cones is complete iff every wall lies in
+    two cones and the cones are linked across their walls.  The per-cone
+    checks come first in validate_fan too: without them the wall test
+    passes, say, a 2D cone whose middle ray is not extremal."""
     if set(range(len(fan.rays))) != set(itertools.chain.from_iterable(fan.max_cones)):
         return
     fan = _copy(fan)
+    if not all(cone.is_strongly_convex() and cone.generators_extremal() for cone in fan.cones):
+        return
     expected = (
         bool(fan.max_cones)
-        and all(len(c) == fan.rank == cone.dim for c, cone in zip(fan.max_cones, fan.cones))
+        and all(cone.dim == fan.rank for cone in fan.cones)
         and bool(validate_fan_pairwise(fan))
         and all(len(ks) == 2 for ks in fan.wall_map.values())
         and _connected(len(fan.cones), {w: [k for k, _ in ks] for w, ks in fan.wall_map.items()})
     )
-    assert _walls_accept(_copy(fan)) == expected, fan
+    assert _covers_space(_copy(fan)) == expected, fan
 
 
 # --------------------------------------------------------------- fans
@@ -93,6 +92,13 @@ DOUBLE_COVER_3D = Fan.from_data(
 # but both cones at the ray (-1, 6) lie on the same side of it
 FOLDED_2D = Fan.from_data([(1, 0), (-1, 6), (5, 6), (-3, -1)], [(0, 1), (1, 2), (2, 3), (3, 0)])
 
+# a cycle of five 2D cones cone(r_i, r_i+1) in rank 3, every ray in two of
+# them: the wall test alone passes it, but cone(r0, r1) and cone(r3, r4) do
+# not meet in a common face
+CROSSING_CYCLE = Fan.from_data(
+    [(-1, -1, 0), (0, 1, 1), (1, -1, -1), (-1, 1, 0), (1, 0, 1)], [(i, (i + 1) % 5) for i in range(5)]
+)
+
 
 def _hanging_vertex(n, host=0, edge=(0, 1)):
     """P^n with one of the cones at a 2-face subdivided along it and the
@@ -111,6 +117,28 @@ CUBE = [(x, y, z) for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)]
 CUBE_FACE_FAN = Fan.from_data(
     CUBE, [tuple(i for i, v in enumerate(CUBE) if v[axis] == s) for axis in range(3) for s in (-1, 1)]
 )
+CUBOCTAHEDRON_FACE_FAN = face_fan(
+    Polytope.hull([p for p in itertools.product((-1, 0, 1), repeat=3) if sum(x * x for x in p) == 2])
+)
+HEXAGONAL_PRISM_FACE_FAN = face_fan(
+    Polytope.hull([(x, y, z) for x, y in ((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)) for z in (-1, 1)])
+)
+# the cube's top cone cut in two at the ray (1, 0, 1) on its edge x = z = 1,
+# a triangle and a quadrilateral; the side cone x = 1 keeps that edge whole
+CUBE_SPLIT_ON_ONE_SIDE = Fan.from_data(
+    CUBE + [(1, 0, 1)],
+    [c for c in CUBE_FACE_FAN.max_cones if c != (1, 3, 5, 7)] + [(8, 7, 3), (8, 3, 1, 5)],
+)
+
+
+def _random_face_fan(rng):
+    """The face fan of a seeded 3D lattice polytope (6 to 12 points in
+    [-2, 2]^3) with the origin inside and a facet that is not a triangle."""
+    while True:
+        P = Polytope.hull([tuple(rng.randint(-2, 2) for _ in range(3)) for _ in range(rng.randint(6, 12))])
+        if P.dim == 3 and P.contains_origin_interior() and any(len(m) > 3 for m, _, _ in P._facets):
+            return face_fan(P)
+
 
 NAMED = [
     ("P1", Fan.from_data([(1,), (-1,)], [(0,), (1,)])),
@@ -133,7 +161,11 @@ NAMED = [
     ("one quadrant", Fan.from_data([(1, 0), (0, 1)], [(0, 1)])),
     ("cone over the square", cone_over_square_fan()),
     ("face fan of the cube", CUBE_FACE_FAN),
+    ("face fan of the cuboctahedron", CUBOCTAHEDRON_FACE_FAN),
+    ("face fan of a hexagonal prism", HEXAGONAL_PRISM_FACE_FAN),
+    ("face fan of the cube, one facet split on one side only", CUBE_SPLIT_ON_ONE_SIDE),
     ("overlapping quadrants", Fan.from_data([(1, 0), (0, 1), (1, 1), (-1, 1)], [(0, 1), (2, 3)])),
+    ("five crossing 2D cones in rank 3", CROSSING_CYCLE),
     ("plane fan plus a ray", Fan.from_data([(1, 0, 0), (0, 1, 0), (-1, -1, 0), (0, 0, 1)], [(0, 1), (1, 2), (0, 2), (3,)])),
 ]
 
@@ -142,7 +174,7 @@ NAMED = [
 def test_named_fans_get_the_pairwise_diagnostics(name, fan):
     fast, pairwise = _both(fan)
     assert fast == pairwise
-    _accepts_exactly_the_complete_simplicial_fans(fan)
+    _accepts_exactly_the_valid_complete_fans(fan)
 
 
 def test_the_named_failures_are_the_ones_meant():
@@ -158,10 +190,15 @@ def test_the_named_failures_are_the_ones_meant():
     assert any(len(ks) == 1 for ks in _copy(named["hanging vertex in P3"]).wall_map.values())
     for name in ("P1", "P3", "P(2,3,5)", "P3 without a cone", "face fan of the cube"):
         assert validate_fan(_copy(named[name])), name
+    # the guard keeps lower-dimensional cones from the wall test, which
+    # would pass the crossing cycle
+    crossing = _copy(named["five crossing 2D cones in rank 3"])
+    assert _covers_once(crossing.cones, crossing.wall_map) and not _covers_space(crossing)
+    assert validate_fan(crossing).problem == "cones do not intersect in a common face"
     # rank 1: the walls accept P1, which covers the line once, but not the
     # half-line
-    assert _walls_accept(_copy(named["P1"]))
-    assert not _walls_accept(_copy(named["half-line"]))
+    assert _covers_space(_copy(named["P1"]))
+    assert not _covers_space(_copy(named["half-line"]))
 
 
 def test_is_fano_needs_a_fan_covering_the_space_once():
@@ -174,9 +211,10 @@ def test_is_fano_needs_a_fan_covering_the_space_once():
 
 def _random_fan(rng):
     """A seeded complete fan of rank 1 to 4 (P^n and its star
-    subdivisions, random complete 2D fans, weighted projective fans), then
-    up to two of: drop a cone, move a ray, hang a vertex in one cone, merge
-    two cones into one, add a cone on random rays."""
+    subdivisions, random complete 2D fans, weighted projective fans, the
+    cube's face fan), then up to two of (_perturbed): drop a cone, move a
+    ray, hang a vertex in one cone, merge two cones into one, add a cone on
+    random rays."""
     kind = rng.randrange(6)
     if kind == 0:
         n = rng.randint(1, 4)
@@ -194,6 +232,12 @@ def _random_fan(rng):
         rays, cones = list(fan.rays), list(fan.max_cones)
     else:
         rays, cones = list(CUBE_FACE_FAN.rays), list(CUBE_FACE_FAN.max_cones)
+    return _perturbed(rng, rays, cones)
+
+
+def _perturbed(rng, rays, cones):
+    """The fan on rays and cones after up to two of _random_fan's moves;
+    None when two rays coincide."""
     n = len(rays[0])
     for _ in range(rng.choice((0, 0, 1, 1, 2))):
         move = rng.randrange(5)
@@ -208,9 +252,9 @@ def _random_fan(rng):
             k = rng.randrange(len(cones))
             c = cones[k]
             tau = rng.sample(c, 2)
-            v = primitive(tuple(map(sum, zip(*(rays[i] for i in tau)))))
-            if v not in rays:
-                rays.append(v)
+            v = tuple(map(sum, zip(*(rays[i] for i in tau))))
+            if any(v) and primitive(v) not in rays:  # two opposite rays sum to zero
+                rays.append(primitive(v))
                 cones[k : k + 1] = [tuple(sorted((set(c) - {i}) | {len(rays) - 1})) for i in tau]
         elif move == 3 and len(cones) > 1:
             a, b = rng.sample(range(len(cones)), 2)
@@ -221,6 +265,15 @@ def _random_fan(rng):
     if len(set(rays)) != len(rays):
         return None
     return Fan.from_data(rays, cones, rank=n)
+
+
+def _verdict(fan, pairwise):
+    """How validate_fan decides the fan: invalid, accepted by its walls
+    (asked only of a valid fan, as validate_fan asks after the per-cone
+    checks), or valid by the pairwise scan alone."""
+    if not pairwise:
+        return "invalid"
+    return "accepted" if _covers_space(_copy(fan)) else "valid by pairs"
 
 
 def test_seeded_fans_get_the_pairwise_diagnostics():
@@ -234,15 +287,37 @@ def test_seeded_fans_get_the_pairwise_diagnostics():
         ranks.add(fan.rank)
         fast, pairwise = _both(fan)
         assert fast == pairwise, fan
-        _accepts_exactly_the_complete_simplicial_fans(fan)
-        if _walls_accept(_copy(fan)):
-            verdicts["accepted"] += 1
-        elif pairwise:
-            verdicts["valid by pairs"] += 1
-        else:
-            verdicts["invalid"] += 1
+        _accepts_exactly_the_valid_complete_fans(fan)
+        verdicts[_verdict(fan, pairwise)] += 1
     assert ranks == {1, 2, 3, 4}
     assert all(v >= 30 for v in verdicts.values()), verdicts
+
+
+def test_random_fans_skip_a_vertex_between_opposite_rays():
+    # these seeds draw a hanging vertex on two opposite rays, whose sum
+    # has no primitive representative
+    for seed, draws in ((13014, 38), (13027, 114)):
+        rng = random.Random(seed)
+        for _ in range(draws):
+            _random_fan(rng)
+
+
+def test_seeded_face_fans_get_the_pairwise_diagnostics():
+    """Face fans of seeded 3D lattice polytopes, each with a facet that is
+    not a triangle, as they are and after _random_fan's moves: the walls
+    accept the valid complete ones, with the pairwise Diagnostics."""
+    rng = random.Random(35035)
+    verdicts = {"accepted": 0, "valid by pairs": 0, "invalid": 0}
+    for _ in range(150):
+        base = _random_face_fan(rng)
+        fan = _perturbed(rng, list(base.rays), list(base.max_cones))
+        if fan is None:
+            continue
+        fast, pairwise = _both(fan)
+        assert fast == pairwise, fan
+        _accepts_exactly_the_valid_complete_fans(fan)
+        verdicts[_verdict(fan, pairwise)] += 1
+    assert verdicts["accepted"] >= 50 and verdicts["invalid"] >= 30 and verdicts["valid by pairs"] >= 5, verdicts
 
 
 def test_seeded_refinements_of_projective_space_match_the_scan():
@@ -275,7 +350,7 @@ def test_hypothesis_fans_get_the_pairwise_diagnostics(rnd):
         return
     fast, pairwise = _both(fan)
     assert fast == pairwise, fan
-    _accepts_exactly_the_complete_simplicial_fans(fan)
+    _accepts_exactly_the_valid_complete_fans(fan)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -297,4 +372,4 @@ def test_hypothesis_arbitrary_simplicial_cones(rays, rnd):
     fan = Fan.from_data(rays, cones, rank=n)
     fast, pairwise = _both(fan)
     assert fast == pairwise, fan
-    _accepts_exactly_the_complete_simplicial_fans(fan)
+    _accepts_exactly_the_valid_complete_fans(fan)
