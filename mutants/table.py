@@ -43,40 +43,66 @@ ROWS = [
         "new": "return bool(cones) and all(len(cone.generators) == cone.dim == cone.rank for cone in cones) and _covers_once(cones, fan.wall_map)",
         "tests": ["tests/test_primitives.py::test_complete_non_simplicial_fans_take_no_separation"],
     },
-    # _cofactor_echelon: each must differ from the elimination somewhere
-    {
-        "name": "cofactors-sign-rule-flipped",
-        "file": FAN,
-        "old": "if r[1] == (r0 + 2) % 3:",
-        "new": "if r[1] != (r0 + 2) % 3:",
-        "tests": [SEEDED_COFACTORS],
-    },
-    {
-        "name": "cofactors-r1-always-the-lower-candidate",
-        "file": FAN,
-        "old": "r = (r0, lo, hi) if ab[hi] else (r0, hi, lo)",
-        "new": "r = (r0, lo, hi)",
-        "tests": [SEEDED_COFACTORS],
-    },
-    {
-        "name": "cofactors-2d-sign-dropped-when-first-coordinate-is-zero",
-        "file": FAN,
-        "old": "return ((a[1], -a[0]), (-b[1], b[0])), ((1, s0), (0, s1)), -d",
-        "new": "return ((a[1], -a[0]), (-b[1], b[0])), ((1, s0), (0, s1)), d",
-        "tests": [SEEDED_COFACTORS],
-    },
-    {
-        "name": "cofactors-r0-never-2",
-        "file": FAN,
-        "old": "r0 = 0 if a[0] else 1 if a[1] else 2",
-        "new": "r0 = 0 if a[0] else 1",
-        "tests": [SEEDED_COFACTORS],
-    },
+    # _cofactor_echelon: each breaks the seeds' identity H[i].g_sj = last
+    # when i = j and 0 otherwise, or takes other seeds than the elimination
     {
         "name": "cofactors-independence-on-one-minor",
         "file": FAN,
         "old": "if any(ab):",
         "new": "if ab[2]:",
         "tests": [SEEDED_COFACTORS],
+    },
+    {
+        "name": "cofactors-rank-3-rows-rotated",
+        "file": FAN,
+        "old": "return (_cross(b, c), _cross(c, a), ab), ((0, s0), (1, s1), (2, s2)), d",
+        "new": "return (_cross(c, a), ab, _cross(b, c)), ((0, s0), (1, s1), (2, s2)), d",
+        "tests": [SEEDED_COFACTORS],
+    },
+    {
+        "name": "cofactors-2d-det-negated",
+        "file": FAN,
+        "old": "return ((b[1], -b[0]), (-a[1], a[0])), ((0, s0), (1, s1)), d",
+        "new": "return ((b[1], -b[0]), (-a[1], a[0])), ((0, s0), (1, s1)), -d",
+        "tests": [SEEDED_COFACTORS],
+    },
+    # Cone._closure: without its guard every closure is the lineality
+    # space, so no generator is redundant and no stratum is a face
+    {
+        "name": "closure-guard-dropped",
+        "file": FAN,
+        "old": "if idx <= members:",
+        "new": "if True:",
+        "tests": ["tests/test_double_description.py::test_face_test_matches_lp"],
+    },
+    # the bounded caches and the live-fan table
+    {
+        "name": "psi-cache-unbounded",
+        "file": "src/toriclab/pairs.py",
+        "old": "@lru_cache(maxsize=256)\ndef _psi(",
+        "new": "@lru_cache(maxsize=None)\ndef _psi(",
+        "tests": ["tests/test_cache_plateaus.py::test_distinct_pairs_keep_the_psi_cache_flat"],
+    },
+    {
+        "name": "presentation-cache-unbounded",
+        "file": "src/toriclab/toric.py",
+        "old": "@lru_cache(maxsize=256)\ndef _presentation(",
+        "new": "@lru_cache(maxsize=None)\ndef _presentation(",
+        "tests": ["tests/test_cache_plateaus.py::test_distinct_fans_keep_the_presentation_cache_flat"],
+    },
+    {
+        "name": "data-key-registered-on-every-call",
+        "file": FAN,
+        "old": "                fan = _ALIVE[normal] = _ALIVE[key] = cls._trusted(*normal[1:])\n",
+        "new": "                fan = _ALIVE[normal] = cls._trusted(*normal[1:])\n            _ALIVE[key] = fan\n",
+        "tests": ["tests/test_shared_fans.py::test_presentations_of_a_live_fan_keep_the_table_flat"],
+    },
+    # the console script
+    {
+        "name": "leaf-parser-accepts-leftover-arguments",
+        "file": "src/toriclab/cli.py",
+        "old": "        if not extras:\n",
+        "new": "        if True:\n",
+        "tests": ["tests/test_hardening.py::test_malformed_input_exits_2_without_traceback[casebook segre extra]"],
     },
 ]

@@ -5,17 +5,17 @@ A cone is stored by its primitive extremal generators, a fan by a canonical
 All geometry is decided exactly, by one kernel on integer rows: the double
 description, seeded by the one elimination over Q (lattice.echelon, which
 also gives cone dimensions and, when no maximal cone is full-dimensional,
-the rank of a fan's ray matrix).  Rows spanning Q^2 or Q^3 read the
-elimination's exact output off the cofactors of their first independent
-rows instead, with no elimination run.  One run
-per cone gives its facets, from which membership, relative interiors, walls
-and faces are read.  Separation questions (strong convexity, extremality,
-whether two cones meet in a common face, rational linear feasibility) ask
-whether a row lies in the lineality space of a cone, on every one of its
-facets (Gordan and Motzkin).  A cone with independent generators is
-strongly convex with every generator extremal, and no facets are computed.
-A cone caches one elimination of its generators, the echelon of
-[G^T | I], and reads every rational fact off it: its dimension, its span
+the rank of a fan's ray matrix).  Rows spanning Q^2 or Q^3 seed from the
+cofactors of their first independent rows instead, with no elimination run.
+One run per cone gives its facets, from which membership, relative
+interiors, walls and faces are read (a face as the closure of its
+generators, Cone._closure).  Separation questions (strong convexity,
+extremality, whether two cones meet in a common face, rational linear
+feasibility) ask whether a row lies in the lineality space of a cone, on
+every one of its facets (Gordan and Motzkin).  A cone with independent
+generators is strongly convex with every generator extremal, and no facets
+are computed.  A cone caches one elimination of its generators, the echelon
+of [G^T | I], and reads every rational fact off it: its dimension, its span
 (the rows without a pivot), the start of its double description, and its
 seeds (Cone.seeds: dim independent generators, each with a functional
 vanishing on the others), which give the linear pieces of a
@@ -26,10 +26,10 @@ convex cone that is not simplicial caches one pulling triangulation into
 simplices.  One oriented wall test (_covers_once), on the walls and their
 inward normals, decides whether cones cover a region exactly once: the
 space for validate_fan (on complete fans of full-dimensional cones,
-simplicial or not), is_complete and is_refinement onto a complete fan,
-each coarse cone for is_refinement onto any other.  Nothing here
-ever touches a float: a coordinate, ray index or fan rank that is not an
-integer raises ValueError.
+simplicial or not), is_complete and is_refinement onto a complete fan, each
+coarse cone for is_refinement onto any other.  Nothing here ever touches a
+float: a coordinate, ray index or fan rank that is not an integer raises
+ValueError.
 
 Fan.from_data shares fans by the fan, not by the data: while an equal fan
 built by it is still held anywhere (a cached pair or presentation, the
@@ -39,7 +39,10 @@ otherwise), with every chart, wall map and rank it has cached.  It looks
 the data up as given first and then by its normal form (_normal_form),
 which Fan(...) also computes, and keeps each fan under two keys only: its
 normal form and the data it was built from.  A fan nobody holds is
-dropped.  Fan(...) always builds a new fan.  validate_fan runs its checks
+dropped.  Both keys pay where one process presents its fans again, as
+a library caller or the bench's repeated workloads do: without the
+table, or with the normal form as the only key, those queries slow
+down.  Fan(...) always builds a new fan.  validate_fan runs its checks
 once per fan and caches the Diagnostics on it, so a fan shared this way
 is validated once.
 """
@@ -88,15 +91,14 @@ def double_description(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], 
     `tests` counts the combinatorial adjacency tests made.
 
     One `lattice.echelon` run on the transposed rows beside an identity
-    (or, for rows spanning Q^2 or Q^3, its output read off cofactors)
-    finds d independent rows, the seeds, and the adjugate functionals
-    vanishing on all seeds but one (the identity block of the pivot rows,
-    each worth the last pivot on its own seed, so oriented by its sign):
+    (or, for rows spanning Q^2 or Q^3, their cofactors) finds d independent
+    rows, the seeds, and the adjugate functionals vanishing on all seeds
+    but one (each worth `last` on its own seed, so oriented by its sign):
     the extreme rays of the dual of the seeds' simplicial cone.  The other
-    rows are then cut in one by one, in the given order.  A new ray joins
-    a ray on the positive side to one on the negative side only when they
-    are adjacent: no third ray vanishes on every row both of them vanish
-    on.  The dual cone stays pointed throughout, where that test is exact.
+    rows are then cut in one by one, in the given order.  A new ray joins a
+    ray on the positive side to one on the negative side only when they are
+    adjacent: no third ray vanishes on every row both of them vanish on.
+    The dual cone stays pointed throughout, where that test is exact.
     Adjacent rays share at least d - 2 zero rows, so pairs sharing fewer
     skip the test.
     """
@@ -152,12 +154,14 @@ def _seed_echelon(rows: Sequence[Sequence[int]], n: int) -> tuple[tuple[Vec, ...
     """(H, pivots, last) from `lattice.echelon` of [G^T | I], G the rows, n
     wide: row c holds one functional's values on every row, then its
     coefficients, which H[c] keeps.  A pivot (c, s) makes H[c] worth `last`
-    on row s and 0 on the other pivot rows.  Every other H[c] vanishes on
-    every row of G, and as the elimination keeps the identity block
+    on row s and 0 on the other pivots' rows.  Every other H[c] vanishes
+    on every row of G, and as the elimination keeps the identity block
     invertible, those span the functionals vanishing on G over Q.
 
-    Rows spanning Q^n for n = 2 or 3 read the same output off cofactors
-    (_cofactor_echelon), with no elimination."""
+    Rows spanning Q^n for n = 2 or 3 take their greedy seeds and cofactor
+    rows instead (_cofactor_echelon), with no elimination: the same seeds
+    and facets, the pivots (0, ..., n - 1) and last the seeds'
+    determinant."""
     if 2 <= n <= 3:
         seeded = _cofactor_echelon(rows, n)
         if seeded is not None:
@@ -169,14 +173,10 @@ def _seed_echelon(rows: Sequence[Sequence[int]], n: int) -> tuple[tuple[Vec, ...
 
 def _cofactor_echelon(rows, n):
     """`_seed_echelon` of rows spanning Q^n, n = 2 or 3, read off cofactors;
-    None when they do not span.  The elimination's pivot columns are the
-    greedy seeds s_i: each the first later row outside the span of the
-    earlier seeds.  Its pivot rows r_i: r_0 is the first nonzero coordinate
-    of g_s0, r_1 the least other c with g_s0[r_0] g_s1[c] - g_s0[c] g_s1[r_0]
-    nonzero (that column's entries after the first pivot), and r_2 the one
-    left.  The last pivot is the minor on those rows and columns,
-    sign(r).det(g_s), and H[r_i] = sign(r) times g_si's cofactor row, the
-    one solution of H[r_i].g_sj = last when i = j and 0 otherwise."""
+    None when they do not span.  The seeds s_i are greedy: each the first
+    later row outside the span of the earlier seeds.  Pivot (i, s_i) takes
+    g_si's cofactor row H[i], the one solution of H[i].g_sj = last when
+    i = j and 0 otherwise, with last = det(g_s0, ..., g_s(n-1))."""
     gens = iter(enumerate(rows))
     for s0, a in gens:
         if any(a):
@@ -187,12 +187,8 @@ def _cofactor_echelon(rows, n):
         for s1, b in gens:
             d = a[0] * b[1] - a[1] * b[0]
             if d:
-                break
-        else:
-            return None
-        if a[0]:
-            return ((b[1], -b[0]), (-a[1], a[0])), ((0, s0), (1, s1)), d
-        return ((a[1], -a[0]), (-b[1], b[0])), ((1, s0), (0, s1)), -d
+                return ((b[1], -b[0]), (-a[1], a[0])), ((0, s0), (1, s1)), d
+        return None
     for s1, b in gens:
         ab = _cross(a, b)
         if any(ab):
@@ -202,20 +198,8 @@ def _cofactor_echelon(rows, n):
     for s2, c in gens:
         d = ab[0] * c[0] + ab[1] * c[1] + ab[2] * c[2]
         if d:
-            break
-    else:
-        return None
-    r0 = 0 if a[0] else 1 if a[1] else 2
-    lo = 1 if r0 == 0 else 0
-    hi = 3 - r0 - lo
-    r = (r0, lo, hi) if ab[hi] else (r0, hi, lo)  # ab[hi] = +-(a[r0] b[lo] - a[lo] b[r0])
-    H = [None] * 3
-    if r[1] == (r0 + 2) % 3:  # sign(r) = -1: negate by swapping each product
-        H[r0], H[r[1]], H[r[2]] = _cross(c, b), _cross(a, c), _cross(b, a)
-        d = -d
-    else:
-        H[r0], H[r[1]], H[r[2]] = _cross(b, c), _cross(c, a), ab
-    return tuple(H), tuple(zip(r, (s0, s1, s2))), d
+            return (_cross(b, c), _cross(c, a), ab), ((0, s0), (1, s1), (2, s2)), d
+    return None
 
 
 def _cross(u, v):
@@ -325,9 +309,8 @@ class Cone:
     def _echelon(self) -> tuple[tuple[Vec, ...], tuple[tuple[int, int], ...], int]:
         """`_seed_echelon` of the generators: the cone's one elimination
         over Q, read by dim, seeds, span membership and facet_data.  In
-        rank 2 and 3 a full-dimensional cone reads that output off the
-        cofactors of its seeds (_cofactor_echelon) and runs no
-        elimination."""
+        rank 2 and 3 a full-dimensional cone takes the cofactors of its
+        seeds (_cofactor_echelon) and runs no elimination."""
         return _seed_echelon(self.generators, self.rank)
 
     @cached_property
@@ -335,7 +318,9 @@ class Cone:
         """(last, ((s, h_s), ...)): the dim independent generators g_s that
         the double description seeds from, in pivot order, each with the
         functional h_s worth `last` on g_s and 0 on the other seeds, read
-        off the cone's echelon of [G^T | I]; (1, ()) for a cone with no
+        off the cone's echelon of [G^T | I] (in rank 2 and 3, off the
+        cofactors of a full-dimensional cone's seeds, with last their
+        determinant in seed order); (1, ()) for a cone with no
         generators."""
         H, pivots, last = self._echelon
         return last, tuple((s, H[c]) for c, s in pivots)
@@ -343,7 +328,7 @@ class Cone:
     @cached_property
     def dim(self) -> int:
         """Dimension of the span: the number of pivots of the echelon
-        (read off cofactors for a full-dimensional cone in rank 2 or 3)."""
+        (the cofactor seeds of a full-dimensional cone in rank 2 or 3)."""
         return len(self._echelon[1])
 
     def contains(self, x: Sequence) -> bool:
@@ -381,10 +366,9 @@ class Cone:
         if len(self.generators) == self.dim:
             return True
         try:
-            facets = self.facet_data
+            return not self._closure(frozenset())
         except ValueError:  # a line
             return False
-        return not any(all(i in members for members, _ in facets) for i in range(len(self.generators)))
 
     def generators_extremal(self) -> bool:
         """Every listed generator spans an extremal ray (always so for
@@ -392,20 +376,24 @@ class Cone:
         in the cone over the other generators on every facet through g:
         each generator in a combination for g is on every facet g is on.
         On a pointed cone an extremal g has no such others."""
-        if len(self.generators) == self.dim:
+        gens = self.generators
+        if len(gens) == self.dim:
             return True
         try:
-            facets = self.facet_data
+            flats = [self._closure(frozenset({i})) - {i} for i in range(len(gens))]
         except ValueError:  # a line: neither generator spans the other
             return True
-        for i, g in enumerate(self.generators):
-            flat = frozenset(range(len(self.generators))) - {i}
-            for members, _ in facets:
-                if i in members:
-                    flat &= members
-            if flat and Cone(tuple(self.generators[j] for j in flat), self.rank).contains(g):
-                return False
-        return True
+        return not any(flat and Cone(tuple(gens[j] for j in flat), self.rank).contains(g) for g, flat in zip(gens, flats))
+
+    def _closure(self, idx: frozenset[int]) -> frozenset[int]:
+        """The generators on every facet that holds the generators idx,
+        all of them when no facet does: the least face holding idx, or
+        for idx empty the generators in the lineality space."""
+        closure = frozenset(range(len(self.generators)))
+        for members, _ in self.facet_data:
+            if idx <= members:
+                closure &= members
+        return closure
 
     def is_unimodular(self) -> bool:
         """Generators extend to a basis of the ambient lattice (and the
@@ -843,13 +831,7 @@ def _is_face(sub: Cone, cone: Cone) -> bool:
     one iff exactly its generators lie on every facet that holds it."""
     sub_set = set(sub.generators)
     idx = frozenset(i for i, g in enumerate(cone.generators) if g in sub_set)
-    if len(idx) != len(sub_set):
-        return False
-    closure = frozenset(range(len(cone.generators)))
-    for members, _ in cone.facet_data:
-        if idx <= members:
-            closure &= members
-    return closure == idx
+    return len(idx) == len(sub_set) and cone._closure(idx) == idx
 
 
 def is_refinement(fine: Fan, coarse: Fan) -> bool:

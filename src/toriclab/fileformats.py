@@ -10,7 +10,8 @@ The formats are deliberately flat and hand-writable:
                     vertex <c1> ... <cn>
 
 '#' starts a comment, blank lines are ignored, and cone/coeff indices refer
-to the ray lines in file order.  A coefficient is an integer, p/q or a
+to the ray lines in file order.  A file has at most one dim line, and a
+pair file at most one fan line.  A coefficient is an integer, p/q or a
 decimal, without an exponent.  Emitters write the canonical ray order, so
 emit(parse(file)) is byte-identical exactly on canonical-form files.
 """
@@ -150,6 +151,8 @@ def parse_pair(text: str, base_dir: str = ".") -> ToricPair:
         if key == "fan":
             if len(args) != 1:
                 raise ParseError(lineno, "expected: fan <path>")
+            if fan_path is not None:
+                raise ParseError(lineno, "duplicate fan line")
             fan_path = args[0]
         elif key in ("dim", "ray", "cone"):
             inline.append((lineno, words))

@@ -12,7 +12,7 @@ a fraction-free Gauss-Jordan routine on integer rows and the only
 elimination over Q in the package: `rank`, `det` and `solve_rational`
 here, and a cone's dimension, seeds, span and double description
 (fan.Cone, one cached echelon per cone; a full-dimensional cone in rank 2
-or 3 reads the same output off cofactors, with no run).  Lattice
+or 3 seeds from cofactors instead, with no run).  Lattice
 questions read a `SolveChart`, through which every Smith form is read:
 integer solves, class groups and left kernels, and a cone's
 unimodularity, the pieces of a lower-dimensional cone and the
@@ -251,7 +251,7 @@ class SolveChart:
     Cone.triangulation.
     Rational questions (ranks, spans, facets, the pieces of a
     full-dimensional cone off its seeds) read `echelon`, or in rank 2 and
-    3 its output read off cofactors (fan._seed_echelon).
+    3 the cofactor seeds that stand in for it (fan._seed_echelon).
 
     d holds the r nonzero invariants and L = d[r-1] is the largest (1 when
     r = 0).  M = sum over i < r of (L / d_i) V[:, i] (x) U[i] and Z = U[r:]:

@@ -26,6 +26,8 @@ FILES = {
     "bad-int.fan": b"dim 2\nray 1 x\n",
     "bad-dim.fan": "dim ²\n".encode(),
     "exponent.pair": b"dim 1\nray 1\nray -1\ncone 0\ncone 1\ncoeff 0 1e3\n",
+    "p1.fan": b"dim 1\nray 1\nray -1\ncone 0\ncone 1\n",
+    "two-fans.pair": b"fan p1.fan\nfan p1.fan\ncoeff 0 1\n",
 }
 
 # {name} is replaced by the path of FILES[name]; "{missing}" never exists
@@ -56,6 +58,7 @@ MALFORMED = [
     ["pair", "classify", "{wrong-dim.fan}"],
     ["pair", "classify", "{exponent.pair}"],
     ["pair", "classify", "{missing}"],
+    ["pair", "classify", "{two-fans.pair}"],
     ["pair", "discrepancy", P2_PAIR, "--point", "x"],
     ["pair", "discrepancy", P2_PAIR, "--point", "1,,1"],
     ["pair", "discrepancy", P2_PAIR, "--point", "1,2,3"],
@@ -112,6 +115,14 @@ def test_malformed_input_exits_2_without_traceback(argv, tmp_path):
     assert err.getvalue().strip()
     assert "Traceback" not in err.getvalue()
     assert out.getvalue() == ""
+
+
+def test_a_second_fan_line_is_an_error(tmp_path):
+    (tmp_path / "p1.fan").write_bytes(FILES["p1.fan"])
+    assert parse_pair("fan p1.fan\ncoeff 0 1\n", str(tmp_path)).boundary == (0, 1)
+    with pytest.raises(ParseError, match="duplicate fan line") as caught:
+        parse_pair("fan p1.fan\n# the same fan again\nfan p1.fan\n", str(tmp_path))
+    assert caught.value.line == 3
 
 
 def test_every_subcommand_is_covered():
