@@ -4,19 +4,21 @@ text in one file under src/ and names the tests that must then fail.
     python mutants/run.py [name ...]
 
 The named rows, or all of them, run one at a time.  The repository,
-without .git and caches, is copied to a temporary directory once, and
-the union of the rows' tests must pass there unchanged, so that a failing
-test means the change was caught.  Each row then gets a fresh copy of that
-tree, with its old text, which must occur exactly once in its file,
-replaced by its new text, and its tests run there in one pytest
-subprocess with PYTHONPATH at the copy's src/.  The row is killed when
-pytest reports a failed test (exit status 1) and survives when they all
-pass.
+without .git and caches, is copied to a temporary directory once.  Each
+row's tests must pass there unchanged, run exactly as they will run on
+the mutant, so that a failing test means the change was caught: a test
+that passes in one selection of tests and fails in another (a memory
+plateau, say) is judged in the row's own selection.  Each row then gets a
+fresh copy of that tree, with its old text, which must occur exactly once
+in its file, replaced by its new text, and its tests run there in one
+pytest subprocess with PYTHONPATH at the copy's src/.  The row is killed
+when pytest reports a failed test (exit status 1) and survives when they
+all pass.
 
 Prints one line per row.  Exits 0 when every row is killed, 1 when a row
-survives, its old text is not found exactly once or its pytest run ends
-in any other way, or when the tests fail on the unchanged tree, and 2 on
-an unknown row name.  Standard library only.
+survives, its old text is not found exactly once, its tests fail on the
+unchanged tree or its pytest run ends in any other way, and 2 on an
+unknown row name.  Standard library only.
 """
 
 from __future__ import annotations
@@ -46,10 +48,6 @@ def run(rows, root: Path = ROOT, out=sys.stdout) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         base = Path(tmp) / "base"
         shutil.copytree(root, base, ignore=IGNORED)
-        code = _pytest(base, sorted({t for row in rows for t in row["tests"]}))
-        if code:
-            print(f"the tests fail on the unchanged tree (pytest exit {code})", file=out)
-            return 1
         status = 0
         for row in rows:
             tree = Path(tmp) / "mutant"
@@ -59,6 +57,8 @@ def run(rows, root: Path = ROOT, out=sys.stdout) -> int:
             found = text.count(row["old"])
             if found != 1:
                 verdict = f"stale: old text found {found} times in {row['file']}"
+            elif code := _pytest(tree, row["tests"]):
+                verdict = f"its tests fail on the unchanged tree (pytest exit {code})"
             else:
                 path.write_text(text.replace(row["old"], row["new"]))
                 code = _pytest(tree, row["tests"])

@@ -8,6 +8,8 @@ that moves the code must update its rows.
 """
 
 FAN = "src/toriclab/fan.py"
+CLI = "src/toriclab/cli.py"
+MARKOV = "src/toriclab/markov.py"
 SEEDED_COFACTORS = "tests/test_echelon.py::test_seeded_rows_seed_from_cofactors_as_the_elimination_does"
 
 ROWS = [
@@ -100,9 +102,55 @@ ROWS = [
     # the console script
     {
         "name": "leaf-parser-accepts-leftover-arguments",
-        "file": "src/toriclab/cli.py",
+        "file": CLI,
         "old": "        if not extras:\n",
         "new": "        if True:\n",
         "tests": ["tests/test_hardening.py::test_malformed_input_exits_2_without_traceback[casebook segre extra]"],
+    },
+    {
+        "name": "one-write-drops-the-last-newline",
+        "file": CLI,
+        "old": '    lines.append("")\n',
+        "new": "",
+        "tests": ["tests/test_cli_parser.py::test_sample_corpus_prints_the_pinned_bytes"],
+    },
+    # markov table: rows from the walk's int triples, each checked by
+    # _numerics, in columns of fixed width
+    {
+        "name": "table-rows-built-through-hkw-surface",
+        "file": CLI,
+        "old": "        d, degree = markov._numerics(a, b, c)\n",
+        "new": "        s = markov.hkw_surface(markov.MarkovTriple._trusted(a, b, c))\n        d, degree = s.weights[2], s.degree\n",
+        "tests": ["tests/test_markov.py::test_table_builds_no_surface_per_row"],
+    },
+    {
+        "name": "numerics-check-dropped",
+        "file": MARKOV,
+        "old": "if degree != a * a + b * b:",
+        "new": "if False:",
+        "tests": [
+            "tests/test_markov.py::test_a_broken_row_raises_before_anything_is_printed[False]",
+            "tests/test_markov.py::test_a_broken_row_raises_before_anything_is_printed[True]",
+        ],
+    },
+    {
+        "name": "table-degree-column-one-narrower",
+        "file": CLI,
+        "old": "{degree:<8}",
+        "new": "{degree:<7}",
+        "tests": [
+            "tests/test_markov.py::test_table_rows_are_the_oracle_rows[1000-False]",
+            "tests/test_markov.py::test_markov_table_output_is_pinned[False-1000]",
+        ],
+    },
+    {
+        "name": "walk-keeps-seeds-beyond-the-bound",
+        "file": MARKOV,
+        "old": "found = [t for t in ((1, 1, 1), (1, 1, 2)) if t[2] <= bound]",
+        "new": "found = [(1, 1, 1), (1, 1, 2)]",
+        "tests": [
+            "tests/test_markov.py::test_table_rows_are_the_oracle_rows[1-False]",
+            "tests/test_markov.py::test_table_rows_are_the_oracle_rows[1-True]",
+        ],
     },
 ]

@@ -48,9 +48,10 @@ def test_stale_old_text_fails_the_run(tree):
 
 
 def test_tests_failing_unchanged_fail_the_run(tree):
-    (tree / "tests" / "test_demo.py").write_text("def test_broken():\n    assert False\n")
-    status, out = _run([_row("any", "2 * x", "3 * x") | {"tests": ["tests/test_demo.py::test_broken"]}], tree)
-    assert status == 1 and out.startswith("the tests fail on the unchanged tree")
+    demo = tree / "tests" / "test_demo.py"
+    demo.write_text(demo.read_text() + "\n\ndef test_broken():\n    assert False\n")
+    status, out = _run([_row("any", "2 * x", "3 * x") | {"tests": ["tests/test_demo.py::test_broken"]}, KILLED], tree)
+    assert (status, out) == (1, "any: its tests fail on the unchanged tree (pytest exit 1)\ntriple: killed\n")
 
 
 def test_the_table_is_well_formed():

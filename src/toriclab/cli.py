@@ -14,6 +14,11 @@ and reused by every later call.  A command line that names its group and
 subcommand outright is parsed by that subcommand's parser alone; any other
 goes through the whole tree.  Nothing else is kept between calls: files
 are read, and `casebook suite` is recomputed, on every call.
+
+`markov table` and `casebook suite`, the two commands with the most
+lines, build every line first and write them with one call; the table
+formats its rows from the walk's int triples (`markov._walk`), with no
+triple or surface object per row.
 """
 
 from __future__ import annotations
@@ -58,6 +63,14 @@ class _Reporter:
             print(_ENCODER.encode(record))
         else:
             print(text)
+
+
+def _write_lines(lines: list[str]) -> None:
+    """Write the lines, each ending in a newline, with one call.  The final
+    newline comes from an empty line appended to `lines`: adding it to the
+    joined text would copy all of it once more."""
+    lines.append("")
+    sys.stdout.write("\n".join(lines))
 
 
 def _read(path: str) -> str:
@@ -219,13 +232,13 @@ _TRUE_COLUMNS = f"{'true':<12}{'true':<13}true"  # every surface is well-formed,
 
 
 def _cmd_markov_table(args, rep: _Reporter) -> int:
-    """One row per triple of the walk, in the closed forms `markov.hkw_surface`
-    proves: `_numerics` gives d and the degree and checks the Markov equation.
-    A JSON row is the bytes _ENCODER.encode prints for the row's record: keys
+    """One row per (a, b, c) of the walk `markov._walk`, with no triple or
+    surface object built, in the closed forms `markov.hkw_surface` proves:
+    `_numerics` gives d and the degree and checks the Markov equation.  A
+    JSON row is the bytes _ENCODER.encode prints for the row's record: keys
     sorted, ints by repr.  Every row is built before any is printed."""
     rows = [] if rep.json_lines else [_MARKOV_HEADER]
-    for t in markov.enumerate_markov(args.max):
-        a, b, c = t.a, t.b, t.c
+    for a, b, c in markov._walk(args.max):
         d, degree = markov._numerics(a, b, c)
         if rep.json_lines:
             rows.append(
@@ -234,7 +247,7 @@ def _cmd_markov_table(args, rep: _Reporter) -> int:
             )
         else:
             rows.append(f"{f'({a}, {b}, {c})':<14}{f'({a * a}, {b * b}, {d}, {c})':<18}{degree:<8}{c + d:<11}{_TRUE_COLUMNS}")
-    sys.stdout.write("\n".join(rows) + "\n")
+    _write_lines(rows)
     return 0
 
 
@@ -265,12 +278,14 @@ def _cmd_casebook_segre(args, rep: _Reporter) -> int:
 
 
 def _cmd_casebook_suite(args, rep: _Reporter) -> int:
+    """One line per check, every line built before the one write, as in
+    `markov table`."""
     report = casebook.toric_boundary_suite()
-    for line in report.lines:
-        rep.emit(
-            {"name": line.name, "status": line.status, "witness": line.witness},
-            line.render(),
-        )
+    if rep.json_lines:
+        lines = [_ENCODER.encode({"name": x.name, "status": x.status, "witness": x.witness}) for x in report.lines]
+    else:
+        lines = [x.render() for x in report.lines]
+    _write_lines(lines)
     return 0 if report.passed else 1
 
 

@@ -19,6 +19,7 @@ so it is Fano; the Jacobian criterion makes it quasismooth.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 
 @dataclass(frozen=True, order=True)
@@ -35,8 +36,8 @@ class MarkovTriple:
 
     @classmethod
     def _trusted(cls, a: int, b: int, c: int) -> "MarkovTriple":
-        """A triple of the tree walk in `enumerate_markov`, sorted and a
-        solution by construction, so nothing is checked again.
+        """A triple of the tree walk `_walk`, sorted and a solution by
+        construction, so nothing is checked again.
 
         The walk's proof: (1, 1, 1), (1, 1, 2) and (1, 2, 5) solve the
         equation.  A Vieta jump x -> 3yz - x keeps it, since the equation
@@ -56,9 +57,10 @@ class MarkovTriple:
         return (self.a, self.b, self.c)
 
 
-def enumerate_markov(bound: int) -> list[MarkovTriple]:
-    """All Markov triples with largest entry at most `bound`, sorted by
-    (c, b, a), from a walk of the Markov tree.
+def _walk(bound: int) -> list[tuple[int, int, int]]:
+    """The (a, b, c) of every Markov triple with c <= bound, as plain int
+    tuples sorted by (c, b, a): the walk behind `enumerate_markov`, which
+    `markov table` reads as it is.
 
     (1,1,1) -> (1,1,2) -> (1,2,5), and every (a, b, c) with a < b < c has
     exactly the two children (a, c, 3ac - b) and (b, c, 3bc - a), each with
@@ -73,8 +75,15 @@ def enumerate_markov(bound: int) -> list[MarkovTriple]:
         if c <= bound:
             found.append(t)
             stack += (a, c, 3 * a * c - b), (b, c, 3 * b * c - a)
-    found.sort(key=lambda t: (t[2], t[1], t[0]))
-    return [MarkovTriple._trusted(*t) for t in found]
+    found.sort(key=itemgetter(2, 1, 0))
+    return found
+
+
+def enumerate_markov(bound: int) -> list[MarkovTriple]:
+    """All Markov triples with largest entry at most `bound`, sorted by
+    (c, b, a): the triples of `_walk`, built unchecked, since the walk
+    makes only solutions (see `MarkovTriple._trusted`)."""
+    return [MarkovTriple._trusted(a, b, c) for a, b, c in _walk(bound)]
 
 
 def adjacent_triple(t: MarkovTriple) -> MarkovTriple:

@@ -5,6 +5,7 @@ a freshly built parser, and the subcommand parsers answer every command
 line, good or bad, as the whole tree does."""
 
 import contextlib
+import hashlib
 import io
 import itertools
 import os
@@ -97,6 +98,25 @@ def test_cached_parser_answers_like_a_fresh_one(tmp_path, monkeypatch):
     for argv, (code, _, err) in zip(seq, cached):
         if argv in FAILING:
             assert code in (2, ("SystemExit", 2)) and err and "Traceback" not in err
+
+
+# sha256 over the sample corpus, taken before `markov table` read the walk's
+# int triples and `casebook suite` wrote its lines at once: every command's
+# argv (paths relative), exit code, stdout and stderr, which must not change
+CORPUS_DIGEST = "c7fc38a01159498614ae78884a443534483373788bad1ca5573b80a1b81511db"
+
+
+def test_sample_corpus_prints_the_pinned_bytes(tmp_path):
+    digest = hashlib.sha256()
+    commands = _commands(tmp_path)
+    for argv in commands:
+        code, out, err = _run(argv)
+        for prefix in (SAMPLES, str(tmp_path)):
+            assert prefix not in out + err, argv
+        rel = [a.replace(SAMPLES, "samples").replace(str(tmp_path), "tmp") for a in argv]
+        digest.update(repr((rel, code, out, err)).encode())
+    assert len(commands) == 81
+    assert digest.hexdigest() == CORPUS_DIGEST
 
 
 def test_importing_the_cli_builds_no_parser():

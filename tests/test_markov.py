@@ -168,7 +168,7 @@ def test_json_row_spells_every_bool(flags):
 
 
 @pytest.mark.parametrize("json_lines", (False, True))
-@pytest.mark.parametrize("bound", (1000, 10**40))
+@pytest.mark.parametrize("bound", (1, 2, 4, 5, 13, 1000, 10**40))
 def test_table_rows_are_the_oracle_rows(json_lines, bound):
     # each row, after the text header, is the old row formatter applied to
     # the gcd oracle's surface of the DFS oracle's triple
@@ -178,7 +178,7 @@ def test_table_rows_are_the_oracle_rows(json_lines, bound):
 
 
 def test_table_builds_no_surface_per_row(count_calls):
-    walks = count_calls("enumerate_markov", markov)
+    walks = count_calls("_walk", markov)
     surfaces = count_calls("hkw_surface", markov)
     data = count_calls("__init__", HkwSurfaceData)
     _table(True, 10**40)
@@ -188,14 +188,14 @@ def test_table_builds_no_surface_per_row(count_calls):
 @pytest.mark.parametrize("json_lines", (False, True))
 def test_a_broken_row_raises_before_anything_is_printed(monkeypatch, json_lines):
     # (1, 2, 6) is not a Markov triple: d = 3*1*2 - 6 = 0, and c*d = 0 != 5
-    broken = MarkovTriple._trusted(1, 2, 6)
-    monkeypatch.setattr(markov, "enumerate_markov", lambda bound: [*enumerate_markov(bound), broken])
+    walk = markov._walk
+    monkeypatch.setattr(markov, "_walk", lambda bound: [*walk(bound), (1, 2, 6)])
     out = io.StringIO()
     with contextlib.redirect_stdout(out), pytest.raises(RuntimeError, match="Markov equation broken"):
         main((["--json-lines"] if json_lines else []) + ["markov", "table", "--max", "1000"])
     assert out.getvalue() == ""
     with pytest.raises(RuntimeError, match="Markov equation broken"):
-        hkw_surface(broken)
+        hkw_surface(MarkovTriple._trusted(1, 2, 6))
 
 
 # ----------------------------------------- tree walk against the DFS

@@ -48,6 +48,7 @@ KEEP = {
     "fan.linear_feasible": "bench",
     "lattice.solve_integer": "bench",
     "lattice.solve_rational": "bench",
+    "markov.enumerate_markov": "acceptance",
     "markov.hkw_surface": "acceptance",
     "pairs.standard_pair": "acceptance",
     "polytope.facet_functionals": "bench",
