@@ -10,6 +10,8 @@ that moves the code must update its rows.
 FAN = "src/toriclab/fan.py"
 CLI = "src/toriclab/cli.py"
 MARKOV = "src/toriclab/markov.py"
+VALUE = "src/toriclab/_value.py"
+VALUES = "tests/test_values.py"
 SEEDED_COFACTORS = "tests/test_echelon.py::test_seeded_rows_seed_from_cofactors_as_the_elimination_does"
 
 ROWS = [
@@ -68,6 +70,22 @@ ROWS = [
         "new": "return ((b[1], -b[0]), (-a[1], a[0])), ((0, s0), (1, s1)), -d",
         "tests": [SEEDED_COFACTORS],
     },
+    # Cone._echelon: one elimination per cone, counted
+    {
+        "name": "seed-echelon-run-twice-per-cone",
+        "file": FAN,
+        "old": "        return _seed_echelon(self.generators, self.rank)\n",
+        "new": "        _seed_echelon(self.generators, self.rank)\n        return _seed_echelon(self.generators, self.rank)\n",
+        "tests": ["tests/test_primitives.py::test_a_cone_takes_one_elimination_for_its_dimension_and_facets"],
+    },
+    # resolve_cone_2d: u = (-1, 0) needs x = -1 in x u1 + y u2 = 1
+    {
+        "name": "resolve-2d-x-one-on-the-axis",
+        "file": FAN,
+        "old": "x = pow(u[0], -1, abs(u[1])) if u[1] else u[0]",
+        "new": "x = pow(u[0], -1, abs(u[1])) if u[1] else 1",
+        "tests": ["tests/test_fan.py::test_resolve_general_generators_match_hilbert_basis_oracle"],
+    },
     # Cone._closure: without its guard every closure is the lineality
     # space, so no generator is redundant and no stratum is a face
     {
@@ -91,6 +109,13 @@ ROWS = [
         "old": "@lru_cache(maxsize=256)\ndef _presentation(",
         "new": "@lru_cache(maxsize=None)\ndef _presentation(",
         "tests": ["tests/test_cache_plateaus.py::test_distinct_fans_keep_the_presentation_cache_flat"],
+    },
+    {
+        "name": "psi-records-kept-on-the-fan",
+        "file": "src/toriclab/pairs.py",
+        "old": "    return LogDiscrepancyFunction(pair)\n",
+        "new": "    record = LogDiscrepancyFunction(pair)\n    pair.fan.__dict__.setdefault(\"records\", []).append(record)\n    return record\n",
+        "tests": ["tests/test_cache_plateaus.py::test_one_shared_fan_keeps_its_cached_properties_flat"],
     },
     {
         "name": "data-key-registered-on-every-call",
@@ -152,5 +177,35 @@ ROWS = [
             "tests/test_markov.py::test_table_rows_are_the_oracle_rows[1-False]",
             "tests/test_markov.py::test_table_rows_are_the_oracle_rows[1-True]",
         ],
+    },
+    # the value classes' shared methods (toriclab._value), each caught by
+    # the contract table of tests/test_values.py
+    {
+        "name": "value-eq-ignores-the-class",
+        "file": VALUE,
+        "old": "    def __eq__(self, other):\n        if other.__class__ is not self.__class__:\n            return NotImplemented\n",
+        "new": "    def __eq__(self, other):\n",
+        "tests": [f"{VALUES}::test_equal_only_within_one_class_over_the_compared_fields"],
+    },
+    {
+        "name": "value-hash-over-every-field",
+        "file": VALUE,
+        "old": "        return hash(self._key(self))\n",
+        "new": "        return hash(tuple(getattr(self, name) for name in self._fields))\n",
+        "tests": [f"{VALUES}::test_hash_is_the_hash_of_the_compared_fields"],
+    },
+    {
+        "name": "value-repr-shows-every-field",
+        "file": VALUE,
+        "old": "for name in self._repr_fields)",
+        "new": "for name in self._fields)",
+        "tests": [f"{VALUES}::test_repr_is_the_one_the_dataclass_printed"],
+    },
+    {
+        "name": "value-setattr-lets-assignment-through",
+        "file": VALUE,
+        "old": "        raise FrozenInstanceError(f\"cannot assign to field {name!r}\")\n",
+        "new": "        object.__setattr__(self, name, value)\n",
+        "tests": [f"{VALUES}::test_no_field_can_be_set_or_deleted"],
     },
 ]

@@ -16,6 +16,10 @@ Subpackages by theme:
 - ``markov``     Markov triples and the associated weighted hypersurface data
 - ``casebook``   curated worked examples and the regression suite over bundled fans
 - ``cli``        the ``toriclab`` command line front-end
+
+The answers are frozen value objects (``Cone``, ``Fan``, ``ToricPair``,
+``Diagnostics``, ``MarkovTriple``, ...): immutable, equal and hashed by
+their fields, printed as ``Name(field=value, ...)``.
 """
 
 from toriclab.fan import Cone, Fan

@@ -12,10 +12,10 @@ canonicity, complexity zero) over every bundled fan.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from toriclab._value import Value
 from toriclab.catalog import bundled_fans
 from toriclab.complexity import complexity, decomposition_by_primes
 from toriclab.pairs import (
@@ -28,8 +28,7 @@ from toriclab.pairs import (
 from toriclab.toric import ToricVariety, divisor_class, is_fano
 
 
-@dataclass(frozen=True)
-class IncidenceArrangement:
+class IncidenceArrangement(Value):
     """Points, hyperplanes, and which hyperplanes each point spans."""
 
     points: tuple[str, ...]
@@ -81,8 +80,7 @@ def segre_arrangement() -> IncidenceArrangement:
     )
 
 
-@dataclass(frozen=True)
-class CrepantCertificate:
+class CrepantCertificate(Value):
     """Exceptional coefficients of the point blow-ups, the count of
     contracted lines, and whether the pulled-back boundary is effective."""
 
@@ -120,8 +118,7 @@ def segre_certificate(arrangement: Optional[IncidenceArrangement] = None) -> Cre
     )
 
 
-@dataclass(frozen=True)
-class SuiteLine:
+class SuiteLine(Value):
     name: str
     status: str  # "pass", "fail" or "info"
     witness: str
@@ -130,8 +127,7 @@ class SuiteLine:
         return f"{self.name} {self.status} {self.witness}"
 
 
-@dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(Value):
     lines: tuple[SuiteLine, ...]
 
     @property

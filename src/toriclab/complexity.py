@@ -29,25 +29,24 @@ means a bug.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
+from toriclab._value import Value
 from toriclab.fan import Fan
 from toriclab.lattice import rank as matrix_rank
 from toriclab.pairs import ToricPair, crepant_pullback
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(Value):
     """Formal sum of weighted reduced divisors: parts (alpha_i, B_i) with
     B_i a set of ray indices."""
 
     parts: tuple[tuple[Fraction, frozenset[int]], ...]
 
-    def __post_init__(self):
+    def __init__(self, parts: tuple[tuple[Fraction, frozenset[int]], ...]):
         norm = []
-        for alpha, rays in self.parts:
+        for alpha, rays in parts:
             if not isinstance(alpha, Fraction):
                 alpha = Fraction(alpha)
             if alpha.numerator < 0:
@@ -62,16 +61,19 @@ class Decomposition:
         return cls(tuple((a, frozenset(b)) for a, b in parts))
 
 
-@dataclass(frozen=True)
-class ComplexityReport:
+class ComplexityReport(Value):
     rho: int
     norm: Fraction
     dim: int
     c: Fraction
 
-    def __post_init__(self):
-        if self.c != self.dim + self.rho - self.norm:
+    def __init__(self, rho: int, norm: Fraction, dim: int, c: Fraction):
+        if c != dim + rho - norm:
             raise ValueError("inconsistent complexity report")
+        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "norm", norm)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "c", c)
 
 
 def decomposition_by_primes(pair: ToricPair) -> Decomposition:
@@ -114,8 +116,7 @@ def complexity(pair: ToricPair, decomposition: Decomposition) -> ComplexityRepor
     return ComplexityReport(rho=rho, norm=norm, dim=pair.dim, c=c)
 
 
-@dataclass(frozen=True)
-class BmszReport:
+class BmszReport(Value):
     c: Fraction
     floor_two_c: Optional[int]
 

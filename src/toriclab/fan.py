@@ -52,12 +52,12 @@ from __future__ import annotations
 import itertools
 import math
 import weakref
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
+from toriclab._value import Value
 from toriclab.lattice import SolveChart, Vec, echelon, is_zero, primitive, rank as matrix_rank, vdot
 
 
@@ -263,8 +263,7 @@ def linear_feasible(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Cone:
+class Cone(Value):
     """Rational polyhedral cone given by primitive generators.
 
     The constructor normalizes: generators are primitivized, deduplicated
@@ -513,8 +512,7 @@ def _normal_form(
     return tuple(primitives[i] for i in order), tuple(sorted(cones)), rank
 
 
-@dataclass(frozen=True)
-class Fan:
+class Fan(Value):
     """Fan as canonical ray list plus maximal cones (ray-index tuples).
 
     The data is brought to its normal form on construction (_normal_form):
@@ -611,8 +609,7 @@ class Fan:
         return matrix_rank(self.rays)
 
 
-@dataclass(frozen=True)
-class Diagnostics:
+class Diagnostics(Value):
     """Outcome of a validation: the first problem found, with a witness."""
 
     valid: bool

@@ -23,9 +23,10 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
+
+from toriclab._value import Value
 
 Vec = tuple[int, ...]
 
@@ -117,8 +118,7 @@ def rank(rows: Sequence[Sequence[int]]) -> int:
     return len(echelon(rows, width)[1])
 
 
-@dataclass(frozen=True)
-class AbelianGroupStructure:
+class AbelianGroupStructure(Value):
     """A finitely generated abelian group Z^free_rank + sum Z/d_i.
 
     The torsion invariants satisfy d_i >= 2 and d_i | d_{i+1}.
@@ -238,8 +238,7 @@ def smith_normal_form(M: Sequence[Sequence[int]], ncols: int) -> tuple[tuple[Vec
     return tuple(map(tuple, u)), tuple(map(tuple, a)), tuple(map(tuple, v))
 
 
-@dataclass(frozen=True)
-class SolveChart:
+class SolveChart(Value):
     """One Smith form U.G.V = diag(d) of an integer matrix G (its rows,
     `ncols` wide), read as an integer solver for G m = a; the only reader
     of `smith_normal_form`.  U is kept as a tuple of integer rows, and V

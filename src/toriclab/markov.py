@@ -18,12 +18,12 @@ so it is Fano; the Jacobian criterion makes it quasismooth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
 
+from toriclab._value import Value
 
-@dataclass(frozen=True, order=True)
-class MarkovTriple:
+
+class MarkovTriple(Value, order=True):
     a: int
     b: int
     c: int
@@ -103,8 +103,7 @@ def _numerics(a: int, b: int, c: int) -> tuple[int, int]:
     return d, degree
 
 
-@dataclass(frozen=True)
-class HkwSurfaceData:
+class HkwSurfaceData(Value):
     """Numerics of V(x1 x2 + x3^c + x4^d) in P(a^2, b^2, d, c)."""
 
     triple: MarkovTriple

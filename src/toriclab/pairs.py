@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
+from toriclab._value import Value, derived
 from toriclab.fan import Cone, Diagnostics, Fan, _integers, is_refinement
 from toriclab.lattice import Vec, rank as matrix_rank, vdot
 from toriclab.toric import ToricVariety, _scaled_piece, projective_space_fan
@@ -39,8 +39,7 @@ class EffectivityError(ValueError):
         super().__init__(f"log pullback is not effective: coefficient {coefficient} on ray {ray}")
 
 
-@dataclass(frozen=True)
-class ToricPair:
+class ToricPair(Value):
     """A toric variety plus an effective boundary divisor.
 
     Effectivity (all coefficients >= 0) is enforced at construction;
@@ -54,20 +53,21 @@ class ToricPair:
 
     variety: ToricVariety
     boundary: tuple[Fraction, ...]
-    A: int = field(init=False, repr=False, compare=False)
-    alpha: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    A: int = derived()
+    alpha: tuple[int, ...] = derived()
 
-    def __post_init__(self):
-        coeffs = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in self.boundary)
-        if len(coeffs) != len(self.variety.fan.rays):
+    def __init__(self, variety: ToricVariety, boundary: tuple[Fraction, ...]):
+        coeffs = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in boundary)
+        if len(coeffs) != len(variety.fan.rays):
             raise ValueError("expected one boundary coefficient per ray")
         if any(c.numerator < 0 for c in coeffs):
             raise ValueError("boundary must be effective")
         A = math.lcm(*(c.denominator for c in coeffs))
+        object.__setattr__(self, "variety", variety)
         object.__setattr__(self, "boundary", coeffs)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "alpha", tuple(A - c.numerator * (A // c.denominator) for c in coeffs))
-        object.__setattr__(self, "_hash", hash((self.variety, coeffs)))
+        object.__setattr__(self, "_hash", hash((variety, coeffs)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -294,8 +294,7 @@ def crepant_pullback(pair: ToricPair, fine: Fan) -> ToricPair:
     return ToricPair.from_fan(fine, coeffs)
 
 
-@dataclass(frozen=True)
-class PlaceClassification:
+class PlaceClassification(Value):
     """Truth vector of the place labels for one divisorial valuation; a
     place can carry several labels at once (canonical and non-terminal,
     for instance)."""

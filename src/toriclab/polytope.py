@@ -31,17 +31,16 @@ points while the origin stays strictly inside.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
+from toriclab._value import Value, derived
 from toriclab.fan import Fan, double_description
 from toriclab.lattice import det, primitive
 
 
-@dataclass(frozen=True)
-class Polytope:
+class Polytope(Value):
     """Convex lattice polytope given by its vertices (integer coordinates).
 
     The constructor keeps only the actual vertices of the convex hull of
@@ -55,8 +54,8 @@ class Polytope:
     # dimension of the affine hull, and the facets of a full-dimensional
     # polytope as (vertex-index set, h, h0): <h, x> + h0 >= 0 on the
     # polytope, = 0 exactly on the facet; both set with the vertices
-    dim: int = field(init=False, repr=False, compare=False)
-    _facets: tuple = field(init=False, repr=False, compare=False)
+    dim: int = derived()
+    _facets: tuple = derived()
 
     def __post_init__(self):
         pts = [tuple(v) for v in self.vertices]

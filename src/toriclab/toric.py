@@ -14,17 +14,16 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
+from toriclab._value import Value
 from toriclab.fan import Cone, Fan, is_complete, is_simplicial
 from toriclab.lattice import AbelianGroupStructure, SolveChart, Vec, primitive, vdot
 
 
-@dataclass(frozen=True)
-class ToricVariety:
+class ToricVariety(Value):
     fan: Fan
 
     @property
@@ -32,8 +31,7 @@ class ToricVariety:
         return self.fan.rank
 
 
-@dataclass(frozen=True)
-class DivisorClass:
+class DivisorClass(Value):
     """Class of a torus-invariant divisor in Cl(X), in SNF coordinates.
 
     `free` are the coordinates on the free part, `torsion` the residues
