@@ -12,6 +12,7 @@ CLI = "src/toriclab/cli.py"
 MARKOV = "src/toriclab/markov.py"
 VALUE = "src/toriclab/_value.py"
 VALUES = "tests/test_values.py"
+PAIRS = "src/toriclab/pairs.py"
 SEEDED_COFACTORS = "tests/test_echelon.py::test_seeded_rows_seed_from_cofactors_as_the_elimination_does"
 
 ROWS = [
@@ -98,7 +99,7 @@ ROWS = [
     # the bounded caches and the live-fan table
     {
         "name": "psi-cache-unbounded",
-        "file": "src/toriclab/pairs.py",
+        "file": PAIRS,
         "old": "@lru_cache(maxsize=256)\ndef _psi(",
         "new": "@lru_cache(maxsize=None)\ndef _psi(",
         "tests": ["tests/test_cache_plateaus.py::test_distinct_pairs_keep_the_psi_cache_flat"],
@@ -112,7 +113,7 @@ ROWS = [
     },
     {
         "name": "psi-records-kept-on-the-fan",
-        "file": "src/toriclab/pairs.py",
+        "file": PAIRS,
         "old": "    return LogDiscrepancyFunction(pair)\n",
         "new": "    record = LogDiscrepancyFunction(pair)\n    pair.fan.__dict__.setdefault(\"records\", []).append(record)\n    return record\n",
         "tests": ["tests/test_cache_plateaus.py::test_one_shared_fan_keeps_its_cached_properties_flat"],
@@ -207,5 +208,35 @@ ROWS = [
         "old": "        raise FrozenInstanceError(f\"cannot assign to field {name!r}\")\n",
         "new": "        object.__setattr__(self, name, value)\n",
         "tests": [f"{VALUES}::test_no_field_can_be_set_or_deleted"],
+    },
+    # one unchecked constructor (Value._trusted) and the checks that moved
+    # back to __post_init__
+    {
+        "name": "trusted-runs-post-init",
+        "file": VALUE,
+        "old": "            object.__setattr__(out, name, value)\n        return out\n",
+        "new": "            object.__setattr__(out, name, value)\n        out.__post_init__()\n        return out\n",
+        "tests": ["tests/test_pair_integers.py::test_fan_cones_run_no_cone_post_init"],
+    },
+    {
+        "name": "trusted-drops-the-derived-fields",
+        "file": VALUE,
+        "old": "zip(cls._fields, values)",
+        "new": "zip(cls._init_fields, values)",
+        "tests": ["tests/test_polygons.py::test_normal_form_is_built_as_its_hull_seeded"],
+    },
+    {
+        "name": "cone-generators-not-read-as-integers",
+        "file": FAN,
+        "old": "            g = _integers(g)\n",
+        "new": "",
+        "tests": ["tests/test_shared_fans.py::test_values_that_are_not_integers_raise[cone constructor]"],
+    },
+    {
+        "name": "pair-boundary-not-rebound",
+        "file": PAIRS,
+        "old": "        object.__setattr__(self, \"boundary\", coeffs)\n",
+        "new": "",
+        "tests": [f"{VALUES}::test_repr_is_the_one_the_dataclass_printed[ToricPair]"],
     },
 ]

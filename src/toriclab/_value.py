@@ -17,16 +17,17 @@ the same repr:
   the derived ones are equal, hash is the hash of the tuple of those
   fields, and the order comparisons compare those tuples;
 - setting or deleting any attribute raises FrozenInstanceError, an
-  AttributeError.  __post_init__ and the `_trusted` constructors bind
-  with object.__setattr__; functools.cached_property writes the
-  instance's __dict__, which every instance keeps.
+  AttributeError.  __post_init__ and _trusted bind with
+  object.__setattr__; functools.cached_property writes the instance's
+  __dict__, which every instance keeps.
 
 The shared __init__ takes *args and **kwargs: a full positional or full
 keyword call binds each field straight from the call, any other goes
-through _bind.  A class built once or more per pair query whose
-__post_init__ has work to do (ToricPair, Decomposition, ComplexityReport)
-defines its own __init__ instead, which checks and binds what its
-__post_init__ would have, without the shared one's argument handling.
+through _bind.  No value class defines its own __init__.
+
+`cls._trusted(*values)` binds every field, derived ones included, to the
+values in declaration order as given: it checks and normalises nothing and
+runs no __post_init__, for data already in the form __post_init__ leaves.
 """
 
 from __future__ import annotations
@@ -108,6 +109,15 @@ class Value:
         else:
             self._bind(args, kwargs)
         self.__post_init__()
+
+    @classmethod
+    def _trusted(cls, *values):
+        """The instance whose fields in declaration order are these values,
+        bound unchecked (see the module docstring)."""
+        out = object.__new__(cls)
+        for name, value in zip(cls._fields, values):
+            object.__setattr__(out, name, value)
+        return out
 
     def _bind(self, args, kwargs):
         """__init__'s binding on any other call: one that leaves out a

@@ -44,16 +44,17 @@ class Decomposition(Value):
 
     parts: tuple[tuple[Fraction, frozenset[int]], ...]
 
-    def __init__(self, parts: tuple[tuple[Fraction, frozenset[int]], ...]):
+    def __post_init__(self):
         norm = []
-        for alpha, rays in parts:
+        for alpha, rays in self.parts:
             if not isinstance(alpha, Fraction):
                 alpha = Fraction(alpha)
             if alpha.numerator < 0:
                 raise ValueError("part weights must be non-negative")
+            rays = frozenset(int(i) for i in rays)
             if not rays:
                 raise ValueError("empty part in decomposition")
-            norm.append((alpha, frozenset(int(i) for i in rays)))
+            norm.append((alpha, rays))
         object.__setattr__(self, "parts", tuple(norm))
 
     @classmethod
@@ -67,13 +68,9 @@ class ComplexityReport(Value):
     dim: int
     c: Fraction
 
-    def __init__(self, rho: int, norm: Fraction, dim: int, c: Fraction):
-        if c != dim + rho - norm:
+    def __post_init__(self):
+        if self.c != self.dim + self.rho - self.norm:
             raise ValueError("inconsistent complexity report")
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "norm", norm)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "c", c)
 
 
 def decomposition_by_primes(pair: ToricPair) -> Decomposition:

@@ -277,6 +277,7 @@ class Cone(Value):
     def __post_init__(self):
         gens = []
         for g in self.generators:
+            g = _integers(g)
             if len(g) != self.rank:
                 raise ValueError("generator length differs from ambient rank")
             if is_zero(g):
@@ -286,23 +287,12 @@ class Cone(Value):
 
     @classmethod
     def from_generators(cls, gens: Iterable[Sequence[int]], rank: Optional[int] = None) -> "Cone":
-        gens = [_integers(g) for g in gens]
+        gens = tuple(gens)
         if rank is None:
             if not gens:
                 raise ValueError("cannot infer ambient rank of empty cone")
             rank = len(gens[0])
-        return cls(tuple(gens), rank)
-
-    @classmethod
-    def _trusted(cls, generators: tuple[Vec, ...], rank: int) -> "Cone":
-        """The cone on generators that are already primitive, distinct and
-        sorted, as __post_init__ would leave them (a fan's maximal cones:
-        sorted indices into its sorted primitive rays); nothing is checked
-        or normalised again."""
-        cone = object.__new__(cls)
-        object.__setattr__(cone, "generators", generators)
-        object.__setattr__(cone, "rank", rank)
-        return cone
+        return cls(gens, rank)
 
     @cached_property
     def _echelon(self) -> tuple[tuple[Vec, ...], tuple[tuple[int, int], ...], int]:
@@ -527,15 +517,6 @@ class Fan(Value):
     def __post_init__(self):
         for name, value in zip(("rays", "max_cones", "rank"), _normal_form(self.rays, self.max_cones, self.rank)):
             object.__setattr__(self, name, value)
-
-    @classmethod
-    def _trusted(cls, rays: tuple[Vec, ...], max_cones: tuple[tuple[int, ...], ...], rank: int) -> "Fan":
-        """The fan on data already in normal form, as _normal_form returns
-        it; nothing is checked or normalised again."""
-        fan = object.__new__(cls)
-        for name, value in (("rays", rays), ("max_cones", max_cones), ("rank", rank)):
-            object.__setattr__(fan, name, value)
-        return fan
 
     @classmethod
     def from_data(

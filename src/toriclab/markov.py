@@ -34,25 +34,6 @@ class MarkovTriple(Value, order=True):
         if self.a**2 + self.b**2 + self.c**2 != 3 * self.a * self.b * self.c:
             raise ValueError(f"({self.a},{self.b},{self.c}) does not solve the Markov equation")
 
-    @classmethod
-    def _trusted(cls, a: int, b: int, c: int) -> "MarkovTriple":
-        """A triple of the tree walk `_walk`, sorted and a solution by
-        construction, so nothing is checked again.
-
-        The walk's proof: (1, 1, 1), (1, 1, 2) and (1, 2, 5) solve the
-        equation.  A Vieta jump x -> 3yz - x keeps it, since the equation
-        is x^2 - 3yz x + (y^2 + z^2) = 0, a quadratic in x whose two roots
-        sum to 3yz.  The children (a, c, 3ac - b) and (b, c, 3bc - a) of a
-        solution a < b < c are the jumps of b and of a, and stay sorted:
-        a < c, and 3ac - b > c because 3ac - b >= 3c - b > 2c > c; so too
-        b < c < 3bc - a.  Checked input (`markov adjacent`) goes through
-        MarkovTriple(...); `_numerics` checks every row of `markov table`."""
-        t = object.__new__(cls)  # t.__dict__.update(...) would give each triple a dict of its own
-        object.__setattr__(t, "a", a)
-        object.__setattr__(t, "b", b)
-        object.__setattr__(t, "c", c)
-        return t
-
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.a, self.b, self.c)
 
@@ -65,7 +46,16 @@ def _walk(bound: int) -> list[tuple[int, int, int]]:
     (1,1,1) -> (1,1,2) -> (1,2,5), and every (a, b, c) with a < b < c has
     exactly the two children (a, c, 3ac - b) and (b, c, 3bc - a), each with
     a larger largest entry; every triple occurs once in the tree, so a
-    branch stops at its first triple beyond the bound."""
+    branch stops at its first triple beyond the bound.
+
+    Every tuple is sorted and solves the equation, so `enumerate_markov`
+    builds its triples unchecked: the three seeds solve it, and a Vieta
+    jump x -> 3yz - x keeps it, since the equation is
+    x^2 - 3yz x + (y^2 + z^2) = 0, a quadratic in x whose two roots sum to
+    3yz.  The children of a < b < c are the jumps of b and of a, and stay
+    sorted: a < c, and 3ac - b > c because 3ac - b >= 3c - b > 2c > c; so
+    too b < c < 3bc - a.  Checked input (`markov adjacent`) goes through
+    MarkovTriple(...); `_numerics` checks every row of `markov table`."""
     if bound < 1:
         raise ValueError("bound must be positive")
     found = [t for t in ((1, 1, 1), (1, 1, 2)) if t[2] <= bound]
@@ -81,8 +71,8 @@ def _walk(bound: int) -> list[tuple[int, int, int]]:
 
 def enumerate_markov(bound: int) -> list[MarkovTriple]:
     """All Markov triples with largest entry at most `bound`, sorted by
-    (c, b, a): the triples of `_walk`, built unchecked, since the walk
-    makes only solutions (see `MarkovTriple._trusted`)."""
+    (c, b, a): the triples of `_walk`, built unchecked
+    (`MarkovTriple._trusted`), since the walk makes only sorted solutions."""
     return [MarkovTriple._trusted(a, b, c) for a, b, c in _walk(bound)]
 
 

@@ -56,18 +56,17 @@ class ToricPair(Value):
     A: int = derived()
     alpha: tuple[int, ...] = derived()
 
-    def __init__(self, variety: ToricVariety, boundary: tuple[Fraction, ...]):
-        coeffs = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in boundary)
-        if len(coeffs) != len(variety.fan.rays):
+    def __post_init__(self):
+        coeffs = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in self.boundary)
+        if len(coeffs) != len(self.variety.fan.rays):
             raise ValueError("expected one boundary coefficient per ray")
         if any(c.numerator < 0 for c in coeffs):
             raise ValueError("boundary must be effective")
         A = math.lcm(*(c.denominator for c in coeffs))
-        object.__setattr__(self, "variety", variety)
         object.__setattr__(self, "boundary", coeffs)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "alpha", tuple(A - c.numerator * (A // c.denominator) for c in coeffs))
-        object.__setattr__(self, "_hash", hash((variety, coeffs)))
+        object.__setattr__(self, "_hash", hash((self.variety, coeffs)))
 
     def __hash__(self) -> int:
         return self._hash

@@ -72,17 +72,6 @@ class Polytope(Value):
         object.__setattr__(self, "_facets", facets)
 
     @classmethod
-    def _trusted_polygon(cls, points: list[tuple[int, int]]) -> "Polytope":
-        """The polygon on sorted, distinct integer points in convex position
-        (a unimodular image of a polygon's sorted vertices), as __post_init__
-        would build it; nothing is checked or normalised again."""
-        P = object.__new__(cls)
-        object.__setattr__(P, "rank", 2)
-        for name, value in zip(("vertices", "dim", "_facets"), _polygon(points)):
-            object.__setattr__(P, name, value)
-        return P
-
-    @classmethod
     def hull(cls, points: Iterable[Sequence], rank: Optional[int] = None) -> "Polytope":
         pts = [tuple(p) for p in points]
         if rank is None:
@@ -369,8 +358,9 @@ def unimodular_normal_form(P: Polytope) -> Polytope:
     first row the second rows form two shear families, each resolved in
     closed form.  The only hull built is the returned one: the least image
     is a sorted list of distinct vertices in convex position, so it goes
-    straight to the edge-cycle pass of `Polytope._trusted_polygon`, and its
-    vertices, dimension and facets are those of `Polytope.hull` on it.
+    straight to the edge-cycle pass `_polygon`, whose vertices, dimension
+    and facets, those of `Polytope.hull` on it, are bound unchecked
+    (`Polytope._trusted`).
     """
     if P.rank != 2:
         raise ValueError("normal form implemented for polygons only")
@@ -398,7 +388,8 @@ def unimodular_normal_form(P: Polytope) -> Polytope:
                 key = _shear_key(xs, ys if sigma == 1 else [-y for y in ys], lam2)
                 if key is not None and (best is None or key < best):
                     best = key
-    return Polytope._trusted_polygon(best)
+    vertices, dim, facets = _polygon(best)
+    return Polytope._trusted(vertices, 2, dim, facets)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from toriclab._value import Value
-from toriclab.fan import Cone, Fan, is_complete, is_simplicial
+from toriclab.fan import Cone, Fan, _integers, is_complete, is_simplicial
 from toriclab.lattice import AbelianGroupStructure, SolveChart, Vec, primitive, vdot
 
 
@@ -154,6 +154,7 @@ def is_cartier(X: ToricVariety, D: Sequence) -> bool:
 
 def projective_space_fan(n: int) -> Fan:
     """Fan of P^n: the standard basis rays plus minus their sum."""
+    (n,) = _integers((n,))
     if n < 1:
         raise ValueError("need n >= 1")
     rays = [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
@@ -171,7 +172,7 @@ def weighted_projective_fan(weights: Sequence[int]) -> Fan:
     normal form and the images of the basis vectors are primitivized.
     Maximal cones are all n-element subsets of the n+1 rays.
     """
-    w = [int(x) for x in weights]
+    w = _integers(weights)
     if len(w) < 2 or any(x <= 0 for x in w):
         raise ValueError("weights must be at least two positive integers")
     if math.gcd(*w) != 1:

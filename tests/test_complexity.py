@@ -158,3 +158,9 @@ def test_transport_3d_stratum():
     fine = star_subdivision(pair.fan, cone[:2])  # blow up a 2D stratum
     before, after = complexity_transport(pair, fine, decomposition_by_primes(pair))
     assert before.c == after.c == 0
+
+
+@pytest.mark.parametrize("rays", [(), frozenset(), iter(())], ids=["tuple", "frozenset", "iterator"])
+def test_an_empty_part_is_rejected_however_it_is_given(rays):
+    with pytest.raises(ValueError, match="empty part"):
+        Decomposition(((1, rays),))

@@ -23,6 +23,7 @@ from toriclab.pairs import (
     log_discrepancy,
     singularity_type,
 )
+from toriclab.toric import projective_space_fan, weighted_projective_fan
 
 from oracles import random_complete_2d_fan, validate_fan_pairwise
 from test_primitives import _star_subdivided_p3
@@ -196,8 +197,22 @@ def test_a_shared_wall_map_cannot_be_changed():
         lambda: Cone.from_generators([(1.7, 0), (0, 1)]),
         lambda: star_subdivision(Fan.from_data(*P2), [0, 1], ray=(1, 0.5)),
         lambda: star_subdivision(Fan.from_data(*P2), [0, 1.5]),
+        lambda: Cone(((1.5, 0), (0, 1)), 2),
+        lambda: weighted_projective_fan((1.5, 2)),
+        lambda: projective_space_fan(2.5),
     ],
-    ids=["fan ray", "fan ray fraction", "cone index", "fan rank", "cone generator", "subdivision ray", "stratum index"],
+    ids=[
+        "fan ray",
+        "fan ray fraction",
+        "cone index",
+        "fan rank",
+        "cone generator",
+        "subdivision ray",
+        "stratum index",
+        "cone constructor",
+        "weighted projective weight",
+        "projective space dimension",
+    ],
 )
 def test_values_that_are_not_integers_raise(build):
     with pytest.raises(ValueError, match="not an integer"):
@@ -206,6 +221,9 @@ def test_values_that_are_not_integers_raise(build):
 
 def test_integral_values_of_other_types_are_taken():
     assert Cone.from_generators([(1.0, 0), (0, Fraction(2))]).generators == ((0, 1), (1, 0))
+    assert Cone(((1.0, 0), (0, Fraction(2))), 2) == Cone(((1, 0), (0, 1)), 2)
+    assert weighted_projective_fan((1.0, 2)) == weighted_projective_fan((1, 2))
+    assert projective_space_fan(2.0) == projective_space_fan(2)
     assert Cone.from_generators([("3", 0), (0, "-1")]).generators == ((0, -1), (1, 0))
     with pytest.raises(ValueError):
         Cone.from_generators([("1.5", 0), (0, 1)])

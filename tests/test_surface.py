@@ -12,16 +12,20 @@ flagging a used one.
 The same trees hold no `assert` statement: `python -O` strips them, so the
 library's invariants raise real exceptions.  Nor do they import anything
 but `__future__`, toriclab and the standard library: the library stays
-standard-library only.
+standard-library only.  Only `_value.py` calls `object.__new__`, and no
+value class defines `__init__`: a value is built checked by the shared
+`Value.__init__` or unchecked by `Value._trusted`, nothing else.
 """
 
 import ast
 import collections
+import importlib
 import pathlib
 import re
 import sys
 
 import toriclab
+from toriclab._value import Value
 
 PACKAGE = pathlib.Path(toriclab.__file__).parent
 ROOT = PACKAGE.parent.parent
@@ -173,3 +177,24 @@ def test_library_imports_only_the_standard_library():
         if module not in allowed
     )
     assert not found, f"imports from outside the standard library in src/toriclab: {found}"
+
+
+def _calls_object_new(tree):
+    return any(
+        isinstance(n, ast.Attribute) and n.attr == "__new__" and isinstance(n.value, ast.Name) and n.value.id == "object"
+        for n in ast.walk(tree)
+    )
+
+
+def test_values_are_built_by_value_alone():
+    found = sorted(
+        path.name
+        for path in PACKAGE.glob("*.py")
+        if path.name != "_value.py" and _calls_object_new(ast.parse(path.read_text(encoding="utf-8")))
+    )
+    assert not found, f"object.__new__ outside _value.py: {found}"
+    modules = [importlib.import_module(f"toriclab.{path.stem}") for path in PACKAGE.glob("*.py") if path.stem != "__init__"]
+    classes = {c for m in modules for c in vars(m).values() if isinstance(c, type) and issubclass(c, Value)}
+    assert len(classes) == 20
+    own = sorted(c.__qualname__ for c in classes if c is not Value and "__init__" in vars(c))
+    assert not own, f"value classes with their own __init__: {own}"

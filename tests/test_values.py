@@ -6,7 +6,8 @@ of toriclab._value and must keep every repr byte for byte.  Each row also
 checks: == only within one class, over the compared fields; hash as the
 hash of their tuple; the fields left out of the repr and of ==/hash; no
 field set or deleted; positional, keyword and defaulted construction, and
-TypeError on wrong arguments.  MarkovTriple keeps its order, and
+TypeError on wrong arguments.  Value._trusted binds every field as given,
+on each class that src/ builds with it.  MarkovTriple keeps its order, and
 `import toriclab.cli` loads neither dataclasses nor inspect.
 """
 
@@ -258,6 +259,27 @@ def test_markov_triples_keep_their_order():
         a < (1, 5, 13)
     with pytest.raises(TypeError):
         a >= casebook.SuiteLine(*LINE)
+
+
+# (a checked instance of each class that src/ builds with _trusted, fields
+# that are not in the form __post_init__ leaves: _trusted keeps them as given)
+TRUSTED = [
+    (lambda: fan.Cone(((0, 2), (1, 0)), 2), (((1, 0), (0, 2)), 2)),
+    (lambda: fan.Fan(*P2), P2),
+    (lambda: markov.MarkovTriple(*TRIPLE), (5, 2, 1)),
+    (lambda: polytope.Polytope(((1, 0), (0, 1), (-1, -1), (0, 0)), 2), (((0, 0), (1, 0)), 2, 0, ())),
+]
+
+
+@pytest.mark.parametrize("checked, raw", TRUSTED, ids=["Cone", "Fan", "MarkovTriple", "Polytope"])
+def test_trusted_binds_every_field_as_given(checked, raw):
+    value = checked()
+    cls = type(value)
+    again = cls._trusted(*(getattr(value, name) for name in cls._fields))
+    assert again == value and repr(again) == repr(value) and hash(again) == hash(value)
+    assert vars(again) == vars(value)  # the derived fields too
+    unchecked = cls._trusted(*raw)
+    assert tuple(getattr(unchecked, name) for name in cls._fields) == raw
 
 
 def test_cached_properties_write_the_instance_dict():
