@@ -13,6 +13,8 @@ MARKOV = "src/toriclab/markov.py"
 VALUE = "src/toriclab/_value.py"
 VALUES = "tests/test_values.py"
 PAIRS = "src/toriclab/pairs.py"
+LATTICE = "src/toriclab/lattice.py"
+PRIMITIVE = "tests/test_lattice.py::test_primitive_matches_its_general_path_in_value_and_type"
 SEEDED_COFACTORS = "tests/test_echelon.py::test_seeded_rows_seed_from_cofactors_as_the_elimination_does"
 
 ROWS = [
@@ -23,7 +25,7 @@ ROWS = [
     {
         "name": "walls-check-2-dropped",
         "file": FAN,
-        "old": "if any(vdot(h, g) >= 0 for g in cones[b].generators if g not in wall):",
+        "old": "if g not in wall and vdot(h, g) >= 0:",
         "new": "if False:",
         "tests": ["tests/test_walls.py::test_the_named_failures_are_the_ones_meant"],
     },
@@ -214,8 +216,8 @@ ROWS = [
     {
         "name": "trusted-runs-post-init",
         "file": VALUE,
-        "old": "            object.__setattr__(out, name, value)\n        return out\n",
-        "new": "            object.__setattr__(out, name, value)\n        out.__post_init__()\n        return out\n",
+        "old": "        out.__dict__.update(zip(cls._fields, values))\n        return out\n",
+        "new": "        out.__dict__.update(zip(cls._fields, values))\n        out.__post_init__()\n        return out\n",
         "tests": ["tests/test_pair_integers.py::test_fan_cones_run_no_cone_post_init"],
     },
     {
@@ -226,11 +228,48 @@ ROWS = [
         "tests": ["tests/test_polygons.py::test_normal_form_is_built_as_its_hull_seeded"],
     },
     {
+        "name": "value-init-positional-binds-one-field-too-few",
+        "file": VALUE,
+        "old": "self.__dict__.update(zip(names, args))",
+        "new": "self.__dict__.update(zip(names[:-1], args))",
+        "tests": [f"{VALUES}::test_repr_is_the_one_the_dataclass_printed"],
+    },
+    # cached facts without the lock (toriclab._value.cached_property)
+    {
+        "name": "cached-property-stores-nothing",
+        "file": VALUE,
+        "old": "        value = instance.__dict__[self.attrname] = self.func(instance)\n",
+        "new": "        value = self.func(instance)\n",
+        "tests": [f"{VALUES}::test_cached_properties_write_the_instance_dict"],
+    },
+    # lattice.primitive returns a primitive tuple of plain ints itself
+    {
+        "name": "primitive-fast-path-without-the-gcd-test",
+        "file": LATTICE,
+        "old": "if g == 1 and type(v) is tuple and",
+        "new": "if type(v) is tuple and",
+        "tests": [PRIMITIVE],
+    },
+    {
+        "name": "primitive-fast-path-takes-int-subclasses",
+        "file": LATTICE,
+        "old": " and set(map(type, v)) == _INT:",
+        "new": ":",
+        "tests": [PRIMITIVE],
+    },
+    {
         "name": "cone-generators-not-read-as-integers",
         "file": FAN,
         "old": "            g = _integers(g)\n",
         "new": "",
         "tests": ["tests/test_shared_fans.py::test_values_that_are_not_integers_raise[cone constructor]"],
+    },
+    {
+        "name": "decomposition-indices-truncated",
+        "file": "src/toriclab/complexity.py",
+        "old": "rays = frozenset(_integers(rays))",
+        "new": "rays = frozenset(map(int, rays))",
+        "tests": ["tests/test_complexity.py::test_ray_indices_that_are_not_integers_raise"],
     },
     {
         "name": "pair-boundary-not-rebound",

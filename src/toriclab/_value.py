@@ -17,21 +17,31 @@ the same repr:
   the derived ones are equal, hash is the hash of the tuple of those
   fields, and the order comparisons compare those tuples;
 - setting or deleting any attribute raises FrozenInstanceError, an
-  AttributeError.  __post_init__ and _trusted bind with
-  object.__setattr__; functools.cached_property writes the instance's
-  __dict__, which every instance keeps.
+  AttributeError.  __post_init__ binds with object.__setattr__;
+  __init__, _trusted and cached facts write the instance's __dict__,
+  which every instance keeps.
 
 The shared __init__ takes *args and **kwargs: a full positional or full
-keyword call binds each field straight from the call, any other goes
-through _bind.  No value class defines its own __init__.
+keyword call binds every field in one update of the instance's __dict__,
+straight from the call; any other goes through _bind.  No value class
+defines its own __init__.
 
 `cls._trusted(*values)` binds every field, derived ones included, to the
-values in declaration order as given: it checks and normalises nothing and
-runs no __post_init__, for data already in the form __post_init__ leaves.
+values in declaration order as given, in one such update: it checks and
+normalises nothing and runs no __post_init__, for data already in the form
+__post_init__ leaves.
+
+A value's cached facts (`cached_property` here) are computed on the first
+read and stored in the instance's __dict__ under the property's name,
+where every later read finds them without calling the descriptor.  No
+lock is taken, as in Python 3.12's functools.cached_property: two threads
+reading a fact first at once may both compute it, and one result stays.
+A computation that raises stores nothing.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 
 _MISSING = object()
@@ -71,6 +81,19 @@ def _comparison(op):
 _ORDER = {f"__{op.__name__}__": _comparison(op) for op in (operator.lt, operator.le, operator.gt, operator.ge)}
 
 
+class cached_property(functools.cached_property):
+    """functools.cached_property without the per-property lock that Python
+    3.11 takes on every first read (see the module docstring); still an
+    instance of functools.cached_property for code that finds cached
+    properties by type."""
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.attrname] = self.func(instance)
+        return value
+
+
 class Value:
     """Base of the frozen value classes; see the module docstring."""
 
@@ -98,12 +121,10 @@ class Value:
     def __init__(self, *args, **kwargs):
         names = self._init_fields
         if len(args) == len(names) and not kwargs:
-            for name, value in zip(names, args):
-                object.__setattr__(self, name, value)
+            self.__dict__.update(zip(names, args))
         elif not args and len(kwargs) == len(names):
             try:
-                for name in names:
-                    object.__setattr__(self, name, kwargs[name])
+                self.__dict__.update(zip(names, map(kwargs.__getitem__, names)))
             except KeyError:
                 self._bind(args, kwargs)
         else:
@@ -115,8 +136,7 @@ class Value:
         """The instance whose fields in declaration order are these values,
         bound unchecked (see the module docstring)."""
         out = object.__new__(cls)
-        for name, value in zip(cls._fields, values):
-            object.__setattr__(out, name, value)
+        out.__dict__.update(zip(cls._fields, values))
         return out
 
     def _bind(self, args, kwargs):

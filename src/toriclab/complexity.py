@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from toriclab._value import Value
-from toriclab.fan import Fan
+from toriclab.fan import Fan, _integers
 from toriclab.lattice import rank as matrix_rank
 from toriclab.pairs import ToricPair, crepant_pullback
 
@@ -51,7 +51,7 @@ class Decomposition(Value):
                 alpha = Fraction(alpha)
             if alpha.numerator < 0:
                 raise ValueError("part weights must be non-negative")
-            rays = frozenset(int(i) for i in rays)
+            rays = frozenset(_integers(rays))
             if not rays:
                 raise ValueError("empty part in decomposition")
             norm.append((alpha, rays))
@@ -59,7 +59,7 @@ class Decomposition(Value):
 
     @classmethod
     def of(cls, parts: Iterable[tuple[object, Iterable[int]]]) -> "Decomposition":
-        return cls(tuple((a, frozenset(b)) for a, b in parts))
+        return cls(tuple(parts))
 
 
 class ComplexityReport(Value):

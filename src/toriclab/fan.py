@@ -53,12 +53,11 @@ import itertools
 import math
 import weakref
 from fractions import Fraction
-from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
-from toriclab._value import Value
-from toriclab.lattice import SolveChart, Vec, echelon, is_zero, primitive, rank as matrix_rank, vdot
+from toriclab._value import Value, cached_property
+from toriclab.lattice import SolveChart, Vec, echelon, primitive, rank as matrix_rank, vdot
 
 
 def _integers(xs: Iterable) -> tuple[int, ...]:
@@ -280,7 +279,7 @@ class Cone(Value):
             g = _integers(g)
             if len(g) != self.rank:
                 raise ValueError("generator length differs from ambient rank")
-            if is_zero(g):
+            if not any(g):
                 raise ValueError("zero generator")
             gens.append(primitive(g))
         object.__setattr__(self, "generators", tuple(sorted(set(gens))))
@@ -345,8 +344,11 @@ class Cone(Value):
             facets = self.facet_data
         except ValueError:  # a line, which is its own span
             return True
-        values = (vdot(h, x) for _, h in facets)
-        return all(v > 0 or (v == 0 and not strict) for v in values)
+        for _, h in facets:
+            v = vdot(h, x)
+            if v < 0 or v == 0 and strict:
+                return False
+        return True
 
     def is_strongly_convex(self) -> bool:
         """True iff the cone contains no line, i.e. no generator lies in
@@ -481,19 +483,19 @@ def _normal_form(
         r = _integers(r)
         if len(r) != rank:
             raise ValueError("ray length differs from ambient rank")
-        if is_zero(r):
+        if not any(r):
             raise ValueError("zero ray")
         primitives.append(primitive(r))
     if len(set(primitives)) != len(primitives):
         raise ValueError("duplicate ray")
     order = sorted(range(len(primitives)), key=primitives.__getitem__)
-    relabel = {old: new for new, old in enumerate(order)}
+    relabel = dict(zip(order, range(len(order))))
     cones = set()
     for cone in max_cones:
         raw = _integers(cone)
-        if any(i < 0 or i >= len(primitives) for i in raw):
+        if raw and (min(raw) < 0 or max(raw) >= len(primitives)):
             raise ValueError("ray index out of range")
-        mapped = tuple(sorted(relabel[i] for i in raw))
+        mapped = tuple(sorted(map(relabel.__getitem__, raw)))
         if len(set(mapped)) != len(mapped):
             raise ValueError("repeated ray index in cone")
         if not mapped:
@@ -565,7 +567,8 @@ class Fan(Value):
         cached facet data is shared by every predicate.  The rays are
         primitive, distinct and sorted and each index tuple is sorted, so
         the generators are already normal (Cone._trusted)."""
-        return tuple(Cone._trusted(tuple(self.rays[i] for i in c), self.rank) for c in self.max_cones)
+        ray = self.rays.__getitem__
+        return tuple(Cone._trusted(tuple(map(ray, c)), self.rank) for c in self.max_cones)
 
     @cached_property
     def wall_map(self) -> Mapping[frozenset[Vec], tuple[tuple[int, Vec], ...]]:
@@ -690,8 +693,9 @@ def _covers_once(
     for wall, sides in wall_map.items():
         if len(sides) == 2:
             (_, h), (b, _) = sides
-            if any(vdot(h, g) >= 0 for g in cones[b].generators if g not in wall):
-                return False
+            for g in cones[b].generators:
+                if g not in wall and vdot(h, g) >= 0:
+                    return False
         elif len(sides) != 1 or not any(all(vdot(h, g) == 0 for g in wall) for h in boundary):
             return False
     inside = tuple(map(sum, zip(*cones[0].generators)))  # in every cone's span
@@ -749,8 +753,9 @@ def walls(cones: Sequence[Cone]) -> dict[frozenset[Vec], tuple[tuple[int, Vec], 
     inward normal in that cone) from facet_data."""
     out: dict[frozenset[Vec], list[tuple[int, Vec]]] = {}
     for k, cone in enumerate(cones):
+        generator = cone.generators.__getitem__
         for members, h in cone.facet_data:
-            out.setdefault(frozenset(cone.generators[m] for m in members), []).append((k, h))
+            out.setdefault(frozenset(map(generator, members)), []).append((k, h))
     return {wall: tuple(sides) for wall, sides in out.items()}
 
 

@@ -90,25 +90,39 @@ def assert_plateau(request):
     entries, the second half no more than the first, and at most `noise`
     traced bytes more.  Bytes allocated in the calling test module or in
     this harness are not counted: they hold the inputs and the loop, not
-    what the library keeps."""
-    unowned = [tracemalloc.Filter(False, request.module.__file__), tracemalloc.Filter(False, __file__)]
+    what the library keeps; nor are the snapshots, held by tracemalloc
+    itself.  A failure lists, after those four numbers, the bytes that
+    src/toriclab gained over the second half and the five source lines
+    whose traced size changed most."""
+    unowned = [tracemalloc.Filter(False, path) for path in (request.module.__file__, __file__, tracemalloc.__file__)]
 
     def retained(run, entries, batch):
         for item in batch:
             run(item)
         gc.collect()
-        traces = tracemalloc.take_snapshot().filter_traces(unowned).traces
-        return entries(), sum(trace.size for trace in traces)
+        snapshot = tracemalloc.take_snapshot().filter_traces(unowned)
+        return entries(), sum(trace.size for trace in snapshot.traces), snapshot
+
+    def growth(before, after):
+        """The traced bytes src/toriclab gained, and the five largest
+        per-line differences, as printable lines."""
+        diffs = after.compare_to(before, "lineno")
+        library = os.path.dirname(fan.__file__) + os.sep
+        gained = sum(d.size_diff for d in diffs if d.traceback[0].filename.startswith(library))
+        return [f"src/toriclab: {gained:+} B", *map(str, diffs[:5])]
 
     def _assert_plateau(run, entries, inputs, bound, noise):
         warm_up, first, second = inputs
         tracemalloc.start()
         try:
             retained(run, entries, warm_up)
-            (keys, size), (more_keys, more_size) = retained(run, entries, first), retained(run, entries, second)
+            keys, size, before = retained(run, entries, first)
+            more_keys, more_size, after = retained(run, entries, second)
         finally:
             tracemalloc.stop()
-        assert keys <= bound and more_keys <= keys and more_size <= size + noise, (keys, more_keys, size, more_size)
+        assert keys <= bound and more_keys <= keys and more_size <= size + noise, "\n".join(
+            [str((keys, more_keys, size, more_size)), *growth(before, after)]
+        )
 
     return _assert_plateau
 

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -164,3 +165,25 @@ def test_transport_3d_stratum():
 def test_an_empty_part_is_rejected_however_it_is_given(rays):
     with pytest.raises(ValueError, match="empty part"):
         Decomposition(((1, rays),))
+
+
+@pytest.mark.parametrize(
+    "build, bad",
+    [
+        (lambda: Decomposition(((1, (1.5,)),)), "1.5"),
+        (lambda: Decomposition.of([(1, [2.7, 0])]), "2.7"),
+        (lambda: Decomposition.of([(1, (0,)), (Fraction(1, 2), iter([1, Fraction(5, 2)]))]), "Fraction(5, 2)"),
+    ],
+    ids=["float index", "float index through of", "fraction index from an iterator"],
+)
+def test_ray_indices_that_are_not_integers_raise(build, bad):
+    with pytest.raises(ValueError, match=f"^not an integer: {re.escape(bad)}$"):
+        build()
+
+
+def test_of_takes_each_part_as_given():
+    parts = [(1, iter([2, 0])), [Fraction(1, 2), ("1", 1.0)], (Fraction(1, 2), frozenset({1}))]
+    dec = Decomposition.of(parts)
+    assert dec.parts == ((1, frozenset({0, 2})), (Fraction(1, 2), frozenset({1})), (Fraction(1, 2), frozenset({1})))
+    assert all(type(i) is int for _, rays in dec.parts for i in rays)
+    assert dec == Decomposition.of(part for part in [(1, (0, 2)), (Fraction(1, 2), (1,)), (Fraction(1, 2), (1,))])

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -177,3 +178,24 @@ def test_vdot_checks_lengths_and_takes_fractions():
     got = vdot((Fraction(1, 2), Fraction(-2, 3)), (3, Fraction(3, 4)))
     assert got == 1 and type(got) is Fraction
     assert vdot([Fraction(1, 3)] * 3, [1, 1, 1]) == 1
+
+
+def _generic_primitive(v):
+    """primitive's general path: every entry divided by the gcd, as ints."""
+    g = math.gcd(*v)
+    return tuple(x // g for x in v)
+
+
+def test_primitive_matches_its_general_path_in_value_and_type():
+    rng = random.Random(4040)
+    vectors = [(True, 0), (0, False, True), (1,), (-1,), (7,), (-6, 4), [3, 5], [1, 0, 0]]
+    for _ in range(300):
+        v = [rng.randint(-9, 9) * rng.choice((1, 1, 2, 3, -4)) for _ in range(rng.randint(1, 5))]
+        if any(v):
+            vectors += [tuple(v), v]
+    for v in vectors:
+        got = primitive(v)
+        assert got == _generic_primitive(v) and type(got) is tuple, v
+        assert all(type(x) is int for x in got), v
+        if type(v) is tuple and all(type(x) is int for x in v) and math.gcd(*v) == 1:
+            assert got is v

@@ -7,10 +7,14 @@ checks: == only within one class, over the compared fields; hash as the
 hash of their tuple; the fields left out of the repr and of ==/hash; no
 field set or deleted; positional, keyword and defaulted construction, and
 TypeError on wrong arguments.  Value._trusted binds every field as given,
-on each class that src/ builds with it.  MarkovTriple keeps its order, and
+on each class that src/ builds with it.  A cached fact
+(toriclab._value.cached_property, on every cached property of Cone and
+Fan) is computed once per instance into its __dict__, and nothing is
+stored when the computation raises.  MarkovTriple keeps its order, and
 `import toriclab.cli` loads neither dataclasses nor inspect.
 """
 
+import functools
 import os
 import random
 import subprocess
@@ -21,7 +25,7 @@ import pytest
 
 import toriclab
 from toriclab import casebook, complexity, fan, lattice, markov, pairs, polytope, toric
-from toriclab._value import Value
+from toriclab._value import Value, cached_property
 
 P2 = (((1, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2), (0, 2)), 2)
 P2_REPR = "Fan(rays=((-1, -1), (0, 1), (1, 0)), max_cones=((0, 1), (0, 2), (1, 2)), rank=2)"
@@ -285,6 +289,55 @@ def test_trusted_binds_every_field_as_given(checked, raw):
 def test_cached_properties_write_the_instance_dict():
     cone = fan.Cone(((1, 0), (0, 1)), 2)
     assert "dim" not in vars(cone) and cone.dim == 2 and vars(cone)["dim"] == 2
+
+
+class Counted(Value):
+    """A value with two cached facts that log each computation in CALLS;
+    `checked` first raises the exceptions left in FAILS, one per read."""
+
+    x: int
+
+    @cached_property
+    def double(self):
+        CALLS.append(self)
+        return [2 * self.x]
+
+    @cached_property
+    def checked(self):
+        CALLS.append(self)
+        if FAILS:
+            raise FAILS.pop()
+        return self.x
+
+
+CALLS, FAILS = [], []
+
+
+def test_cached_facts_compute_once_per_instance_into_vars():
+    CALLS.clear()
+    a, b = Counted(1), Counted(1)
+    assert vars(a) == {"x": 1}
+    first = a.double
+    assert first == [2] and vars(a) == {"x": 1, "double": [2]} and vars(a)["double"] is first
+    assert a.double is first and CALLS == [a]
+    assert b.double == [2] and b.double is not first and len(CALLS) == 2 and CALLS[1] is b
+    assert Counted.double is vars(Counted)["double"] and Counted.double.attrname == "double"
+    assert isinstance(Counted.double, functools.cached_property)
+
+
+def test_the_ten_facts_of_cones_and_fans_take_no_lock():
+    facts = [attr for cls in (fan.Cone, fan.Fan) for attr in vars(cls).values() if isinstance(attr, functools.cached_property)]
+    assert len(facts) == 10 and all(type(attr) is cached_property for attr in facts)
+
+
+def test_a_fact_whose_computation_raises_caches_nothing():
+    CALLS.clear()
+    FAILS.append(ArithmeticError("first read"))
+    value = Counted(3)
+    with pytest.raises(ArithmeticError, match="first read"):
+        value.checked
+    assert vars(value) == {"x": 3}
+    assert value.checked == 3 and vars(value) == {"x": 3, "checked": 3} and len(CALLS) == 2
 
 
 def test_the_console_script_imports_neither_dataclasses_nor_inspect():
