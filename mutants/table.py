@@ -13,8 +13,6 @@ MARKOV = "src/toriclab/markov.py"
 VALUE = "src/toriclab/_value.py"
 VALUES = "tests/test_values.py"
 PAIRS = "src/toriclab/pairs.py"
-LATTICE = "src/toriclab/lattice.py"
-PRIMITIVE = "tests/test_lattice.py::test_primitive_matches_its_general_path_in_value_and_type"
 SEEDED_COFACTORS = "tests/test_echelon.py::test_seeded_rows_seed_from_cofactors_as_the_elimination_does"
 
 ROWS = [
@@ -216,8 +214,8 @@ ROWS = [
     {
         "name": "trusted-runs-post-init",
         "file": VALUE,
-        "old": "        out.__dict__.update(zip(cls._fields, values))\n        return out\n",
-        "new": "        out.__dict__.update(zip(cls._fields, values))\n        out.__post_init__()\n        return out\n",
+        "old": "            object.__setattr__(out, name, value)\n        return out\n",
+        "new": "            object.__setattr__(out, name, value)\n        out.__post_init__()\n        return out\n",
         "tests": ["tests/test_pair_integers.py::test_fan_cones_run_no_cone_post_init"],
     },
     {
@@ -230,8 +228,8 @@ ROWS = [
     {
         "name": "value-init-positional-binds-one-field-too-few",
         "file": VALUE,
-        "old": "self.__dict__.update(zip(names, args))",
-        "new": "self.__dict__.update(zip(names[:-1], args))",
+        "old": "not kwargs:\n            for name, value in zip(names, args):",
+        "new": "not kwargs:\n            for name, value in zip(names[:-1], args):",
         "tests": [f"{VALUES}::test_repr_is_the_one_the_dataclass_printed"],
     },
     # cached facts without the lock (toriclab._value.cached_property)
@@ -241,21 +239,6 @@ ROWS = [
         "old": "        value = instance.__dict__[self.attrname] = self.func(instance)\n",
         "new": "        value = self.func(instance)\n",
         "tests": [f"{VALUES}::test_cached_properties_write_the_instance_dict"],
-    },
-    # lattice.primitive returns a primitive tuple of plain ints itself
-    {
-        "name": "primitive-fast-path-without-the-gcd-test",
-        "file": LATTICE,
-        "old": "if g == 1 and type(v) is tuple and",
-        "new": "if type(v) is tuple and",
-        "tests": [PRIMITIVE],
-    },
-    {
-        "name": "primitive-fast-path-takes-int-subclasses",
-        "file": LATTICE,
-        "old": " and set(map(type, v)) == _INT:",
-        "new": ":",
-        "tests": [PRIMITIVE],
     },
     {
         "name": "cone-generators-not-read-as-integers",

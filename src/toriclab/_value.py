@@ -17,19 +17,17 @@ the same repr:
   the derived ones are equal, hash is the hash of the tuple of those
   fields, and the order comparisons compare those tuples;
 - setting or deleting any attribute raises FrozenInstanceError, an
-  AttributeError.  __post_init__ binds with object.__setattr__;
-  __init__, _trusted and cached facts write the instance's __dict__,
-  which every instance keeps.
+  AttributeError.  __init__, __post_init__ and _trusted bind with
+  object.__setattr__; cached facts write the instance's __dict__, which
+  every instance keeps.
 
 The shared __init__ takes *args and **kwargs: a full positional or full
-keyword call binds every field in one update of the instance's __dict__,
-straight from the call; any other goes through _bind.  No value class
-defines its own __init__.
+keyword call binds each field straight from the call, any other goes
+through _bind.  No value class defines its own __init__.
 
 `cls._trusted(*values)` binds every field, derived ones included, to the
-values in declaration order as given, in one such update: it checks and
-normalises nothing and runs no __post_init__, for data already in the form
-__post_init__ leaves.
+values in declaration order as given: it checks and normalises nothing and
+runs no __post_init__, for data already in the form __post_init__ leaves.
 
 A value's cached facts (`cached_property` here) are computed on the first
 read and stored in the instance's __dict__ under the property's name,
@@ -121,10 +119,12 @@ class Value:
     def __init__(self, *args, **kwargs):
         names = self._init_fields
         if len(args) == len(names) and not kwargs:
-            self.__dict__.update(zip(names, args))
+            for name, value in zip(names, args):
+                object.__setattr__(self, name, value)
         elif not args and len(kwargs) == len(names):
             try:
-                self.__dict__.update(zip(names, map(kwargs.__getitem__, names)))
+                for name in names:
+                    object.__setattr__(self, name, kwargs[name])
             except KeyError:
                 self._bind(args, kwargs)
         else:
@@ -136,7 +136,8 @@ class Value:
         """The instance whose fields in declaration order are these values,
         bound unchecked (see the module docstring)."""
         out = object.__new__(cls)
-        out.__dict__.update(zip(cls._fields, values))
+        for name, value in zip(cls._fields, values):
+            object.__setattr__(out, name, value)
         return out
 
     def _bind(self, args, kwargs):

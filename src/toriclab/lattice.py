@@ -29,7 +29,6 @@ from typing import Optional, Sequence
 from toriclab._value import Value
 
 Vec = tuple[int, ...]
-_INT = frozenset({int})
 
 
 def vdot(a: Sequence, b: Sequence):
@@ -39,16 +38,12 @@ def vdot(a: Sequence, b: Sequence):
 
 
 def primitive(v: Vec) -> Vec:
-    """Divide a nonzero integer vector by the gcd of its entries, as a
-    tuple of ints.
+    """Divide a nonzero integer vector by the gcd of its entries.
 
     The direction is preserved: ``primitive(k*v) == primitive(v)`` for
-    ``k > 0`` and ``== -primitive(v)`` for ``k < 0``.  A tuple of plain
-    ints that is already primitive (gcd 1) is returned itself, not a copy.
+    ``k > 0`` and ``== -primitive(v)`` for ``k < 0``.
     """
     g = math.gcd(*v) if v else 0
-    if g == 1 and type(v) is tuple and set(map(type, v)) == _INT:
-        return v
     if g == 0:
         raise ValueError("zero vector has no primitive representative")
     return tuple(x // g for x in v)
