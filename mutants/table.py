@@ -13,6 +13,8 @@ MARKOV = "src/toriclab/markov.py"
 VALUE = "src/toriclab/_value.py"
 VALUES = "tests/test_values.py"
 PAIRS = "src/toriclab/pairs.py"
+TORIC = "src/toriclab/toric.py"
+COMPLEXITY = "src/toriclab/complexity.py"
 SEEDED_COFACTORS = "tests/test_echelon.py::test_seeded_rows_seed_from_cofactors_as_the_elimination_does"
 
 ROWS = [
@@ -106,7 +108,7 @@ ROWS = [
     },
     {
         "name": "presentation-cache-unbounded",
-        "file": "src/toriclab/toric.py",
+        "file": TORIC,
         "old": "@lru_cache(maxsize=256)\ndef _presentation(",
         "new": "@lru_cache(maxsize=None)\ndef _presentation(",
         "tests": ["tests/test_cache_plateaus.py::test_distinct_fans_keep_the_presentation_cache_flat"],
@@ -249,7 +251,7 @@ ROWS = [
     },
     {
         "name": "decomposition-indices-truncated",
-        "file": "src/toriclab/complexity.py",
+        "file": COMPLEXITY,
         "old": "rays = frozenset(_integers(rays))",
         "new": "rays = frozenset(map(int, rays))",
         "tests": ["tests/test_complexity.py::test_ray_indices_that_are_not_integers_raise"],
@@ -257,8 +259,38 @@ ROWS = [
     {
         "name": "pair-boundary-not-rebound",
         "file": PAIRS,
-        "old": "        object.__setattr__(self, \"boundary\", coeffs)\n",
+        "old": "            object.__setattr__(self, \"boundary\", coeffs)\n",
         "new": "",
         "tests": [f"{VALUES}::test_repr_is_the_one_the_dataclass_printed[ToricPair]"],
+    },
+    # a new pair's integer paths: the piece checked in one comparison, the
+    # box walked one invariant at a time, the prime parts bound unchecked
+    {
+        "name": "scaled-piece-check-always-falls-back",
+        "file": TORIC,
+        "old": "    if [sum(map(operator.mul, lm, g)) for g in cone.generators] == list(map(L.__mul__, a)):\n",
+        "new": "    if False:\n",
+        "tests": ["tests/test_seeds.py::test_a_piece_that_holds_is_checked_in_one_comparison"],
+    },
+    {
+        "name": "scaled-piece-sign-not-folded",
+        "file": TORIC,
+        "old": "else [-a[s] for s in at]",
+        "new": "else [a[s] for s in at]",
+        "tests": ["tests/test_seeds.py::test_seeded_cones_with_a_negative_last_match_the_smith_chart"],
+    },
+    {
+        "name": "box-walk-skips-the-last-invariant",
+        "file": PAIRS,
+        "old": "        for dj, row in zip(d, U):\n",
+        "new": "        for dj, row in zip(d[:-1], U):\n",
+        "tests": ["tests/test_triangulation.py::test_simplices_with_several_invariants_walk_the_whole_box"],
+    },
+    {
+        "name": "prime-decomposition-keeps-a-zero-weight",
+        "file": COMPLEXITY,
+        "old": "    positive = map(pair.A.__gt__, pair.alpha)\n",
+        "new": "    positive = map(pair.A.__ge__, pair.alpha)\n",
+        "tests": ["tests/test_complexity.py::test_prime_decomposition_is_the_checked_one"],
     },
 ]

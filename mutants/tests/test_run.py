@@ -4,12 +4,25 @@ and one test of it.
     python -m pytest mutants/tests -q
 """
 
+import importlib.util
 import io
+import pathlib
 
 import pytest
 
-import run
-from table import ROWS
+
+def _load(name, path):
+    """The module at path, under a name of its own: bench/ has a run.py
+    too, and one pytest run may collect both directories."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+MUTANTS = pathlib.Path(__file__).resolve().parents[1]
+run = _load("mutants_run", MUTANTS / "run.py")
+ROWS = _load("mutants_table", MUTANTS / "table.py").ROWS
 
 
 @pytest.fixture

@@ -18,9 +18,11 @@ elimination runs on the columns that no singleton part covers, and not
 at all when none is left (a boundary with a positive coefficient on
 every ray, decomposed into primes).  The check that the parts sum to
 the boundary and the sum of the weights run in integers over D, the lcm
-of the pair's A (pairs.ToricPair) and the weights' denominators; the norm
-is one Fraction over D.  Everything is exact integer and
-rational arithmetic.  For a
+of the pair's A (pairs.ToricPair) and the weights' denominators, each
+weight read once by as_integer_ratio; the norm and c are one Fraction
+over D each.  The prime decomposition is read off the pair's integers
+and holds its own Fractions, bound unchecked.  Everything is exact
+integer and rational arithmetic.  For a
 toric log Calabi-Yau pair with its prime decomposition this is zero, and
 it can never be negative for a log CY pair; a negative value here always
 means a bug.
@@ -28,6 +30,7 @@ means a bug.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -63,20 +66,28 @@ class Decomposition(Value):
 
 
 class ComplexityReport(Value):
+    """c = dim + rho - norm, checked at construction in integers: with c =
+    p/q and norm = r/s, p.s + r.q == (dim + rho).q.s."""
+
     rho: int
     norm: Fraction
     dim: int
     c: Fraction
 
     def __post_init__(self):
-        if self.c != self.dim + self.rho - self.norm:
+        (p, q), (r, s) = self.c.as_integer_ratio(), self.norm.as_integer_ratio()
+        if p * s + r * q != (self.dim + self.rho) * q * s:
             raise ValueError("inconsistent complexity report")
 
 
 def decomposition_by_primes(pair: ToricPair) -> Decomposition:
     """One singleton part per ray carrying a positive coefficient (the
-    boundary is effective, so a nonzero one)."""
-    return Decomposition.of((b, (i,)) for i, b in enumerate(pair.boundary) if b)
+    boundary is effective, so a nonzero one): b_i > 0 iff alpha_i < A.
+    The parts are the pair's own Fractions and singleton frozensets, the
+    form Decomposition leaves them in, so they are bound unchecked."""
+    singletons = map(frozenset, zip(range(len(pair.alpha))))  # {0}, {1}, ...
+    positive = map(pair.A.__gt__, pair.alpha)
+    return Decomposition._trusted(tuple(itertools.compress(zip(pair.boundary, singletons), positive)))
 
 
 def complexity(pair: ToricPair, decomposition: Decomposition) -> ComplexityReport:
@@ -84,33 +95,35 @@ def complexity(pair: ToricPair, decomposition: Decomposition) -> ComplexityRepor
     the pair's boundary.  rho = #singleton rays + rank of [P; R^T] on the
     other columns - rank R (see the module docstring).  With D the lcm of
     the pair's A and the weights' denominators, the parts must sum to
-    D.b_i = D - (D/A).alpha_i on every ray, in integers, and the norm is
-    the sum of the scaled weights over D."""
-    n = len(pair.fan.rays)
-    D = math.lcm(pair.A, *(alpha.denominator for alpha, _ in decomposition.parts))
-    weights = [alpha.numerator * (D // alpha.denominator) for alpha, _ in decomposition.parts]
+    D.b_i = D - (D/A).alpha_i on every ray, in integers and one list
+    comparison; with W the sum of the scaled weights, the norm is W / D
+    and c = (D(dim + rho) - W) / D."""
+    n, A, parts = len(pair.fan.rays), pair.A, decomposition.parts
+    ratios = [alpha.as_integer_ratio() for alpha, _ in parts]
+    D = math.lcm(A, *[d for _, d in ratios])
+    weights = [m * (D // d) for m, d in ratios]
     sums = [0] * n
-    for w, (_, part) in zip(weights, decomposition.parts):
+    for w, (_, part) in zip(weights, parts):
         for i in part:
             if not 0 <= i < n:
                 raise ValueError("part mentions a ray index outside the fan")
             sums[i] += w
-    scale = D // pair.A
-    for i, (got, a) in enumerate(zip(sums, pair.alpha)):
-        if got != D - scale * a:
-            raise ValueError(
-                f"decomposition mismatch at ray {pair.fan.rays[i]}: sums to {Fraction(got, D)}, boundary has {pair.boundary[i]}"
-            )
-    singles = {i for _, part in decomposition.parts if len(part) == 1 for i in part}
-    rest = [i for i in range(n) if i not in singles]
+    scale = D // A
+    if sums != [D - scale * a for a in pair.alpha]:
+        for i, (got, a) in enumerate(zip(sums, pair.alpha)):
+            if got != D - scale * a:
+                raise ValueError(
+                    f"decomposition mismatch at ray {pair.fan.rays[i]}: sums to {Fraction(got, D)}, boundary has {pair.boundary[i]}"
+                )
+    singles = {i for _, part in parts if len(part) == 1 for i in part}
     rho = len(singles) - pair.fan.ray_rank
-    if rest:
-        rows = [tuple(int(i in part) for i in rest) for _, part in decomposition.parts if len(part) > 1]
+    if len(singles) < n:
+        rest = [i for i in range(n) if i not in singles]
+        rows = [tuple(int(i in part) for i in rest) for _, part in parts if len(part) > 1]
         rows += [tuple(x[i] for i in rest) for x in zip(*pair.fan.rays)]  # the rows of R^T
         rho += matrix_rank(rows)
-    norm = Fraction(sum(weights), D)
-    c = pair.dim + rho - norm
-    return ComplexityReport(rho=rho, norm=norm, dim=pair.dim, c=c)
+    W, dim = sum(weights), pair.dim
+    return ComplexityReport(rho, Fraction(W, D), dim, Fraction(D * (dim + rho) - W, D))
 
 
 class BmszReport(Value):

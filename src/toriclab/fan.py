@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import weakref
 from fractions import Fraction
 from types import MappingProxyType
@@ -332,7 +333,8 @@ class Cone(Value):
         in the span?  x is in the span iff every functional of the
         echelon's rows without a pivot, which span those vanishing on the
         generators, vanishes on x (no such row when dim == rank).  A
-        full-dimensional simplicial cone reads its facets off its seeds."""
+        full-dimensional simplicial cone reads its facets off its seeds.
+        Every row is as long as x, once x passes the length check."""
         if len(x) != self.rank:
             raise ValueError("point length differs from ambient rank")
         if self.dim < self.rank:
@@ -345,7 +347,7 @@ class Cone(Value):
         except ValueError:  # a line, which is its own span
             return True
         for _, h in facets:
-            v = vdot(h, x)
+            v = sum(map(operator.mul, h, x))
             if v < 0 or v == 0 and strict:
                 return False
         return True
@@ -544,12 +546,12 @@ class Fan(Value):
         >>> Fan(p1.rays, p1.max_cones, p1.rank) is p1
         False
         """
-        rays = tuple(tuple(r) for r in rays)
+        rays = tuple(map(tuple, rays))
         if rank is None:
             if not rays:
                 raise ValueError("cannot infer rank of empty fan; pass rank=")
             rank = len(rays[0])
-        key = (cls, rays, tuple(tuple(c) for c in max_cones), rank)
+        key = (cls, rays, tuple(map(tuple, max_cones)), rank)
         fan = _ALIVE.get(key)
         if fan is None:
             normal = (cls, *_normal_form(*key[1:]))

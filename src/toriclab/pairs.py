@@ -13,13 +13,20 @@ of the coefficient denominators, and alpha = A(1 - b), so every boundary
 test is an integer sign (b > 1 iff alpha_i < 0, b = 1 iff alpha_i = 0).
 Every pair query reads these and one integer record of psi per pair
 (LogDiscrepancyFunction); with a full-dimensional maximal cone none of
-them takes an elimination.
+them takes an elimination.  The loops over a pair's rays and cones run
+on those ints in list comprehensions and builtins (sum over map, min,
+list comparisons), and read a Fraction only through as_integer_ratio: a
+boundary that is a tuple of Fractions is kept as given, the least psi
+walks a simplex's box one Smith invariant at a time, and a place is
+classified by comparing the numerator of its log discrepancy with 0 and
+with its denominator.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -57,15 +64,18 @@ class ToricPair(Value):
     alpha: tuple[int, ...] = derived()
 
     def __post_init__(self):
-        coeffs = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in self.boundary)
+        coeffs = self.boundary
+        if type(coeffs) is not tuple or {*map(type, coeffs)} - {Fraction}:  # else kept as given
+            coeffs = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in coeffs)
+            object.__setattr__(self, "boundary", coeffs)
         if len(coeffs) != len(self.variety.fan.rays):
             raise ValueError("expected one boundary coefficient per ray")
-        if any(c.numerator < 0 for c in coeffs):
+        ratios = [c.as_integer_ratio() for c in coeffs]
+        if min(ratios, default=(0,))[0] < 0:  # the least numerator
             raise ValueError("boundary must be effective")
-        A = math.lcm(*(c.denominator for c in coeffs))
-        object.__setattr__(self, "boundary", coeffs)
+        A = math.lcm(*[d for _, d in ratios])
         object.__setattr__(self, "A", A)
-        object.__setattr__(self, "alpha", tuple(A - c.numerator * (A // c.denominator) for c in coeffs))
+        object.__setattr__(self, "alpha", tuple([A - n * (A // d) for n, d in ratios]))
         object.__setattr__(self, "_hash", hash((self.variety, coeffs)))
 
     def __hash__(self) -> int:
@@ -122,20 +132,23 @@ class LogDiscrepancyFunction:
 
     def __init__(self, pair: ToricPair):
         self.pair = pair
-        A, alpha = pair.A, pair.alpha
+        A, at = pair.A, pair.alpha.__getitem__
         self.scaled: list[tuple[int, Vec]] = []
-        for k, (c, cone) in enumerate(zip(pair.fan.max_cones, pair.fan.cones)):
-            L, lm = _scaled_piece(cone, [alpha[i] for i in c])
+        for c, cone in zip(pair.fan.max_cones, pair.fan.cones):
+            L, lm = _scaled_piece(cone, list(map(at, c)))
             if lm is None:
                 error = ValueError("K+B is not Q-Cartier; no log discrepancy function")
-                error.cone_index = k
+                error.cone_index = len(self.scaled)
                 raise error
             self.scaled.append((L * A, lm))
 
     def cone_index_of(self, v: Sequence) -> Optional[int]:
         """The first maximal cone, in order, that holds v (Cone.contains);
         None if none does."""
-        return next((k for k, cone in enumerate(self.pair.fan.cones) if cone.contains(v)), None)
+        for k, cone in enumerate(self.pair.fan.cones):
+            if cone.contains(v):
+                return k
+        return None
 
     def __call__(self, v: Sequence) -> Fraction:
         k = self.cone_index_of(v)
@@ -154,7 +167,7 @@ def log_discrepancy(pair: ToricPair, v: Sequence[int]) -> Fraction:
     """Log discrepancy of the toric valuation at a primitive point of the
     support; on a ray u_i this is 1 - b_i."""
     v = _integers(v)
-    if all(x == 0 for x in v):
+    if not any(v):
         raise ValueError("the origin is not a valuation")
     if math.gcd(*v) != 1:
         raise ValueError("expected a primitive lattice vector")
@@ -182,15 +195,17 @@ def _least_exceptional_psi(cone: Cone, alpha: Sequence[int], A: int) -> Optional
         chart = simplex.solve_chart
         U, d, L = chart.U, chart.d, chart.L
         # integers throughout: psi = value / (L * A), L * frac(lambda_i) = lam_i mod L
-        a = [alpha[i] for i in sub]
-        steps = [[L // dj * x for x in row] for dj, row in zip(d, U)]
-        pairs_sums = (L * (x + y) for x, y in itertools.combinations(a, 2))
-        box_points = (
-            sum(a[i] * (sum(tj * step[i] for tj, step in zip(t, steps)) % L) for i in range(len(a)))
-            for t in itertools.product(*(range(dj) for dj in d))
-            if any(t)
-        )
-        low = min(itertools.chain(pairs_sums, box_points), default=None)
+        a = list(map(alpha.__getitem__, sub))
+        # the box points L.frac(lambda) as partial sums, one invariant d_j > 1
+        # at a time (d_j = 1 adds only t_j = 0), reduced mod L; the first
+        # is t = 0, the origin
+        box = [(0,) * len(a)]
+        for dj, row in zip(d, U):
+            if dj > 1:
+                step = [L // dj * x for x in row]
+                box = [[(x + t * y) % L for x, y in zip(p, step)] for p in box for t in range(dj)]
+        values = [sum(map(operator.mul, a, p)) for p in box[1:]]
+        low = min(values + [L * (x + y) for x, y in itertools.combinations(a, 2)], default=None)
         if low is not None:
             sign = (low > L * A) - (low < L * A)
             best = sign if best is None else min(best, sign)
@@ -210,15 +225,16 @@ def singularity_type(pair: ToricPair) -> str:
     coefficients are to 1.  A coefficient above 1 is a negative alpha_i,
     one equal to 1 a zero.
     """
-    if any(a < 0 for a in pair.alpha):
+    alpha = pair.alpha
+    if min(alpha, default=0) < 0:
         return "not-lc"
     _psi(pair)  # raises if K+B is not Q-Cartier
-    if 0 in pair.alpha:
+    if 0 in alpha:
         return "lc"
     fan = pair.fan
     canonical = False
     for c, cone in zip(fan.max_cones, fan.cones):
-        sign = _least_exceptional_psi(cone, [pair.alpha[i] for i in c], pair.A)
+        sign = _least_exceptional_psi(cone, list(map(alpha.__getitem__, c)), pair.A)
         if sign == -1:
             return "klt"
         canonical = canonical or sign == 0
@@ -237,13 +253,15 @@ def is_log_cy(pair: ToricPair) -> bool:
     no elimination.  Otherwise Cl tensor Q is Q^rays modulo the column span
     of the ray matrix R, and K+B is trivial there iff appending alpha =
     A(1 - b) to R keeps its rank (Fan.ray_rank)."""
-    if any(a < 0 for a in pair.alpha):
+    alpha = pair.alpha
+    if min(alpha, default=0) < 0:
         return False
     psi = _psi(pair)  # raises if K+B is not Q-Cartier
     fan = pair.fan
     for (LA, lm), cone in zip(psi.scaled, fan.cones):
         if cone.dim == fan.rank:
-            return all(vdot(lm, u) * pair.A == LA * a for u, a in zip(fan.rays, pair.alpha))
+            A = pair.A
+            return [A * sum(map(operator.mul, lm, u)) for u in fan.rays] == list(map(LA.__mul__, alpha))
     extended = [(*u, a) for u, a in zip(fan.rays, pair.alpha)]
     return matrix_rank(extended) == fan.ray_rank
 
@@ -327,14 +345,8 @@ def classify_extracted_place(pair: ToricPair, v: Sequence[int]) -> PlaceClassifi
     if v in pair.fan.rays:
         raise ValueError("not exceptional: the point is a ray of the fan")
     a = log_discrepancy(pair, v)
-    return PlaceClassification(
-        discrepancy=a,
-        log_canonical=(a == 0),
-        canonical=(a == 1),
-        non_canonical=(a < 1),
-        terminal=(a > 1),
-        non_terminal=(a <= 1),
-    )
+    n, d = a.as_integer_ratio()  # d > 0: a compares with 0 and 1 as n with 0 and d
+    return PlaceClassification(a, n == 0, n == d, n < d, n > d, n <= d)
 
 
 def blowup_point_log_discrepancy(dim: int, mult) -> Fraction:

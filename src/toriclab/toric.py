@@ -7,13 +7,16 @@ pair invariants (complexity, the log Calabi-Yau test) read the pieces
 below and ranks of the ray matrix, and never build it.  Linear pieces on
 maximal cones and the (Q-)Cartier tests are read in integer arithmetic
 from the seeds of a full-dimensional cone (fan.Cone.seeds), strongly
-convex or not, else from the cone's Smith chart (lattice.SolveChart).
+convex or not, else from the cone's Smith chart (lattice.SolveChart):
+a piece is one sum per column of the seeds' functionals, checked on
+every generator by one list comparison (_scaled_piece).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -93,18 +96,28 @@ def _scaled_piece(cone: Cone, a: Sequence[int]) -> tuple[int, Optional[Vec]]:
     generators, or (L, None) when no such m exists (a integral).
 
     A full-dimensional cone, strongly convex or not, reads its seeds (last,
-    ((s, h_s), ...)): L = |last| and L.m = sign(last) sum a_s h_s, a piece
-    iff it takes its values on the other generators too.  A lower-dimensional
-    cone reads its Smith chart: L the largest invariant and L.m = M.a."""
+    ((s, h_s), ...)): L = |last| and L.m = sign(last) sum a_s h_s, one sum
+    over the columns of the h_s with the sign folded into the a_s; it is a
+    piece iff it takes its values on the other generators too.  A
+    lower-dimensional cone reads its Smith chart: L the largest invariant
+    and L.m = M.a.  Every generator is checked in one list comparison; on
+    a mismatch the loop below names it: a seed (or any generator of a
+    lower-dimensional cone) missed means the solve is broken, another one
+    means no piece."""
     if cone.dim == cone.rank:
         last, seeds = cone.seeds
-        sign = 1 if last > 0 else -1
-        L, lm = abs(last), tuple(sign * sum(a[s] * hs[i] for s, hs in seeds) for i in range(cone.rank))
+        at, H = zip(*seeds)
+        values = list(map(a.__getitem__, at)) if last > 0 else [-a[s] for s in at]
+        L, lm = abs(last), tuple([sum(map(operator.mul, values, column)) for column in zip(*H)])
     else:
         chart = cone.solve_chart
         L, lm = chart.L, chart.solve(a)
+        if lm is None:
+            return L, None
+    if [sum(map(operator.mul, lm, g)) for g in cone.generators] == list(map(L.__mul__, a)):
+        return L, lm
     for j, (g, x) in enumerate(zip(cone.generators, a, strict=True)):
-        if lm is not None and vdot(lm, g) != L * x:
+        if vdot(lm, g) != L * x:
             if cone.dim < cone.rank or any(s == j for s, _ in cone.seeds[1]):
                 raise RuntimeError("linear solve broken: local functional misses a prescribed value on a ray")
             return L, None

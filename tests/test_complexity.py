@@ -35,6 +35,20 @@ def test_prime_decomposition_shapes():
     assert all(alpha == Fraction(3, 4) for alpha, _ in dec.parts)
 
 
+def test_prime_decomposition_is_the_checked_one():
+    # decomposition_by_primes binds its parts unchecked: they must be what
+    # the checked constructor makes of the pair's nonzero coefficients
+    rng = random.Random(41)
+    for _ in range(40):
+        fan = random_complete_2d_fan(rng)
+        values = (0, 0, Fraction(1, 2), Fraction(2, 3), 1, Fraction(5, 3))
+        pair = ToricPair.from_fan(fan, [rng.choice(values) for _ in fan.rays])
+        got = decomposition_by_primes(pair)
+        want = Decomposition.of((b, (i,)) for i, b in enumerate(pair.boundary) if b)
+        assert got == want and repr(got) == repr(want)
+        assert all(type(w) is Fraction and w > 0 and type(part) is frozenset for w, part in got.parts)
+
+
 def test_complexity_standard_pairs():
     for n in range(1, 7):
         pair = standard_pair(n)

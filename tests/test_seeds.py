@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from toriclab import fan as fan_module, lattice, pairs
+from toriclab import fan as fan_module, lattice, pairs, toric as toric_module
 from toriclab.catalog import cone_over_square_fan
 from toriclab.fan import Cone, Fan
 from toriclab.lattice import vdot
@@ -142,6 +142,28 @@ def test_seeded_cones_with_a_line_match_the_smith_chart():
     assert with_line >= 40
 
 
+def test_seeded_cones_with_a_negative_last_match_the_smith_chart():
+    # L.m = sign(last) sum a_s h_s: the sign is folded into the a_s, so a
+    # cone whose seeds have last < 0 is where a lost sign shows
+    rng = random.Random(41)
+    done = {2: 0, 3: 0, 4: 0}
+    while min(done.values()) < 15:
+        n = rng.choice((2, 3, 4))
+        gens = primitive_distinct([tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(rng.randint(n, n + 2))])
+        cone = Cone.from_generators(gens, n) if gens else None
+        if cone is None or cone.dim < n or cone.seeds[0] > 0:
+            continue
+        fresh = Cone(cone.generators, n)
+        for _ in range(4):
+            if rng.random() < 0.5:  # the values of an integral functional: a piece exists
+                m = [rng.randint(-3, 3) for _ in range(n)]
+                a = [vdot(m, g) for g in cone.generators]
+            else:
+                a = [rng.randint(-5, 5) for _ in cone.generators]
+            assert _fractions(*_scaled_piece(cone, a)) == _fractions(*scaled_piece_smith(fresh, a)), (cone.generators, a)
+        done[n] += 1
+
+
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(st.randoms(use_true_random=False), st.sampled_from((3, 4)))
 def test_hypothesis_point_set_cones_match_the_smith_chart(rnd, rank):
@@ -198,6 +220,21 @@ def test_cold_singularity_type_takes_one_smith_form_per_simplex(count_calls, fan
     assert singularity_type(pair) == "klt"
     assert len(smith) == simplices == len(pair.fan.cones[0].triangulation)
     assert all("_least_exceptional_psi" in call.callers for call in smith)
+
+
+def test_a_piece_that_holds_is_checked_in_one_comparison(count_calls):
+    # every generator is checked at once; the loop that tells a broken
+    # solve from a missing piece, one vdot per generator, runs only when
+    # that check fails
+    dots = count_calls("vdot", toric_module)
+    shapes = [SQUARE, HEXAGON, [(1, 0, 0), (0, 1, 0), (3, 5, 11)], [(1, 0), (-1, 0), (0, 1)], [(1, 0, 0), (1, 2, 0)]]
+    for gens in shapes:
+        cone = Cone.from_generators(gens)
+        m = (1, -2, 3)[: cone.rank]
+        assert _scaled_piece(cone, [vdot(m, g) for g in cone.generators])[1] is not None
+    assert dots == []
+    assert _scaled_piece(Cone.from_generators(SQUARE), [1, 0, 0, 0])[1] is None
+    assert dots
 
 
 def test_is_log_cy_on_a_cone_with_a_line_takes_no_smith_form(count_calls):

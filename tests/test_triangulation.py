@@ -7,6 +7,7 @@ the shoelace area and the refinement test; count guards on Smith forms."""
 import doctest
 import inspect
 import itertools
+import math
 import pathlib
 import random
 from fractions import Fraction
@@ -22,7 +23,7 @@ from toriclab.pairs import ToricPair, _least_exceptional_psi, crepant_pullback, 
 from toriclab.polytope import Polytope
 from toriclab.toric import projective_space_fan
 
-from oracles import is_refinement_scan, least_psi_all_subsets, singularity_type_scan
+from oracles import is_refinement_scan, least_psi_all_subsets, minor_gcds, singularity_type_scan
 from test_double_description import _kgon
 
 # ------------------------------------------------ the triangulation itself
@@ -134,6 +135,53 @@ def test_seeded_point_set_cones_match_the_subset_search():
         assert {s for r, s, *_ in seen if r == rank} >= {-1, 0, 1}, rank
         assert {(v, c) for r, _, v, c, _ in seen if r == rank} >= {(True, True), (False, False)}, rank
         assert any(r == rank and v and not simplicial for r, _, v, _, simplicial in seen), rank
+
+
+def _unimodular(rng, n):
+    """A seeded n x n integer matrix of determinant 1: a product of
+    elementary row operations."""
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2)
+        k = rng.choice((-2, -1, 1, 2))
+        m[i] = [x + k * y for x, y in zip(m[i], m[j])]
+    return m
+
+
+def _simplex_with_invariants(rng, invariants):
+    """A seeded simplicial full-dimensional cone whose generator matrix has
+    the Smith invariants (1, *invariants), read off the gcds of its minors
+    (oracles.minor_gcds): the rows of U.diag(1, *invariants).V for seeded
+    unimodular U and V, drawn again until they are primitive and
+    distinct."""
+    n = len(invariants) + 1
+    d = (1, *invariants)
+    while True:
+        U, V = _unimodular(rng, n), _unimodular(rng, n)
+        rows = [tuple(sum(U[i][k] * d[k] * V[k][j] for k in range(n)) for j in range(n)) for i in range(n)]
+        if all(math.gcd(*row) == 1 for row in rows) and len(set(rows)) == n:
+            break
+    gcds = minor_gcds(rows)
+    assert [b // a for a, b in zip([1, *gcds], gcds)] == list(d)
+    return Cone.from_generators(rows)
+
+
+@pytest.mark.parametrize("invariants", [(2, 2), (2, 6), (3, 3), (2, 2, 2), (3, 3, 3), (2, 2, 4)])
+def test_simplices_with_several_invariants_walk_the_whole_box(invariants):
+    # the box is walked one invariant at a time: with two or more above 1
+    # every partial sum must still be combined with every later multiple
+    rng = random.Random(f"box {invariants}")
+    signs = set()
+    for _ in range(25):
+        cone = _simplex_with_invariants(rng, invariants)
+        assert [d for d in cone.solve_chart.d if d > 1] == list(invariants)
+        for _ in range(4):
+            A = rng.randint(1, 12)
+            alpha = [rng.randint(1, 2 * A) for _ in cone.generators]
+            sign = _least_exceptional_psi(cone, alpha, A)
+            assert sign == least_psi_all_subsets(Cone(cone.generators, cone.rank), alpha, A), (cone.generators, alpha, A)
+            signs.add(sign)
+    assert signs == {-1, 0, 1}
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
