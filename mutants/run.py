@@ -4,9 +4,7 @@ text in one file under src/ and names the tests that must then fail.
     python mutants/run.py [name ...]
 
 The named rows, or all of them, run one at a time.  The repository,
-without .git and caches, is copied to a temporary directory once and
-compiled there once (_compile), so each run reads compiled code for
-every file but the mutated one.  Each
+without .git and caches, is copied to a temporary directory once.  Each
 row's tests must pass there unchanged, run exactly as they will run on
 the mutant, so that a failing test means the change was caught: a test
 that passes in one selection of tests and fails in another (a memory
@@ -25,9 +23,7 @@ unknown row name.  Standard library only.
 
 from __future__ import annotations
 
-import compileall
 import os
-import py_compile
 import shutil
 import subprocess
 import sys
@@ -41,38 +37,20 @@ IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_
 
 def _pytest(tree: Path, tests) -> int:
     """pytest's exit status on the tests, run in the tree with its src/
-    first on the path and no bytecode written (the base copy's is read)."""
+    first on the path and no bytecode written."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
     return subprocess.run(argv, cwd=tree, env=env, capture_output=True).returncode
 
 
-def _compile(tree: Path) -> None:
-    """Leave the tree's bytecode for every later run to read.  pytest
-    collects tests/ and caches their assertion-rewritten code: only src/
-    is ever mutated, and a copy keeps each test file's time and size, so
-    that cache holds in every copy.  It also keeps the file names it was
-    compiled under, so the tree is compiled at the path every row runs
-    from (tracebacks and tracemalloc's filters read those names).  Then
-    every module gets a .pyc checked by the hash of its source: a mutated
-    file no longer matches its .pyc, so it is compiled from its source,
-    however close in time and size the change is."""
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
-    env["PYTHONPATH"] = str(tree / "src")
-    argv = [sys.executable, "-m", "pytest", "-q", "--collect-only", "-p", "no:cacheprovider", "tests"]
-    subprocess.run(argv, cwd=tree, env=env, capture_output=True)
-    compileall.compile_dir(tree, quiet=2, force=True, invalidation_mode=py_compile.PycInvalidationMode.CHECKED_HASH)
-
-
 def run(rows, root: Path = ROOT, out=sys.stdout) -> int:
     """Run each row on a copy of the tree at root; the exit status."""
     with tempfile.TemporaryDirectory() as tmp:
-        base, tree = Path(tmp) / "base", Path(tmp) / "mutant"
-        shutil.copytree(root, tree, ignore=IGNORED)
-        _compile(tree)
-        tree.rename(base)
+        base = Path(tmp) / "base"
+        shutil.copytree(root, base, ignore=IGNORED)
         status = 0
         for row in rows:
+            tree = Path(tmp) / "mutant"
             shutil.copytree(base, tree)
             path = tree / row["file"]
             text = path.read_text()

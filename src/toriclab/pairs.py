@@ -15,9 +15,9 @@ Every pair query reads these and one integer record of psi per pair
 (LogDiscrepancyFunction); with a full-dimensional maximal cone none of
 them takes an elimination.  The loops over a pair's rays and cones run
 on those ints in list comprehensions and builtins (sum over map, min,
-list comparisons), and read a Fraction only through as_integer_ratio: a
-boundary that is a tuple of Fractions is kept as given, the least psi
-walks a simplex's box one Smith invariant at a time, and a place is
+list comparisons), and read a Fraction only through as_integer_ratio:
+the least psi walks a simplex's box one Smith invariant at a time,
+holding the points of all but the last invariant above 1, and a place is
 classified by comparing the numerator of its log discrepancy with 0 and
 with its denominator.
 """
@@ -64,16 +64,14 @@ class ToricPair(Value):
     alpha: tuple[int, ...] = derived()
 
     def __post_init__(self):
-        coeffs = self.boundary
-        if type(coeffs) is not tuple or {*map(type, coeffs)} - {Fraction}:  # else kept as given
-            coeffs = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in coeffs)
-            object.__setattr__(self, "boundary", coeffs)
+        coeffs = tuple([c if isinstance(c, Fraction) else Fraction(c) for c in self.boundary])
         if len(coeffs) != len(self.variety.fan.rays):
             raise ValueError("expected one boundary coefficient per ray")
         ratios = [c.as_integer_ratio() for c in coeffs]
         if min(ratios, default=(0,))[0] < 0:  # the least numerator
             raise ValueError("boundary must be effective")
         A = math.lcm(*[d for _, d in ratios])
+        object.__setattr__(self, "boundary", coeffs)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "alpha", tuple([A - n * (A // d) for n, d in ratios]))
         object.__setattr__(self, "_hash", hash((self.variety, coeffs)))
@@ -196,16 +194,21 @@ def _least_exceptional_psi(cone: Cone, alpha: Sequence[int], A: int) -> Optional
         U, d, L = chart.U, chart.d, chart.L
         # integers throughout: psi = value / (L * A), L * frac(lambda_i) = lam_i mod L
         a = list(map(alpha.__getitem__, sub))
+        low = min([L * (x + y) for x, y in itertools.combinations(a, 2)], default=None)
         # the box points L.frac(lambda) as partial sums, one invariant d_j > 1
-        # at a time (d_j = 1 adds only t_j = 0), reduced mod L; the first
-        # is t = 0, the origin
-        box = [(0,) * len(a)]
-        for dj, row in zip(d, U):
-            if dj > 1:
-                step = [L // dj * x for x in row]
+        # at a time (d_j = 1 adds only t_j = 0), reduced mod L.  The points
+        # of all but the last such invariant are held and the last one's
+        # values streamed into min, so at most det/d_last points are held
+        steps = [(dj, [L // dj * x for x in row]) for dj, row in zip(d, U) if dj > 1]
+        if steps:
+            box = [(0,) * len(a)]
+            for dj, step in steps[:-1]:
                 box = [[(x + t * y) % L for x, y in zip(p, step)] for p in box for t in range(dj)]
-        values = [sum(map(operator.mul, a, p)) for p in box[1:]]
-        low = min(values + [L * (x + y) for x, y in itertools.combinations(a, 2)], default=None)
+            dj, step = steps[-1]
+            values = (sum(map(operator.mul, a, [(x + t * y) % L for x, y in zip(p, step)])) for p in box for t in range(dj))
+            next(values)  # t = 0, the origin
+            least = min(values)
+            low = least if low is None else min(low, least)
         if low is not None:
             sign = (low > L * A) - (low < L * A)
             best = sign if best is None else min(best, sign)

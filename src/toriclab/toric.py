@@ -100,8 +100,9 @@ def _scaled_piece(cone: Cone, a: Sequence[int]) -> tuple[int, Optional[Vec]]:
     over the columns of the h_s with the sign folded into the a_s; it is a
     piece iff it takes its values on the other generators too.  A
     lower-dimensional cone reads its Smith chart: L the largest invariant
-    and L.m = M.a.  Every generator is checked in one list comparison; on
-    a mismatch the loop below names it: a seed (or any generator of a
+    and L.m = M.a.  Every generator is checked in one list comparison of
+    the values L.m takes with L.a; on a mismatch the first generator missed
+    is read off the same two lists: a seed (or any generator of a
     lower-dimensional cone) missed means the solve is broken, another one
     means no piece."""
     if cone.dim == cone.rank:
@@ -114,14 +115,14 @@ def _scaled_piece(cone: Cone, a: Sequence[int]) -> tuple[int, Optional[Vec]]:
         L, lm = chart.L, chart.solve(a)
         if lm is None:
             return L, None
-    if [sum(map(operator.mul, lm, g)) for g in cone.generators] == list(map(L.__mul__, a)):
+    got, want = [sum(map(operator.mul, lm, g)) for g in cone.generators], list(map(L.__mul__, a))
+    if got == want:
         return L, lm
-    for j, (g, x) in enumerate(zip(cone.generators, a, strict=True)):
-        if vdot(lm, g) != L * x:
-            if cone.dim < cone.rank or any(s == j for s, _ in cone.seeds[1]):
-                raise RuntimeError("linear solve broken: local functional misses a prescribed value on a ray")
-            return L, None
-    return L, lm
+    # the first generator missed; zip raises when a has the wrong length
+    j = next(j for j, (x, y) in enumerate(zip(got, want, strict=True)) if x != y)
+    if cone.dim < cone.rank or any(s == j for s, _ in cone.seeds[1]):
+        raise RuntimeError("linear solve broken: local functional misses a prescribed value on a ray")
+    return L, None
 
 
 def local_functionals(fan: Fan, values: Sequence) -> list[Optional[tuple[Fraction, ...]]]:

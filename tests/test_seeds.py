@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from toriclab import fan as fan_module, lattice, pairs, toric as toric_module
+from toriclab import fan as fan_module, lattice, pairs
 from toriclab.catalog import cone_over_square_fan
 from toriclab.fan import Cone, Fan
 from toriclab.lattice import vdot
@@ -222,19 +222,31 @@ def test_cold_singularity_type_takes_one_smith_form_per_simplex(count_calls, fan
     assert all("_least_exceptional_psi" in call.callers for call in smith)
 
 
-def test_a_piece_that_holds_is_checked_in_one_comparison(count_calls):
-    # every generator is checked at once; the loop that tells a broken
-    # solve from a missing piece, one vdot per generator, runs only when
-    # that check fails
-    dots = count_calls("vdot", toric_module)
+def test_a_missed_generator_is_named_from_the_compared_values(monkeypatch):
+    # every generator is checked in one comparison of the values L.m takes
+    # with L.a; only on a mismatch is the first generator missed read off
+    # them: a seed or a generator of a lower-dimensional cone is a broken
+    # solve, another generator no piece, and a of the wrong length raises
     shapes = [SQUARE, HEXAGON, [(1, 0, 0), (0, 1, 0), (3, 5, 11)], [(1, 0), (-1, 0), (0, 1)], [(1, 0, 0), (1, 2, 0)]]
     for gens in shapes:
         cone = Cone.from_generators(gens)
         m = (1, -2, 3)[: cone.rank]
-        assert _scaled_piece(cone, [vdot(m, g) for g in cone.generators])[1] is not None
-    assert dots == []
+        a = [vdot(m, g) for g in cone.generators]
+        L, lm = _scaled_piece(cone, a)
+        assert lm is not None and [vdot(lm, g) for g in cone.generators] == [L * x for x in a], gens
+        with pytest.raises(ValueError):
+            _scaled_piece(cone, a + [0])
     assert _scaled_piece(Cone.from_generators(SQUARE), [1, 0, 0, 0])[1] is None
-    assert dots
+    flat = Cone.from_generators([(1, 0, 0), (1, 2, 0)])
+    solve = lattice.SolveChart.solve
+
+    def broken(chart, a):  # L.m moved by L on its first coordinate
+        lm = solve(chart, a)
+        return (lm[0] + chart.L, *lm[1:])
+
+    monkeypatch.setattr(lattice.SolveChart, "solve", broken)
+    with pytest.raises(RuntimeError, match="linear solve broken"):
+        _scaled_piece(flat, [1, -3])
 
 
 def test_is_log_cy_on_a_cone_with_a_line_takes_no_smith_form(count_calls):
