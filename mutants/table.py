@@ -15,6 +15,8 @@ VALUES = "tests/test_values.py"
 PAIRS = "src/toriclab/pairs.py"
 TORIC = "src/toriclab/toric.py"
 COMPLEXITY = "src/toriclab/complexity.py"
+LATTICE = "src/toriclab/lattice.py"
+SMITH_AGREES = "tests/test_lattice.py::test_smith_form_matches_the_three_matrix_form_on_seeded_matrices"
 SEEDED_COFACTORS = "tests/test_echelon.py::test_seeded_rows_seed_from_cofactors_as_the_elimination_does"
 
 ROWS = [
@@ -302,5 +304,21 @@ ROWS = [
         "old": "    positive = map(pair.A.__gt__, pair.alpha)\n",
         "new": "    positive = map(pair.A.__ge__, pair.alpha)\n",
         "tests": ["tests/test_complexity.py::test_prime_decomposition_is_the_checked_one"],
+    },
+    # the Smith form on one augmented matrix: its pivot rule and final sign
+    # against the three-matrix form it replaced
+    {
+        "name": "smith-pivot-ties-by-column-first",
+        "file": LATTICE,
+        "old": "_, i, j = min(block)",
+        "new": "_, j, i = min((x, j, i) for x, i, j in block)",
+        "tests": [SMITH_AGREES],
+    },
+    {
+        "name": "smith-negative-pivot-kept",
+        "file": LATTICE,
+        "old": "        if w[t][t] < 0:\n            w[t] = [-x for x in w[t]]\n",
+        "new": "",
+        "tests": [SMITH_AGREES],
     },
 ]

@@ -11,9 +11,10 @@ The formats are deliberately flat and hand-writable:
 
 '#' starts a comment, blank lines are ignored, and cone/coeff indices refer
 to the ray lines in file order.  A file has at most one dim line, and a
-pair file at most one fan line.  A coefficient is an integer, p/q or a
-decimal, without an exponent.  Emitters write the canonical ray order, so
-emit(parse(file)) is byte-identical exactly on canonical-form files.
+pair file at most one fan line and one coeff line per ray index.  A
+coefficient is an integer, p/q or a decimal, without an exponent.
+Emitters write the canonical ray order, so emit(parse(file)) is
+byte-identical exactly on canonical-form files.
 """
 
 from __future__ import annotations
@@ -186,10 +187,14 @@ def parse_pair(text: str, base_dir: str = ".") -> ToricPair:
     # the canonical order of the constructed fan
     fan, ray_index, _ = _read_fan(entries)
     coeffs = [Fraction(0)] * len(fan.rays)
+    coeff_line: dict[int, int] = {}
     for lineno, idx, value in coeff_lines:
         if idx < 0 or idx >= len(ray_index):
             raise ParseError(lineno, f"coeff names ray index {idx}, but only {len(ray_index)} rays exist")
-        coeffs[ray_index[idx]] += value
+        if idx in coeff_line:
+            raise ParseError(lineno, f"duplicate coeff for ray index {idx} (first seen on line {coeff_line[idx]})")
+        coeff_line[idx] = lineno
+        coeffs[ray_index[idx]] = value
     try:
         pair = ToricPair.from_fan(fan, coeffs)
     except ValueError as e:

@@ -16,7 +16,10 @@ or 3 seeds from cofactors instead, with no run).  Lattice
 questions read a `SolveChart`, through which every Smith form is read:
 integer solves, class groups and left kernels, and a cone's
 unimodularity, the pieces of a lower-dimensional cone and the
-parallelepiped of a simplex.
+parallelepiped of a simplex.  `smith_normal_form` works on one augmented
+matrix, as `echelon` carries its transform in extra columns: M's rows
+followed by U's, with V's rows below, so each row or column operation is
+written once and moves its transform along.
 """
 
 from __future__ import annotations
@@ -134,17 +137,6 @@ class AbelianGroupStructure(Value):
                 raise ValueError("torsion invariants violate divisibility chain")
 
 
-def _pick_pivot(a, t, rows, cols):
-    """Smallest nonzero |entry| in the trailing block; ties by (row, col)."""
-    best = None
-    for i in range(t, rows):
-        for j in range(t, cols):
-            x = a[i][j]
-            if x != 0 and (best is None or abs(x) < abs(a[best[0]][best[1]])):
-                best = (i, j)
-    return best
-
-
 def smith_normal_form(M: Sequence[Sequence[int]], ncols: int) -> tuple[tuple[Vec, ...], tuple[Vec, ...], tuple[Vec, ...]]:
     """Smith normal form of the integer rows M, `ncols` wide: returns
     (U, D, V), each a tuple of rows, with D = U * M * V.
@@ -160,78 +152,47 @@ def smith_normal_form(M: Sequence[Sequence[int]], ncols: int) -> tuple[tuple[Vec
     rows, cols = len(M), ncols
     if any(len(r) != cols for r in M):
         raise ValueError("row width differs from ncols")
-    a = [list(r) for r in M]
-    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
-    v = [[int(i == j) for j in range(cols)] for i in range(cols)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-
-    def add_row(dst, src, k):
-        a[dst] = [x + k * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + k * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(dst, src, k):
-        for r in a:
-            r[dst] += k * r[src]
-        for r in v:
-            r[dst] += k * r[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
+    # one augmented matrix: row i < rows is M's row i then U's, and the
+    # cols rows below hold V, so a row operation moves U along with M and
+    # an operation on the first cols columns of every row moves V
+    w = [[*r, *[0] * i, 1, *[0] * (rows - 1 - i)] for i, r in enumerate(M)]
+    w += [[0] * i + [1] + [0] * (cols - 1 - i) for i in range(cols)]
     t = 0
-    while True:
-        pos = _pick_pivot(a, t, rows, cols)
-        if pos is None:
-            break
-        swap_rows(t, pos[0])
-        swap_cols(t, pos[1])
-        while True:
-            # clear column t then row t; a new pivot may surface, so loop
+    while block := [(abs(w[i][j]), i, j) for i in range(t, rows) for j in range(t, cols) if w[i][j]]:
+        _, i, j = min(block)  # the least |entry|, ties to the first in row order
+        w[t], w[i] = w[i], w[t]
+        for r in w:
+            r[t], r[j] = r[j], r[t]
+        done = False
+        while not done:
+            # clear column t then row t; a smaller remainder becomes the
+            # pivot, so loop until neither leaves one
             done = True
             for i in range(t + 1, rows):
-                if a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    add_row(i, t, -q)
-                    if a[i][t] != 0:  # remainder strictly smaller: re-pivot
-                        swap_rows(t, i)
+                if w[i][t]:
+                    q = w[i][t] // w[t][t]
+                    w[i] = [x - q * y for x, y in zip(w[i], w[t])]
+                    if w[i][t]:
+                        w[t], w[i] = w[i], w[t]
                         done = False
             for j in range(t + 1, cols):
-                if a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    add_col(j, t, -q)
-                    if a[t][j] != 0:
-                        swap_cols(t, j)
+                if w[t][j]:
+                    q = w[t][j] // w[t][t]
+                    for r in w:
+                        r[j] -= q * r[t]
+                    if w[t][j]:
+                        for r in w:
+                            r[t], r[j] = r[j], r[t]
                         done = False
-            if done:
-                break
         # force divisibility of the whole trailing block by the pivot
-        bad = next(
-            (
-                (i, j)
-                for i in range(t + 1, rows)
-                for j in range(t + 1, cols)
-                if a[i][j] % a[t][t] != 0
-            ),
-            None,
-        )
+        bad = next((i for i in range(t + 1, rows) for j in range(t + 1, cols) if w[i][j] % w[t][t]), None)
         if bad is not None:
-            add_row(t, bad[0], 1)
+            w[t] = [x + y for x, y in zip(w[t], w[bad])]
             continue  # redo this slot; pivot magnitude strictly drops
-        if a[t][t] < 0:
-            negate_row(t)
+        if w[t][t] < 0:
+            w[t] = [-x for x in w[t]]
         t += 1
-
-    return tuple(map(tuple, u)), tuple(map(tuple, a)), tuple(map(tuple, v))
+    return tuple([tuple(r[cols:]) for r in w[:rows]]), tuple([tuple(r[:cols]) for r in w[:rows]]), tuple(map(tuple, w[rows:]))
 
 
 class SolveChart(Value):

@@ -47,6 +47,10 @@ that routine is right.  They are:
 - reflexive_polygons_boundary_walk: polytope.unimodular_normal_form;
   is_smooth_fano_det: lattice.det.
 
+`smith_normal_form_three_matrices` is the library's Smith form as it was
+before it worked on one augmented matrix: the same operations in the
+same order, so it checks that rewrite exactly, not the mathematics.
+
 It also holds the few helpers the library dropped because nothing in it
 calls them: the cokernel structure of an integer matrix (read as rows
 beside their column count, the one matrix format of lattice; computed
@@ -152,6 +156,112 @@ def det_bareiss(rows) -> int:
     """The determinant of a square integer matrix from `_bareiss`."""
     r, sign, last = _bareiss(rows, len(rows))
     return sign * last if r == len(rows) else 0
+
+
+# lattice.smith_normal_form as it was before it worked on one augmented
+# matrix, kept as its reference: three matrices (a, U, V) and one closure
+# per elementary operation, each applied to two of them.  The pivots, operations and their order are the
+# library's, so (U, D, V) must agree exactly.
+
+
+def _pick_pivot(a, t, rows, cols):
+    """Smallest nonzero |entry| in the trailing block; ties by (row, col)."""
+    best = None
+    for i in range(t, rows):
+        for j in range(t, cols):
+            x = a[i][j]
+            if x != 0 and (best is None or abs(x) < abs(a[best[0]][best[1]])):
+                best = (i, j)
+    return best
+
+
+def smith_normal_form_three_matrices(M: Sequence[Sequence[int]], ncols: int) -> tuple[tuple[Vec, ...], tuple[Vec, ...], tuple[Vec, ...]]:
+    """Smith normal form of the integer rows M, `ncols` wide: returns
+    (U, D, V), each a tuple of rows, with D = U * M * V.
+
+    U and V are unimodular, D is diagonal with non-negative entries
+    satisfying d_i | d_{i+1}.  Pivoting always picks the smallest nonzero
+    entry in absolute value (ties broken by position), so the transforms
+    are reproducible.  With no rows, V is the ncols x ncols identity.
+
+    >>> smith_normal_form([[2, 0], [0, 3]], 2)[1]
+    ((1, 0), (0, 6))
+    """
+    rows, cols = len(M), ncols
+    if any(len(r) != cols for r in M):
+        raise ValueError("row width differs from ncols")
+    a = [list(r) for r in M]
+    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
+    v = [[int(i == j) for j in range(cols)] for i in range(cols)]
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for r in a:
+            r[i], r[j] = r[j], r[i]
+        for r in v:
+            r[i], r[j] = r[j], r[i]
+
+    def add_row(dst, src, k):
+        a[dst] = [x + k * y for x, y in zip(a[dst], a[src])]
+        u[dst] = [x + k * y for x, y in zip(u[dst], u[src])]
+
+    def add_col(dst, src, k):
+        for r in a:
+            r[dst] += k * r[src]
+        for r in v:
+            r[dst] += k * r[src]
+
+    def negate_row(i):
+        a[i] = [-x for x in a[i]]
+        u[i] = [-x for x in u[i]]
+
+    t = 0
+    while True:
+        pos = _pick_pivot(a, t, rows, cols)
+        if pos is None:
+            break
+        swap_rows(t, pos[0])
+        swap_cols(t, pos[1])
+        while True:
+            # clear column t then row t; a new pivot may surface, so loop
+            done = True
+            for i in range(t + 1, rows):
+                if a[i][t] != 0:
+                    q = a[i][t] // a[t][t]
+                    add_row(i, t, -q)
+                    if a[i][t] != 0:  # remainder strictly smaller: re-pivot
+                        swap_rows(t, i)
+                        done = False
+            for j in range(t + 1, cols):
+                if a[t][j] != 0:
+                    q = a[t][j] // a[t][t]
+                    add_col(j, t, -q)
+                    if a[t][j] != 0:
+                        swap_cols(t, j)
+                        done = False
+            if done:
+                break
+        # force divisibility of the whole trailing block by the pivot
+        bad = next(
+            (
+                (i, j)
+                for i in range(t + 1, rows)
+                for j in range(t + 1, cols)
+                if a[i][j] % a[t][t] != 0
+            ),
+            None,
+        )
+        if bad is not None:
+            add_row(t, bad[0], 1)
+            continue  # redo this slot; pivot magnitude strictly drops
+        if a[t][t] < 0:
+            negate_row(t)
+        t += 1
+
+    return tuple(map(tuple, u)), tuple(map(tuple, a)), tuple(map(tuple, v))
 
 
 def double_description_seeds(rows):

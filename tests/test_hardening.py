@@ -5,6 +5,7 @@ ParseError, whatever the text."""
 import contextlib
 import io
 import os
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -28,6 +29,7 @@ FILES = {
     "exponent.pair": b"dim 1\nray 1\nray -1\ncone 0\ncone 1\ncoeff 0 1e3\n",
     "p1.fan": b"dim 1\nray 1\nray -1\ncone 0\ncone 1\n",
     "two-fans.pair": b"fan p1.fan\nfan p1.fan\ncoeff 0 1\n",
+    "two-coeffs.pair": b"fan p1.fan\ncoeff 0 1/2\ncoeff 0 1/2\n",
 }
 
 # {name} is replaced by the path of FILES[name]; "{missing}" never exists
@@ -59,6 +61,7 @@ MALFORMED = [
     ["pair", "classify", "{exponent.pair}"],
     ["pair", "classify", "{missing}"],
     ["pair", "classify", "{two-fans.pair}"],
+    ["pair", "classify", "{two-coeffs.pair}"],
     ["pair", "discrepancy", P2_PAIR, "--point", "x"],
     ["pair", "discrepancy", P2_PAIR, "--point", "1,,1"],
     ["pair", "discrepancy", P2_PAIR, "--point", "1,2,3"],
@@ -123,6 +126,16 @@ def test_a_second_fan_line_is_an_error(tmp_path):
     with pytest.raises(ParseError, match="duplicate fan line") as caught:
         parse_pair("fan p1.fan\n# the same fan again\nfan p1.fan\n", str(tmp_path))
     assert caught.value.line == 3
+
+
+def test_a_second_coeff_for_one_ray_is_an_error(tmp_path):
+    # refused, not summed into b_0 = 1
+    (tmp_path / "p1.fan").write_bytes(FILES["p1.fan"])
+    assert parse_pair("fan p1.fan\ncoeff 0 1/2\ncoeff 1 1/2\n", str(tmp_path)).boundary == (Fraction(1, 2),) * 2
+    with pytest.raises(ParseError) as caught:
+        parse_pair("fan p1.fan\ncoeff 0 1/2\n# the same ray again\ncoeff 0 1/2\n", str(tmp_path))
+    assert str(caught.value) == "line 4: duplicate coeff for ray index 0 (first seen on line 2)"
+    assert caught.value.line == 4
 
 
 def test_every_subcommand_is_covered():

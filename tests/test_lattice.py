@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toriclab.lattice import (
     AbelianGroupStructure,
@@ -14,7 +15,7 @@ from toriclab.lattice import (
     vdot,
 )
 
-from oracles import cokernel_structure, matmul, minor_gcds
+from oracles import cokernel_structure, matmul, minor_gcds, smith_normal_form_three_matrices
 
 
 def _is_diagonal(M):
@@ -69,6 +70,64 @@ def test_snf_invariant_factors_match_minor_gcds_randomized():
         for k, d in enumerate(_diagonal(D)):
             prod *= d
             assert prod == gcds[k]
+
+
+def _entry_bound(rows, ncols):
+    """The largest |entry| drawn for a rows x ncols matrix: 30, or 3 above
+    16 entries, where the Smith form's coefficients can blow up (README,
+    Scope and limitations) and a dense 6 x 6 matrix with entries up to 5
+    may not finish."""
+    return 30 if rows * ncols <= 16 else 3
+
+
+def _seeded_matrices(count, seed):
+    """`count` seeded (rows, ncols): 0-6 rows, 1-6 columns, dense or
+    sparse, some with a zero row or a row that is a multiple of another."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        r, c = rng.randint(0, 6), rng.randint(1, 6)
+        bound, zero = _entry_bound(r, c), rng.choice((0, 0.4, 0.8))
+        rows = [[0 if rng.random() < zero else rng.randint(-bound, bound) for _ in range(c)] for _ in range(r)]
+        if r >= 2 and rng.random() < 0.2:
+            i, j = rng.sample(range(r), 2)
+            k = rng.choice((-2, -1, 1, 2)) if bound > 3 else rng.choice((-1, 1))
+            rows[j] = [k * x for x in rows[i]]
+        if r and rng.random() < 0.1:
+            rows[rng.randrange(r)] = [0] * c
+        yield rows, c
+
+
+NAMED_MATRICES = [
+    *(([[0] * c] * r, c) for r in range(7) for c in range(1, 7)),  # zero matrices, no rows at all
+    ([[2, 0], [0, 3]], 2),  # the divisibility fix: diag(1, 6)
+    ([[6, 0, 0], [0, 10, 0], [0, 0, 15]], 3),
+    ([[-2]], 1),  # negative pivots
+    ([[-1, 0], [0, -3]], 2),
+    ([[0, -4], [-6, 0]], 2),
+    ([[0, 1], [1, 0]], 2),  # a tie: the first position in row order
+    ([[1, 2, 3], [2, 4, 6], [-1, -2, -3]], 3),  # dependent rows
+    ([[0, 0, 0], [3, 0, -3], [0, 0, 0]], 3),  # zero rows
+]
+
+
+def test_smith_form_matches_the_three_matrix_form_on_seeded_matrices():
+    for rows, c in [*NAMED_MATRICES, *_seeded_matrices(10_000, 4242)]:
+        assert smith_normal_form(rows, c) == smith_normal_form_three_matrices(rows, c), (rows, c)
+
+
+@st.composite
+def _matrices(draw):
+    r, c = draw(st.integers(0, 6)), draw(st.integers(1, 6))
+    bound = _entry_bound(r, c)
+    entries = st.integers(-bound, bound) | st.sampled_from((0, 0, 1, -1))
+    return draw(st.lists(st.lists(entries, min_size=c, max_size=c), min_size=r, max_size=r)), c
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_matrices())
+def test_smith_form_matches_the_three_matrix_form_on_hypothesis_matrices(matrix):
+    rows, c = matrix
+    assert smith_normal_form(rows, c) == smith_normal_form_three_matrices(rows, c)
 
 
 def test_primitive():
