@@ -82,7 +82,7 @@ def _parse_ints(raw: str, what: str) -> tuple[int, ...]:
     try:
         return tuple(int(x) for x in raw.split(","))
     except ValueError:
-        raise fileformats.ParseError(0, f"{what} must be comma-separated integers") from None
+        raise ValueError(f"{what} must be comma-separated integers") from None
 
 
 def _load_pair(path: str) -> ToricPair:

@@ -8,44 +8,35 @@ lattice scans instead of region arithmetic, angular walks instead of wall
 counting, angular scans and walks instead of the reflexive-polygon
 descent, Fourier-Motzkin elimination and simplex pivots instead of the
 double description's lineality test, subset scans and simplex LPs
-instead of its facets, Gauss-Jordan
-solves and per-call Smith forms instead of a cone's cached Smith chart
-(and a Fraction nullspace instead of its span equations), the pairwise
-common-face scan instead of the wall criterion, the determinant of each
-edge's vertex matrix instead of a polygon's cached edge determinants for
-smoothness, a per-cone scan and an
-unoriented wall cover with connectivity instead of rays located once and
-the oriented wall test for refinements, Smith charts instead of a
-cone's dual basis and seeds, every independent subset of a cone's generators
-instead of its triangulation for the least log discrepancy, class-group
-coordinates instead of ranks of the ray matrix, and those ranks and
-Fraction pieces of psi instead of its integer record, a Vieta-jump
-search with a seen set instead of the Markov tree walk, gcds of the
-weights instead of the closed forms of the Markov hypersurfaces, and
-`markov table` rows formatted from those hypersurfaces' data.  numpy
-is used only here, with integer dtypes, to keep the scans fast; the
-library itself stays pure.
+instead of its facets, Gauss-Jordan solves instead of a cone's dual
+basis and Smith chart, determinantal divisors instead of integer solves
+and the closed form of the index, a Fraction nullspace and scanned facet
+normals instead of a cone's span equations and facets for point
+location, the pairwise scan with a separating functional by the simplex
+instead of the wall criterion, the determinant of each scanned facet's
+vertex matrix instead of a polygon's cached edge determinants for
+smoothness, a per-cone LP scan and an unoriented cover of scanned walls
+with connectivity instead of rays located once and the oriented wall
+test for refinements, every independent subset of a cone's generators,
+its box read off the adjugate of a minor, instead of its triangulation
+for the least log discrepancy, ranks by Gauss-Jordan pivots and Fraction
+pieces of psi instead of its integer record, the GL(2,Z) search instead
+of the norm-reduced polygon normal form, a Vieta-jump search with a seen
+set instead of the Markov tree walk, gcds of the weights instead of the
+closed forms of the Markov hypersurfaces, and `markov table` rows
+formatted from those hypersurfaces' data.  numpy is used only here, with
+integer dtypes, to keep the scans fast; the library itself stays pure.
 
-That route is not independent of the library everywhere: some oracles
-read a library routine on the way, and agree with the library only where
-that routine is right.  They are:
-- validate_fan_pairwise: fan._meet_in_common_face and
-  Cone.is_strongly_convex;
-- least_psi_all_subsets, local_functionals_smith, scaled_piece_smith and
-  is_unimodular_smith: lattice.SolveChart, through Cone.solve_chart;
-  index_smith: lattice.smith_normal_form;
-- local_functionals_solve: lattice.solve_rational; is_cartier_solve:
-  lattice.solve_integer;
-- facet_data_scan, is_unimodular_smith, complexity_rho_class_group,
-  complexity_rho_rank and is_log_cy_rank: lattice.rank;
-- is_fano_functionals: fan.walls, is_complete and is_simplicial;
-  is_refinement_scan: fan.walls and Cone.facet_data (in _covers) and
-  Cone.contains; cone_contains_nullspace: Cone.facet_data;
-- classify_pair_brute, singularity_type_scan, is_log_cy_class_group and
-  is_log_cy_rank: pairs._psi; LogDiscrepancyFunctionPieces:
-  toric.local_functionals;
-- reflexive_polygons_boundary_walk: polytope.unimodular_normal_form;
-  is_smooth_fano_det: lattice.det.
+No oracle calls a library routine on the way to its answer, so none
+agrees with the library only where that routine is right.  Library
+objects are read as data only:
+- the value fields of the classes imported here, such as
+  Cone.generators and rank, Fan.rays, max_cones and rank,
+  ToricPair.boundary, Polytope.vertices, rank and dim, and Fan.cones,
+  the maximal cones as Cone values;
+- Polytope.hull, to build a polygon that is an answer;
+- `piece(psi, k)`, the tests' one reader of the library's own psi record.
+tests/test_surface.py holds the file to that rule.
 
 `smith_normal_form_three_matrices` is the library's Smith form as it was
 before it worked on one augmented matrix: the same operations in the
@@ -65,25 +56,20 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cmp_to_key, lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
 
-from toriclab.fan import Cone, Diagnostics, Fan, _meet_in_common_face, is_complete, is_simplicial, walls
+from toriclab.fan import Cone, Diagnostics, Fan
+from toriclab.lattice import AbelianGroupStructure, Vec
 from toriclab.markov import HkwSurfaceData, MarkovTriple
-from toriclab.lattice import (
-    AbelianGroupStructure,
-    SolveChart,
-    det,
-    rank as matrix_rank,
-    smith_normal_form,
-    solve_integer,
-    solve_rational,
-    Vec,
-    vdot,
-)
+
+
+def _dot(a, b):  # of equal lengths, which every caller here ensures
+    return sum(map(operator.mul, a, b))
 
 
 # ---------------------------------------------------------------- lattice
@@ -184,7 +170,7 @@ def smith_normal_form_three_matrices(M: Sequence[Sequence[int]], ncols: int) -> 
     entry in absolute value (ties broken by position), so the transforms
     are reproducible.  With no rows, V is the ncols x ncols identity.
 
-    >>> smith_normal_form([[2, 0], [0, 3]], 2)[1]
+    >>> smith_normal_form_three_matrices([[2, 0], [0, 3]], 2)[1]
     ((1, 0), (0, 6))
     """
     rows, cols = len(M), ncols
@@ -312,6 +298,11 @@ def nullspace(rows: Sequence[Sequence], width: int) -> tuple[tuple[Fraction, ...
     return tuple(basis)
 
 
+def _rank(rows) -> int:
+    """The rank of an integer matrix given as rows, by `_bareiss`."""
+    return _bareiss(rows, len(rows[0]))[0] if rows else 0
+
+
 def minor_gcds(rows, kmax=None):
     """gcd of all k x k minors, for k = 1..kmax; 0 entries mean no nonzero
     minor of that size."""
@@ -326,6 +317,10 @@ def minor_gcds(rows, kmax=None):
             for ci in itertools.combinations(range(n), k):
                 sub = [[rows[i][j] for j in ci] for i in ri]
                 g = math.gcd(g, _det_int(sub))
+                if g == 1:
+                    break  # no further minor changes it
+            if g == 1:
+                break
         out.append(g)
     return out
 
@@ -365,7 +360,7 @@ def matmul(A, B) -> tuple[tuple[int, ...], ...]:
     if any(len(row) != len(B) for row in A):
         raise ValueError("shape mismatch")
     columns = tuple(zip(*B))
-    return tuple(tuple(vdot(row, col) for col in columns) for row in A)
+    return tuple(tuple(_dot(row, col) for col in columns) for row in A)
 
 
 # ------------------------------------------------------ linear feasibility
@@ -815,7 +810,7 @@ def classify_cone_brute(gens, box_factor=4):
     assert G.shape[0] == n, "oracle needs a simplicial full-dimensional cone"
     det = _det_int([list(map(int, row)) for row in G])
     assert det != 0
-    adj = _adjugate_int(G.T)  # integer matrix with G.T @ adj/det = identity
+    adj = np.array(_adjugate_int(G.T), dtype=np.int64)  # G.T @ adj/det = identity
     L = box_factor * int(np.max(np.abs(G)))
     axes = [np.arange(-L, L + 1, dtype=np.int64) for _ in range(n)]
     grids = np.meshgrid(*axes, indexing="ij")
@@ -846,6 +841,7 @@ def classify_cone_brute(gens, box_factor=4):
 
 
 def _adjugate_int(M):
+    """The adjugate of a square integer matrix: M adj(M) = det(M) I."""
     M = [[int(x) for x in row] for row in M]
     n = len(M)
     adj = [[0] * n for _ in range(n)]
@@ -855,28 +851,28 @@ def _adjugate_int(M):
                 [M[r][c] for c in range(n) if c != j] for r in range(n) if r != i
             ]
             adj[j][i] = (-1) ** (i + j) * _det_int(minor)
-    return np.array(adj, dtype=np.int64)
+    return adj
 
 
 def classify_pair_brute(fan: Fan, boundary, box_factor=4):
     """Pure-python version for small pairs with rational coefficients;
     scans primitive points of the support, computing psi cone by cone."""
-    from toriclab.pairs import ToricPair, _psi
+    from toriclab.pairs import ToricPair
 
     pair = ToricPair.from_fan(fan, boundary)
     if any(b > 1 for b in pair.boundary):
         return "not-lc"
-    psi = _psi(pair)
+    psi = LogDiscrepancyFunctionPieces(pair)
     L = box_factor * max(abs(x) for r in fan.rays for x in r)
     values = []
     rays = set(fan.rays)
     for pt in itertools.product(range(-L, L + 1), repeat=fan.rank):
         if all(x == 0 for x in pt) or math.gcd(*pt) != 1 or pt in rays:
             continue
-        k = psi.cone_index_of(pt)
+        k = psi.locate(pt)
         if k is None:
             continue
-        values.append(Fraction(sum(c * x for c, x in zip(piece(psi, k), pt))))
+        values.append(Fraction(_dot(psi.piece(k), pt)))
     if any(b == 1 for b in pair.boundary):
         return "lc"
     if not values:
@@ -890,20 +886,18 @@ def classify_pair_brute(fan: Fan, boundary, box_factor=4):
 def singularity_type_scan(pair):
     """The box scan the closed form replaced: per maximal cone, every
     primitive point of the box spanned by the rays scaled by 1/(1 - b_i),
-    tested for membership and evaluated on the cone's linear piece.  The
-    box volume grows like (1/(1 - b))^n, so keep b away from 1."""
-    from toriclab.pairs import _psi
-
+    tested for membership and evaluated on the cone's linear piece, both
+    read off LogDiscrepancyFunctionPieces.  The box volume grows like
+    (1/(1 - b))^n, so keep b away from 1."""
     if any(b > 1 for b in pair.boundary):
         return "not-lc"
-    psi = _psi(pair)
+    psi = LogDiscrepancyFunctionPieces(pair)
     if any(b == 1 for b in pair.boundary):
         return "lc"
     fan = pair.fan
     rays = set(fan.rays)
     worst = None
     for k, c in enumerate(fan.max_cones):
-        member = fan.cones[k].contains
         lo, hi = [0] * fan.rank, [0] * fan.rank
         for i in c:
             scale = 1 / (1 - pair.boundary[i])
@@ -912,9 +906,9 @@ def singularity_type_scan(pair):
                 lo[d] = min(lo[d], math.floor(x))
                 hi[d] = max(hi[d], math.ceil(x))
         for pt in itertools.product(*(range(lo[d], hi[d] + 1) for d in range(fan.rank))):
-            if all(x == 0 for x in pt) or math.gcd(*pt) != 1 or pt in rays or not member(pt):
+            if all(x == 0 for x in pt) or math.gcd(*pt) != 1 or pt in rays or not psi.in_cone(k, pt):
                 continue
-            value = Fraction(sum(m * x for m, x in zip(piece(psi, k), pt)))
+            value = Fraction(_dot(psi.piece(k), pt))
             if value <= 1:
                 worst = value if worst is None else min(worst, value)
     if worst is None or worst > 1:
@@ -926,27 +920,47 @@ def least_psi_all_subsets(cone: Cone, alpha: Sequence[int], A: int) -> Optional[
     """The Caratheodory search Cone.triangulation replaced in
     pairs._least_exceptional_psi: the sign of (least psi) - 1 over the
     candidates of every linearly independent dim-subset of the generators
-    (its nonzero parallelepiped points and the sums a_i + a_j), one fresh
-    Smith chart per subset of a non-simplicial cone, on every call."""
-    rays, dim = cone.generators, cone.dim
+    (its nonzero parallelepiped points and the sums a_i + a_j), on every
+    call.
+
+    A subset's parallelepiped is read off a nonsingular k x k minor B of
+    its rows, k = dim: a lattice point x of the span is sum lambda_i g_i
+    with lambda = x_J adj(B) / det B for the minor's columns J, so modulo 1
+    the lambda are t / N, N = |det B|, for t in the group of the N residues
+    the rows of sign(det B).adj(B) generate modulo N; the residues whose
+    lift sum t_i g_i / N is integral are the box points."""
+    rays, dim = cone.generators, _rank(cone.generators)
     best = None
     for sub in itertools.combinations(range(len(rays)), dim):
-        chart = cone.solve_chart if len(rays) == dim else SolveChart.of([rays[i] for i in sub], cone.rank)
-        if len(chart.d) < dim:
+        gens = [rays[i] for i in sub]
+        for cols in itertools.combinations(range(cone.rank), dim):
+            B = [[g[j] for j in cols] for g in gens]
+            D = _det_int(B)
+            if D:
+                break
+        else:
             continue  # linearly dependent subset
-        U, d, L = chart.U, chart.d, chart.L
-        # integers throughout: psi = value / (L * A), L * frac(lambda_i) = lam_i mod L
+        N = abs(D)
+        steps = [[(x if D > 0 else -x) % N for x in row] for row in _adjugate_int(B)]
+        residues, todo = {(0,) * dim}, [(0,) * dim]
+        while todo:
+            t = todo.pop()
+            for step in steps:
+                u = tuple((x + y) % N for x, y in zip(t, step))
+                if u not in residues:
+                    residues.add(u)
+                    todo.append(u)
+        # integers throughout: psi = value / (N * A)
         a = [alpha[i] for i in sub]
-        steps = [[L // dj * x for x in row] for dj, row in zip(d, U)]
-        pairs_sums = (L * (x + y) for x, y in itertools.combinations(a, 2))
+        pairs_sums = (N * (x + y) for x, y in itertools.combinations(a, 2))
         box_points = (
-            sum(a[i] * (sum(tj * step[i] for tj, step in zip(t, steps)) % L) for i in range(dim))
-            for t in itertools.product(*(range(dj) for dj in d))
-            if any(t)
+            _dot(a, t)
+            for t in residues
+            if any(t) and all(_dot(t, column) % N == 0 for column in zip(*gens))
         )
         low = min(itertools.chain(pairs_sums, box_points), default=None)
         if low is not None:
-            sign = (low > L * A) - (low < L * A)
+            sign = (low > N * A) - (low < N * A)
             best = sign if best is None else min(best, sign)
     return best
 
@@ -957,7 +971,7 @@ def least_psi_all_subsets(cone: Cone, alpha: Sequence[int], A: int) -> Optional[
 
 def principal_divisor(X, character) -> tuple:
     """div(chi^m): coefficient <m, u_i> on the ray u_i."""
-    return tuple(Fraction(vdot(character, u)) for u in X.fan.rays)
+    return tuple(Fraction(_dot(character, u)) for u in X.fan.rays)
 
 
 def canonical_divisor(X) -> tuple:
@@ -980,59 +994,48 @@ def restrict_boundary(pair, coarse: Fan):
 
 def local_functionals_solve(fan: Fan, values: Sequence) -> list[Optional[tuple[Fraction, ...]]]:
     """For each maximal cone, some m with <m, u_i> = values[i] on the
-    cone's rays u_i, or None where no such m exists."""
+    cone's rays u_i, or None where no such m exists: row_echelon of
+    [G | values] for the cone's ray rows G, with 0 on the free columns."""
     out = []
     for c in fan.max_cones:
-        m = solve_rational([fan.rays[i] for i in c], fan.rank, [values[i] for i in c])
-        if m is not None and any(vdot(m, fan.rays[i]) != values[i] for i in c):
+        reduced, pivots = row_echelon([(*fan.rays[i], values[i]) for i in c], fan.rank)
+        if any(row[fan.rank] for row in reduced[len(pivots) :]):
+            out.append(None)
+            continue
+        m = [Fraction(0)] * fan.rank
+        for row, col in zip(reduced, pivots):
+            m[col] = row[fan.rank]
+        if any(_dot(m, fan.rays[i]) != values[i] for i in c):
             raise RuntimeError("linear solve broken: local functional misses a prescribed value on a ray")
-        out.append(m)
+        out.append(tuple(m))
     return out
 
 
 def is_cartier_solve(X, D: Sequence) -> bool:
-    """Like is_qcartier but the functional must be integral."""
+    """Like is_qcartier but the functional must be integral.  On each
+    maximal cone, with G its ray rows and b = -D on them, G m = b has a
+    solution over Z iff G and [G | b] have the same rank r and the same gcd
+    of r x r minors (minor_gcds)."""
     coeffs = [Fraction(c) for c in D]
     if any(c.denominator != 1 for c in coeffs):
         return False
-    for c in X.fan.max_cones:
-        b = [-int(coeffs[i]) for i in c]
-        if solve_integer([X.fan.rays[i] for i in c], X.fan.rank, b) is None:
+    fan = X.fan
+    for c in fan.max_cones:
+        G = [fan.rays[i] for i in c]
+        augmented = [(*g, -int(coeffs[i])) for g, i in zip(G, c)]
+        r = _rank(G)
+        if _rank(augmented) != r or (r and minor_gcds(augmented, r)[-1] != minor_gcds(G, r)[-1]):
             return False
     return True
 
 
-def index_smith(pair) -> int:
-    """Least m >= 1 with m(K+B) Cartier.
-
-    On a maximal cone with ray matrix G and Smith form U.G.V = diag(d),
-    m(K+B) is Cartier iff m r_i / d_i is an integer wherever d_i != 0 and
-    r_i = 0 wherever d_i = 0, for r = U.(-(K+B) on the cone's rays).  So
-    the index is the lcm of the coefficient denominators and of the
-    denominators of r_i / d_i; a nonzero r_i over d_i = 0 means K+B is not
-    Q-Cartier, which raises ValueError.
-    """
-    fan = pair.fan
-    m = math.lcm(*(b.denominator for b in pair.boundary))
-    for c in fan.max_cones:
-        U, D, _ = smith_normal_form([fan.rays[i] for i in c], fan.rank)
-        d = tuple(row[i] for i, row in enumerate(D[: fan.rank]))
-        values = [1 - pair.boundary[i] for i in c]
-        r = tuple(vdot(row, values) for row in U)
-        for i, ri in enumerate(r):
-            di = d[i] if i < len(d) else 0
-            if di != 0:
-                m = math.lcm(m, (ri / di).denominator)
-            elif ri != 0:
-                raise ValueError(f"K+B is not Q-Cartier on the maximal cone {c}")
-    return m
-
-
 def index_scan(pair):
     """The m-scan the closed form replaced: least m with every coefficient
-    of m(K+B) integral and is_cartier_solve (an integer solve per cone).
-    The bound is the coefficient lcm times the lcm of the cones' lattice
-    indices, read off minor gcds; raises if K+B is not Q-Cartier."""
+    of m(K+B) integral and is_cartier_solve.  Those m are the multiples of
+    the index, and the coefficient lcm times the lcm of the cones' lattice
+    indices, read off minor gcds, is one of them when K+B is Q-Cartier; so
+    only its divisors are tried, in increasing order.  Raises if none is
+    Cartier, as K+B is then not Q-Cartier."""
     fan = pair.fan
     kb = tuple(b - 1 for b in pair.boundary)
     cone_lcm = 1
@@ -1041,79 +1044,70 @@ def index_scan(pair):
         nonzero = [g for g in minor_gcds([list(fan.rays[i]) for i in c]) if g != 0]
         cone_lcm = math.lcm(cone_lcm, nonzero[-1])
     bound = math.lcm(*(c.denominator for c in kb)) * cone_lcm
-    for m in range(1, bound + 1):
+    small = [m for m in range(1, math.isqrt(bound) + 1) if bound % m == 0]
+    for m in sorted({*small, *(bound // m for m in small)}):
         scaled = [m * x for x in kb]
         if all(x.denominator == 1 for x in scaled) and is_cartier_solve(pair.variety, scaled):
             return m
-    raise ValueError("no multiple of K+B up to the bound is Cartier: not Q-Cartier")
-
-
-def complexity_rho_class_group(pair, decomposition) -> int:
-    """The class-group reading of rho that the ray-matrix ranks replaced:
-    the rank of the free coordinates, in Cl(X), of each part's indicator
-    divisor."""
-    from toriclab.toric import divisor_class
-
-    class_rows = []
-    for _, rays in decomposition.parts:
-        indicator = [1 if i in rays else 0 for i in range(len(pair.fan.rays))]
-        class_rows.append(divisor_class(pair.variety, indicator).free)
-    if class_rows:
-        rho = matrix_rank(class_rows)
-    else:
-        rho = 0
-    return rho
-
-
-def is_log_cy_class_group(pair) -> bool:
-    """Log Calabi-Yau as the class-group test the rank test replaced: lc
-    and K+B trivial in Cl tensor Q; raises if K+B is not Q-Cartier."""
-    from toriclab.pairs import _psi
-    from toriclab.toric import divisor_class_q
-
-    if any(b > 1 for b in pair.boundary):
-        return False
-    _psi(pair)  # raises if K+B is not Q-Cartier
-    kb = tuple(b - 1 for b in pair.boundary)
-    return all(x == 0 for x in divisor_class_q(pair.variety, kb))
+    raise ValueError("no divisor of the bound makes K+B Cartier: not Q-Cartier")
 
 
 # The Fraction and rank readings of the pair invariants that the integer
-# psi record replaced, kept as they were; only rank R is taken here by a
-# fresh elimination instead of Fan.ray_rank, which now reads it off a dual
-# basis.
+# psi record replaced, every rank by `_rank`.
 
 
 class LogDiscrepancyFunctionPieces:
     """The PL function psi with psi(u_i) = 1 - b_i, one linear piece per
-    maximal cone (toric.local_functionals: the adjugate of a
-    full-dimensional simplicial cone, else its Smith chart).  Exists
+    maximal cone from local_functionals_solve.  A point is located in the
+    first maximal cone, in order, whose span equations (nullspace) vanish
+    on it and whose facet normals (facet_data_scan) are >= 0 on it.  Exists
     exactly when K+B is Q-Cartier."""
 
     def __init__(self, pair):
-        from toriclab.toric import local_functionals
-
         self.pair = pair
-        self._pieces: list[tuple[Fraction, ...]] = local_functionals(pair.fan, [1 - b for b in pair.boundary])
+        self._pieces = local_functionals_solve(pair.fan, [1 - b for b in pair.boundary])
         if any(m is None for m in self._pieces):
             raise ValueError("K+B is not Q-Cartier; no log discrepancy function")
+        self._cone_halfspaces = None  # _halfspaces of each maximal cone, on first need
 
     def piece(self, cone_index: int) -> tuple[Fraction, ...]:
         return self._pieces[cone_index]
 
-    def cone_index_of(self, v: Sequence) -> Optional[int]:
-        # facet data is computed per cone on first need and cached on the
-        # fan's Cone objects; classification never asks
-        for k, cone in enumerate(self.pair.fan.cones):
-            if cone.contains(v):
-                return k
-        return None
+    def in_cone(self, cone_index: int, v: Sequence) -> bool:
+        fan = self.pair.fan
+        if len(v) != fan.rank:
+            raise ValueError("point length differs from ambient rank")
+        if self._cone_halfspaces is None:
+            self._cone_halfspaces = [_halfspaces(cone) for cone in fan.cones]
+        equations, normals = self._cone_halfspaces[cone_index]
+        return not any(_dot(e, v) for e in equations) and all(_dot(h, v) >= 0 for h in normals)
+
+    def locate(self, v: Sequence) -> Optional[int]:
+        return next((k for k in range(len(self._pieces)) if self.in_cone(k, v)), None)
+
+    cone_index_of = locate  # the name pairs.LogDiscrepancyFunction gives it
 
     def __call__(self, v: Sequence) -> Fraction:
-        k = self.cone_index_of(v)
+        k = self.locate(v)
         if k is None:
             raise ValueError("valuation not visible in this fan: point outside the support")
-        return Fraction(vdot(self._pieces[k], v))
+        return Fraction(_dot(self._pieces[k], v))
+
+
+@lru_cache(maxsize=1024)
+def _halfspaces(cone):
+    """(span equations, facet normals) of a cone, each scaled to integers:
+    the nullspace of its generators and the normals of facet_data_scan.  A
+    line has no facets, as it is its own span."""
+    def integral(v):
+        scale = math.lcm(*(x.denominator for x in v))
+        return tuple(int(x * scale) for x in v)
+
+    try:
+        normals = tuple(integral(h) for _, h in facet_data_scan(cone))
+    except ValueError:  # a line
+        normals = ()
+    return tuple(map(integral, nullspace(cone.generators, cone.rank))), normals
 
 
 def piece(psi, cone_index: int) -> tuple[Fraction, ...]:
@@ -1134,30 +1128,15 @@ def coefficient_vector(decomposition, ray_count: int) -> tuple[Fraction, ...]:
     return tuple(coeffs)
 
 
-def index_pieces(pair) -> int:
-    """The index as the lcm of the coefficient denominators and of the
-    denominators of the Fraction pieces of psi."""
-    m = math.lcm(*(b.denominator for b in pair.boundary))
-    for piece in LogDiscrepancyFunctionPieces(pair)._pieces:
-        m = math.lcm(m, *(x.denominator for x in piece))
-    return m
-
-
-def _ray_rank(fan) -> int:
-    return matrix_rank(fan.rays)
-
-
 def is_log_cy_rank(pair) -> bool:
     """Log Calabi-Yau as the rank test: lc, K+B Q-Cartier (else
     ValueError), and rank[R | A(1 - b)] = rank R."""
-    from toriclab.pairs import _psi
-
     if any(b > 1 for b in pair.boundary):
         return False
-    _psi(pair)  # raises if K+B is not Q-Cartier
+    LogDiscrepancyFunctionPieces(pair)  # raises if K+B is not Q-Cartier
     A = math.lcm(*(b.denominator for b in pair.boundary))
     extended = [(*u, int(A * (1 - b))) for u, b in zip(pair.fan.rays, pair.boundary)]
-    return matrix_rank(extended) == _ray_rank(pair.fan)
+    return _rank(extended) == _rank(pair.fan.rays)
 
 
 def complexity_rho_rank(pair, decomposition) -> int:
@@ -1166,28 +1145,30 @@ def complexity_rho_rank(pair, decomposition) -> int:
     n = len(pair.fan.rays)
     parts = [tuple(int(i in part) for i in range(n)) for _, part in decomposition.parts]
     columns = list(zip(*pair.fan.rays))  # the rows of R^T
-    return matrix_rank(parts + columns) - _ray_rank(pair.fan)
+    return _rank(parts + columns) - _rank(pair.fan.rays)
+
 
 def is_fano_functionals(X) -> bool:
     """The Fraction ampleness test that the chart's integer test replaced:
     a piece m with m.u = 1 on every maximal cone's rays, here from
-    local_functionals_solve, and m.g < 1 across every wall."""
+    local_functionals_solve, and m.g < 1 across every wall.  The fan must
+    be simplicial with full-dimensional cones, by ranks, and complete: each
+    wall of facet_data_scan lies in two cones."""
     fan = X.fan
-    if not fan.max_cones or not is_complete(fan) or not is_simplicial(fan):
+    cones = fan.cones
+    full = bool(cones) and all(len(c.generators) == _rank(c.generators) == fan.rank for c in cones)
+    wall_map = _walls_scan(cones) if full else {}
+    if not full or any(len(ks) != 2 for ks in wall_map.values()):
         raise ValueError("ampleness test unsupported: fan must be complete and simplicial")
     functionals = local_functionals_solve(fan, [Fraction(1)] * len(fan.rays))
     if any(m is None for m in functionals):
         return False
-    cones = fan.cones
-    for key, ks in walls(cones).items():
-        if len(ks) != 2:
-            continue
-        (a, _), (b, _) = ks
+    for key, (a, b) in wall_map.items():
         for g in set(cones[b].generators) - key:
-            if vdot(functionals[a], g) >= 1:
+            if _dot(functionals[a], g) >= 1:
                 return False
         for g in set(cones[a].generators) - key:
-            if vdot(functionals[b], g) >= 1:
+            if _dot(functionals[b], g) >= 1:
                 return False
     return True
 
@@ -1248,14 +1229,14 @@ def dual_polygon_halfplane_oracle(vertices):
 
 def is_smooth_fano_det(P) -> bool:
     """The smooth Fano test as the library ran it on polygons before it read
-    the edges' cached determinants: each facet has n vertices, and their
-    n x n matrix has determinant +-1."""
-    if not P.contains_origin_interior():
+    the edges' cached determinants: each facet (facet_functionals_scan)
+    has n vertices, and their n x n matrix has determinant +-1."""
+    if P.dim != P.rank or not origin_interior_lp(P.vertices, P.rank):
         raise ValueError("smooth Fano test needs the origin interior")
-    for members, _, _ in P._facets:
+    for members, _ in facet_functionals_scan(P):
         if len(members) != P.rank:
             return False
-        if abs(det([P.vertices[i] for i in sorted(members)])) != 1:
+        if abs(_det_int([list(P.vertices[i]) for i in sorted(members)])) != 1:
             return False
     return True
 
@@ -1274,7 +1255,7 @@ def facet_functionals_scan(P):
         a = _solve_affine([verts[i] for i in sub], n)
         if a is None:
             continue
-        vals = [vdot(a, v) for v in verts]
+        vals = [_dot(a, v) for v in verts]
         if all(v >= -1 for v in vals):
             members = frozenset(i for i, v in enumerate(vals) if v == -1)
             if len(members) >= n:
@@ -1411,11 +1392,11 @@ def normal_form_search(P):
 def reflexive_polygons_boundary_walk(box=4):
     """Enumerate one-interior-point polygons as cycles of primitive points
     with consecutive determinant one (the empty-fan-triangle property),
-    reduced by the library's normal form only at the very end.
+    reduced by normal_form_search only at the very end.
 
     Returns the set of normal-form vertex tuples.
     """
-    from toriclab.polytope import Polytope, unimodular_normal_form
+    from toriclab.polytope import Polytope
 
     pts = [
         (x, y)
@@ -1441,7 +1422,7 @@ def reflexive_polygons_boundary_walk(box=4):
         if len(verts) < 3:
             return
         poly = Polytope.hull(verts, rank=2)
-        found.add(unimodular_normal_form(poly).vertices)
+        found.add(normal_form_search(poly).vertices)
 
     def dfs(start, chain):
         last = chain[-1]
@@ -1531,9 +1512,9 @@ def _accept_cycle(seq: list[tuple[int, int]], found: dict) -> None:
     det(v, w) = gcd(w - v): each edge lies at lattice distance 1 from the
     origin, so its facet functional is integral and the polygon, whose
     vertices are all of seq, is reflexive."""
-    from toriclab.polytope import Polytope, unimodular_normal_form
+    from toriclab.polytope import Polytope
 
-    nf = unimodular_normal_form(Polytope.hull(seq, rank=2))
+    nf = normal_form_search(Polytope.hull(seq, rank=2))
     found.setdefault(nf.vertices, nf)
 
 
@@ -1728,7 +1709,7 @@ def facet_data_scan(cone):
     h.g > 0 on every other generator; together with the nullspace of the
     generators it yields an H-description of the cone.
     """
-    d = cone.dim
+    d = _rank(cone.generators)
     if d == 0:
         return ()
     if d == 1:
@@ -1742,7 +1723,7 @@ def facet_data_scan(cone):
         kernel = _nullspace_within(rows, cone.generators, span_ann)
         if kernel is None:
             continue
-        vals = [vdot(kernel, g) for g in cone.generators]
+        vals = [_dot(kernel, g) for g in cone.generators]
         if all(v >= 0 for v in vals):
             h = kernel
         elif all(v <= 0 for v in vals):
@@ -1752,7 +1733,7 @@ def facet_data_scan(cone):
             continue
         members = frozenset(i for i in idx if vals[i] == 0)
         rows = [cone.generators[i] for i in members]
-        if rows and matrix_rank(rows) == d - 1:
+        if rows and _rank(rows) == d - 1:
             found.setdefault(members, h)
     return tuple(sorted(found.items(), key=lambda kv: sorted(kv[0])))
 
@@ -1765,7 +1746,7 @@ def _nullspace_within(rows, gens, span_ann):
     functionals killing all of `gens`; the candidate is made canonical by
     clearing its pivot columns."""
     for h in nullspace(rows, len(gens[0])):
-        if any(vdot(h, g) != 0 for g in gens):
+        if any(_dot(h, g) != 0 for g in gens):
             break
     else:
         return None
@@ -1784,7 +1765,7 @@ def _positive_functional(gens, rank):
     cone.  Its primitive generators are {g} or {g, -g}: the generator sum
     works for the first, and no such functional exists for the second."""
     total = tuple(sum(g[i] for g in gens) for i in range(rank))
-    if not all(vdot(total, g) > 0 for g in gens):
+    if not all(_dot(total, g) > 0 for g in gens):
         raise ValueError("no positive functional: cone is not strongly convex")
     return tuple(Fraction(x) for x in total)
 
@@ -1829,18 +1810,6 @@ def meet_in_common_face_lp(fan, ca, cb) -> bool:
     return linear_feasible_simplex(fan.rank, equalities=eqs, gte=gte)
 
 
-def cone_contains_nullspace(cone, x, strict):
-    """Membership read off the Fraction nullspace of the generators, an
-    elimination apart from the cone's own, then the facet normals."""
-    if any(vdot(e, x) for e in nullspace(cone.generators, cone.rank)):
-        return False
-    try:
-        facets = cone.facet_data
-    except ValueError:  # a line, which is its own span
-        return True
-    return all(v > 0 or (v == 0 and not strict) for v in (vdot(h, x) for _, h in facets))
-
-
 def is_face_lp(sub, cone):
     """Exposed-face test: some functional vanishes exactly on sub's
     generators and is >= 1 on the remaining generators of `cone`."""
@@ -1882,13 +1851,12 @@ def origin_interior_lp(vertices, rank):
     return linear_feasible_simplex(k, equalities=eqs, gt=pos)
 
 
-# ---------------------------------- fan validation and Smith-chart pieces
+# ------------------------------------------------------- fan validation
 
-# What the wall criterion and a cone's dual basis replaced, moved here
-# unchanged: validate_fan's pairwise scan (one double-description run per
-# pair of maximal cones), is_refinement's per-cone scan (every fine cone's
-# rays against every coarse cone), and local_functionals and is_unimodular
-# reading every cone's Smith chart.
+# What the wall criterion replaced, with this file's LPs and facet scan in
+# place of the library's: validate_fan's pairwise scan (one separating
+# functional per pair of maximal cones), and is_refinement's per-cone scan
+# (every fine cone's rays against every coarse cone).
 
 
 def validate_fan_pairwise(fan: Fan) -> Diagnostics:
@@ -1905,15 +1873,15 @@ def validate_fan_pairwise(fan: Fan) -> Diagnostics:
             return Diagnostics(False, "ray not contained in any maximal cone", (fan.rays[i],))
     cones = fan.cones
     for idx, cone in zip(fan.max_cones, cones):
-        if not cone.is_strongly_convex():
+        if not strongly_convex_lp(cone):
             return Diagnostics(False, "maximal cone is not strongly convex", (idx,))
-        if not cone.generators_extremal():
+        if not generators_extremal_lp(cone):
             return Diagnostics(False, "non-extremal generator in maximal cone", (idx,))
     for a, b in itertools.combinations(range(len(cones)), 2):
         ia, ib = set(fan.max_cones[a]), set(fan.max_cones[b])
         if ia <= ib or ib <= ia:
             return Diagnostics(False, "maximal cone contained in another", (fan.max_cones[a], fan.max_cones[b]))
-        if not _meet_in_common_face(fan, fan.max_cones[a], fan.max_cones[b]):
+        if not meet_in_common_face_lp(fan, fan.max_cones[a], fan.max_cones[b]):
             return Diagnostics(
                 False,
                 "cones do not intersect in a common face",
@@ -1934,7 +1902,7 @@ def is_refinement_scan(fine: Fan, coarse: Fan) -> bool:
         hosts = [
             k
             for k, cc in enumerate(coarse_cones)
-            if all(cc.contains(g) for g in gens)
+            if all(cone_contains_lp(cc, g, False) for g in gens)
         ]
         if not hosts:
             return False
@@ -1948,7 +1916,8 @@ def is_refinement_scan(fine: Fan, coarse: Fan) -> bool:
 
 # The coverage test is_refinement used before the one oriented wall test
 # (fan._covers_once): walls in one or two cones, boundary walls on coarse
-# facets, and the cones connected across walls.  It never checks that two
+# facets, and the cones connected across walls, every facet from
+# facet_data_scan and every dimension a rank.  It never checks that two
 # cones across a wall lie on opposite sides, so on an invalid fine fan it
 # can accept an overlap; is_refinement_scan is a reference only where the
 # fine fan is valid.
@@ -1960,25 +1929,34 @@ def _covers(fine: Fan, fine_indices: list[int], coarse_cone: Cone) -> bool:
     fine cones, boundary walls lie on coarse facets."""
     if not fine_indices:
         return False
-    d = coarse_cone.dim
     cones = [fine.cones[i] for i in fine_indices]
-    for c in cones:
-        if c.dim == d and set(c.generators) == set(coarse_cone.generators):
-            return True  # the coarse cone itself appears
-    if any(c.dim != d for c in cones):
+    if any(set(c.generators) == set(coarse_cone.generators) for c in cones):
+        return True  # the coarse cone itself appears
+    d = _rank(coarse_cone.generators)
+    if any(_rank(c.generators) != d for c in cones):
         return False
     # the fine generators lie in the coarse cone, so one is on a coarse
     # facet iff that facet's normal vanishes on it
-    normals = [h for _, h in coarse_cone.facet_data]
-    wall_map = {key: [k for k, _ in ks] for key, ks in walls(cones).items()}  # cone indices only
+    normals = [h for _, h in facet_data_scan(coarse_cone)]
+    wall_map = _walls_scan(cones)
     for key, ks in wall_map.items():
         if len(ks) == 2:
             continue
         if len(ks) != 1:
             return False
-        if not any(all(vdot(h, g) == 0 for g in key) for h in normals):
+        if not any(all(_dot(h, g) == 0 for g in key) for h in normals):
             return False
     return _connected(len(cones), wall_map)
+
+
+def _walls_scan(cones) -> dict[frozenset[Vec], list[int]]:
+    """The facets of facet_data_scan of the given cones, each named by its
+    generators, mapped to the indices of the cones that have it."""
+    out: dict[frozenset[Vec], list[int]] = {}
+    for k, cone in enumerate(cones):
+        for members, _ in facet_data_scan(cone):
+            out.setdefault(frozenset(cone.generators[i] for i in members), []).append(k)
+    return out
 
 
 def _connected(n: int, wall_map: dict[frozenset[Vec], list[int]]) -> bool:
@@ -1995,53 +1973,6 @@ def _connected(n: int, wall_map: dict[frozenset[Vec], list[int]]) -> bool:
         for k in ks[1:]:
             parent[find(k)] = find(ks[0])
     return len({find(i) for i in range(n)}) == 1
-
-
-def local_functionals_smith(fan: Fan, values: Sequence) -> list[Optional[tuple[Fraction, ...]]]:
-    """For each maximal cone, some m with <m, u_i> = values[i] on the
-    cone's rays u_i, or None where no such m exists.
-
-    The values are scaled once to integers alpha = A.values, A the lcm of
-    their denominators.  Each cone's Smith chart then answers in integers:
-    no piece iff Z.alpha != 0 on the cone's rays, and otherwise the piece
-    M.alpha / (L.A).  On a full-dimensional cone that is the only
-    solution; on a lower-dimensional one it is the solution whose free
-    Smith coordinates vanish, and only its values on the cone's span are
-    meaningful.
-    """
-    values = [Fraction(v) for v in values]
-    if len(values) != len(fan.rays):
-        raise ValueError("expected one coefficient per ray")
-    A = math.lcm(*(v.denominator for v in values))
-    alpha = [int(v * A) for v in values]
-    out = []
-    for c, cone in zip(fan.max_cones, fan.cones):
-        chart = cone.solve_chart
-        a = [alpha[i] for i in c]
-        lm = chart.solve(a)
-        if lm is not None and any(vdot(lm, g) != chart.L * x for g, x in zip(cone.generators, a, strict=True)):
-            raise RuntimeError("linear solve broken: local functional misses a prescribed value on a ray")
-        out.append(None if lm is None else tuple(Fraction(x, chart.L * A) for x in lm))
-    return out
-
-
-def scaled_piece_smith(cone, a: Sequence[int]) -> tuple[int, Optional[Vec]]:
-    """(L, L.m) with L > 0 for the piece m with m.g_i = a_i on the cone's
-    generators, or (L, None) when no such m exists (a integral), read off
-    the cone's Smith chart: L the largest invariant and L.m = M.a.  The
-    reader toric._scaled_piece used on every cone without a dual basis
-    before a full-dimensional cone read its seeds."""
-    chart = cone.solve_chart
-    L, lm = chart.L, chart.solve(a)
-    if lm is not None and any(vdot(lm, g) != L * x for g, x in zip(cone.generators, a, strict=True)):
-        raise RuntimeError("linear solve broken: local functional misses a prescribed value on a ray")
-    return L, lm
-
-
-def is_unimodular_smith(cone) -> bool:
-    """Generators extend to a basis of the ambient lattice (and the cone is
-    simplicial), read off the cone's Smith chart."""
-    return len(cone.generators) == matrix_rank(cone.generators) and cone.solve_chart.L == 1
 
 
 # ------------------------------------------------------ random instances

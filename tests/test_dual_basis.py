@@ -1,9 +1,10 @@
 """A full-dimensional simplicial cone's dual basis (its seeds, Cone.seeds,
 when len(generators) == dim == rank: one adjugate) against what it
 replaced: the double description for facets, a Gauss-Jordan solve over
-Fractions for membership, each cone's Smith chart for the linear pieces
-(oracles.local_functionals_smith) and the unimodular test, and the Smith
-and Fraction readings of the Cartier and Fano tests."""
+Fractions for membership and for the linear pieces
+(oracles.local_functionals_solve, compared as test_solve_chart compares
+them), gcds of minors for the unimodular test, and the determinantal and
+Fraction readings of the Cartier and Fano tests."""
 
 import itertools
 import math
@@ -29,11 +30,12 @@ from toriclab.toric import (
 from oracles import (
     is_cartier_solve,
     is_fano_functionals,
-    is_unimodular_smith,
-    local_functionals_smith,
+    local_functionals_solve,
+    minor_gcds,
     random_complete_2d_fan,
     row_echelon,
 )
+from test_solve_chart import _check_pieces
 
 
 def _random_basis(rng, n, size):
@@ -186,14 +188,13 @@ def test_local_functionals_match_the_smith_charts(name, fan):
     rng = random.Random(name)
     for trial in range(30):
         values = _values(rng, fan, trial % 3)
-        assert local_functionals(fan, values) == local_functionals_smith(Fan(fan.rays, fan.max_cones, fan.rank), values)
+        _check_pieces(fan, values, random.Random(trial))  # its own points, so the values drawn stay as they were
 
 
 def test_local_functionals_report_the_missing_pieces():
     square = cone_over_square_fan()
-    assert local_functionals(square, [1, 2, 1, 1]) == local_functionals_smith(square, [1, 2, 1, 1]) == [None]
-    mixed = dict(FANS)["mixed 3D cones"]
-    assert local_functionals(mixed, [1, 2, 3, 4, 5])[1:] == local_functionals_smith(mixed, [1, 2, 3, 4, 5])[1:]
+    assert local_functionals(square, [1, 2, 1, 1]) == local_functionals_solve(square, [1, 2, 1, 1]) == [None]
+    _check_pieces(dict(FANS)["mixed 3D cones"], [1, 2, 3, 4, 5], random.Random(0))
 
 
 def _random_simplicial_fans(rng):
@@ -215,19 +216,24 @@ def test_local_functionals_match_the_smith_charts_on_seeded_fans():
     for fan in _random_simplicial_fans(rng):
         negative += sum(_adjugate(cone)[0] < 0 for cone in fan.cones)
         for trial in range(6):
-            values = _values(rng, fan, trial % 3)
-            assert local_functionals(fan, values) == local_functionals_smith(Fan(fan.rays, fan.max_cones, fan.rank), values)
+            _check_pieces(fan, _values(rng, fan, trial % 3), random.Random(trial))
     assert negative > 20
 
 
 # ---------------------------------------- unimodular, Cartier and Fano
 
 
+def _unimodular_by_minors(cone):
+    """Independent generators whose maximal minors have gcd 1 (Smith form
+    1, ..., 1), read off oracles.minor_gcds."""
+    return len(cone.generators) <= cone.rank and minor_gcds(cone.generators)[-1] == 1
+
+
 @pytest.mark.parametrize("name,fan", FANS, ids=[n for n, _ in FANS])
 def test_unimodular_cartier_and_fano_are_unchanged(name, fan):
     rng = random.Random(f"{name} cartier")
     for cone in fan.cones:
-        assert cone.is_unimodular() == is_unimodular_smith(Cone(cone.generators, cone.rank))
+        assert cone.is_unimodular() == _unimodular_by_minors(cone)
     X = ToricVariety(fan)
     for _ in range(25):
         D = [rng.randint(-4, 4) for _ in fan.rays]
@@ -256,5 +262,5 @@ def test_fano_and_unimodular_on_seeded_fans_with_negative_determinants():
         assert answer == is_fano_functionals(ToricVariety(Fan(fan.rays, fan.max_cones, fan.rank)))
         fano += answer
         for cone in fan.cones:
-            assert cone.is_unimodular() == is_unimodular_smith(Cone(cone.generators, cone.rank))
+            assert cone.is_unimodular() == _unimodular_by_minors(cone)
     assert 0 < fano < 55

@@ -120,6 +120,24 @@ def test_malformed_input_exits_2_without_traceback(argv, tmp_path):
     assert out.getvalue() == ""
 
 
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["pair", "discrepancy", P2_PAIR, "--point="], "--point"),
+        (["fan", "subdivide", P2, "--stratum", "0,,1"], "--stratum"),
+        (["fan", "subdivide", P2, "--stratum", "0,1", "--ray=a"], "--ray"),
+        (["markov", "adjacent", "--triple", "1,1,1,"], "--triple"),
+    ],
+    ids=["--point=", "--stratum 0,,1", "--ray=a", "--triple 1,1,1,"],
+)
+def test_argument_errors_cite_the_flag_and_no_file_line(argv, flag):
+    # a malformed integer list on the command line is not a line of a file
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert main(argv) == 2
+    assert err.getvalue() == f"error: {flag} must be comma-separated integers\n"
+
+
 def test_a_second_fan_line_is_an_error(tmp_path):
     (tmp_path / "p1.fan").write_bytes(FILES["p1.fan"])
     assert parse_pair("fan p1.fan\ncoeff 0 1\n", str(tmp_path)).boundary == (0, 1)

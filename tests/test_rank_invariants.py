@@ -1,7 +1,8 @@
-"""Complexity and the log Calabi-Yau test read off ranks of the ray matrix,
-against the class-group formulas they replaced (tests/oracles.py); and the
-class group, read off the cached presentation, against the cokernel of the
-ray matrix and against gcds of its minors."""
+"""Complexity and the log Calabi-Yau test, read off the library's ranks of
+the ray matrix and its psi record, against the rank formulas of
+tests/oracles.py, which take their ranks by the oracles' own elimination;
+and the class group, read off the cached presentation, against the
+cokernel of the ray matrix and against gcds of its minors."""
 
 import random
 from fractions import Fraction
@@ -20,8 +21,8 @@ from toriclab.toric import ToricVariety, class_group, weighted_projective_fan
 from oracles import (
     coefficient_vector,
     cokernel_structure,
-    complexity_rho_class_group,
-    is_log_cy_class_group,
+    complexity_rho_rank,
+    is_log_cy_rank,
     primitive_distinct,
     random_complete_2d_fan,
 )
@@ -70,7 +71,7 @@ def _boundaries(rng, fan):
 
 def _check_complexity(pair, decomposition):
     report = complexity(pair, decomposition)
-    assert report.rho == complexity_rho_class_group(pair, decomposition), (pair.fan.rays, decomposition)
+    assert report.rho == complexity_rho_rank(pair, decomposition), (pair.fan.rays, decomposition)
     return report.rho
 
 
@@ -78,7 +79,7 @@ def _check_log_cy(pair):
     """The verdict both formulas give, or "raises" when both raise the
     same ValueError (K+B not Q-Cartier)."""
     try:
-        want = is_log_cy_class_group(pair)
+        want = is_log_cy_rank(pair)
     except ValueError as e:
         with pytest.raises(ValueError) as got:
             is_log_cy(pair)
@@ -156,8 +157,8 @@ def test_rank_of_the_ray_matrix_is_taken_once_per_fan(monkeypatch, count_calls):
         report = complexity(pair, decomposition_by_primes(pair))
         verdict = is_log_cy(pair)
         assert sorted(call.owner.__name__.rsplit(".", 1)[1] for call in calls) == want, (pair.fan.rays, pair.boundary)
-        assert report.rho == complexity_rho_class_group(pair, decomposition_by_primes(pair))
-        assert verdict == is_log_cy_class_group(pair)
+        assert report.rho == complexity_rho_rank(pair, decomposition_by_primes(pair))
+        assert verdict == is_log_cy_rank(pair)
     monkeypatch.undo()
     assert p123.ray_rank == 2 and flat.ray_rank == 3 and Fan.from_data([], [], rank=3).ray_rank == 0
 

@@ -1,12 +1,10 @@
 """A cone's seeds (Cone.seeds, from the one echelon the double description
 seeds from) and the readers they serve: the dimension, the dual basis and
 the linear piece on every full-dimensional cone, strongly convex or not
-(toric._scaled_piece), against the Smith chart that read the pieces before
-(oracles.scaled_piece_smith) and the solves of tests/oracles.py.  Pieces
+(toric._scaled_piece), against the solves of tests/oracles.py.  Pieces
 are compared as Fractions, never by their scale L.  Also count guards on
 Smith forms and ranks, and the triangulation of a cone with a line."""
 
-import math
 import random
 from fractions import Fraction
 
@@ -20,7 +18,7 @@ from toriclab.lattice import vdot
 from toriclab.pairs import ToricPair, index, is_log_cy, singularity_type, validate_pair
 from toriclab.toric import ToricVariety, _scaled_piece, is_cartier, is_qcartier, local_functionals
 
-from oracles import is_log_cy_rank, local_functionals_solve, primitive_distinct, row_echelon, scaled_piece_smith
+from oracles import is_log_cy_rank, local_functionals_solve, primitive_distinct, row_echelon
 from test_solve_chart import _affine, _boundary, _check_cartier, _check_index, _check_pieces, _values
 from test_triangulation import _point_set
 
@@ -54,19 +52,15 @@ def _check_seeds(cone):
 
 
 def _check_cone(gens, rng):
-    """The seeds, the piece of a full-dimensional cone against the Smith
-    chart, and every answer read from it on the cone's affine fan against
-    the solves."""
+    """The seeds, and every answer read from them on the cone's affine fan
+    against the solves: its piece (toric._scaled_piece, through
+    local_functionals), Cartier and Q-Cartier tests, index and log CY
+    test."""
     fan = _affine(gens)
     cone = fan.cones[0]
     _check_seeds(cone)
     for _ in range(4):
         values = _values(rng, fan)
-        scale = math.lcm(*(v.denominator for v in values))
-        a = [int(v * scale) for v in values]
-        fresh = Cone(cone.generators, cone.rank)  # so the oracle's chart warms no cone under test
-        got = _fractions(*_scaled_piece(cone, a))
-        assert got == _fractions(*scaled_piece_smith(fresh, a)), (gens, a)
         _check_pieces(fan, values, rng)
         X = ToricVariety(fan)
         D = [rng.randint(-3, 3) for _ in fan.rays]
@@ -153,14 +147,14 @@ def test_seeded_cones_with_a_negative_last_match_the_smith_chart():
         cone = Cone.from_generators(gens, n) if gens else None
         if cone is None or cone.dim < n or cone.seeds[0] > 0:
             continue
-        fresh = Cone(cone.generators, n)
+        fan = _affine(cone.generators)  # its rays are the cone's generators, in order
         for _ in range(4):
             if rng.random() < 0.5:  # the values of an integral functional: a piece exists
                 m = [rng.randint(-3, 3) for _ in range(n)]
                 a = [vdot(m, g) for g in cone.generators]
             else:
                 a = [rng.randint(-5, 5) for _ in cone.generators]
-            assert _fractions(*_scaled_piece(cone, a)) == _fractions(*scaled_piece_smith(fresh, a)), (cone.generators, a)
+            assert _fractions(*_scaled_piece(cone, a)) == local_functionals_solve(fan, a)[0], (cone.generators, a)
         done[n] += 1
 
 

@@ -15,6 +15,11 @@ but `__future__`, toriclab and the standard library: the library stays
 standard-library only.  Only `_value.py` calls `object.__new__`, and no
 value class defines `__init__`: a value is built checked by the shared
 `Value.__init__` or unchecked by `Value._trusted`, nothing else.
+
+The oracles the tests check the library against (tests/oracles.py) read
+the library as data only: they import nothing from it but value classes
+and `Vec`, call none of the routines whose answers they check, and read
+none of a cone's cached facts; `piece` alone reads the psi record.
 """
 
 import ast
@@ -30,6 +35,7 @@ from toriclab._value import Value
 PACKAGE = pathlib.Path(toriclab.__file__).parent
 ROOT = PACKAGE.parent.parent
 ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
+ORACLES = ROOT / "tests" / "oracles.py"
 PINNED = ROOT / "tests" / "test_pair_digest.py"
 BENCH = ROOT / "bench"
 
@@ -179,6 +185,11 @@ def test_library_imports_only_the_standard_library():
     assert not found, f"imports from outside the standard library in src/toriclab: {found}"
 
 
+def _value_classes():
+    modules = [importlib.import_module(f"toriclab.{path.stem}") for path in PACKAGE.glob("*.py") if path.stem != "__init__"]
+    return {c for m in modules for c in vars(m).values() if isinstance(c, type) and issubclass(c, Value)}
+
+
 def _calls_object_new(tree):
     return any(
         isinstance(n, ast.Attribute) and n.attr == "__new__" and isinstance(n.value, ast.Name) and n.value.id == "object"
@@ -193,8 +204,44 @@ def test_values_are_built_by_value_alone():
         if path.name != "_value.py" and _calls_object_new(ast.parse(path.read_text(encoding="utf-8")))
     )
     assert not found, f"object.__new__ outside _value.py: {found}"
-    modules = [importlib.import_module(f"toriclab.{path.stem}") for path in PACKAGE.glob("*.py") if path.stem != "__init__"]
-    classes = {c for m in modules for c in vars(m).values() if isinstance(c, type) and issubclass(c, Value)}
+    classes = _value_classes()
     assert len(classes) == 20
     own = sorted(c.__qualname__ for c in classes if c is not Value and "__init__" in vars(c))
     assert not own, f"value classes with their own __init__: {own}"
+
+
+# The library routines whose answers the oracles check, or that those
+# answers rest on: tests/oracles.py calls none of them ...
+ORACLE_UNCALLED = frozenset({
+    "_psi", "SolveChart", "smith_normal_form", "solve_rational", "solve_integer", "rank", "det",
+    "_meet_in_common_face", "walls", "is_complete", "is_simplicial", "local_functionals",
+    "divisor_class", "divisor_class_q", "unimodular_normal_form",
+})
+# ... and reads none of a cone's cached facts or point location
+ORACLE_UNREAD = frozenset({
+    "solve_chart", "seeds", "facet_data", "contains", "relint_contains",
+    "is_strongly_convex", "generators_extremal", "cone_index_of",
+})
+
+
+def test_oracles_read_the_library_as_data_only():
+    tree = ast.parse(ORACLES.read_text(encoding="utf-8"))
+    allowed = {c.__name__ for c in _value_classes()} | {"Vec"}
+    piece = next(d for d in tree.body if isinstance(d, ast.FunctionDef) and d.name == "piece")
+    in_piece = set(map(id, ast.walk(piece)))  # piece alone reads the psi record's `scaled`
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [f"{node.lineno}: import {a.name}" for a in node.names if a.name.split(".")[0] == "toriclab"]
+        elif isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "toriclab":
+            found += [f"{node.lineno}: imports {a.name}" for a in node.names if a.name not in allowed]
+        elif isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+            if name in ORACLE_UNCALLED:
+                found.append(f"{node.lineno}: calls {name}")
+        elif isinstance(node, ast.Attribute) and (
+            node.attr in ORACLE_UNREAD or node.attr == "scaled" and id(node) not in in_piece
+        ):
+            found.append(f"{node.lineno}: reads .{node.attr}")
+    assert not found, f"tests/oracles.py reads the library beyond its data: {found}"

@@ -30,7 +30,7 @@ def _both(fan):
     return validate_fan(_copy(fan)), validate_fan_pairwise(_copy(fan))
 
 
-def _accepts_exactly_the_valid_complete_fans(fan):
+def _accepts_exactly_the_valid_complete_fans(fan, pairwise):
     """Where every ray is used and every maximal cone is strongly convex
     with extremal generators, validate_fan's wall test behind its guard
     (_covers_space) holds iff the fan is valid, complete, and made of
@@ -38,7 +38,8 @@ def _accepts_exactly_the_valid_complete_fans(fan):
     valid fan of full-dimensional cones is complete iff every wall lies in
     two cones and the cones are linked across their walls.  The per-cone
     checks come first in validate_fan too: without them the wall test
-    passes, say, a 2D cone whose middle ray is not extremal."""
+    passes, say, a 2D cone whose middle ray is not extremal.  `pairwise` is
+    the fan's validate_fan_pairwise."""
     if set(range(len(fan.rays))) != set(itertools.chain.from_iterable(fan.max_cones)):
         return
     fan = _copy(fan)
@@ -47,7 +48,7 @@ def _accepts_exactly_the_valid_complete_fans(fan):
     expected = (
         bool(fan.max_cones)
         and all(cone.dim == fan.rank for cone in fan.cones)
-        and bool(validate_fan_pairwise(fan))
+        and bool(pairwise)
         and all(len(ks) == 2 for ks in fan.wall_map.values())
         and _connected(len(fan.cones), {w: [k for k, _ in ks] for w, ks in fan.wall_map.items()})
     )
@@ -174,7 +175,7 @@ NAMED = [
 def test_named_fans_get_the_pairwise_diagnostics(name, fan):
     fast, pairwise = _both(fan)
     assert fast == pairwise
-    _accepts_exactly_the_valid_complete_fans(fan)
+    _accepts_exactly_the_valid_complete_fans(fan, pairwise)
 
 
 def test_the_named_failures_are_the_ones_meant():
@@ -287,7 +288,7 @@ def test_seeded_fans_get_the_pairwise_diagnostics():
         ranks.add(fan.rank)
         fast, pairwise = _both(fan)
         assert fast == pairwise, fan
-        _accepts_exactly_the_valid_complete_fans(fan)
+        _accepts_exactly_the_valid_complete_fans(fan, pairwise)
         verdicts[_verdict(fan, pairwise)] += 1
     assert ranks == {1, 2, 3, 4}
     assert all(v >= 30 for v in verdicts.values()), verdicts
@@ -315,7 +316,7 @@ def test_seeded_face_fans_get_the_pairwise_diagnostics():
             continue
         fast, pairwise = _both(fan)
         assert fast == pairwise, fan
-        _accepts_exactly_the_valid_complete_fans(fan)
+        _accepts_exactly_the_valid_complete_fans(fan, pairwise)
         verdicts[_verdict(fan, pairwise)] += 1
     assert verdicts["accepted"] >= 50 and verdicts["invalid"] >= 30 and verdicts["valid by pairs"] >= 5, verdicts
 
@@ -350,7 +351,7 @@ def test_hypothesis_fans_get_the_pairwise_diagnostics(rnd):
         return
     fast, pairwise = _both(fan)
     assert fast == pairwise, fan
-    _accepts_exactly_the_valid_complete_fans(fan)
+    _accepts_exactly_the_valid_complete_fans(fan, pairwise)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -372,4 +373,4 @@ def test_hypothesis_arbitrary_simplicial_cones(rays, rnd):
     fan = Fan.from_data(rays, cones, rank=n)
     fast, pairwise = _both(fan)
     assert fast == pairwise, fan
-    _accepts_exactly_the_valid_complete_fans(fan)
+    _accepts_exactly_the_valid_complete_fans(fan, pairwise)
