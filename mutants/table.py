@@ -92,6 +92,18 @@ ROWS = [
         "new": "x = pow(u[0], -1, abs(u[1])) if u[1] else 1",
         "tests": ["tests/test_fan.py::test_resolve_general_generators_match_hilbert_basis_oracle"],
     },
+    # star_subdivision: a facet of a host that holds the stratum spans a
+    # flat cone with the new ray, and must be dropped
+    {
+        "name": "star-keeps-the-facets-holding-the-stratum",
+        "file": FAN,
+        "old": "            if not tau <= facet:\n",
+        "new": "            if True:\n",
+        "tests": [
+            "tests/test_fan.py::test_star_subdivision_at_single_ray_is_identity",
+            "tests/test_fan.py::test_star_subdivision_preserves_completeness_and_simpliciality",
+        ],
+    },
     # Cone._closure: without its guard every closure is the lineality
     # space, so no generator is redundant and no stratum is a face
     {
@@ -203,7 +215,7 @@ ROWS = [
     {
         "name": "value-repr-shows-every-field",
         "file": VALUE,
-        "old": "for name in self._repr_fields)",
+        "old": "for name in self._init_fields)",
         "new": "for name in self._fields)",
         "tests": [f"{VALUES}::test_repr_is_the_one_the_dataclass_printed"],
     },
@@ -236,6 +248,15 @@ ROWS = [
         "old": "not kwargs:\n            for name, value in zip(names, args):",
         "new": "not kwargs:\n            for name, value in zip(names[:-1], args):",
         "tests": [f"{VALUES}::test_repr_is_the_one_the_dataclass_printed"],
+    },
+    # Value._bind, the one route of every call but a full positional one:
+    # here it reads each keyword of a field from its place in sorted order
+    {
+        "name": "bind-reads-keywords-in-sorted-order",
+        "file": VALUE,
+        "old": "for name in names[len(args) :]:\n            value = kwargs.pop(name, self._fields[name])",
+        "new": "for name, key in zip(names[len(args) :], sorted(names[len(args) :])):\n            value = kwargs.pop(key, self._fields[key])",
+        "tests": [f"{VALUES}::test_positional_keyword_and_wrong_construction"],
     },
     # cached facts without the lock (toriclab._value.cached_property)
     {
@@ -283,7 +304,7 @@ ROWS = [
         "file": TORIC,
         "old": "else [-a[s] for s in at]",
         "new": "else [a[s] for s in at]",
-        "tests": ["tests/test_seeds.py::test_seeded_cones_with_a_negative_last_match_the_smith_chart"],
+        "tests": ["tests/test_seeds.py::test_seeded_cones_with_a_negative_last_match_the_solves"],
     },
     {
         "name": "box-walk-skips-the-last-invariant",

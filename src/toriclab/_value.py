@@ -21,9 +21,9 @@ the same repr:
   object.__setattr__; cached facts write the instance's __dict__, which
   every instance keeps.
 
-The shared __init__ takes *args and **kwargs: a full positional or full
-keyword call binds each field straight from the call, any other goes
-through _bind.  No value class defines its own __init__.
+The shared __init__ takes *args and **kwargs: a full positional call
+binds each field straight from the call, any other (keywords included)
+goes through _bind.  No value class defines its own __init__.
 
 `cls._trusted(*values)` binds every field, derived ones included, to the
 values in declaration order as given: it checks and normalises nothing and
@@ -109,8 +109,7 @@ class Value:
         if optional != sorted(optional):
             raise TypeError(f"{cls.__name__}: a field without a default follows one with a default")
         cls._fields = fields
-        cls._init_fields = cls._repr_fields = names
-        cls._defaults = {name: fields[name] for name in names if fields[name] is not _MISSING}
+        cls._init_fields = names
         cls._key = staticmethod(_getter(names))
         if order:
             for name, method in _ORDER.items():
@@ -121,12 +120,6 @@ class Value:
         if len(args) == len(names) and not kwargs:
             for name, value in zip(names, args):
                 object.__setattr__(self, name, value)
-        elif not args and len(kwargs) == len(names):
-            try:
-                for name in names:
-                    object.__setattr__(self, name, kwargs[name])
-            except KeyError:
-                self._bind(args, kwargs)
         else:
             self._bind(args, kwargs)
         self.__post_init__()
@@ -141,8 +134,8 @@ class Value:
         return out
 
     def _bind(self, args, kwargs):
-        """__init__'s binding on any other call: one that leaves out a
-        default, mixes positional and keyword arguments, or is wrong."""
+        """__init__'s binding on any call but a full positional one: with
+        keywords, with defaults left out, or wrong."""
         cls, names = type(self).__name__, self._init_fields
         if len(args) > len(names):
             raise TypeError(f"{cls}() takes {len(names)} arguments but {len(args)} were given")
@@ -151,7 +144,7 @@ class Value:
                 raise TypeError(f"{cls}() got multiple values for argument {name!r}")
             object.__setattr__(self, name, value)
         for name in names[len(args) :]:
-            value = kwargs.pop(name, self._defaults.get(name, _MISSING))
+            value = kwargs.pop(name, self._fields[name])
             if value is _MISSING:
                 raise TypeError(f"{cls}() missing required argument {name!r}")
             object.__setattr__(self, name, value)
@@ -163,7 +156,7 @@ class Value:
         has some defines its own."""
 
     def __repr__(self) -> str:
-        return f"{type(self).__qualname__}({', '.join(f'{name}={getattr(self, name)!r}' for name in self._repr_fields)})"
+        return f"{type(self).__qualname__}({', '.join(f'{name}={getattr(self, name)!r}' for name in self._init_fields)})"
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -771,19 +771,22 @@ def star_subdivision(fan: Fan, stratum: Iterable[int], ray: Optional[Sequence[in
     all other cones are kept.  This is the combinatorial model of blowing
     up the closed torus orbit attached to the stratum.
     """
-    tau = tuple(sorted(set(_integers(stratum))))
+    tau = set(_integers(stratum))
     if not tau:
         raise ValueError("stratum must contain at least one ray")
     if any(i < 0 or i >= len(fan.rays) for i in tau):
         raise ValueError("stratum ray index out of range")
-    hosts = [cone for c, cone in zip(fan.max_cones, fan.cones) if set(tau) <= set(c)]
-    if not hosts:
-        raise ValueError("stratum is not a cone of the fan")
+    hosts, new_cones = [], []
+    for k, c in enumerate(fan.max_cones):
+        if tau <= set(c):
+            hosts.append(k)
+        else:
+            new_cones.append(c)
     tau_cone = fan.cone(tau)
-    if not _is_face(tau_cone, hosts[0]):
+    if not hosts or not _is_face(tau_cone, fan.cones[hosts[0]]):
         raise ValueError("stratum is not a cone of the fan")
     if ray is None:
-        v = primitive(tuple(sum(fan.rays[i][d] for i in tau) for d in range(fan.rank)))
+        v = primitive(tuple(map(sum, zip(*tau_cone.generators))))
     else:
         v = primitive(_integers(ray))
         if not tau_cone.relint_contains(v):
@@ -796,17 +799,13 @@ def star_subdivision(fan: Fan, stratum: Iterable[int], ray: Optional[Sequence[in
         v_idx = len(new_rays)
         new_rays.append(v)
 
-    new_cones = []
-    for c, cone in zip(fan.max_cones, fan.cones):
-        if not set(tau) <= set(c):
-            new_cones.append(c)
-            continue
-        gen_to_fan = {fan.rays[i]: i for i in c}
-        for members, _ in cone.facet_data:
-            facet_fan_idx = {gen_to_fan[cone.generators[m]] for m in members}
-            if set(tau) <= facet_fan_idx:
-                continue
-            new_cones.append(tuple(sorted(facet_fan_idx | {v_idx})))
+    # Fan.cones[k].generators[m] is fan.rays[max_cones[k][m]]
+    for k in hosts:
+        c = fan.max_cones[k]
+        for members, _ in fan.cones[k].facet_data:
+            facet = {c[m] for m in members}
+            if not tau <= facet:
+                new_cones.append(tuple(sorted(facet | {v_idx})))
     return Fan(tuple(new_rays), tuple(new_cones), fan.rank)
 
 

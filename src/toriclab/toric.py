@@ -167,14 +167,12 @@ def is_cartier(X: ToricVariety, D: Sequence) -> bool:
 
 
 def projective_space_fan(n: int) -> Fan:
-    """Fan of P^n: the standard basis rays plus minus their sum."""
+    """Fan of P^n, which is P(1, ..., 1): the standard basis rays plus
+    minus their sum, as weighted_projective_fan builds it."""
     (n,) = _integers((n,))
     if n < 1:
         raise ValueError("need n >= 1")
-    rays = [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
-    rays.append(tuple(-1 for _ in range(n)))
-    cones = list(itertools.combinations(range(n + 1), n))
-    return Fan.from_data(rays, cones)
+    return weighted_projective_fan((1,) * (n + 1))
 
 
 def weighted_projective_fan(weights: Sequence[int]) -> Fan:

@@ -184,7 +184,7 @@ def _values(rng, fan, kind):
 
 
 @pytest.mark.parametrize("name,fan", FANS, ids=[n for n, _ in FANS])
-def test_local_functionals_match_the_smith_charts(name, fan):
+def test_local_functionals_match_the_solves(name, fan):
     rng = random.Random(name)
     for trial in range(30):
         values = _values(rng, fan, trial % 3)
@@ -210,7 +210,7 @@ def _random_simplicial_fans(rng):
         yield weighted_projective_fan([rng.randint(1, 9) for _ in range(rng.randint(2, 3))] + [1])
 
 
-def test_local_functionals_match_the_smith_charts_on_seeded_fans():
+def test_local_functionals_match_the_solves_on_seeded_fans():
     rng = random.Random(31337)
     negative = 0
     for fan in _random_simplicial_fans(rng):

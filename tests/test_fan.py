@@ -213,6 +213,21 @@ def test_star_subdivision_rejects_bad_input():
     j = square.rays.index((-1, 0, 1))
     with pytest.raises(ValueError, match="not a cone"):
         star_subdivision(square, [i, j])
+    with pytest.raises(ValueError, match="stratum must contain at least one ray"):
+        star_subdivision(P2, [])
+    for bad in ([0, 3], [-1]):
+        with pytest.raises(ValueError, match="stratum ray index out of range"):
+            star_subdivision(P2, bad)
+    # the checks run in order: the indices are integers, the stratum is
+    # not empty, its indices are in range, it is a cone, then the ray
+    with pytest.raises(ValueError, match="not an integer"):
+        star_subdivision(P2, [0.5])
+    with pytest.raises(ValueError, match="not an integer"):
+        star_subdivision(P2, [0, 3.5])
+    with pytest.raises(ValueError, match="not a cone"):
+        star_subdivision(P2, [0, 1, 2], (0.5, 1))
+    with pytest.raises(ValueError, match="not a cone"):
+        star_subdivision(P2, [0, 1, 2], (1, 0))
 
 
 def test_star_subdivision_preserves_completeness_and_simpliciality():

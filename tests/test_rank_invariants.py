@@ -103,7 +103,7 @@ def _check_fan(fan, rng):
 
 
 @pytest.mark.parametrize("name,fan", FANS, ids=[n for n, _ in FANS])
-def test_named_fans_match_the_class_group_formulas(name, fan):
+def test_named_fans_match_the_rank_formulas(name, fan):
     _check_fan(fan, random.Random(name))
 
 
@@ -165,7 +165,7 @@ def test_rank_of_the_ray_matrix_is_taken_once_per_fan(monkeypatch, count_calls):
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(st.randoms(use_true_random=False), st.integers(2, 4))
-def test_hypothesis_pairs_match_the_class_group_formulas(rnd, rank):
+def test_hypothesis_pairs_match_the_rank_formulas(rnd, rank):
     if rnd.random() < 0.3:
         fan = random_complete_2d_fan(rnd)
     else:

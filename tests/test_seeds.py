@@ -108,20 +108,20 @@ def test_dim_takes_no_rank(count_calls):
 
 
 @pytest.mark.parametrize("name,gens", FULL, ids=[n for n, _ in FULL])
-def test_named_full_dimensional_cones_match_the_smith_chart(name, gens):
+def test_named_full_dimensional_cones_match_the_solves(name, gens):
     rng = random.Random(name)
     for _ in range(10):
         assert _check_cone(gens, rng).dim == len(gens[0])
 
 
-def test_seeded_point_set_cones_match_the_smith_chart():
+def test_seeded_point_set_cones_match_the_solves():
     rng = random.Random(20261019)
     for rank, count in ((3, 60), (4, 30)):
         for _ in range(count):
             _check_cone(_point_set(rng, rank), rng)
 
 
-def test_seeded_cones_with_a_line_match_the_smith_chart():
+def test_seeded_cones_with_a_line_match_the_solves():
     rng = random.Random(24)
     with_line = 0
     for _ in range(80):
@@ -136,7 +136,7 @@ def test_seeded_cones_with_a_line_match_the_smith_chart():
     assert with_line >= 40
 
 
-def test_seeded_cones_with_a_negative_last_match_the_smith_chart():
+def test_seeded_cones_with_a_negative_last_match_the_solves():
     # L.m = sign(last) sum a_s h_s: the sign is folded into the a_s, so a
     # cone whose seeds have last < 0 is where a lost sign shows
     rng = random.Random(41)
@@ -160,7 +160,7 @@ def test_seeded_cones_with_a_negative_last_match_the_smith_chart():
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(st.randoms(use_true_random=False), st.sampled_from((3, 4)))
-def test_hypothesis_point_set_cones_match_the_smith_chart(rnd, rank):
+def test_hypothesis_point_set_cones_match_the_solves(rnd, rank):
     _check_cone(_point_set(rnd, rank), rnd)
 
 
@@ -169,7 +169,7 @@ def test_hypothesis_point_set_cones_match_the_smith_chart(rnd, rank):
     st.integers(2, 3).flatmap(lambda n: st.lists(st.tuples(*[st.integers(-2, 2)] * n), min_size=n, max_size=n + 3)),
     st.integers(0, 10**6),
 )
-def test_hypothesis_cones_with_a_line_match_the_smith_chart(gens, seed):
+def test_hypothesis_cones_with_a_line_match_the_solves(gens, seed):
     gens = primitive_distinct(gens)
     if gens:
         _check_cone(primitive_distinct(gens + [tuple(-x for x in gens[0])]), random.Random(seed))

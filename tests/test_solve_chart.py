@@ -390,11 +390,11 @@ def _check_span_membership(cone, rng):
 
 
 @pytest.mark.parametrize("name,gens", NAMED_CONES, ids=[n for n, _ in NAMED_CONES])
-def test_named_span_equations_match_the_nullspace(name, gens):
+def test_named_span_equations_match_the_lp(name, gens):
     _check_span_membership(Cone.from_generators(gens), random.Random(name))
 
 
-def test_seeded_span_equations_of_rank_2_to_5_match_the_nullspace():
+def test_seeded_span_equations_of_rank_2_to_5_match_the_lp():
     rng = random.Random(5150)
     full = 0
     for n in range(2, 6):
