@@ -17,6 +17,7 @@ TORIC = "src/toriclab/toric.py"
 COMPLEXITY = "src/toriclab/complexity.py"
 LATTICE = "src/toriclab/lattice.py"
 POLYTOPE = "src/toriclab/polytope.py"
+FILEFORMATS = "src/toriclab/fileformats.py"
 SMITH_AGREES = "tests/test_lattice.py::test_smith_form_matches_the_three_matrix_form_on_seeded_matrices"
 SEEDED_COFACTORS = "tests/test_echelon.py::test_seeded_rows_seed_from_cofactors_as_the_elimination_does"
 
@@ -35,7 +36,7 @@ ROWS = [
     {
         "name": "walls-check-4-dropped",
         "file": FAN,
-        "old": "return not any(all(vdot(h, inside) >= 0 for _, h in cone.facet_data) for cone in cones[1:])",
+        "old": "return not any(cone.contains(inside) for cone in cones[1:])",
         "new": "return True",
         "tests": ["tests/test_walls.py::test_the_named_failures_are_the_ones_meant"],
     },
@@ -359,11 +360,25 @@ ROWS = [
     {
         "name": "strongly-convex-always-true",
         "file": FAN,
-        "old": "            return not self._closure(frozenset())\n",
-        "new": "            return True\n",
+        "old": "        return not self._closure(frozenset())\n",
+        "new": "        return True\n",
         "tests": [
             "tests/test_walls.py::test_seeded_face_fans_get_the_pairwise_diagnostics",
             "tests/test_walls.py::test_hypothesis_arbitrary_simplicial_cones",
+        ],
+    },
+    {
+        "name": "line-facets-raise-again",
+        "file": FAN,
+        "old": "        _, facets, _ = _double_description(self.generators, self._echelon)\n",
+        "new": (
+            "        _, facets, _ = _double_description(self.generators, self._echelon)\n"
+            "        if self.dim == 1 and not facets:\n"
+            "            raise ValueError('no positive functional: cone is not strongly convex')\n"
+        ),
+        "tests": [
+            "tests/test_primitives.py::test_line_has_no_facet_data",
+            "tests/test_double_description.py::test_named_cones_match_scan_and_lp[line]",
         ],
     },
     {
@@ -450,5 +465,12 @@ ROWS = [
             "tests/test_psi_record.py::test_named_fans_match_the_oracles[P2]",
             "tests/test_solve_chart.py::test_named_cones_match_the_solves[4D simplicial]",
         ],
+    },
+    {
+        "name": "zero-ray-cites-line-1",
+        "file": FILEFORMATS,
+        "old": 'raise ParseError(lineno, "zero ray")',
+        "new": 'raise ParseError(1, "zero ray")',
+        "tests": ["tests/test_hardening.py::test_each_file_error_cites_its_own_line[zero-ray.fan]"],
     },
 ]

@@ -333,8 +333,10 @@ class Cone(Value):
         in the span?  x is in the span iff every functional of the
         echelon's rows without a pivot, which span those vanishing on the
         generators, vanishes on x (no such row when dim == rank).  A
-        full-dimensional simplicial cone reads its facets off its seeds.
-        Every row is as long as x, once x passes the length check."""
+        full-dimensional simplicial cone reads its facets off its seeds; a
+        cone that is its own span, such as a line, has none, and the span
+        test alone decides.  Every row is as long as x, once x passes the
+        length check."""
         if len(x) != self.rank:
             raise ValueError("point length differs from ambient rank")
         if self.dim < self.rank:
@@ -342,11 +344,7 @@ class Cone(Value):
             held = {c for c, _ in pivots}
             if any(vdot(h, x) for c, h in enumerate(H) if c not in held):
                 return False
-        try:
-            facets = self.facet_data
-        except ValueError:  # a line, which is its own span
-            return True
-        for _, h in facets:
+        for _, h in self.facet_data:
             v = sum(map(operator.mul, h, x))
             if v < 0 or v == 0 and strict:
                 return False
@@ -355,27 +353,24 @@ class Cone(Value):
     def is_strongly_convex(self) -> bool:
         """True iff the cone contains no line, i.e. no generator lies in
         its lineality space, on every facet.  Independent generators never
-        do; a line has no facets at all."""
+        do; a cone that is its own span, such as a line, has no facets, so
+        every generator does."""
         if len(self.generators) == self.dim:
             return True
-        try:
-            return not self._closure(frozenset())
-        except ValueError:  # a line
-            return False
+        return not self._closure(frozenset())
 
     def generators_extremal(self) -> bool:
         """Every listed generator spans an extremal ray (always so for
         independent generators).  A generator g is redundant iff it lies
         in the cone over the other generators on every facet through g:
         each generator in a combination for g is on every facet g is on.
-        On a pointed cone an extremal g has no such others."""
+        On a pointed cone an extremal g has no such others; on a line, with
+        no facets, each generator's others are the opposite generator,
+        which does not hold it."""
         gens = self.generators
         if len(gens) == self.dim:
             return True
-        try:
-            flats = [self._closure(frozenset({i})) - {i} for i in range(len(gens))]
-        except ValueError:  # a line: neither generator spans the other
-            return True
+        flats = [self._closure(frozenset({i})) - {i} for i in range(len(gens))]
         return not any(flat and Cone(tuple(gens[j] for j in flat), self.rank).contains(g) for g, flat in zip(gens, flats))
 
     def _closure(self, idx: frozenset[int]) -> frozenset[int]:
@@ -422,7 +417,8 @@ class Cone(Value):
         pivot) it yields an H-description of the cone.  The run starts from
         the cone's cached echelon, so it takes no elimination of its own.
         A 1-dimensional cone has the origin as its one facet, unless it is
-        a line, which has none and raises ValueError.
+        a line.  A cone that is its own span (a line, a plane) has no
+        facets: () is its answer, and the span equations alone describe it.
         """
         if not self.generators:
             return ()
@@ -433,8 +429,6 @@ class Cone(Value):
                 (every - {s}, primitive(hs if last > 0 else tuple(-x for x in hs))) for s, hs in reversed(seeds)
             )
         _, facets, _ = _double_description(self.generators, self._echelon)
-        if self.dim == 1 and not facets:
-            raise ValueError("no positive functional: cone is not strongly convex")
         return tuple(sorted(((members, h) for h, members in facets), key=lambda kv: sorted(kv[0])))
 
     @cached_property
@@ -701,7 +695,7 @@ def _covers_once(
         elif len(sides) != 1 or not any(all(vdot(h, g) == 0 for g in wall) for h in boundary):
             return False
     inside = tuple(map(sum, zip(*cones[0].generators)))  # in every cone's span
-    return not any(all(vdot(h, inside) >= 0 for _, h in cone.facet_data) for cone in cones[1:])
+    return not any(cone.contains(inside) for cone in cones[1:])
 
 
 def _covers_space(fan: Fan) -> bool:

@@ -12,7 +12,8 @@ The formats are deliberately flat and hand-writable:
 '#' starts a comment, blank lines are ignored, and cone/coeff indices refer
 to the ray lines in file order.  A file has at most one dim line, and a
 pair file at most one fan line and one coeff line per ray index.  A
-coefficient is an integer, p/q or a decimal, without an exponent.
+coefficient is an integer, p/q or a decimal, without an exponent.  An
+error cites the line it is on; one of the file as a whole cites line 1.
 Emitters write the canonical ray order, so emit(parse(file)) is
 byte-identical exactly on canonical-form files.
 """
@@ -100,16 +101,19 @@ def _read_fan(entries, validate: bool = True) -> FanFile:
     dim: Optional[int] = None
     rays: list[tuple[int, ...]] = []
     cones: list[tuple[int, ...]] = []
-    ray_lines: dict[tuple[int, ...], int] = {}
+    ray_lines: dict[tuple[int, ...], int] = {}  # each ray made primitive, in file order -> its line
     for lineno, words in entries:
         key, args = words[0], words[1:]
         if key == "dim":
             dim = _dim(lineno, args, dim)
         elif key == "ray":
             ray = _point(lineno, key, args, dim)
-            if ray in ray_lines:
-                raise ParseError(lineno, f"duplicate ray (first seen on line {ray_lines[ray]})")
-            ray_lines[ray] = lineno
+            if not any(ray):
+                raise ParseError(lineno, "zero ray")
+            direction = primitive(ray)
+            if direction in ray_lines:
+                raise ParseError(lineno, f"duplicate ray (first seen on line {ray_lines[direction]})")
+            ray_lines[direction] = lineno
             rays.append(ray)
         elif key == "cone":
             if dim is None:
@@ -123,21 +127,20 @@ def _read_fan(entries, validate: bool = True) -> FanFile:
             for i in cone:
                 if i < 0 or i >= len(rays):
                     raise ParseError(lineno, f"ray index {i} out of range")
+            if len(set(cone)) != len(cone):
+                raise ParseError(lineno, "repeated ray index in cone")
             cones.append(cone)
         else:
             raise ParseError(lineno, f"unknown directive {key!r}")
     if dim is None:
         raise ParseError(1, "missing dim line")
-    try:
-        fan = Fan.from_data(rays, cones, rank=dim)
-    except ValueError as e:
-        raise ParseError(1, str(e)) from None
+    fan = Fan.from_data(rays, cones, rank=dim)
     if validate:
         diag = validate_fan(fan)
         if not diag.valid:
             raise ParseError(1, f"invalid fan: {diag.problem} (witness {diag.witness})")
     index = {ray: k for k, ray in enumerate(fan.rays)}
-    ray_index = [index[primitive(ray)] for ray in rays]
+    ray_index = [index[direction] for direction in ray_lines]
     return FanFile(fan, ray_index, [tuple(sorted(ray_index[i] for i in cone)) for cone in cones])
 
 
@@ -193,12 +196,11 @@ def parse_pair(text: str, base_dir: str = ".") -> ToricPair:
             raise ParseError(lineno, f"coeff names ray index {idx}, but only {len(ray_index)} rays exist")
         if idx in coeff_line:
             raise ParseError(lineno, f"duplicate coeff for ray index {idx} (first seen on line {coeff_line[idx]})")
+        if value < 0:
+            raise ParseError(lineno, "boundary must be effective")
         coeff_line[idx] = lineno
         coeffs[ray_index[idx]] = value
-    try:
-        pair = ToricPair.from_fan(fan, coeffs)
-    except ValueError as e:
-        raise ParseError(1, str(e)) from None
+    pair = ToricPair.from_fan(fan, coeffs)
     diag = validate_pair(pair)
     if not diag.valid:
         raise ParseError(1, f"invalid pair: {diag.problem} (witness {diag.witness})")

@@ -194,8 +194,6 @@ def face_fan(P: Polytope) -> Fan:
     if not P.contains_origin_interior():
         raise ValueError("face fan needs the origin interior")
     rays = [primitive(v) for v in P.vertices]
-    if len(set(rays)) != len(rays):
-        raise ValueError("two vertices span the same ray")
     cones = [tuple(sorted(members)) for members, _, _ in P._facets]
     return Fan.from_data(rays, cones, rank=P.rank)
 

@@ -223,8 +223,6 @@ def is_fano(X: ToricVariety) -> bool:
         raise ValueError("ampleness test unsupported: fan must be complete and simplicial")
     cones = fan.cones
     pieces = [_scaled_piece(cone, [1] * len(cone.generators)) for cone in cones]
-    if any(lm is None for _, lm in pieces):
-        return False
     for key, ((a, _), (b, _)) in fan.wall_map.items():
         L, lm = pieces[a]
         if any(vdot(lm, g) >= L for g in set(cones[b].generators) - key):

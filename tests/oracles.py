@@ -1103,10 +1103,7 @@ def _halfspaces(cone):
         scale = math.lcm(*(x.denominator for x in v))
         return tuple(int(x * scale) for x in v)
 
-    try:
-        normals = tuple(integral(h) for _, h in facet_data_scan(cone))
-    except ValueError:  # a line
-        normals = ()
+    normals = tuple(integral(h) for _, h in facet_data_scan(cone))
     return tuple(map(integral, nullspace(cone.generators, cone.rank))), normals
 
 
@@ -1713,8 +1710,10 @@ def facet_data_scan(cone):
     if d == 0:
         return ()
     if d == 1:
-        # facet is the origin; exposing functional positive on the gens
-        return ((frozenset(), _positive_functional(cone.generators, cone.rank)),)
+        # facet is the origin, exposed by a functional positive on the gens;
+        # a line has none, as it is its own span
+        h = _positive_functional(cone.generators, cone.rank)
+        return () if h is None else ((frozenset(), h),)
     span_ann = row_echelon(nullspace(cone.generators, cone.rank), cone.rank)
     found = {}
     idx = range(len(cone.generators))
@@ -1762,11 +1761,12 @@ def _nullspace_within(rows, gens, span_ann):
 
 def _positive_functional(gens, rank):
     """Some rational h with h.g > 0 for every generator of a 1-dimensional
-    cone.  Its primitive generators are {g} or {g, -g}: the generator sum
-    works for the first, and no such functional exists for the second."""
+    cone, or None.  Its primitive generators are {g} or {g, -g}: the
+    generator sum works for the first, and no such functional exists for
+    the second."""
     total = tuple(sum(g[i] for g in gens) for i in range(rank))
     if not all(_dot(total, g) > 0 for g in gens):
-        raise ValueError("no positive functional: cone is not strongly convex")
+        return None
     return tuple(Fraction(x) for x in total)
 
 

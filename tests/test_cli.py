@@ -324,6 +324,11 @@ def test_cli_pair_discrepancy(capsys):
     assert "log canonical place" in out  # exceptional points carry labels
     assert main(["pair", "discrepancy", sample("p2_boundary.pair"), "--point", "1,0"]) == 0
     assert capsys.readouterr().out.strip() == "0"  # a ray: bare value only
+    # with no boundary, the blow-up of a torus fixed point of P^2 is terminal
+    assert main(["pair", "discrepancy", sample("p2.fan"), "--point", "1,1"]) == 0
+    assert capsys.readouterr().out == "2  (terminal place)\n"
+    assert main(["--json-lines", "pair", "discrepancy", sample("p2.fan"), "--point", "1,1"]) == 0
+    assert json.loads(capsys.readouterr().out)["labels"] == ["terminal place"]
 
 
 def test_cli_pair_complexity(capsys):
@@ -331,15 +336,23 @@ def test_cli_pair_complexity(capsys):
     assert capsys.readouterr().out.strip() == "c = 0 (dim 2, rho 1, norm 3)"
 
 
-def test_cli_polytope_check(capsys):
+def test_cli_polytope_check(tmp_path, capsys):
     assert main(["polytope", "check", sample("reflexive_01.poly")]) == 0
     out = capsys.readouterr().out
     assert "reflexive true" in out
+    triangle = tmp_path / "triangle.poly"
+    triangle.write_text("dim 2\nvertex 1 0\nvertex 0 1\nvertex 1 1\n")
+    assert main(["polytope", "check", str(triangle)]) == 1
+    assert capsys.readouterr().out == "origin-interior false\n"
 
 
 def test_cli_polytope_enumerate_count(capsys):
     assert main(["polytope", "enumerate-reflexive", "--dim", "2", "--count-only"]) == 0
     assert capsys.readouterr().out.strip() == "16"
+    # the text form is the shipped polygon files, one blank line apart
+    assert main(["polytope", "enumerate-reflexive", "--dim", "2"]) == 0
+    shipped = [open(sample(f"reflexive_{k:02d}.poly")).read() for k in range(1, 17)]
+    assert capsys.readouterr().out == "\n".join(shipped)
 
 
 def test_cli_polytope_enumerate_dim3_unsupported(capsys):

@@ -65,6 +65,22 @@ def test_non_strongly_convex_detected():
     assert diag.problem == "maximal cone is not strongly convex"
 
 
+@pytest.mark.parametrize(
+    "rays, base",
+    [([(1,), (-1,)], projective_space_fan(1)), ([(1, 0), (-1, 0), (0, 1), (0, -1)], P2)],
+    ids=["line", "plane"],
+)
+def test_one_cone_that_is_its_own_span(rays, base):
+    """A cone that is a linear space has no facets, hence no walls: it
+    covers its space once and every complete fan there refines it, but it
+    is no fan's maximal cone."""
+    fan = Fan.from_data(rays, [tuple(range(len(rays)))])
+    assert fan.wall_map == {}
+    assert is_complete(fan) is True
+    assert is_refinement(base, fan) is True
+    assert validate_fan(fan).problem == "maximal cone is not strongly convex"
+
+
 def test_non_extremal_generator_detected():
     fan = Fan.from_data([(1, 0), (1, 1), (0, 1)], [(0, 1, 2)])
     diag = validate_fan(fan)

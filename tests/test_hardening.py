@@ -1,6 +1,8 @@
 """Malformed input: every subcommand exits with 2 and an error message,
-never a traceback, and the file parsers either parse a text or raise
-ParseError, whatever the text."""
+never a traceback, each file error cites its own line, the file parsers
+either parse a text or raise ParseError, whatever the text, and the
+library's constructors and builders raise ValueError with their
+messages."""
 
 import contextlib
 import io
@@ -10,8 +12,21 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from toriclab.catalog import hirzebruch_fan
 from toriclab.cli import main
+from toriclab.complexity import Decomposition
+from toriclab.fan import Cone, Fan, resolve_cone_2d
 from toriclab.fileformats import ParseError, parse_fan, parse_pair, parse_polytope
+from toriclab.lattice import AbelianGroupStructure
+from toriclab.pairs import ToricPair
+from toriclab.polytope import Polytope, face_fan
+from toriclab.toric import (
+    ToricVariety,
+    divisor_class,
+    divisor_class_q,
+    projective_space_fan,
+    weighted_projective_fan,
+)
 
 SAMPLES = os.path.join(os.path.dirname(__file__), "..", "samples")
 P2 = os.path.join(SAMPLES, "p2.fan")
@@ -30,6 +45,28 @@ FILES = {
     "p1.fan": b"dim 1\nray 1\nray -1\ncone 0\ncone 1\n",
     "two-fans.pair": b"fan p1.fan\nfan p1.fan\ncoeff 0 1\n",
     "two-coeffs.pair": b"fan p1.fan\ncoeff 0 1/2\ncoeff 0 1/2\n",
+    "cone-word.fan": b"dim 1\nray 1\nray -1\ncone 0 x\n",
+    "empty-cone.fan": b"dim 1\nray 1\ncone\n",
+    "zero-ray.fan": b"dim 2\nray 0 0\n",
+    "multiple-ray.fan": b"dim 2\nray 1 0\nray 2 0\n",
+    "repeated-index.fan": b"dim 2\nray 1 0\nray 0 1\ncone 0 0\n",
+    "path-and-inline.pair": b"fan p1.fan\ndim 1\n",
+    "missing-fan.pair": b"fan missing.fan\n",
+    "negative-coeff.pair": b"fan p1.fan\ncoeff 0 -1/2\n",
+}
+
+# the message each malformed file above gets; {dir} is the files' directory
+MESSAGES = {
+    "cone-word.fan": "line 4: cone entries must be ray indices",
+    "empty-cone.fan": "line 3: empty cone",
+    "zero-ray.fan": "line 2: zero ray",
+    "multiple-ray.fan": "line 3: duplicate ray (first seen on line 2)",
+    "repeated-index.fan": "line 4: repeated ray index in cone",
+    "path-and-inline.pair": "line 1: give the fan either by path or inline, not both",
+    "missing-fan.pair": (
+        "line 1: cannot read fan file {dir}/missing.fan: [Errno 2] No such file or directory: '{dir}/missing.fan'"
+    ),
+    "negative-coeff.pair": "line 2: boundary must be effective",
 }
 
 # {name} is replaced by the path of FILES[name]; "{missing}" never exists
@@ -40,6 +77,11 @@ MALFORMED = [
     ["fan", "check", "{garbage}"],
     ["fan", "check", "{bad-int.fan}"],
     ["fan", "check", "{bad-dim.fan}"],
+    ["fan", "check", "{cone-word.fan}"],
+    ["fan", "check", "{empty-cone.fan}"],
+    ["fan", "check", "{zero-ray.fan}"],
+    ["fan", "check", "{multiple-ray.fan}"],
+    ["fan", "check", "{repeated-index.fan}"],
     ["fan", "check", P2, "--expect", "maybe"],
     ["fan", "resolve2d", "{empty}"],
     ["fan", "resolve2d", P2, "--cone", "x"],
@@ -62,6 +104,9 @@ MALFORMED = [
     ["pair", "classify", "{missing}"],
     ["pair", "classify", "{two-fans.pair}"],
     ["pair", "classify", "{two-coeffs.pair}"],
+    ["pair", "classify", "{path-and-inline.pair}"],
+    ["pair", "classify", "{missing-fan.pair}"],
+    ["pair", "classify", "{negative-coeff.pair}"],
     ["pair", "discrepancy", P2_PAIR, "--point", "x"],
     ["pair", "discrepancy", P2_PAIR, "--point", "1,,1"],
     ["pair", "discrepancy", P2_PAIR, "--point", "1,2,3"],
@@ -118,6 +163,58 @@ def test_malformed_input_exits_2_without_traceback(argv, tmp_path):
     assert err.getvalue().strip()
     assert "Traceback" not in err.getvalue()
     assert out.getvalue() == ""
+
+
+@pytest.mark.parametrize("name", MESSAGES)
+def test_each_file_error_cites_its_own_line(name, tmp_path):
+    _materialise([], tmp_path)
+    text = FILES[name].decode()
+    with pytest.raises(ParseError) as caught:
+        parse_pair(text, str(tmp_path)) if name.endswith(".pair") else parse_fan(text)
+    assert str(caught.value) == MESSAGES[name].format(dir=tmp_path)
+
+
+P2_FAN = projective_space_fan(2)
+
+# (call, the message of the ValueError it raises)
+LIBRARY_ERRORS = {
+    "cone-generator-length": (
+        lambda: Cone.from_generators([(1, 0), (1, 0, 0)]),
+        "generator length differs from ambient rank",
+    ),
+    "cone-zero-generator": (lambda: Cone.from_generators([(0, 0)]), "zero generator"),
+    "cone-no-generators": (lambda: Cone.from_generators([]), "cannot infer ambient rank of empty cone"),
+    "fan-ray-length": (lambda: Fan.from_data([(1, 0), (1, 0, 0)], [(0,)]), "ray length differs from ambient rank"),
+    "fan-empty-cone": (lambda: Fan.from_data([(1, 0)], [()]), "empty maximal cone"),
+    "fan-no-rays": (lambda: Fan.from_data([], []), "cannot infer rank of empty fan; pass rank="),
+    "resolve-line": (
+        lambda: resolve_cone_2d(Cone.from_generators([(1, 0), (-1, 0)])),
+        "cone must be two-dimensional",
+    ),
+    "decomposition-weight": (lambda: Decomposition.of([(-1, [0])]), "part weights must be non-negative"),
+    "pair-coefficients": (lambda: ToricPair.from_fan(P2_FAN, [0, 0]), "expected one boundary coefficient per ray"),
+    "divisor-class-length": (lambda: divisor_class(ToricVariety(P2_FAN), [1, 0]), "expected one coefficient per ray"),
+    "divisor-class-q-length": (lambda: divisor_class_q(ToricVariety(P2_FAN), [1, 0]), "expected one coefficient per ray"),
+    "projective-space-0": (lambda: projective_space_fan(0), "need n >= 1"),
+    "weighted-zero-weight": (lambda: weighted_projective_fan((0, 1)), "weights must be at least two positive integers"),
+    "polytope-no-points": (lambda: Polytope((), 2), "polytope needs at least one point"),
+    "polytope-point-length": (lambda: Polytope(((1, 0), (1, 0, 0)), 2), "point length differs from ambient rank"),
+    "polytope-hull-empty": (lambda: Polytope.hull([]), "cannot infer rank"),
+    "face-fan-origin-outside": (
+        lambda: face_fan(Polytope.hull([(1, 0), (0, 1), (1, 1)])),
+        "face fan needs the origin interior",
+    ),
+    "hirzebruch-negative": (lambda: hirzebruch_fan(-1), "k must be non-negative"),
+    "group-free-rank": (lambda: AbelianGroupStructure(-1, ()), "negative free rank"),
+}
+
+
+@pytest.mark.parametrize("name", LIBRARY_ERRORS)
+def test_library_errors_keep_their_messages(name):
+    call, message = LIBRARY_ERRORS[name]
+    with pytest.raises(ValueError) as caught:
+        call()
+    assert str(caught.value) == message
 
 
 @pytest.mark.parametrize(

@@ -108,6 +108,16 @@ def test_surface_data_invariants_enforced():
             quasismooth=True,
             fano=True,
         )
+    with pytest.raises(ValueError, match="^amplitude must be sum of weights minus degree$"):
+        HkwSurfaceData(
+            triple=MarkovTriple(1, 1, 2),
+            weights=(1, 1, 1, 2),
+            degree=2,
+            amplitude=2,
+            wellformed=True,
+            quasismooth=True,
+            fano=True,
+        )
 
 
 # ------------------------------------ closed forms against the gcd test

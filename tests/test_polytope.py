@@ -16,7 +16,13 @@ from toriclab.polytope import (
 )
 from toriclab.toric import ToricVariety, is_fano, projective_space_fan
 
-from oracles import dual_polygon_halfplane_oracle, is_reflexive_scan, reflexive_polygons_boundary_walk, scaled_dual_scan
+from oracles import (
+    dual_polygon_halfplane_oracle,
+    is_reflexive_scan,
+    is_smooth_fano_det,
+    reflexive_polygons_boundary_walk,
+    scaled_dual_scan,
+)
 
 P2_TRIANGLE = Polytope.hull([(1, 0), (0, 1), (-1, -1)])
 SQUARE = Polytope.hull([(1, 1), (1, -1), (-1, 1), (-1, -1)])
@@ -110,6 +116,9 @@ def test_smooth_fano_examples():
     assert is_smooth_fano_polytope(P2_TRIANGLE)
     assert is_smooth_fano_polytope(CROSS)
     assert not is_smooth_fano_polytope(Polytope.hull([(1, 0), (0, 1), (-1, -2)]))
+    cube = Polytope.hull([(x, y, z) for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)])  # square facets
+    assert is_smooth_fano_polytope(cube) is False
+    assert is_smooth_fano_det(cube) is False
 
 
 # -------------------------------------------------------------- face fan

@@ -101,8 +101,7 @@ def test_row_echelon_takes_fraction_rows():
 
 
 def test_line_has_no_facet_data():
-    with pytest.raises(ValueError):
-        Cone.from_generators([(1, 0, 0), (-1, 0, 0)]).facet_data
+    assert Cone.from_generators([(1, 0, 0), (-1, 0, 0)]).facet_data == ()
 
 
 def test_walls_of_projective_plane_are_shared_twice():
