@@ -430,11 +430,43 @@ ROWS = [
     {
         "name": "normal-form-without-reflections",
         "file": POLYTOPE,
-        "old": "            for sigma in (1, -1):\n",
-        "new": "            for sigma in (1,):\n",
+        "old": "            for second in (ys, [-y for y in ys]):\n",
+        "new": "            for second in (ys,):\n",
         "tests": [
             "tests/test_polygons.py::test_descent_matches_the_scan_and_the_boundary_walk",
             "tests/test_polytope.py::test_enumeration_matches_boundary_walk_oracle",
+        ],
+    },
+    # _reduced_basis and _window: the basis the Euclidean pass leaves taken
+    # as reduced, a window that misreads a falling slope, and a Euclidean
+    # pass that steps by one where it should round (it stops early, and the
+    # max-norm fallback does the work)
+    {
+        "name": "reduced-basis-trusts-the-euclidean-pass",
+        "file": POLYTOPE,
+        "old": "    if max([abs(g - b) for b, g in zip(beta, gamma)]) >= n2 <= max([abs(g + b) for b, g in zip(beta, gamma)]):\n",
+        "new": "    if True:\n",
+        "tests": [
+            "tests/test_polygons.py::test_polygons_that_need_the_max_norm_fallback_are_reduced",
+            "tests/test_polygons.py::test_normal_form_matches_search_seeded",
+        ],
+    },
+    {
+        "name": "window-misreads-a-negative-slope",
+        "file": POLYTOPE,
+        "old": "            t_lo, t_hi = -((o - bound) // s), (-bound - o) // s\n",
+        "new": "            t_lo, t_hi = -((o + bound) // s), (bound - o) // s\n",
+        "tests": [
+            "tests/test_polygons.py::test_normal_form_matches_search_seeded",
+        ],
+    },
+    {
+        "name": "euclidean-pass-steps-by-one",
+        "file": POLYTOPE,
+        "old": "    return (2 * d + n) // (2 * n)\n",
+        "new": "    return (d > 0) - (d < 0)\n",
+        "tests": [
+            "tests/test_polygons.py::test_reduction_steps_on_the_entry_ladder",
         ],
     },
     {
@@ -472,5 +504,19 @@ ROWS = [
         "old": 'raise ParseError(lineno, "zero ray")',
         "new": 'raise ParseError(1, "zero ray")',
         "tests": ["tests/test_hardening.py::test_each_file_error_cites_its_own_line[zero-ray.fan]"],
+    },
+    {
+        "name": "fan-path-conflict-cites-the-fan-line",
+        "file": FILEFORMATS,
+        "old": "raise ParseError(max(fan_line, inline[0][0]),",
+        "new": "raise ParseError(fan_line,",
+        "tests": ["tests/test_hardening.py::test_each_file_error_cites_its_own_line[late-path-and-inline.pair]"],
+    },
+    {
+        "name": "unreadable-fan-file-cites-line-1",
+        "file": FILEFORMATS,
+        "old": 'raise ParseError(fan_line, f"cannot read fan file',
+        "new": 'raise ParseError(1, f"cannot read fan file',
+        "tests": ["tests/test_hardening.py::test_each_file_error_cites_its_own_line[late-missing-fan.pair]"],
     },
 ]

@@ -148,6 +148,7 @@ def parse_pair(text: str, base_dir: str = ".") -> ToricPair:
     """Parse a pair file; `fan <path>` loads the fan from a file relative
     to base_dir, or the fan block may appear inline."""
     fan_path: Optional[str] = None
+    fan_line = 0
     inline: list[tuple[int, list[str]]] = []
     coeff_lines: list[tuple[int, int, Fraction]] = []
     for lineno, words in _logical_lines(text):
@@ -157,7 +158,7 @@ def parse_pair(text: str, base_dir: str = ".") -> ToricPair:
                 raise ParseError(lineno, "expected: fan <path>")
             if fan_path is not None:
                 raise ParseError(lineno, "duplicate fan line")
-            fan_path = args[0]
+            fan_path, fan_line = args[0], lineno
         elif key in ("dim", "ray", "cone"):
             inline.append((lineno, words))
         elif key == "coeff":
@@ -174,14 +175,15 @@ def parse_pair(text: str, base_dir: str = ".") -> ToricPair:
         else:
             raise ParseError(lineno, f"unknown directive {key!r}")
     if fan_path is not None and inline:
-        raise ParseError(1, "give the fan either by path or inline, not both")
+        # cite the line where the second form of the fan begins
+        raise ParseError(max(fan_line, inline[0][0]), "give the fan either by path or inline, not both")
     if fan_path is not None:
         path = os.path.join(base_dir, fan_path)
         try:
             with open(path, encoding="utf-8") as fh:
                 entries = _logical_lines(fh.read())
         except OSError as e:
-            raise ParseError(1, f"cannot read fan file {path}: {e}") from None
+            raise ParseError(fan_line, f"cannot read fan file {path}: {e}") from None
     elif inline:
         entries = inline
     else:

@@ -12,15 +12,19 @@ dual is never built: its vertices are `facet_functionals(P)`, and
 reflexivity is read off the facets.
 
 The polygon normal form is a true GL(2,Z)-orbit invariant: it minimizes
-(max |coordinate|, sorted vertex list) over the whole orbit.  A generalised
-Gauss reduction of the norm N(u) = max_v |<u, v>| finds the least max
-|coordinate|, lambda2, in a number of steps logarithmic in the entries; the
-bases whose rows have norm at most lambda2 are then listed line by line in
-the reduced basis and compared in closed form, so the cost grows with the
-bit length of the coordinates, not with their size.  The least image is
-already a sorted list of distinct vertices in convex position, so the
-polygon returned is built by one monotone-chain pass that orders its edge
-cycle, without the constructor's type check, sort and deduplication.
+(max |coordinate|, sorted vertex list) over the whole orbit.  Its least
+max |coordinate|, lambda2, is the norm of the second row of a basis
+reduced for N(u) = max_v |<u, v>|.  A Lagrange-Gauss reduction in the
+Euclidean norm of the values on the vertices usually yields one, a
+two-point check confirms it (N(b2 - t*b1) is convex in t), and where it
+fails a generalised Gauss reduction for N finishes; both take a number of
+steps logarithmic in the entries.  The bases whose rows have norm at most
+lambda2 are then listed line by line in the reduced basis and compared
+in closed form, so the cost grows with the bit length of the
+coordinates, not with their size.  The least image is already a sorted
+list of distinct vertices in convex position, so the polygon returned is
+built by one monotone-chain pass that orders its edge cycle, without the
+constructor's type check, sort and deduplication.
 
 The 16 reflexive polygons are found by descent from the three maximal
 ones, inside one of which every reflexive polygon lies up to GL(2,Z):
@@ -31,6 +35,7 @@ points while the origin stays strictly inside.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
@@ -216,21 +221,33 @@ def face_fan(P: Polytope) -> Fan:
 
 def _window(slopes: Sequence[int], offsets: Sequence[int], bound: int) -> Optional[tuple[int, int]]:
     """The integers t with |offset + t*slope| <= bound for every pair, as
-    (lo, hi), or None when there are none.  Some slope must be nonzero."""
+    (lo, hi), or None when there are none.  Some slope must be nonzero.
+
+    A pair with s > 0 confines t to [ceil((-bound - o)/s), floor((bound - o)/s)];
+    dividing by s < 0 swaps the ends, to [ceil((bound - o)/s),
+    floor((-bound - o)/s)]."""
     lo = hi = None
     for s, o in zip(slopes, offsets):
-        if s == 0:
-            if abs(o) > bound:
-                return None
+        if s > 0:
+            t_lo, t_hi = -((bound + o) // s), (bound - o) // s
+        elif s < 0:
+            t_lo, t_hi = -((o - bound) // s), (-bound - o) // s
+        elif abs(o) > bound:
+            return None
+        else:
             continue
-        if s < 0:
-            s, o = -s, -o
-        t_lo, t_hi = -((bound + o) // s), (bound - o) // s
         if lo is None or t_lo > lo:
             lo = t_lo
         if hi is None or t_hi < hi:
             hi = t_hi
     return (lo, hi) if lo <= hi else None
+
+
+def _nearest_euclidean(beta: Sequence[int], gamma: Sequence[int]) -> int:
+    """The integer nearest <b1, b2> / <b1, b1> in the Euclidean inner product
+    of the value vectors: mu minimising sum_w (gamma_w - mu*beta_w)^2."""
+    d, n = sum(map(operator.mul, beta, gamma)), sum(map(operator.mul, beta, beta))
+    return (2 * d + n) // (2 * n)
 
 
 def _nearest_multiple(beta: Sequence[int], gamma: Sequence[int]) -> int:
@@ -263,28 +280,57 @@ def _nearest_multiple(beta: Sequence[int], gamma: Sequence[int]) -> int:
     return lo
 
 
-def _reduced_basis(verts: Sequence[tuple[int, int]]) -> tuple[list[int], list[int]]:
-    """(beta, gamma) of a basis (b1, b2) of Z^2 reduced for N: N(b1) <= N(b2)
-    and N(b2) <= N(b2 + mu*b1) for every integer mu.
+def _norm(values: Sequence[int]) -> int:
+    """N(u) = max_w |<u, w>| from the values of u on the vertices."""
+    return max(map(abs, values))
 
-    This is the generalised Gauss reduction (Kaib and Schnorr, J. Algorithms
-    21, 1996): replace b2 by its N-closest lattice point on b2 + Z*b1 and
-    swap while that is shorter than b1.  Each swap lowers the integer N(b1),
-    so it stops, and the number of steps is logarithmic in the entries.  Such
-    a basis realises the successive minima: N(b1) = lambda1, N(b2) = lambda2.
-    """
-    beta = [x for x, _ in verts]  # b1 = (1, 0)
-    gamma = [y for _, y in verts]  # b2 = (0, 1)
-    n1, n2 = max(map(abs, beta)), max(map(abs, gamma))
+
+def _squared_length(values: Sequence[int]) -> int:
+    """The squared Euclidean length of a value vector."""
+    return sum(map(operator.mul, values, values))
+
+
+def _gauss(beta: list[int], gamma: list[int], nearest, norm) -> tuple[list[int], list[int]]:
+    """Gauss reduction of (b1, b2) for `norm`: order the rows by it, then
+    replace b2 by b2 - mu*b1 with mu = nearest(beta, gamma) and swap while
+    that is shorter than b1.  Each swap lowers the integer norm(b1), so it
+    stops, after a number of steps logarithmic in the entries."""
+    n1, n2 = norm(beta), norm(gamma)
     if n2 < n1:
         beta, gamma, n1 = gamma, beta, n2
     while True:
-        mu = _nearest_multiple(beta, gamma)
+        mu = nearest(beta, gamma)
         gamma = [g - mu * b for b, g in zip(beta, gamma)]
-        n2 = max(map(abs, gamma))
+        n2 = norm(gamma)
         if n2 >= n1:
             return beta, gamma
         beta, gamma, n1 = gamma, beta, n2
+
+
+def _reduced_basis(verts: Sequence[tuple[int, int]]) -> tuple[list[int], list[int]]:
+    """(beta, gamma) of a basis (b1, b2) of Z^2 reduced for N: N(b1) <= N(b2)
+    and N(b2) <= N(b2 + mu*b1) for every integer mu.  Such a basis realises
+    the successive minima: N(b1) = lambda1, N(b2) = lambda2.
+
+    First the Lagrange-Gauss reduction in the Euclidean norm of the value
+    vectors, two integer sums a step, brings the basis near the reduced
+    one; its rows are then ordered by N.  f(t) = N(b2 - t*b1) is convex, so
+    when N(b2 - b1) >= N(b2) <= N(b2 + b1), t = 0 is a local and hence a
+    global minimum over the integers, and the basis is reduced.  Only where
+    that check fails does the generalised Gauss reduction for N (Kaib and
+    Schnorr, J. Algorithms 21, 1996) run, each step moving b2 to its
+    N-closest lattice point on b2 + Z*b1; it finishes every reduction on
+    its own, so the answer never rests on the Euclidean pass.
+    """
+    beta = [x for x, _ in verts]  # b1 = (1, 0)
+    gamma = [y for _, y in verts]  # b2 = (0, 1)
+    beta, gamma = _gauss(beta, gamma, _nearest_euclidean, _squared_length)
+    n1, n2 = _norm(beta), _norm(gamma)
+    if n2 < n1:
+        beta, gamma, n2 = gamma, beta, n1
+    if max([abs(g - b) for b, g in zip(beta, gamma)]) >= n2 <= max([abs(g + b) for b, g in zip(beta, gamma)]):
+        return beta, gamma
+    return _gauss(beta, gamma, _nearest_multiple, _norm)
 
 
 def _line_rows(beta, gamma, c: int, lam2: int) -> Iterable[int]:
@@ -348,24 +394,28 @@ def unimodular_normal_form(P: Polytope) -> Polytope:
 
     The representative minimises the key (max |coordinate|, sorted vertex
     tuple) over the whole orbit.  The first entry is lambda2, the second
-    successive minimum of the norm N(u) = max_v |<u, v>|, reached by a
-    generalised Gauss reduction.  The rows of norm at most lambda2 are
-    a*b1 + c*b2 with |c| <= 2 in the reduced basis; every least image has a
-    vertex with first coordinate -lambda2, which leaves a few rows per line
-    (the two ends of a whole line of rows, on thin polygons).  For each
-    first row the second rows form two shear families, each resolved in
-    closed form.  The only hull built is the returned one: the least image
-    is a sorted list of distinct vertices in convex position, so it goes
-    straight to the edge-cycle pass `_polygon`, whose vertices, dimension
-    and facets, those of `Polytope.hull` on it, are bound unchecked
-    (`Polytope._trusted`).
+    successive minimum of the norm N(u) = max_v |<u, v>|: N(b2) for the
+    basis `_reduced_basis` reduces for N, by a Euclidean Lagrange-Gauss
+    pass checked at b2 +- b1, with the generalised Gauss reduction for N as
+    fallback where the check fails.  The key is a minimum over the whole
+    orbit, so every reduced basis gives the same form.  The rows of norm
+    at most lambda2 are a*b1 + c*b2 with |c| <= 2 in the reduced basis;
+    every least image has a vertex with first coordinate -lambda2, which
+    leaves a few rows per line (the two ends of a whole line of rows, on
+    thin polygons).  For each first row the second rows form two shear
+    families, each resolved in closed form.  The only hull built is the
+    returned one: the least image is a sorted list of distinct vertices in
+    convex position, so it goes straight to the edge-cycle pass `_polygon`,
+    whose vertices, dimension and facets, those of `Polytope.hull` on it,
+    are bound unchecked (`Polytope._trusted`).
     """
     if P.rank != 2:
         raise ValueError("normal form implemented for polygons only")
     if P.dim != 2:
         raise ValueError("normal form needs a two-dimensional polygon")
     beta, gamma = _reduced_basis(P.vertices)
-    lam2 = max(map(abs, gamma))
+    lam2 = _norm(gamma)
+    pairs = list(zip(beta, gamma))
     # Bound on |c|: a row u = a*b1 + c*b2 with c != 0 is c*(b2 + (a/c)*b1).
     # With mu the integer nearest a/c, the triangle inequality and
     # reducedness give N(b2 + (a/c)*b1) >= N(b2 + mu*b1) - N(b1)/2
@@ -375,15 +425,15 @@ def unimodular_normal_form(P: Polytope) -> Polytope:
     # norm at most lambda2 sends a vertex lower, and b2 or -b2, with b1 as
     # second row, sends one there.
     best = None
-    for c in (0, 1, -1, 2, -2) if max(map(abs, beta)) == lam2 else (0, 1, -1):
+    for c in (0, 1, -1, 2, -2) if _norm(beta) == lam2 else (0, 1, -1):
         for a in _line_rows(beta, gamma, c, lam2):
-            xs = [a * b + c * g for b, g in zip(beta, gamma)]
+            xs = [a * b + c * g for b, g in pairs]
             if min(xs) != -lam2 or max(xs) > lam2:
                 continue
             pa, pc = _partner(a, c)
-            ys = [pa * b + pc * g for b, g in zip(beta, gamma)]
-            for sigma in (1, -1):
-                key = _shear_key(xs, ys if sigma == 1 else [-y for y in ys], lam2)
+            ys = [pa * b + pc * g for b, g in pairs]
+            for second in (ys, [-y for y in ys]):
+                key = _shear_key(xs, second, lam2)
                 if key is not None and (best is None or key < best):
                     best = key
     vertices, dim, facets = _polygon(best)

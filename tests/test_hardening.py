@@ -52,6 +52,8 @@ FILES = {
     "repeated-index.fan": b"dim 2\nray 1 0\nray 0 1\ncone 0 0\n",
     "path-and-inline.pair": b"fan p1.fan\ndim 1\n",
     "missing-fan.pair": b"fan missing.fan\n",
+    "late-missing-fan.pair": b"# c\n\nfan missing.fan\ncoeff 0 1/2\n",
+    "late-path-and-inline.pair": b"# c\n\nfan p2.fan\ndim 2\n",
     "negative-coeff.pair": b"fan p1.fan\ncoeff 0 -1/2\n",
 }
 
@@ -62,10 +64,14 @@ MESSAGES = {
     "zero-ray.fan": "line 2: zero ray",
     "multiple-ray.fan": "line 3: duplicate ray (first seen on line 2)",
     "repeated-index.fan": "line 4: repeated ray index in cone",
-    "path-and-inline.pair": "line 1: give the fan either by path or inline, not both",
+    "path-and-inline.pair": "line 2: give the fan either by path or inline, not both",
     "missing-fan.pair": (
         "line 1: cannot read fan file {dir}/missing.fan: [Errno 2] No such file or directory: '{dir}/missing.fan'"
     ),
+    "late-missing-fan.pair": (
+        "line 3: cannot read fan file {dir}/missing.fan: [Errno 2] No such file or directory: '{dir}/missing.fan'"
+    ),
+    "late-path-and-inline.pair": "line 4: give the fan either by path or inline, not both",
     "negative-coeff.pair": "line 2: boundary must be effective",
 }
 
@@ -106,6 +112,8 @@ MALFORMED = [
     ["pair", "classify", "{two-coeffs.pair}"],
     ["pair", "classify", "{path-and-inline.pair}"],
     ["pair", "classify", "{missing-fan.pair}"],
+    ["pair", "classify", "{late-missing-fan.pair}"],
+    ["pair", "classify", "{late-path-and-inline.pair}"],
     ["pair", "classify", "{negative-coeff.pair}"],
     ["pair", "discrepancy", P2_PAIR, "--point", "x"],
     ["pair", "discrepancy", P2_PAIR, "--point", "1,,1"],

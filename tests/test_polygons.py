@@ -392,18 +392,82 @@ def test_normal_form_of_gl2z_images_up_to_1e12():
 
 
 def test_reduction_steps_on_the_entry_ladder(count_calls):
-    calls = count_calls("_nearest_multiple", polytope)
+    # every step of either pass rounds once: _nearest_euclidean in the
+    # Euclidean pass, _nearest_multiple in the max-norm fallback
+    euclidean = count_calls("_nearest_euclidean", polytope)
+    max_norm = count_calls("_nearest_multiple", polytope)
     p2 = ((-1, -1), (1, 0), (0, 1))
     steps = {}
-    for e in range(3, 10):
+    for e in range(3, 13):
         a = 10**e
         U = ((1, a), (a + 1, a * a + a + 1))  # shear by a, then by a + 1
         assert U[0][0] * U[1][1] - U[0][1] * U[1][0] == 1
-        calls.clear()
+        euclidean.clear()
+        max_norm.clear()
         assert unimodular_normal_form(Polytope.hull(_apply(U, p2))).vertices == p2
-        steps[e] = len(calls)
+        # the Euclidean form of P2's value vectors is hexagonal, and its
+        # reduced bases are reduced for N too: the fallback never runs
+        assert max_norm == [], e
+        steps[e] = len(euclidean)
+    assert all(steps[e] >= 1 for e in steps), steps
     # at most linear in log a
     assert all(steps[e] <= steps[3] * e / 3 for e in steps), steps
+
+
+_FALLBACK = (
+    ((-5, -1), (1, -3), (0, 2), (-5, 3)),
+    ((-6, -6), (-3, -4), (-3, 6)),
+    ((-6, 1), (-3, -5), (6, -3), (-6, 5)),
+)
+
+
+def _assert_reduced(Q, lam2):
+    """_reduced_basis(Q) gives N(b1) <= N(b2) <= N(b2 +- b1), with N(b2) the
+    least max |coordinate| over the orbit, lambda2."""
+    beta, gamma = polytope._reduced_basis(Q.vertices)
+    n1, n2 = max(map(abs, beta)), max(map(abs, gamma))
+    minus = max(abs(g - b) for b, g in zip(beta, gamma))
+    plus = max(abs(g + b) for b, g in zip(beta, gamma))
+    assert n1 <= n2 <= min(minus, plus), Q.vertices
+    assert n2 == lam2, Q.vertices
+
+
+def _lambda2(P):
+    return max(abs(x) for v in normal_form_search(P).vertices for x in v)
+
+
+def _check_reduced(P, rng, images=3):
+    """P and `images` GL(2,Z) images of it, entries up to 10^3, 10^6 or
+    10^12, get reduced bases."""
+    lam2 = _lambda2(P)
+    _assert_reduced(P, lam2)
+    for _ in range(images):
+        _assert_reduced(Polytope.hull(_apply(_gl2z(rng, rng.choice((10**3, 10**6, 10**12))), P.vertices)), lam2)
+
+
+@pytest.mark.parametrize("verts", _FALLBACK)
+def test_polygons_that_need_the_max_norm_fallback_are_reduced(verts, count_calls):
+    max_norm = count_calls("_nearest_multiple", polytope)
+    P = Polytope.hull(verts)
+    _assert_reduced(P, _lambda2(P))
+    assert max_norm, verts  # the Euclidean pass alone leaves it unreduced
+    assert unimodular_normal_form(P) == normal_form_search(P)
+
+
+def test_reduced_basis_is_reduced_seeded():
+    rng = random.Random(614)
+    for _ in range(100):
+        _check_reduced(_random_polygon(rng, -7, 7), rng)
+    for verts in REFLEXIVE_ORDER:
+        _check_reduced(Polytope.hull(verts), rng)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), min_size=3, max_size=9), st.randoms(use_true_random=False))
+def test_reduced_basis_is_reduced_hypothesis(pts, rng):
+    P = Polytope.hull(pts)
+    if P.dim == 2:
+        _check_reduced(P, rng, images=1)
 
 
 def test_bases_examined_on_the_thin_ladder(count_calls):
