@@ -370,9 +370,9 @@ ROWS = [
     {
         "name": "line-facets-raise-again",
         "file": FAN,
-        "old": "        _, facets, _ = _double_description(self.generators, self._echelon)\n",
+        "old": "        _, facets, _ = double_description(self.generators, self._echelon)\n",
         "new": (
-            "        _, facets, _ = _double_description(self.generators, self._echelon)\n"
+            "        _, facets, _ = double_description(self.generators, self._echelon)\n"
             "        if self.dim == 1 and not facets:\n"
             "            raise ValueError('no positive functional: cone is not strongly convex')\n"
         ),
@@ -477,6 +477,29 @@ ROWS = [
         "tests": [
             "tests/test_psi_record.py::test_named_fans_match_the_oracles[P(2,3,5)]",
         ],
+    },
+    # _double_description decides adjacency by the d - 2 filter alone only
+    # for d <= 3, where no zero row may count as shared.  The cones over
+    # the cube and the cuboctahedron do not tell d = 4 apart: two facets of
+    # a pointed cone sharing two generators that are not proportional meet
+    # in a 2-face, so they are adjacent; a cone with a line makes the
+    # difference
+    {
+        "name": "adjacency-by-the-filter-alone-in-rank-4",
+        "file": FAN,
+        "old": "    scan = d > 3",
+        "new": "    scan = d > 4",
+        "tests": [
+            "tests/test_double_description.py::test_named_cones_match_scan_and_lp[pentagon-times-a-line]",
+            "tests/test_double_description.py::test_named_cones_match_scan_and_lp[hexagon-times-a-line]",
+        ],
+    },
+    {
+        "name": "zero-rows-cut-in",
+        "file": FAN,
+        "old": "    for j in sorted(set(range(k)).difference([s for _, s in seeded], zero)):\n",
+        "new": "    for j in sorted(set(range(k)).difference([s for _, s in seeded])):\n",
+        "tests": ["tests/test_double_description.py::test_zero_rows_lie_on_every_facet_and_bound_nothing"],
     },
     {
         "name": "walls-keyed-by-generator-indices",

@@ -7,6 +7,12 @@ description, seeded by the one elimination over Q (lattice.echelon, which
 also gives cone dimensions and, when no maximal cone is full-dimensional,
 the rank of a fan's ray matrix).  Rows spanning Q^2 or Q^3 seed from the
 cofactors of their first independent rows instead, with no elimination run.
+The run joins two rays of the dual cone only when they are adjacent, and
+in a span of dimension d <= 3 two rays that share d - 2 zero rows always
+are: a row both vanish on cuts a face of dimension <= 2 out of the
+pointed dual cone, which holds exactly two extreme rays.  So only runs
+with d >= 4 make the combinatorial test; every run counts its adjacency
+decisions.  Inside the library facets carry their members as bitmasks.
 One run per cone gives its facets, from which membership, relative
 interiors, walls and faces are read (a face as the closure of its
 generators, Cone._closure).  Separation questions (strong convexity,
@@ -78,8 +84,10 @@ def _integers(xs: Iterable) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-def double_description(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], list[tuple[Vec, frozenset[int]]], int]:
-    """Facets of the cone spanned by nonzero integer rows, by the
+def double_description(
+    rows: Sequence[Sequence[int]], seed_echelon=None
+) -> tuple[tuple[int, ...], list[tuple[Vec, frozenset[int]]], int]:
+    """Facets of the cone spanned by integer rows, not all zero, by the
     double-description method (Motzkin, Raiffa, Thompson and Thrall 1953;
     Fukuda and Prodon 1996).
 
@@ -88,39 +96,62 @@ def double_description(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], 
     method runs on those d coordinates.  A facet is (inward normal h,
     members): h is a primitive integer functional, zero off the pivots,
     with h.row >= 0 on every row, and members holds the i with h.row_i = 0.
-    `tests` counts the combinatorial adjacency tests made.
+    `tests` counts the adjacency decisions made: the pairs that pass the
+    d - 2 filter.  `seed_echelon` is the rows' `_seed_echelon`, which the
+    run only reads (a cone passes its cached one, Cone._echelon) and finds
+    when not given.
 
     One `lattice.echelon` run on the transposed rows beside an identity
     (or, for rows spanning Q^2 or Q^3, their cofactors) finds d independent
     rows, the seeds, and the adjugate functionals vanishing on all seeds
     but one (each worth `last` on its own seed, so oriented by its sign):
     the extreme rays of the dual of the seeds' simplicial cone.  The other
-    rows are then cut in one by one, in the given order.  A new ray joins a
+    nonzero rows are then cut in one by one, in the given order (a zero
+    row lies on every facet and bounds nothing).  A new ray joins a
     ray on the positive side to one on the negative side only when they are
-    adjacent: no third ray vanishes on every row both of them vanish on.
-    The dual cone stays pointed throughout, where that test is exact.
-    Adjacent rays share at least d - 2 zero rows, so pairs sharing fewer
-    skip the test.
+    adjacent.  The dual cone stays pointed throughout, and adjacent rays
+    share at least d - 2 zero rows, so pairs sharing fewer are not
+    adjacent.  For d <= 3 every pair left is: a row both rays vanish on
+    cuts a face of dimension <= 2 out of the pointed cone, which holds
+    exactly two extreme rays, so these two span it (for d = 2 the cone
+    itself is that face).  For d >= 4 a pair is adjacent iff no third ray
+    vanishes on every row both of them vanish on (the combinatorial test).
+
+    The cone over a square, a rank-3 run: four facets of two generators
+    each, from two adjacency decisions and no combinatorial test.
+
+    >>> pivots, facets, tests = double_description([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)])
+    >>> pivots, tests
+    ((0, 1, 2), 2)
+    >>> [(h, sorted(members)) for h, members in facets]
+    [((1, -1, 1), [1, 2]), ((-1, -1, 1), [0, 1]), ((1, 1, 1), [2, 3]), ((-1, 1, 1), [0, 3])]
     """
-    return _double_description(rows, _seed_echelon(rows, len(rows[0])))
+    k = len(rows)
+    pivots, facets, tests = _double_description(rows, seed_echelon)
+    return pivots, [(h, frozenset(i for i in range(k) if z >> i & 1)) for h, z in facets], tests
 
 
-def _double_description(rows, seed_echelon) -> tuple[tuple[int, ...], list[tuple[Vec, frozenset[int]]], int]:
-    """double_description(rows) from the rows' `_seed_echelon`, which it
-    only reads (a cone passes its cached one, Cone._echelon)."""
+def _double_description(rows, seed_echelon=None) -> tuple[tuple[int, ...], list[tuple[Vec, int]], int]:
+    """double_description(rows, seed_echelon), each facet's members as a
+    bitmask (bit i for row i).  The seed normals are zero off the pivots,
+    as every ray made from them is, so the run works on the rows as
+    given."""
     k, n = len(rows), len(rows[0])
-    H, seeded, last = seed_echelon
-    pivots = [c for c, _ in seeded]
-    d = len(pivots)
-    proj = [tuple(g[c] for c in pivots) for g in rows]
+    H, seeded, last = _seed_echelon(rows, n) if seed_echelon is None else seed_echelon
+    pivots = tuple(c for c, _ in seeded)
+    d, at = len(pivots), set(pivots)
     full = sum(1 << s for _, s in seeded)
-    rays = [(primitive(tuple(last * H[c][j] for j in pivots)), full & ~(1 << s)) for c, s in seeded]
+    rays = [
+        (primitive(tuple([last * H[c][j] if j in at else 0 for j in range(n)])), full & ~(1 << s)) for c, s in seeded
+    ]
+    scan = d > 3  # for d <= 3 the d - 2 filter decides adjacency alone
+    zero = [j for j, g in enumerate(rows) if not any(g)]  # on every facet, bounding no face
     tests = 0
-    for j in sorted(set(range(k)) - {s for _, s in seeded}):
-        g, bit = proj[j], 1 << j
+    for j in sorted(set(range(k)).difference([s for _, s in seeded], zero)):
+        g, bit = rows[j], 1 << j
         pos, neg, kept = [], [], []
         for h, z in rays:
-            v = vdot(h, g)
+            v = sum(map(operator.mul, h, g))
             if v > 0:
                 pos.append((h, z, v))
                 kept.append((h, z))
@@ -136,18 +167,16 @@ def _double_description(rows, seed_echelon) -> tuple[tuple[int, ...], list[tuple
                     if common.bit_count() < d - 2:
                         continue
                     tests += 1
-                    if any(z & common == common and z != zp and z != zn for z in masks):
+                    if scan and any(z & common == common and z != zp and z != zn for z in masks):
                         continue
                     h = [vp * b - vn * a for a, b in zip(hp, hn)]
                     q = math.gcd(*h)
-                    kept.append((tuple(x // q for x in h), common | bit))
+                    kept.append((tuple([x // q for x in h]), common | bit))
         rays = kept
-    at = {c: r for r, c in enumerate(pivots)}  # zero-pad the normals off the pivots
-    facets = [
-        (tuple(h[at[c]] if c in at else 0 for c in range(n)), frozenset(i for i in range(k) if z >> i & 1))
-        for h, z in rays
-    ]
-    return tuple(pivots), facets, tests
+    if zero:
+        mask = sum(1 << j for j in zero)
+        rays = [(h, z | mask) for h, z in rays]
+    return pivots, rays, tests
 
 
 def _seed_echelon(rows: Sequence[Sequence[int]], n: int) -> tuple[tuple[Vec, ...], tuple[tuple[int, int], ...], int]:
@@ -225,13 +254,13 @@ def _separating(
         return None
     equal = [r for r in equal if any(r)]
     rows = equal + [r for r in weak if any(r)] + list(strict)
-    _, facets, _ = double_description(rows)
-    held, lineal, normals = set(range(len(equal))), set(range(len(rows))), []
+    _, facets, _ = _double_description(rows)
+    held, lineal, normals = (1 << len(equal)) - 1, (1 << len(rows)) - 1, []
     for h, members in facets:
-        if held <= members:
+        if held & members == held:
             normals.append(h)
             lineal &= members
-    if not lineal.isdisjoint(range(len(rows) - len(strict), len(rows))):
+    if lineal >> (len(rows) - len(strict)):
         return None
     return tuple(map(sum, zip(*normals))) if normals else (0,) * len(rows[0])
 
@@ -428,7 +457,7 @@ class Cone(Value):
             return tuple(
                 (every - {s}, primitive(hs if last > 0 else tuple(-x for x in hs))) for s, hs in reversed(seeds)
             )
-        _, facets, _ = _double_description(self.generators, self._echelon)
+        _, facets, _ = double_description(self.generators, self._echelon)
         return tuple(sorted(((members, h) for h, members in facets), key=lambda kv: sorted(kv[0])))
 
     @cached_property

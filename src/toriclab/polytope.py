@@ -41,7 +41,7 @@ from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from toriclab._value import Value, derived
-from toriclab.fan import Fan, double_description
+from toriclab.fan import Fan, _double_description
 from toriclab.lattice import det, primitive
 
 
@@ -114,18 +114,16 @@ def _hull(pts: list[tuple]) -> tuple[tuple, int, tuple]:
     A point is a vertex iff the facets through it meet in it alone,
     i.e. iff no other point lies on all of them.  Facets of the cone are
     (h, h0) with <h, x> + h0 >= 0 on the polytope."""
-    pivots, facets, _ = double_description([(*p, 1) for p in pts])
-    on = [sum(1 << i for i in members) for _, members in facets]  # the points on each facet
+    pivots, facets, _ = _double_description([(*p, 1) for p in pts])  # members as masks of points
     keep = []
     for i in range(len(pts)):
         meet = (1 << len(pts)) - 1
-        for m in on:
+        for _, m in facets:
             if m >> i & 1:
                 meet &= m
         if meet == 1 << i:
             keep.append(i)
-    index = {i: r for r, i in enumerate(keep)}
-    facets = tuple((frozenset(index[i] for i in members if i in index), h[:-1], h[-1]) for h, members in facets)
+    facets = tuple((frozenset(r for r, i in enumerate(keep) if m >> i & 1), h[:-1], h[-1]) for h, m in facets)
     return tuple(pts[i] for i in keep), len(pivots) - 1, facets
 
 

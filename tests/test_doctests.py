@@ -39,9 +39,10 @@ def test_module_examples_run(name):
 
 def test_the_shared_routines_have_examples():
     finder = doctest.DocTestFinder()
-    lattice = importlib.import_module("toriclab.lattice")
-    named = {t.name.rsplit(".", 1)[-1] for t in finder.find(lattice) if t.examples}
-    assert {"echelon", "smith_normal_form"} <= named
+    for module, routines in (("lattice", {"echelon", "smith_normal_form"}), ("fan", {"double_description"})):
+        found = finder.find(importlib.import_module(f"toriclab.{module}"))
+        named = {t.name.rsplit(".", 1)[-1] for t in found if t.examples}
+        assert routines <= named, module
 
 
 def test_cached_property_examples_are_found():

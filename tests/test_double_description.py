@@ -38,6 +38,7 @@ from oracles import (
     row_echelon,
     scaled_dual_scan,
 )
+from test_invariance import _glnz
 
 
 def _units(rank):
@@ -99,6 +100,18 @@ NAMED_CONES = [
             (-1, -1, 3, 2, -2), (0, 3, 0, -2, 0), (3, 0, 2, 0, -2), (3, 3, 0, -1, 1),
         ],
         5,
+    ),
+    # every dual ray vanishes on the line's two rows, so every pair passes
+    # the d - 2 filter with d = 4 and only the combinatorial test decides
+    (
+        "pentagon times a line",
+        [(0, 0, 0, 1), (0, 0, 0, -1)] + [(x, y, 1, 0) for x, y in ((2, 0), (1, 2), (-1, 2), (-2, 0), (0, -2))],
+        4,
+    ),
+    (
+        "hexagon times a line",
+        [(0, 0, 0, 1), (0, 0, 0, -1)] + [(x, y, 1, 0) for x, y in ((2, 0), (1, 2), (-1, 2), (-2, 0), (-1, -2), (1, -2))],
+        4,
     ),
 ]
 
@@ -350,6 +363,108 @@ def test_fan_predicates_follow_permutations(seed):
         moved, t = _moved_fan(fan, rng)
         moved_coarse = Fan.from_data([t(r) for r in coarse.rays], coarse.max_cones, rank=coarse.rank)
         assert _fan_answers(moved, moved_coarse) == _fan_answers(fan, coarse)
+
+
+# ------------------------------------------- rank <= 3 runs and the pivots
+
+
+def _embedded(rng, gens, rank):
+    """gens padded with zeros to the given rank and moved by a seeded
+    g in GL(rank, Z): the same cone in another lattice basis, so its
+    pivots are other coordinates, often out of order."""
+    g = _glnz(rng, rank, factors=2 * rank, size=3)
+    return [tuple(vdot(row, (*v, *(0,) * (rank - len(v)))) for row in g) for v in gens]
+
+
+# (name, generators) of dimension <= 3: planar cones, cones whose facets
+# hold more than two generators, lines and planes
+LOW_DIMENSIONAL = [
+    ("ray", [(1, 2)]),
+    ("quadrant", [(1, 0), (0, 1)]),
+    ("wedge with an inner generator", [(1, 0), (1, 3), (1, 1)]),
+    ("half-plane", [(1, 0), (-1, 0), (0, 1)]),
+    ("plane", [(1, 0), (0, 1), (-1, -1)]),
+    ("line", [(1, 2, 3), (-1, -2, -3)]),
+    ("line times quadrant", [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+    ("half-space", [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (1, 1, 1)]),
+    ("whole space", [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]),
+    ("square", [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]),
+    ("square with edge midpoints", [(x, y, 2) for x in (-2, 0, 2) for y in (-2, 0, 2) if (x, y) != (0, 0)]),
+    ("triangle with a point on each edge", [(0, 0, 1), (2, 0, 1), (0, 2, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1)]),
+    ("hexagon with its centre", [(2, 0, 1), (1, 2, 1), (-1, 2, 1), (-2, 0, 1), (-1, -2, 1), (1, -2, 1), (0, 0, 1)]),
+    ("12-gon", _kgon(12, 3)),
+]
+
+
+def _check_low_dimensional(gens, rank, rng):
+    """facet_data as the scan (tests/oracles.py) and as the public
+    double_description on the generators; normals zero off the pivots.
+    Returns (dimension, pivots in order, some coordinate off the pivots)."""
+    cone = Cone.from_generators(gens, rank)
+    _check_cone(cone, rng, 2)
+    pivots, facets, _ = double_description(cone.generators)
+    assert cone.facet_data == tuple(sorted(((m, h) for h, m in facets), key=lambda kv: sorted(kv[0])))
+    assert all(h[c] == 0 for h, _ in facets for c in range(rank) if c not in pivots)
+    return len(pivots), list(pivots) == sorted(pivots), len(pivots) < rank
+
+
+def test_low_dimensional_cones_in_other_bases_match_the_scan():
+    # each shape in its own rank and every rank up to 4, in seeded bases
+    rng = random.Random(4207)
+    seen = set()
+    for _, gens in LOW_DIMENSIONAL:
+        for rank in range(len(gens[0]), 5):
+            for _ in range(3):
+                seen.add(_check_low_dimensional(_embedded(rng, gens, rank), rank, rng))
+    # d < rank leaves coordinates off the pivots, in and out of pivot
+    # order; d == rank in rank 2 and 3 takes the cofactor seeds, whose
+    # pivots are always in order
+    off = {(d, ordered, True) for d in (2, 3) for ordered in (True, False)} | {(1, True, True)}
+    assert seen == off | {(2, True, False), (3, True, False)}
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(2, 3).flatmap(lambda r: st.lists(st.tuples(*[st.integers(-3, 3)] * r), min_size=1, max_size=r + 5)),
+    st.integers(0, 4),
+    st.integers(0, 10**6),
+)
+def test_hypothesis_low_dimensional_cones_in_other_bases(gens, extra, seed):
+    # a cone of rank 2 or 3 in its own rank or a larger one, up to 4
+    rng = random.Random(seed)
+    gens = [g for g in gens if any(g)] or [(1,) + (0,) * (len(gens[0]) - 1)]
+    rank = min(4, len(gens[0]) + extra)
+    _check_low_dimensional(_embedded(rng, gens, rank), rank, rng)
+
+
+def test_zero_rows_lie_on_every_facet_and_bound_nothing():
+    # a zero row that counted as a shared zero row would pass every pair
+    # of a rank <= 3 run as adjacent and add rays that are not extreme
+    rng = random.Random(61)
+    for _, gens in LOW_DIMENSIONAL + [("cube", [(*p, 1) for p in CUBE])]:
+        want_pivots, want, want_tests = double_description(gens)
+        rows = list(gens)
+        for _ in range(2):
+            rows.insert(rng.randint(0, len(rows)), (0,) * len(gens[0]))
+        old = [i for i, r in enumerate(rows) if any(r)]
+        zero = frozenset(i for i, r in enumerate(rows) if not any(r))
+        pivots, facets, tests = double_description(rows)
+        assert (pivots, tests) == (want_pivots, want_tests)
+        assert facets == [(h, frozenset(old[i] for i in members) | zero) for h, members in want], gens
+
+
+def test_rank_4_hulls_with_pivots_out_of_order():
+    # full-dimensional runs in rank 4 whose pivots come out of order: the
+    # normals must come back in their own coordinates, not in pivot order
+    rng = random.Random(19)
+    out_of_order = 0
+    for pts in (CUBE, OCTAHEDRON, CUBOCTAHEDRON):
+        for _ in range(4):
+            rows = _embedded(rng, [(*p, 1) for p in pts], 4)
+            pivots, _, _ = double_description(rows)
+            out_of_order += list(pivots) != sorted(pivots)
+            _check_cone(Cone.from_generators(rows, 4), rng, 1)
+    assert out_of_order >= 3
 
 
 # -------------------------------------------------------- scaling guard

@@ -28,6 +28,7 @@ from toriclab.toric import (
 )
 
 from oracles import (
+    facet_data_scan,
     is_cartier_solve,
     is_fano_functionals,
     local_functionals_solve,
@@ -36,6 +37,7 @@ from oracles import (
     row_echelon,
 )
 from test_solve_chart import _check_pieces
+from test_triangulation import _simplex_with_invariants, _unimodular
 
 
 def _random_basis(rng, n, size):
@@ -154,6 +156,33 @@ def test_hypothesis_simplicial_facet_data_is_the_double_description(rows):
     for members, h in cone.facet_data:
         assert all((vdot(h, g) == 0) == (i in members) for i, g in enumerate(cone.generators))
         assert all(vdot(h, g) >= 0 for g in cone.generators) and math.gcd(*h) == 1
+
+
+def _integral_primitive(h):
+    """The primitive integer functional positively proportional to h, whose
+    entries may be Fractions."""
+    scale = math.lcm(*(Fraction(x).denominator for x in h))
+    return primitive(tuple(int(x * scale) for x in h))
+
+
+def test_simplicial_facet_data_matches_the_scan_at_every_determinant():
+    # unimodular cones (|last| = 1) and cones with |last| = 2 ... 11, some
+    # of whose seed functionals have a common divisor > 1 to take out
+    rng = random.Random(2311)
+    unimodular = [cone for n in range(2, 7) for cone in projective_space_fan(n).cones]
+    unimodular += [Cone.from_generators(_unimodular(rng, n)) for n in range(2, 7) for _ in range(6)]
+    singular = [_simplex_with_invariants(rng, (1,) * (n - 2) + (d,)) for d in range(2, 12) for n in (2, 3, 4, 5)]
+    extra = ([(1, 0, 0), (0, 1, 0), (3, 5, 11)], [(1, 0, 0), (1, 2, 0), (0, 0, 1)])
+    singular += [Cone.from_generators(g) for g in extra]
+    singular += weighted_projective_fan((2, 3, 5)).cones
+    for cones, unit in ((unimodular, True), (singular, False)):
+        for cone in cones:
+            assert len(cone.generators) == cone.dim == cone.rank and (abs(cone.seeds[0]) == 1) == unit
+            want = tuple((members, _integral_primitive(h)) for members, h in facet_data_scan(cone))
+            assert cone.facet_data == want, cone.generators
+    assert {abs(cone.seeds[0]) for cone in singular} >= set(range(2, 12))
+    assert any(math.gcd(*h) > 1 for cone in singular for _, h in cone.seeds[1])
+    assert any(cone.seeds[0] < 0 for cone in unimodular) and any(cone.seeds[0] < 0 for cone in singular)
 
 
 # ------------------------------------------------------ linear pieces
