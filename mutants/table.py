@@ -158,6 +158,13 @@ ROWS = [
         "new": "",
         "tests": ["tests/test_cli_parser.py::test_sample_corpus_prints_the_pinned_bytes"],
     },
+    {
+        "name": "emit-prints-the-text-under-json-lines",
+        "file": CLI,
+        "old": "        print(_ENCODER.encode(record))\n",
+        "new": "        print(text)\n",
+        "tests": ["tests/test_cli_parser.py::test_sample_corpus_prints_the_pinned_bytes"],
+    },
     # markov table: rows from the walk's int triples, each checked by
     # _numerics, in columns of fixed width
     {
@@ -344,6 +351,14 @@ ROWS = [
         "new": "",
         "tests": [SMITH_AGREES],
     },
+    # the chart's solve, V.y with y_i = (L / d_i) U[i].a
+    {
+        "name": "solve-drops-the-invariant-scale",
+        "file": LATTICE,
+        "old": "        y = [self.L // di * vdot(u, a) for di, u in zip(self.d, self.U)]\n",
+        "new": "        y = [vdot(u, a) for di, u in zip(self.d, self.U)]\n",
+        "tests": ["tests/test_solve_chart.py::test_hypothesis_chart_is_a_scaled_generalised_inverse"],
+    },
     # the library routines tests/oracles.py read before each of its oracles
     # took a route of its own: every row is killed by an oracle comparison
     {
@@ -500,6 +515,15 @@ ROWS = [
         "old": "    for j in sorted(set(range(k)).difference([s for _, s in seeded], zero)):\n",
         "new": "    for j in sorted(set(range(k)).difference([s for _, s in seeded])):\n",
         "tests": ["tests/test_double_description.py::test_zero_rows_lie_on_every_facet_and_bound_nothing"],
+    },
+    # the closing mask is the one zero-row rule under linear_feasible:
+    # without it no facet holds a zero equality row
+    {
+        "name": "zero-rows-left-off-the-facets",
+        "file": FAN,
+        "old": "    if zero:\n        mask = sum(1 << j for j in zero)\n        rays = [(h, z | mask) for h, z in rays]\n",
+        "new": "",
+        "tests": ["tests/test_feasibility.py::test_kernel_edge_cases[0 = 0, nvars=1]"],
     },
     {
         "name": "walls-keyed-by-generator-indices",

@@ -5,9 +5,10 @@ came out false (an invalid fan under `fan check`, an --expect mismatch, a
 failing suite, a non-effective pullback), 2 for unusable input (syntax or
 semantic errors, unknown flags).
 
-Reports go to stdout; `--json-lines` switches them to one JSON record per
-line.  Subcommands whose output IS a fan or pair (subdivide, pullback)
-always print the file format, so their output can be piped back in.
+Reports go to stdout, one line per `_emit(args, record, text)`: the text,
+or under `--json-lines` the record as JSON.  Subcommands whose output IS a
+fan or pair (subdivide, pullback) always print the file format, so their
+output can be piped back in.
 
 The argparse tree is built once per process, on the first call to `main`,
 and reused by every later call.  A command line that names its group and
@@ -54,15 +55,11 @@ from toriclab.polytope import (
 _ENCODER = json.JSONEncoder(sort_keys=True)
 
 
-class _Reporter:
-    def __init__(self, json_lines: bool):
-        self.json_lines = json_lines
-
-    def emit(self, record: dict, text: str) -> None:
-        if self.json_lines:
-            print(_ENCODER.encode(record))
-        else:
-            print(text)
+def _emit(args, record: dict, text: str) -> None:
+    if args.json_lines:
+        print(_ENCODER.encode(record))
+    else:
+        print(text)
 
 
 def _write_lines(lines: list[str]) -> None:
@@ -92,13 +89,14 @@ def _load_pair(path: str) -> ToricPair:
 # --------------------------------------------------------------------- fan
 
 
-def _cmd_fan_check(args, rep: _Reporter) -> int:
+def _cmd_fan_check(args) -> int:
     fan = fileformats.parse_fan(_read(args.file), validate=False)
     diag = validate_fan(fan)
     if diag.valid:
-        rep.emit({"check": "fan", "valid": True}, "valid")
+        _emit(args, {"check": "fan", "valid": True}, "valid")
     else:
-        rep.emit(
+        _emit(
+            args,
             {"check": "fan", "valid": False, "problem": diag.problem, "witness": repr(diag.witness)},
             f"invalid: {diag.problem} (witness {diag.witness})",
         )
@@ -107,19 +105,19 @@ def _cmd_fan_check(args, rep: _Reporter) -> int:
     return 0 if diag.valid else 1
 
 
-def _cmd_fan_resolve2d(args, rep: _Reporter) -> int:
+def _cmd_fan_resolve2d(args) -> int:
     fan, _, cones = fileformats.parse_fan_file(_read(args.file))
     if args.cone < 0 or args.cone >= len(cones):
         print(f"error: fan file has no cone line {args.cone}", file=sys.stderr)
         return 2
     inserted = resolve_cone_2d(fan.cones[fan.max_cones.index(cones[args.cone])])  # cached by validation
     for v in inserted:
-        rep.emit({"inserted": list(v)}, "inserted " + " ".join(str(x) for x in v))
-    rep.emit({"count": len(inserted)}, f"count {len(inserted)}")
+        _emit(args, {"inserted": list(v)}, "inserted " + " ".join(str(x) for x in v))
+    _emit(args, {"count": len(inserted)}, f"count {len(inserted)}")
     return 0
 
 
-def _cmd_fan_subdivide(args, rep: _Reporter) -> int:
+def _cmd_fan_subdivide(args) -> int:
     fan, ray_index, _ = fileformats.parse_fan_file(_read(args.file))
     stratum_file = _parse_ints(args.stratum, "--stratum")
     for i in stratum_file:
@@ -139,36 +137,38 @@ def _cmd_fan_subdivide(args, rep: _Reporter) -> int:
 # -------------------------------------------------------------------- pair
 
 
-def _cmd_pair_classify(args, rep: _Reporter) -> int:
+def _cmd_pair_classify(args) -> int:
     pair = _load_pair(args.file)
     stype = singularity_type(pair)
     lcy = is_log_cy(pair)
     m = index(pair)
     c = complexity(pair, decomposition_by_primes(pair)).c
-    rep.emit(
+    _emit(
+        args,
         {"type": stype, "log_cy": lcy, "index": m, "complexity": str(c)},
         f"{stype}; {'log CY' if lcy else 'not log CY'}; index {m}; complexity {c}",
     )
     return 0
 
 
-def _cmd_pair_discrepancy(args, rep: _Reporter) -> int:
+def _cmd_pair_discrepancy(args) -> int:
     pair = _load_pair(args.file)
     point = _parse_ints(args.point, "--point")
     if tuple(point) in pair.fan.rays:
         a = log_discrepancy(pair, point)
-        rep.emit({"point": list(point), "log_discrepancy": str(a)}, str(a))
+        _emit(args, {"point": list(point), "log_discrepancy": str(a)}, str(a))
     else:
         place = classify_extracted_place(pair, point)
         a, labels = place.discrepancy, place.labels()
-        rep.emit(
+        _emit(
+            args,
             {"point": list(point), "log_discrepancy": str(a), "labels": list(labels)},
             f"{a}  ({'; '.join(labels)})",
         )
     return 0
 
 
-def _cmd_pair_pullback(args, rep: _Reporter) -> int:
+def _cmd_pair_pullback(args) -> int:
     pair = _load_pair(args.file)
     fine = fileformats.parse_fan(_read(args.refinement))
     try:
@@ -180,10 +180,11 @@ def _cmd_pair_pullback(args, rep: _Reporter) -> int:
     return 0
 
 
-def _cmd_pair_complexity(args, rep: _Reporter) -> int:
+def _cmd_pair_complexity(args) -> int:
     pair = _load_pair(args.file)
     report = complexity(pair, decomposition_by_primes(pair))
-    rep.emit(
+    _emit(
+        args,
         {"dim": report.dim, "rho": report.rho, "norm": str(report.norm), "c": str(report.c)},
         f"c = {report.c} (dim {report.dim}, rho {report.rho}, norm {report.norm})",
     )
@@ -193,30 +194,30 @@ def _cmd_pair_complexity(args, rep: _Reporter) -> int:
 # ---------------------------------------------------------------- polytope
 
 
-def _cmd_polytope_check(args, rep: _Reporter) -> int:
+def _cmd_polytope_check(args) -> int:
     poly = fileformats.parse_polytope(_read(args.file))
     interior = poly.contains_origin_interior()
-    rep.emit({"origin-interior": interior}, f"origin-interior {str(interior).lower()}")
+    _emit(args, {"origin-interior": interior}, f"origin-interior {str(interior).lower()}")
     if not interior:
         return 1
     refl = is_reflexive(poly)
     smooth = is_smooth_fano_polytope(poly)
-    rep.emit({"reflexive": refl}, f"reflexive {str(refl).lower()}")
-    rep.emit({"smooth-fano": smooth}, f"smooth-fano {str(smooth).lower()}")
+    _emit(args, {"reflexive": refl}, f"reflexive {str(refl).lower()}")
+    _emit(args, {"smooth-fano": smooth}, f"smooth-fano {str(smooth).lower()}")
     return 0
 
 
-def _cmd_polytope_enumerate(args, rep: _Reporter) -> int:
+def _cmd_polytope_enumerate(args) -> int:
     if args.dim != 2:
         print("error: enumeration is implemented for dimension 2 only", file=sys.stderr)
         return 2
     polys = enumerate_reflexive_polygons()
     if args.count_only:
-        rep.emit({"count": len(polys)}, str(len(polys)))
+        _emit(args, {"count": len(polys)}, str(len(polys)))
         return 0
     for i, poly in enumerate(polys):
-        if rep.json_lines:
-            rep.emit({"index": i, "vertices": [list(v) for v in poly.vertices]}, "")
+        if args.json_lines:
+            _emit(args, {"index": i, "vertices": [list(v) for v in poly.vertices]}, "")
         else:
             if i:
                 print()
@@ -231,16 +232,16 @@ _MARKOV_HEADER = f"{'triple':<14}{'weights':<18}{'degree':<8}{'amplitude':<11}{'
 _TRUE_COLUMNS = f"{'true':<12}{'true':<13}true"  # every surface is well-formed, quasismooth and Fano
 
 
-def _cmd_markov_table(args, rep: _Reporter) -> int:
+def _cmd_markov_table(args) -> int:
     """One row per (a, b, c) of the walk `markov._walk`, with no triple or
     surface object built, in the closed forms `markov.hkw_surface` proves:
     `_numerics` gives d and the degree and checks the Markov equation.  A
     JSON row is the bytes _ENCODER.encode prints for the row's record: keys
     sorted, ints by repr.  Every row is built before any is printed."""
-    rows = [] if rep.json_lines else [_MARKOV_HEADER]
+    rows = [] if args.json_lines else [_MARKOV_HEADER]
     for a, b, c in markov._walk(args.max):
         d, degree = markov._numerics(a, b, c)
-        if rep.json_lines:
+        if args.json_lines:
             rows.append(
                 f'{{"amplitude": {c + d}, "degree": {degree}, "fano": true, "quasismooth": true, '
                 f'"triple": [{a}, {b}, {c}], "weights": [{a * a}, {b * b}, {d}, {c}], "wellformed": true}}'
@@ -251,37 +252,34 @@ def _cmd_markov_table(args, rep: _Reporter) -> int:
     return 0
 
 
-def _cmd_markov_adjacent(args, rep: _Reporter) -> int:
+def _cmd_markov_adjacent(args) -> int:
     entries = _parse_ints(args.triple, "--triple")
     if len(entries) != 3:
         print("error: --triple needs three entries", file=sys.stderr)
         return 2
     t = markov.MarkovTriple(*sorted(entries))
     adj = markov.adjacent_triple(t)
-    rep.emit({"triple": list(t.as_tuple()), "adjacent": list(adj.as_tuple())}, str(adj.as_tuple()))
+    _emit(args, {"triple": list(t.as_tuple()), "adjacent": list(adj.as_tuple())}, str(adj.as_tuple()))
     return 0
 
 
 # ---------------------------------------------------------------- casebook
 
 
-def _cmd_casebook_segre(args, rep: _Reporter) -> int:
+def _cmd_casebook_segre(args) -> int:
     cert = casebook.segre_certificate()
     for point, coeff in cert.coefficients:
-        rep.emit({"point": point, "coefficient": str(coeff)}, f"coefficient {point} {coeff}")
-    rep.emit(
-        {"contracted-lines": cert.contracted_line_count},
-        f"contracted-lines {cert.contracted_line_count}",
-    )
-    rep.emit({"effective": cert.effective}, f"effective {str(cert.effective).lower()}")
+        _emit(args, {"point": point, "coefficient": str(coeff)}, f"coefficient {point} {coeff}")
+    _emit(args, {"contracted-lines": cert.contracted_line_count}, f"contracted-lines {cert.contracted_line_count}")
+    _emit(args, {"effective": cert.effective}, f"effective {str(cert.effective).lower()}")
     return 0 if cert.effective else 1
 
 
-def _cmd_casebook_suite(args, rep: _Reporter) -> int:
+def _cmd_casebook_suite(args) -> int:
     """One line per check, every line built before the one write, as in
     `markov table`."""
     report = casebook.toric_boundary_suite()
-    if rep.json_lines:
+    if args.json_lines:
         lines = [_ENCODER.encode({"name": x.name, "status": x.status, "witness": x.witness}) for x in report.lines]
     else:
         lines = [x.render() for x in report.lines]
@@ -389,9 +387,8 @@ def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parse_args(sys.argv[1:] if argv is None else list(argv))
-    rep = _Reporter(args.json_lines)
     try:
-        return args.func(args, rep)
+        return args.func(args)
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -244,16 +244,15 @@ def _separating(
     equal: Sequence[Sequence[int]], weak: Sequence[Sequence[int]], strict: Sequence[Sequence[int]]
 ) -> Optional[Vec]:
     """An integer y with y.e = 0 on the equal rows, y.r >= 0 on the weak
-    and y.s > 0 on the strict ones, or None; some row must be nonzero.
+    and y.s > 0 on the strict ones, or None; some row must be given.
 
     Such y form the face of the dual of cone(rows) spanned by the normals
     of the facets holding every equal row, from one double-description
     run.  By Gordan and Motzkin y exists iff no strict row lies on all of
-    those facets (a zero row always does), and then their sum is one."""
-    if not all(map(any, strict)):
-        return None
-    equal = [r for r in equal if any(r)]
-    rows = equal + [r for r in weak if any(r)] + list(strict)
+    those facets, and then their sum is one.  Zero rows are left to the
+    run, which puts them on every facet: a zero equal or weak row changes
+    nothing, and a zero strict row gives None."""
+    rows = [*equal, *weak, *strict]
     _, facets, _ = _double_description(rows)
     held, lineal, normals = (1 << len(equal)) - 1, (1 << len(rows)) - 1, []
     for h, members in facets:

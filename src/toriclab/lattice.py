@@ -16,10 +16,12 @@ or 3 seeds from cofactors instead, with no run).  Lattice
 questions read a `SolveChart`, through which every Smith form is read:
 integer solves, class groups and left kernels, and a cone's
 unimodularity, the pieces of a lower-dimensional cone and the
-parallelepiped of a simplex.  `smith_normal_form` works on one augmented
-matrix, as `echelon` carries its transform in extra columns: M's rows
-followed by U's, with V's rows below, so each row or column operation is
-written once and moves its transform along.
+parallelepiped of a simplex.  A chart keeps U, d and V of U.G.V =
+diag(d) and solves G m = a as L.m = V.y, y_i = (L / d_i) U[i].a.
+`smith_normal_form` works on one augmented matrix, as `echelon` carries
+its transform in extra columns: M's rows followed by U's, with V's rows
+below, so each row or column operation is written once and moves its
+transform along.
 """
 
 from __future__ import annotations
@@ -198,8 +200,7 @@ def smith_normal_form(M: Sequence[Sequence[int]], ncols: int) -> tuple[tuple[Vec
 class SolveChart(Value):
     """One Smith form U.G.V = diag(d) of an integer matrix G (its rows,
     `ncols` wide), read as an integer solver for G m = a; the only reader
-    of `smith_normal_form`.  U is kept as a tuple of integer rows, and V
-    only through M.
+    of `smith_normal_form`.  U and V are kept as tuples of integer rows.
     It answers lattice questions only: integer solves and class groups,
     the unimodularity of a cone that is not full-dimensional simplicial
     and the pieces of a lower-dimensional one (fan.Cone.solve_chart), and
@@ -210,36 +211,34 @@ class SolveChart(Value):
     3 the cofactor seeds that stand in for it (fan._seed_echelon).
 
     d holds the r nonzero invariants and L = d[r-1] is the largest (1 when
-    r = 0).  M = sum over i < r of (L / d_i) V[:, i] (x) U[i] and Z = U[r:]:
-    G m = a has a rational solution iff Z.a = 0, and then m = M.a / L is
-    the one whose free Smith coordinates (V^-1 m)_i, i >= r, vanish.  As V
-    is unimodular, an integral solution exists iff that m is integral, i.e.
-    iff L divides M.a.  The rows of Z span the left kernel of G, and
+    r = 0), and Z = U[r:]: G m = a has a rational solution iff Z.a = 0,
+    and then m = V.y / L, with y_i = (L / d_i) U[i].a for i < r, is the
+    one whose free Smith coordinates (V^-1 m)_i, i >= r, vanish.  As V is
+    unimodular, an integral solution exists iff that m is integral, i.e.
+    iff L divides V.y.  The rows of Z span the left kernel of G, and
     Z^rows / column image of G is Z^(rows - r) + sum Z/d_i.
     """
 
     U: tuple[Vec, ...]
     d: tuple[int, ...]
     L: int
-    M: tuple[Vec, ...]
+    V: tuple[Vec, ...]
     Z: tuple[Vec, ...]
 
     @classmethod
     def of(cls, G: Sequence[Sequence[int]], ncols: int) -> "SolveChart":
         U, D, V = smith_normal_form(G, ncols)
         d = tuple(row[i] for i, row in enumerate(D[:ncols]) if row[i])
-        r = len(d)
-        L = d[-1] if d else 1
-        scaled = [[L // di * x for x in row] for di, row in zip(d, U)]
-        M = tuple(tuple(sum(vrow[i] * scaled[i][q] for i in range(r)) for q in range(len(G))) for vrow in V)
-        return cls(U, d, L, M, U[r:])
+        return cls(U, d, d[-1] if d else 1, V, U[len(d) :])
 
     def solve(self, a: Sequence[int]) -> Optional[Vec]:
         """L.m for the chart's solution m of G m = a (a integral), or None
         when G m = a has no rational solution."""
         if any(vdot(z, a) for z in self.Z):
             return None
-        return tuple(vdot(row, a) for row in self.M)
+        y = [self.L // di * vdot(u, a) for di, u in zip(self.d, self.U)]
+        # y has r entries, so each row of V is read on its first r columns
+        return tuple(sum(map(operator.mul, row, y)) for row in self.V)
 
 
 def solve_rational(A: Sequence[Sequence[int]], ncols: int, b: Sequence) -> Optional[tuple[Fraction, ...]]:

@@ -101,6 +101,45 @@ def test_kernel_matches_fourier_motzkin_property(system):
     check_against_fm(*system)
 
 
+# zero rows: the double-description run puts them on every facet, the only
+# zero-row rule on the way from linear_feasible; name -> (kind, rhs,
+# feasible), kind 0 for =, 1 for >= and 2 for >
+ZERO_ROWS = {
+    "0 = 0": (0, 0, True),
+    "0 >= 0": (1, 0, True),
+    "0 > 0": (2, 0, False),
+    "0 = 1": (0, 1, False),
+    "0 >= 1": (1, 1, False),
+}
+# name -> (kind, row in two variables), each feasible alone
+REAL_ROWS = {"x + y = 1": (0, ([1, 1], 1)), "x - y >= 1": (1, ([1, -1], 1)), "x > 2": (2, ([1, 0], 2))}
+
+
+def _system(nvars, rows):
+    """(nvars, eqs, gte, gt) from (kind, (a, b)) rows, kind 0, 1 or 2."""
+    parts = ([], [], [])
+    for kind, row in rows:
+        parts[kind].append(row)
+    return (nvars, *parts)
+
+
+def _zero_row_systems():
+    """Each zero row alone and beside each real row, and systems of zero
+    rows only, as (system, feasible) params."""
+    out = []
+    for nvars in (0, 1, 2):
+        zeros = {name: (kind, ([0] * nvars, rhs)) for name, (kind, rhs, _) in ZERO_ROWS.items()}
+        for name, (_, _, feasible) in ZERO_ROWS.items():
+            out.append(pytest.param(_system(nvars, [zeros[name]]), feasible, id=f"{name}, nvars={nvars}"))
+        out.append(pytest.param(_system(nvars, zeros.values()), False, id=f"every zero row, nvars={nvars}"))
+        feasible = [zeros["0 = 0"], zeros["0 >= 0"]]
+        out.append(pytest.param(_system(nvars, feasible), True, id=f"0 = 0 and 0 >= 0, nvars={nvars}"))
+    for name, (kind, rhs, feasible) in ZERO_ROWS.items():
+        for real, row in REAL_ROWS.items():
+            out.append(pytest.param(_system(2, [(kind, ([0, 0], rhs)), row]), feasible, id=f"{name} beside {real}"))
+    return out
+
+
 @pytest.mark.parametrize(
     "system, feasible",
     [
@@ -121,6 +160,7 @@ def test_kernel_matches_fourier_motzkin_property(system):
         ((3, [([1, 1, 1], 1)], [], [([1, 0, 0], 0), ([0, 1, 0], 0), ([0, 0, 1], 0)]), True),
         ((1, [], [([1], 0), ([-1], 0)], [([1], 0)]), False),  # x >= 0, -x >= 0, x > 0
         ((1, [], [([2], 0)], [([1], 0)]), True),  # x >= 0 and x > 0 on one variable
+        *_zero_row_systems(),
     ],
 )
 def test_kernel_edge_cases(system, feasible):

@@ -227,10 +227,15 @@ def test_hypothesis_smith_identities(rows, width):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(st.integers(1, 4).flatmap(lambda n: st.lists(st.tuples(*[st.integers(-4, 4)] * n), min_size=1, max_size=5)))
 def test_hypothesis_chart_is_a_scaled_generalised_inverse(rows):
-    # Z.G = 0 and G.M.G = L.G: M / L solves every consistent system
+    # Z.G = 0 and G.solve(G.e_q) = L.G.e_q for every unit vector e_q,
+    # which is column q of G.M.G = L.G for the linear map M that solve
+    # applies: solve / L solves every consistent system
     G = tuple(rows)
-    chart = SolveChart.of(G, len(G[0]))
-    assert matmul(matmul(G, chart.M), G) == tuple(tuple(chart.L * x for x in row) for row in G)
+    n = len(G[0])
+    chart = SolveChart.of(G, n)
+    for q in range(n):
+        column = tuple(row[q] for row in G)
+        assert tuple(vdot(row, chart.solve(column)) for row in G) == tuple(chart.L * x for x in column)
     assert all(vdot(z, col) == 0 for z in chart.Z for col in zip(*G))
     assert len(chart.d) + len(chart.Z) == len(G) and len(chart.d) == rank(G)
 
@@ -253,10 +258,10 @@ def test_unimodular_cones_read_the_chart():
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_matrices_with_no_rows_keep_their_width(n):
     # the cone on no generators and a fan with no rays reach Smith forms
-    # of no rows, read at their ncols: M keeps one row per column
+    # of no rows, read at their ncols: V is the ncols x ncols identity
     identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     chart = SolveChart.of((), n)
-    assert (chart.U, chart.d, chart.L, chart.M, chart.Z) == ((), (), 1, ((),) * n, ())
+    assert (chart.U, chart.d, chart.L, chart.V, chart.Z) == ((), (), 1, identity, ())
     assert chart.solve(()) == (0,) * n
     cone = Cone((), n)
     assert (cone.dim, cone.seeds, cone.facet_data) == (0, (1, ()), ())

@@ -46,9 +46,9 @@ ROWS = [
     ),
     (
         lattice.SolveChart,
-        ("U", "d", "L", "M", "Z"),
-        lambda: (((1, 0), (0, 1)), (1, 2), 2, ((2, 0), (0, 1)), ()),
-        "SolveChart(U=((1, 0), (0, 1)), d=(1, 2), L=2, M=((2, 0), (0, 1)), Z=())",
+        ("U", "d", "L", "V", "Z"),
+        lambda: (((1, 0), (0, 1)), (1, 2), 2, ((1, 0), (0, 1)), ()),
+        "SolveChart(U=((1, 0), (0, 1)), d=(1, 2), L=2, V=((1, 0), (0, 1)), Z=())",
         (),
     ),
     (
