@@ -36,7 +36,7 @@ ROWS = [
     {
         "name": "walls-check-4-dropped",
         "file": FAN,
-        "old": "return not any(cone.contains(inside) for cone in cones[1:])",
+        "old": "return next(_holding(cones[1:], inside), None) is None",
         "new": "return True",
         "tests": ["tests/test_walls.py::test_the_named_failures_are_the_ones_meant"],
     },
@@ -277,9 +277,22 @@ ROWS = [
     {
         "name": "cone-generators-not-read-as-integers",
         "file": FAN,
-        "old": "            g = _integers(g)\n",
+        "old": "        v = _integers(v)\n",
         "new": "",
-        "tests": ["tests/test_shared_fans.py::test_values_that_are_not_integers_raise[cone constructor]"],
+        "tests": [
+            "tests/test_shared_fans.py::test_values_that_are_not_integers_raise[cone constructor]",
+            "tests/test_shared_fans.py::test_values_that_are_not_integers_raise[fan ray]",
+        ],
+    },
+    {
+        "name": "rank-not-read-as-an-integer",
+        "file": FAN,
+        "old": "    (rank,) = _integers([rank])\n",
+        "new": "",
+        "tests": [
+            "tests/test_shared_fans.py::test_values_that_are_not_integers_raise[cone rank]",
+            "tests/test_shared_fans.py::test_values_that_are_not_integers_raise[fan rank]",
+        ],
     },
     {
         "name": "decomposition-indices-truncated",
@@ -565,5 +578,29 @@ ROWS = [
         "old": 'raise ParseError(fan_line, f"cannot read fan file',
         "new": 'raise ParseError(1, f"cannot read fan file',
         "tests": ["tests/test_hardening.py::test_each_file_error_cites_its_own_line[late-missing-fan.pair]"],
+    },
+    {
+        "name": "normal-form-without-the-c-2-lines",
+        "file": POLYTOPE,
+        "old": "for c in (0, 1, -1, 2, -2) if _norm(beta) == lam2 else (0, 1, -1):",
+        "new": "for c in (0, 1, -1):",
+        "tests": ["tests/test_polygons.py::test_normal_form_on_the_lines_c_2"],
+    },
+    {
+        "name": "smooth-fano-skips-the-facet-determinant",
+        "file": POLYTOPE,
+        "old": "        if abs(det([P.vertices[i] for i in sorted(members)])) != 1:\n            return False\n",
+        "new": "",
+        "tests": ["tests/test_polytope.py::test_smooth_fano_examples"],
+    },
+    {
+        "name": "repeated-ray-index-in-a-cone-accepted",
+        "file": FAN,
+        "old": "        if len(set(mapped)) != len(mapped):\n            raise ValueError(\"repeated ray index in cone\")\n",
+        "new": "",
+        "tests": [
+            "tests/test_hardening.py::test_library_errors_keep_their_messages[fan-repeated-index]",
+            "tests/test_hardening.py::test_library_errors_keep_their_messages[fan-constructor-repeated-index]",
+        ],
     },
 ]

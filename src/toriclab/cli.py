@@ -3,7 +3,9 @@
 Exit codes: 0 success (or a check that came out true), 1 for a check that
 came out false (an invalid fan under `fan check`, an --expect mismatch, a
 failing suite, a non-effective pullback), 2 for unusable input (syntax or
-semantic errors, unknown flags).
+semantic errors, unknown flags).  Every usage error a subcommand finds is a
+ValueError, which `main` alone prints as `error: ...` with exit 2, as it
+does a file's errors.
 
 Reports go to stdout, one line per `_emit(args, record, text)`: the text,
 or under `--json-lines` the record as JSON.  Subcommands whose output IS a
@@ -108,8 +110,7 @@ def _cmd_fan_check(args) -> int:
 def _cmd_fan_resolve2d(args) -> int:
     fan, _, cones = fileformats.parse_fan_file(_read(args.file))
     if args.cone < 0 or args.cone >= len(cones):
-        print(f"error: fan file has no cone line {args.cone}", file=sys.stderr)
-        return 2
+        raise ValueError(f"fan file has no cone line {args.cone}")
     inserted = resolve_cone_2d(fan.cones[fan.max_cones.index(cones[args.cone])])  # cached by validation
     for v in inserted:
         _emit(args, {"inserted": list(v)}, "inserted " + " ".join(str(x) for x in v))
@@ -122,11 +123,9 @@ def _cmd_fan_subdivide(args) -> int:
     stratum_file = _parse_ints(args.stratum, "--stratum")
     for i in stratum_file:
         if i < 0 or i >= len(ray_index):
-            print(f"error: --stratum names ray index {i}, but the file has {len(ray_index)} rays", file=sys.stderr)
-            return 2
+            raise ValueError(f"--stratum names ray index {i}, but the file has {len(ray_index)} rays")
     if len(set(stratum_file)) != len(stratum_file):
-        print(f"error: --stratum repeats a ray index ({args.stratum})", file=sys.stderr)
-        return 2
+        raise ValueError(f"--stratum repeats a ray index ({args.stratum})")
     stratum = [ray_index[i] for i in stratum_file]
     ray = _parse_ints(args.ray, "--ray") if args.ray else None
     result = star_subdivision(fan, stratum, ray)
@@ -208,20 +207,17 @@ def _cmd_polytope_check(args) -> int:
 
 
 def _cmd_polytope_enumerate(args) -> int:
+    """Each polygon in the file format through _emit, whose print ends it;
+    a blank line comes before each but the first."""
     if args.dim != 2:
-        print("error: enumeration is implemented for dimension 2 only", file=sys.stderr)
-        return 2
+        raise ValueError("enumeration is implemented for dimension 2 only")
     polys = enumerate_reflexive_polygons()
     if args.count_only:
         _emit(args, {"count": len(polys)}, str(len(polys)))
         return 0
     for i, poly in enumerate(polys):
-        if args.json_lines:
-            _emit(args, {"index": i, "vertices": [list(v) for v in poly.vertices]}, "")
-        else:
-            if i:
-                print()
-            sys.stdout.write(fileformats.emit_polytope(poly))
+        text = fileformats.emit_polytope(poly)[:-1]
+        _emit(args, {"index": i, "vertices": [list(v) for v in poly.vertices]}, "\n" + text if i else text)
     return 0
 
 
@@ -255,8 +251,7 @@ def _cmd_markov_table(args) -> int:
 def _cmd_markov_adjacent(args) -> int:
     entries = _parse_ints(args.triple, "--triple")
     if len(entries) != 3:
-        print("error: --triple needs three entries", file=sys.stderr)
-        return 2
+        raise ValueError("--triple needs three entries")
     t = markov.MarkovTriple(*sorted(entries))
     adj = markov.adjacent_triple(t)
     _emit(args, {"triple": list(t.as_tuple()), "adjacent": list(adj.as_tuple())}, str(adj.as_tuple()))

@@ -34,8 +34,8 @@ inward normals, decides whether cones cover a region exactly once: the
 space for validate_fan (on complete fans of full-dimensional cones,
 simplicial or not), is_complete and is_refinement onto a complete fan, each
 coarse cone for is_refinement onto any other.  Nothing here ever touches a
-float: a coordinate, ray index or fan rank that is not an integer raises
-ValueError.
+float: a coordinate, ray index or rank that is not an integer raises
+ValueError (_primitives reads every cone's generators and fan's rays).
 
 Fan.from_data shares fans by the fan, not by the data: while an equal fan
 built by it is still held anywhere (a cached pair or presentation, the
@@ -61,7 +61,7 @@ import operator
 import weakref
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from toriclab._value import Value, cached_property
 from toriclab.lattice import SolveChart, Vec, echelon, primitive, rank as matrix_rank, vdot
@@ -77,6 +77,30 @@ def _integers(xs: Iterable) -> tuple[int, ...]:
             if n != x and not isinstance(x, str):
                 raise ValueError(f"not an integer: {x!r}")
     return ns
+
+
+def _primitives(vectors: Iterable[Sequence], rank, noun: str) -> tuple[list[Vec], int]:
+    """(the vectors made primitive, in order, the rank as an int), each
+    read through _integers; ValueError on a vector whose length is not the
+    rank or that is zero, naming it by `noun`.  The one reading of a
+    cone's generators and of a fan's rays."""
+    (rank,) = _integers([rank])
+    out = []
+    for v in vectors:
+        v = _integers(v)
+        if len(v) != rank:
+            raise ValueError(f"{noun} length differs from ambient rank")
+        if not any(v):
+            raise ValueError(f"zero {noun}")
+        out.append(primitive(v))
+    return out, rank
+
+
+def _holding(cones: Sequence[Cone], v: Sequence) -> Iterator[int]:
+    """The indices of the cones that hold v (Cone.contains), in order and
+    lazily: the one point-location scan, read by psi for the first,
+    is_refinement for all and the wall test for any after the first."""
+    return (k for k, cone in enumerate(cones) if cone.contains(v))
 
 
 # ---------------------------------------------------------------------------
@@ -295,23 +319,18 @@ class Cone(Value):
     """Rational polyhedral cone given by primitive generators.
 
     The constructor normalizes: generators are primitivized, deduplicated
-    and sorted.  Strong convexity and extremality are geometric properties
-    checked by the predicates below, not at construction.
+    and sorted, and the rank is read as an int (_primitives).  Strong
+    convexity and extremality are geometric properties checked by the
+    predicates below, not at construction.
     """
 
     generators: tuple[Vec, ...]
     rank: int
 
     def __post_init__(self):
-        gens = []
-        for g in self.generators:
-            g = _integers(g)
-            if len(g) != self.rank:
-                raise ValueError("generator length differs from ambient rank")
-            if not any(g):
-                raise ValueError("zero generator")
-            gens.append(primitive(g))
+        gens, rank = _primitives(self.generators, self.rank, "generator")
         object.__setattr__(self, "generators", tuple(sorted(set(gens))))
+        object.__setattr__(self, "rank", rank)
 
     @classmethod
     def from_generators(cls, gens: Iterable[Sequence[int]], rank: Optional[int] = None) -> "Cone":
@@ -501,15 +520,7 @@ def _normal_form(
     primitive and sorted, each cone remapped onto them and sorted, the
     cones sorted without repeats, the rank an int.  The data of equal fans
     have one normal form.  ValueError on data that is not a fan's."""
-    (rank,) = _integers([rank])
-    primitives = []
-    for r in rays:
-        r = _integers(r)
-        if len(r) != rank:
-            raise ValueError("ray length differs from ambient rank")
-        if not any(r):
-            raise ValueError("zero ray")
-        primitives.append(primitive(r))
+    primitives, rank = _primitives(rays, rank, "ray")
     if len(set(primitives)) != len(primitives):
         raise ValueError("duplicate ray")
     order = sorted(range(len(primitives)), key=primitives.__getitem__)
@@ -604,8 +615,25 @@ class Fan(Value):
 
     @cached_property
     def _diagnostics(self) -> "Diagnostics":
-        """validate_fan's answer, found once per fan (_check_axioms)."""
-        return _check_axioms(self)
+        """validate_fan's answer, its checks run once per fan."""
+        used = set(itertools.chain.from_iterable(self.max_cones))
+        for i in range(len(self.rays)):
+            if i not in used:
+                return Diagnostics(False, "ray not contained in any maximal cone", (self.rays[i],))
+        for idx, cone in zip(self.max_cones, self.cones):
+            if not cone.is_strongly_convex():
+                return Diagnostics(False, "maximal cone is not strongly convex", (idx,))
+            if not cone.generators_extremal():
+                return Diagnostics(False, "non-extremal generator in maximal cone", (idx,))
+        if _covers_space(self):
+            return Diagnostics(True)
+        for ca, cb in itertools.combinations(self.max_cones, 2):
+            ia, ib = set(ca), set(cb)
+            if ia <= ib or ib <= ia:
+                return Diagnostics(False, "maximal cone contained in another", (ca, cb))
+            if not _meet_in_common_face(self, ca, cb):
+                return Diagnostics(False, "cones do not intersect in a common face", (ca, cb))
+        return Diagnostics(True)
 
     @cached_property
     def ray_rank(self) -> int:
@@ -646,33 +674,6 @@ def validate_fan(fan: Fan) -> Diagnostics:
     Fan.from_data shares among all data of an equal fan, reads it back.
     """
     return fan._diagnostics
-
-
-def _check_axioms(fan: Fan) -> Diagnostics:
-    """validate_fan's checks, run on a fan once (Fan._diagnostics)."""
-    used = set(itertools.chain.from_iterable(fan.max_cones))
-    for i in range(len(fan.rays)):
-        if i not in used:
-            return Diagnostics(False, "ray not contained in any maximal cone", (fan.rays[i],))
-    cones = fan.cones
-    for idx, cone in zip(fan.max_cones, cones):
-        if not cone.is_strongly_convex():
-            return Diagnostics(False, "maximal cone is not strongly convex", (idx,))
-        if not cone.generators_extremal():
-            return Diagnostics(False, "non-extremal generator in maximal cone", (idx,))
-    if _covers_space(fan):
-        return Diagnostics(True)
-    for a, b in itertools.combinations(range(len(cones)), 2):
-        ia, ib = set(fan.max_cones[a]), set(fan.max_cones[b])
-        if ia <= ib or ib <= ia:
-            return Diagnostics(False, "maximal cone contained in another", (fan.max_cones[a], fan.max_cones[b]))
-        if not _meet_in_common_face(fan, fan.max_cones[a], fan.max_cones[b]):
-            return Diagnostics(
-                False,
-                "cones do not intersect in a common face",
-                (fan.max_cones[a], fan.max_cones[b]),
-            )
-    return Diagnostics(True)
 
 
 def _covers_once(
@@ -723,7 +724,7 @@ def _covers_once(
         elif len(sides) != 1 or not any(all(vdot(h, g) == 0 for g in wall) for h in boundary):
             return False
     inside = tuple(map(sum, zip(*cones[0].generators)))  # in every cone's span
-    return not any(cone.contains(inside) for cone in cones[1:])
+    return next(_holding(cones[1:], inside), None) is None
 
 
 def _covers_space(fan: Fan) -> bool:
@@ -863,7 +864,7 @@ def is_refinement(fine: Fan, coarse: Fan) -> bool:
     if fine.rank != coarse.rank:
         return False
     coarse_cones = coarse.cones
-    holders = [{k for k, cc in enumerate(coarse_cones) if cc.contains(r)} for r in fine.rays]
+    holders = [set(_holding(coarse_cones, r)) for r in fine.rays]
     hosts = [set.intersection(*(holders[j] for j in c)) for c in fine.max_cones]
     if not all(hosts):
         return False

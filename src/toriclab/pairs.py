@@ -32,7 +32,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from toriclab._value import Value, derived
-from toriclab.fan import Cone, Diagnostics, Fan, _integers, is_refinement
+from toriclab.fan import Cone, Diagnostics, Fan, _holding, _integers, is_refinement
 from toriclab.lattice import Vec, rank as matrix_rank, vdot
 from toriclab.toric import ToricVariety, _scaled_piece, projective_space_fan
 
@@ -141,12 +141,9 @@ class LogDiscrepancyFunction:
             self.scaled.append((L * A, lm))
 
     def cone_index_of(self, v: Sequence) -> Optional[int]:
-        """The first maximal cone, in order, that holds v (Cone.contains);
+        """The first maximal cone, in order, that holds v (fan._holding);
         None if none does."""
-        for k, cone in enumerate(self.pair.fan.cones):
-            if cone.contains(v):
-                return k
-        return None
+        return next(_holding(self.pair.fan.cones, v), None)
 
     def __call__(self, v: Sequence) -> Fraction:
         k = self.cone_index_of(v)

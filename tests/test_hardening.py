@@ -194,6 +194,8 @@ LIBRARY_ERRORS = {
     "cone-no-generators": (lambda: Cone.from_generators([]), "cannot infer ambient rank of empty cone"),
     "fan-ray-length": (lambda: Fan.from_data([(1, 0), (1, 0, 0)], [(0,)]), "ray length differs from ambient rank"),
     "fan-empty-cone": (lambda: Fan.from_data([(1, 0)], [()]), "empty maximal cone"),
+    "fan-repeated-index": (lambda: Fan.from_data([(1, 0), (0, 1)], [(0, 0)]), "repeated ray index in cone"),
+    "fan-constructor-repeated-index": (lambda: Fan(((1, 0), (0, 1)), ((0, 0),), 2), "repeated ray index in cone"),
     "fan-no-rays": (lambda: Fan.from_data([], []), "cannot infer rank of empty fan; pass rank="),
     "resolve-line": (
         lambda: resolve_cone_2d(Cone.from_generators([(1, 0), (-1, 0)])),

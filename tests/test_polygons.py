@@ -3,6 +3,7 @@ the rank-2 closed forms against their scans, the pinned enumeration and
 the descent behind it, and how many polytopes the normal form builds and
 how many normal forms the enumeration takes."""
 
+import itertools
 import math
 import os
 import random
@@ -377,6 +378,41 @@ def test_normal_form_with_the_origin_as_least_vertex():
         for _ in range(10):
             image = Polytope.hull(_apply(_gl2z(rng, 50), verts))
             assert unimodular_normal_form(image) == form
+
+
+# lambda1 = lambda2 = 46, and the least basis takes a row on a line
+# |c| = 2 of the reduced basis
+_C2_HEPTAGON = ((-24, -13), (-23, -19), (-22, -23), (-21, -25), (-20, -25), (46, 0), (0, 46))
+
+
+def _least_image_over_box_rows(verts):
+    """The least sorted image of verts over the bases whose rows lie in
+    {-1, 0, 1}^2, with no library call.  For the heptagon this is its
+    normal form: its vertices (46, 0) and (0, 46) force every row u with
+    max_v |<u, v>| <= 46 into that box, and every row there reaches 46."""
+    rows = [u for u in itertools.product((-1, 0, 1), repeat=2) if any(u)]
+    assert len(rows) == 8
+    assert {max(abs(u[0] * x + u[1] * y) for x, y in verts) for u in rows} == {46}
+    return min(
+        sorted((r[0] * x + r[1] * y, s[0] * x + s[1] * y) for x, y in verts)
+        for r in rows
+        for s in rows
+        if abs(r[0] * s[1] - r[1] * s[0]) == 1
+    )
+
+
+def test_normal_form_on_the_lines_c_2(count_calls):
+    partners = count_calls("_partner", polytope)
+    P = Polytope.hull(_C2_HEPTAGON)
+    assert P.vertices == _C2_HEPTAGON
+    form = unimodular_normal_form(P)
+    assert sorted(form.vertices) == _least_image_over_box_rows(_C2_HEPTAGON)
+    assert set(form.vertices) == {(-46, -46), (-46, 0), (37, 13), (42, 19), (45, 23), (45, 25), (46, 25)}
+    assert any(abs(call.args[1]) == 2 for call in partners)
+    rng = random.Random(4646)
+    for _ in range(10):
+        image = Polytope.hull(_apply(_gl2z(rng, rng.choice((10, 10**6))), _C2_HEPTAGON))
+        assert unimodular_normal_form(image) == form
 
 
 def test_normal_form_of_gl2z_images_up_to_1e12():

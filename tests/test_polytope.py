@@ -119,6 +119,11 @@ def test_smooth_fano_examples():
     cube = Polytope.hull([(x, y, z) for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)])  # square facets
     assert is_smooth_fano_polytope(cube) is False
     assert is_smooth_fano_det(cube) is False
+    # simplicial, but the facet {e1, e2, (-1, -1, -3)} has determinant -3
+    simplex = Polytope.hull([(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -3)])
+    assert all(len(members) == 3 for members, _, _ in simplex._facets)
+    assert is_smooth_fano_polytope(simplex) is False
+    assert is_smooth_fano_det(simplex) is False
 
 
 # -------------------------------------------------------------- face fan

@@ -200,6 +200,7 @@ def test_a_shared_wall_map_cannot_be_changed():
         lambda: Cone(((1.5, 0), (0, 1)), 2),
         lambda: weighted_projective_fan((1.5, 2)),
         lambda: projective_space_fan(2.5),
+        lambda: Cone((), 2.5),
     ],
     ids=[
         "fan ray",
@@ -212,6 +213,7 @@ def test_a_shared_wall_map_cannot_be_changed():
         "cone constructor",
         "weighted projective weight",
         "projective space dimension",
+        "cone rank",
     ],
 )
 def test_values_that_are_not_integers_raise(build):
@@ -222,6 +224,8 @@ def test_values_that_are_not_integers_raise(build):
 def test_integral_values_of_other_types_are_taken():
     assert Cone.from_generators([(1.0, 0), (0, Fraction(2))]).generators == ((0, 1), (1, 0))
     assert Cone(((1.0, 0), (0, Fraction(2))), 2) == Cone(((1, 0), (0, 1)), 2)
+    cone = Cone(((1, 0), (0, 1)), 2.0)
+    assert type(cone.rank) is int and cone.facet_data == Cone(((1, 0), (0, 1)), 2).facet_data
     assert weighted_projective_fan((1.0, 2)) == weighted_projective_fan((1, 2))
     assert projective_space_fan(2.0) == projective_space_fan(2)
     assert Cone.from_generators([("3", 0), (0, "-1")]).generators == ((0, -1), (1, 0))

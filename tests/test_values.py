@@ -252,6 +252,14 @@ def test_defaults_fill_what_a_call_leaves_out():
         fan.Diagnostics(problem="p")
 
 
+def test_a_required_field_after_a_defaulted_one_is_refused_at_class_creation():
+    with pytest.raises(TypeError, match="^Late: a field without a default follows one with a default$"):
+
+        class Late(Value):
+            early: int = 0
+            late: int
+
+
 def test_markov_triples_keep_their_order():
     triples = markov.enumerate_markov(10**6)
     shuffled = random.Random(3838).sample(triples, len(triples))
