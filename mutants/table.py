@@ -20,6 +20,7 @@ POLYTOPE = "src/toriclab/polytope.py"
 FILEFORMATS = "src/toriclab/fileformats.py"
 SMITH_AGREES = "tests/test_lattice.py::test_smith_form_matches_the_three_matrix_form_on_seeded_matrices"
 SEEDED_COFACTORS = "tests/test_echelon.py::test_seeded_rows_seed_from_cofactors_as_the_elimination_does"
+SIMPLEX_SCAN = "tests/test_dual_basis.py::test_simplicial_facet_data_matches_the_scan_at_every_determinant"
 
 ROWS = [
     # _covers_once and its guard (_covers_space).  Check (2) with > 0 in
@@ -497,14 +498,31 @@ ROWS = [
             "tests/test_polygons.py::test_reduction_steps_on_the_entry_ladder",
         ],
     },
+    # Cone.facet_data on n = rank independent generators: the seed
+    # functionals as they stand when last = 1, negated when last = -1, and
+    # divided by their gcd only when |last| > 1
     {
         "name": "simplicial-facet-normals-keep-the-seed-sign",
         "file": FAN,
-        "old": "primitive(hs if last > 0 else tuple(-x for x in hs))",
-        "new": "primitive(hs)",
+        "old": "primitive(h if last > 0 else tuple([-x for x in h]))",
+        "new": "primitive(h)",
         "tests": [
             "tests/test_psi_record.py::test_named_fans_match_the_oracles[P(2,3,5)]",
         ],
+    },
+    {
+        "name": "unimodular-normals-keep-the-sign",
+        "file": FAN,
+        "old": "normals = [tuple([-x for x in h]) for h in seeds]",
+        "new": "normals = seeds",
+        "tests": [SIMPLEX_SCAN],
+    },
+    {
+        "name": "seed-functionals-taken-whole-at-any-determinant",
+        "file": FAN,
+        "old": "if last == 1:\n                normals = seeds",
+        "new": "if last > 0:\n                normals = seeds",
+        "tests": [SIMPLEX_SCAN],
     },
     # _double_description decides adjacency by the d - 2 filter alone only
     # for d <= 3, where no zero row may count as shared.  The cones over

@@ -68,8 +68,17 @@ def test_tests_failing_unchanged_fail_the_run(tree):
 
 
 def test_the_table_is_well_formed():
+    # a stale row shows here, not only in the full run: its old text must
+    # occur once in its file, and each test it names must be defined
     names = [row["name"] for row in ROWS]
     assert len(set(names)) == len(names)
+    root = MUTANTS.parent
     for row in ROWS:
         assert set(row) == {"name", "file", "old", "new", "tests"}
         assert row["file"].startswith("src/") and row["old"] != row["new"] and row["tests"]
+        assert (root / row["file"]).read_text().count(row["old"]) == 1, row["name"]
+        for test in row["tests"]:
+            path, _, function = test.partition("::")
+            assert (root / path).is_file(), (row["name"], test)
+            if function:
+                assert f"def {function.split('[')[0]}(" in (root / path).read_text(), (row["name"], test)

@@ -26,16 +26,19 @@ of [G^T | I], and reads every rational fact off it: its dimension, its span
 seeds (Cone.seeds: dim independent generators, each with a functional
 vanishing on the others), which give the linear pieces of a
 full-dimensional cone and the facets and unimodularity of a
-full-dimensional simplicial one, with no double description.  Its Smith
-chart (lattice.SolveChart) answers lattice questions only.  A strongly
-convex cone that is not simplicial caches one pulling triangulation into
-simplices.  One oriented wall test (_covers_once), on the walls and their
-inward normals, decides whether cones cover a region exactly once: the
-space for validate_fan (on complete fans of full-dimensional cones,
-simplicial or not), is_complete and is_refinement onto a complete fan, each
-coarse cone for is_refinement onto any other.  Nothing here ever touches a
-float: a coordinate, ray index or rank that is not an integer raises
-ValueError (_primitives reads every cone's generators and fan's rays).
+full-dimensional simplicial one, with no double description: a
+unimodular one's facet normals are its dual basis, the seed functionals
+taken as they stand (negated when last = -1), and only |last| > 1 divides
+by the gcd.  Its Smith chart (lattice.SolveChart) answers lattice
+questions only.  A strongly convex cone that is not simplicial caches one
+pulling triangulation into simplices.  One oriented wall test
+(_covers_once), on the walls and their inward normals, decides whether
+cones cover a region exactly once: the space for validate_fan (on complete
+fans of full-dimensional cones, simplicial or not), is_complete and
+is_refinement onto a complete fan, each coarse cone for is_refinement onto
+any other.  Nothing here ever touches a float: a coordinate, ray index or
+rank that is not an integer raises ValueError (_primitives reads every
+cone's generators and fan's rays).
 
 Fan.from_data shares fans by the fan, not by the data: while an equal fan
 built by it is still held anywhere (a cached pair or presentation, the
@@ -55,6 +58,7 @@ is validated once.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -315,6 +319,15 @@ def linear_feasible(
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=64)
+def _simplex_members(n: int) -> tuple[frozenset[int], ...]:
+    """The member sets of the n facets of a cone of n = rank independent
+    generators, sorted: the facet missing generator s, for s = n - 1, ...,
+    0.  Every such cone of one rank shares them."""
+    every = frozenset(range(n))
+    return tuple(every - {s} for s in reversed(range(n)))
+
+
 class Cone(Value):
     """Rational polyhedral cone given by primitive generators.
 
@@ -452,11 +465,16 @@ class Cone(Value):
     def facet_data(self) -> tuple[tuple[frozenset[int], Vec], ...]:
         """Facets as (generator-index set, inward ambient normal), sorted
         by index set, from one double-description run; a cone of n = rank
-        independent generators reads them off its seeds (last, ((s, h_s),
-        ...)) instead, every generator a seed: the facet missing g_s has
-        normal primitive(sign(last).h_s), as the run would seed them, and
-        the seeds in descending order give the facets sorted.  In rank 2
-        and 3 the h_s are cofactor rows (Cone._echelon).
+        independent generators reads them off its echelon (H, pivots,
+        last) instead, every generator a seed g_s with functional h_s =
+        H[c] for its pivot (c, s): the facet missing g_s has normal
+        sign(last).h_s divided by its gcd, as the run would seed them, and
+        the seeds in descending order give the facets sorted, their member
+        sets shared by every such cone of one rank (_simplex_members).  A
+        unimodular cone (|last| = 1) takes its dual basis sign(last).h_s as
+        it stands: each is worth 1 on its own generator, so primitive
+        already; only |last| > 1 divides by the gcd.  In rank 2 and 3 the
+        h_s are cofactor rows (Cone._echelon).
 
         The normal h is a primitive integer functional with h.g = 0 on the
         facet's generators and h.g > 0 on every other generator; with the
@@ -470,11 +488,15 @@ class Cone(Value):
         if not self.generators:
             return ()
         if len(self.generators) == self.dim == self.rank:
-            last, seeds = self.seeds
-            every = frozenset(range(self.rank))
-            return tuple(
-                (every - {s}, primitive(hs if last > 0 else tuple(-x for x in hs))) for s, hs in reversed(seeds)
-            )
+            H, pivots, last = self._echelon
+            seeds = [H[c] for c, _ in reversed(pivots)]
+            if last == 1:
+                normals = seeds
+            elif last == -1:
+                normals = [tuple([-x for x in h]) for h in seeds]
+            else:  # |last| > 1: a seed functional may have a common divisor
+                normals = [primitive(h if last > 0 else tuple([-x for x in h])) for h in seeds]
+            return tuple(zip(_simplex_members(self.rank), normals))
         _, facets, _ = double_description(self.generators, self._echelon)
         return tuple(sorted(((members, h) for h, members in facets), key=lambda kv: sorted(kv[0])))
 

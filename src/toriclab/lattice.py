@@ -51,7 +51,7 @@ def primitive(v: Vec) -> Vec:
     g = math.gcd(*v) if v else 0
     if g == 0:
         raise ValueError("zero vector has no primitive representative")
-    return tuple(x // g for x in v)
+    return tuple([x // g for x in v])
 
 
 def echelon(rows: Sequence[Sequence[int]], ncols: int) -> tuple[list[list[int]], tuple[tuple[int, int], ...], int]:

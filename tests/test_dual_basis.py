@@ -185,6 +185,62 @@ def test_simplicial_facet_data_matches_the_scan_at_every_determinant():
     assert any(cone.seeds[0] < 0 for cone in unimodular) and any(cone.seeds[0] < 0 for cone in singular)
 
 
+@st.composite
+def _unimodular_rows(draw):
+    """(rows, orientation): a product of elementary and signed-permutation
+    matrices in rank 1 to 5, applied to the identity, and a sign for the
+    cone's last."""
+    n = draw(st.integers(1, 5))
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 8))):
+        if n > 1 and draw(st.booleans()):
+            i, j = draw(st.permutations(range(n)))[:2]
+            c = draw(st.integers(-3, 3))
+            rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+        else:
+            signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+            rows = [[s * x for x in rows[p]] for p, s in zip(draw(st.permutations(range(n))), signs)]
+    return [tuple(r) for r in rows], draw(st.sampled_from((1, -1)))
+
+
+def _oriented(rows, orientation):
+    """Unimodular rows, moved by a lattice automorphism when needed, whose
+    cone has last = orientation.  First a shear x_(n-2) += t.x_(n-1), with
+    t beyond twice every entry, leaves no two rows equal on their first
+    n - 1 entries; then negating the last entry keeps the cone's sorted
+    order and negates last, a minor with one entry from each
+    coordinate."""
+    if Cone.from_generators(rows).seeds[0] == orientation:
+        return rows
+    n = len(rows)
+    if n > 1:
+        t = 2 * max(abs(x) for r in rows for x in r) + 1
+        rows = [(*r[:-2], r[-2] + t * r[-1], r[-1]) for r in rows]
+        if Cone.from_generators(rows).seeds[0] == orientation:
+            return rows
+    return [(*r[:-1], -r[-1]) for r in rows]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_unimodular_rows(), st.lists(st.tuples(st.integers(-1, 2), st.integers(1, 3)), min_size=5, max_size=5))
+def test_hypothesis_unimodular_facet_data_is_the_dual_basis(drawn, coefficients):
+    # the branches of facet_data that take the seed functionals whole
+    # (last = 1) or negated (last = -1), against the scan, and membership
+    # against the coefficients of a Gauss-Jordan solve over Fractions
+    rows, orientation = drawn
+    cone = Cone.from_generators(_oriented(rows, orientation))
+    G, n = cone.generators, cone.rank
+    assert cone.seeds[0] == orientation and cone.is_unimodular()
+    assert cone.facet_data == tuple((members, _integral_primitive(h)) for members, h in facet_data_scan(cone))
+    for _, h in cone.facet_data:
+        assert math.gcd(*h) == 1 and all(vdot(h, g) >= 0 for g in G)
+    x = tuple(sum(Fraction(p, q) * g[i] for (p, q), g in zip(coefficients, G)) for i in range(n))
+    solved, _ = row_echelon([[g[i] for g in G] + [x[i]] for i in range(n)], n)
+    c = [row[n] for row in solved]
+    assert cone.contains(x) == all(cj >= 0 for cj in c), (G, x)
+    assert cone.relint_contains(x) == all(cj > 0 for cj in c), (G, x)
+
+
 # ------------------------------------------------------ linear pieces
 
 PLANE_FAN_PLUS_RAY = Fan.from_data([(1, 0, 0), (0, 1, 0), (-1, -1, 0), (0, 0, 1)], [(0, 1), (1, 2), (0, 2), (3,)])
