@@ -312,6 +312,22 @@ ROWS = [
             "tests/test_psi_record.py::test_a_boundary_is_bound_as_a_tuple_of_fractions",
         ],
     },
+    # the one reader of rational data as integers, and the one walk of the
+    # pieces over the maximal cones
+    {
+        "name": "lcm-reader-takes-the-largest-denominator",
+        "file": LATTICE,
+        "old": "A = math.lcm(*[d for _, d in ratios])",
+        "new": "A = max([d for _, d in ratios], default=1)",
+        "tests": ["tests/test_lattice.py::test_hypothesis_over_lcm_matches_fraction_arithmetic"],
+    },
+    {
+        "name": "piece-walk-skips-the-last-maximal-cone",
+        "file": TORIC,
+        "old": "for c, cone in zip(fan.max_cones, fan.cones))",
+        "new": "for c, cone in zip(fan.max_cones[:-1], fan.cones))",
+        "tests": ["tests/test_psi_record.py::test_named_fans_match_the_oracles[P2]"],
+    },
     # a new pair's integer paths: the piece checked in one comparison, the
     # box walked one invariant at a time, the prime parts bound unchecked
     {
@@ -324,8 +340,8 @@ ROWS = [
     {
         "name": "scaled-piece-sign-not-folded",
         "file": TORIC,
-        "old": "else [-a[s] for s in at]",
-        "new": "else [a[s] for s in at]",
+        "old": "values = [-x for x in values]",
+        "new": "values = values",
         "tests": ["tests/test_seeds.py::test_seeded_cones_with_a_negative_last_match_the_solves"],
     },
     {
@@ -450,8 +466,8 @@ ROWS = [
     {
         "name": "local-functionals-drop-the-value-scale",
         "file": TORIC,
-        "old": "        out.append(None if lm is None else tuple(Fraction(x, L * A) for x in lm))\n",
-        "new": "        out.append(None if lm is None else tuple(Fraction(x, L) for x in lm))\n",
+        "old": "tuple(Fraction(x, L * A) for x in lm)",
+        "new": "tuple(Fraction(x, L) for x in lm)",
         "tests": [
             "tests/test_solve_chart.py::test_named_cones_match_the_solves[det-11 cone]",
         ],

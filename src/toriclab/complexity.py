@@ -18,26 +18,25 @@ elimination runs on the columns that no singleton part covers, and not
 at all when none is left (a boundary with a positive coefficient on
 every ray, decomposed into primes).  The check that the parts sum to
 the boundary and the sum of the weights run in integers over D, the lcm
-of the pair's A (pairs.ToricPair) and the weights' denominators, each
-weight read once by as_integer_ratio; the norm and c are one Fraction
-over D each.  The prime decomposition is read off the pair's integers
-and holds its own Fractions, bound unchecked.  Everything is exact
-integer and rational arithmetic.  For a
-toric log Calabi-Yau pair with its prime decomposition this is zero, and
-it can never be negative for a log CY pair; a negative value here always
-means a bug.
+of the weights' denominators, read once by lattice._over_lcm (a multiple
+of the pair's A whenever the parts sum to the boundary); the norm and c
+are one Fraction over D each.  The
+prime decomposition is read off the pair's integers and holds its own
+Fractions, bound unchecked.  Everything is exact integer and rational
+arithmetic.  For a toric log Calabi-Yau pair with its prime
+decomposition this is zero, and it can never be negative for a log CY
+pair; a negative value here always means a bug.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
 from typing import Iterable, Optional
 
 from toriclab._value import Value
 from toriclab.fan import Fan, _integers
-from toriclab.lattice import rank as matrix_rank
+from toriclab.lattice import _over_lcm, rank as matrix_rank
 from toriclab.pairs import ToricPair, crepant_pullback
 
 
@@ -94,14 +93,13 @@ def complexity(pair: ToricPair, decomposition: Decomposition) -> ComplexityRepor
     """Complexity of the decomposition; raises if it does not decompose
     the pair's boundary.  rho = #singleton rays + rank of [P; R^T] on the
     other columns - rank R (see the module docstring).  With D the lcm of
-    the pair's A and the weights' denominators, the parts must sum to
+    the weights' denominators (lattice._over_lcm), the parts must sum to
     D.b_i = D - (D/A).alpha_i on every ray, in integers and one list
-    comparison; with W the sum of the scaled weights, the norm is W / D
-    and c = (D(dim + rho) - W) / D."""
+    comparison; they cannot when A does not divide D, as a sum of the
+    weights has its denominator dividing D.  With W the sum of the scaled
+    weights, the norm is W / D and c = (D(dim + rho) - W) / D."""
     n, A, parts = len(pair.fan.rays), pair.A, decomposition.parts
-    ratios = [alpha.as_integer_ratio() for alpha, _ in parts]
-    D = math.lcm(A, *[d for _, d in ratios])
-    weights = [m * (D // d) for m, d in ratios]
+    D, weights = _over_lcm([alpha for alpha, _ in parts])
     sums = [0] * n
     for w, (_, part) in zip(weights, parts):
         for i in part:
@@ -109,9 +107,9 @@ def complexity(pair: ToricPair, decomposition: Decomposition) -> ComplexityRepor
                 raise ValueError("part mentions a ray index outside the fan")
             sums[i] += w
     scale = D // A
-    if sums != [D - scale * a for a in pair.alpha]:
-        for i, (got, a) in enumerate(zip(sums, pair.alpha)):
-            if got != D - scale * a:
+    if D % A or sums != [D - scale * a for a in pair.alpha]:
+        for i, (got, b) in enumerate(zip(sums, pair.boundary)):
+            if Fraction(got, D) != b:
                 raise ValueError(
                     f"decomposition mismatch at ray {pair.fan.rays[i]}: sums to {Fraction(got, D)}, boundary has {pair.boundary[i]}"
                 )

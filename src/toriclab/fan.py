@@ -17,21 +17,22 @@ One run per cone gives its facets, from which membership, relative
 interiors, walls and faces are read (a face as the closure of its
 generators, Cone._closure).  Separation questions (strong convexity,
 extremality, whether two cones meet in a common face, rational linear
-feasibility) ask whether a row lies in the lineality space of a cone, on
-every one of its facets (Gordan and Motzkin).  A cone with independent
-generators is strongly convex with every generator extremal, and no facets
-are computed.  A cone caches one elimination of its generators, the echelon
-of [G^T | I], and reads every rational fact off it: its dimension, its span
-(the rows without a pivot), the start of its double description, and its
-seeds (Cone.seeds: dim independent generators, each with a functional
-vanishing on the others), which give the linear pieces of a
-full-dimensional cone and the facets and unimodularity of a
-full-dimensional simplicial one, with no double description: a
-unimodular one's facet normals are its dual basis, the seed functionals
-taken as they stand (negated when last = -1), and only |last| > 1 divides
-by the gcd.  Its Smith chart (lattice.SolveChart) answers lattice
-questions only.  A strongly convex cone that is not simplicial caches one
-pulling triangulation into simplices.  One oriented wall test
+feasibility, its rational rows made integers by lattice._over_lcm) ask
+whether a row lies in the lineality space of a cone, on every one of its
+facets (Gordan and Motzkin).  A cone with independent generators is
+strongly convex with every generator extremal, and no facets are
+computed.  A cone caches one elimination of its generators, the echelon
+of [G^T | I] (Cone._echelon), and reads every rational fact off it: its
+dimension, its span (the rows without a pivot), the start of its double
+description, and its seeds (the pivots: dim independent generators,
+each with a functional vanishing on the others), which give the linear
+pieces of a full-dimensional cone (toric._scaled_piece) and the facets
+and unimodularity of a full-dimensional simplicial one, with no double
+description: a unimodular one's facet normals are its dual basis, the
+seed functionals taken as they stand (negated when last = -1), and only
+|last| > 1 divides by the gcd.  Its Smith chart (lattice.SolveChart)
+answers lattice questions only.  A strongly convex cone that is not
+simplicial caches one pulling triangulation into simplices.  One oriented wall test
 (_covers_once), on the walls and their inward normals, decides whether
 cones cover a region exactly once: the space for validate_fan (on complete
 fans of full-dimensional cones, simplicial or not), is_complete and
@@ -63,12 +64,11 @@ import itertools
 import math
 import operator
 import weakref
-from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from toriclab._value import Value, cached_property
-from toriclab.lattice import SolveChart, Vec, echelon, primitive, rank as matrix_rank, vdot
+from toriclab.lattice import SolveChart, Vec, _over_lcm, echelon, primitive, rank as matrix_rank, vdot
 
 
 def _integers(xs: Iterable) -> tuple[int, ...]:
@@ -300,17 +300,16 @@ def linear_feasible(
 ) -> bool:
     """Decide whether the mixed system { a.x = b, c.x >= d, e.x > f } has
     a rational solution.  Exact: each constraint (a, b) becomes the
-    integer row (a, -b), times the lcm of its denominators, in the
-    variables (x, t); with t > 0 strict, (x, t) solves the rows iff x / t
-    solves the system, which one separation test (_separating) decides."""
+    integer row (a, -b), times the lcm of its denominators
+    (lattice._over_lcm), in the variables (x, t); with t > 0 strict,
+    (x, t) solves the rows iff x / t solves the system, which one
+    separation test (_separating) decides."""
     equal, weak, strict = [], [], []
     for out, system in ((equal, equalities), (weak, gte), (strict, gt)):
         for a, b in system:
             if len(a) != nvars:
                 raise ValueError("constraint length differs from the number of variables")
-            vals = [Fraction(x) for x in (*a, -b)]
-            scale = math.lcm(*(x.denominator for x in vals))
-            out.append(tuple(x.numerator * (scale // x.denominator) for x in vals))
+            out.append(_over_lcm((*a, -b))[1])
     return _separating(equal, weak, strict + [(0,) * nvars + (1,)]) is not None
 
 
@@ -356,23 +355,17 @@ class Cone(Value):
 
     @cached_property
     def _echelon(self) -> tuple[tuple[Vec, ...], tuple[tuple[int, int], ...], int]:
-        """`_seed_echelon` of the generators: the cone's one elimination
-        over Q, read by dim, seeds, span membership and facet_data.  In
-        rank 2 and 3 a full-dimensional cone takes the cofactors of its
-        seeds (_cofactor_echelon) and runs no elimination."""
+        """(H, pivots, last), `_seed_echelon` of the generators: the cone's
+        one elimination over Q, read by dim, span membership, facet_data,
+        is_unimodular and the linear pieces (toric._scaled_piece).  Its
+        pivots (c, s), in pivot order, are the seeds: the dim independent
+        generators g_s that the double description seeds from, each with
+        the functional h_s = H[c] worth `last` on g_s and 0 on the other
+        seeds.  In rank 2 and 3 a full-dimensional cone takes the
+        cofactors of its seeds (_cofactor_echelon), with last their
+        determinant in seed order, and runs no elimination.  A cone with
+        no generators has no pivots and last 1."""
         return _seed_echelon(self.generators, self.rank)
-
-    @cached_property
-    def seeds(self) -> tuple[int, tuple[tuple[int, Vec], ...]]:
-        """(last, ((s, h_s), ...)): the dim independent generators g_s that
-        the double description seeds from, in pivot order, each with the
-        functional h_s worth `last` on g_s and 0 on the other seeds, read
-        off the cone's echelon of [G^T | I] (in rank 2 and 3, off the
-        cofactors of a full-dimensional cone's seeds, with last their
-        determinant in seed order); (1, ()) for a cone with no
-        generators."""
-        H, pivots, last = self._echelon
-        return last, tuple((s, H[c]) for c, s in pivots)
 
     @cached_property
     def dim(self) -> int:
@@ -446,10 +439,10 @@ class Cone(Value):
     def is_unimodular(self) -> bool:
         """Generators extend to a basis of the ambient lattice (and the
         cone is simplicial): for n = rank independent generators, every one
-        a seed, |last| = |det G| = 1 (Cone.seeds), else every invariant of
-        the Smith chart is 1."""
+        a seed, |last| = |det G| = 1 (Cone._echelon), else every invariant
+        of the Smith chart is 1."""
         if len(self.generators) == self.dim == self.rank:
-            return abs(self.seeds[0]) == 1
+            return abs(self._echelon[2]) == 1
         return len(self.generators) == self.dim and self.solve_chart.L == 1
 
     @cached_property

@@ -6,13 +6,15 @@ and every routine here is a pure function on immutable values.  Lattice
 vectors are ordinary tuples of ints; their length is the ambient rank.  A
 matrix is its integer rows, one format throughout: taken as any sequence
 of rows, returned as a tuple of tuples.  A routine whose matrix may have
-no rows also takes its column count `ncols`.
+no rows also takes its column count `ncols`.  Rational data become
+integers in one reader, the only such code in the package: `_over_lcm`,
+the lcm A of the denominators and each value times A.
 The split is by the question asked.  Rational questions read `echelon`,
 a fraction-free Gauss-Jordan routine on integer rows and the only
 elimination over Q in the package: `rank`, `det` and `solve_rational`
 here, and a cone's dimension, seeds, span and double description
-(fan.Cone, one cached echelon per cone; a full-dimensional cone in rank 2
-or 3 seeds from cofactors instead, with no run).  Lattice
+(fan.Cone._echelon, one cached echelon per cone; a full-dimensional cone
+in rank 2 or 3 seeds from cofactors instead, with no run).  Lattice
 questions read a `SolveChart`, through which every Smith form is read:
 integer solves, class groups and left kernels, and a cone's
 unimodularity, the pieces of a lower-dimensional cone and the
@@ -29,7 +31,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from toriclab._value import Value
 
@@ -52,6 +54,20 @@ def primitive(v: Vec) -> Vec:
     if g == 0:
         raise ValueError("zero vector has no primitive representative")
     return tuple([x // g for x in v])
+
+
+def _over_lcm(values: Iterable) -> tuple[int, list[int]]:
+    """(A, [A.v for v in values]), A the lcm of the values' denominators
+    (1 for no values), each value read by as_integer_ratio: an int or
+    Fraction as it stands, anything else (a float, a Decimal, a string
+    such as '1/2') after Fraction(v), which raises on what it rejects.
+
+    >>> _over_lcm([Fraction(1, 2), -2, '2/3'])
+    (6, [3, -12, 4])
+    """
+    ratios = [(v if isinstance(v, (int, Fraction)) else Fraction(v)).as_integer_ratio() for v in values]
+    A = math.lcm(*[d for _, d in ratios])
+    return A, [n * (A // d) for n, d in ratios]
 
 
 def echelon(rows: Sequence[Sequence[int]], ncols: int) -> tuple[list[list[int]], tuple[tuple[int, int], ...], int]:
@@ -244,13 +260,12 @@ class SolveChart(Value):
 def solve_rational(A: Sequence[Sequence[int]], ncols: int, b: Sequence) -> Optional[tuple[Fraction, ...]]:
     """One exact solution x of A x = b over Q (A integer rows, `ncols`
     wide), or None if inconsistent: `echelon` on [A | B.b], B the lcm of
-    the denominators of b, gives None when B.b takes a pivot and else the
-    x that is 0 off the pivots."""
+    the denominators of b (_over_lcm), gives None when B.b takes a pivot
+    and else the x that is 0 off the pivots."""
     if len(b) != len(A):
         raise ValueError("shape mismatch")
-    b = [Fraction(x) for x in b]
-    B = math.lcm(*(x.denominator for x in b))
-    a, pivots, last = echelon([(*row, int(x * B)) for row, x in zip(A, b)], ncols + 1)
+    B, scaled = _over_lcm(b)
+    a, pivots, last = echelon([(*row, x) for row, x in zip(A, scaled)], ncols + 1)
     if pivots and pivots[-1][1] == ncols:
         return None
     x = [Fraction(0)] * ncols
@@ -259,13 +274,14 @@ def solve_rational(A: Sequence[Sequence[int]], ncols: int, b: Sequence) -> Optio
     return tuple(x)
 
 
-def solve_integer(A: Sequence[Sequence[int]], ncols: int, b: Sequence[int]) -> Optional[Vec]:
+def solve_integer(A: Sequence[Sequence[int]], ncols: int, b: Sequence) -> Optional[Vec]:
     """One integer solution x of A x = b (A integer rows, `ncols` wide),
-    or None if none exists."""
+    or None if none exists, as when some entry of b is not an integer."""
     if len(b) != len(A):
         raise ValueError("shape mismatch")
     chart = SolveChart.of(A, ncols)
-    lm = chart.solve(tuple(int(x) for x in b))
+    B, scaled = _over_lcm(b)
+    lm = chart.solve(scaled) if B == 1 else None
     if lm is None or any(x % chart.L for x in lm):
         return None
     return tuple(x // chart.L for x in lm)

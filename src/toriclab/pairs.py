@@ -9,10 +9,12 @@ a toric pair the extremal log discrepancies are attained by them, so the
 singularity class computed from lattice points is the honest one.
 
 A pair carries its boundary in integers from construction: A, the lcm
-of the coefficient denominators, and alpha = A(1 - b), so every boundary
+of the coefficient denominators, and alpha = A(1 - b), both from the one
+reader of rationals as integers (lattice._over_lcm), so every boundary
 test is an integer sign (b > 1 iff alpha_i < 0, b = 1 iff alpha_i = 0).
 Every pair query reads these and one integer record of psi per pair
-(LogDiscrepancyFunction); with a full-dimensional maximal cone none of
+(LogDiscrepancyFunction), built by the one walk of the pieces
+(toric._pieces); with a full-dimensional maximal cone none of
 them takes an elimination.  The loops over a pair's rays and cones run
 on those ints in list comprehensions and builtins (sum over map, min,
 list comparisons), and read a Fraction only through as_integer_ratio:
@@ -33,8 +35,8 @@ from typing import Optional, Sequence
 
 from toriclab._value import Value, derived
 from toriclab.fan import Cone, Diagnostics, Fan, _holding, _integers, is_refinement
-from toriclab.lattice import Vec, rank as matrix_rank, vdot
-from toriclab.toric import ToricVariety, _scaled_piece, projective_space_fan
+from toriclab.lattice import Vec, _over_lcm, rank as matrix_rank, vdot
+from toriclab.toric import ToricVariety, _pieces, projective_space_fan
 
 
 class EffectivityError(ValueError):
@@ -53,8 +55,9 @@ class ToricPair(Value):
     whether K+B is Q-Cartier is a property, checked by validate_pair.  The
     boundary stays a tuple of Fractions; a coefficient that is not one
     already is converted once.  Construction also computes the integers
-    every pair query reads: A, the lcm of the coefficient denominators,
-    and alpha = A(1 - b), one per ray; and the hash of the fields, for the
+    every pair query reads (lattice._over_lcm): A, the lcm of the
+    coefficient denominators, and alpha = A(1 - b), one per ray, with b
+    effective iff no A.b_i is negative; and the hash of the fields, for the
     cached pair queries that look the pair up again and again.
     """
 
@@ -67,13 +70,12 @@ class ToricPair(Value):
         coeffs = tuple([c if isinstance(c, Fraction) else Fraction(c) for c in self.boundary])
         if len(coeffs) != len(self.variety.fan.rays):
             raise ValueError("expected one boundary coefficient per ray")
-        ratios = [c.as_integer_ratio() for c in coeffs]
-        if min(ratios, default=(0,))[0] < 0:  # the least numerator
+        A, scaled = _over_lcm(coeffs)
+        if min(scaled, default=0) < 0:
             raise ValueError("boundary must be effective")
-        A = math.lcm(*[d for _, d in ratios])
         object.__setattr__(self, "boundary", coeffs)
         object.__setattr__(self, "A", A)
-        object.__setattr__(self, "alpha", tuple([A - n * (A // d) for n, d in ratios]))
+        object.__setattr__(self, "alpha", tuple([A - x for x in scaled]))
         object.__setattr__(self, "_hash", hash((self.variety, coeffs)))
 
     def __hash__(self) -> int:
@@ -119,8 +121,8 @@ class LogDiscrepancyFunction:
 
     It is held as one integer record, built once per pair from the
     pair's A and alpha = A(1 - b): `scaled`, per maximal cone (L.A, L.m)
-    with psi = L.m / (L.A) on that cone, where (L, L.m) is
-    toric._scaled_piece of alpha on the cone's rays (the seeds of a
+    with psi = L.m / (L.A) on that cone, where (L, L.m) is the piece
+    toric._pieces takes of alpha on the cone's rays (off the echelon of a
     full-dimensional cone, the Smith chart of a lower-dimensional one).
     Building it raises ValueError at the first maximal cone without a
     piece, with that cone's index as its `cone_index`.  The class stays the
@@ -130,10 +132,9 @@ class LogDiscrepancyFunction:
 
     def __init__(self, pair: ToricPair):
         self.pair = pair
-        A, at = pair.A, pair.alpha.__getitem__
+        A = pair.A
         self.scaled: list[tuple[int, Vec]] = []
-        for c, cone in zip(pair.fan.max_cones, pair.fan.cones):
-            L, lm = _scaled_piece(cone, list(map(at, c)))
+        for L, lm in _pieces(pair.fan, pair.alpha):
             if lm is None:
                 error = ValueError("K+B is not Q-Cartier; no log discrepancy function")
                 error.cone_index = len(self.scaled)

@@ -371,18 +371,28 @@ def _partner(a: int, c: int) -> tuple[int, int]:
     return (a - 1) // c, 1
 
 
-def _shear_key(xs: Sequence[int], ys: Sequence[int], lam2: int) -> Optional[list[tuple[int, int]]]:
+def _shear_key(xs: Sequence[int], ys: Sequence[int], lam2: int) -> list[tuple[int, int]]:
     """The least sorted image over the second rows r2 + k*r1 of norm at most
-    lambda2, or None when there is none, for a first row whose images xs have
-    minimum -lambda2 and a second row whose images are ys.
+    lambda2, for a first row r1 whose images xs have minimum -lambda2 and a
+    second row r2 whose images are ys, with det(r1, r2) = +-1.
 
     The k-shear moves image w to (x_w, y_w + k*x_w): images with equal first
     coordinates move alike, so the sorted order never changes, and the first
     image, with x = -lambda2 < 0, falls as k grows.  So k is the largest
-    that keeps the second row's norm at most lambda2."""
+    that keeps the second row's norm at most lambda2.
+
+    Such a k always exists, so its absence raises RuntimeError.  The rows
+    r + k*r1 are every row r' with det(r1, r') = det(r1, r), as r1 is
+    primitive.  Write r1 = a*b1 + c*b2 in the reduced basis, so N(r1) <=
+    lambda2 and |c| <= 2.  Some r' with det(r1, r') = +-1 has N(r') <=
+    lambda2: b2 when c = 0, b1 when |c| = 1, and when |c| = 2, where
+    lambda1 = lambda2 and a is odd (r1 is primitive), (r1 +- b1)/2, a
+    lattice point of norm at most (N(r1) + N(b1))/2 <= lambda2 whose
+    determinant with r1 is det(r1, b1)/2 = +-1.  As N(-r') = N(r'), the
+    families of both signs of the determinant, ys and -ys, hold one."""
     w = _window(xs, ys, lam2)
     if w is None:
-        return None
+        raise RuntimeError("no second row of norm at most lambda2 completes the first row to a basis")
     k = w[1]
     return sorted([(x, y + k * x) for x, y in zip(xs, ys)])
 
@@ -432,7 +442,7 @@ def unimodular_normal_form(P: Polytope) -> Polytope:
             ys = [pa * b + pc * g for b, g in pairs]
             for second in (ys, [-y for y in ys]):
                 key = _shear_key(xs, second, lam2)
-                if key is not None and (best is None or key < best):
+                if best is None or key < best:
                     best = key
     vertices, dim, facets = _polygon(best)
     return Polytope._trusted(vertices, 2, dim, facets)

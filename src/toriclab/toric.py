@@ -4,12 +4,14 @@ The divisor class group is presented as the cokernel of the character
 lattice mapping into the free group on the rays; the class group and
 divisor classes read off that one Smith chart of the ray matrix.  The
 pair invariants (complexity, the log Calabi-Yau test) read the pieces
-below and ranks of the ray matrix, and never build it.  Linear pieces on
-maximal cones and the (Q-)Cartier tests are read in integer arithmetic
-from the seeds of a full-dimensional cone (fan.Cone.seeds), strongly
-convex or not, else from the cone's Smith chart (lattice.SolveChart):
-a piece is one sum per column of the seeds' functionals, checked on
-every generator by one list comparison (_scaled_piece).
+below and ranks of the ray matrix, and never build it.  Coefficients
+become integers through lattice._over_lcm.  Linear pieces on maximal
+cones and the (Q-)Cartier tests are read in integer arithmetic from the
+seeds of a full-dimensional cone (fan.Cone._echelon), strongly convex
+or not, else from the cone's Smith chart (lattice.SolveChart): a piece
+is one sum per column of the seeds' functionals, checked on every
+generator by one list comparison (_scaled_piece), and one lazy walk
+takes them cone by cone (_pieces).
 """
 
 from __future__ import annotations
@@ -19,11 +21,11 @@ import math
 import operator
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from toriclab._value import Value
 from toriclab.fan import Cone, Fan, _integers, is_complete, is_simplicial
-from toriclab.lattice import AbelianGroupStructure, SolveChart, Vec, primitive, vdot
+from toriclab.lattice import AbelianGroupStructure, SolveChart, Vec, _over_lcm, primitive, vdot
 
 
 class ToricVariety(Value):
@@ -69,10 +71,9 @@ def class_group(X: ToricVariety) -> AbelianGroupStructure:
 
 def divisor_class(X: ToricVariety, D: Sequence) -> DivisorClass:
     """Image of an integral torus-invariant divisor in Cl(X)."""
-    coeffs = [Fraction(c) for c in D]
-    if any(c.denominator != 1 for c in coeffs):
+    A, d = _over_lcm(D)
+    if A != 1:
         raise ValueError("divisor_class needs integral coefficients; see divisor_class_q")
-    d = tuple(int(c) for c in coeffs)
     if len(d) != len(X.fan.rays):
         raise ValueError("expected one coefficient per ray")
     free_rows, torsion_rows, invariants = _presentation(X.fan)
@@ -83,11 +84,9 @@ def divisor_class(X: ToricVariety, D: Sequence) -> DivisorClass:
 
 def divisor_class_q(X: ToricVariety, D: Sequence) -> tuple[Fraction, ...]:
     """Image of a Q-divisor in Cl(X) tensor Q (free coordinates only)."""
-    d = tuple(Fraction(c) for c in D)
-    if len(d) != len(X.fan.rays):
+    A, scaled = _over_lcm(D)
+    if len(scaled) != len(X.fan.rays):
         raise ValueError("expected one coefficient per ray")
-    A = math.lcm(*(c.denominator for c in d))
-    scaled = tuple(int(c * A) for c in d)
     return tuple(Fraction(vdot(u, scaled), A) for u in _presentation(X.fan)[0])
 
 
@@ -95,10 +94,13 @@ def _scaled_piece(cone: Cone, a: Sequence[int]) -> tuple[int, Optional[Vec]]:
     """(L, L.m) with L > 0 for the piece m with m.g_i = a_i on the cone's
     generators, or (L, None) when no such m exists (a integral).
 
-    A full-dimensional cone, strongly convex or not, reads its seeds (last,
-    ((s, h_s), ...)): L = |last| and L.m = sign(last) sum a_s h_s, one sum
-    over the columns of the h_s with the sign folded into the a_s; it is a
-    piece iff it takes its values on the other generators too.  A
+    A full-dimensional cone, strongly convex or not, reads its one
+    elimination (H, pivots, last) (Cone._echelon): each pivot (c, s) pairs
+    a seed g_s with its functional h_s = H[c], worth last on g_s and 0 on
+    the other seeds, and every row of H is one of them.  So L = |last|
+    and L.m = sign(last) sum a_s h_s, one sum over the columns of H with
+    the sign folded into the a_s; it is a piece iff it takes its values on
+    the other generators too.  A
     lower-dimensional cone reads its Smith chart: L the largest invariant
     and L.m = M.a.  Every generator is checked in one list comparison of
     the values L.m takes with L.a; on a mismatch the first generator missed
@@ -106,9 +108,12 @@ def _scaled_piece(cone: Cone, a: Sequence[int]) -> tuple[int, Optional[Vec]]:
     lower-dimensional cone) missed means the solve is broken, another one
     means no piece."""
     if cone.dim == cone.rank:
-        last, seeds = cone.seeds
-        at, H = zip(*seeds)
-        values = list(map(a.__getitem__, at)) if last > 0 else [-a[s] for s in at]
+        H, pivots, last = cone._echelon
+        values = [0] * len(H)
+        for c, s in pivots:  # every row of H is a pivot row: a_s goes with h_s = H[c]
+            values[c] = a[s]
+        if last < 0:
+            values = [-x for x in values]
         L, lm = abs(last), tuple([sum(map(operator.mul, values, column)) for column in zip(*H)])
     else:
         chart = cone.solve_chart
@@ -120,9 +125,17 @@ def _scaled_piece(cone: Cone, a: Sequence[int]) -> tuple[int, Optional[Vec]]:
         return L, lm
     # the first generator missed; zip raises when a has the wrong length
     j = next(j for j, (x, y) in enumerate(zip(got, want, strict=True)) if x != y)
-    if cone.dim < cone.rank or any(s == j for s, _ in cone.seeds[1]):
+    if cone.dim < cone.rank or any(s == j for _, s in cone._echelon[1]):
         raise RuntimeError("linear solve broken: local functional misses a prescribed value on a ray")
     return L, None
+
+
+def _pieces(fan: Fan, alpha: Sequence[int]) -> Iterator[tuple[int, Optional[Vec]]]:
+    """_scaled_piece of alpha (one integer per ray) on each maximal cone's
+    rays, in order and lazily: the one walk of the pieces, read by
+    local_functionals, is_fano and the psi record (pairs), which stops at
+    the first cone without a piece."""
+    return (_scaled_piece(cone, list(map(alpha.__getitem__, c))) for c, cone in zip(fan.max_cones, fan.cones))
 
 
 def local_functionals(fan: Fan, values: Sequence) -> list[Optional[tuple[Fraction, ...]]]:
@@ -130,23 +143,18 @@ def local_functionals(fan: Fan, values: Sequence) -> list[Optional[tuple[Fractio
     cone's rays u_i, or None where no such m exists.
 
     The values are scaled once to integers alpha = A.values, A the lcm of
-    their denominators, and each cone answers in integers (_scaled_piece).
-    A full-dimensional cone reads its seeds: the piece is unique and no
-    Smith form is taken.  A lower-dimensional cone reads its Smith chart:
-    no piece iff Z.alpha != 0 on the cone's rays, and otherwise the piece
-    M.alpha / (L.A), the solution whose free Smith coordinates vanish;
-    only its values on the cone's span are meaningful.
+    their denominators (lattice._over_lcm), and each cone answers in
+    integers (_pieces).  A full-dimensional cone reads its seeds off its
+    echelon: the piece is unique and no Smith form is taken.  A
+    lower-dimensional cone reads its Smith chart: no piece iff Z.alpha !=
+    0 on the cone's rays, and otherwise the piece M.alpha / (L.A), the
+    solution whose free Smith coordinates vanish; only its values on the
+    cone's span are meaningful.
     """
-    values = [Fraction(v) for v in values]
-    if len(values) != len(fan.rays):
+    A, alpha = _over_lcm(values)
+    if len(alpha) != len(fan.rays):
         raise ValueError("expected one coefficient per ray")
-    A = math.lcm(*(v.denominator for v in values))
-    alpha = [int(v * A) for v in values]
-    out = []
-    for c, cone in zip(fan.max_cones, fan.cones):
-        L, lm = _scaled_piece(cone, [alpha[i] for i in c])
-        out.append(None if lm is None else tuple(Fraction(x, L * A) for x in lm))
-    return out
+    return [None if lm is None else tuple(Fraction(x, L * A) for x in lm) for L, lm in _pieces(fan, alpha)]
 
 
 def is_qcartier(X: ToricVariety, D: Sequence) -> bool:
@@ -159,9 +167,9 @@ def is_cartier(X: ToricVariety, D: Sequence) -> bool:
     """Like is_qcartier but the functional must be integral: D is
     integral and so is every piece of local_functionals(-D), i.e. L
     divides L.m on each maximal cone (see _scaled_piece)."""
-    coeffs = [Fraction(c) for c in D]
-    pieces = local_functionals(X.fan, [-c for c in coeffs])
-    if any(c.denominator != 1 for c in coeffs):
+    A, d = _over_lcm(D)
+    pieces = local_functionals(X.fan, [-x for x in d])
+    if A != 1:
         return False
     return all(m is not None and all(x.denominator == 1 for x in m) for m in pieces)
 
@@ -211,18 +219,18 @@ def is_fano(X: ToricVariety) -> bool:
     complete simplicial fans are supported.
 
     Each maximal cone gives L.m for its piece m (m.u = 1 on the cone's
-    rays) from the reader local_functionals uses, with L = |det| > 0, so
-    the test m.g < 1 across a wall reads (L.m).g < L in integers.  The
-    walls come from the fan's one cached wall map (Fan.wall_map), which
-    is_complete has already built.  One side of each wall suffices: the
-    two pieces differ by a functional vanishing on the wall, and the
-    cones' other rays lie on opposite sides of it.
+    rays) from the walk local_functionals reads (_pieces), with L =
+    |det| > 0, so the test m.g < 1 across a wall reads (L.m).g < L in
+    integers.  The walls come from the fan's one cached wall map
+    (Fan.wall_map), which is_complete has already built.  One side of
+    each wall suffices: the two pieces differ by a functional vanishing on
+    the wall, and the cones' other rays lie on opposite sides of it.
     """
     fan = X.fan
     if not fan.max_cones or not is_complete(fan) or not is_simplicial(fan):
         raise ValueError("ampleness test unsupported: fan must be complete and simplicial")
     cones = fan.cones
-    pieces = [_scaled_piece(cone, [1] * len(cone.generators)) for cone in cones]
+    pieces = list(_pieces(fan, [1] * len(fan.rays)))
     for key, ((a, _), (b, _)) in fan.wall_map.items():
         L, lm = pieces[a]
         if any(vdot(lm, g) >= L for g in set(cones[b].generators) - key):

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from toriclab import casebook, complexity, fan, lattice, markov, toric
+from toriclab import casebook, complexity, fan, lattice, markov, polytope, toric
 from toriclab.complexity import ComplexityReport, decomposition_by_primes
 from toriclab.pairs import standard_pair
 
@@ -79,3 +79,16 @@ def test_a_hirzebruch_jung_walk_off_its_end_raises(monkeypatch):
         RuntimeError, match="^Hirzebruch-Jung walk invariant broken: the walk did not end on the second generator$"
     ):
         fan.resolve_cone_2d(cone)
+
+
+def test_a_normal_form_with_no_second_row_in_reach_raises(monkeypatch):
+    # a partner twice too long breaks det(r1, r2) = 1: on the square
+    # [-1, 1]^2 (lambda1 = lambda2 = 1) every row 2*r2 + k*r1 has norm 2
+    square = polytope.Polytope.hull([(-1, -1), (1, -1), (1, 1), (-1, 1)])
+    assert sorted(polytope.unimodular_normal_form(square).vertices) == [(-1, -1), (-1, 1), (1, -1), (1, 1)]
+    real = polytope._partner
+    monkeypatch.setattr(polytope, "_partner", lambda a, c: tuple(2 * x for x in real(a, c)))
+    with pytest.raises(
+        RuntimeError, match="^no second row of norm at most lambda2 completes the first row to a basis$"
+    ):
+        polytope.unimodular_normal_form(square)

@@ -1,9 +1,9 @@
-"""A full-dimensional simplicial cone's dual basis (its seeds, Cone.seeds,
-when len(generators) == dim == rank: one adjugate) against what it
-replaced: the double description for facets, a Gauss-Jordan solve over
-Fractions for membership and for the linear pieces
-(oracles.local_functionals_solve, compared as test_solve_chart compares
-them), gcds of minors for the unimodular test, and the determinantal and
+"""A full-dimensional simplicial cone's dual basis (its seeds, the pivots
+of Cone._echelon, when len(generators) == dim == rank: one adjugate)
+against what it replaced: the double description for facets, a
+Gauss-Jordan solve over Fractions for membership and for the linear
+pieces (oracles.local_functionals_solve, compared as test_solve_chart
+compares them), gcds of minors for the unimodular test, and the determinantal and
 Fraction readings of the Cartier and Fano tests."""
 
 import itertools
@@ -66,9 +66,9 @@ def _adjugate(cone):
     any other cone."""
     if not (len(cone.generators) == cone.dim == cone.rank):
         return None
-    last, seeds = cone.seeds
-    assert [s for s, _ in seeds] == list(range(cone.rank))
-    return last, tuple(h for _, h in seeds)
+    H, pivots, last = cone._echelon
+    assert [s for _, s in pivots] == list(range(cone.rank))
+    return last, tuple(H[c] for c, _ in pivots)
 
 
 # ------------------------------------------------------------ dual basis
@@ -177,12 +177,12 @@ def test_simplicial_facet_data_matches_the_scan_at_every_determinant():
     singular += weighted_projective_fan((2, 3, 5)).cones
     for cones, unit in ((unimodular, True), (singular, False)):
         for cone in cones:
-            assert len(cone.generators) == cone.dim == cone.rank and (abs(cone.seeds[0]) == 1) == unit
+            assert len(cone.generators) == cone.dim == cone.rank and (abs(cone._echelon[2]) == 1) == unit
             want = tuple((members, _integral_primitive(h)) for members, h in facet_data_scan(cone))
             assert cone.facet_data == want, cone.generators
-    assert {abs(cone.seeds[0]) for cone in singular} >= set(range(2, 12))
-    assert any(math.gcd(*h) > 1 for cone in singular for _, h in cone.seeds[1])
-    assert any(cone.seeds[0] < 0 for cone in unimodular) and any(cone.seeds[0] < 0 for cone in singular)
+    assert {abs(cone._echelon[2]) for cone in singular} >= set(range(2, 12))
+    assert any(math.gcd(*h) > 1 for cone in singular for h in cone._echelon[0])
+    assert any(cone._echelon[2] < 0 for cone in unimodular) and any(cone._echelon[2] < 0 for cone in singular)
 
 
 @st.composite
@@ -210,13 +210,13 @@ def _oriented(rows, orientation):
     n - 1 entries; then negating the last entry keeps the cone's sorted
     order and negates last, a minor with one entry from each
     coordinate."""
-    if Cone.from_generators(rows).seeds[0] == orientation:
+    if Cone.from_generators(rows)._echelon[2] == orientation:
         return rows
     n = len(rows)
     if n > 1:
         t = 2 * max(abs(x) for r in rows for x in r) + 1
         rows = [(*r[:-2], r[-2] + t * r[-1], r[-1]) for r in rows]
-        if Cone.from_generators(rows).seeds[0] == orientation:
+        if Cone.from_generators(rows)._echelon[2] == orientation:
             return rows
     return [(*r[:-1], -r[-1]) for r in rows]
 
@@ -230,7 +230,7 @@ def test_hypothesis_unimodular_facet_data_is_the_dual_basis(drawn, coefficients)
     rows, orientation = drawn
     cone = Cone.from_generators(_oriented(rows, orientation))
     G, n = cone.generators, cone.rank
-    assert cone.seeds[0] == orientation and cone.is_unimodular()
+    assert cone._echelon[2] == orientation and cone.is_unimodular()
     assert cone.facet_data == tuple((members, _integral_primitive(h)) for members, h in facet_data_scan(cone))
     for _, h in cone.facet_data:
         assert math.gcd(*h) == 1 and all(vdot(h, g) >= 0 for g in G)

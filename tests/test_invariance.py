@@ -7,7 +7,7 @@ primes and psi, read at v on one side and at g.v on the other.  The moved
 side is built by Fan(...), so the two sides share no object and no cached
 cone data, and pairs._psi is cleared between the sides; its coordinates
 reach about 10^24, far past any brute-force oracle.  The seeded g take
-both signs of det(g), so the seeds' determinant (Cone.seeds) changes sign
+both signs of det(g), so the seeds' determinant (Cone._echelon) changes sign
 on some moves."""
 
 import os

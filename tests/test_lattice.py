@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from toriclab.lattice import (
     AbelianGroupStructure,
+    _over_lcm,
     det,
     primitive,
     smith_normal_form,
@@ -210,6 +212,14 @@ def test_solvers():
     assert solve_integer(B, 2, [1, 3]) is None
 
 
+def test_solve_integer_takes_no_right_hand_side_that_is_not_integral():
+    # 2x = 1/2 and 2x = 5/2 have no integer x; the right-hand side used to
+    # be truncated to 0 and 2, solved by x = 0 and x = 1
+    assert solve_integer([[2]], 1, [Fraction(1, 2)]) is None
+    assert solve_integer([[2]], 1, [Fraction(5, 2)]) is None
+    assert solve_integer([[2]], 1, [Fraction(4, 2)]) == (1,)
+
+
 def test_solve_integer_consistency_randomized():
     rng = random.Random(11)
     for _ in range(100):
@@ -256,3 +266,28 @@ def test_primitive_divides_by_the_gcd_into_a_tuple_of_ints():
         got = primitive(v)
         assert got == _divided_by_gcd(v) and type(got) is tuple, v
         assert all(type(x) is int for x in got), v
+
+
+# the value types the readers of _over_lcm take: ints and bools, Fractions,
+# the strings Fraction parses, floats and Decimals
+RATIONAL_INPUTS = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.booleans(),
+    st.sampled_from([0, Fraction(0), "0", 0.0, Decimal(0), -1, Fraction(-3, 4)]),
+    st.fractions(max_denominator=60),
+    st.fractions(max_denominator=60).map(str),
+    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+    st.decimals(-10**6, 10**6, allow_nan=False, allow_infinity=False, places=3),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(RATIONAL_INPUTS, max_size=8))
+def test_hypothesis_over_lcm_matches_fraction_arithmetic(values):
+    A, ints = _over_lcm(values)
+    fractions = [Fraction(v) for v in values]
+    assert A == math.lcm(*(f.denominator for f in fractions)) and type(A) is int
+    assert len(ints) == len(values) and all(type(x) is int for x in ints)
+    assert [Fraction(x, A) for x in ints] == fractions
+    if not values:
+        assert (A, ints) == (1, [])

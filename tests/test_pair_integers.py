@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from toriclab import pairs as pairs_module
+from toriclab import toric as toric_module
 from toriclab.catalog import bundled_fans, cone_over_square_fan
 from toriclab.cli import main
 from toriclab.complexity import Decomposition, complexity, decomposition_by_primes
@@ -190,6 +190,9 @@ def test_validate_pair_matches_the_fraction_pieces():
             pair = ToricPair.from_fan(fan, boundary)
             got, want = validate_pair(pair), _validate_pair_pieces(pair)
             assert (got.valid, got.problem, got.witness) == (want.valid, want.problem, want.witness)
+            if got.valid:  # each piece of the psi record, L.m / (L.A), as the Fraction pieces
+                pieces = [tuple(Fraction(x, LA) for x in lm) for LA, lm in _psi(pair).scaled]
+                assert pieces == local_functionals(fan, [1 - b for b in pair.boundary])
             seen.add(got.valid)
     assert seen == {True, False}
 
@@ -229,7 +232,7 @@ def test_pair_classify_solves_each_maximal_cone_once(count_calls):
     """A cold `pair classify` on a sample pair solves one psi piece per
     maximal cone: validating the file builds the psi record that the
     queries then read."""
-    calls = count_calls("_scaled_piece", pairs_module)
+    calls = count_calls("_scaled_piece", toric_module)
     solved = {}
     for name in sorted(n for n in os.listdir(SAMPLES) if n.endswith(".pair")):
         _psi.cache_clear()

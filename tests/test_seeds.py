@@ -1,7 +1,7 @@
-"""A cone's seeds (Cone.seeds, from the one echelon the double description
-seeds from) and the readers they serve: the dimension, the dual basis and
-the linear piece on every full-dimensional cone, strongly convex or not
-(toric._scaled_piece), against the solves of tests/oracles.py.  Pieces
+"""A cone's seeds (the pivots of Cone._echelon, the one echelon the double
+description seeds from) and the readers they serve: the dimension, the
+dual basis and the linear piece on every full-dimensional cone, strongly
+convex or not (toric._scaled_piece), against the solves of tests/oracles.py.  Pieces
 are compared as Fractions, never by their scale L.  Also count guards on
 Smith forms and ranks, and the triangulation of a cone with a line."""
 
@@ -40,8 +40,9 @@ def _fractions(L, lm):
 
 def _check_seeds(cone):
     """The seeds are dim independent generators in pivot order, each h_s
-    worth last on its own seed and 0 on the others."""
-    last, seeds = cone.seeds
+    worth last on its own seed and 0 on the others: h_s.g_t = last.delta_st."""
+    H, pivots, last = cone._echelon
+    seeds = [(s, H[c]) for c, s in pivots]
     gens = cone.generators
     assert len(seeds) == cone.dim == len(row_echelon(gens, cone.rank)[1])
     assert [s for s, _ in seeds] == sorted({s for s, _ in seeds})
@@ -84,7 +85,7 @@ def _check_cone(gens, rng):
 
 def test_a_cone_with_no_generators_has_no_seeds():
     cone = Cone((), 0)
-    assert cone.seeds == (1, ()) and cone.dim == 0 and cone.facet_data == ()
+    assert cone._echelon == ((), (), 1) and cone.dim == 0 and cone.facet_data == ()
 
 
 @pytest.mark.parametrize(
@@ -145,7 +146,7 @@ def test_seeded_cones_with_a_negative_last_match_the_solves():
         n = rng.choice((2, 3, 4))
         gens = primitive_distinct([tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(rng.randint(n, n + 2))])
         cone = Cone.from_generators(gens, n) if gens else None
-        if cone is None or cone.dim < n or cone.seeds[0] > 0:
+        if cone is None or cone.dim < n or cone._echelon[2] > 0:
             continue
         fan = _affine(cone.generators)  # its rays are the cone's generators, in order
         for _ in range(4):

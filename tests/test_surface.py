@@ -219,7 +219,7 @@ ORACLE_UNCALLED = frozenset({
 })
 # ... and reads none of a cone's cached facts or point location
 ORACLE_UNREAD = frozenset({
-    "solve_chart", "seeds", "facet_data", "contains", "relint_contains",
+    "solve_chart", "_echelon", "facet_data", "contains", "relint_contains",
     "is_strongly_convex", "generators_extremal", "cone_index_of",
 })
 

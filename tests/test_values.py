@@ -333,9 +333,9 @@ def test_cached_facts_compute_once_per_instance_into_vars():
     assert isinstance(Counted.double, functools.cached_property)
 
 
-def test_the_ten_facts_of_cones_and_fans_take_no_lock():
+def test_the_facts_of_cones_and_fans_take_no_lock():
     facts = [attr for cls in (fan.Cone, fan.Fan) for attr in vars(cls).values() if isinstance(attr, functools.cached_property)]
-    assert len(facts) == 10 and all(type(attr) is cached_property for attr in facts)
+    assert len(facts) == 9 and all(type(attr) is cached_property for attr in facts)
 
 
 def test_a_fact_whose_computation_raises_caches_nothing():
